@@ -1,14 +1,13 @@
 //! Thread-scaling benchmarks of the work-stealing campaign engine: the same
-//! corpus executed at 1/2/4/8 workers, against the serial reference loop.
-//! Near-linear scaling up to the physical core count is the expectation,
-//! since cases share no mutable state.
+//! corpus executed at 1/2/4/8 workers. Near-linear scaling up to the
+//! physical core count is the expectation, since cases share no mutable
+//! state.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use teesec::campaign::PhaseTiming;
 use teesec::engine::{Engine, EngineOptions};
 use teesec::fuzz::Fuzzer;
-use teesec::Campaign;
 use teesec_uarch::CoreConfig;
 
 const CORPUS: usize = 32;
@@ -37,16 +36,5 @@ fn bench_engine_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_serial_reference(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_vs_serial");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(CORPUS as u64));
-    g.bench_function("serial_run", |b| {
-        let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(CORPUS));
-        b.iter(|| campaign.run());
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_engine_scaling, bench_serial_reference);
+criterion_group!(benches, bench_engine_scaling);
 criterion_main!(benches);

@@ -60,8 +60,8 @@ fn bench_hub_primitives(c: &mut Criterion) {
         b.iter(|| hub.push_event(line));
     });
 
-    // Swapping in a full rendered exposition (what the publishing worker
-    // does every LIVE_PUBLISH_EVERY cases).
+    // Swapping in a full rendered exposition (what the engine's consumer
+    // thread does at most every 200 ms).
     let cfg = CoreConfig::boom();
     let corpus = Fuzzer::with_target(CORPUS).generate(&cfg);
     let (result, _) = Engine::new(

@@ -9,7 +9,6 @@
 //! teesec explain <gadget> [--design D] [--json]  # leak provenance chains
 //! teesec campaign [--design D] [--cases N] [--output FILE]
 //!                 [--events FILE] [--metrics-out FILE] [--diff]
-//!                 [--streaming on|off] [--snapshot-cache on|off]
 //!                 [--trace-out FILE]       # Perfetto span trace
 //!                 [--serve ADDR]           # live /metrics /events /status ...
 //!                 [--checkpoint-every N]   # atomic partial metrics snapshots
@@ -59,7 +58,6 @@ fn usage() -> ExitCode {
          teesec explain <access-gadget> [--design boom|xiangshan] [--json]\n  \
          teesec campaign [--design boom|xiangshan] [--cases N] [--threads N] [--output FILE]\n  \
          \x20               [--events FILE] [--metrics-out FILE] [--case-cycle-budget N] [--quiet] [--diff]\n  \
-         \x20               [--streaming on|off] [--snapshot-cache on|off]  (both default on)\n  \
          \x20               [--trace-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
          \x20               [--checkpoint-every N]  (0 disables; rides --metrics-out)\n  \
          teesec matrix [--cases N]\n  \
@@ -90,8 +88,6 @@ struct Opts {
     case_cycle_budget: Option<u64>,
     quiet: bool,
     diff: bool,
-    streaming: bool,
-    snapshot_cache: bool,
     stride: u64,
     seeds: usize,
     fail_under_ratio: Option<u64>,
@@ -100,17 +96,6 @@ struct Opts {
     serve_linger: u64,
     checkpoint_every: usize,
     positional: Vec<String>,
-}
-
-fn parse_onoff(v: &str) -> Option<bool> {
-    match v {
-        "on" => Some(true),
-        "off" => Some(false),
-        other => {
-            eprintln!("expected `on` or `off`, got `{other}`");
-            None
-        }
-    }
 }
 
 fn parse(args: &[String]) -> Option<Opts> {
@@ -130,8 +115,6 @@ fn parse(args: &[String]) -> Option<Opts> {
         case_cycle_budget: None,
         quiet: false,
         diff: false,
-        streaming: true,
-        snapshot_cache: true,
         stride: 1,
         seeds: 6,
         fail_under_ratio: None,
@@ -194,14 +177,6 @@ fn parse(args: &[String]) -> Option<Opts> {
             }
             "--quiet" => o.quiet = true,
             "--diff" => o.diff = true,
-            "--streaming" => {
-                i += 1;
-                o.streaming = parse_onoff(args.get(i)?)?;
-            }
-            "--snapshot-cache" => {
-                i += 1;
-                o.snapshot_cache = parse_onoff(args.get(i)?)?;
-            }
             "--stride" => {
                 i += 1;
                 o.stride = args.get(i)?.parse().ok()?;
@@ -645,8 +620,8 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
             stride: opts.stride,
             ..DiffOptions::default()
         }),
-        streaming: opts.streaming,
-        snapshot_cache: opts.snapshot_cache,
+        streaming: true,
+        snapshot_cache: true,
         coverage: true,
         fast_path: None, // process default: TEESEC_FASTPATH
         tracer: tracer.clone(),
@@ -806,15 +781,10 @@ fn cmd_diff(opts: &Opts) -> ExitCode {
         move |done, summary| {
             if let Some(hub) = hub {
                 if let Some(case) = summary.cases.last() {
-                    let verdict = match &case.verdict {
-                        DiffVerdict::Match { .. } => "match",
-                        DiffVerdict::Diverged(_) => "diverged",
-                        DiffVerdict::Skipped { .. } => "skipped",
-                    };
                     let body = serde_json::json!({
                         "seq": done - 1,
                         "case": case.case,
-                        "verdict": verdict,
+                        "verdict": case.verdict.label(),
                     });
                     let event = serde_json::json!({ "DiffCase": body });
                     hub.push_event(&serde_json::to_string(&event).expect("serialize diff event"));
@@ -1023,8 +993,8 @@ fn cmd_coverage_report(opts: &Opts) -> ExitCode {
         EngineOptions {
             threads: opts.threads,
             progress: false,
-            streaming: opts.streaming,
-            snapshot_cache: opts.snapshot_cache,
+            streaming: true,
+            snapshot_cache: true,
             coverage: true,
             tracer: if opts.serve.is_some() {
                 Tracer::new(opts.threads.max(1))

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use teesec_uarch::config::CoreConfig;
 
-use crate::engine::{execute_case, Engine, EngineMetrics, EngineOptions, ExecOptions};
+use crate::engine::{Engine, EngineMetrics, EngineOptions};
 use crate::fuzz::Fuzzer;
 use crate::paths::AccessPath;
 use crate::plan::VerificationPlan;
@@ -62,7 +62,8 @@ pub struct CampaignResult {
     pub classes_found: BTreeSet<LeakClass>,
     /// Phase costs.
     pub timing: PhaseTiming,
-    /// Engine observability; `None` for the serial reference path.
+    /// Engine observability; `None` for a result built outside the
+    /// engine.
     pub engine: Option<EngineMetrics>,
 }
 
@@ -156,8 +157,8 @@ impl Campaign {
     /// over isolation, watchdog, and observability options.
     /// `opts.keep_reports` is overridden by [`Campaign::keep_reports`].
     ///
-    /// The returned result equals [`Campaign::run`]'s at any thread count,
-    /// modulo `timing` and the attached [`EngineMetrics`].
+    /// The returned result is the same at any thread count, modulo
+    /// `timing` and the timing fields of the attached [`EngineMetrics`].
     pub fn run_engine(&self, mut opts: EngineOptions) -> (CampaignResult, Vec<CheckReport>) {
         let (corpus, timing) = self.prepare();
         opts.keep_reports = self.keep_reports;
@@ -166,7 +167,7 @@ impl Campaign {
 
     /// Runs the campaign across `threads` engine workers. Cases are
     /// independent (each builds its own platform), so results are identical
-    /// to [`Campaign::run`] — only wall-clock changes. Per-phase timing is
+    /// at any worker count — only wall-clock changes. Per-phase timing is
     /// summed across workers (CPU time, not wall time).
     pub fn run_parallel(&self, threads: usize) -> (CampaignResult, Vec<CheckReport>) {
         self.run_engine(EngineOptions {
@@ -175,46 +176,14 @@ impl Campaign {
         })
     }
 
-    /// Runs the whole campaign serially — the reference implementation the
-    /// engine is checked against. Returns the aggregate result and, when
-    /// [`Campaign::keep_reports`] was requested, the per-case reports.
+    /// Runs the whole campaign on one engine worker. Returns the aggregate
+    /// result and, when [`Campaign::keep_reports`] was requested, the
+    /// per-case reports.
     ///
     /// Cases that fail to build or panic are quarantined into
-    /// [`CaseResult::error`], exactly as the engine does.
+    /// [`CaseResult::error`].
     pub fn run(&self) -> (CampaignResult, Vec<CheckReport>) {
-        let (corpus, mut timing) = self.prepare();
-
-        let mut cases = Vec::with_capacity(corpus.len());
-        let mut classes_found = BTreeSet::new();
-        let mut reports = Vec::new();
-        for tc in &corpus {
-            let exec = execute_case(
-                tc,
-                &self.cfg,
-                ExecOptions {
-                    keep_report: self.keep_reports,
-                    ..ExecOptions::default()
-                },
-            );
-            timing.simulate_us += exec.build_us + exec.simulate_us;
-            timing.check_us += exec.check_us;
-            classes_found.extend(exec.result.classes.iter().copied());
-            cases.push(exec.result);
-            if let Some(report) = exec.report {
-                reports.push(report);
-            }
-        }
-        (
-            CampaignResult {
-                design: self.cfg.name.clone(),
-                case_count: cases.len(),
-                cases,
-                classes_found,
-                timing,
-                engine: None,
-            },
-            reports,
-        )
+        self.run_parallel(1)
     }
 }
 
@@ -253,26 +222,6 @@ mod tests {
             "a 20-case corpus already uncovers leaks on the naive deployment"
         );
         assert!(result.avg_cycles() > 0);
-    }
-
-    #[test]
-    fn parallel_run_matches_serial() {
-        let campaign = Campaign::new(CoreConfig::xiangshan(), Fuzzer::with_target(24));
-        let (serial, _) = campaign.run();
-        let (parallel, _) = campaign.run_parallel(4);
-        assert_eq!(parallel.case_count, serial.case_count);
-        assert_eq!(parallel.classes_found, serial.classes_found);
-        let names_s: Vec<_> = serial.cases.iter().map(|c| &c.name).collect();
-        let names_p: Vec<_> = parallel.cases.iter().map(|c| &c.name).collect();
-        assert_eq!(names_p, names_s, "case order preserved");
-        for (a, b) in serial.cases.iter().zip(&parallel.cases) {
-            assert_eq!(
-                a.cycles, b.cycles,
-                "simulation is deterministic: {}",
-                a.name
-            );
-            assert_eq!(a.classes, b.classes);
-        }
     }
 
     #[test]

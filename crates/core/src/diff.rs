@@ -239,6 +239,15 @@ impl DiffVerdict {
     pub fn diverged(&self) -> bool {
         matches!(self, DiffVerdict::Diverged(_))
     }
+
+    /// The verdict's kind: `match`, `diverged` or `skipped`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DiffVerdict::Match { .. } => "match",
+            DiffVerdict::Diverged(_) => "diverged",
+            DiffVerdict::Skipped { .. } => "skipped",
+        }
+    }
 }
 
 /// Per-case differential result (name + verdict), the JSONL/event payload.
@@ -536,14 +545,7 @@ pub fn diff_corpus_with(
                 reason: format!("build failed: {e:?}"),
             },
         };
-        dspan.arg(
-            "verdict",
-            match &verdict {
-                DiffVerdict::Match { .. } => "match",
-                DiffVerdict::Diverged(_) => "diverged",
-                DiffVerdict::Skipped { .. } => "skipped",
-            },
-        );
+        dspan.arg("verdict", verdict.label());
         drop(dspan);
         drop(case_span);
         match &verdict {

@@ -1,18 +1,22 @@
 //! The campaign engine: a fault-isolated, work-stealing executor for
 //! simulate-then-check corpora.
 //!
-//! [`Campaign::run`](crate::campaign::Campaign::run) is the serial reference
-//! implementation; the engine produces the *same* [`CampaignResult`] (modulo
-//! timing and the attached [`EngineMetrics`]) at any worker count, because
-//!
-//! * workers pull case indices from one shared atomic cursor (work stealing
+//! * Workers pull case indices from one shared atomic cursor (work stealing
 //!   over the corpus — no static chunking, so stragglers cannot idle a
-//!   worker), and results are re-sorted into corpus order before merging;
-//! * every case runs under [`std::panic::catch_unwind`]: a case that fails
+//!   worker) and send each finished case to the calling thread over a
+//!   channel.
+//! * The calling thread is the only consumer. It folds finished cases
+//!   strictly in corpus (seq) order into one [`CampaignResult`], so the
+//!   returned result, every live `/metrics` scrape and every checkpoint
+//!   describe a seq prefix `0..n`, and the result does not depend on the
+//!   worker count. `tests/engine_equivalence.rs` checks it against a
+//!   serial oracle built on [`run_case`](crate::runner::run_case) and
+//!   [`check_case`].
+//! * Every case runs under [`std::panic::catch_unwind`]: a case that fails
 //!   to build or panics mid-simulation is *quarantined* — recorded as a
 //!   [`CaseResult`] carrying the error text — instead of poisoning the
-//!   whole campaign;
-//! * an optional simulated-cycle watchdog clamps each case's cycle budget,
+//!   whole campaign.
+//! * An optional simulated-cycle watchdog clamps each case's cycle budget,
 //!   so a runaway case exits with `halted: false` rather than hogging its
 //!   worker.
 //!
@@ -21,10 +25,11 @@
 //! aggregate [`EngineMetrics`] lands in
 //! [`CampaignResult::engine`](crate::campaign::CampaignResult::engine).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -104,18 +109,20 @@ pub struct EngineOptions {
     /// tracer makes every instrumentation point a no-op.
     pub tracer: Tracer,
     /// Live-telemetry hub (the `--serve` flag). When set, the engine
-    /// mirrors every [`EngineEvent`] into the hub's SSE ring buffer and
-    /// periodically publishes a rendered `/metrics` exposition, a
+    /// mirrors every [`EngineEvent`] into the hub's SSE ring buffer and,
+    /// at most every 200 ms, publishes a rendered `/metrics` exposition, a
     /// `/status` progress document, and (with coverage on) a live
-    /// `/coverage` report. The final publication is built from the same
-    /// [`CampaignResult`] the run returns, so the last live scrape and a
-    /// `--metrics-out` file written from that result are byte-identical.
+    /// `/coverage` report, each describing the folded seq prefix. The
+    /// final publication is built from the same [`CampaignResult`] the
+    /// run returns, so the last live scrape and a `--metrics-out` file
+    /// written from that result are byte-identical.
     pub telemetry: Option<MetricsHub>,
-    /// Crash-durable checkpointing: every
-    /// [`CheckpointOptions::every`] finished cases the engine atomically
-    /// rewrites the metrics exposition (and optionally the coverage
-    /// report) with a `"partial": true` marker in the JSON, so a killed
-    /// campaign always leaves parseable mid-flight artifacts behind.
+    /// Crash-durable checkpointing: each time the seq-ordered fold
+    /// reaches a multiple of [`CheckpointOptions::every`] cases, the
+    /// engine atomically rewrites the metrics exposition (and optionally
+    /// the coverage report) with a `"partial": true` marker in the JSON.
+    /// A killed campaign therefore leaves parseable artifacts behind that
+    /// describe exactly seqs `0..n`.
     pub checkpoint: Option<CheckpointOptions>,
 }
 
@@ -127,7 +134,7 @@ pub struct CheckpointOptions {
     /// layout as `--metrics-out`, which normally shares this path so the
     /// final write simply overwrites the last checkpoint.
     pub path: String,
-    /// Checkpoint cadence in finished cases (clamped to ≥ 1).
+    /// Checkpoint cadence in folded cases (clamped to ≥ 1).
     pub every: usize,
     /// Optional plan-coverage report checkpoint (requires
     /// [`EngineOptions::coverage`]).
@@ -137,8 +144,10 @@ pub struct CheckpointOptions {
 /// A thread-safe JSONL sink for [`EngineEvent`]s.
 ///
 /// Cloning shares the underlying writer; each event is serialized to a
-/// single line. Event *emission* order is the order workers finish, not
-/// corpus order — consumers should key on `seq`.
+/// single line. [`EngineEvent::CaseStarted`] lines appear in the order
+/// workers pick cases up; the per-case result events (`CaseFinished` or
+/// `CaseQuarantined`, then any `CaseCounters`, `CaseDiff` and
+/// `CaseCoverage`) appear in seq order, one case after another.
 ///
 /// The sink flushes when its last clone drops, so buffered tail events
 /// survive even when the caller forgets an explicit [`EventSink::flush`].
@@ -442,22 +451,6 @@ impl FastPathMetrics {
     }
 }
 
-/// Serializes `event` once and fans the line out to the JSONL sink and
-/// the telemetry hub's SSE ring — whichever are present. With neither,
-/// the event is never even serialized, so un-narrated runs pay nothing.
-fn emit_event(sink: Option<&EventSink>, hub: Option<&MetricsHub>, event: &EngineEvent) {
-    if sink.is_none() && hub.is_none() {
-        return;
-    }
-    let line = serde_json::to_string(event).expect("serialize event");
-    if let Some(sink) = sink {
-        sink.emit_line(&line);
-    }
-    if let Some(hub) = hub {
-        hub.push_event(&line);
-    }
-}
-
 /// Aggregate differential-oracle outcomes for one engine run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiffMetrics {
@@ -490,10 +483,9 @@ impl DiffMetrics {
 }
 
 impl EngineMetrics {
-    /// Folds one finished case into the aggregate — the single folding
-    /// path shared by the end-of-run merge loop and the live-telemetry
-    /// publisher, so a mid-flight `/metrics` scrape aggregates cases
-    /// exactly the way the final exposition does.
+    /// Folds one finished case into the aggregate. Called only by the
+    /// engine's seq-ordered fold, so a mid-flight `/metrics` scrape
+    /// aggregates cases exactly the way the final exposition does.
     pub(crate) fn fold_case(&mut self, exec: &CaseExecution) {
         self.cases_quarantined += usize::from(exec.result.error.is_some());
         self.cases_budget_exceeded += usize::from(exec.budget_exceeded);
@@ -600,7 +592,8 @@ impl ObsMetrics {
     }
 }
 
-/// The outcome of executing one case (shared by serial and engine paths).
+/// The outcome of executing one case.
+#[derive(Clone)]
 pub(crate) struct CaseExecution {
     pub result: CaseResult,
     pub report: Option<CheckReport>,
@@ -620,37 +613,20 @@ pub(crate) struct CaseExecution {
     pub fastpath: Option<FastPathStats>,
 }
 
-/// Per-case execution knobs for [`execute_case`] (the engine-independent
-/// subset of [`EngineOptions`], plus the shared snapshot cache).
-#[derive(Default, Clone, Copy)]
-pub(crate) struct ExecOptions<'c> {
-    pub keep_report: bool,
-    pub budget: Option<u64>,
-    pub counters: bool,
-    pub streaming: bool,
-    /// Record per-case plan coverage and residency windows.
-    pub coverage: bool,
-    pub snapshot_cache: Option<&'c SnapshotCache>,
-    /// Force the fast-path simulator on/off (`None`: process default).
-    pub fast_path: Option<bool>,
-    /// Span recorder for the case's phase spans (`None` untraced).
-    pub tracer: Option<&'c Tracer>,
-    /// Worker index spans are attributed to.
-    pub worker: usize,
-    /// The enclosing `case` span's id (0 untraced).
-    pub case_span: u64,
-}
-
-/// Builds, simulates, and checks `tc`, quarantining build errors and
-/// panics into `CaseResult::error` instead of propagating them. When
-/// `opts.counters` is set, the finished core's microarchitectural counter
+/// Builds, simulates, and checks `tc` under `opts`, quarantining build
+/// errors and panics into `CaseResult::error` instead of propagating them.
+///
+/// With `opts.counters` the finished core's microarchitectural counter
 /// digest is harvested into [`CaseExecution::counters`]. With
-/// `opts.streaming`, checking happens online in a trace sink and the
-/// check phase shrinks to the finalize step.
+/// `opts.streaming` checking happens online in a trace sink and the check
+/// phase shrinks to the finalize step. With `opts.diff` a healthy case
+/// also runs the differential oracle. Phase spans attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
-    opts: ExecOptions<'_>,
+    opts: &EngineOptions,
+    snapshot_cache: Option<&SnapshotCache>,
+    tctx: TraceCtx<'_>,
 ) -> CaseExecution {
     let quarantined = |error: String| CaseExecution {
         result: CaseResult {
@@ -674,11 +650,6 @@ pub(crate) fn execute_case(
         cache: None,
         fastpath: None,
     };
-    let tctx = TraceCtx {
-        tracer: opts.tracer,
-        worker: opts.worker,
-        parent: opts.case_span,
-    };
 
     let t_sim = Instant::now();
     let mut outcome = match catch_unwind(AssertUnwindSafe(|| {
@@ -686,8 +657,8 @@ pub(crate) fn execute_case(
             tc,
             cfg,
             RunOptions {
-                budget: opts.budget,
-                snapshot_cache: opts.snapshot_cache,
+                budget: opts.case_cycle_budget,
+                snapshot_cache,
                 sink: opts.streaming.then(|| {
                     Box::new(if opts.coverage {
                         StreamingChecker::with_coverage(tc, cfg)
@@ -744,9 +715,12 @@ pub(crate) fn execute_case(
             .entry(f.structure.display_name().to_string())
             .or_insert(0) += 1;
     }
-    let budget_exceeded =
-        outcome.exit == RunExit::CycleLimit && opts.budget.is_some_and(|b| b < tc.max_cycles);
-    CaseExecution {
+    let budget_exceeded = outcome.exit == RunExit::CycleLimit
+        && opts.case_cycle_budget.is_some_and(|b| b < tc.max_cycles);
+    if budget_exceeded {
+        tctx.mark("watchdog_fire");
+    }
+    let mut exec = CaseExecution {
         result: CaseResult {
             name: tc.name.clone(),
             path: tc.path,
@@ -756,7 +730,7 @@ pub(crate) fn execute_case(
             finding_count: report.findings.len(),
             error: None,
         },
-        report: opts.keep_report.then_some(report),
+        report: opts.keep_reports.then_some(report),
         findings_by_structure,
         budget_exceeded,
         build_us,
@@ -767,14 +741,26 @@ pub(crate) fn execute_case(
         coverage,
         cache: Some(outcome.build.label()),
         fastpath,
+    };
+    // The oracle rebuilds its own platform; free this one first.
+    drop(outcome);
+    if let Some(diff_opts) = &opts.diff {
+        exec.diff = Some(execute_diff(tc, cfg, diff_opts, tctx));
     }
+    exec
 }
 
 /// Runs the differential oracle on one case under the same fault isolation
 /// as the case itself: a panicking or unbuildable diff becomes a
 /// [`DiffVerdict::Skipped`], never a dead worker.
-fn execute_diff(tc: &TestCase, cfg: &CoreConfig, opts: &DiffOptions) -> DiffVerdict {
-    match catch_unwind(AssertUnwindSafe(|| diff_case(tc, cfg, opts))) {
+fn execute_diff(
+    tc: &TestCase,
+    cfg: &CoreConfig,
+    opts: &DiffOptions,
+    tctx: TraceCtx<'_>,
+) -> DiffVerdict {
+    let mut span = tctx.span("diff");
+    let verdict = match catch_unwind(AssertUnwindSafe(|| diff_case(tc, cfg, opts))) {
         Ok(Ok(verdict)) => verdict,
         Ok(Err(build)) => DiffVerdict::Skipped {
             reason: format!("rebuild for diff failed: {build}"),
@@ -782,7 +768,9 @@ fn execute_diff(tc: &TestCase, cfg: &CoreConfig, opts: &DiffOptions) -> DiffVerd
         Err(panic) => DiffVerdict::Skipped {
             reason: format!("diff panic: {}", panic_message(&panic)),
         },
-    }
+    };
+    span.arg("verdict", verdict.label());
+    verdict
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
@@ -795,225 +783,224 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Finished cases between two live-telemetry publications. Publishing
-/// renders a full Prometheus exposition plus the status and coverage
-/// documents, so it is amortized over a small batch of cases rather
-/// than done per case.
-const LIVE_PUBLISH_EVERY: usize = 8;
-
-/// Minimum wall-clock gap between two live publications. Fast corpora
-/// finish hundreds of cases per second; without this gate the case-count
-/// cadence alone would spend more worker time rendering expositions than
-/// any scraper could consume (a 1 Hz Prometheus scrape sees at most one
-/// publication per second anyway).
-const LIVE_PUBLISH_MIN_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
-
-/// The running mid-flight aggregate behind the live publisher and the
-/// crash-durability checkpointer: every finished case is folded in by
-/// its worker (via [`EngineMetrics::fold_case`], the same path the
-/// end-of-run merge uses), and a publishing worker clones the whole
-/// state out of the lock so rendering never blocks its peers.
+/// One finished case, as its worker hands it to the consumer.
 #[derive(Clone)]
-struct LiveState {
+pub(crate) struct CaseRecord {
+    /// Corpus index.
+    pub seq: usize,
+    /// The worker that ran the case.
+    pub worker: usize,
+    /// The case's span id on a traced run.
+    pub span_id: Option<u64>,
+    /// The enclosing worker span's id on a traced run.
+    pub parent_id: Option<u64>,
+    pub exec: CaseExecution,
+}
+
+/// The seq-ordered fold behind the returned [`CampaignResult`], every
+/// live publication and every checkpoint.
+///
+/// Records arrive in finish order. The fold buffers any record past the
+/// first missing seq and folds strictly in corpus order, so at every
+/// moment it describes exactly seqs `0..n`.
+pub(crate) struct Fold {
+    /// Cases `0..result.case_count`, folded. `metrics` is attached by
+    /// [`Fold::snapshot`] and [`Fold::finish`].
+    result: CampaignResult,
     metrics: EngineMetrics,
-    cases: Vec<CaseResult>,
-    classes: std::collections::BTreeSet<crate::report::LeakClass>,
-    finished: usize,
-    last_publish: usize,
-    last_publish_at: Instant,
-    last_checkpoint: usize,
+    reports: Vec<CheckReport>,
+    /// Σ per-case build + simulate + check µs over the folded cases.
+    case_us: u64,
+    /// Finished cases waiting for an earlier seq, keyed by seq.
+    pending: BTreeMap<usize, CaseRecord>,
 }
 
-/// Builds the interim [`CampaignResult`] a mid-flight publication or
-/// checkpoint describes: the cases folded so far, with wall time,
-/// snapshot-cache counters, and trace analysis sampled live.
-fn live_result(
-    cfg: &CoreConfig,
-    opts: &EngineOptions,
-    st: &LiveState,
-    wall_us: u128,
-    cache: Option<&SnapshotCache>,
-) -> CampaignResult {
-    let mut metrics = st.metrics.clone();
-    metrics.wall_us = wall_us;
-    metrics.snapshot = cache.map(SnapshotCache::metrics);
-    metrics.trace = opts
-        .tracer
-        .enabled()
-        .then(|| opts.tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
-    CampaignResult {
-        design: cfg.name.clone(),
-        case_count: st.finished,
-        cases: st.cases.clone(),
-        classes_found: st.classes.clone(),
-        timing: PhaseTiming::default(),
-        engine: Some(metrics),
-    }
-}
-
-/// Renders the `/status` progress document: campaign identity and
-/// counts, the shared [`ProgressModel`]'s progress/ETA, per-phase
-/// percentile digests, worker busy ratios, and the cache/fast-path
-/// effectiveness counters. Optional aggregates render as `null` (or an
-/// empty array) when the producing option is off.
-fn render_status(
-    result: &CampaignResult,
-    model: &ProgressModel,
-    complete: bool,
-    events_dropped: u64,
-) -> String {
-    use serde_json::Value;
-    let engine = result.engine.as_ref();
-    let uint = |v: u64| Value::UInt(u128::from(v));
-    let phases = engine.and_then(|e| e.obs.as_ref()).map_or_else(
-        || Value::Array(Vec::new()),
-        |obs| {
-            Value::Array(
-                obs.phase_summaries()
-                    .iter()
-                    .map(|(name, s)| {
-                        Value::Object(vec![
-                            ("phase".to_string(), Value::String((*name).to_string())),
-                            ("count".to_string(), uint(s.count)),
-                            ("p50".to_string(), uint(s.p50)),
-                            ("p90".to_string(), uint(s.p90)),
-                            ("p99".to_string(), uint(s.p99)),
-                        ])
-                    })
-                    .collect(),
-            )
-        },
-    );
-    let workers = engine.and_then(|e| e.trace.as_ref()).map_or_else(
-        || Value::Array(Vec::new()),
-        |trace| {
-            Value::Array(
-                trace
-                    .workers
-                    .iter()
-                    .map(|w| {
-                        Value::Object(vec![
-                            ("worker".to_string(), Value::UInt(w.worker as u128)),
-                            ("busy_ppm".to_string(), uint(w.busy_ratio_ppm)),
-                        ])
-                    })
-                    .collect(),
-            )
-        },
-    );
-    let snapshot_cache = engine
-        .and_then(|e| e.snapshot.as_ref())
-        .map_or(Value::Null, |s| {
-            Value::Object(vec![
-                ("hits".to_string(), uint(s.hits)),
-                ("misses".to_string(), uint(s.misses)),
-                ("bypasses".to_string(), uint(s.bypasses)),
-                ("capture_us".to_string(), uint(s.capture_us)),
-            ])
-        });
-    let fastpath = engine
-        .and_then(|e| e.fastpath.as_ref())
-        .map_or(Value::Null, |fp| {
-            Value::Object(vec![
-                ("cases".to_string(), Value::UInt(fp.cases as u128)),
-                ("decode_hits".to_string(), uint(fp.decode_hits)),
-                ("decode_misses".to_string(), uint(fp.decode_misses)),
-                (
-                    "decode_invalidations".to_string(),
-                    uint(fp.decode_invalidations),
-                ),
-                ("scan_checks".to_string(), uint(fp.scan_checks)),
-                ("scan_skips".to_string(), uint(fp.scan_skips)),
-            ])
-        });
-    let coverage_ratio = engine
-        .and_then(|e| e.plan_coverage.as_ref())
-        .map_or(Value::Null, |pc| uint(pc.coverage_ratio_ppm()));
-    let status = Value::Object(vec![
-        ("design".to_string(), Value::String(result.design.clone())),
-        ("complete".to_string(), Value::Bool(complete)),
-        ("cases_done".to_string(), Value::UInt(model.done as u128)),
-        ("cases_total".to_string(), Value::UInt(model.total as u128)),
-        (
-            "quarantined".to_string(),
-            Value::UInt(model.quarantined as u128),
-        ),
-        (
-            "budget_exceeded".to_string(),
-            Value::UInt(engine.map_or(0, |e| e.cases_budget_exceeded) as u128),
-        ),
-        (
-            "findings_total".to_string(),
-            Value::UInt(engine.map_or(0, |e| e.findings_total) as u128),
-        ),
-        ("progress_ppm".to_string(), uint(model.progress_ppm())),
-        ("elapsed_us".to_string(), uint(model.elapsed_us)),
-        (
-            "eta_us".to_string(),
-            model.eta_us().map_or(Value::Null, uint),
-        ),
-        ("phases".to_string(), phases),
-        ("workers".to_string(), workers),
-        ("snapshot_cache".to_string(), snapshot_cache),
-        ("fastpath".to_string(), fastpath),
-        ("coverage_ratio_ppm".to_string(), coverage_ratio),
-        ("events_dropped_total".to_string(), uint(events_dropped)),
-    ]);
-    serde_json::to_string_pretty(&status).expect("serialize status document")
-}
-
-/// Publishes the full live-artifact set for one interim (or final)
-/// result: the stamped `/metrics` exposition, the `/status` document,
-/// and — with plan coverage on — the `/coverage` report.
-fn publish_live(hub: &MetricsHub, result: &CampaignResult, model: &ProgressModel, complete: bool) {
-    let dropped = hub.events_dropped_total();
-    let snap = crate::metrics::live_campaign_snapshot(result, model.progress_ppm(), dropped);
-    hub.publish_metrics(snap.render_prometheus());
-    hub.publish_status(render_status(result, model, complete, dropped));
-    if let Some(pc) = result
-        .engine
-        .as_ref()
-        .and_then(|e| e.plan_coverage.as_ref())
-    {
-        hub.publish_coverage(
-            serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage report"),
-        );
-    }
-    hub.set_progress_ppm(model.progress_ppm());
-}
-
-/// Atomically checkpoints the mid-flight metrics exposition (and the
-/// coverage report, when requested) with the `"partial": true` JSON
-/// marker. Checkpoint I/O failures are reported once to stderr and
-/// never take down the run — same contract as the event sink.
-fn write_checkpoint(
-    ckpt: &CheckpointOptions,
-    result: &CampaignResult,
-    progress_ppm: u64,
-    events_dropped: u64,
-) {
-    let snap = crate::metrics::live_campaign_snapshot(result, progress_ppm, events_dropped);
-    if let Err(e) = crate::metrics::write_checkpoint_files(&snap, &ckpt.path) {
-        eprintln!("teesec: metrics checkpoint failed: {e}");
-    }
-    if let (Some(path), Some(pc)) = (
-        &ckpt.coverage_out,
-        result
-            .engine
-            .as_ref()
-            .and_then(|e| e.plan_coverage.as_ref()),
-    ) {
-        let json =
-            serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage report");
-        if let Err(e) = crate::metrics::write_partial_json(&json, path) {
-            eprintln!("teesec: coverage checkpoint failed: {e}");
+impl Fold {
+    fn new(design: String, metrics: EngineMetrics, timing: PhaseTiming) -> Fold {
+        Fold {
+            result: CampaignResult {
+                design,
+                case_count: 0,
+                cases: Vec::new(),
+                classes_found: BTreeSet::new(),
+                timing,
+                engine: None,
+            },
+            metrics,
+            reports: Vec::new(),
+            case_us: 0,
+            pending: BTreeMap::new(),
         }
     }
+
+    /// Buffers one finished case until every earlier seq has been folded.
+    fn push(&mut self, record: CaseRecord) {
+        self.pending.insert(record.seq, record);
+    }
+
+    /// Folds the next case in seq order, if it has arrived, and returns
+    /// its record (with the report moved into the fold).
+    fn fold_next(&mut self) -> Option<CaseRecord> {
+        let mut record = self.pending.remove(&self.result.case_count)?;
+        let exec = &mut record.exec;
+        self.metrics.fold_case(exec);
+        self.metrics.cases_per_worker[record.worker] += 1;
+        let result = &mut self.result;
+        // Table 2 semantics: "simulate" covers platform build + run.
+        result.timing.simulate_us += exec.build_us + exec.simulate_us;
+        result.timing.check_us += exec.check_us;
+        result
+            .classes_found
+            .extend(exec.result.classes.iter().copied());
+        result.cases.push(exec.result.clone());
+        result.case_count += 1;
+        self.reports.extend(exec.report.take());
+        let case_us = exec.build_us + exec.simulate_us + exec.check_us;
+        self.case_us = self
+            .case_us
+            .saturating_add(case_us.min(u128::from(u64::MAX)) as u64);
+        Some(record)
+    }
+
+    /// The folded prefix as a result, with the aggregates that are sampled
+    /// rather than folded — wall time, snapshot-cache counters, trace
+    /// analysis — refreshed.
+    fn snapshot(
+        &mut self,
+        t0: Instant,
+        cache: Option<&SnapshotCache>,
+        tracer: &Tracer,
+    ) -> &CampaignResult {
+        self.metrics.wall_us = t0.elapsed().as_micros();
+        self.metrics.snapshot = cache.map(SnapshotCache::metrics);
+        self.metrics.trace = tracer
+            .enabled()
+            .then(|| tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
+        self.result.engine = Some(self.metrics.clone());
+        &self.result
+    }
+
+    /// Progress over the folded prefix: the done count, the quarantine
+    /// count and the ETA's per-case mean all describe the same cases.
+    fn progress(&self, t0: Instant) -> ProgressModel {
+        let done = self.result.case_count;
+        ProgressModel {
+            done,
+            total: self.metrics.cases_total,
+            quarantined: self.metrics.cases_quarantined,
+            elapsed_us: t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+            threads: self.metrics.threads,
+            mean_case_us: (done > 0).then(|| self.case_us / done as u64),
+        }
+    }
+
+    fn finish(mut self) -> (CampaignResult, Vec<CheckReport>) {
+        debug_assert!(self.pending.is_empty(), "records left past a gap");
+        self.result.engine = Some(self.metrics);
+        (self.result, self.reports)
+    }
 }
 
-/// Saturating microseconds since `t0` (u128 → u64 for [`ProgressModel`]).
-fn elapsed_us(t0: Instant) -> u64 {
-    t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+/// The per-case result events of one folded case, in stream order: the
+/// outcome (`CaseFinished` or `CaseQuarantined`), then whichever of the
+/// counter digest, oracle verdict and coverage record the run produced.
+fn case_events(record: CaseRecord) -> Vec<EngineEvent> {
+    let CaseRecord {
+        seq,
+        span_id,
+        parent_id,
+        exec,
+        ..
+    } = record;
+    let case = exec.result.name;
+    let mut events = vec![match exec.result.error {
+        Some(error) => EngineEvent::CaseQuarantined {
+            seq,
+            case: case.clone(),
+            error,
+            span_id,
+            parent_id,
+        },
+        None => EngineEvent::CaseFinished {
+            seq,
+            case: case.clone(),
+            cycles: exec.result.cycles,
+            halted: exec.result.halted,
+            finding_count: exec.result.finding_count,
+            findings_by_structure: exec.findings_by_structure,
+            build_us: exec.build_us,
+            simulate_us: exec.simulate_us,
+            check_us: exec.check_us,
+            span_id,
+            parent_id,
+        },
+    }];
+    events.extend(exec.counters.map(|counters| EngineEvent::CaseCounters {
+        seq,
+        case: case.clone(),
+        counters,
+        span_id,
+        parent_id,
+    }));
+    events.extend(exec.diff.map(|verdict| EngineEvent::CaseDiff {
+        seq,
+        case: case.clone(),
+        verdict,
+        span_id,
+        parent_id,
+    }));
+    events.extend(exec.coverage.map(|coverage| EngineEvent::CaseCoverage {
+        seq,
+        case,
+        coverage,
+        span_id,
+        parent_id,
+    }));
+    events
+}
+
+/// Minimum wall-clock gap between two live publications. Fast corpora
+/// finish hundreds of cases per second; rendering a full exposition per
+/// case would cost more than any scraper could consume (a 1 Hz
+/// Prometheus scrape sees at most one publication per second anyway).
+const LIVE_PUBLISH_MIN_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
+
+/// The `/status` progress document. Field order is the committed
+/// `tests/fixtures/status_schema.json`. An aggregate whose producing
+/// option is off renders as `null`, or as an empty array.
+#[derive(Serialize)]
+struct StatusDoc {
+    design: String,
+    complete: bool,
+    cases_done: usize,
+    cases_total: usize,
+    quarantined: usize,
+    budget_exceeded: usize,
+    findings_total: usize,
+    progress_ppm: u64,
+    elapsed_us: u64,
+    eta_us: Option<u64>,
+    phases: Vec<PhaseRow>,
+    workers: Vec<WorkerRow>,
+    snapshot_cache: Option<SnapshotCacheMetrics>,
+    fastpath: Option<FastPathMetrics>,
+    coverage_ratio_ppm: Option<u64>,
+    events_dropped_total: u64,
+}
+
+#[derive(Serialize)]
+struct PhaseRow {
+    phase: &'static str,
+    count: u64,
+    p50: u64,
+    p90: u64,
+    p99: u64,
+}
+
+#[derive(Serialize)]
+struct WorkerRow {
+    worker: usize,
+    busy_ppm: u64,
 }
 
 /// A fault-isolated, work-stealing executor over an explicit corpus.
@@ -1040,10 +1027,15 @@ impl Engine {
     ///
     /// `timing` carries the plan/construct phase costs measured by the
     /// caller; simulate/check costs are summed across workers (CPU time).
+    ///
+    /// The calling thread is the only consumer of finished cases. For
+    /// each case it folds, in seq order, it emits the case's result
+    /// events, publishes the live artifacts when 200 ms have passed,
+    /// writes any checkpoint that is due, and repaints the progress line.
     pub fn run_corpus(
         &self,
         corpus: &[TestCase],
-        mut timing: PhaseTiming,
+        timing: PhaseTiming,
     ) -> (CampaignResult, Vec<CheckReport>) {
         let threads = self.opts.threads.max(1);
         let t0 = Instant::now();
@@ -1059,273 +1051,70 @@ impl Engine {
                 hub.set_tracer(self.opts.tracer.clone());
             }
         }
-        emit_event(
-            self.opts.events.as_ref(),
-            hub,
-            &EngineEvent::CampaignStarted {
+        if self.narrated() {
+            self.emit(&EngineEvent::CampaignStarted {
                 design: self.cfg.name.clone(),
                 case_count: corpus.len(),
                 threads,
-            },
-        );
-
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let quarantined_ctr = AtomicUsize::new(0);
-        let case_us_sum = AtomicU64::new(0);
-        let snapshot_cache = self.opts.snapshot_cache.then(SnapshotCache::new);
-        let live = (hub.is_some() || self.opts.checkpoint.is_some()).then(|| {
-            Mutex::new(LiveState {
-                metrics: self.seed_metrics(threads, corpus.len()),
-                cases: Vec::new(),
-                classes: std::collections::BTreeSet::new(),
-                finished: 0,
-                last_publish: 0,
-                last_publish_at: Instant::now(),
-                last_checkpoint: 0,
-            })
-        });
-        // Serve real (empty) artifacts from the first accept onward —
-        // a scraper that beats the first publish batch must not see 503.
-        if let (Some(hub), Some(live)) = (hub, &live) {
-            let st = live.lock().expect("live state poisoned").clone();
-            let result = live_result(&self.cfg, &self.opts, &st, 0, snapshot_cache.as_ref());
-            let model = ProgressModel {
-                done: 0,
-                total: corpus.len(),
-                quarantined: 0,
-                elapsed_us: 0,
-                threads,
-                mean_case_us: None,
-            };
-            publish_live(hub, &result, &model, false);
+            });
         }
-        let mut per_worker: Vec<Vec<(usize, CaseExecution)>> = Vec::new();
+
+        let cache = self.opts.snapshot_cache.then(SnapshotCache::new);
+        let tracer = &self.opts.tracer;
+        let mut fold = Fold::new(
+            self.cfg.name.clone(),
+            self.seed_metrics(threads, corpus.len()),
+            timing,
+        );
+        // Serve real (empty) artifacts from the first accept onward — a
+        // scraper that beats the first publication must not see 503.
+        if hub.is_some() {
+            let progress = fold.progress(t0);
+            let result = fold.snapshot(t0, cache.as_ref(), tracer);
+            self.publish(result, &progress, false, true, false);
+        }
+        let checkpoint_every = self.opts.checkpoint.as_ref().map(|c| c.every.max(1));
+        let cursor = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let cursor = &cursor;
-                let done = &done;
-                let quarantined_ctr = &quarantined_ctr;
-                let case_us_sum = &case_us_sum;
-                let live = &live;
-                let opts = &self.opts;
-                let cfg = &self.cfg;
-                let snapshot_cache = snapshot_cache.as_ref();
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut wspan = opts.tracer.span(worker, "worker", campaign_id);
-                    let worker_id = wspan.id();
-                    loop {
-                        let queue_span = opts.tracer.span(worker, "queue_wait", worker_id);
-                        let seq = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(tc) = corpus.get(seq) else { break };
-                        drop(queue_span);
-                        let mut case_span = opts.tracer.span(worker, "case", worker_id);
-                        case_span.arg("case", tc.name.as_str());
-                        case_span.arg("seq", seq);
-                        case_span.arg("design", cfg.name.as_str());
-                        let case_id = case_span.id();
-                        let sid = (case_id != 0).then_some(case_id);
-                        let pid = (worker_id != 0).then_some(worker_id);
-                        if opts.events.is_some() || opts.telemetry.is_some() {
-                            emit_event(
-                                opts.events.as_ref(),
-                                opts.telemetry.as_ref(),
-                                &EngineEvent::CaseStarted {
-                                    seq,
-                                    case: tc.name.clone(),
-                                    worker,
-                                    span_id: sid,
-                                    parent_id: pid,
-                                },
-                            );
+            let workers: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let (tx, cursor, cache) = (tx.clone(), &cursor, cache.as_ref());
+                    scope.spawn(move || self.work(worker, corpus, cursor, cache, campaign_id, &tx))
+                })
+                .collect();
+            drop(tx);
+            let mut last_publish = Instant::now();
+            for record in rx {
+                fold.push(record);
+                while let Some(record) = fold.fold_next() {
+                    if self.narrated() {
+                        for event in case_events(record) {
+                            self.emit(&event);
                         }
-                        let mut exec = execute_case(
-                            tc,
-                            cfg,
-                            ExecOptions {
-                                keep_report: opts.keep_reports,
-                                budget: opts.case_cycle_budget,
-                                counters: opts.counters,
-                                streaming: opts.streaming,
-                                coverage: opts.coverage,
-                                snapshot_cache,
-                                fast_path: opts.fast_path,
-                                tracer: opts.tracer.enabled().then_some(&opts.tracer),
-                                worker,
-                                case_span: case_id,
-                            },
-                        );
-                        if let Some(diff_opts) = &opts.diff {
-                            if exec.result.error.is_none() {
-                                let mut dspan = opts.tracer.span(worker, "diff", case_id);
-                                let verdict = execute_diff(tc, cfg, diff_opts);
-                                dspan.arg(
-                                    "verdict",
-                                    match &verdict {
-                                        DiffVerdict::Match { .. } => "match",
-                                        DiffVerdict::Diverged(_) => "diverged",
-                                        DiffVerdict::Skipped { .. } => "skipped",
-                                    },
-                                );
-                                exec.diff = Some(verdict);
-                            }
-                        }
-                        if exec.budget_exceeded {
-                            opts.tracer.mark(worker, "watchdog_fire", case_id);
-                        }
-                        if exec.result.error.is_some() {
-                            case_span.arg("quarantined", 1u64);
-                        }
-                        if let Some(cache) = exec.cache {
-                            case_span.arg("cache", cache);
-                        }
-                        case_span.arg("cycles", exec.result.cycles);
-                        case_span.arg("findings", exec.result.finding_count);
-                        if let Some(counters) = &exec.counters {
-                            case_span.arg("instructions", counters.instructions_retired);
-                            case_span.arg("trace_events", counters.trace_events);
-                        }
-                        drop(case_span);
-                        if opts.events.is_some() || opts.telemetry.is_some() {
-                            let sink = opts.events.as_ref();
-                            let hub = opts.telemetry.as_ref();
-                            emit_event(sink, hub, &case_event(seq, &exec, sid, pid));
-                            if let Some(counters) = &exec.counters {
-                                emit_event(
-                                    sink,
-                                    hub,
-                                    &EngineEvent::CaseCounters {
-                                        seq,
-                                        case: exec.result.name.clone(),
-                                        counters: counters.clone(),
-                                        span_id: sid,
-                                        parent_id: pid,
-                                    },
-                                );
-                            }
-                            if let Some(verdict) = &exec.diff {
-                                emit_event(
-                                    sink,
-                                    hub,
-                                    &EngineEvent::CaseDiff {
-                                        seq,
-                                        case: exec.result.name.clone(),
-                                        verdict: verdict.clone(),
-                                        span_id: sid,
-                                        parent_id: pid,
-                                    },
-                                );
-                            }
-                            if let Some(coverage) = &exec.coverage {
-                                emit_event(
-                                    sink,
-                                    hub,
-                                    &EngineEvent::CaseCoverage {
-                                        seq,
-                                        case: exec.result.name.clone(),
-                                        coverage: coverage.clone(),
-                                        span_id: sid,
-                                        parent_id: pid,
-                                    },
-                                );
-                            }
-                        }
-                        if exec.result.error.is_some() {
-                            quarantined_ctr.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let case_us = (exec.build_us + exec.simulate_us + exec.check_us)
-                            .min(u128::from(u64::MAX)) as u64;
-                        case_us_sum.fetch_add(case_us, Ordering::Relaxed);
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(live) = live {
-                            // Fold under the lock; the worker that crosses a
-                            // cadence threshold clones the state out and does
-                            // the (comparatively expensive) rendering and I/O
-                            // outside it.
-                            let decision = {
-                                let mut st = live.lock().expect("live state poisoned");
-                                st.metrics.fold_case(&exec);
-                                st.classes.extend(exec.result.classes.iter().copied());
-                                st.cases.push(exec.result.clone());
-                                st.finished += 1;
-                                let publish = opts.telemetry.is_some()
-                                    && st.finished - st.last_publish >= LIVE_PUBLISH_EVERY
-                                    && st.last_publish_at.elapsed() >= LIVE_PUBLISH_MIN_INTERVAL;
-                                if publish {
-                                    st.last_publish = st.finished;
-                                    st.last_publish_at = Instant::now();
-                                }
-                                let checkpoint = opts.checkpoint.as_ref().is_some_and(|c| {
-                                    st.finished - st.last_checkpoint >= c.every.max(1)
-                                });
-                                if checkpoint {
-                                    st.last_checkpoint = st.finished;
-                                }
-                                (publish || checkpoint).then(|| (st.clone(), publish, checkpoint))
-                            };
-                            if let Some((st, publish, checkpoint)) = decision {
-                                let result = live_result(
-                                    cfg,
-                                    opts,
-                                    &st,
-                                    t0.elapsed().as_micros(),
-                                    snapshot_cache,
-                                );
-                                let model = ProgressModel {
-                                    done: st.finished,
-                                    total: corpus.len(),
-                                    quarantined: st.metrics.cases_quarantined,
-                                    elapsed_us: elapsed_us(t0),
-                                    threads,
-                                    mean_case_us: (st.finished > 0).then(|| {
-                                        case_us_sum.load(Ordering::Relaxed) / st.finished as u64
-                                    }),
-                                };
-                                if publish {
-                                    if let Some(hub) = opts.telemetry.as_ref() {
-                                        publish_live(hub, &result, &model, false);
-                                    }
-                                }
-                                if checkpoint {
-                                    if let Some(ckpt) = opts.checkpoint.as_ref() {
-                                        let dropped = opts
-                                            .telemetry
-                                            .as_ref()
-                                            .map_or(0, MetricsHub::events_dropped_total);
-                                        write_checkpoint(
-                                            ckpt,
-                                            &result,
-                                            model.progress_ppm(),
-                                            dropped,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        if opts.progress {
-                            let model = ProgressModel {
-                                done: finished,
-                                total: corpus.len(),
-                                quarantined: quarantined_ctr.load(Ordering::Relaxed),
-                                elapsed_us: elapsed_us(t0),
-                                threads,
-                                mean_case_us: (finished > 0)
-                                    .then(|| case_us_sum.load(Ordering::Relaxed) / finished as u64),
-                            };
-                            // Trailing pad overwrites residue when the
-                            // rendered ETA shrinks between repaints.
-                            eprint!("\r{}   ", model.render_line());
-                        }
-                        out.push((seq, exec));
                     }
-                    wspan.arg("cases", out.len());
-                    out
-                }));
+                    let live = hub.is_some() && last_publish.elapsed() >= LIVE_PUBLISH_MIN_INTERVAL;
+                    let due =
+                        checkpoint_every.is_some_and(|n| fold.result.case_count.is_multiple_of(n));
+                    if live || due {
+                        let progress = fold.progress(t0);
+                        let result = fold.snapshot(t0, cache.as_ref(), tracer);
+                        self.publish(result, &progress, false, live, due);
+                    }
+                    if live {
+                        last_publish = Instant::now();
+                    }
+                    if self.opts.progress {
+                        // Trailing pad overwrites residue when the
+                        // rendered ETA shrinks between repaints.
+                        eprint!("\r{}   ", fold.progress(t0).render_line());
+                    }
+                }
             }
-            for h in handles {
-                per_worker.push(h.join().expect("engine worker panicked outside isolation"));
+            for worker in workers {
+                worker
+                    .join()
+                    .expect("engine worker panicked outside isolation");
             }
         });
         if self.opts.progress && !corpus.is_empty() {
@@ -1333,79 +1122,209 @@ impl Engine {
         }
         drop(campaign_span);
 
-        let mut metrics = self.seed_metrics(threads, corpus.len());
-        metrics.cases_per_worker = per_worker.iter().map(Vec::len).collect();
-        metrics.wall_us = t0.elapsed().as_micros();
-        metrics.snapshot = snapshot_cache.as_ref().map(SnapshotCache::metrics);
-        metrics.trace = self
-            .opts
-            .tracer
-            .enabled()
-            .then(|| self.opts.tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
-        let mut flat: Vec<(usize, CaseExecution)> = per_worker.into_iter().flatten().collect();
-        flat.sort_by_key(|(seq, _)| *seq);
-
-        let mut cases = Vec::with_capacity(flat.len());
-        let mut classes_found = std::collections::BTreeSet::new();
-        let mut reports = Vec::new();
-        for (_, exec) in flat {
-            metrics.fold_case(&exec);
-            // Table 2 semantics: "simulate" covers platform build + run.
-            timing.simulate_us += exec.build_us + exec.simulate_us;
-            timing.check_us += exec.check_us;
-            classes_found.extend(exec.result.classes.iter().copied());
-            cases.push(exec.result);
-            if let Some(r) = exec.report {
-                reports.push(r);
-            }
+        // Refresh the sampled aggregates; `finish` attaches them.
+        fold.snapshot(t0, cache.as_ref(), tracer);
+        let progress = fold.progress(t0);
+        let (result, reports) = fold.finish();
+        if self.narrated() {
+            self.emit(&EngineEvent::CampaignFinished {
+                metrics: result
+                    .engine
+                    .clone()
+                    .expect("the fold seeds engine metrics"),
+            });
         }
-
-        emit_event(
-            self.opts.events.as_ref(),
-            hub,
-            &EngineEvent::CampaignFinished {
-                metrics: metrics.clone(),
-            },
-        );
         if let Some(sink) = &self.opts.events {
             sink.flush();
         }
-        let result = CampaignResult {
-            design: self.cfg.name.clone(),
-            case_count: cases.len(),
-            cases,
-            classes_found,
-            timing,
-            engine: Some(metrics),
-        };
         // The final publication is built from the returned result itself
         // (after the last ring-buffer push), so the last live `/metrics`
         // scrape is byte-identical to a `--metrics-out` exposition
         // rendered from the same result.
         if let Some(hub) = hub {
-            let em = result
-                .engine
-                .as_ref()
-                .expect("engine metrics just attached");
-            let model = ProgressModel {
-                done: result.case_count,
-                total: result.case_count,
-                quarantined: em.cases_quarantined,
-                elapsed_us: elapsed_us(t0),
-                threads,
-                mean_case_us: (result.case_count > 0)
-                    .then(|| case_us_sum.load(Ordering::Relaxed) / result.case_count as u64),
-            };
-            publish_live(hub, &result, &model, true);
+            self.publish(&result, &progress, true, true, false);
             hub.set_complete(true);
         }
         (result, reports)
     }
 
+    /// One worker: pulls case indices off the shared cursor until the
+    /// corpus drains, runs each case inside its trace span, and sends the
+    /// record to the consumer.
+    fn work(
+        &self,
+        worker: usize,
+        corpus: &[TestCase],
+        cursor: &AtomicUsize,
+        cache: Option<&SnapshotCache>,
+        campaign_id: u64,
+        tx: &Sender<CaseRecord>,
+    ) {
+        let tracer = &self.opts.tracer;
+        let mut wspan = tracer.span(worker, "worker", campaign_id);
+        let worker_id = wspan.id();
+        let mut cases = 0usize;
+        loop {
+            let queue_span = tracer.span(worker, "queue_wait", worker_id);
+            let seq = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(tc) = corpus.get(seq) else { break };
+            drop(queue_span);
+            let mut case_span = tracer.span(worker, "case", worker_id);
+            case_span.arg("case", tc.name.as_str());
+            case_span.arg("seq", seq);
+            case_span.arg("design", self.cfg.name.as_str());
+            let case_id = case_span.id();
+            let span_id = (case_id != 0).then_some(case_id);
+            let parent_id = (worker_id != 0).then_some(worker_id);
+            if self.narrated() {
+                self.emit(&EngineEvent::CaseStarted {
+                    seq,
+                    case: tc.name.clone(),
+                    worker,
+                    span_id,
+                    parent_id,
+                });
+            }
+            let tctx = TraceCtx {
+                tracer: tracer.enabled().then_some(tracer),
+                worker,
+                parent: case_id,
+            };
+            let exec = execute_case(tc, &self.cfg, &self.opts, cache, tctx);
+            if exec.result.error.is_some() {
+                case_span.arg("quarantined", 1u64);
+            }
+            if let Some(cache) = exec.cache {
+                case_span.arg("cache", cache);
+            }
+            case_span.arg("cycles", exec.result.cycles);
+            case_span.arg("findings", exec.result.finding_count);
+            if let Some(counters) = &exec.counters {
+                case_span.arg("instructions", counters.instructions_retired);
+                case_span.arg("trace_events", counters.trace_events);
+            }
+            drop(case_span);
+            cases += 1;
+            let record = CaseRecord {
+                seq,
+                worker,
+                span_id,
+                parent_id,
+                exec,
+            };
+            // The consumer hangs up only by panicking, which the scope
+            // re-raises once the workers stop.
+            if tx.send(record).is_err() {
+                break;
+            }
+        }
+        wspan.arg("cases", cases);
+    }
+
+    /// Renders one interim (or final) result for the live hub — the
+    /// stamped `/metrics` exposition, the `/status` document and, with
+    /// plan coverage on, the `/coverage` report — when `live`, and into
+    /// the checkpoint files when `checkpoint`. Checkpoint I/O failures
+    /// are reported to stderr and never take down the run, the same
+    /// contract as the event sink; the JSON checkpoints carry the
+    /// `"partial": true` marker.
+    fn publish(
+        &self,
+        result: &CampaignResult,
+        model: &ProgressModel,
+        complete: bool,
+        live: bool,
+        checkpoint: bool,
+    ) {
+        let engine = result
+            .engine
+            .as_ref()
+            .expect("engine results carry metrics");
+        let hub = self.opts.telemetry.as_ref();
+        let dropped = hub.map_or(0, MetricsHub::events_dropped_total);
+        let snap = crate::metrics::live_campaign_snapshot(result, model.progress_ppm(), dropped);
+        let coverage = || {
+            let pc = engine.plan_coverage.as_ref()?;
+            Some(serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage"))
+        };
+        if let Some(hub) = hub.filter(|_| live) {
+            hub.publish_metrics(snap.render_prometheus());
+            let status = StatusDoc {
+                design: result.design.clone(),
+                complete,
+                cases_done: model.done,
+                cases_total: model.total,
+                quarantined: model.quarantined,
+                budget_exceeded: engine.cases_budget_exceeded,
+                findings_total: engine.findings_total,
+                progress_ppm: model.progress_ppm(),
+                elapsed_us: model.elapsed_us,
+                eta_us: model.eta_us(),
+                phases: (engine.obs.iter())
+                    .flat_map(ObsMetrics::phase_summaries)
+                    .map(|(phase, s)| PhaseRow {
+                        phase,
+                        count: s.count,
+                        p50: s.p50,
+                        p90: s.p90,
+                        p99: s.p99,
+                    })
+                    .collect(),
+                workers: (engine.trace.iter())
+                    .flat_map(|trace| &trace.workers)
+                    .map(|w| WorkerRow {
+                        worker: w.worker,
+                        busy_ppm: w.busy_ratio_ppm,
+                    })
+                    .collect(),
+                snapshot_cache: engine.snapshot.clone(),
+                fastpath: engine.fastpath,
+                coverage_ratio_ppm: engine
+                    .plan_coverage
+                    .as_ref()
+                    .map(PlanCoverage::coverage_ratio_ppm),
+                events_dropped_total: dropped,
+            };
+            hub.publish_status(serde_json::to_string_pretty(&status).expect("serialize status"));
+            if let Some(json) = coverage() {
+                hub.publish_coverage(json);
+            }
+            hub.set_progress_ppm(model.progress_ppm());
+        }
+        if let Some(ckpt) = self.opts.checkpoint.as_ref().filter(|_| checkpoint) {
+            if let Err(e) = crate::metrics::write_checkpoint_files(&snap, &ckpt.path) {
+                eprintln!("teesec: metrics checkpoint failed: {e}");
+            }
+            if let Some(path) = &ckpt.coverage_out {
+                let written =
+                    coverage().map(|json| crate::metrics::write_partial_json(&json, path));
+                if let Some(Err(e)) = written {
+                    eprintln!("teesec: coverage checkpoint failed: {e}");
+                }
+            }
+        }
+    }
+
+    /// Whether a JSONL sink or a telemetry hub consumes events.
+    fn narrated(&self) -> bool {
+        self.opts.events.is_some() || self.opts.telemetry.is_some()
+    }
+
+    /// Serializes `event` once and fans the line out to the JSONL sink and
+    /// the telemetry hub's SSE ring — whichever are present.
+    fn emit(&self, event: &EngineEvent) {
+        let line = serde_json::to_string(event).expect("serialize event");
+        if let Some(sink) = &self.opts.events {
+            sink.emit_line(&line);
+        }
+        if let Some(hub) = &self.opts.telemetry {
+            hub.push_event(&line);
+        }
+    }
+
     /// Seeds an [`EngineMetrics`] with the option-dependent aggregates
-    /// (deep obs, diff, plan coverage) present-but-zeroed — the shared
-    /// starting point of the end-of-run merge loop and the live
-    /// publisher's running state, so both aggregate identically.
+    /// (deep obs, diff, plan coverage) present-but-zeroed — the starting
+    /// point of the run's seq-ordered fold.
     fn seed_metrics(&self, threads: usize, cases_total: usize) -> EngineMetrics {
         EngineMetrics {
             threads,
@@ -1414,7 +1333,7 @@ impl Engine {
             cases_budget_exceeded: 0,
             findings_total: 0,
             findings_by_structure: BTreeMap::new(),
-            cases_per_worker: Vec::new(),
+            cases_per_worker: vec![0; threads],
             wall_us: 0,
             obs: self
                 .opts
@@ -1432,36 +1351,6 @@ impl Engine {
     }
 }
 
-fn case_event(
-    seq: usize,
-    exec: &CaseExecution,
-    span_id: Option<u64>,
-    parent_id: Option<u64>,
-) -> EngineEvent {
-    match &exec.result.error {
-        Some(error) => EngineEvent::CaseQuarantined {
-            seq,
-            case: exec.result.name.clone(),
-            error: error.clone(),
-            span_id,
-            parent_id,
-        },
-        None => EngineEvent::CaseFinished {
-            seq,
-            case: exec.result.name.clone(),
-            cycles: exec.result.cycles,
-            halted: exec.result.halted,
-            finding_count: exec.result.finding_count,
-            findings_by_structure: exec.findings_by_structure.clone(),
-            build_us: exec.build_us,
-            simulate_us: exec.simulate_us,
-            check_us: exec.check_us,
-            span_id,
-            parent_id,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1472,19 +1361,77 @@ mod tests {
         Fuzzer::with_target(n).generate(cfg)
     }
 
+    /// An in-memory JSONL destination shared with the test.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Fed a shuffled stream of real records, the fold never folds past a
+    /// missing seq, and it ends equal to the in-order fold.
+    #[test]
+    fn fold_is_seq_ordered_under_any_arrival_order() {
+        let cfg = CoreConfig::boom();
+        let mut corpus = small_corpus(&cfg, 7);
+        let mut unbuildable = corpus[0].clone();
+        unbuildable.host_steps = vec![crate::testcase::Step::Nops(100_000)];
+        corpus.insert(2, unbuildable);
+        let opts = EngineOptions {
+            keep_reports: true,
+            counters: true,
+            coverage: true,
+            ..EngineOptions::default()
+        };
+        let engine = Engine::new(cfg, opts);
+        let records: Vec<CaseRecord> = corpus
+            .iter()
+            .enumerate()
+            .map(|(seq, tc)| CaseRecord {
+                seq,
+                worker: seq % 2,
+                span_id: None,
+                parent_id: None,
+                exec: execute_case(tc, &engine.cfg, &engine.opts, None, TraceCtx::default()),
+            })
+            .collect();
+
+        let mut in_order = None;
+        for order in [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [7, 6, 5, 4, 3, 2, 1, 0],
+            [3, 1, 0, 6, 2, 7, 5, 4],
+            [1, 2, 3, 4, 5, 6, 7, 0],
+        ] {
+            let metrics = engine.seed_metrics(2, corpus.len());
+            let mut fold = Fold::new(engine.cfg.name.clone(), metrics, PhaseTiming::default());
+            let mut arrived = BTreeSet::new();
+            for seq in order {
+                arrived.insert(seq);
+                fold.push(records[seq].clone());
+                let before = fold.result.case_count;
+                let folded: Vec<usize> = std::iter::from_fn(|| fold.fold_next())
+                    .map(|r| r.seq)
+                    .collect();
+                let prefix = (0..).find(|s| !arrived.contains(s)).unwrap();
+                assert_eq!(folded, (before..prefix).collect::<Vec<_>>(), "{order:?}");
+                assert_eq!(fold.progress(Instant::now()).done, prefix);
+            }
+            let folded = fold.finish();
+            assert_eq!(folded.0.quarantined_cases().count(), 1);
+            let expected = in_order.get_or_insert_with(|| folded.clone());
+            assert_eq!(&folded, expected, "{order:?}");
+        }
+    }
+
     #[test]
     fn engine_events_are_parseable_jsonl() {
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let cfg = CoreConfig::boom();
         let corpus = small_corpus(&cfg, 6);
         let buf = Arc::new(Mutex::new(Vec::new()));
@@ -1510,17 +1457,6 @@ mod tests {
 
     #[test]
     fn counters_flag_adds_case_counters_events_and_obs_metrics() {
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let cfg = CoreConfig::boom();
         let corpus = small_corpus(&cfg, 4);
         let buf = Arc::new(Mutex::new(Vec::new()));
@@ -1557,17 +1493,6 @@ mod tests {
 
     #[test]
     fn diff_flag_adds_case_diff_events_and_diff_metrics() {
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let cfg = CoreConfig::boom();
         let corpus = small_corpus(&cfg, 4);
         let buf = Arc::new(Mutex::new(Vec::new()));

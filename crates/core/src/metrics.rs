@@ -753,7 +753,9 @@ mod tests {
     #[test]
     fn serial_result_yields_a_reduced_but_valid_snapshot() {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(2));
-        let (result, _) = campaign.run();
+        // A result built outside the engine carries no engine metrics.
+        let (mut result, _) = campaign.run();
+        result.engine = None;
         let snap = campaign_snapshot(&result);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_cases_total"));

@@ -4,9 +4,9 @@
 
 /// A point-in-time view of campaign progress.
 ///
-/// The ETA prefers the per-case mean from the phase histograms (CPU time
-/// per case, divided across `threads`); with no histogram yet it falls
-/// back to extrapolating the elapsed wall clock. Both estimators shrink as
+/// The ETA prefers the per-case mean CPU time of the `done` cases,
+/// divided across `threads`; with no mean yet it falls back to
+/// extrapolating the elapsed wall clock. Both estimators shrink as
 /// `done` grows with `elapsed_us` fixed, so the ETA is monotone
 /// non-increasing under out-of-order case completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +21,8 @@ pub struct ProgressModel {
     pub elapsed_us: u64,
     /// Worker threads executing cases.
     pub threads: usize,
-    /// Mean per-case CPU µs from the phase histograms, when observability
-    /// counters are on.
+    /// Mean per-case CPU µs (build + simulate + check) over the `done`
+    /// cases.
     pub mean_case_us: Option<u64>,
 }
 

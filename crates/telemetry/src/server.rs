@@ -21,6 +21,10 @@ use crate::hub::MetricsHub;
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// How long an SSE subscriber waits per batch before re-checking shutdown.
 const SSE_BATCH_WAIT: Duration = Duration::from_millis(250);
+/// Largest request head (request line plus headers) the server reads.
+/// The read timeout applies per read, so without this cap a client that
+/// trickles bytes without a newline would grow a buffer without limit.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
 
 /// A running telemetry server. Dropping it stops the accept loop; live
 /// SSE streams notice the stop flag within one batch wait and close.
@@ -121,36 +125,41 @@ impl Request {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Request> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let mut parts = line.split_whitespace();
+/// Reads the request line and headers, up to the blank line that ends
+/// them. Returns `None` when the head does not end within
+/// [`MAX_REQUEST_HEAD`] bytes.
+fn read_request(reader: impl BufRead) -> std::io::Result<Option<Request>> {
+    let mut head = reader.take(MAX_REQUEST_HEAD);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        head.read_line(&mut line)?;
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Ok(None);
+        }
+        match line.trim_end() {
+            "" => break,
+            line => lines.push(line.to_string()),
+        }
+    }
+    let mut lines = lines.iter();
+    let mut parts = lines.next().map_or("", String::as_str).split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default();
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target.to_string(), String::new()),
     };
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            break;
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.push((k.trim().to_string(), v.trim().to_string()));
-        }
-    }
-    Ok(Request {
+    let headers = lines
+        .filter_map(|h| h.split_once(':'))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+        .collect();
+    Ok(Some(Request {
         method,
         path,
         query,
         headers,
-    })
+    }))
 }
 
 fn write_response(
@@ -174,9 +183,16 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = read_request(&mut reader)?;
+    let request = read_request(BufReader::new(stream.try_clone()?))?;
     let mut stream = stream;
+    let Some(request) = request else {
+        return write_response(
+            &mut stream,
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head exceeds 8 KiB\n",
+        );
+    };
     if request.method != "GET" {
         return write_response(
             &mut stream,
@@ -352,6 +368,38 @@ mod tests {
         let (status, _, body) = http_get(server.local_addr(), "/trace", "");
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("traceEvents"), "{body}");
+    }
+
+    #[test]
+    fn oversized_request_head_is_refused_and_the_server_keeps_serving() {
+        let hub = MetricsHub::default();
+        let server = started(&hub);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        // Exactly the cap, with no newline anywhere: the server consumes
+        // every byte sent before it answers, so it closes cleanly.
+        let target = "a".repeat(MAX_REQUEST_HEAD as usize - "GET /".len());
+        write!(stream, "GET /{target}").expect("send");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        assert!(
+            response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{response}"
+        );
+        let (status, _, body) = http_get(server.local_addr(), "/health", "");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "{\"up\":false,\"complete\":false}\n");
+    }
+
+    #[test]
+    fn request_head_at_the_cap_is_served() {
+        let hub = MetricsHub::default();
+        let server = started(&hub);
+        // `http_get` sends the request line, `Host: test`, the extra
+        // header and the blank line: exactly MAX_REQUEST_HEAD bytes.
+        let fixed = "GET /health HTTP/1.1\r\nHost: test\r\nX: \r\n\r\n".len();
+        let pad = "p".repeat(MAX_REQUEST_HEAD as usize - fixed);
+        let (status, _, _) = http_get(server.local_addr(), "/health", &format!("X: {pad}\r\n"));
+        assert!(status.contains("200"), "{status}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Fault-isolation regression: one poisoned `TestCase` must not take down
-//! a campaign. The engine (and the serial reference) quarantine the broken
-//! case into `CaseResult::error` and keep reporting healthy classes.
+//! a campaign. The engine quarantines the broken case into
+//! `CaseResult::error`, keeps reporting healthy classes, and narrates
+//! healthy and quarantined cases alike in seq order.
 
 use teesec::campaign::PhaseTiming;
-use teesec::engine::{Engine, EngineOptions};
+use teesec::engine::{Engine, EngineEvent, EngineOptions, EventSink};
 use teesec::fuzz::Fuzzer;
 use teesec::testcase::Step;
 use teesec_uarch::CoreConfig;
@@ -104,4 +105,38 @@ fn corpus_order_is_preserved_around_quarantined_cases() {
     assert_eq!(got, expected);
     assert_eq!(result.cases[3].name, "injected_unbuildable");
     assert_eq!(result.cases[7].name, "injected_panicking");
+}
+
+#[test]
+fn result_events_arrive_in_seq_order_at_four_workers() {
+    let cfg = CoreConfig::boom();
+    let corpus = poisoned_corpus(&cfg);
+    let path = std::env::temp_dir().join(format!("teesec-seq-order-{}.jsonl", std::process::id()));
+    let sink = EventSink::file(path.to_str().expect("utf-8 temp path")).expect("create event file");
+    let opts = EngineOptions {
+        threads: 4,
+        counters: true,
+        events: Some(sink),
+        ..EngineOptions::default()
+    };
+    let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
+    assert_eq!(result.quarantined_cases().count(), 2);
+
+    let text = std::fs::read_to_string(&path).expect("read event file");
+    std::fs::remove_file(&path).ok();
+    let seqs: Vec<usize> = text
+        .lines()
+        .filter_map(
+            |line| match serde_json::from_str(line).expect("event parses") {
+                EngineEvent::CaseFinished { seq, .. }
+                | EngineEvent::CaseQuarantined { seq, .. } => Some(seq),
+                _ => None,
+            },
+        )
+        .collect();
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "result events out of seq order: {seqs:?}"
+    );
+    assert_eq!(seqs.len(), corpus.len());
 }
