@@ -75,7 +75,7 @@ fn bench_report_render(c: &mut Criterion) {
         b.iter(|| serde_json::to_string(&pc.report_json()).unwrap());
     });
     g.bench_function("prometheus_with_coverage", |b| {
-        b.iter(|| campaign_snapshot(&result).render_prometheus());
+        b.iter(|| campaign_snapshot(&result, 1_000_000, 0).render_prometheus());
     });
     g.finish();
 }

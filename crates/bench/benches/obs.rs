@@ -63,10 +63,10 @@ fn bench_snapshot_render(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics_exposition");
     g.sample_size(20);
     g.bench_function("build_and_render_prometheus", |b| {
-        b.iter(|| campaign_snapshot(&result).render_prometheus());
+        b.iter(|| campaign_snapshot(&result, 1_000_000, 0).render_prometheus());
     });
     g.bench_function("build_and_render_json", |b| {
-        b.iter(|| campaign_snapshot(&result).render_json());
+        b.iter(|| campaign_snapshot(&result, 1_000_000, 0).render_json());
     });
     g.finish();
 }

@@ -9,9 +9,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use teesec::campaign::PhaseTiming;
+use teesec::campaign_snapshot;
 use teesec::engine::{Engine, EngineOptions};
 use teesec::fuzz::Fuzzer;
-use teesec::live_campaign_snapshot;
 use teesec_telemetry::MetricsHub;
 use teesec_uarch::CoreConfig;
 
@@ -73,14 +73,14 @@ fn bench_hub_primitives(c: &mut Criterion) {
         },
     )
     .run_corpus(&corpus, PhaseTiming::default());
-    let exposition = live_campaign_snapshot(&result, 500_000, 0).render_prometheus();
+    let exposition = campaign_snapshot(&result, 500_000, 0).render_prometheus();
     g.bench_function("publish_metrics", |b| {
         b.iter(|| hub.publish_metrics(exposition.clone()));
     });
 
     // The live exposition render itself — the dominant per-publish cost.
     g.bench_function("render_live_exposition", |b| {
-        b.iter(|| live_campaign_snapshot(&result, 500_000, 0).render_prometheus());
+        b.iter(|| campaign_snapshot(&result, 500_000, 0).render_prometheus());
     });
     g.finish();
 }

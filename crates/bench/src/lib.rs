@@ -9,8 +9,6 @@ use teesec::campaign::{Campaign, CampaignResult};
 use teesec::fuzz::Fuzzer;
 use teesec_uarch::config::{CoreConfig, MitigationSet};
 
-pub mod trend;
-
 /// Harness options parsed from the command line.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessOpts {

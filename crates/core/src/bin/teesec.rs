@@ -3,73 +3,81 @@
 //!
 //! ```text
 //! teesec list-gadgets                      # access_gadgets.txt analog
-//! teesec plan    [--design D] [--json]     # the verification plan
-//! teesec run <gadget> [--design D] [--simlog FILE] [--checker-log FILE]
-//!                     [--events FILE] [--metrics-out FILE] [--trace-out FILE]
-//! teesec explain <gadget> [--design D] [--json]  # leak provenance chains
-//! teesec campaign [--design D] [--cases N] [--output FILE]
-//!                 [--events FILE] [--metrics-out FILE] [--diff]
-//!                 [--trace-out FILE]       # Perfetto span trace
-//!                 [--serve ADDR]           # live /metrics /events /status ...
-//!                 [--checkpoint-every N]   # atomic partial metrics snapshots
-//! teesec matrix  [--cases N]               # the Table 3 matrix
-//! teesec diff    [gadget ...] [--design D] [--cases N] [--stride N]
-//!                [--output FILE] [--trace-out FILE]  # core-vs-ISS oracle
-//! teesec coverage [--design D] [--seeds N] [--cases N] [--metrics-out FILE]
-//! teesec coverage-report [--design D] [--cases N] [--json] [--output FILE]
-//!                        [--fail-under-ratio PCT]   # plan-coverage heatmap + gaps
+//! teesec plan     [--design D] [--json]    # the verification plan
+//! teesec run <gadget> [--simlog FILE] [--checker-log FILE]  # exit 1 = leak
+//! teesec explain <gadget> [--json]         # leak provenance chains
+//! teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]
+//! teesec diff     [gadget ...] [--cases N] [--stride N] [--output FILE]
+//! teesec coverage-report [--cases N] [--json] [--output FILE]
+//!                 [--fail-under-ratio PCT] [--reprobe]  # heatmap + gaps
+//! teesec matrix   [--cases N]              # the Table 3 matrix
+//! teesec coverage [--design D] [--seeds N] [--cases N] [--output FILE]
+//!                 [--metrics-out FILE] [--serve ADDR]   # guided fuzzing
 //! teesec trace-report <trace.json> [--json] # critical path + stragglers
 //! ```
 //!
-//! `--serve ADDR` (run / campaign / diff / coverage / coverage-report)
-//! embeds the zero-dependency telemetry server for the duration of the
-//! command: `GET /metrics` (Prometheus text), `/events` (SSE stream of
-//! the engine's JSONL events with `Last-Event-ID` resume), `/status`
-//! (progress + ETA JSON), `/coverage` (live plan-coverage report),
-//! `/trace` (partial Chrome trace), `/health`. `--serve-linger SECS`
-//! keeps the server up after completion so a final scrape can land.
+//! `run`, `explain`, `campaign`, `diff` and `coverage-report` are one
+//! engine run each, through one pipeline: the production engine options
+//! (streaming checker, snapshot cache, plan coverage, counters, kept
+//! reports), with the differential oracle on for `diff` and
+//! `campaign --diff`. They differ only in their corpus and in how they
+//! print the result, and all five honour the same flags:
+//!
+//! * `--design D`, `--threads N`, `--case-cycle-budget N`, `--quiet`;
+//! * `--events FILE` — the engine's JSONL event stream;
+//! * `--trace-out FILE` — the run's spans as Chrome/Perfetto JSON;
+//! * `--metrics-out FILE` — Prometheus text at `FILE` and JSON at
+//!   `FILE.json`, rewritten atomically every `--checkpoint-every N`
+//!   cases (default 50, `0` disables; the JSON is marked partial) and at
+//!   the end;
+//! * `--serve ADDR` — the embedded telemetry server for the run:
+//!   `GET /metrics` (Prometheus text), `/events` (SSE stream of the JSONL
+//!   events with `Last-Event-ID` resume), `/status` (progress + ETA
+//!   JSON), `/coverage` (live plan-coverage report), `/trace` (partial
+//!   Chrome trace), `/health`. `--serve-linger SECS` keeps the server up
+//!   after completion so a final scrape can land.
+//!
+//! `matrix` runs the same engine options on both designs and honours
+//! `--cases`, `--threads`, `--case-cycle-budget` and `--quiet`.
+//! `coverage` runs the guided fuzzer outside the engine.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
 use teesec::assemble::{assemble_case, CaseParams};
-use teesec::campaign::{vulnerability_matrix, Campaign};
-use teesec::checker::check_case;
+use teesec::campaign::{vulnerability_matrix, Campaign, CampaignResult, CaseResult, PhaseTiming};
 use teesec::diff::{DiffOptions, DiffVerdict};
-use teesec::engine::{EngineOptions, EventSink};
+use teesec::engine::{CheckpointOptions, Engine, EngineOptions, EventSink};
 use teesec::fuzz::{CoverageFuzzer, Fuzzer};
 use teesec::gadgets::{catalog, GadgetKind};
+use teesec::metrics::{campaign_snapshot, write_metrics_files};
 use teesec::paths::AccessPath;
-use teesec::runner::run_case;
 use teesec::simlog::render_simlog;
-use teesec::VerificationPlan;
+use teesec::{CheckReport, TestCase, VerificationPlan};
 use teesec_obs::MetricsSnapshot;
-use teesec_telemetry::{MetricsHub, ProgressModel, TelemetryServer};
+use teesec_telemetry::{MetricsHub, TelemetryServer};
 use teesec_trace::{Trace, Tracer};
 use teesec_uarch::CoreConfig;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  teesec list-gadgets\n  teesec plan [--design boom|xiangshan] [--json]\n  \
-         teesec run <access-gadget> [--design boom|xiangshan] [--simlog FILE] [--checker-log FILE]\n  \
-         \x20          [--events FILE] [--metrics-out FILE] [--trace-out FILE]\n  \
-         \x20          [--serve ADDR] [--serve-linger SECS]\n  \
-         teesec explain <access-gadget> [--design boom|xiangshan] [--json]\n  \
-         teesec campaign [--design boom|xiangshan] [--cases N] [--threads N] [--output FILE]\n  \
-         \x20               [--events FILE] [--metrics-out FILE] [--case-cycle-budget N] [--quiet] [--diff]\n  \
-         \x20               [--trace-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
-         \x20               [--checkpoint-every N]  (0 disables; rides --metrics-out)\n  \
-         teesec matrix [--cases N]\n  \
-         teesec diff [gadget ...] [--design boom|xiangshan] [--cases N] [--stride N] [--output FILE]\n  \
-         \x20           [--trace-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
-         teesec coverage [--design boom|xiangshan] [--seeds N] [--cases N] [--metrics-out FILE]\n  \
-         \x20               [--serve ADDR] [--serve-linger SECS]\n  \
-         teesec coverage-report [--design boom|xiangshan] [--cases N] [--threads N] [--json]\n  \
-         \x20                      [--output FILE] [--metrics-out FILE] [--fail-under-ratio PCT]\n  \
-         \x20                      [--reprobe] [--serve ADDR] [--serve-linger SECS]\n  \
-         \x20                      [--checkpoint-every N]\n  \
-         teesec trace-report <trace.json> [--json]"
+         teesec run <access-gadget> [--simlog FILE] [--checker-log FILE]\n  \
+         teesec explain <access-gadget> [--json]\n  \
+         teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]\n  \
+         teesec diff [gadget ...] [--cases N] [--stride N] [--output FILE]\n  \
+         teesec coverage-report [--cases N] [--json] [--output FILE] [--fail-under-ratio PCT]\n  \
+         \x20                      [--reprobe]\n  \
+         teesec matrix [--cases N] [--threads N] [--case-cycle-budget N] [--quiet]\n  \
+         teesec coverage [--design boom|xiangshan] [--seeds N] [--cases N] [--output FILE]\n  \
+         \x20               [--metrics-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
+         teesec trace-report <trace.json> [--json]\n\n\
+         run, explain, campaign, diff and coverage-report also take:\n  \
+         [--design boom|xiangshan] [--threads N] [--case-cycle-budget N] [--quiet]\n  \
+         [--events FILE] [--trace-out FILE] [--metrics-out FILE]\n  \
+         [--checkpoint-every N]  (0 disables; rides --metrics-out)\n  \
+         [--serve ADDR] [--serve-linger SECS]"
     );
     ExitCode::from(2)
 }
@@ -124,12 +132,11 @@ fn parse(args: &[String]) -> Option<Opts> {
         checkpoint_every: 50,
         positional: Vec::new(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--design" => {
-                i += 1;
-                o.design = match args.get(i)?.as_str() {
+                o.design = match args.next()?.as_str() {
                     "boom" => CoreConfig::boom(),
                     "xiangshan" | "xs" => CoreConfig::xiangshan(),
                     other => {
@@ -138,77 +145,31 @@ fn parse(args: &[String]) -> Option<Opts> {
                     }
                 };
             }
-            "--cases" => {
-                i += 1;
-                o.cases = args.get(i)?.parse().ok()?;
-            }
-            "--threads" => {
-                i += 1;
-                o.threads = args.get(i)?.parse().ok()?;
-            }
+            "--cases" => o.cases = args.next()?.parse().ok()?,
+            "--threads" => o.threads = args.next()?.parse().ok()?,
             "--json" => o.json = true,
-            "--simlog" => {
-                i += 1;
-                o.simlog = Some(args.get(i)?.clone());
-            }
-            "--checker-log" => {
-                i += 1;
-                o.checker_log = Some(args.get(i)?.clone());
-            }
-            "--output" => {
-                i += 1;
-                o.output = Some(args.get(i)?.clone());
-            }
-            "--events" => {
-                i += 1;
-                o.events = Some(args.get(i)?.clone());
-            }
-            "--metrics-out" => {
-                i += 1;
-                o.metrics_out = Some(args.get(i)?.clone());
-            }
-            "--trace-out" => {
-                i += 1;
-                o.trace_out = Some(args.get(i)?.clone());
-            }
-            "--case-cycle-budget" => {
-                i += 1;
-                o.case_cycle_budget = Some(args.get(i)?.parse().ok()?);
-            }
+            "--simlog" => o.simlog = Some(args.next()?.clone()),
+            "--checker-log" => o.checker_log = Some(args.next()?.clone()),
+            "--output" => o.output = Some(args.next()?.clone()),
+            "--events" => o.events = Some(args.next()?.clone()),
+            "--metrics-out" => o.metrics_out = Some(args.next()?.clone()),
+            "--trace-out" => o.trace_out = Some(args.next()?.clone()),
+            "--case-cycle-budget" => o.case_cycle_budget = Some(args.next()?.parse().ok()?),
             "--quiet" => o.quiet = true,
             "--diff" => o.diff = true,
-            "--stride" => {
-                i += 1;
-                o.stride = args.get(i)?.parse().ok()?;
-            }
-            "--seeds" => {
-                i += 1;
-                o.seeds = args.get(i)?.parse().ok()?;
-            }
-            "--fail-under-ratio" => {
-                i += 1;
-                o.fail_under_ratio = Some(args.get(i)?.parse().ok()?);
-            }
+            "--stride" => o.stride = args.next()?.parse().ok()?,
+            "--seeds" => o.seeds = args.next()?.parse().ok()?,
+            "--fail-under-ratio" => o.fail_under_ratio = Some(args.next()?.parse().ok()?),
             "--reprobe" => o.reprobe = true,
-            "--serve" => {
-                i += 1;
-                o.serve = Some(args.get(i)?.clone());
-            }
-            "--serve-linger" => {
-                i += 1;
-                o.serve_linger = args.get(i)?.parse().ok()?;
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                o.checkpoint_every = args.get(i)?.parse().ok()?;
-            }
+            "--serve" => o.serve = Some(args.next()?.clone()),
+            "--serve-linger" => o.serve_linger = args.next()?.parse().ok()?,
+            "--checkpoint-every" => o.checkpoint_every = args.next()?.parse().ok()?,
             p if !p.starts_with('-') => o.positional.push(p.to_string()),
             other => {
                 eprintln!("unknown flag `{other}`");
                 return None;
             }
         }
-        i += 1;
     }
     Some(o)
 }
@@ -317,6 +278,22 @@ fn cmd_plan(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Prints a note about the run or its artifacts: on stdout, or on stderr
+/// under `--json`, so the JSON document stays alone on stdout.
+fn note(opts: &Opts, msg: &str) {
+    if opts.json {
+        eprintln!("{msg}");
+    } else {
+        println!("{msg}");
+    }
+}
+
+/// Reports an output file that cannot be written. Exit 1.
+fn cannot_write(what: &str, path: &str, e: &std::io::Error) -> ExitCode {
+    eprintln!("cannot write {what} `{path}`: {e}");
+    ExitCode::FAILURE
+}
+
 /// Starts the embedded telemetry server when `--serve` was given.
 /// `Ok(None)` without the flag; `Err` (with the failure printed) when the
 /// bind fails. The bound address is printed so `--serve 127.0.0.1:0`
@@ -328,7 +305,10 @@ fn start_telemetry(opts: &Opts) -> Result<Option<(MetricsHub, TelemetryServer)>,
     let hub = MetricsHub::default();
     match teesec_telemetry::serve(hub.clone(), addr.as_str()) {
         Ok(server) => {
-            println!("telemetry: serving on http://{}", server.local_addr());
+            note(
+                opts,
+                &format!("telemetry: serving on http://{}", server.local_addr()),
+            );
             Ok(Some((hub, server)))
         }
         Err(e) => {
@@ -347,9 +327,12 @@ fn finish_telemetry(opts: &Opts, telemetry: Option<(MetricsHub, TelemetryServer)
     };
     hub.set_complete(true); // idempotent — the engine already set it
     if opts.serve_linger > 0 {
-        println!(
-            "telemetry: lingering {}s before shutdown",
-            opts.serve_linger
+        note(
+            opts,
+            &format!(
+                "telemetry: lingering {}s before shutdown",
+                opts.serve_linger
+            ),
         );
         std::thread::sleep(std::time::Duration::from_secs(opts.serve_linger));
     }
@@ -360,244 +343,76 @@ fn finish_telemetry(opts: &Opts, telemetry: Option<(MetricsHub, TelemetryServer)
 /// land on the same path the final exposition overwrites, so a killed
 /// run leaves the freshest checkpoint exactly where the finished run
 /// would have left its result. `--checkpoint-every 0` disables.
-fn checkpoint_options(
-    opts: &Opts,
-    coverage_out: Option<String>,
-) -> Option<teesec::CheckpointOptions> {
+fn checkpoint_options(opts: &Opts, coverage_out: Option<&str>) -> Option<CheckpointOptions> {
     let path = opts.metrics_out.as_ref()?;
-    (opts.checkpoint_every > 0).then(|| teesec::CheckpointOptions {
+    (opts.checkpoint_every > 0).then(|| CheckpointOptions {
         path: path.clone(),
         every: opts.checkpoint_every,
-        coverage_out,
+        coverage_out: coverage_out.map(str::to_string),
     })
 }
 
-/// Writes the final `--metrics-out` exposition of a served run. The
-/// Prometheus text is the hub's last publication verbatim — the engine
-/// publishes it from the returned result after the final ring-buffer
-/// push, so the on-disk file and the last live `/metrics` scrape are
-/// byte-identical. The JSON sibling is re-rendered from the same result.
-fn write_served_snapshot_files(
-    hub: &MetricsHub,
-    result: &teesec::CampaignResult,
-    path: &str,
-) -> std::io::Result<()> {
-    let snap = teesec::live_campaign_snapshot(result, 1_000_000, hub.events_dropped_total());
-    let prom = hub.metrics().unwrap_or_else(|| snap.render_prometheus());
-    fs::write(path, prom)?;
-    fs::write(format!("{path}.json"), snap.render_json())
+/// Where an engine run sends its artifacts. `matrix` sends none.
+#[derive(Default)]
+struct Sinks {
+    events: Option<EventSink>,
+    tracer: Tracer,
+    hub: Option<MetricsHub>,
+    checkpoint: Option<CheckpointOptions>,
 }
 
-/// Dispatches the metrics-out write through the live (served) or plain
-/// path, reporting failures uniformly.
-fn write_metrics_out(
-    hub: Option<&MetricsHub>,
-    result: &teesec::CampaignResult,
-    path: &str,
-) -> bool {
-    let res = match hub {
-        Some(hub) => write_served_snapshot_files(hub, result, path),
-        None => {
-            let snap = teesec::metrics::campaign_snapshot(result);
-            teesec::metrics::write_snapshot_files(&snap, path)
-        }
-    };
-    if let Err(e) = res {
-        eprintln!("cannot write metrics snapshot `{path}`: {e}");
-        return false;
-    }
-    true
+/// The production engine for `cfg`, and the only place the CLI builds
+/// engine options: streaming checker, snapshot cache, plan coverage,
+/// counters and kept reports, the fast path at the process default
+/// (`TEESEC_FASTPATH`), and the differential oracle when `oracle` is set.
+fn engine(opts: &Opts, cfg: CoreConfig, oracle: bool, sinks: Sinks) -> Engine {
+    Engine::new(
+        cfg,
+        EngineOptions {
+            threads: opts.threads,
+            case_cycle_budget: opts.case_cycle_budget,
+            keep_reports: true,
+            progress: !opts.quiet,
+            events: sinks.events,
+            counters: true,
+            diff: oracle.then(|| DiffOptions {
+                stride: opts.stride,
+                ..DiffOptions::default()
+            }),
+            streaming: true,
+            snapshot_cache: true,
+            coverage: true,
+            fast_path: None,
+            tracer: sinks.tracer,
+            telemetry: sinks.hub,
+            checkpoint: sinks.checkpoint,
+        },
+    )
 }
 
-fn cmd_run(opts: &Opts) -> ExitCode {
-    let Some(gadget) = opts.positional.first() else {
-        eprintln!("`teesec run` requires an access gadget id (see list-gadgets)");
-        return ExitCode::from(2);
-    };
-    let Some(path) = AccessPath::all().iter().copied().find(|p| p.id() == gadget) else {
-        eprintln!("unknown access gadget `{gadget}`");
-        return ExitCode::from(2);
-    };
-    let tc = match assemble_case(path, CaseParams::default(), &opts.design) {
-        Ok(tc) => tc,
-        Err(e) => {
-            eprintln!("cannot assemble `{gadget}` on {}: {e:?}", opts.design.name);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("test case: {}", tc.name);
-    let outcome = run_case(&tc, &opts.design).expect("build");
-    println!("simulated {} cycles ({:?})", outcome.cycles, outcome.exit);
-    if let Some(p) = &opts.simlog {
-        fs::write(p, render_simlog(&outcome.platform.core.trace)).expect("write simlog");
-        println!("simulation log written to {p}");
-    }
-    let report = check_case(&tc, &outcome, &opts.design);
-    if report.clean() {
-        println!("checker: no violations found");
-    } else {
-        println!(
-            "checker: {} finding(s), classes {:?}",
-            report.findings.len(),
-            report.classes()
-        );
-        let rendered: String = report
-            .findings
-            .iter()
-            .map(|f| f.render_checker_log() + "\n")
-            .collect();
-        match &opts.checker_log {
-            Some(p) => {
-                fs::write(p, &rendered).expect("write checker log");
-                println!("checker log written to {p}");
-            }
-            None => print!("\n{rendered}"),
-        }
-    }
-    // Observability artifacts: route the same single case through the
-    // engine (simulation is deterministic, so results are identical) to
-    // produce the JSONL event stream, the metrics snapshot, and/or the
-    // Perfetto span trace.
-    if opts.events.is_some()
-        || opts.metrics_out.is_some()
-        || opts.trace_out.is_some()
-        || opts.serve.is_some()
-    {
-        let events = match &opts.events {
-            Some(p) => match EventSink::file(p) {
-                Ok(sink) => Some(sink),
-                Err(e) => {
-                    eprintln!("cannot open event stream `{p}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        // Serving implies tracing: `/trace` and the `/status` worker
-        // table need live spans even without a `--trace-out` file.
-        let tracer = if opts.trace_out.is_some() || opts.serve.is_some() {
-            Tracer::new(1)
-        } else {
-            Tracer::disabled()
-        };
-        let telemetry = match start_telemetry(opts) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let engine = teesec::Engine::new(
-            opts.design.clone(),
-            EngineOptions {
-                threads: 1,
-                counters: true,
-                events,
-                tracer: tracer.clone(),
-                telemetry: telemetry.as_ref().map(|(h, _)| h.clone()),
-                checkpoint: checkpoint_options(opts, None),
-                ..EngineOptions::default()
-            },
-        );
-        let (result, _) = engine.run_corpus(
-            std::slice::from_ref(&tc),
-            teesec::campaign::PhaseTiming::default(),
-        );
-        if let Some(p) = &opts.events {
-            println!("event stream written to {p}");
-        }
-        if let Some(p) = &opts.trace_out {
-            if !write_trace(&tracer, p) {
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(p) = &opts.metrics_out {
-            if !write_metrics_out(telemetry.as_ref().map(|(h, _)| h), &result, p) {
-                return ExitCode::FAILURE;
-            }
-            println!("metrics snapshot written to {p} (+ {p}.json)");
-        }
-        finish_telemetry(opts, telemetry);
-    }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE // nonzero = leakage detected (CI-friendly)
-    }
-}
-
-fn cmd_explain(opts: &Opts) -> ExitCode {
-    let Some(gadget) = opts.positional.first() else {
-        eprintln!("`teesec explain` requires an access gadget id (see list-gadgets)");
-        return ExitCode::from(2);
-    };
-    let Some(path) = AccessPath::all().iter().copied().find(|p| p.id() == gadget) else {
-        eprintln!("unknown access gadget `{gadget}`");
-        return ExitCode::from(2);
-    };
-    let tc = match assemble_case(path, CaseParams::default(), &opts.design) {
-        Ok(tc) => tc,
-        Err(e) => {
-            eprintln!("cannot assemble `{gadget}` on {}: {e:?}", opts.design.name);
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = run_case(&tc, &opts.design).expect("build");
-    let report = check_case(&tc, &outcome, &opts.design);
-    if opts.json {
-        // The full structured report: findings plus their provenance
-        // chains (origin / retention hops / observation), CI-parseable.
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("serialize")
-        );
-        return if report.clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if report.clean() {
-        println!(
-            "{} on {}: no violations — nothing to explain",
-            tc.name, opts.design.name
-        );
-        return ExitCode::SUCCESS;
-    }
-    println!(
-        "{} on {}: {} finding(s), {} provenance chain(s)\n",
-        tc.name,
-        opts.design.name,
-        report.findings.len(),
-        report.provenance.len()
-    );
-    for (i, f) in report.findings.iter().enumerate() {
-        let class = f
-            .class
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "unclassified".into());
-        println!(
-            "finding #{i}: {class} ({:?}) in {}",
-            f.principle,
-            f.structure.display_name()
-        );
-        match report.chain_for(i) {
-            Some(chain) => print!("{}", chain.render()),
-            None => println!("  (no provenance chain reconstructed)"),
-        }
-        println!();
-    }
-    ExitCode::FAILURE // nonzero = leakage detected, as `teesec run`
-}
-
-fn cmd_campaign(opts: &Opts) -> ExitCode {
+/// Runs `corpus` on `--design` as one production [`engine`] run and owns
+/// every artifact flag. It opens `--events`, starts `--serve` and
+/// checkpoints into `--metrics-out` (and `coverage_out`) while the run
+/// goes; afterwards `print` reports the result, then the `--trace-out`
+/// and final `--metrics-out` files are written and the server drains.
+/// The exit code is `print`'s, or 1 when an artifact cannot be written.
+fn run_pipeline(
+    opts: &Opts,
+    corpus: &[TestCase],
+    timing: PhaseTiming,
+    oracle: bool,
+    coverage_out: Option<&str>,
+    print: impl FnOnce(&CampaignResult, &[CheckReport]) -> ExitCode,
+) -> ExitCode {
     let events = match &opts.events {
         Some(p) => match EventSink::file(p) {
             Ok(sink) => Some(sink),
-            Err(e) => {
-                eprintln!("cannot open event stream `{p}`: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return cannot_write("event stream", p, &e),
         },
         None => None,
     };
+    // Serving implies tracing: `/trace` and the `/status` worker table
+    // need live spans even without a `--trace-out` file.
     let tracer = if opts.trace_out.is_some() || opts.serve.is_some() {
         Tracer::new(opts.threads.max(1))
     } else {
@@ -607,324 +422,374 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let campaign =
-        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).keep_reports();
-    let (result, reports) = campaign.run_engine(EngineOptions {
-        threads: opts.threads,
-        case_cycle_budget: opts.case_cycle_budget,
-        keep_reports: true,
-        progress: !opts.quiet,
+    let hub = telemetry.as_ref().map(|(hub, _)| hub.clone());
+    let sinks = Sinks {
         events,
-        counters: true,
-        diff: opts.diff.then(|| DiffOptions {
-            stride: opts.stride,
-            ..DiffOptions::default()
-        }),
-        streaming: true,
-        snapshot_cache: true,
-        coverage: true,
-        fast_path: None, // process default: TEESEC_FASTPATH
         tracer: tracer.clone(),
-        telemetry: telemetry.as_ref().map(|(h, _)| h.clone()),
-        checkpoint: checkpoint_options(opts, None),
-    });
-    let metrics = result.engine.as_ref().expect("engine metrics");
-    println!(
-        "{}: {} cases, {} leaking, {} quarantined, {} over budget, classes {:?}",
-        result.design,
-        result.case_count,
-        result.leaking_cases().count(),
-        metrics.cases_quarantined,
-        metrics.cases_budget_exceeded,
-        result.classes_found
-    );
-    if let Some(diff) = metrics.diff.as_ref() {
-        println!(
-            "  diff oracle: {} matched, {} diverged, {} skipped ({} retires compared)",
-            diff.matches, diff.divergences, diff.skipped, diff.retires_compared
-        );
+        hub: hub.clone(),
+        checkpoint: checkpoint_options(opts, coverage_out),
+    };
+    let engine = engine(opts, opts.design.clone(), oracle, sinks);
+    let (result, reports) = engine.run_corpus(corpus, timing);
+    let mut code = print(&result, &reports);
+    if let Some(p) = &opts.events {
+        note(opts, &format!("event stream written to {p}"));
     }
-    if let Some(snap) = metrics.snapshot.as_ref() {
-        println!(
-            "  snapshot cache: {} hits, {} misses, {} bypasses",
-            snap.hits, snap.misses, snap.bypasses
-        );
+    if let Some(p) = &opts.trace_out {
+        match fs::write(p, tracer.snapshot().to_chrome_json()) {
+            Ok(()) => note(
+                opts,
+                &format!("perfetto trace written to {p} (open at ui.perfetto.dev)"),
+            ),
+            Err(e) => code = cannot_write("trace", p, &e),
+        }
     }
-    if let Some(fp) = metrics.fastpath.as_ref() {
-        println!(
-            "  fast path: {} cases, decode {} hits / {} misses / {} invalidations, scans {} run / {} skipped",
-            fp.cases,
-            fp.decode_hits,
-            fp.decode_misses,
-            fp.decode_invalidations,
-            fp.scan_checks,
-            fp.scan_skips
-        );
+    if let Some(p) = &opts.metrics_out {
+        let dropped = hub.as_ref().map_or(0, MetricsHub::events_dropped_total);
+        let snap = campaign_snapshot(&result, 1_000_000, dropped);
+        // A served run writes the hub's final publication verbatim, so
+        // the file is the last `/metrics` scrape byte for byte even when
+        // a resuming SSE subscriber bumped the dropped counter since.
+        let prom = (hub.as_ref().and_then(MetricsHub::metrics))
+            .unwrap_or_else(|| snap.render_prometheus());
+        match write_metrics_files(p, &prom, &snap.render_json()) {
+            Ok(()) => note(
+                opts,
+                &format!("metrics snapshot written to {p} (+ {p}.json)"),
+            ),
+            Err(e) => code = cannot_write("metrics snapshot", p, &e),
+        }
     }
-    if let Some(pc) = metrics.plan_coverage.as_ref() {
-        println!(
-            "  plan coverage: {}/{} declared paths exercised ({}.{:02}%), {} gap(s)",
-            pc.exercised_declared(),
-            pc.declared(),
-            pc.coverage_ratio_ppm() / 10_000,
-            pc.coverage_ratio_ppm() % 10_000 / 100,
-            pc.gaps().count()
-        );
+    finish_telemetry(opts, telemetry);
+    code
+}
+
+/// The access gadgets `ids`, assembled on `--design` with default
+/// parameters. An unknown id exits 2; one that does not assemble, 1.
+fn gadget_corpus(opts: &Opts, ids: &[String]) -> Result<Vec<TestCase>, ExitCode> {
+    let mut corpus = Vec::with_capacity(ids.len());
+    for id in ids {
+        let Some(path) = AccessPath::all().iter().copied().find(|p| p.id() == id) else {
+            eprintln!("unknown access gadget `{id}`");
+            return Err(ExitCode::from(2));
+        };
+        match assemble_case(path, CaseParams::default(), &opts.design) {
+            Ok(tc) => corpus.push(tc),
+            Err(e) => {
+                eprintln!("cannot assemble `{id}` on {}: {e:?}", opts.design.name);
+                return Err(ExitCode::FAILURE);
+            }
+        }
     }
-    if let Some(obs) = metrics.obs.as_ref() {
+    Ok(corpus)
+}
+
+/// The corpus of `run` and `explain`: the first positional gadget id.
+fn single_gadget(opts: &Opts, cmd: &str) -> Result<Vec<TestCase>, ExitCode> {
+    let Some(id) = opts.positional.first() else {
+        eprintln!("`teesec {cmd}` requires an access gadget id (see list-gadgets)");
+        return Err(ExitCode::from(2));
+    };
+    gadget_corpus(opts, std::slice::from_ref(id))
+}
+
+/// The one case of a `run` or `explain` result and its report. A case
+/// that failed to build or panicked is printed and exits 1.
+fn single_report<'a>(
+    result: &'a CampaignResult,
+    reports: &'a [CheckReport],
+) -> Result<(&'a CaseResult, &'a CheckReport), ExitCode> {
+    let case = &result.cases[0];
+    match (&case.error, reports.first()) {
+        (None, Some(report)) => Ok((case, report)),
+        (error, _) => {
+            let error = error.as_deref().unwrap_or("no report");
+            eprintln!("cannot run `{}` on {}: {error}", case.name, result.design);
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Writes the `{"summary", "reports"}` results document of `campaign`
+/// and `diff` to `--output`, if given.
+fn write_results(opts: &Opts, result: &CampaignResult, reports: &[CheckReport]) -> ExitCode {
+    let Some(p) = &opts.output else {
+        return ExitCode::SUCCESS;
+    };
+    let doc = serde_json::json!({ "summary": result, "reports": reports });
+    match fs::write(p, serde_json::to_string_pretty(&doc).expect("serialize")) {
+        Ok(()) => {
+            println!("full results written to {p}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => cannot_write("results", p, &e),
+    }
+}
+
+/// Prints one `DIVERGED` block per case the oracle saw diverge and, with
+/// `skipped`, one line per case it skipped.
+fn print_verdicts(result: &CampaignResult, skipped: bool) {
+    for case in &result.cases {
+        match &case.diff {
+            Some(DiffVerdict::Diverged(d)) => println!("DIVERGED {}\n{d}", case.name),
+            Some(DiffVerdict::Skipped { reason }) if skipped => {
+                println!("skipped  {} ({reason})", case.name);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// `teesec run`: one access gadget through the pipeline; its report,
+/// checker log and artifacts all come from that run. Nonzero exit when
+/// the checker finds a leak.
+fn cmd_run(opts: &Opts) -> ExitCode {
+    let corpus = match single_gadget(opts, "run") {
+        Ok(corpus) => corpus,
+        Err(code) => return code,
+    };
+    let tc = &corpus[0];
+    println!("test case: {}", tc.name);
+    run_pipeline(
+        opts,
+        &corpus,
+        PhaseTiming::default(),
+        false,
+        None,
+        |result, reports| {
+            let (case, report) = match single_report(result, reports) {
+                Ok(found) => found,
+                Err(code) => return code,
+            };
+            let exit = if case.halted { "Halted" } else { "CycleLimit" };
+            println!("simulated {} cycles ({exit})", case.cycles);
+            if let Some(p) = &opts.simlog {
+                // The streaming checker keeps no trace, so the simulation log
+                // needs one buffered re-run of the (deterministic) case.
+                let outcome = match teesec::runner::run_case(tc, &opts.design) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        eprintln!("cannot re-run `{}` for the simulation log: {e}", tc.name);
+                        return ExitCode::FAILURE;
+                    }
+                };
+                if let Err(e) = fs::write(p, render_simlog(&outcome.platform.core.trace)) {
+                    return cannot_write("simulation log", p, &e);
+                }
+                println!("simulation log written to {p}");
+            }
+            if report.clean() {
+                println!("checker: no violations found");
+                return ExitCode::SUCCESS;
+            }
+            println!(
+                "checker: {} finding(s), classes {:?}",
+                report.findings.len(),
+                report.classes()
+            );
+            let rendered: String = report
+                .findings
+                .iter()
+                .map(|f| f.render_checker_log() + "\n")
+                .collect();
+            match &opts.checker_log {
+                Some(p) => {
+                    if let Err(e) = fs::write(p, &rendered) {
+                        return cannot_write("checker log", p, &e);
+                    }
+                    println!("checker log written to {p}");
+                }
+                None => print!("\n{rendered}"),
+            }
+            ExitCode::FAILURE // nonzero = leakage detected (CI-friendly)
+        },
+    )
+}
+
+/// `teesec explain`: the provenance chains of one access gadget's
+/// findings, from the pipeline's report. Nonzero exit when leaky.
+fn cmd_explain(opts: &Opts) -> ExitCode {
+    let corpus = match single_gadget(opts, "explain") {
+        Ok(corpus) => corpus,
+        Err(code) => return code,
+    };
+    run_pipeline(
+        opts,
+        &corpus,
+        PhaseTiming::default(),
+        false,
+        None,
+        |result, reports| {
+            let (case, report) = match single_report(result, reports) {
+                Ok(found) => found,
+                Err(code) => return code,
+            };
+            let verdict = if report.clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE // nonzero = leakage detected, as `teesec run`
+            };
+            if opts.json {
+                // The full structured report: findings plus their provenance
+                // chains (origin / retention hops / observation), CI-parseable.
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(report).expect("serialize")
+                );
+                return verdict;
+            }
+            if report.clean() {
+                println!(
+                    "{} on {}: no violations — nothing to explain",
+                    case.name, result.design
+                );
+                return verdict;
+            }
+            println!(
+                "{} on {}: {} finding(s), {} provenance chain(s)\n",
+                case.name,
+                result.design,
+                report.findings.len(),
+                report.provenance.len()
+            );
+            for (i, f) in report.findings.iter().enumerate() {
+                let class = f
+                    .class
+                    .map(|c| c.to_string())
+                    .unwrap_or_else(|| "unclassified".into());
+                println!(
+                    "finding #{i}: {class} ({:?}) in {}",
+                    f.principle,
+                    f.structure.display_name()
+                );
+                match report.chain_for(i) {
+                    Some(chain) => print!("{}", chain.render()),
+                    None => println!("  (no provenance chain reconstructed)"),
+                }
+                println!();
+            }
+            verdict
+        },
+    )
+}
+
+/// `teesec campaign`: the fuzzer corpus through the pipeline, with the
+/// oracle on under `--diff`. Nonzero exit on any divergence.
+fn cmd_campaign(opts: &Opts) -> ExitCode {
+    let (corpus, timing) =
+        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).prepare();
+    run_pipeline(opts, &corpus, timing, opts.diff, None, |result, reports| {
+        let metrics = result.engine.as_ref().expect("engine metrics");
+        print_verdicts(result, false);
+        println!(
+            "{}: {} cases, {} leaking, {} quarantined, {} over budget, classes {:?}",
+            result.design,
+            result.case_count,
+            result.leaking_cases().count(),
+            metrics.cases_quarantined,
+            metrics.cases_budget_exceeded,
+            result.classes_found
+        );
+        if let Some(diff) = metrics.diff.as_ref() {
+            println!(
+                "  diff oracle: {} matched, {} diverged, {} skipped ({} retires compared)",
+                diff.matches, diff.divergences, diff.skipped, diff.retires_compared
+            );
+        }
+        if let Some(snap) = metrics.snapshot.as_ref() {
+            println!(
+                "  snapshot cache: {} hits, {} misses, {} bypasses",
+                snap.hits, snap.misses, snap.bypasses
+            );
+        }
+        if let Some(fp) = metrics.fastpath.as_ref() {
+            println!(
+                "  fast path: {} cases, decode {} hits / {} misses / {} invalidations, scans {} run / {} skipped",
+                fp.cases,
+                fp.decode_hits,
+                fp.decode_misses,
+                fp.decode_invalidations,
+                fp.scan_checks,
+                fp.scan_skips
+            );
+        }
+        if let Some(pc) = metrics.plan_coverage.as_ref() {
+            println!(
+                "  plan coverage: {}/{} declared paths exercised ({}.{:02}%), {} gap(s)",
+                pc.exercised_declared(),
+                pc.declared(),
+                pc.coverage_ratio_ppm() / 10_000,
+                pc.coverage_ratio_ppm() % 10_000 / 100,
+                pc.gaps().count()
+            );
+        }
         if !opts.quiet {
-            for (phase, s) in obs.phase_summaries() {
+            for (phase, s) in metrics.obs.iter().flat_map(|obs| obs.phase_summaries()) {
                 println!(
                     "  {phase:<12} p50 {:>8}  p90 {:>8}  p99 {:>8}  (n={})",
                     s.p50, s.p90, s.p99, s.count
                 );
             }
-        }
-    }
-    if let Some(p) = &opts.events {
-        println!("event stream written to {p}");
-    }
-    if let Some(p) = &opts.trace_out {
-        if !write_trace(&tracer, p) {
-            return ExitCode::FAILURE;
-        }
-        if !opts.quiet {
-            if let Some(report) = metrics.trace.as_ref() {
+            if let (Some(_), Some(report)) = (&opts.trace_out, &metrics.trace) {
                 print!("{}", report.render());
             }
         }
-    }
-    if let Some(p) = &opts.metrics_out {
-        if !write_metrics_out(telemetry.as_ref().map(|(h, _)| h), &result, p) {
+        let written = write_results(opts, result, reports);
+        // With --diff, a divergence means the core disagrees with its own
+        // reference model — fail the run so CI notices.
+        if metrics.diff.as_ref().is_some_and(|d| d.divergences > 0) {
             return ExitCode::FAILURE;
         }
-        println!("metrics snapshot written to {p} (+ {p}.json)");
-    }
-    if let Some(p) = &opts.output {
-        let blob = serde_json::json!({ "summary": result, "reports": reports });
-        fs::write(p, serde_json::to_string_pretty(&blob).expect("serialize")).expect("write");
-        println!("full results written to {p}");
-    }
-    finish_telemetry(opts, telemetry);
-    // With --diff, a divergence means the core disagrees with its own
-    // reference model — fail the run so CI notices.
-    if metrics.diff.as_ref().is_some_and(|d| d.divergences > 0) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        written
+    })
 }
 
+/// `teesec matrix`: the Table 3 matrix, from one production engine run
+/// per design.
 fn cmd_matrix(opts: &Opts) -> ExitCode {
-    let (boom, _) = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(opts.cases))
-        .run_parallel(opts.threads);
-    let (xs, _) = Campaign::new(CoreConfig::xiangshan(), Fuzzer::with_target(opts.cases))
-        .run_parallel(opts.threads);
-    print!("{}", vulnerability_matrix(&[&boom, &xs]));
+    let results: Vec<CampaignResult> = [CoreConfig::boom(), CoreConfig::xiangshan()]
+        .into_iter()
+        .map(|cfg| {
+            let (corpus, timing) =
+                Campaign::new(cfg.clone(), Fuzzer::with_target(opts.cases)).prepare();
+            let engine = engine(opts, cfg, false, Sinks::default());
+            engine.run_corpus(&corpus, timing).0
+        })
+        .collect();
+    print!(
+        "{}",
+        vulnerability_matrix(&results.iter().collect::<Vec<_>>())
+    );
     ExitCode::SUCCESS
 }
 
-/// `teesec diff`: lockstep core-vs-ISS co-simulation. With positional
-/// gadget ids, diffs those cases (default parameters); otherwise diffs the
-/// first `--cases` of the systematic corpus. Nonzero exit on divergence.
+/// `teesec diff`: lockstep core-vs-ISS co-simulation — a campaign with
+/// the oracle on, over the named gadgets (default parameters) or else the
+/// first `--cases` of the fuzzer corpus. Nonzero exit on divergence.
 fn cmd_diff(opts: &Opts) -> ExitCode {
-    let corpus: Vec<_> = if opts.positional.is_empty() {
-        Fuzzer::with_target(opts.cases).generate(&opts.design)
+    let (corpus, timing) = if opts.positional.is_empty() {
+        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).prepare()
     } else {
-        let mut corpus = Vec::new();
-        for gadget in &opts.positional {
-            let Some(path) = AccessPath::all().iter().copied().find(|p| p.id() == gadget) else {
-                eprintln!("unknown access gadget `{gadget}`");
-                return ExitCode::from(2);
-            };
-            match assemble_case(path, CaseParams::default(), &opts.design) {
-                Ok(tc) => corpus.push(tc),
-                Err(e) => {
-                    eprintln!("cannot assemble `{gadget}` on {}: {e:?}", opts.design.name);
-                    return ExitCode::FAILURE;
-                }
-            }
+        match gadget_corpus(opts, &opts.positional) {
+            Ok(corpus) => (corpus, PhaseTiming::default()),
+            Err(code) => return code,
         }
-        corpus
     };
-    let diff_opts = DiffOptions {
-        stride: opts.stride,
-        ..DiffOptions::default()
-    };
-    let tracer = if opts.trace_out.is_some() || opts.serve.is_some() {
-        Tracer::new(1)
-    } else {
-        Tracer::disabled()
-    };
-    let telemetry = match start_telemetry(opts) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let hub = telemetry.as_ref().map(|(h, _)| h);
-    let t0 = std::time::Instant::now();
-    if let Some(hub) = hub {
-        hub.set_up(true);
-        if tracer.enabled() {
-            hub.set_tracer(tracer.clone());
-        }
-        publish_diff_live(
-            hub,
-            &opts.design.name,
-            &Default::default(),
-            0,
-            corpus.len(),
-            &t0,
+    run_pipeline(opts, &corpus, timing, true, None, |result, reports| {
+        print_verdicts(result, !opts.quiet);
+        let diff = (result.engine.as_ref())
+            .and_then(|m| m.diff.as_ref())
+            .expect("the oracle was on");
+        println!(
+            "{}: {} matched, {} diverged, {} skipped ({} retires compared in lockstep)",
+            result.design, diff.matches, diff.divergences, diff.skipped, diff.retires_compared
         );
-    }
-    let total = corpus.len();
-    let summary = teesec::diff_corpus_with(&corpus, &opts.design, &diff_opts, &tracer, {
-        let design = opts.design.name.clone();
-        move |done, summary| {
-            if let Some(hub) = hub {
-                if let Some(case) = summary.cases.last() {
-                    let body = serde_json::json!({
-                        "seq": done - 1,
-                        "case": case.case,
-                        "verdict": case.verdict.label(),
-                    });
-                    let event = serde_json::json!({ "DiffCase": body });
-                    hub.push_event(&serde_json::to_string(&event).expect("serialize diff event"));
-                }
-                if done % 8 == 0 || done == total {
-                    publish_diff_live(hub, &design, summary, done, total, &t0);
-                }
-            }
-        }
-    });
-    if let Some(hub) = hub {
-        publish_diff_live(hub, &opts.design.name, &summary, total, total, &t0);
-        hub.set_complete(true);
-    }
-    for case in &summary.cases {
-        match &case.verdict {
-            DiffVerdict::Diverged(d) => {
-                println!("DIVERGED {}\n{d}", case.case);
-            }
-            DiffVerdict::Skipped { reason } if !opts.quiet => {
-                println!("skipped  {} ({reason})", case.case);
-            }
-            _ => {}
-        }
-    }
-    println!(
-        "{}: {} matched, {} diverged, {} skipped ({} retires compared in lockstep)",
-        opts.design.name,
-        summary.matches,
-        summary.divergences,
-        summary.skipped,
-        summary.retires_compared
-    );
-    if let Some(p) = &opts.trace_out {
-        if !write_trace(&tracer, p) {
+        let written = write_results(opts, result, reports);
+        if diff.divergences > 0 {
             return ExitCode::FAILURE;
         }
-    }
-    if let Some(p) = &opts.output {
-        fs::write(
-            p,
-            serde_json::to_string_pretty(&summary).expect("serialize"),
-        )
-        .expect("write");
-        println!("full verdicts written to {p}");
-    }
-    finish_telemetry(opts, telemetry);
-    if summary.divergences > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Publishes the live artifacts of a `teesec diff --serve` sweep: a
-/// stamped diff-counter exposition for `/metrics` and a compact `/status`
-/// document. The serial oracle has no engine aggregates, so the document
-/// is the diff-specific subset of the campaign one.
-fn publish_diff_live(
-    hub: &MetricsHub,
-    design: &str,
-    summary: &teesec::DiffSummary,
-    done: usize,
-    total: usize,
-    t0: &std::time::Instant,
-) {
-    let model = ProgressModel {
-        done,
-        total,
-        quarantined: 0,
-        elapsed_us: t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        threads: 1,
-        mean_case_us: None,
-    };
-    let dropped = hub.events_dropped_total();
-    let labels = &[("design", design)];
-    let mut snap = MetricsSnapshot::new();
-    snap.counter(
-        "teesec_diff_cases_compared_total",
-        labels,
-        summary.cases.len() as u64,
-        "Cases the differential oracle looked at",
-    );
-    snap.counter(
-        "teesec_diff_matches_total",
-        labels,
-        summary.matches,
-        "Cases where core and ISS agreed at every compared point",
-    );
-    snap.counter(
-        "teesec_diff_divergences_total",
-        labels,
-        summary.divergences,
-        "Cases where the machines diverged",
-    );
-    snap.counter(
-        "teesec_diff_skipped_total",
-        labels,
-        summary.skipped,
-        "Cases outside the oracle's model",
-    );
-    snap.counter(
-        "teesec_diff_retires_compared_total",
-        labels,
-        summary.retires_compared,
-        "Retirements compared in lockstep across matching cases",
-    );
-    teesec::metrics::stamp_live(&mut snap, design, model.progress_ppm(), dropped);
-    hub.publish_metrics(snap.render_prometheus());
-    let status = serde_json::json!({
-        "design": design,
-        "complete": done == total,
-        "cases_done": done,
-        "cases_total": total,
-        "matches": summary.matches,
-        "divergences": summary.divergences,
-        "skipped": summary.skipped,
-        "retires_compared": summary.retires_compared,
-        "progress_ppm": model.progress_ppm(),
-        "elapsed_us": model.elapsed_us,
-        "eta_us": model.eta_us(),
-        "events_dropped_total": dropped,
-    });
-    hub.publish_status(serde_json::to_string_pretty(&status).expect("serialize status"));
-    hub.set_progress_ppm(model.progress_ppm());
-}
-
-/// Serializes `tracer`'s recorded spans as Chrome/Perfetto trace JSON at
-/// `path`. Returns `false` (after printing the error) on I/O failure.
-fn write_trace(tracer: &Tracer, path: &str) -> bool {
-    match fs::write(path, tracer.snapshot().to_chrome_json()) {
-        Ok(()) => {
-            println!("perfetto trace written to {path} (open at ui.perfetto.dev)");
-            true
-        }
-        Err(e) => {
-            eprintln!("cannot write trace `{path}`: {e}");
-            false
-        }
-    }
+        written
+    })
 }
 
 /// `teesec trace-report`: offline analysis of a `--trace-out` file —
@@ -962,14 +827,15 @@ fn cmd_trace_report(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `teesec coverage-report`: runs a campaign with plan-coverage recording
-/// on and renders the security-coverage report — the structure ×
+/// `teesec coverage-report`: the fuzzer corpus through the pipeline,
+/// rendered as the security-coverage report — the structure ×
 /// transition × observer heatmap, the top secret-residency windows, and
 /// the explicit list of declared-but-never-exercised plan paths. With
 /// `--fail-under-ratio PCT` the exit code turns nonzero when coverage
 /// lands under the threshold (CI gate).
 fn cmd_coverage_report(opts: &Opts) -> ExitCode {
-    let mut corpus = Fuzzer::with_target(opts.cases).generate(&opts.design);
+    let (mut corpus, timing) =
+        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).prepare();
     if opts.reprobe {
         // The gap-closing variants from the coverage gap hunt
         // (EXPERIMENTS.md): one host branch re-probe per access path, so
@@ -984,101 +850,73 @@ fn cmd_coverage_report(opts: &Opts) -> ExitCode {
             }
         }
     }
-    let telemetry = match start_telemetry(opts) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let engine = teesec::Engine::new(
-        opts.design.clone(),
-        EngineOptions {
-            threads: opts.threads,
-            progress: false,
-            streaming: true,
-            snapshot_cache: true,
-            coverage: true,
-            tracer: if opts.serve.is_some() {
-                Tracer::new(opts.threads.max(1))
-            } else {
-                Tracer::disabled()
-            },
-            telemetry: telemetry.as_ref().map(|(h, _)| h.clone()),
-            checkpoint: checkpoint_options(opts, opts.output.clone()),
-            ..EngineOptions::default()
-        },
-    );
-    let (result, _) = engine.run_corpus(&corpus, teesec::campaign::PhaseTiming::default());
-    let metrics = result.engine.as_ref().expect("engine metrics");
-    let pc = metrics.plan_coverage.as_ref().expect("coverage was on");
-
-    let blob = pc.report_json();
-    if let Some(p) = &opts.output {
-        fs::write(p, serde_json::to_string_pretty(&blob).expect("serialize")).expect("write");
-    }
-    if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&blob).expect("serialize")
-        );
-    } else {
-        print!("{}", pc.render_heatmap());
-
-        let mut residency: Vec<_> = pc.residency.iter().collect();
-        residency.sort_by_key(|r| std::cmp::Reverse(r.worst_cycles));
-        if !residency.is_empty() {
-            println!("\nsecret residency (worst exposure window per structure):");
-            for r in residency.iter().take(10) {
-                println!(
-                    "  {:<18} {:>6} window(s), worst {:>8} cycles  ({})",
-                    r.structure.display_name(),
-                    r.windows.count(),
-                    r.worst_cycles,
-                    r.worst_case.as_deref().unwrap_or("-"),
-                );
-            }
-        }
-
-        let gaps: Vec<_> = pc.gaps().collect();
-        if gaps.is_empty() {
-            println!("\nno gaps: every declared plan path was exercised");
-        } else {
-            println!(
-                "\ngaps ({} declared plan paths never exercised):",
-                gaps.len()
-            );
-            for g in &gaps {
-                println!(
-                    "  {:<18} during {:<14} observed by {}",
-                    g.cell.structure.display_name(),
-                    g.cell.transition.label(),
-                    g.cell.observer.label(),
-                );
-            }
-        }
+    let coverage_out = opts.output.as_deref();
+    run_pipeline(opts, &corpus, timing, false, coverage_out, |result, _| {
+        let pc = (result.engine.as_ref())
+            .and_then(|m| m.plan_coverage.as_ref())
+            .expect("the pipeline records plan coverage");
+        let json = serde_json::to_string_pretty(&pc.report_json()).expect("serialize");
+        let (mut code, mut written) = (ExitCode::SUCCESS, None);
         if let Some(p) = &opts.output {
-            println!("\nstructured report written to {p}");
+            match fs::write(p, &json) {
+                Ok(()) => written = Some(p),
+                Err(e) => code = cannot_write("coverage report", p, &e),
+            }
         }
-    }
-    if let Some(p) = &opts.metrics_out {
-        if !write_metrics_out(telemetry.as_ref().map(|(h, _)| h), &result, p) {
-            return ExitCode::FAILURE;
+        if opts.json {
+            println!("{json}");
+        } else {
+            print!("{}", pc.render_heatmap());
+
+            let mut residency: Vec<_> = pc.residency.iter().collect();
+            residency.sort_by_key(|r| std::cmp::Reverse(r.worst_cycles));
+            if !residency.is_empty() {
+                println!("\nsecret residency (worst exposure window per structure):");
+                for r in residency.iter().take(10) {
+                    println!(
+                        "  {:<18} {:>6} window(s), worst {:>8} cycles  ({})",
+                        r.structure.display_name(),
+                        r.windows.count(),
+                        r.worst_cycles,
+                        r.worst_case.as_deref().unwrap_or("-"),
+                    );
+                }
+            }
+
+            let gaps: Vec<_> = pc.gaps().collect();
+            if gaps.is_empty() {
+                println!("\nno gaps: every declared plan path was exercised");
+            } else {
+                println!(
+                    "\ngaps ({} declared plan paths never exercised):",
+                    gaps.len()
+                );
+                for g in &gaps {
+                    println!(
+                        "  {:<18} during {:<14} observed by {}",
+                        g.cell.structure.display_name(),
+                        g.cell.transition.label(),
+                        g.cell.observer.label(),
+                    );
+                }
+            }
+            if let Some(p) = written {
+                println!("\nstructured report written to {p}");
+            }
         }
-        if !opts.json {
-            println!("metrics snapshot written to {p} (+ {p}.json)");
+        if let Some(pct) = opts.fail_under_ratio {
+            let ratio_ppm = pc.coverage_ratio_ppm();
+            if ratio_ppm < pct.saturating_mul(10_000) {
+                eprintln!(
+                    "coverage {}.{:02}% is under the --fail-under-ratio {pct}% threshold",
+                    ratio_ppm / 10_000,
+                    ratio_ppm % 10_000 / 100,
+                );
+                return ExitCode::FAILURE;
+            }
         }
-    }
-    finish_telemetry(opts, telemetry);
-    if let Some(pct) = opts.fail_under_ratio {
-        let ratio_ppm = pc.coverage_ratio_ppm();
-        if ratio_ppm < pct.saturating_mul(10_000) {
-            eprintln!(
-                "coverage {}.{:02}% is under the --fail-under-ratio {pct}% threshold",
-                ratio_ppm / 10_000,
-                ratio_ppm % 10_000 / 100,
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+        code
+    })
 }
 
 /// `teesec coverage`: one coverage-guided fuzzing session. `--seeds` sets
@@ -1117,7 +955,6 @@ fn cmd_coverage(opts: &Opts) -> ExitCode {
             "progress_ppm": 1_000_000u64,
         });
         hub.publish_status(serde_json::to_string_pretty(&status).expect("serialize status"));
-        hub.set_progress_ppm(1_000_000);
     }
     println!(
         "{}: {} cases executed, coverage {} buckets (seeds alone: {}), corpus {} entries",
@@ -1132,22 +969,21 @@ fn cmd_coverage(opts: &Opts) -> ExitCode {
             println!("  +{:<3} {}", entry.novel_buckets, entry.name);
         }
     }
+    let mut code = ExitCode::SUCCESS;
     if let Some(p) = &opts.metrics_out {
         let snap = teesec::metrics::coverage_snapshot(&outcome, &opts.design.name);
-        if let Err(e) = teesec::metrics::write_snapshot_files(&snap, p) {
-            eprintln!("cannot write metrics snapshot `{p}`: {e}");
-            return ExitCode::FAILURE;
+        match write_metrics_files(p, &snap.render_prometheus(), &snap.render_json()) {
+            Ok(()) => println!("metrics snapshot written to {p} (+ {p}.json)"),
+            Err(e) => code = cannot_write("metrics snapshot", p, &e),
         }
-        println!("metrics snapshot written to {p} (+ {p}.json)");
     }
     if let Some(p) = &opts.output {
-        fs::write(
-            p,
-            serde_json::to_string_pretty(&outcome).expect("serialize"),
-        )
-        .expect("write");
-        println!("full session written to {p}");
+        let session = serde_json::to_string_pretty(&outcome).expect("serialize");
+        match fs::write(p, session) {
+            Ok(()) => println!("full session written to {p}"),
+            Err(e) => code = cannot_write("session", p, &e),
+        }
     }
     finish_telemetry(opts, telemetry);
-    ExitCode::SUCCESS
+    code
 }

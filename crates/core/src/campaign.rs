@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use teesec_uarch::config::CoreConfig;
 
+use crate::diff::DiffVerdict;
 use crate::engine::{Engine, EngineMetrics, EngineOptions};
 use crate::fuzz::Fuzzer;
 use crate::paths::AccessPath;
@@ -33,6 +34,9 @@ pub struct CaseResult {
     /// Why the case was quarantined (build error or panic), if it was.
     /// Quarantined cases report zero cycles and no findings.
     pub error: Option<String>,
+    /// The differential oracle's verdict; `Some` iff the oracle was on
+    /// and the case was not quarantined.
+    pub diff: Option<DiffVerdict>,
 }
 
 /// Wall-clock cost of each campaign phase (the Table 2 shape).
@@ -134,7 +138,7 @@ impl Campaign {
 
     /// Profiles the plan and generates the corpus, returning it with a
     /// [`PhaseTiming`] carrying those two phases' costs.
-    fn prepare(&self) -> (Vec<crate::testcase::TestCase>, PhaseTiming) {
+    pub fn prepare(&self) -> (Vec<crate::testcase::TestCase>, PhaseTiming) {
         let t0 = Instant::now();
         let _plan = VerificationPlan::profile(&self.cfg);
         let plan_us = t0.elapsed().as_micros();
@@ -165,17 +169,6 @@ impl Campaign {
         Engine::new(self.cfg.clone(), opts).run_corpus(&corpus, timing)
     }
 
-    /// Runs the campaign across `threads` engine workers. Cases are
-    /// independent (each builds its own platform), so results are identical
-    /// at any worker count — only wall-clock changes. Per-phase timing is
-    /// summed across workers (CPU time, not wall time).
-    pub fn run_parallel(&self, threads: usize) -> (CampaignResult, Vec<CheckReport>) {
-        self.run_engine(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        })
-    }
-
     /// Runs the whole campaign on one engine worker. Returns the aggregate
     /// result and, when [`Campaign::keep_reports`] was requested, the
     /// per-case reports.
@@ -183,7 +176,7 @@ impl Campaign {
     /// Cases that fail to build or panic are quarantined into
     /// [`CaseResult::error`].
     pub fn run(&self) -> (CampaignResult, Vec<CheckReport>) {
-        self.run_parallel(1)
+        self.run_engine(EngineOptions::default())
     }
 }
 

@@ -22,8 +22,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use teesec_trace::Tracer;
-
 use teesec_isa::csr::{self, CsrAddr};
 use teesec_isa::inst::Inst;
 use teesec_isa::priv_level::PrivLevel;
@@ -248,30 +246,6 @@ impl DiffVerdict {
             DiffVerdict::Skipped { .. } => "skipped",
         }
     }
-}
-
-/// Per-case differential result (name + verdict), the JSONL/event payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CaseDiff {
-    /// Test-case name.
-    pub case: String,
-    /// Verdict.
-    pub verdict: DiffVerdict,
-}
-
-/// Aggregate over a corpus.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiffSummary {
-    /// Cases compared clean.
-    pub matches: u64,
-    /// Cases that diverged.
-    pub divergences: u64,
-    /// Cases skipped (irq-driven or budget-blown).
-    pub skipped: u64,
-    /// Total retirements compared in lockstep.
-    pub retires_compared: u64,
-    /// Per-case verdicts.
-    pub cases: Vec<CaseDiff>,
 }
 
 /// Does the case repoint `satp` without a subsequent `sfence.vma` before
@@ -501,71 +475,6 @@ fn diverged_at(
         core: core_state(core),
         iss: iss_state(iss),
     })
-}
-
-/// Runs [`diff_case`] over a corpus, aggregating verdicts. Build failures
-/// surface as skips (the campaign engine already reports them separately).
-pub fn diff_corpus(cases: &[TestCase], cfg: &CoreConfig, opts: &DiffOptions) -> DiffSummary {
-    diff_corpus_traced(cases, cfg, opts, &Tracer::disabled())
-}
-
-/// [`diff_corpus`] with span recording: each case becomes a `case` span
-/// (worker 0) wrapping a `diff` child span whose `verdict` arg carries the
-/// oracle's outcome — `teesec diff --trace-out` renders the corpus as a
-/// single-lane timeline.
-pub fn diff_corpus_traced(
-    cases: &[TestCase],
-    cfg: &CoreConfig,
-    opts: &DiffOptions,
-    tracer: &Tracer,
-) -> DiffSummary {
-    diff_corpus_with(cases, cfg, opts, tracer, |_, _| {})
-}
-
-/// [`diff_corpus_traced`] with a per-case observer: after each verdict
-/// folds in, `on_case(cases_done, &summary_so_far)` fires — the hook the
-/// CLI uses to publish live progress while a long diff sweep runs.
-pub fn diff_corpus_with(
-    cases: &[TestCase],
-    cfg: &CoreConfig,
-    opts: &DiffOptions,
-    tracer: &Tracer,
-    mut on_case: impl FnMut(usize, &DiffSummary),
-) -> DiffSummary {
-    let mut summary = DiffSummary::default();
-    for (seq, tc) in cases.iter().enumerate() {
-        let mut case_span = tracer.span(0, "case", 0);
-        case_span.arg("case", tc.name.as_str());
-        case_span.arg("seq", seq);
-        case_span.arg("design", cfg.name.as_str());
-        let mut dspan = tracer.span(0, "diff", case_span.id());
-        let verdict = match diff_case(tc, cfg, opts) {
-            Ok(v) => v,
-            Err(e) => DiffVerdict::Skipped {
-                reason: format!("build failed: {e:?}"),
-            },
-        };
-        dspan.arg("verdict", verdict.label());
-        drop(dspan);
-        drop(case_span);
-        match &verdict {
-            DiffVerdict::Match { retires, .. } => {
-                summary.matches += 1;
-                summary.retires_compared += retires;
-            }
-            DiffVerdict::Diverged(d) => {
-                summary.divergences += 1;
-                summary.retires_compared += d.retire_seq;
-            }
-            DiffVerdict::Skipped { .. } => summary.skipped += 1,
-        }
-        summary.cases.push(CaseDiff {
-            case: tc.name.clone(),
-            verdict,
-        });
-        on_case(seq + 1, &summary);
-    }
-    summary
 }
 
 #[cfg(test)]

@@ -496,7 +496,7 @@ impl EngineMetrics {
         for (s, n) in &exec.findings_by_structure {
             *self.findings_by_structure.entry(s.clone()).or_insert(0) += n;
         }
-        if let (Some(dm), Some(verdict)) = (self.diff.as_mut(), &exec.diff) {
+        if let (Some(dm), Some(verdict)) = (self.diff.as_mut(), &exec.result.diff) {
             dm.fold(verdict);
         }
         if let Some(fp) = &exec.fastpath {
@@ -603,7 +603,6 @@ pub(crate) struct CaseExecution {
     pub simulate_us: u128,
     pub check_us: u128,
     pub counters: Option<UarchCounters>,
-    pub diff: Option<DiffVerdict>,
     pub coverage: Option<CaseCoverage>,
     /// Which build path produced the platform (`None` for quarantined
     /// cases that never finished building).
@@ -637,6 +636,7 @@ pub(crate) fn execute_case(
             classes: Default::default(),
             finding_count: 0,
             error: Some(error),
+            diff: None,
         },
         report: None,
         findings_by_structure: BTreeMap::new(),
@@ -645,7 +645,6 @@ pub(crate) fn execute_case(
         simulate_us: 0,
         check_us: 0,
         counters: None,
-        diff: None,
         coverage: None,
         cache: None,
         fastpath: None,
@@ -729,6 +728,7 @@ pub(crate) fn execute_case(
             classes: report.classes(),
             finding_count: report.findings.len(),
             error: None,
+            diff: None,
         },
         report: opts.keep_reports.then_some(report),
         findings_by_structure,
@@ -737,7 +737,6 @@ pub(crate) fn execute_case(
         simulate_us,
         check_us,
         counters,
-        diff: None,
         coverage,
         cache: Some(outcome.build.label()),
         fastpath,
@@ -745,7 +744,7 @@ pub(crate) fn execute_case(
     // The oracle rebuilds its own platform; free this one first.
     drop(outcome);
     if let Some(diff_opts) = &opts.diff {
-        exec.diff = Some(execute_diff(tc, cfg, diff_opts, tctx));
+        exec.result.diff = Some(execute_diff(tc, cfg, diff_opts, tctx));
     }
     exec
 }
@@ -942,7 +941,7 @@ fn case_events(record: CaseRecord) -> Vec<EngineEvent> {
         span_id,
         parent_id,
     }));
-    events.extend(exec.diff.map(|verdict| EngineEvent::CaseDiff {
+    events.extend(exec.result.diff.map(|verdict| EngineEvent::CaseDiff {
         seq,
         case: case.clone(),
         verdict,
@@ -1242,7 +1241,7 @@ impl Engine {
             .expect("engine results carry metrics");
         let hub = self.opts.telemetry.as_ref();
         let dropped = hub.map_or(0, MetricsHub::events_dropped_total);
-        let snap = crate::metrics::live_campaign_snapshot(result, model.progress_ppm(), dropped);
+        let snap = crate::metrics::campaign_snapshot(result, model.progress_ppm(), dropped);
         let coverage = || {
             let pc = engine.plan_coverage.as_ref()?;
             Some(serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage"))
@@ -1289,7 +1288,6 @@ impl Engine {
             if let Some(json) = coverage() {
                 hub.publish_coverage(json);
             }
-            hub.set_progress_ppm(model.progress_ppm());
         }
         if let Some(ckpt) = self.opts.checkpoint.as_ref().filter(|_| checkpoint) {
             if let Err(e) = crate::metrics::write_checkpoint_files(&snap, &ckpt.path) {

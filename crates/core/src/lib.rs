@@ -80,16 +80,13 @@ pub use coverage::{
     CaseCoverage, CellKey, CoverageCell, ObserverKind, PlanCoverage, ResidencyWindow,
     StructureResidency, TransitionPoint,
 };
-pub use diff::{
-    diff_case, diff_corpus, diff_corpus_traced, diff_corpus_with, DiffOptions, DiffSummary,
-    DiffVerdict, Divergence,
-};
+pub use diff::{diff_case, DiffOptions, DiffVerdict, Divergence};
 pub use engine::{
     CheckpointOptions, DiffMetrics, Engine, EngineEvent, EngineMetrics, EngineOptions, EventSink,
     ObsMetrics,
 };
 pub use fuzz::Fuzzer;
-pub use metrics::{campaign_snapshot, live_campaign_snapshot};
+pub use metrics::campaign_snapshot;
 pub use minimize::{minimize_case, Minimized};
 pub use paths::AccessPath;
 pub use plan::VerificationPlan;

@@ -1,6 +1,7 @@
 //! Metrics exposition: folds a campaign's results into a
 //! [`MetricsSnapshot`] renderable as Prometheus text format and JSON
-//! (the `--metrics-out` flag of `teesec run` / `teesec campaign`).
+//! (the `--metrics-out` flag of every `teesec` subcommand that runs
+//! cases, and the live `/metrics` endpoint).
 //!
 //! Per-structure counter families are emitted for **every** structure in
 //! the design's storage inventory — untouched structures appear with
@@ -29,15 +30,30 @@ fn build_info(snap: &mut MetricsSnapshot) {
     );
 }
 
-/// Builds the full metrics snapshot for one finished campaign (or a
-/// single-case run routed through the engine).
+/// Builds the metrics snapshot of a campaign result — finished, or the
+/// seq prefix a live scrape or checkpoint describes. Every exposition is
+/// stamped by [`stamp_live`] with `progress_ppm` (1,000,000 once the run
+/// is complete) and `events_dropped`, so the live `/metrics`, each
+/// checkpoint and the final `--metrics-out` file carry the same
+/// families.
 ///
 /// Engine-only series (worker balance, wall time) appear only when the
 /// result carries [`EngineMetrics`](crate::engine::EngineMetrics); deep
 /// microarchitectural series only when counters harvesting was on.
-pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
+pub fn campaign_snapshot(
+    result: &CampaignResult,
+    progress_ppm: u64,
+    events_dropped: u64,
+) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::new();
     build_info(&mut snap);
+    result_families(&mut snap, result);
+    stamp_live(&mut snap, &result.design, progress_ppm, events_dropped);
+    snap
+}
+
+/// The families folded from `result` itself.
+fn result_families(snap: &mut MetricsSnapshot, result: &CampaignResult) {
     let design = result.design.as_str();
 
     snap.counter(
@@ -71,7 +87,7 @@ pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
     }
 
     let Some(engine) = &result.engine else {
-        return snap;
+        return;
     };
     snap.counter(
         "teesec_cases_quarantined_total",
@@ -290,7 +306,7 @@ pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
     }
 
     let Some(obs) = &engine.obs else {
-        return snap;
+        return;
     };
     snap.counter(
         "teesec_uarch_cycles_total",
@@ -382,7 +398,6 @@ pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
         obs.case_cycles.clone(),
         "Per-case simulated cycles",
     );
-    snap
 }
 
 /// Stamps the live-telemetry families onto an existing snapshot:
@@ -390,10 +405,6 @@ pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
 /// `teesec_campaign_progress_ratio` (fraction of the corpus finished),
 /// and `teesec_events_dropped_total` (ring-buffer evictions seen by
 /// lagging SSE subscribers).
-///
-/// The final `--metrics-out` file written by a served campaign carries
-/// the same stamp with `progress_ppm = 1_000_000`, so the last live
-/// `/metrics` scrape and the on-disk exposition are byte-identical.
 pub fn stamp_live(
     snap: &mut MetricsSnapshot,
     design: &str,
@@ -418,18 +429,6 @@ pub fn stamp_live(
         events_dropped,
         "Telemetry events evicted from the ring buffer past a lagging subscriber",
     );
-}
-
-/// [`campaign_snapshot`] plus the [`stamp_live`] families — what a live
-/// `/metrics` scrape of an in-flight (or just-finished) campaign serves.
-pub fn live_campaign_snapshot(
-    result: &CampaignResult,
-    progress_ppm: u64,
-    events_dropped: u64,
-) -> MetricsSnapshot {
-    let mut snap = campaign_snapshot(result);
-    stamp_live(&mut snap, &result.design, progress_ppm, events_dropped);
-    snap
 }
 
 /// Writes `contents` to `path` atomically: the bytes land in
@@ -457,17 +456,33 @@ fn mark_partial(json: &str) -> String {
     }
 }
 
-/// Writes a mid-flight checkpoint of `snap`: atomic Prometheus text at
-/// `path` and atomic JSON (with the `"partial": true` marker) at
-/// `<path>.json`. A campaign killed between checkpoints always leaves
-/// both files parseable.
+/// Writes a metrics exposition: the Prometheus text `prom` at `path` and
+/// the JSON rendering `json` at `<path>.json`, each atomically. The
+/// final `--metrics-out` files go through here, and so does every
+/// checkpoint ([`write_checkpoint_files`]).
+///
+/// # Errors
+///
+/// Propagates the underlying file-system errors.
+pub fn write_metrics_files(path: &str, prom: &str, json: &str) -> std::io::Result<()> {
+    atomic_write(path, prom)?;
+    atomic_write(&format!("{path}.json"), json)
+}
+
+/// Writes a mid-flight checkpoint of `snap` through
+/// [`write_metrics_files`], with the `"partial": true` marker in the
+/// JSON. A campaign killed between checkpoints always leaves both files
+/// parseable.
 ///
 /// # Errors
 ///
 /// Propagates the underlying file-system errors.
 pub fn write_checkpoint_files(snap: &MetricsSnapshot, path: &str) -> std::io::Result<()> {
-    atomic_write(path, &snap.render_prometheus())?;
-    atomic_write(&format!("{path}.json"), &mark_partial(&snap.render_json()))
+    write_metrics_files(
+        path,
+        &snap.render_prometheus(),
+        &mark_partial(&snap.render_json()),
+    )
 }
 
 /// Atomically writes a JSON document (e.g. a plan-coverage report) with
@@ -527,17 +542,6 @@ pub fn coverage_snapshot(outcome: &crate::fuzz::CoverageOutcome, design: &str) -
     snap
 }
 
-/// Writes `snap` as Prometheus text to `path` and pretty JSON to
-/// `<path>.json`.
-///
-/// # Errors
-///
-/// Propagates the underlying file-system errors.
-pub fn write_snapshot_files(snap: &MetricsSnapshot, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, snap.render_prometheus())?;
-    std::fs::write(format!("{path}.json"), snap.render_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +560,7 @@ mod tests {
             counters: true,
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         for e in &StorageInventory::profile(&cfg).elements {
             let needle = format!("structure=\"{}\"", e.structure.display_name());
@@ -580,7 +584,7 @@ mod tests {
             diff: Some(crate::diff::DiffOptions::default()),
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_diff_cases_compared_total"));
         assert!(prom.contains("teesec_diff_divergences_total{design=\"boom\"} 0"));
@@ -596,7 +600,7 @@ mod tests {
             snapshot_cache: true,
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_snapshot_cache_hits_total"));
         assert!(prom.contains("teesec_snapshot_cache_misses_total"));
@@ -613,7 +617,7 @@ mod tests {
             fast_path: Some(true),
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_decode_cache_hits_total"));
         assert!(prom.contains("teesec_decode_cache_misses_total"));
@@ -635,7 +639,7 @@ mod tests {
             fast_path: Some(false),
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         assert!(!snap.render_prometheus().contains("teesec_decode_cache"));
         assert!(result.engine.unwrap().fastpath.is_none());
     }
@@ -648,7 +652,7 @@ mod tests {
             coverage: true,
             ..EngineOptions::default()
         });
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_build_info{"), "{prom}");
         assert!(prom.contains("version=\"")); // identity rides in the labels
@@ -690,7 +694,7 @@ mod tests {
     fn live_snapshot_stamps_up_progress_and_dropped_events() {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(2));
         let (result, _) = campaign.run_engine(EngineOptions::default());
-        let snap = live_campaign_snapshot(&result, 500_000, 3);
+        let snap = campaign_snapshot(&result, 500_000, 3);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_up 1"), "{prom}");
         assert!(
@@ -702,21 +706,26 @@ mod tests {
         assert!(prom.contains("teesec_cases_total"));
     }
 
+    /// Every campaign exposition is stamped; a finished result's carries
+    /// the complete stamp, as the final `--metrics-out` file does.
     #[test]
     fn finished_live_snapshot_is_plain_snapshot_plus_stamp() {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(2));
         let (result, _) = campaign.run_engine(EngineOptions::default());
-        let live = live_campaign_snapshot(&result, 1_000_000, 0);
-        let mut stamped = campaign_snapshot(&result);
-        stamp_live(&mut stamped, &result.design, 1_000_000, 0);
-        assert_eq!(live.render_prometheus(), stamped.render_prometheus());
+        let prom = campaign_snapshot(&result, 1_000_000, 0).render_prometheus();
+        assert!(prom.contains("teesec_up 1"), "{prom}");
+        assert!(
+            prom.contains("teesec_campaign_progress_ratio{design=\"boom\"} 1.000000"),
+            "{prom}"
+        );
+        assert!(prom.contains("teesec_events_dropped_total 0"), "{prom}");
     }
 
     #[test]
     fn checkpoint_files_are_atomic_and_marked_partial() {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(2));
         let (result, _) = campaign.run_engine(EngineOptions::default());
-        let snap = live_campaign_snapshot(&result, 500_000, 0);
+        let snap = campaign_snapshot(&result, 500_000, 0);
         let dir = std::env::temp_dir().join(format!("teesec-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("metrics.prom");
@@ -756,7 +765,7 @@ mod tests {
         // A result built outside the engine carries no engine metrics.
         let (mut result, _) = campaign.run();
         result.engine = None;
-        let snap = campaign_snapshot(&result);
+        let snap = campaign_snapshot(&result, 1_000_000, 0);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_cases_total"));
         assert!(!prom.contains("teesec_structure_fills_total"));

@@ -98,8 +98,6 @@ struct HubInner {
     up: AtomicBool,
     /// Whether the campaign has finished (SSE streams drain and end).
     complete: AtomicBool,
-    /// Campaign progress in parts per million.
-    progress_ppm: AtomicU64,
     next_token: AtomicU64,
 }
 
@@ -140,7 +138,6 @@ impl MetricsHub {
                 dropped: AtomicU64::new(0),
                 up: AtomicBool::new(false),
                 complete: AtomicBool::new(false),
-                progress_ppm: AtomicU64::new(0),
                 next_token: AtomicU64::new(1),
             }),
         }
@@ -219,16 +216,6 @@ impl MetricsHub {
     /// Whether the campaign has finished.
     pub fn complete(&self) -> bool {
         self.inner.complete.load(Ordering::Relaxed)
-    }
-
-    /// Publishes campaign progress in parts per million (0..=1_000_000).
-    pub fn set_progress_ppm(&self, ppm: u64) {
-        self.inner.progress_ppm.store(ppm, Ordering::Relaxed);
-    }
-
-    /// Latest published progress in parts per million.
-    pub fn progress_ppm(&self) -> u64 {
-        self.inner.progress_ppm.load(Ordering::Relaxed)
     }
 
     /// Appends one event line to the ring and wakes subscribers. Returns

@@ -4,8 +4,11 @@
 //! architectural bug, naming the first bad retire.
 
 use teesec::assemble::{assemble_case, CaseParams};
-use teesec::diff::{diff_case, diff_corpus, DiffOptions, DiffVerdict, FaultInjection};
+use teesec::campaign::{CampaignResult, CaseResult, PhaseTiming};
+use teesec::diff::{diff_case, DiffOptions, DiffVerdict, FaultInjection};
+use teesec::engine::{DiffMetrics, Engine, EngineOptions};
 use teesec::paths::AccessPath;
+use teesec::testcase::Step;
 use teesec_isa::reg::Reg;
 use teesec_uarch::config::CoreConfig;
 
@@ -16,20 +19,37 @@ fn default_corpus(cfg: &CoreConfig) -> Vec<teesec::TestCase> {
         .collect()
 }
 
+/// Every default case through the engine with the oracle on, as
+/// `teesec diff` runs them.
+fn diff_default_corpus(cfg: &CoreConfig) -> (CampaignResult, DiffMetrics) {
+    let opts = EngineOptions {
+        diff: Some(DiffOptions::default()),
+        ..EngineOptions::default()
+    };
+    let (result, _) =
+        Engine::new(cfg.clone(), opts).run_corpus(&default_corpus(cfg), PhaseTiming::default());
+    let metrics = (result.engine.as_ref())
+        .and_then(|m| m.diff.clone())
+        .expect("the oracle was on");
+    (result, metrics)
+}
+
+fn diverged(result: &CampaignResult) -> Vec<&CaseResult> {
+    (result.cases.iter())
+        .filter(|c| c.diff.as_ref().is_some_and(DiffVerdict::diverged))
+        .collect()
+}
+
 #[test]
 fn all_default_cases_match_the_reference_on_boom() {
     let cfg = CoreConfig::boom();
-    let summary = diff_corpus(&default_corpus(&cfg), &cfg, &DiffOptions::default());
+    let (result, summary) = diff_default_corpus(&cfg);
     assert_eq!(
         summary.divergences,
         0,
         "no default case may diverge on {}: {:#?}",
         cfg.name,
-        summary
-            .cases
-            .iter()
-            .filter(|c| c.verdict.diverged())
-            .collect::<Vec<_>>()
+        diverged(&result)
     );
     assert!(summary.matches > 0, "the corpus must not be empty");
     assert!(
@@ -42,19 +62,43 @@ fn all_default_cases_match_the_reference_on_boom() {
 #[test]
 fn all_default_cases_match_the_reference_on_xiangshan() {
     let cfg = CoreConfig::xiangshan();
-    let summary = diff_corpus(&default_corpus(&cfg), &cfg, &DiffOptions::default());
+    let (result, summary) = diff_default_corpus(&cfg);
     assert_eq!(
         summary.divergences,
         0,
         "no default case may diverge on {}: {:#?}",
         cfg.name,
-        summary
-            .cases
-            .iter()
-            .filter(|c| c.verdict.diverged())
-            .collect::<Vec<_>>()
+        diverged(&result)
     );
     assert!(summary.matches > 0);
+}
+
+/// Each case's verdict rides its `CaseResult`: present for every case the
+/// oracle ran on, absent for a quarantined one, and the engine's
+/// aggregate is exactly their fold.
+#[test]
+fn verdicts_ride_each_case_result_and_fold_into_the_aggregate() {
+    let cfg = CoreConfig::boom();
+    let mut corpus = default_corpus(&cfg);
+    let mut unbuildable = corpus[0].clone();
+    unbuildable.host_steps = vec![Step::Nops(100_000)]; // overflows the host region
+    corpus.push(unbuildable);
+    let opts = EngineOptions {
+        threads: 2,
+        diff: Some(DiffOptions::default()),
+        ..EngineOptions::default()
+    };
+    let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
+    let mut folded = DiffMetrics::default();
+    for case in &result.cases {
+        match (&case.error, &case.diff) {
+            (None, Some(verdict)) => folded.fold(verdict),
+            (Some(_), None) => {}
+            other => panic!("{}: {other:?}", case.name),
+        }
+    }
+    assert_eq!(result.quarantined_cases().count(), 1);
+    assert_eq!(result.engine.and_then(|m| m.diff), Some(folded));
 }
 
 #[test]

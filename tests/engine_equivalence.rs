@@ -36,6 +36,7 @@ fn serial_oracle(cfg: &CoreConfig, corpus: &[TestCase]) -> (CampaignResult, Vec<
             classes: report.classes(),
             finding_count: report.findings.len(),
             error: None,
+            diff: None,
         });
         reports.push(report);
     }

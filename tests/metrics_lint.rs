@@ -1,18 +1,17 @@
 //! Lint-style locks on the Prometheus text exposition: every family that
-//! `campaign_snapshot` / `coverage_snapshot` / `live_campaign_snapshot`
-//! can ever emit must carry exactly one `# HELP`/`# TYPE` header (before
-//! its first sample), use a consistent unit suffix, and keep histogram
-//! buckets cumulative. The live `/metrics` scrape is held to the same
-//! discipline, and its family set must stay a subset of the final
-//! exposition's. A new metric that violates the house conventions fails
-//! here, not in a dashboard three weeks later.
+//! `campaign_snapshot` / `coverage_snapshot` can ever emit must carry
+//! exactly one `# HELP`/`# TYPE` header (before its first sample), use a
+//! consistent unit suffix, and keep histogram buckets cumulative. The
+//! live `/metrics` scrape is held to the same discipline, and its family
+//! set must stay a subset of the final exposition's. A new metric that
+//! violates the house conventions fails here, not in a dashboard three
+//! weeks later.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use teesec::campaign::Campaign;
 use teesec::engine::EngineOptions;
 use teesec::fuzz::{CoverageFuzzer, Fuzzer};
-use teesec::live_campaign_snapshot;
 use teesec::metrics::{campaign_snapshot, coverage_snapshot};
 use teesec_telemetry::MetricsHub;
 use teesec_trace::Tracer;
@@ -132,7 +131,7 @@ fn full_campaign_result() -> teesec::CampaignResult {
 }
 
 fn full_campaign_text() -> String {
-    campaign_snapshot(&full_campaign_result()).render_prometheus()
+    campaign_snapshot(&full_campaign_result(), 1_000_000, 0).render_prometheus()
 }
 
 fn coverage_text() -> String {
@@ -386,7 +385,7 @@ fn family_set(text: &str) -> BTreeSet<String> {
 
 #[test]
 fn live_exposition_passes_the_lint_and_stamps_the_live_families() {
-    let text = live_campaign_snapshot(&full_campaign_result(), 500_000, 3).render_prometheus();
+    let text = campaign_snapshot(&full_campaign_result(), 500_000, 3).render_prometheus();
     lint(&text);
     assert!(text.contains("# TYPE teesec_up gauge"), "{text}");
     assert!(text.contains("teesec_up 1"), "{text}");
@@ -411,7 +410,7 @@ fn served_scrape_carries_the_prometheus_content_type_and_lints() {
 
     let hub = MetricsHub::default();
     hub.publish_metrics(
-        live_campaign_snapshot(&full_campaign_result(), 1_000_000, 0).render_prometheus(),
+        campaign_snapshot(&full_campaign_result(), 1_000_000, 0).render_prometheus(),
     );
     let server = teesec_telemetry::serve(hub, "127.0.0.1:0").expect("bind");
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");

@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 use teesec::campaign::{Campaign, PhaseTiming};
+use teesec::campaign_snapshot;
 use teesec::engine::{Engine, EngineOptions};
 use teesec::fuzz::Fuzzer;
-use teesec::live_campaign_snapshot;
 use teesec_obs::PROMETHEUS_CONTENT_TYPE;
 use teesec_telemetry::{serve, MetricsHub};
 use teesec_trace::Tracer;
@@ -149,7 +149,7 @@ fn mid_flight_scrapes_observe_the_campaign_then_its_completion() {
     // end-of-run path produces from the returned result.
     let (_, _, final_scrape) = poll_get_ok(&addr, "/metrics", Duration::from_secs(5));
     let expected =
-        live_campaign_snapshot(&result, 1_000_000, hub.events_dropped_total()).render_prometheus();
+        campaign_snapshot(&result, 1_000_000, hub.events_dropped_total()).render_prometheus();
     assert_eq!(
         final_scrape, expected,
         "final scrape drifted from the snapshot rendering"
