@@ -8,11 +8,9 @@
 //! teesec explain <gadget> [--json]         # leak provenance chains
 //! teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]
 //! teesec diff     [gadget ...] [--cases N] [--stride N] [--output FILE]
-//! teesec coverage-report [--cases N] [--json] [--output FILE]
-//!                 [--fail-under-ratio PCT] [--reprobe]  # heatmap + gaps
+//! teesec coverage-report [--cases N] [--seeds N] [--json] [--output FILE]
+//!                 [--fail-under-ratio PCT]          # heatmap + gaps
 //! teesec matrix   [--cases N]              # the Table 3 matrix
-//! teesec coverage [--design D] [--seeds N] [--cases N] [--output FILE]
-//!                 [--metrics-out FILE] [--serve ADDR]   # guided fuzzing
 //! teesec trace-report <trace.json> [--json] # critical path + stragglers
 //! ```
 //!
@@ -37,13 +35,18 @@
 //!   Chrome trace), `/health`. `--serve-linger SECS` keeps the server up
 //!   after completion so a final scrape can land.
 //!
+//! `coverage-report --seeds N` first runs the coverage-guided search:
+//! `N` systematic seeds, then mutants of every input that exercised a new
+//! plan cell, `--cases` candidates in all. The kept inputs are the corpus
+//! of its engine run.
+//!
 //! `matrix` runs the same engine options on both designs and honours
 //! `--cases`, `--threads`, `--case-cycle-budget` and `--quiet`.
-//! `coverage` runs the guided fuzzer outside the engine.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use teesec::assemble::{assemble_case, CaseParams};
 use teesec::campaign::{vulnerability_matrix, Campaign, CampaignResult, CaseResult, PhaseTiming};
@@ -51,11 +54,10 @@ use teesec::diff::{DiffOptions, DiffVerdict};
 use teesec::engine::{CheckpointOptions, Engine, EngineOptions, EventSink};
 use teesec::fuzz::{CoverageFuzzer, Fuzzer};
 use teesec::gadgets::{catalog, GadgetKind};
-use teesec::metrics::{campaign_snapshot, write_metrics_files};
+use teesec::metrics::{atomic_write, campaign_snapshot, write_metrics_files};
 use teesec::paths::AccessPath;
 use teesec::simlog::render_simlog;
 use teesec::{CheckReport, TestCase, VerificationPlan};
-use teesec_obs::MetricsSnapshot;
 use teesec_telemetry::{MetricsHub, TelemetryServer};
 use teesec_trace::{Trace, Tracer};
 use teesec_uarch::CoreConfig;
@@ -67,11 +69,9 @@ fn usage() -> ExitCode {
          teesec explain <access-gadget> [--json]\n  \
          teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]\n  \
          teesec diff [gadget ...] [--cases N] [--stride N] [--output FILE]\n  \
-         teesec coverage-report [--cases N] [--json] [--output FILE] [--fail-under-ratio PCT]\n  \
-         \x20                      [--reprobe]\n  \
+         teesec coverage-report [--cases N] [--seeds N] [--json] [--output FILE]\n  \
+         \x20                      [--fail-under-ratio PCT]\n  \
          teesec matrix [--cases N] [--threads N] [--case-cycle-budget N] [--quiet]\n  \
-         teesec coverage [--design boom|xiangshan] [--seeds N] [--cases N] [--output FILE]\n  \
-         \x20               [--metrics-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
          teesec trace-report <trace.json> [--json]\n\n\
          run, explain, campaign, diff and coverage-report also take:\n  \
          [--design boom|xiangshan] [--threads N] [--case-cycle-budget N] [--quiet]\n  \
@@ -97,9 +97,8 @@ struct Opts {
     quiet: bool,
     diff: bool,
     stride: u64,
-    seeds: usize,
+    seeds: Option<usize>,
     fail_under_ratio: Option<u64>,
-    reprobe: bool,
     serve: Option<String>,
     serve_linger: u64,
     checkpoint_every: usize,
@@ -124,9 +123,8 @@ fn parse(args: &[String]) -> Option<Opts> {
         quiet: false,
         diff: false,
         stride: 1,
-        seeds: 6,
+        seeds: None,
         fail_under_ratio: None,
-        reprobe: false,
         serve: None,
         serve_linger: 0,
         checkpoint_every: 50,
@@ -158,9 +156,8 @@ fn parse(args: &[String]) -> Option<Opts> {
             "--quiet" => o.quiet = true,
             "--diff" => o.diff = true,
             "--stride" => o.stride = args.next()?.parse().ok()?,
-            "--seeds" => o.seeds = args.next()?.parse().ok()?,
+            "--seeds" => o.seeds = Some(args.next()?.parse().ok()?),
             "--fail-under-ratio" => o.fail_under_ratio = Some(args.next()?.parse().ok()?),
-            "--reprobe" => o.reprobe = true,
             "--serve" => o.serve = Some(args.next()?.clone()),
             "--serve-linger" => o.serve_linger = args.next()?.parse().ok()?,
             "--checkpoint-every" => o.checkpoint_every = args.next()?.parse().ok()?,
@@ -190,7 +187,6 @@ fn main() -> ExitCode {
         "campaign" => cmd_campaign(&opts),
         "matrix" => cmd_matrix(&opts),
         "diff" => cmd_diff(&opts),
-        "coverage" => cmd_coverage(&opts),
         "coverage-report" => cmd_coverage_report(&opts),
         "trace-report" => cmd_trace_report(&opts),
         _ => usage(),
@@ -827,38 +823,74 @@ fn cmd_trace_report(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `teesec coverage-report`: the fuzzer corpus through the pipeline,
-/// rendered as the security-coverage report — the structure ×
-/// transition × observer heatmap, the top secret-residency windows, and
-/// the explicit list of declared-but-never-exercised plan paths. With
+/// `teesec coverage-report`: a corpus through the pipeline, rendered as
+/// the security-coverage report — the structure × transition × observer
+/// heatmap, the top secret-residency windows, and the explicit list of
+/// declared-but-never-exercised plan paths. The corpus is the first
+/// `--cases` of the fuzzer's, or, with `--seeds N`, the inputs a
+/// coverage-guided search with a `--cases` budget kept; the report's JSON
+/// then ends with a `search` member holding that replayable corpus. With
 /// `--fail-under-ratio PCT` the exit code turns nonzero when coverage
 /// lands under the threshold (CI gate).
 fn cmd_coverage_report(opts: &Opts) -> ExitCode {
-    let (mut corpus, timing) =
-        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).prepare();
-    if opts.reprobe {
-        // The gap-closing variants from the coverage gap hunt
-        // (EXPERIMENTS.md): one host branch re-probe per access path, so
-        // the monitor-return window finally executes a branch.
-        for &path in AccessPath::all() {
-            let params = CaseParams {
-                reprobe: true,
-                ..CaseParams::default()
-            };
-            if let Ok(tc) = assemble_case(path, params, &opts.design) {
-                corpus.push(tc);
-            }
+    let (corpus, timing, search) = match opts.seeds {
+        None => {
+            let (corpus, timing) =
+                Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).prepare();
+            (corpus, timing, None)
         }
-    }
+        Some(seeds) => {
+            let t0 = Instant::now();
+            let search_engine = engine(opts, opts.design.clone(), false, Sinks::default());
+            let search = CoverageFuzzer::new(seeds, opts.cases).run(&search_engine);
+            let corpus = (search.corpus.iter())
+                .map(|e| {
+                    assemble_case(e.path, e.params, &opts.design)
+                        .expect("a kept input assembled during the search")
+                })
+                .collect();
+            let timing = PhaseTiming {
+                construct_us: t0.elapsed().as_micros(),
+                ..PhaseTiming::default()
+            };
+            note(
+                opts,
+                &format!(
+                    "{}: searched {} cases, {}/{} plan cells (seeds alone: {}), kept {}",
+                    opts.design.name,
+                    search.executed,
+                    search.coverage.exercised_declared(),
+                    search.coverage.declared(),
+                    search.seed_cells,
+                    search.corpus.len()
+                ),
+            );
+            if !opts.quiet {
+                for entry in &search.corpus {
+                    note(opts, &format!("  +{:<3} {}", entry.novel_cells, entry.name));
+                }
+            }
+            (corpus, timing, Some(search))
+        }
+    };
     let coverage_out = opts.output.as_deref();
     run_pipeline(opts, &corpus, timing, false, coverage_out, |result, _| {
         let pc = (result.engine.as_ref())
             .and_then(|m| m.plan_coverage.as_ref())
             .expect("the pipeline records plan coverage");
-        let json = serde_json::to_string_pretty(&pc.report_json()).expect("serialize");
+        let mut doc = pc.report_json();
+        if let (Some(search), serde_json::Value::Object(members)) = (&search, &mut doc) {
+            let search = serde_json::json!({
+                "executed": search.executed,
+                "seed_cells": search.seed_cells,
+                "corpus": search.corpus,
+            });
+            members.push(("search".to_string(), search));
+        }
+        let json = serde_json::to_string_pretty(&doc).expect("serialize");
         let (mut code, mut written) = (ExitCode::SUCCESS, None);
         if let Some(p) = &opts.output {
-            match fs::write(p, &json) {
+            match atomic_write(p, &json) {
                 Ok(()) => written = Some(p),
                 Err(e) => code = cannot_write("coverage report", p, &e),
             }
@@ -917,73 +949,4 @@ fn cmd_coverage_report(opts: &Opts) -> ExitCode {
         }
         code
     })
-}
-
-/// `teesec coverage`: one coverage-guided fuzzing session. `--seeds` sets
-/// the systematic seed count, `--cases` the guided-phase budget.
-fn cmd_coverage(opts: &Opts) -> ExitCode {
-    let telemetry = match start_telemetry(opts) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    // The guided fuzzer runs serially with no engine hooks, so the live
-    // surface is bracketed: an empty stamped exposition up front (no 503
-    // for early scrapers), the full session snapshot at the end.
-    if let Some((hub, _)) = &telemetry {
-        hub.set_up(true);
-        let mut snap = MetricsSnapshot::new();
-        teesec::metrics::stamp_live(&mut snap, &opts.design.name, 0, 0);
-        hub.publish_metrics(snap.render_prometheus());
-    }
-    let outcome = CoverageFuzzer::new(opts.seeds, opts.cases).run(&opts.design);
-    if let Some((hub, _)) = &telemetry {
-        let mut snap = teesec::metrics::coverage_snapshot(&outcome, &opts.design.name);
-        teesec::metrics::stamp_live(
-            &mut snap,
-            &opts.design.name,
-            1_000_000,
-            hub.events_dropped_total(),
-        );
-        hub.publish_metrics(snap.render_prometheus());
-        let status = serde_json::json!({
-            "design": opts.design.name,
-            "complete": true,
-            "cases_done": outcome.executed,
-            "cases_total": outcome.executed,
-            "coverage_buckets": outcome.map.len(),
-            "corpus_entries": outcome.corpus.len(),
-            "progress_ppm": 1_000_000u64,
-        });
-        hub.publish_status(serde_json::to_string_pretty(&status).expect("serialize status"));
-    }
-    println!(
-        "{}: {} cases executed, coverage {} buckets (seeds alone: {}), corpus {} entries",
-        opts.design.name,
-        outcome.executed,
-        outcome.map.len(),
-        outcome.seed_buckets,
-        outcome.corpus.len()
-    );
-    if !opts.quiet {
-        for entry in &outcome.corpus {
-            println!("  +{:<3} {}", entry.novel_buckets, entry.name);
-        }
-    }
-    let mut code = ExitCode::SUCCESS;
-    if let Some(p) = &opts.metrics_out {
-        let snap = teesec::metrics::coverage_snapshot(&outcome, &opts.design.name);
-        match write_metrics_files(p, &snap.render_prometheus(), &snap.render_json()) {
-            Ok(()) => println!("metrics snapshot written to {p} (+ {p}.json)"),
-            Err(e) => code = cannot_write("metrics snapshot", p, &e),
-        }
-    }
-    if let Some(p) = &opts.output {
-        let session = serde_json::to_string_pretty(&outcome).expect("serialize");
-        match fs::write(p, session) {
-            Ok(()) => println!("full session written to {p}"),
-            Err(e) => code = cannot_write("session", p, &e),
-        }
-    }
-    finish_telemetry(opts, telemetry);
-    code
 }

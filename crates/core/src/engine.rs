@@ -1021,6 +1021,11 @@ impl Engine {
         Engine { cfg, opts }
     }
 
+    /// The design and options this engine runs every case under.
+    pub(crate) fn parts(&self) -> (&CoreConfig, &EngineOptions) {
+        (&self.cfg, &self.opts)
+    }
+
     /// Executes every case in `corpus`, in any order, and returns results
     /// in corpus order plus (when `keep_reports`) the per-case reports.
     ///

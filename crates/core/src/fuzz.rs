@@ -1,7 +1,8 @@
 //! The gadget fuzzer: sweeps gadget parameters to generate the test-case
 //! corpus (paper §5: "Since gadgets are parameterized, we rely on fuzzing
 //! for gadget assembly and to generate varied test cases" — 585 cases in
-//! the paper's evaluation).
+//! the paper's evaluation). [`CoverageFuzzer`] searches the same
+//! parameter space, steered by the plan cells each case exercises.
 
 use std::collections::HashSet;
 
@@ -10,16 +11,49 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use teesec_isa::inst::MemWidth;
+use teesec_trace::TraceCtx;
 use teesec_uarch::config::CoreConfig;
 
 use crate::assemble::{assemble_case, Attacker, CaseParams, Lifecycle, Victim};
-use crate::cover::CoverageMap;
+use crate::coverage::PlanCoverage;
+use crate::engine::{execute_case, Engine};
 use crate::paths::AccessPath;
-use crate::runner::run_case;
+use crate::runner::SnapshotCache;
 use crate::testcase::TestCase;
 
 /// The paper's corpus size (Table 2).
 pub const PAPER_TEST_CASE_COUNT: usize = 585;
+
+/// The systematic sweep both fuzzers start from: every (lifecycle ×
+/// staging × victim × attacker × path) combination, assembled on `cfg`
+/// lazily and skipped where it does not assemble. The leak-direction
+/// dimensions (victim, attacker, path) iterate innermost so even a short
+/// prefix covers every direction of Table 3.
+fn systematic(cfg: &CoreConfig) -> impl Iterator<Item = (AccessPath, CaseParams, TestCase)> + '_ {
+    let mut combos = Vec::new();
+    for lifecycle in [Lifecycle::Stop, Lifecycle::StopResumeStop, Lifecycle::Exit] {
+        for warm_via_stores in [false, true] {
+            for victim in [Victim::Enclave, Victim::SecurityMonitor, Victim::Host] {
+                for attacker in [Attacker::Host, Attacker::Enclave1] {
+                    for &path in AccessPath::all() {
+                        let params = CaseParams {
+                            victim,
+                            attacker,
+                            lifecycle,
+                            warm_via_stores,
+                            ..CaseParams::default()
+                        };
+                        combos.push((path, params));
+                    }
+                }
+            }
+        }
+    }
+    combos.into_iter().filter_map(move |(path, params)| {
+        let tc = assemble_case(path, params, cfg).ok()?;
+        Some((path, params, tc))
+    })
+}
 
 /// Deterministic parameter fuzzer.
 #[derive(Debug, Clone)]
@@ -63,33 +97,11 @@ impl Fuzzer {
     /// offset/width permutations then widen the corpus to the target count.
     pub fn generate(&self, cfg: &CoreConfig) -> Vec<TestCase> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut cases = Vec::new();
-        // Phase 1: systematic coverage of the discrete dimensions. The
-        // leak-direction dimensions (victim, attacker, path) iterate
-        // innermost so even tiny corpora cover every direction of Table 3.
-        for lifecycle in [Lifecycle::Stop, Lifecycle::StopResumeStop, Lifecycle::Exit] {
-            for warm_via_stores in [false, true] {
-                for victim in [Victim::Enclave, Victim::SecurityMonitor, Victim::Host] {
-                    for attacker in [Attacker::Host, Attacker::Enclave1] {
-                        for &path in AccessPath::all() {
-                            if cases.len() >= self.target_count {
-                                return cases;
-                            }
-                            let params = CaseParams {
-                                victim,
-                                attacker,
-                                lifecycle,
-                                warm_via_stores,
-                                ..CaseParams::default()
-                            };
-                            if let Ok(tc) = assemble_case(path, params, cfg) {
-                                cases.push(tc);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // Phase 1: systematic coverage of the discrete dimensions.
+        let mut cases: Vec<TestCase> = systematic(cfg)
+            .map(|(_, _, tc)| tc)
+            .take(self.target_count)
+            .collect();
         // Phase 1b: the Figure 6 interrupt-timing sweep (restricted
         // counters + interrupts landing at varied cycles).
         for k in 0..12u64 {
@@ -146,8 +158,8 @@ impl Fuzzer {
     }
 }
 
-/// An input the coverage-guided fuzzer kept because it lit coverage
-/// buckets no earlier input had lit.
+/// An input the coverage-guided fuzzer kept because it exercised plan
+/// cells no earlier input had exercised.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorpusEntry {
     /// Generated case name.
@@ -156,28 +168,29 @@ pub struct CorpusEntry {
     pub path: AccessPath,
     /// The parameters that reached the new coverage.
     pub params: CaseParams,
-    /// How many buckets this input was first to reach.
-    pub novel_buckets: usize,
+    /// How many plan cells, declared or not, this input was first to
+    /// exercise.
+    pub novel_cells: usize,
 }
 
 /// The result of one coverage-guided fuzzing session.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoverageOutcome {
-    /// Total cases actually simulated (seeds + mutants).
+    /// Cases executed (seeds + mutants), quarantined ones included.
     pub executed: usize,
-    /// Buckets reached by the seed phase alone — the baseline a guided
-    /// session must beat.
-    pub seed_buckets: usize,
-    /// Final cumulative coverage.
-    pub map: CoverageMap,
-    /// Coverage-increasing inputs, in discovery order.
+    /// Declared plan cells the seed phase alone exercised — the baseline
+    /// a guided session must beat.
+    pub seed_cells: usize,
+    /// The session's cumulative plan coverage.
+    pub coverage: PlanCoverage,
+    /// The kept inputs, in discovery order.
     pub corpus: Vec<CorpusEntry>,
 }
 
 /// Coverage-guided parameter fuzzer: seeds from the systematic sweep, then
-/// mutates corpus entries (inputs that reached new microarchitectural
-/// coverage) instead of sampling blindly. Deterministic for a fixed seed —
-/// the guidance loop uses no wall-clock or global state.
+/// mutates corpus entries (inputs that exercised new plan cells) instead
+/// of sampling blindly. Deterministic for a fixed seed — the guidance
+/// loop uses no wall-clock or global state.
 #[derive(Debug, Clone)]
 pub struct CoverageFuzzer {
     seed: u64,
@@ -202,44 +215,13 @@ impl CoverageFuzzer {
         self
     }
 
-    /// The systematic seed inputs: the head of the same (lifecycle × warm ×
-    /// victim × attacker × path) enumeration [`Fuzzer::generate`] starts
-    /// from, truncated to `seed_inputs`.
-    fn seeds(&self, cfg: &CoreConfig) -> Vec<(AccessPath, CaseParams)> {
-        let mut out = Vec::new();
-        for lifecycle in [Lifecycle::Stop, Lifecycle::StopResumeStop, Lifecycle::Exit] {
-            for warm_via_stores in [false, true] {
-                for victim in [Victim::Enclave, Victim::SecurityMonitor, Victim::Host] {
-                    for attacker in [Attacker::Host, Attacker::Enclave1] {
-                        for &path in AccessPath::all() {
-                            if out.len() >= self.seed_inputs {
-                                return out;
-                            }
-                            let params = CaseParams {
-                                victim,
-                                attacker,
-                                lifecycle,
-                                warm_via_stores,
-                                ..CaseParams::default()
-                            };
-                            if assemble_case(path, params, cfg).is_ok() {
-                                out.push((path, params));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// One mutation of a corpus entry: perturb exactly one dimension, so
     /// coverage gains are attributable and the walk stays local.
     fn mutate(rng: &mut StdRng, path: AccessPath, params: CaseParams) -> (AccessPath, CaseParams) {
         let widths = [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D];
         let mut p = params;
         let mut pa = path;
-        match rng.gen_range(0..8) {
+        match rng.gen_range(0..9) {
             0 => pa = AccessPath::all()[rng.gen_range(0..AccessPath::all().len())],
             1 => p.offset = rng.gen_range(0..0x100u64) * 8,
             2 => p.width = widths[rng.gen_range(0..widths.len())],
@@ -264,48 +246,54 @@ impl CoverageFuzzer {
                     Attacker::Enclave1 => Attacker::Host,
                 }
             }
-            _ => p.restricted_counters = !p.restricted_counters,
+            7 => p.restricted_counters = !p.restricted_counters,
+            _ => p.reprobe = !p.reprobe,
         }
         (pa, p)
     }
 
-    /// Runs the session on `cfg`: execute seeds, then spend the remaining
-    /// budget mutating coverage-increasing inputs.
-    pub fn run(&self, cfg: &CoreConfig) -> CoverageOutcome {
+    /// Runs the session on `engine`'s design: execute seeds, then spend
+    /// the remaining budget mutating inputs that exercised new plan
+    /// cells. Every candidate runs through the engine's per-case path
+    /// under the engine's options, so replaying the kept corpus through
+    /// the same engine exercises exactly the session's cells. The engine
+    /// must record plan coverage (`EngineOptions::coverage`); without it
+    /// no input is ever kept.
+    pub fn run(&self, engine: &Engine) -> CoverageOutcome {
+        let (cfg, opts) = engine.parts();
+        let cache = SnapshotCache::new();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut outcome = CoverageOutcome::default();
         let mut tried: HashSet<(AccessPath, CaseParams)> = HashSet::new();
+        let mut outcome = CoverageOutcome {
+            executed: 0,
+            seed_cells: 0,
+            coverage: PlanCoverage::for_design(cfg),
+            corpus: Vec::new(),
+        };
 
-        let execute =
-            |outcome: &mut CoverageOutcome, path: AccessPath, params: CaseParams| -> bool {
-                let Ok(tc) = assemble_case(path, params, cfg) else {
-                    return false;
-                };
-                let Ok(run) = run_case(&tc, cfg) else {
-                    return false;
-                };
-                outcome.executed += 1;
-                let cov = CoverageMap::from_counters(&run.platform.core.counters());
-                let novel = outcome.map.merge(&cov);
-                if novel > 0 {
-                    outcome.corpus.push(CorpusEntry {
-                        name: tc.name.clone(),
-                        path,
-                        params,
-                        novel_buckets: novel,
-                    });
-                }
-                true
-            };
-
-        for (path, params) in self.seeds(cfg) {
-            if outcome.executed >= self.budget {
-                break;
+        let execute = |outcome: &mut CoverageOutcome, path, params, tc: TestCase| {
+            outcome.executed += 1;
+            let exec = execute_case(&tc, cfg, opts, Some(&cache), TraceCtx::default());
+            // A quarantined case records no coverage and is never kept.
+            let Some(cc) = exec.coverage else { return };
+            let before = exercised_cells(&outcome.coverage);
+            outcome.coverage.absorb(&tc.name, &cc);
+            let novel = exercised_cells(&outcome.coverage) - before;
+            if novel > 0 {
+                outcome.corpus.push(CorpusEntry {
+                    name: tc.name,
+                    path,
+                    params,
+                    novel_cells: novel,
+                });
             }
+        };
+
+        for (path, params, tc) in systematic(cfg).take(self.seed_inputs.min(self.budget)) {
             tried.insert((path, params));
-            execute(&mut outcome, path, params);
+            execute(&mut outcome, path, params, tc);
         }
-        outcome.seed_buckets = outcome.map.len();
+        outcome.seed_cells = outcome.coverage.exercised_declared();
 
         // Guided phase: mutate corpus entries round-robin, newest first —
         // recent coverage gains are the most promising neighbourhoods.
@@ -326,10 +314,21 @@ impl CoverageFuzzer {
             if !tried.insert((path, params)) {
                 continue;
             }
-            execute(&mut outcome, path, params);
+            if let Ok(tc) = assemble_case(path, params, cfg) {
+                execute(&mut outcome, path, params, tc);
+            }
         }
         outcome
     }
+}
+
+/// Cells, declared or not, that at least one absorbed case exercised.
+fn exercised_cells(coverage: &PlanCoverage) -> usize {
+    coverage
+        .cells
+        .iter()
+        .filter(|c| c.cases_exercised > 0)
+        .count()
 }
 
 #[cfg(test)]

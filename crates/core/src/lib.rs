@@ -55,7 +55,6 @@
 pub mod assemble;
 pub mod campaign;
 pub mod checker;
-pub mod cover;
 pub mod coverage;
 pub mod diff;
 pub mod engine;
@@ -75,7 +74,6 @@ pub mod testcase;
 
 pub use campaign::{Campaign, CampaignResult};
 pub use checker::{check_case, check_case_coverage};
-pub use cover::{CoverKind, CoverageKey, CoverageMap};
 pub use coverage::{
     CaseCoverage, CellKey, CoverageCell, ObserverKind, PlanCoverage, ResidencyWindow,
     StructureResidency, TransitionPoint,

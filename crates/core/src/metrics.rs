@@ -32,8 +32,8 @@ fn build_info(snap: &mut MetricsSnapshot) {
 
 /// Builds the metrics snapshot of a campaign result — finished, or the
 /// seq prefix a live scrape or checkpoint describes. Every exposition is
-/// stamped by [`stamp_live`] with `progress_ppm` (1,000,000 once the run
-/// is complete) and `events_dropped`, so the live `/metrics`, each
+/// stamped with the live families at `progress_ppm` (1,000,000 once the
+/// run is complete) and `events_dropped`, so the live `/metrics`, each
 /// checkpoint and the final `--metrics-out` file carry the same
 /// families.
 ///
@@ -405,12 +405,7 @@ fn result_families(snap: &mut MetricsSnapshot, result: &CampaignResult) {
 /// `teesec_campaign_progress_ratio` (fraction of the corpus finished),
 /// and `teesec_events_dropped_total` (ring-buffer evictions seen by
 /// lagging SSE subscribers).
-pub fn stamp_live(
-    snap: &mut MetricsSnapshot,
-    design: &str,
-    progress_ppm: u64,
-    events_dropped: u64,
-) {
+fn stamp_live(snap: &mut MetricsSnapshot, design: &str, progress_ppm: u64, events_dropped: u64) {
     snap.gauge(
         "teesec_up",
         &[],
@@ -433,8 +428,14 @@ pub fn stamp_live(
 
 /// Writes `contents` to `path` atomically: the bytes land in
 /// `<path>.tmp` first and are renamed into place, so a reader (or a
-/// crash) never observes a half-written file.
-fn atomic_write(path: &str, contents: &str) -> std::io::Result<()> {
+/// crash) never observes a half-written file. Every checkpoint and
+/// every final `--metrics-out` or coverage-report file is written
+/// through here.
+///
+/// # Errors
+///
+/// Propagates the underlying file-system errors.
+pub fn atomic_write(path: &str, contents: &str) -> std::io::Result<()> {
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
@@ -493,53 +494,6 @@ pub fn write_checkpoint_files(snap: &MetricsSnapshot, path: &str) -> std::io::Re
 /// Propagates the underlying file-system errors.
 pub fn write_partial_json(json: &str, path: &str) -> std::io::Result<()> {
     atomic_write(path, &mark_partial(json))
-}
-
-/// Folds one coverage-guided fuzzing session into a metrics snapshot:
-/// session totals plus one covered-bucket gauge per structure, so a
-/// dashboard shows *where* the guided walk is reaching, not just how far.
-pub fn coverage_snapshot(outcome: &crate::fuzz::CoverageOutcome, design: &str) -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot::new();
-    build_info(&mut snap);
-    snap.counter(
-        "teesec_fuzz_cases_executed_total",
-        &[("design", design)],
-        outcome.executed as u64,
-        "Cases simulated by the coverage-guided session (seeds + mutants)",
-    );
-    snap.gauge(
-        "teesec_fuzz_seed_coverage_buckets",
-        &[("design", design)],
-        outcome.seed_buckets as u64,
-        "Coverage buckets reached by the seed phase alone",
-    );
-    snap.gauge(
-        "teesec_fuzz_coverage_buckets",
-        &[("design", design)],
-        outcome.map.len() as u64,
-        "Cumulative coverage buckets after the guided phase",
-    );
-    snap.gauge(
-        "teesec_fuzz_corpus_entries",
-        &[("design", design)],
-        outcome.corpus.len() as u64,
-        "Coverage-increasing inputs retained in the corpus",
-    );
-    let mut per_structure = std::collections::BTreeMap::new();
-    for key in outcome.map.keys() {
-        *per_structure
-            .entry(key.structure.display_name())
-            .or_insert(0u64) += 1;
-    }
-    for (structure, n) in per_structure {
-        snap.gauge(
-            "teesec_fuzz_structure_coverage_buckets",
-            &[("design", design), ("structure", structure)],
-            n,
-            "Coverage buckets reached per microarchitectural structure",
-        );
-    }
-    snap
 }
 
 #[cfg(test)]
@@ -676,18 +630,6 @@ mod tests {
             assert!(prom.contains("teesec_secret_residency_cycles_bucket{"));
             assert!(prom.contains("teesec_secret_residency_worst_cycles{"));
         }
-    }
-
-    #[test]
-    fn coverage_snapshot_exposes_session_and_structure_series() {
-        let cfg = CoreConfig::boom();
-        let outcome = crate::fuzz::CoverageFuzzer::new(3, 8).run(&cfg);
-        let snap = coverage_snapshot(&outcome, &cfg.name);
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("teesec_fuzz_cases_executed_total"));
-        assert!(prom.contains("teesec_fuzz_coverage_buckets{design=\"boom\"}"));
-        assert!(prom.contains("teesec_fuzz_corpus_entries"));
-        assert!(prom.contains("teesec_fuzz_structure_coverage_buckets"));
     }
 
     #[test]

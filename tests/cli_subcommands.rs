@@ -137,6 +137,60 @@ fn coverage_report_honours_events_and_trace_out() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The guided report is one more pipeline run: its corpus is what the
+/// search kept, and the JSON document ends with that replayable corpus.
+#[test]
+fn guided_coverage_report_keeps_its_search_corpus_and_the_pipeline_artifacts() {
+    let dir = scratch_dir("guided");
+    let (events, metrics) = (dir.join("e.jsonl"), dir.join("m.prom"));
+    let out = teesec(&[
+        "coverage-report",
+        "--seeds",
+        "4",
+        "--cases",
+        "16",
+        "--json",
+        "--events",
+        path_arg(&events),
+        "--metrics-out",
+        path_arg(&metrics),
+    ]);
+    assert_eq!(exit_code(&out), Some(0), "{}", stdout(&out));
+    let text = stdout(&out);
+    let doc = serde_json::parse_value(&text)
+        .unwrap_or_else(|e| panic!("stdout is not one JSON document ({e}):\n{text}"));
+    let members = doc.as_object().expect("report object");
+    assert_eq!(
+        members.last().map(|(k, _)| k.as_str()),
+        Some("search"),
+        "{text}"
+    );
+    let search = doc.get("search").expect("search member");
+    assert_eq!(search.get("executed"), Some(&Value::UInt(16)), "{text}");
+    let corpus = search
+        .get("corpus")
+        .and_then(Value::as_array)
+        .expect("search.corpus");
+    assert!(!corpus.is_empty(), "{text}");
+    assert!(corpus.iter().all(|e| e.get("params").is_some()), "{text}");
+    assert_eq!(
+        doc.get("cases_recorded"),
+        Some(&Value::UInt(corpus.len() as u128)),
+        "the report covers the replayed corpus"
+    );
+
+    let prom = read(&metrics);
+    assert!(prom.contains("teesec_plan_coverage_ratio"), "{prom}");
+    assert!(
+        !prom.contains("_fuzz_"),
+        "no guided-fuzzer families: {prom}"
+    );
+    let events = read(&events);
+    let last = events.lines().last().expect("events written");
+    assert!(last.contains("CampaignFinished"), "{last}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_metrics_out_carries_the_coverage_and_snapshot_cache_families() {
     let dir = scratch_dir("run");
@@ -228,7 +282,7 @@ fn unwritable_outputs_exit_1_with_a_message() {
     let missing = dir.join("missing-dir").join("x.json");
     for args in [
         &["campaign", "--cases", "2"][..],
-        &["coverage", "--seeds", "1", "--cases", "2"][..],
+        &["coverage-report", "--seeds", "1", "--cases", "2"][..],
     ] {
         let mut full = args.to_vec();
         full.extend(["--quiet", "--output", path_arg(&missing)]);

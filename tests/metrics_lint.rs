@@ -1,5 +1,5 @@
 //! Lint-style locks on the Prometheus text exposition: every family that
-//! `campaign_snapshot` / `coverage_snapshot` can ever emit must carry
+//! `campaign_snapshot` can ever emit must carry
 //! exactly one `# HELP`/`# TYPE` header (before its first sample), use a
 //! consistent unit suffix, and keep histogram buckets cumulative. The
 //! live `/metrics` scrape is held to the same discipline, and its family
@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use teesec::campaign::Campaign;
 use teesec::engine::EngineOptions;
-use teesec::fuzz::{CoverageFuzzer, Fuzzer};
-use teesec::metrics::{campaign_snapshot, coverage_snapshot};
+use teesec::fuzz::Fuzzer;
+use teesec::metrics::campaign_snapshot;
 use teesec_telemetry::MetricsHub;
 use teesec_trace::Tracer;
 use teesec_uarch::CoreConfig;
@@ -132,12 +132,6 @@ fn full_campaign_result() -> teesec::CampaignResult {
 
 fn full_campaign_text() -> String {
     campaign_snapshot(&full_campaign_result(), 1_000_000, 0).render_prometheus()
-}
-
-fn coverage_text() -> String {
-    let cfg = CoreConfig::boom();
-    let outcome = CoverageFuzzer::new(2, 4).run(&cfg);
-    coverage_snapshot(&outcome, &cfg.name).render_prometheus()
 }
 
 fn lint(text: &str) {
@@ -321,17 +315,13 @@ fn campaign_exposition_passes_the_lint() {
 
 #[test]
 fn build_info_is_stamped_on_every_exposition() {
-    for text in [full_campaign_text(), coverage_text()] {
-        assert!(
-            text.contains("teesec_build_info{version=\"") && text.contains("profile=\""),
-            "exposition without build info:\n{text}"
-        );
-    }
-}
-
-#[test]
-fn coverage_exposition_passes_the_lint() {
-    lint(&coverage_text());
+    // `campaign_snapshot` builds every exposition: live scrapes,
+    // checkpoints and the final `--metrics-out` file.
+    let text = full_campaign_text();
+    assert!(
+        text.contains("teesec_build_info{version=\"") && text.contains("profile=\""),
+        "exposition without build info:\n{text}"
+    );
 }
 
 #[test]

@@ -173,18 +173,29 @@ fn mid_flight_scrapes_observe_the_campaign_then_its_completion() {
 #[test]
 fn final_scrape_matches_the_metrics_out_file_on_both_designs() {
     let dir = scratch_dir("identity");
-    for design in ["boom", "xiangshan"] {
-        let out = dir.join(format!("{design}.prom"));
+    let fixture = std::fs::read_to_string(STATUS_SCHEMA_FIXTURE).expect("status schema fixture");
+    let expected_status = serde_json::parse_value(&fixture).expect("fixture parses");
+    // Both designs' campaigns, and the coverage-guided report, whose
+    // search feeds the same served pipeline.
+    let runs: [(&str, &[&str]); 3] = [
+        ("boom", &["campaign", "--cases", "585", "--threads", "4"]),
+        (
+            "xiangshan",
+            &["campaign", "--cases", "585", "--threads", "4"],
+        ),
+        (
+            "boom",
+            &["coverage-report", "--seeds", "6", "--cases", "30"],
+        ),
+    ];
+    for (i, (design, run)) in runs.into_iter().enumerate() {
+        let out = dir.join(format!("{i}-{design}.prom"));
         let out_str = out.to_str().expect("utf-8 path");
         let mut child = teesec_bin()
+            .args(run)
             .args([
-                "campaign",
                 "--design",
                 design,
-                "--cases",
-                "585",
-                "--threads",
-                "4",
                 "--quiet",
                 "--metrics-out",
                 out_str,
@@ -194,7 +205,7 @@ fn final_scrape_matches_the_metrics_out_file_on_both_designs() {
                 "60",
             ])
             .spawn()
-            .expect("spawn teesec campaign");
+            .expect("spawn teesec");
         let mut stdout = child.stdout.take().expect("piped stdout");
         let mut reader = BufReader::new(&mut stdout);
 
@@ -210,21 +221,25 @@ fn final_scrape_matches_the_metrics_out_file_on_both_designs() {
         wait_for_line(&mut reader, "telemetry: lingering");
 
         let (status, headers, scrape) = http_get(&addr, "/metrics", "");
-        assert!(status.contains("200"), "{design}: {status}");
+        assert!(status.contains("200"), "{run:?}: {status}");
         assert!(
             headers.contains(&format!("Content-Type: {PROMETHEUS_CONTENT_TYPE}")),
-            "{design}: {headers}"
+            "{run:?}: {headers}"
         );
         let file = std::fs::read_to_string(&out).expect("metrics-out file");
         assert_eq!(
             scrape, file,
-            "{design}: final /metrics scrape is not byte-identical to {out_str}"
+            "{run:?}: final /metrics scrape is not byte-identical to {out_str}"
         );
-        assert!(scrape.contains(&format!("design=\"{design}\"")), "{design}");
-        assert!(
-            scrape.contains("teesec_campaign_progress_ratio"),
-            "{design}"
-        );
+        assert!(scrape.contains(&format!("design=\"{design}\"")), "{run:?}");
+        assert!(scrape.contains("teesec_campaign_progress_ratio"), "{run:?}");
+
+        // The served `/status` is the engine's document.
+        let (status, _, body) = http_get(&addr, "/status", "");
+        assert!(status.contains("200"), "{run:?}: {status}");
+        let doc = serde_json::parse_value(&body).expect("status parses");
+        assert_schema_matches(&expected_status, &schema_of(&doc), "status");
+        assert_eq!(doc.get("complete"), Some(&Value::Bool(true)), "{body}");
 
         // The JSON sibling of a *finished* run carries no partial marker.
         let json = std::fs::read_to_string(format!("{out_str}.json")).expect("json sibling");
