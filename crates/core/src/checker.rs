@@ -185,14 +185,11 @@ pub(crate) fn scan_snapshot(
 
     // Cache residuals: enclave lines that were never flushed.
     for (structure, lines) in [
-        (
-            Structure::L1d,
-            core.lsu.l1d.valid_lines().collect::<Vec<_>>(),
-        ),
-        (Structure::L2, core.lsu.l2.valid_lines().collect::<Vec<_>>()),
+        (Structure::L1d, core.lsu.l1d.valid_lines()),
+        (Structure::L2, core.lsu.l2.valid_lines()),
     ] {
         for line in lines {
-            for (off, rec) in secrets.scan_bytes(&line.data) {
+            for (off, rec) in secrets.scan_bytes(line.data) {
                 if authorized(rec.owner, observer) {
                     continue;
                 }

@@ -795,27 +795,23 @@ impl Inst {
         (!rd.is_zero()).then_some(rd)
     }
 
-    /// Source registers read by the instruction (zero register excluded).
-    pub fn sources(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        match self {
+    /// Source registers read by the instruction (zero register excluded),
+    /// `rs1` before `rs2`.
+    pub fn sources(self) -> impl Iterator<Item = Reg> {
+        let regs = match self {
             Inst::Jalr { rs1, .. } | Inst::Load { rs1, .. } | Inst::AluImm { rs1, .. } => {
-                v.push(rs1)
+                [Some(rs1), None]
             }
             Inst::Branch { rs1, rs2, .. }
             | Inst::Store { rs1, rs2, .. }
-            | Inst::AluReg { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
+            | Inst::AluReg { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
             Inst::Csr {
                 src: CsrSrc::Reg(r),
                 ..
-            } => v.push(r),
-            _ => {}
-        }
-        v.retain(|r| !r.is_zero());
-        v
+            } => [Some(r), None],
+            _ => [None, None],
+        };
+        regs.into_iter().flatten().filter(|r| !r.is_zero())
     }
 }
 
@@ -1058,7 +1054,7 @@ mod tests {
             offset: 0,
         };
         assert_eq!(ld.dest(), Some(Reg::A5));
-        assert_eq!(ld.sources(), vec![Reg::A4]);
+        assert_eq!(ld.sources().collect::<Vec<_>>(), [Reg::A4]);
         let st = Inst::Store {
             width: MemWidth::D,
             rs2: Reg::A5,
@@ -1066,7 +1062,7 @@ mod tests {
             offset: 0,
         };
         assert_eq!(st.dest(), None);
-        assert_eq!(st.sources(), vec![Reg::A4, Reg::A5]);
+        assert_eq!(st.sources().collect::<Vec<_>>(), [Reg::A4, Reg::A5]);
         // x0 destination is no destination.
         let nop = Inst::AluImm {
             op: AluOp::Add,
@@ -1076,7 +1072,7 @@ mod tests {
             word: false,
         };
         assert_eq!(nop.dest(), None);
-        assert!(nop.sources().is_empty());
+        assert_eq!(nop.sources().count(), 0);
     }
 
     #[test]

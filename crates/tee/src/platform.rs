@@ -338,7 +338,8 @@ fn load_enclaves(
 /// tables are built, and the boot sequence has been simulated up to — but
 /// not including — the first host instruction fetch. Forking a case from a
 /// snapshot ([`PlatformBuilder::build_from`]) shares all of that work;
-/// thanks to the copy-on-write [`Memory`] the fork itself is cheap.
+/// thanks to the copy-on-write [`Memory`] and the flat storage structures
+/// (see [`Core`]) the fork itself is cheap.
 ///
 /// The capture point is a fetch fence at [`layout::HOST_BASE`]: the `mret`
 /// into the host has committed, PMP/CSR state is programmed, and fetch is
@@ -414,8 +415,9 @@ impl PlatformSnapshot {
 ///
 /// Cloning is copy-on-write at page granularity (see [`Memory`]): a clone
 /// shares every backed page with the original, so checkpoint/fork schemes
-/// can duplicate a mid-run platform for the cost of the core's registers
-/// and per-page pointers.
+/// can duplicate a mid-run platform by copying each storage structure's
+/// few flat buffers (caches, fill buffer, TLBs, predictors) plus one
+/// pointer per backed page (see [`Core`]).
 #[derive(Debug, Clone)]
 pub struct Platform {
     /// The simulated core (trace, caches and CSRs are reachable through it).

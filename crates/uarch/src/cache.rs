@@ -11,15 +11,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::trace::{Domain, FillPurpose};
 
-/// One cache line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheLine {
+/// One cache line, as seen through [`Cache::valid_lines`] and
+/// [`Cache::peek_line`]: the way's metadata plus a borrow of its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheLine<'a> {
     /// Valid bit.
     pub valid: bool,
     /// Full line address (line-aligned physical address; doubles as tag).
     pub line_addr: u64,
     /// Line payload.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
     /// LRU timestamp (higher = more recent).
     pub last_use: u64,
     /// Domain that caused the fill (diagnostic; the checker works from the
@@ -27,13 +28,28 @@ pub struct CacheLine {
     pub fill_domain: Domain,
 }
 
+/// Per-way metadata; the way's payload sits at the same slot index in
+/// [`Cache`]'s flat byte array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct LineMeta {
+    valid: bool,
+    line_addr: u64,
+    last_use: u64,
+    fill_domain: Domain,
+}
+
 /// A physically indexed, physically tagged set-associative cache.
+///
+/// Metadata and payloads live in two flat arrays (one entry and one
+/// `line_size`-byte run per way slot), so cloning a cache is two buffer
+/// copies and dropping it two frees, whatever its geometry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     line_size: u64,
-    lines: Vec<CacheLine>,
+    meta: Vec<LineMeta>,
+    payload: Vec<u8>,
     use_counter: u64,
 }
 
@@ -49,10 +65,9 @@ impl Cache {
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        let line = CacheLine {
+        let empty = LineMeta {
             valid: false,
             line_addr: 0,
-            data: vec![0; line_size as usize],
             last_use: 0,
             fill_domain: Domain::Untrusted,
         };
@@ -60,7 +75,8 @@ impl Cache {
             sets,
             ways,
             line_size,
-            lines: vec![line; sets * ways],
+            meta: vec![empty; sets * ways],
+            payload: vec![0; sets * ways * line_size as usize],
             use_counter: 0,
         }
     }
@@ -85,8 +101,37 @@ impl Cache {
     }
 
     fn find(&self, line_addr: u64) -> Option<usize> {
-        self.set_range(line_addr)
-            .find(|&i| self.lines[i].valid && self.lines[i].line_addr == line_addr)
+        self.set_range(line_addr).find(|&i| {
+            let w = &self.meta[i];
+            w.valid && w.line_addr == line_addr
+        })
+    }
+
+    fn bytes(&self, slot: usize) -> &[u8] {
+        let n = self.line_size as usize;
+        &self.payload[slot * n..(slot + 1) * n]
+    }
+
+    fn bytes_mut(&mut self, slot: usize) -> &mut [u8] {
+        let n = self.line_size as usize;
+        &mut self.payload[slot * n..(slot + 1) * n]
+    }
+
+    /// Stamps `slot` as the most recently used way.
+    fn touch(&mut self, slot: usize) {
+        self.use_counter += 1;
+        self.meta[slot].last_use = self.use_counter;
+    }
+
+    fn view(&self, slot: usize) -> CacheLine<'_> {
+        let w = self.meta[slot];
+        CacheLine {
+            valid: w.valid,
+            line_addr: w.line_addr,
+            data: self.bytes(slot),
+            last_use: w.last_use,
+            fill_domain: w.fill_domain,
+        }
     }
 
     /// `true` if the line containing `addr` is present.
@@ -98,97 +143,96 @@ impl Cache {
     pub fn read(&mut self, addr: u64, len: u64) -> Option<u64> {
         let la = self.line_addr(addr);
         // Accesses are assumed not to straddle lines (the LSU splits them).
-        let idx = self.find(la)?;
-        self.use_counter += 1;
-        self.lines[idx].last_use = self.use_counter;
+        let slot = self.find(la)?;
+        self.touch(slot);
         let off = (addr - la) as usize;
-        let mut v = 0u64;
-        for i in (0..len as usize).rev() {
-            v = (v << 8) | self.lines[idx].data[off + i] as u64;
-        }
-        Some(v)
+        let bytes = &self.bytes(slot)[off..off + len as usize];
+        Some(bytes.iter().rev().fold(0, |v, &b| (v << 8) | b as u64))
+    }
+
+    /// Reads the whole line at `line_addr` on a hit, updating LRU state
+    /// once (a line refill, not `line_size` byte accesses).
+    pub fn read_line(&mut self, line_addr: u64) -> Option<&[u8]> {
+        let slot = self.find(line_addr)?;
+        self.touch(slot);
+        Some(self.bytes(slot))
     }
 
     /// Writes `len` bytes at `addr` on a hit. Returns `false` on a miss.
     pub fn write(&mut self, addr: u64, value: u64, len: u64) -> bool {
         let la = self.line_addr(addr);
-        let Some(idx) = self.find(la) else {
+        let Some(slot) = self.find(la) else {
             return false;
         };
-        self.use_counter += 1;
-        self.lines[idx].last_use = self.use_counter;
+        self.touch(slot);
         let off = (addr - la) as usize;
-        for i in 0..len as usize {
-            self.lines[idx].data[off + i] = (value >> (8 * i)) as u8;
+        let bytes = &mut self.bytes_mut(slot)[off..off + len as usize];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (value >> (8 * i)) as u8;
         }
         true
     }
 
-    /// Returns a copy of the line containing `addr`, if present.
-    pub fn peek_line(&self, addr: u64) -> Option<&CacheLine> {
-        self.find(self.line_addr(addr)).map(|i| &self.lines[i])
+    /// The line containing `addr`, if present.
+    pub fn peek_line(&self, addr: u64) -> Option<CacheLine<'_>> {
+        self.find(self.line_addr(addr)).map(|i| self.view(i))
     }
 
-    /// Installs a line, evicting LRU if needed. Returns the evicted line if
-    /// one was displaced.
-    pub fn fill(&mut self, line_addr: u64, data: Vec<u8>, domain: Domain) -> Option<CacheLine> {
+    /// Installs a copy of `data` as the line at `line_addr`, evicting the
+    /// set's LRU way if needed. Returns the evicted line's address if one
+    /// was displaced.
+    pub fn fill(&mut self, line_addr: u64, data: &[u8], domain: Domain) -> Option<u64> {
         debug_assert_eq!(
             line_addr & (self.line_size - 1),
             0,
             "fill address must be line aligned"
         );
         debug_assert_eq!(data.len() as u64, self.line_size);
-        self.use_counter += 1;
-        let counter = self.use_counter;
         // Re-fill in place if already present.
-        if let Some(idx) = self.find(line_addr) {
-            let l = &mut self.lines[idx];
-            l.data = data;
-            l.last_use = counter;
-            l.fill_domain = domain;
-            return None;
-        }
-        let range = self.set_range(line_addr);
-        let victim = range
-            .clone()
-            .find(|&i| !self.lines[i].valid)
-            .unwrap_or_else(|| {
-                range
-                    .min_by_key(|&i| self.lines[i].last_use)
-                    .expect("ways >= 1")
-            });
-        let evicted = if self.lines[victim].valid {
-            Some(self.lines[victim].clone())
-        } else {
-            None
+        let (slot, evicted) = match self.find(line_addr) {
+            Some(slot) => (slot, None),
+            None => {
+                let range = self.set_range(line_addr);
+                let victim = range
+                    .clone()
+                    .find(|&i| !self.meta[i].valid)
+                    .unwrap_or_else(|| {
+                        range
+                            .min_by_key(|&i| self.meta[i].last_use)
+                            .expect("ways >= 1")
+                    });
+                let old = self.meta[victim];
+                (victim, old.valid.then_some(old.line_addr))
+            }
         };
-        self.lines[victim] = CacheLine {
-            valid: true,
-            line_addr,
-            data,
-            last_use: counter,
-            fill_domain: domain,
-        };
+        self.touch(slot);
+        let w = &mut self.meta[slot];
+        w.valid = true;
+        w.line_addr = line_addr;
+        w.fill_domain = domain;
+        self.bytes_mut(slot).copy_from_slice(data);
         evicted
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: u64) {
-        if let Some(idx) = self.find(self.line_addr(addr)) {
-            self.lines[idx].valid = false;
+        if let Some(slot) = self.find(self.line_addr(addr)) {
+            self.meta[slot].valid = false;
         }
     }
 
     /// Invalidates every line.
     pub fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
+        for w in &mut self.meta {
+            w.valid = false;
         }
     }
 
     /// Iterates currently valid lines (for snapshot-based checks).
-    pub fn valid_lines(&self) -> impl Iterator<Item = &CacheLine> {
-        self.lines.iter().filter(|l| l.valid)
+    pub fn valid_lines(&self) -> impl Iterator<Item = CacheLine<'_>> {
+        (0..self.meta.len())
+            .filter(|&i| self.meta[i].valid)
+            .map(|i| self.view(i))
     }
 }
 
@@ -275,12 +319,12 @@ impl Lfb {
         Some(idx)
     }
 
-    /// Marks entry `idx` filled with `data`.
-    pub fn complete(&mut self, idx: usize, data: Vec<u8>, domain: Domain, cycle: u64) {
+    /// Marks entry `idx` filled with a copy of `data`.
+    pub fn complete(&mut self, idx: usize, data: &[u8], domain: Domain, cycle: u64) {
         debug_assert_eq!(data.len() as u64, self.line_size);
         let e = &mut self.entries[idx];
         debug_assert!(e.valid && e.state == LfbState::Pending);
-        e.data = data;
+        e.data.copy_from_slice(data);
         e.state = LfbState::Filled;
         e.fill_domain = domain;
         e.fill_cycle = cycle;
@@ -342,8 +386,8 @@ impl Lfb {
 mod tests {
     use super::*;
 
-    fn line(b: u8) -> Vec<u8> {
-        vec![b; 64]
+    fn line(b: u8) -> [u8; 64] {
+        [b; 64]
     }
 
     #[test]
@@ -351,7 +395,7 @@ mod tests {
         let mut c = Cache::new(4, 2, 64);
         let mut data = line(0);
         data[8..16].copy_from_slice(&0xDEAD_BEEF_u64.to_le_bytes());
-        c.fill(0x1000, data, Domain::Untrusted);
+        c.fill(0x1000, &data, Domain::Untrusted);
         assert!(c.contains(0x1008));
         assert_eq!(c.read(0x1008, 8), Some(0xDEAD_BEEF));
         assert_eq!(c.read(0x1040, 8), None); // next line absent
@@ -360,21 +404,32 @@ mod tests {
     #[test]
     fn lru_eviction_within_set() {
         let mut c = Cache::new(1, 2, 64);
-        c.fill(0x0000, line(1), Domain::Untrusted);
-        c.fill(0x0040, line(2), Domain::Untrusted);
+        c.fill(0x0000, &line(1), Domain::Untrusted);
+        c.fill(0x0040, &line(2), Domain::Untrusted);
         // Touch the first line so the second becomes LRU.
         assert!(c.read(0x0000, 1).is_some());
         let evicted = c
-            .fill(0x0080, line(3), Domain::Untrusted)
+            .fill(0x0080, &line(3), Domain::Untrusted)
             .expect("eviction");
-        assert_eq!(evicted.line_addr, 0x0040);
+        assert_eq!(evicted, 0x0040);
         assert!(c.contains(0x0000) && c.contains(0x0080) && !c.contains(0x0040));
+    }
+
+    #[test]
+    fn read_line_returns_payload_and_refreshes_lru() {
+        let mut c = Cache::new(1, 2, 64);
+        c.fill(0x0000, &line(1), Domain::Untrusted);
+        c.fill(0x0040, &line(2), Domain::Untrusted);
+        assert_eq!(c.read_line(0x0000), Some(&line(1)[..]));
+        assert_eq!(c.read_line(0x0080), None);
+        // The whole-line read made 0x0000 most recent: 0x0040 goes.
+        assert_eq!(c.fill(0x0080, &line(3), Domain::Untrusted), Some(0x0040));
     }
 
     #[test]
     fn write_hits_update_data() {
         let mut c = Cache::new(4, 2, 64);
-        c.fill(0x2000, line(0), Domain::Untrusted);
+        c.fill(0x2000, &line(0), Domain::Untrusted);
         assert!(c.write(0x2010, 0x55AA, 2));
         assert_eq!(c.read(0x2010, 2), Some(0x55AA));
         assert!(!c.write(0x3000, 1, 8)); // miss
@@ -383,8 +438,8 @@ mod tests {
     #[test]
     fn refill_in_place_keeps_single_copy() {
         let mut c = Cache::new(4, 4, 64);
-        c.fill(0x1000, line(1), Domain::Untrusted);
-        c.fill(0x1000, line(2), Domain::Enclave(0));
+        c.fill(0x1000, &line(1), Domain::Untrusted);
+        c.fill(0x1000, &line(2), Domain::Enclave(0));
         assert_eq!(c.valid_lines().count(), 1);
         assert_eq!(c.read(0x1000, 1), Some(2));
         assert_eq!(c.peek_line(0x1000).unwrap().fill_domain, Domain::Enclave(0));
@@ -393,8 +448,8 @@ mod tests {
     #[test]
     fn flush_and_invalidate() {
         let mut c = Cache::new(4, 2, 64);
-        c.fill(0x1000, line(1), Domain::Untrusted);
-        c.fill(0x2000, line(2), Domain::Untrusted);
+        c.fill(0x1000, &line(1), Domain::Untrusted);
+        c.fill(0x2000, &line(2), Domain::Untrusted);
         c.invalidate(0x1000);
         assert!(!c.contains(0x1000) && c.contains(0x2000));
         c.flush_all();
@@ -409,7 +464,7 @@ mod tests {
         assert_ne!(a, b);
         // Both pending: no entry available.
         assert_eq!(lfb.allocate(0x3000, FillPurpose::Demand), None);
-        lfb.complete(a, line(0xEE), Domain::Enclave(0), 10);
+        lfb.complete(a, &line(0xEE), Domain::Enclave(0), 10);
         // Now the filled entry is displaceable.
         let c = lfb.allocate(0x3000, FillPurpose::Prefetch).unwrap();
         assert_eq!(c, a);
@@ -419,7 +474,7 @@ mod tests {
     fn lfb_residual_data_persists_after_completion() {
         let mut lfb = Lfb::new(4, 64);
         let idx = lfb.allocate(0x5000, FillPurpose::StoreRefill).unwrap();
-        lfb.complete(idx, line(0x42), Domain::Enclave(1), 99);
+        lfb.complete(idx, &line(0x42), Domain::Enclave(1), 99);
         // Long after the request completed, the secret bytes are still there.
         let e = lfb.entry(idx);
         assert_eq!(e.state, LfbState::Filled);
@@ -432,7 +487,7 @@ mod tests {
         let mut lfb = Lfb::new(4, 64);
         let idx = lfb.allocate(0x7000, FillPurpose::Demand).unwrap();
         assert_eq!(lfb.pending_for(0x7000), Some(idx));
-        lfb.complete(idx, line(0), Domain::Untrusted, 1);
+        lfb.complete(idx, &line(0), Domain::Untrusted, 1);
         assert_eq!(lfb.pending_for(0x7000), None);
     }
 
@@ -440,7 +495,7 @@ mod tests {
     fn lfb_flush_clears_residue() {
         let mut lfb = Lfb::new(2, 64);
         let idx = lfb.allocate(0x5000, FillPurpose::Demand).unwrap();
-        lfb.complete(idx, line(0x42), Domain::Enclave(1), 5);
+        lfb.complete(idx, &line(0x42), Domain::Enclave(1), 5);
         lfb.flush_all();
         assert_eq!(lfb.residual_trusted_entries().count(), 0);
         assert!(lfb.entries().iter().all(|e| !e.valid));

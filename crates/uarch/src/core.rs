@@ -108,9 +108,12 @@ pub struct RetiredInst {
 /// A configured core instance bound to a physical memory.
 ///
 /// `Clone` forks the complete core state — architectural and
-/// microarchitectural — in O(backed pages) thanks to the copy-on-write
-/// [`Memory`]; platform snapshotting builds on this. The clone does *not*
-/// inherit an attached trace sink (see [`Trace::clone`]).
+/// microarchitectural; platform snapshotting builds on this. The fork
+/// copies each storage structure's few flat buffers (a cache is one
+/// metadata and one payload array) and one pointer per backed page of the
+/// copy-on-write [`Memory`]: a few dozen heap allocations in all, whatever
+/// the cache geometry. The clone does *not* inherit an attached trace sink
+/// (see [`Trace::clone`]).
 #[derive(Debug, Clone)]
 pub struct Core {
     /// The configuration the core was built with.
@@ -635,10 +638,7 @@ impl Core {
 
     fn operands_ready(&self, pos: usize) -> bool {
         match self.rob[pos].inst {
-            Ok(i) => i
-                .sources()
-                .iter()
-                .all(|&r| self.source_value(pos, r).is_some()),
+            Ok(i) => i.sources().all(|r| self.source_value(pos, r).is_some()),
             Err(_) => true,
         }
     }
@@ -1738,7 +1738,7 @@ impl Core {
             let line_addr = self.l1i.line_addr(pa);
             let mut data = vec![0u8; self.config.line_size as usize];
             self.mem.read_bytes(line_addr, &mut data);
-            self.l1i.fill(line_addr, data.clone(), self.domain);
+            self.l1i.fill(line_addr, &data, self.domain);
             let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
             self.trace.record(TraceEvent {
                 cycle,

@@ -608,13 +608,11 @@ impl Lsu {
             // Obtain the line: from L2 if present, else from memory (which
             // also installs it into L2 — the hierarchy is inclusive here).
             let mut data = vec![0u8; line_size as usize];
-            if self.l2.contains(req.line_addr) {
-                for i in 0..line_size {
-                    data[i as usize] = self.l2.read(req.line_addr + i, 1).unwrap_or(0) as u8;
-                }
+            if let Some(line) = self.l2.read_line(req.line_addr) {
+                data.copy_from_slice(line);
             } else {
                 mem.read_bytes(req.line_addr, &mut data);
-                self.l2.fill(req.line_addr, data.clone(), domain);
+                self.l2.fill(req.line_addr, &data, domain);
                 trace.record(TraceEvent {
                     cycle,
                     priv_level,
@@ -642,7 +640,7 @@ impl Lsu {
                     && e.line_addr == req.line_addr
             });
             if let (Some(idx), true) = (req.lfb_idx, lfb_slot_live) {
-                self.lfb.complete(idx, data.clone(), domain, cycle);
+                self.lfb.complete(idx, &data, domain, cycle);
                 trace.record(TraceEvent {
                     cycle,
                     priv_level,
@@ -657,7 +655,7 @@ impl Lsu {
                 });
             }
             if req.fill_l1d {
-                self.l1d.fill(req.line_addr, data.clone(), domain);
+                self.l1d.fill(req.line_addr, &data, domain);
                 trace.record(TraceEvent {
                     cycle,
                     priv_level,

@@ -2,9 +2,10 @@
 //!
 //! Pages are reference-counted and copy-on-write: cloning a `Memory` (as
 //! platform snapshotting does) shares every backed page, and a page is only
-//! physically duplicated when one of the clones writes to it. Forking a
-//! platform from a snapshot is therefore O(backed pages) pointer copies, not
-//! a full memory copy.
+//! physically duplicated when one of the clones writes to it. The memory
+//! half of forking a platform from a snapshot is therefore O(backed pages)
+//! pointer copies, not a full memory copy; the core's storage structures
+//! add a copy of their few flat buffers each.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -23,7 +23,7 @@ proptest! {
         let mut model: HashMap<u64, u8> = HashMap::new();
         for (line_idx, byte) in ops {
             let line_addr = line_idx * 64;
-            cache.fill(line_addr, vec![byte; 64], Domain::Untrusted);
+            cache.fill(line_addr, &[byte; 64], Domain::Untrusted);
             model.insert(line_addr, byte);
             // Whatever is still resident must match the model.
             for (&la, &b) in &model {
@@ -44,7 +44,7 @@ proptest! {
         len in prop::sample::select(vec![1u64, 2, 4, 8]),
     ) {
         let mut cache = Cache::new(2, 2, 64);
-        cache.fill(0x1000, vec![0xAA; 64], Domain::Untrusted);
+        cache.fill(0x1000, &[0xAA; 64], Domain::Untrusted);
         let off = off / len * len; // align to the width
         prop_assert!(cache.write(0x1000 + off, value, len));
         let mask = if len == 8 { u64::MAX } else { (1 << (len * 8)) - 1 };
@@ -52,6 +52,127 @@ proptest! {
         // A disjoint byte elsewhere in the line is untouched.
         let other = if off >= 8 { 0 } else { 56 };
         prop_assert_eq!(cache.read(0x1000 + other, 1), Some(0xAA));
+    }
+
+    /// LRU against a reference model on a 2-set × 2-way cache: each set is
+    /// a recency list (least recently used first) that every hit, write
+    /// and fill moves to the back. Every fill's evicted address, every
+    /// read's bytes, and the final resident `(line_addr, data,
+    /// fill_domain)` set must agree with the model.
+    #[test]
+    fn cache_matches_recency_list_model(
+        ops in prop::collection::vec(
+            (
+                0u8..16,
+                0u64..8,
+                any::<u64>(),
+                0u64..64,
+                prop::sample::select(vec![1u64, 2, 4, 8]),
+            ),
+            1..120,
+        )
+    ) {
+        const SETS: usize = 2;
+        const WAYS: usize = 2;
+        let mut cache = Cache::new(SETS, WAYS, 64);
+        let mut model: Vec<Vec<(u64, Vec<u8>, Domain)>> = vec![Vec::new(); SETS];
+        for (step, (kind, line_idx, value, off, len)) in ops.into_iter().enumerate() {
+            let la = line_idx * 64;
+            let off = off / len * len; // aligned, so the access stays in the line
+            let set = &mut model[line_idx as usize % SETS];
+            // A hit moves the model line to most recently used.
+            let hit = set.iter().position(|l| l.0 == la).map(|p| {
+                let l = set.remove(p);
+                set.push(l);
+                set.len() - 1
+            });
+            match kind {
+                0..=5 => {
+                    let data: Vec<u8> = (0..64u64)
+                        .map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8)
+                        .collect();
+                    let domain = match value % 3 {
+                        0 => Domain::Untrusted,
+                        1 => Domain::SecurityMonitor,
+                        _ => Domain::Enclave(step as u32),
+                    };
+                    let expect = match hit {
+                        Some(i) => {
+                            set.remove(i);
+                            None
+                        }
+                        None => (set.len() == WAYS).then(|| set.remove(0).0),
+                    };
+                    set.push((la, data.clone(), domain));
+                    prop_assert_eq!(
+                        cache.fill(la, &data, domain),
+                        expect,
+                        "step {}: fill {:#x} evicted",
+                        step,
+                        la
+                    );
+                }
+                6 | 7 => {
+                    let expect = hit.map(|i| {
+                        set[i].1[off as usize..(off + len) as usize]
+                            .iter()
+                            .rev()
+                            .fold(0u64, |v, &b| (v << 8) | b as u64)
+                    });
+                    prop_assert_eq!(
+                        cache.read(la + off, len),
+                        expect,
+                        "step {}: read {:#x}+{}",
+                        step,
+                        la,
+                        off
+                    );
+                }
+                8 | 9 => {
+                    let expect = hit.map(|i| set[i].1.clone());
+                    prop_assert_eq!(
+                        cache.read_line(la).map(<[u8]>::to_vec),
+                        expect,
+                        "step {}: read_line {:#x}",
+                        step,
+                        la
+                    );
+                }
+                10 | 11 => {
+                    if let Some(i) = hit {
+                        for b in 0..len {
+                            set[i].1[(off + b) as usize] = (value >> (8 * b)) as u8;
+                        }
+                    }
+                    prop_assert_eq!(
+                        cache.write(la + off, value, len),
+                        hit.is_some(),
+                        "step {}: write {:#x}+{}",
+                        step,
+                        la,
+                        off
+                    );
+                }
+                12..=14 => {
+                    if let Some(i) = hit {
+                        set.remove(i);
+                    }
+                    cache.invalidate(la + off);
+                }
+                _ => {
+                    model.iter_mut().for_each(Vec::clear);
+                    cache.flush_all();
+                }
+            }
+        }
+        let mut resident: Vec<(u64, Vec<u8>, Domain)> = cache
+            .valid_lines()
+            .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
+            .collect();
+        resident.sort_by_key(|l| l.0);
+        let mut expect: Vec<(u64, Vec<u8>, Domain)> = model.into_iter().flatten().collect();
+        expect.sort_by_key(|l| l.0);
+        prop_assert_eq!(resident, expect);
     }
 
     /// The LFB never loses a pending request except through `flush_all`,
@@ -78,7 +199,7 @@ proptest! {
             } else {
                 // Saturated: complete the oldest to make room.
                 let (idx, la) = pending.remove(0);
-                lfb.complete(idx, vec![0x5A; 64], Domain::Enclave(0), 1);
+                lfb.complete(idx, &[0x5A; 64], Domain::Enclave(0), 1);
                 prop_assert!(lfb.pending_for(la).is_none());
                 // Residual data persists after completion.
                 prop_assert!(lfb.entry(idx).valid);

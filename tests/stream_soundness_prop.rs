@@ -95,7 +95,9 @@ proptest! {
     /// Snapshot/restore soundness at the core level: clone the core after
     /// `split` cycles (the CoW fork the platform snapshot relies on), let
     /// the clone finish the run, and compare against a never-interrupted
-    /// twin — registers, memory, cycle count, and counters must all match.
+    /// twin — registers, memory, cycle count, counters, and the residue
+    /// surface the snapshot scan reads (every valid L1D/L1I/L2 line with
+    /// its payload, and every LFB entry) must all match.
     #[test]
     fn snapshot_plus_remaining_steps_matches_uninterrupted_run(
         seed in any::<u64>(),
@@ -142,5 +144,26 @@ proptest! {
             "seed {seed}: memory diverged"
         );
         prop_assert_eq!(resumed.counters(), straight.counters(), "seed {seed}: counters");
+        // Compared without recency stamps: a fork's fetch memo starts cold,
+        // so its first fetches re-stamp L1I lines the straight core's memo
+        // skipped. Only the order of stamps within a set picks victims, and
+        // the lines themselves are what the snapshot scan reads.
+        let residue = |c: &teesec_uarch::cache::Cache| -> Vec<_> {
+            c.valid_lines()
+                .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
+                .collect()
+        };
+        for (level, a, b) in [
+            ("L1D", &resumed.lsu.l1d, &straight.lsu.l1d),
+            ("L1I", &resumed.l1i, &straight.l1i),
+            ("L2", &resumed.lsu.l2, &straight.lsu.l2),
+        ] {
+            prop_assert_eq!(residue(a), residue(b), "seed {seed}: {level} lines");
+        }
+        prop_assert_eq!(
+            resumed.lsu.lfb.entries(),
+            straight.lsu.lfb.entries(),
+            "seed {seed}: LFB entries"
+        );
     }
 }
