@@ -1,4 +1,5 @@
-//! `simulate` — the fast-path A/B microbench behind `BENCH_pr9.json`.
+//! `simulate` — the fast-path on/off A/B microbench (figures in
+//! EXPERIMENTS.md, section "The fast-path simulator").
 //!
 //! Runs the same fuzzer-generated corpus through the engine twice per
 //! design — once with the fast-path simulator forced OFF (the reference
@@ -128,7 +129,7 @@ fn main() {
         .product::<f64>()
         .powf(1.0 / speedups.len() as f64);
     if json {
-        // The exact shape BENCH_pr9.json commits (minus date/environment).
+        // One object per design plus the geomean speedup.
         let mut out = String::from("{\n");
         for (name, off, on, speedup) in &lines {
             out.push_str(&format!(

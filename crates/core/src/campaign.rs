@@ -112,28 +112,12 @@ impl CampaignResult {
 pub struct Campaign {
     cfg: CoreConfig,
     fuzzer: Fuzzer,
-    keep_reports: bool,
 }
 
 impl Campaign {
     /// A campaign over `cfg` with the given fuzzer.
     pub fn new(cfg: CoreConfig, fuzzer: Fuzzer) -> Campaign {
-        Campaign {
-            cfg,
-            fuzzer,
-            keep_reports: false,
-        }
-    }
-
-    /// Also retain full per-case reports (memory-heavier).
-    pub fn keep_reports(mut self) -> Campaign {
-        self.keep_reports = true;
-        self
-    }
-
-    /// The design configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
+        Campaign { cfg, fuzzer }
     }
 
     /// Profiles the plan and generates the corpus, returning it with a
@@ -158,20 +142,21 @@ impl Campaign {
     }
 
     /// Runs the campaign on the work-stealing [`Engine`] with full control
-    /// over isolation, watchdog, and observability options.
-    /// `opts.keep_reports` is overridden by [`Campaign::keep_reports`].
+    /// over isolation, watchdog, and observability options. Returns the
+    /// aggregate result and, when `opts.keep_reports` is set, the per-case
+    /// reports in corpus order.
     ///
     /// The returned result is the same at any thread count, modulo
     /// `timing` and the timing fields of the attached [`EngineMetrics`].
-    pub fn run_engine(&self, mut opts: EngineOptions) -> (CampaignResult, Vec<CheckReport>) {
+    pub fn run_engine(&self, opts: EngineOptions) -> (CampaignResult, Vec<CheckReport>) {
         let (corpus, timing) = self.prepare();
-        opts.keep_reports = self.keep_reports;
         Engine::new(self.cfg.clone(), opts).run_corpus(&corpus, timing)
     }
 
-    /// Runs the whole campaign on one engine worker. Returns the aggregate
-    /// result and, when [`Campaign::keep_reports`] was requested, the
-    /// per-case reports.
+    /// Runs the whole campaign on one engine worker with the default
+    /// [`EngineOptions`]. Returns the aggregate result and no per-case
+    /// reports; call [`Campaign::run_engine`] with `keep_reports` set to
+    /// keep them.
     ///
     /// Cases that fail to build or panic are quarantined into
     /// [`CaseResult::error`].
@@ -215,6 +200,17 @@ mod tests {
             "a 20-case corpus already uncovers leaks on the naive deployment"
         );
         assert!(result.avg_cycles() > 0);
+    }
+
+    #[test]
+    fn run_engine_keeps_reports_when_the_options_ask() {
+        let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(4));
+        let (result, reports) = campaign.run_engine(EngineOptions {
+            keep_reports: true,
+            ..EngineOptions::default()
+        });
+        assert_eq!(result.case_count, 4);
+        assert_eq!(reports.len(), 4, "one report per case");
     }
 
     #[test]

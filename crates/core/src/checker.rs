@@ -83,7 +83,7 @@ pub fn check_case(tc: &TestCase, outcome: &RunOutcome, cfg: &CoreConfig) -> Chec
 /// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record —
 /// byte-identical to what the streaming pipeline's
 /// [`StreamingChecker::finish_coverage`](crate::stream::StreamingChecker::finish_coverage)
-/// produces, because both drive the same [`ScanState`](crate::stream::ScanState).
+/// produces, because both drive the same `ScanState` event scan.
 pub fn check_case_coverage(
     tc: &TestCase,
     outcome: &RunOutcome,

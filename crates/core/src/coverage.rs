@@ -7,11 +7,11 @@
 //! reports findings can run a million cases and silently never touch a
 //! declared path. This module closes that accountability gap:
 //!
-//! * [`CoverageTracker`] rides inside the checker's
-//!   [`ScanState`](crate::stream::ScanState) (batch *and* streaming, so
-//!   coverage output is identical by construction) and records which
-//!   (structure, transition point, observer privilege) cells each case
-//!   exercised and which leak classes were detected there;
+//! * `CoverageTracker` rides inside the checker's `ScanState` event scan
+//!   (batch *and* streaming, so coverage output is identical by
+//!   construction) and records which (structure, transition point,
+//!   observer privilege) cells each case exercised and which leak classes
+//!   were detected there;
 //! * [`CaseCoverage`] is the per-case record — carried on the JSONL event
 //!   stream as [`EngineEvent::CaseCoverage`](crate::engine::EngineEvent)
 //!   — including the case's secret-residency windows derived from the

@@ -1,6 +1,5 @@
 //! Differential co-simulation oracle: lockstep verification of the
-//! out-of-order [`Core`](teesec_uarch::core::Core) against the in-order
-//! [`Iss`](teesec_uarch::iss::Iss) reference model.
+//! out-of-order [`Core`] against the in-order [`Iss`] reference model.
 //!
 //! The checker is only as trustworthy as the simulated core it inspects.
 //! This module makes that trust checkable: it runs every test case on both

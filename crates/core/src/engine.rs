@@ -665,7 +665,6 @@ pub(crate) fn execute_case(
                         StreamingChecker::new(tc, cfg)
                     }) as _
                 }),
-                buffer_trace: !opts.streaming,
                 fast_path: opts.fast_path,
                 trace: tctx,
             },

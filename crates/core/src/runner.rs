@@ -88,34 +88,16 @@ pub struct RunOutcome {
 /// Propagates [`BuildError`] when the lowered program does not assemble or
 /// overflows a region.
 pub fn run_case(tc: &TestCase, cfg: &CoreConfig) -> Result<RunOutcome, BuildError> {
-    run_case_budgeted(tc, cfg, None)
-}
-
-/// [`run_case`] under a simulated-cycle watchdog: the effective cycle limit
-/// is `min(tc.max_cycles, budget)`, so a budget-blown case exits with
-/// [`RunExit::CycleLimit`] instead of running out its full `max_cycles`.
-///
-/// # Errors
-///
-/// Propagates [`BuildError`] exactly as [`run_case`] does.
-pub fn run_case_budgeted(
-    tc: &TestCase,
-    cfg: &CoreConfig,
-    budget: Option<u64>,
-) -> Result<RunOutcome, BuildError> {
-    run_case_opts(
-        tc,
-        cfg,
-        RunOptions {
-            budget,
-            ..RunOptions::default()
-        },
-    )
+    run_case_opts(tc, cfg, RunOptions::default())
 }
 
 /// Execution options for [`run_case_opts`].
+#[derive(Default)]
 pub struct RunOptions<'c> {
-    /// Simulated-cycle watchdog (see [`run_case_budgeted`]).
+    /// Simulated-cycle watchdog: the effective cycle limit is
+    /// `min(tc.max_cycles, budget)`, so a budget-blown case exits with
+    /// [`RunExit::CycleLimit`] instead of running out its full
+    /// `max_cycles`.
     pub budget: Option<u64>,
     /// Fork the platform from a shared boot snapshot when one applies.
     pub snapshot_cache: Option<&'c SnapshotCache>,
@@ -123,12 +105,11 @@ pub struct RunOptions<'c> {
     /// [`StreamingChecker`](crate::stream::StreamingChecker)). When the
     /// platform is snapshot-forked, events already simulated before the
     /// fork are replayed into the sink first, so it observes the exact
-    /// sequence a fresh run would have produced.
+    /// sequence a fresh run would have produced. Attaching a sink turns
+    /// trace buffering off: the sink still sees every event, but peak
+    /// retained events stay O(boot prefix) instead of O(simulated
+    /// cycles). Without a sink the trace buffers every event.
     pub sink: Option<Box<dyn TraceSink>>,
-    /// Keep buffering trace events in memory. Disable for streaming runs:
-    /// the sink still sees every event, but peak retained events stay
-    /// O(boot prefix) instead of O(simulated cycles).
-    pub buffer_trace: bool,
     /// Span-recording context: when its tracer is set, the run emits
     /// `build` and `simulate` spans (under the context's parent span)
     /// plus periodic `sim_cycles` counter samples.
@@ -138,19 +119,6 @@ pub struct RunOptions<'c> {
     /// settings are byte-identical in every checker observable; off is
     /// the reference path the equivalence harness compares against.
     pub fast_path: Option<bool>,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions {
-            budget: None,
-            snapshot_cache: None,
-            sink: None,
-            buffer_trace: true,
-            trace: TraceCtx::default(),
-            fast_path: None,
-        }
-    }
 }
 
 /// Simulated cycles between `sim_cycles` counter samples on a traced run
@@ -187,8 +155,6 @@ pub fn run_case_opts(
             sink.on_event(e);
         }
         platform.core.trace.set_sink(sink);
-    }
-    if !opts.buffer_trace {
         platform.core.trace.set_buffering(false);
     }
     build_span.arg("cache", build.label());

@@ -3,7 +3,7 @@
 //!
 //! Two layers live here:
 //!
-//! - [`ScanState`]: the per-event finding state machine. It is the *single*
+//! - `ScanState`: the per-event finding state machine. It is the *single*
 //!   implementation of the checker's trace scan — the batch
 //!   [`check_case`](crate::checker::check_case) drives it over the buffered
 //!   trace, and the streaming checker drives it from a trace sink — so

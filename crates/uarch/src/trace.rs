@@ -466,7 +466,7 @@ impl Trace {
 
     /// Enables/disables event buffering. With buffering off, events still
     /// update the running stats and feed the attached sink, but are not
-    /// retained — [`Trace::events`] stays empty and memory stays bounded.
+    /// retained — [`Trace::len`] stops growing and memory stays bounded.
     pub fn set_buffering(&mut self, on: bool) {
         self.buffering = on;
     }

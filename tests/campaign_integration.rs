@@ -3,6 +3,7 @@
 //! modeled microarchitecture, not from any hard-coded expectation.
 
 use teesec::campaign::Campaign;
+use teesec::engine::EngineOptions;
 use teesec::fuzz::Fuzzer;
 use teesec::report::LeakClass;
 use teesec_uarch::CoreConfig;
@@ -89,9 +90,11 @@ fn campaign_timing_shape_matches_table2() {
 
 #[test]
 fn reports_trace_secrets_back_to_addresses() {
-    let (r, reports) = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(40))
-        .keep_reports()
-        .run();
+    let (r, reports) =
+        Campaign::new(CoreConfig::boom(), Fuzzer::with_target(40)).run_engine(EngineOptions {
+            keep_reports: true,
+            ..EngineOptions::default()
+        });
     assert_eq!(reports.len(), r.case_count);
     let mut traced = 0;
     for rep in &reports {

@@ -56,7 +56,6 @@ fn streaming_outputs(
         RunOptions {
             snapshot_cache: Some(cache),
             sink: Some(Box::new(StreamingChecker::with_coverage(tc, cfg))),
-            buffer_trace: false,
             fast_path: Some(fast),
             ..RunOptions::default()
         },

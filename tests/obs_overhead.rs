@@ -3,8 +3,9 @@
 //!
 //! The bound is deliberately loose (CI machines are noisy); it exists to
 //! catch pathological regressions — e.g. harvesting accidentally cloning
-//! the whole trace per case — not to benchmark. Real numbers live in
-//! `cargo bench -p teesec-bench` and `BENCH_pr2.json`.
+//! the whole trace per case — not to benchmark. Real numbers come from the
+//! canonical benchmark (`campaign_bench/`), which runs with counters on, so
+//! every end-to-end metric it reports includes their cost.
 
 use std::time::Instant;
 

@@ -24,7 +24,6 @@ fn streaming_report(tc: &TestCase, cfg: &CoreConfig, cache: Option<&SnapshotCach
         RunOptions {
             snapshot_cache: cache,
             sink: Some(Box::new(StreamingChecker::new(tc, cfg))),
-            buffer_trace: false,
             ..RunOptions::default()
         },
     )
@@ -134,7 +133,6 @@ fn streaming_coverage_is_byte_identical_to_batch_on_both_designs() {
                 RunOptions {
                     snapshot_cache: Some(&cache),
                     sink: Some(Box::new(StreamingChecker::with_coverage(tc, &cfg))),
-                    buffer_trace: false,
                     ..RunOptions::default()
                 },
             )

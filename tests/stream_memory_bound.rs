@@ -37,7 +37,6 @@ fn streaming_run(tc: &TestCase, cfg: &CoreConfig) -> (RunOutcome, Box<StreamingC
         cfg,
         RunOptions {
             sink: Some(Box::new(StreamingChecker::new(tc, cfg))),
-            buffer_trace: false,
             ..RunOptions::default()
         },
     )

@@ -64,7 +64,6 @@ proptest! {
             &cfg,
             RunOptions {
                 sink: Some(Box::new(StreamingChecker::new(&tc, &cfg))),
-                buffer_trace: false,
                 ..RunOptions::default()
             },
         )

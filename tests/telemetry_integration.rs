@@ -526,8 +526,8 @@ fn sigkill_mid_campaign_leaves_parseable_partial_artifacts() {
 fn serving_with_a_live_scraper_stays_a_bounded_tax() {
     // Loose bound on purpose — CI machines are noisy; this catches a
     // pathological regression (e.g. rendering under the fold lock), not
-    // the 2% figure, which `cargo bench -p teesec-bench` (telemetry
-    // bench) and BENCH_pr10.json track.
+    // the 2% figure the serve-on/off A/B in EXPERIMENTS.md ("Watching a
+    // campaign live") records.
     let cfg = CoreConfig::boom();
     let corpus = Fuzzer::with_target(200).generate(&cfg);
     let _ = Engine::new(cfg.clone(), EngineOptions::default())

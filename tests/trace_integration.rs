@@ -425,7 +425,7 @@ fn disabled_tracer_is_free_and_enabled_tracing_stays_bounded() {
 
     // Engine guard, obs_overhead-style: a fully traced run stays within a
     // loose multiple of the untraced one (results identical). Real
-    // percentages live in BENCH_pr5.json.
+    // percentages come from campaign_bench's `trace.overhead_ratio`.
     let cfg = CoreConfig::boom();
     let corpus = Fuzzer::with_target(8).generate(&cfg);
     let _ = Engine::new(cfg.clone(), EngineOptions::default())
