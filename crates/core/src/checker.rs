@@ -4,11 +4,12 @@
 //! cases (paper §4.3).
 
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::trace::{Domain, FillPurpose, Structure};
+use teesec_uarch::trace::{Domain, FillPurpose, Structure, Trace, TraceSink};
 
 use crate::report::{CheckReport, Finding, LeakClass, Principle};
 use crate::runner::RunOutcome;
 use crate::secret::SecretCatalog;
+use crate::stream::StreamingChecker;
 use crate::testcase::TestCase;
 
 /// `true` when `observer` is allowed to see data owned by `owner`.
@@ -57,88 +58,55 @@ fn classify_lfb(purpose: FillPurpose) -> Option<LeakClass> {
 }
 
 /// The deduplication key for a finding: one finding per
-/// (class, structure, secret, observer, principle) combination.
-pub(crate) fn finding_key(f: &Finding) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}",
+/// (class, structure, secret address, observer, principle) combination.
+pub(crate) type FindingKey = (Option<LeakClass>, Structure, Option<u64>, Domain, Principle);
+
+pub(crate) fn finding_key(f: &Finding) -> FindingKey {
+    (
         f.class,
         f.structure,
         f.secret.map(|s| s.addr),
         f.observer,
-        f.principle
+        f.principle,
     )
 }
 
-/// Runs the full analysis for one executed test case.
-///
-/// The trace scan is the same state machine the streaming checker runs
-/// online ([`crate::stream::StreamingChecker`]) — batch drives it over the
-/// buffered trace here, so both pipelines yield identical findings by
-/// construction.
+/// Feeds every event of a buffered `trace` to `checker`, in order. This is
+/// how a checker catches up on events recorded before it was attached: a
+/// whole run for [`check_case`], the snapshot prefix of a forked platform
+/// for [`run_case_opts`](crate::runner::run_case_opts).
+pub(crate) fn replay(mut checker: StreamingChecker, trace: &Trace) -> StreamingChecker {
+    for e in trace.iter_events() {
+        checker.on_event(e);
+    }
+    checker
+}
+
+/// Runs the full analysis for one executed test case by replaying its
+/// buffered trace through a [`StreamingChecker`]. `outcome` must come from
+/// a run without [`RunOptions::checker`](crate::runner::RunOptions::checker),
+/// so that its trace buffered every event.
 pub fn check_case(tc: &TestCase, outcome: &RunOutcome, cfg: &CoreConfig) -> CheckReport {
-    check_case_inner(tc, outcome, cfg, false).0
+    replay(StreamingChecker::new(tc, cfg), &outcome.platform.core.trace).finish(tc, outcome)
 }
 
 /// [`check_case`] with plan-coverage recording on: additionally returns
-/// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record —
-/// byte-identical to what the streaming pipeline's
-/// [`StreamingChecker::finish_coverage`](crate::stream::StreamingChecker::finish_coverage)
-/// produces, because both drive the same `ScanState` event scan.
+/// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record.
 pub fn check_case_coverage(
     tc: &TestCase,
     outcome: &RunOutcome,
     cfg: &CoreConfig,
 ) -> (CheckReport, crate::coverage::CaseCoverage) {
-    let (report, coverage) = check_case_inner(tc, outcome, cfg, true);
+    let checker = replay(
+        StreamingChecker::with_coverage(tc, cfg),
+        &outcome.platform.core.trace,
+    );
+    let (report, coverage) = checker.finish_coverage(tc, outcome);
     (report, coverage.expect("coverage recording was enabled"))
 }
 
-fn check_case_inner(
-    tc: &TestCase,
-    outcome: &RunOutcome,
-    cfg: &CoreConfig,
-    record_coverage: bool,
-) -> (CheckReport, Option<crate::coverage::CaseCoverage>) {
-    let mut secrets = tc.secrets.clone();
-    secrets.reindex();
-
-    let counters = outcome.platform.core.config.hpm_counters;
-    let mut scan = crate::stream::ScanState::new(tc.mcounteren, counters, secrets.clone());
-    if record_coverage {
-        scan.enable_coverage();
-    }
-    for e in outcome.platform.core.trace.iter_events() {
-        scan.on_event(e);
-    }
-    let (mut findings, mut dedup, mut coverage) = scan.into_findings();
-
-    let snapshot_from = findings.len();
-    let mut push = |findings: &mut Vec<Finding>, f: Finding| {
-        if dedup.insert(finding_key(&f)) {
-            findings.push(f);
-        }
-    };
-    scan_snapshot(tc, outcome, &secrets, &mut findings, &mut push);
-    if let Some(cov) = coverage.as_mut() {
-        for f in &findings[snapshot_from..] {
-            cov.record_detection(f);
-        }
-    }
-
-    let mut report = CheckReport {
-        case: tc.name.clone(),
-        path: tc.path,
-        design: cfg.name.clone(),
-        findings,
-        provenance: Vec::new(),
-    };
-    crate::provenance::annotate(&mut report, outcome, &secrets);
-    let case_coverage = coverage.map(|cov| cov.finish(&report));
-    (report, case_coverage)
-}
-
-/// Scans the end-of-run microarchitectural snapshot for residues
-/// (shared by the batch pipeline and the streaming checker's finalize).
+/// Scans the end-of-run microarchitectural snapshot for residues (the
+/// checker's finalize step).
 pub(crate) fn scan_snapshot(
     tc: &TestCase,
     outcome: &RunOutcome,

@@ -8,10 +8,9 @@
 //! declared path. This module closes that accountability gap:
 //!
 //! * `CoverageTracker` rides inside the checker's `ScanState` event scan
-//!   (batch *and* streaming, so coverage output is identical by
-//!   construction) and records which (structure, transition point,
-//!   observer privilege) cells each case exercised and which leak classes
-//!   were detected there;
+//!   and records which (structure, transition point, observer privilege)
+//!   cells each case exercised and which leak classes were detected
+//!   there;
 //! * [`CaseCoverage`] is the per-case record — carried on the JSONL event
 //!   stream as [`EngineEvent::CaseCoverage`](crate::engine::EngineEvent)
 //!   — including the case's secret-residency windows derived from the
@@ -190,9 +189,8 @@ pub struct CaseCoverage {
     pub residency: Vec<ResidencyWindow>,
 }
 
-/// The online per-case coverage recorder, carried by the checker's
-/// [`ScanState`](crate::stream::ScanState) so batch and streaming runs
-/// record identical coverage by construction.
+/// The per-case coverage recorder, carried by the checker's
+/// [`ScanState`](crate::stream::ScanState).
 #[derive(Debug, Clone)]
 pub(crate) struct CoverageTracker {
     domain: Domain,

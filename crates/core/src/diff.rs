@@ -45,8 +45,6 @@ pub struct DiffOptions {
     /// retire). PC and destination values are compared at *every* retire
     /// regardless.
     pub stride: u64,
-    /// Cycle budget override (defaults to the case's own `max_cycles`).
-    pub max_cycles: Option<u64>,
     /// Deterministic fault injected into the core mid-run — the oracle's
     /// self-test knob (a correct oracle must catch its own planted bugs).
     pub fault: Option<FaultInjection>,
@@ -56,7 +54,6 @@ impl Default for DiffOptions {
     fn default() -> DiffOptions {
         DiffOptions {
             stride: 1,
-            max_cycles: None,
             fault: None,
         }
     }
@@ -309,15 +306,15 @@ pub fn diff_case(
                 .into(),
         });
     }
-    // Building is deterministic, so a second build hands us the exact
-    // memory image the core starts from.
+    // Memory is copy-on-write, so a clone taken before the first step is
+    // the exact image the core starts from, at the cost of page pointers.
     let mut platform = build_platform(tc, cfg)?;
-    let iss_mem = build_platform(tc, cfg)?.core.mem;
+    let iss_mem = platform.core.mem.clone();
     let mut iss = Iss::new(iss_mem, layout::SM_BASE).with_hpm_counters(cfg.hpm_counters);
 
     let core = &mut platform.core;
     core.set_retire_probe(true);
-    let limit = opts.max_cycles.unwrap_or(tc.max_cycles);
+    let limit = tc.max_cycles;
     let stride = opts.stride.max(1);
     let mut retires = 0u64;
     let mut last_swept = 0u64;

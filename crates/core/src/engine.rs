@@ -11,7 +11,7 @@
 //!   describe a seq prefix `0..n`, and the result does not depend on the
 //!   worker count. `tests/engine_equivalence.rs` checks it against a
 //!   serial oracle built on [`run_case`](crate::runner::run_case) and
-//!   [`check_case`].
+//!   [`check_case`](crate::checker::check_case).
 //! * Every case runs under [`std::panic::catch_unwind`]: a case that fails
 //!   to build or panics mid-simulation is *quarantined* — recorded as a
 //!   [`CaseResult`] carrying the error text — instead of poisoning the
@@ -43,7 +43,7 @@ use teesec_uarch::introspect::StorageInventory;
 use teesec_uarch::{FastPathStats, RunExit, StructureCounters, UarchCounters};
 
 use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
-use crate::checker::{check_case, check_case_coverage};
+use crate::checker::replay;
 use crate::coverage::{CaseCoverage, PlanCoverage};
 use crate::diff::{diff_case, DiffOptions, DiffVerdict};
 use crate::report::CheckReport;
@@ -75,10 +75,11 @@ pub struct EngineOptions {
     /// [`DiffMetrics`] into [`EngineMetrics::diff`]. Off by default:
     /// diffing re-simulates each case on both machines.
     pub diff: Option<DiffOptions>,
-    /// Check each case *online* with a [`StreamingChecker`] fed from a
-    /// trace sink, with trace buffering disabled — same report as the
-    /// batch pipeline (proven by the `stream_equivalence` suite), but peak
-    /// retained trace events stay O(boot prefix) instead of O(cycles).
+    /// Feed each case's [`StreamingChecker`] online while the case runs,
+    /// with trace buffering disabled, so peak retained trace events stay
+    /// O(boot prefix) instead of O(cycles). Off, the trace is buffered and
+    /// replayed into the checker after the run: the same checker and the
+    /// same report (the `stream_equivalence` suite), at O(cycles) memory.
     pub streaming: bool,
     /// Record per-case plan coverage (the structure × transition ×
     /// observer matrix) and secret-residency windows, emitting one
@@ -617,9 +618,10 @@ pub(crate) struct CaseExecution {
 ///
 /// With `opts.counters` the finished core's microarchitectural counter
 /// digest is harvested into [`CaseExecution::counters`]. With
-/// `opts.streaming` checking happens online in a trace sink and the check
-/// phase shrinks to the finalize step. With `opts.diff` a healthy case
-/// also runs the differential oracle. Phase spans attach under `tctx`.
+/// `opts.streaming` the checker observes the run online and the check
+/// phase shrinks to the finalize step; otherwise the check phase replays
+/// the buffered trace first. With `opts.diff` a healthy case also runs
+/// the differential oracle. Phase spans attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
@@ -650,6 +652,13 @@ pub(crate) fn execute_case(
         fastpath: None,
     };
 
+    let new_checker = || {
+        if opts.coverage {
+            StreamingChecker::with_coverage(tc, cfg)
+        } else {
+            StreamingChecker::new(tc, cfg)
+        }
+    };
     let t_sim = Instant::now();
     let mut outcome = match catch_unwind(AssertUnwindSafe(|| {
         run_case_opts(
@@ -658,13 +667,7 @@ pub(crate) fn execute_case(
             RunOptions {
                 budget: opts.case_cycle_budget,
                 snapshot_cache,
-                sink: opts.streaming.then(|| {
-                    Box::new(if opts.coverage {
-                        StreamingChecker::with_coverage(tc, cfg)
-                    } else {
-                        StreamingChecker::new(tc, cfg)
-                    }) as _
-                }),
+                checker: opts.streaming.then(new_checker),
                 fast_path: opts.fast_path,
                 trace: tctx,
             },
@@ -680,19 +683,11 @@ pub(crate) fn execute_case(
     let t_chk = Instant::now();
     let mut scan_span = tctx.span("scan");
     scan_span.arg("streaming", u64::from(opts.streaming));
-    let streamed: Option<Box<StreamingChecker>> = outcome
-        .platform
-        .core
-        .trace
-        .take_sink()
-        .and_then(|s| s.into_any().downcast::<StreamingChecker>().ok());
-    let (report, coverage) = match catch_unwind(AssertUnwindSafe(|| match streamed {
-        Some(checker) => checker.finish_coverage(tc, &outcome),
-        None if opts.coverage => {
-            let (report, cc) = check_case_coverage(tc, &outcome, cfg);
-            (report, Some(cc))
-        }
-        None => (check_case(tc, &outcome, cfg), None),
+    let streamed = outcome.checker.take();
+    let (report, coverage) = match catch_unwind(AssertUnwindSafe(|| {
+        let checker =
+            streamed.unwrap_or_else(|| replay(new_checker(), &outcome.platform.core.trace));
+        checker.finish_coverage(tc, &outcome)
     })) {
         Ok(out) => out,
         Err(panic) => return quarantined(format!("checker panic: {}", panic_message(&panic))),

@@ -31,11 +31,12 @@
 //! produces the paper's Table 3 vulnerability matrix; [`engine`] executes
 //! corpora on a fault-isolated, work-stealing worker pool with a JSONL
 //! event stream and aggregate metrics. Deep observability rides on top:
-//! [`provenance`] reconstructs each finding's *secret write → retention →
-//! observation* chain from the trace, [`coverage`] maps which of the
-//! plan's structure × transition × observer cells a campaign actually
-//! exercised (plus secret-residency windows), and [`metrics`] exposes
-//! campaign aggregates as Prometheus-text and JSON snapshots.
+//! [`provenance`] holds each finding's *secret write → retention →
+//! observation* chain, which the checker builds from the trace,
+//! [`coverage`] maps which of the plan's structure × transition ×
+//! observer cells a campaign actually exercised (plus secret-residency
+//! windows), and [`metrics`] exposes campaign aggregates as
+//! Prometheus-text and JSON snapshots.
 //!
 //! # Example
 //!

@@ -1,21 +1,18 @@
-//! Leak provenance: reconstructs, for each [`Finding`], the causal chain
-//! *secret write → residue retention → observing access* from the
-//! simulation trace.
+//! Leak provenance: the causal chain *secret write → residue retention →
+//! observing access* behind each [`Finding`](crate::report::Finding).
 //!
 //! The checker answers "**what** leaked **where**"; provenance answers
 //! "**how it got there**": which event first materialized the leaking
 //! state in the owner's domain, which structures retained it across the
-//! domain switch, and which access finally exposed it. Chains are
-//! attached to [`CheckReport::provenance`] and rendered by
-//! `teesec explain`.
+//! domain switch, and which access finally exposed it. The checker
+//! ([`StreamingChecker`](crate::stream::StreamingChecker)) builds the
+//! chains from its bounded provenance index and attaches them to
+//! [`CheckReport::provenance`](crate::report::CheckReport::provenance);
+//! `teesec explain` renders them.
 
 use serde::{Deserialize, Serialize};
 
-use teesec_uarch::trace::{Domain, Structure, TraceEvent, TraceEventKind};
-
-use crate::report::{CheckReport, Finding, Principle};
-use crate::runner::RunOutcome;
-use crate::secret::SecretCatalog;
+use teesec_uarch::trace::{Domain, Structure, TraceEventKind};
 
 /// One step of a provenance chain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,7 +36,9 @@ pub struct ProvenanceHop {
 /// lies in between.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProvenanceChain {
-    /// Index into [`CheckReport::findings`] this chain explains.
+    /// Index into
+    /// [`CheckReport::findings`](crate::report::CheckReport::findings) this
+    /// chain explains.
     pub finding_index: usize,
     /// Domain owning the leaked state.
     pub owner: Domain,
@@ -122,31 +121,6 @@ fn render_hop(hop: &ProvenanceHop) -> String {
     )
 }
 
-fn hop_from_event(e: &TraceEvent, action: String) -> ProvenanceHop {
-    ProvenanceHop {
-        cycle: e.cycle,
-        domain: e.domain,
-        structure: Some(e.structure),
-        pc: e.pc,
-        action,
-    }
-}
-
-/// `true` when `e` carries the 64-bit secret `value` — as a scalar
-/// read/write or embedded in a fill's line data.
-fn carries_secret(e: &TraceEvent, value: u64, secrets: &SecretCatalog) -> bool {
-    match &e.kind {
-        TraceEventKind::Write { value: v, .. } | TraceEventKind::Read { value: v, .. } => {
-            *v == value
-        }
-        TraceEventKind::Fill { data, .. } => secrets
-            .scan_bytes(data)
-            .iter()
-            .any(|(_, rec)| rec.value == value),
-        _ => false,
-    }
-}
-
 pub(crate) fn event_verb(kind: &TraceEventKind) -> &'static str {
     match kind {
         TraceEventKind::Fill { .. } => "fill carried the secret",
@@ -156,175 +130,4 @@ pub(crate) fn event_verb(kind: &TraceEventKind) -> &'static str {
         TraceEventKind::CounterBump { .. } => "counter bumped",
         TraceEventKind::DomainSwitch { .. } => "domain switch",
     }
-}
-
-/// Reconstructs the provenance chain for `report.findings[index]`.
-/// Returns `None` only when the finding's mechanism cannot be located in
-/// the trace at all (never for findings the bundled checker produces).
-pub fn trace_chain(
-    finding: &Finding,
-    index: usize,
-    outcome: &RunOutcome,
-    secrets: &SecretCatalog,
-) -> Option<ProvenanceChain> {
-    let events: Vec<&TraceEvent> = outcome.platform.core.trace.iter_events().collect();
-    let end_cycle = outcome.cycles;
-
-    // The observation: trace findings carry their own cycle; snapshot
-    // findings (cycle 0 or an LFB fill_cycle with no observing event) are
-    // residues still present when the run ended.
-    let (obs_cycle, obs_is_snapshot) = if finding.cycle == 0 || finding.pc.is_none() {
-        (end_cycle, true)
-    } else {
-        (finding.cycle, false)
-    };
-    let observation = ProvenanceHop {
-        cycle: obs_cycle,
-        domain: finding.observer,
-        structure: Some(finding.structure),
-        pc: if obs_is_snapshot { None } else { finding.pc },
-        action: if obs_is_snapshot {
-            format!(
-                "residue still valid in the {} when the run ended",
-                finding.structure.display_name()
-            )
-        } else {
-            format!(
-                "observing access in {:?} domain ({})",
-                finding.observer, finding.detail
-            )
-        },
-    };
-
-    let (owner, origin, retention) = match (&finding.secret, finding.principle) {
-        // Data leaks: follow the secret value through the trace.
-        (Some(rec), _) => {
-            let owner = rec.owner;
-            let carrying: Vec<&TraceEvent> = events
-                .iter()
-                .copied()
-                .filter(|e| e.cycle <= obs_cycle && carries_secret(e, rec.value, secrets))
-                .collect();
-            // Prefer the first materialization in the owner's own domain
-            // (the legitimate write); a secret that was *never* touched
-            // in-domain originates at its architectural seed.
-            let in_domain = carrying.iter().find(|e| e.domain == owner);
-            let origin = match in_domain {
-                Some(e) => {
-                    hop_from_event(e, format!("{} in its owner's domain", event_verb(&e.kind)))
-                }
-                None => ProvenanceHop {
-                    cycle: 0,
-                    domain: owner,
-                    structure: None,
-                    pc: None,
-                    action: format!(
-                        "secret {:#x} seeded at address {:#x} before the run",
-                        rec.value, rec.addr
-                    ),
-                },
-            };
-            // Retention: later events that dragged the secret into other
-            // structures, one hop per structure, observation excluded.
-            let mut seen = vec![origin.structure, Some(finding.structure)];
-            let mut retention = Vec::new();
-            for e in &carrying {
-                if e.cycle <= origin.cycle {
-                    continue;
-                }
-                if !obs_is_snapshot && e.cycle >= obs_cycle {
-                    break;
-                }
-                if seen.contains(&Some(e.structure)) {
-                    continue;
-                }
-                seen.push(Some(e.structure));
-                retention.push(hop_from_event(e, event_verb(&e.kind).to_string()));
-            }
-            // A snapshot residue's own arrival is part of the story too.
-            if obs_is_snapshot {
-                if let Some(arrival) = carrying
-                    .iter()
-                    .find(|e| e.structure == finding.structure && e.cycle > origin.cycle)
-                {
-                    retention.push(hop_from_event(
-                        arrival,
-                        format!("{} and was never flushed", event_verb(&arrival.kind)),
-                    ));
-                    retention.sort_by_key(|h| h.cycle);
-                }
-            }
-            (owner, origin, retention)
-        }
-        // Metadata leaks, branch predictors (M2): the enclave training
-        // write that installed the surviving entry.
-        (None, Principle::P2) if matches!(finding.structure, Structure::Ubtb | Structure::Ftb) => {
-            let train = events.iter().find(|e| {
-                e.structure == finding.structure
-                    && e.domain.is_enclave()
-                    && matches!(e.kind, TraceEventKind::Write { .. })
-                    && (finding.pc.is_none() || e.pc == finding.pc)
-            })?;
-            let owner = train.domain;
-            let origin = hop_from_event(
-                train,
-                "branch trained inside the enclave installed this entry".to_string(),
-            );
-            (owner, origin, Vec::new())
-        }
-        // Metadata leaks, counters (M1, HPC or its store-buffer spill):
-        // the first event bump accumulated during trusted execution.
-        (None, _) => {
-            let bump = events.iter().find(|e| {
-                e.structure == Structure::Hpc
-                    && e.domain.is_trusted()
-                    && e.cycle < obs_cycle
-                    && matches!(e.kind, TraceEventKind::CounterBump { .. })
-            })?;
-            let owner = bump.domain;
-            let origin = hop_from_event(
-                bump,
-                "first event counted during trusted execution".to_string(),
-            );
-            // The last trusted bump bounds the accumulation window.
-            let last = events.iter().rfind(|e| {
-                e.structure == Structure::Hpc
-                    && e.domain.is_trusted()
-                    && e.cycle < obs_cycle
-                    && e.cycle > bump.cycle
-                    && matches!(e.kind, TraceEventKind::CounterBump { .. })
-            });
-            let retention = last
-                .map(|e| {
-                    vec![hop_from_event(
-                        e,
-                        "last event counted during trusted execution".to_string(),
-                    )]
-                })
-                .unwrap_or_default();
-            (owner, origin, retention)
-        }
-    };
-
-    Some(ProvenanceChain {
-        finding_index: index,
-        owner,
-        observer: finding.observer,
-        retention_cycles: observation.cycle.saturating_sub(origin.cycle),
-        origin,
-        retention,
-        observation,
-    })
-}
-
-/// Reconstructs chains for every finding in `report` and attaches them to
-/// [`CheckReport::provenance`]. Findings whose mechanism cannot be located
-/// in the trace simply have no chain.
-pub fn annotate(report: &mut CheckReport, outcome: &RunOutcome, secrets: &SecretCatalog) {
-    report.provenance = report
-        .findings
-        .iter()
-        .enumerate()
-        .filter_map(|(i, f)| trace_chain(f, i, outcome, secrets))
-        .collect();
 }

@@ -30,8 +30,9 @@ use teesec_tee::sm::SmOptions;
 use teesec_trace::TraceCtx;
 use teesec_uarch::config::CoreConfig;
 use teesec_uarch::core::RunExit;
-use teesec_uarch::trace::TraceSink;
 
+use crate::checker::replay;
+use crate::stream::StreamingChecker;
 use crate::testcase::{lower_steps, TestCase};
 
 /// How a case's platform came to be: the snapshot-cache tier (if any)
@@ -79,6 +80,9 @@ pub struct RunOutcome {
     pub build_us: u128,
     /// Which build path produced the platform.
     pub build: BuildKind,
+    /// The checker passed in through [`RunOptions::checker`], having
+    /// observed every event of the run; `None` when none was passed.
+    pub checker: Option<StreamingChecker>,
 }
 
 /// Builds and runs `tc` on a core configured by `cfg`.
@@ -101,15 +105,14 @@ pub struct RunOptions<'c> {
     pub budget: Option<u64>,
     /// Fork the platform from a shared boot snapshot when one applies.
     pub snapshot_cache: Option<&'c SnapshotCache>,
-    /// Trace sink receiving every event online (e.g. a
-    /// [`StreamingChecker`](crate::stream::StreamingChecker)). When the
-    /// platform is snapshot-forked, events already simulated before the
-    /// fork are replayed into the sink first, so it observes the exact
-    /// sequence a fresh run would have produced. Attaching a sink turns
-    /// trace buffering off: the sink still sees every event, but peak
-    /// retained events stay O(boot prefix) instead of O(simulated
-    /// cycles). Without a sink the trace buffers every event.
-    pub sink: Option<Box<dyn TraceSink>>,
+    /// Checker fed every event as the run records it, handed back in
+    /// [`RunOutcome::checker`]. When the platform is snapshot-forked, the
+    /// events simulated before the fork are replayed into it first, so it
+    /// observes the exact sequence a fresh run would have produced. A
+    /// checker turns trace buffering off: peak retained events stay
+    /// O(boot prefix) instead of O(simulated cycles). Without one the
+    /// trace buffers every event, for [`check_case`](crate::check_case).
+    pub checker: Option<StreamingChecker>,
     /// Span-recording context: when its tracer is set, the run emits
     /// `build` and `simulate` spans (under the context's parent span)
     /// plus periodic `sim_cycles` counter samples.
@@ -127,7 +130,7 @@ pub struct RunOptions<'c> {
 const SIM_SAMPLE_CYCLES: u64 = 50_000;
 
 /// [`run_case`] with full control over budget, snapshot reuse, and
-/// streaming ([`RunOptions`]).
+/// online checking ([`RunOptions`]).
 ///
 /// # Errors
 ///
@@ -147,14 +150,12 @@ pub fn run_case_opts(
     if let Some(on) = opts.fast_path {
         platform.core.set_fast_path(on);
     }
-    if let Some(mut sink) = opts.sink.take() {
-        // A forked platform's buffer already holds the boot-prefix events
-        // (a fresh build's is empty): replay them so the sink sees the
-        // full event sequence from reset.
-        for e in platform.core.trace.iter_events() {
-            sink.on_event(e);
-        }
-        platform.core.trace.set_sink(sink);
+    if let Some(checker) = opts.checker.take() {
+        // A forked platform's buffer already holds the events simulated
+        // before the fork (a fresh build's is empty): replay them so the
+        // checker sees the full event sequence from reset.
+        let checker = replay(checker, &platform.core.trace);
+        platform.core.trace.set_sink(Box::new(checker));
         platform.core.trace.set_buffering(false);
     }
     build_span.arg("cache", build.label());
@@ -176,12 +177,21 @@ pub fn run_case_opts(
         platform.run(limit)
     };
     let cycles = platform.core.cycle;
+    // Forks never carry a sink (`Trace::clone` drops it), so the only one
+    // attached is the checker from `opts`.
+    let checker = platform.core.trace.take_sink().map(|sink| {
+        *sink
+            .into_any()
+            .downcast::<StreamingChecker>()
+            .expect("the runner attaches no sink but the checker")
+    });
     Ok(RunOutcome {
         platform,
         exit,
         cycles,
         build_us,
         build,
+        checker,
     })
 }
 
@@ -477,8 +487,7 @@ fn sm_options_for(tc: &TestCase, cfg: &CoreConfig) -> SmOptions {
 
 /// Lowers `tc` onto a fresh platform without running it. Building is
 /// deterministic: two calls with the same inputs produce identical memory
-/// images and reset state — the property the differential oracle relies on
-/// to seed its reference ISS with the core's exact initial memory.
+/// images and reset state.
 ///
 /// # Errors
 ///

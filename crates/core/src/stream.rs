@@ -1,17 +1,19 @@
-//! Online (streaming) checking: consume [`TraceEvent`]s as the core emits
-//! them instead of scanning a fully buffered trace after the run.
+//! The TEESec checker's event pass: [`StreamingChecker`] consumes
+//! [`TraceEvent`]s one at a time, online from a trace sink while the core
+//! runs or replayed from a buffered trace
+//! ([`check_case`](crate::checker::check_case)), and builds the complete
+//! [`CheckReport`] from bounded memory.
 //!
 //! Two layers live here:
 //!
-//! - `ScanState`: the per-event finding state machine. It is the *single*
-//!   implementation of the checker's trace scan — the batch
-//!   [`check_case`](crate::checker::check_case) drives it over the buffered
-//!   trace, and the streaming checker drives it from a trace sink — so
-//!   batch and streaming findings are identical by construction.
-//! - [`StreamingChecker`]: a [`TraceSink`] wrapping `ScanState` plus an
-//!   online provenance index, producing a complete [`CheckReport`] (equal,
-//!   field for field, to the batch pipeline's) from bounded memory: the
-//!   trace itself is never buffered.
+//! - `ScanState`: the per-event finding state machine for principles P1
+//!   and P2 (register-file writes, fills, counters, the store buffer).
+//! - `ProvIndex`: the provenance index, a handful of "first event"
+//!   records per secret and structure from which every finding's
+//!   *origin → retention → observation* chain is built without keeping
+//!   the trace. `tests/common/provenance_oracle.rs` rebuilds the same
+//!   chains from the whole trace, and the equivalence suites compare the
+//!   two.
 //!
 //! The memory bound relies on one trace invariant: event cycles are
 //! nondecreasing (events are recorded as the simulation advances). That
@@ -19,12 +21,12 @@
 //! O(1) state per (secret, structure) pair, because a first-in-order event
 //! is also minimal-in-cycle.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use teesec_uarch::config::CoreConfig;
 use teesec_uarch::trace::{Domain, FillPurpose, Structure, TraceEvent, TraceEventKind, TraceSink};
 
-use crate::checker::{authorized, classify_rf, finding_key, scan_snapshot};
+use crate::checker::{authorized, classify_rf, finding_key, scan_snapshot, FindingKey};
 use crate::coverage::{CaseCoverage, CellKey, CoverageTracker};
 use crate::provenance::{event_verb, ProvenanceChain, ProvenanceHop};
 use crate::report::{CheckReport, Finding, LeakClass, Principle};
@@ -35,9 +37,10 @@ use crate::testcase::TestCase;
 const NS: usize = 14; // Structure::all().len()
 
 /// One scanned finding slot. Register-file leaks from an enclave to the
-/// untrusted host cannot be classified online (D4 vs D8 depends on whether
-/// the store buffer *ever* forwards the value, including later in the run),
-/// so those stay pending until [`ScanState::into_findings`].
+/// untrusted host cannot be classified when pushed (D4 vs D8 depends on
+/// whether the store buffer *ever* forwards the value, including later in
+/// the run), so those stay pending until [`ScanState::into_findings`].
+#[derive(Debug)]
 struct Slot {
     finding: Finding,
     /// `Some(secret value)` while the D4/D8 classification is pending.
@@ -47,22 +50,21 @@ struct Slot {
     pending_cell: Option<CellKey>,
 }
 
-/// The checker's per-event trace-scan state machine (shared by the batch
-/// and streaming pipelines).
+/// The checker's per-event trace-scan state machine.
+#[derive(Debug)]
 pub(crate) struct ScanState {
     mcounteren: u64,
-    secrets: SecretCatalog,
     tainted: Vec<bool>,
     /// Values returned by privileged counter reads that should have been
-    /// rejected (Figure 6). The batch predicate also compares cycles, but
-    /// with nondecreasing cycles every previously recorded read satisfies
-    /// it, so value membership is sufficient.
+    /// rejected (Figure 6). A read must precede the spill that exposes it;
+    /// with nondecreasing cycles every previously recorded read does, so
+    /// value membership is sufficient.
     transient_read_values: HashSet<u64>,
     /// Secret values the store buffer forwarded to a load (D8 evidence).
     sb_forwarded_secrets: HashSet<u64>,
     /// Secret addresses with a pending enclave→host register-file finding.
     pending_rf_addrs: HashSet<u64>,
-    dedup: BTreeSet<String>,
+    dedup: HashSet<FindingKey>,
     slots: Vec<Slot>,
     events_seen: u64,
     /// Plan-coverage recorder; `None` unless coverage recording was
@@ -71,15 +73,14 @@ pub(crate) struct ScanState {
 }
 
 impl ScanState {
-    pub(crate) fn new(mcounteren: u64, hpm_counters: usize, secrets: SecretCatalog) -> ScanState {
+    pub(crate) fn new(mcounteren: u64, hpm_counters: usize) -> ScanState {
         ScanState {
             mcounteren,
-            secrets,
             tainted: vec![false; hpm_counters],
             transient_read_values: HashSet::new(),
             sb_forwarded_secrets: HashSet::new(),
             pending_rf_addrs: HashSet::new(),
-            dedup: BTreeSet::new(),
+            dedup: HashSet::new(),
             slots: Vec::new(),
             events_seen: 0,
             coverage: None,
@@ -113,8 +114,9 @@ impl ScanState {
         &self.slots[i].finding
     }
 
-    /// Feeds one trace event through the scan.
-    pub(crate) fn on_event(&mut self, e: &TraceEvent) {
+    /// Feeds one trace event through the scan; `secrets` is the case's
+    /// indexed catalog.
+    pub(crate) fn on_event(&mut self, e: &TraceEvent, secrets: &SecretCatalog) {
         self.events_seen += 1;
         // Coverage first: a domain switch must advance the transition
         // window before any finding this event pushes is attributed.
@@ -124,7 +126,7 @@ impl ScanState {
         match (&e.structure, &e.kind) {
             // ---- P1: verbatim secrets in the register file -----------------
             (Structure::RegFile, TraceEventKind::Write { value, .. }) => {
-                if let Some(rec) = self.secrets.identify(*value) {
+                if let Some(rec) = secrets.identify(*value) {
                     if !authorized(rec.owner, e.domain) {
                         let detail = format!(
                             "secret written back to the register file in {:?} domain (owner {:?})",
@@ -175,7 +177,7 @@ impl ScanState {
                     purpose,
                 },
             ) => {
-                for (off, rec) in self.secrets.scan_bytes(data) {
+                for (off, rec) in secrets.scan_bytes(data) {
                     if authorized(rec.owner, e.domain) {
                         continue;
                     }
@@ -274,7 +276,7 @@ impl ScanState {
                 // Also: verbatim secrets entering the store buffer outside
                 // their owner's domain (enclave stores drain under host
                 // execution are authorized — owner wrote them).
-                if let Some(rec) = self.secrets.identify(*value) {
+                if let Some(rec) = secrets.identify(*value) {
                     if !authorized(rec.owner, e.domain) {
                         self.push(Finding {
                             class: None,
@@ -291,7 +293,7 @@ impl ScanState {
                 }
             }
             (Structure::StoreBuffer, TraceEventKind::Read { value, .. })
-                if self.secrets.identify(*value).is_some() =>
+                if secrets.identify(*value).is_some() =>
             {
                 self.sb_forwarded_secrets.insert(*value);
             }
@@ -301,9 +303,10 @@ impl ScanState {
 
     /// Resolves pending register-file classifications and returns the
     /// findings plus the dedup key set (carried into the snapshot scan so
-    /// trace-time findings suppress equivalent residue findings, exactly
-    /// as the single-pass batch scan does).
-    pub(crate) fn into_findings(self) -> (Vec<Finding>, BTreeSet<String>, Option<CoverageTracker>) {
+    /// trace-time findings suppress equivalent residue findings).
+    pub(crate) fn into_findings(
+        self,
+    ) -> (Vec<Finding>, HashSet<FindingKey>, Option<CoverageTracker>) {
         let mut dedup = self.dedup;
         let mut coverage = self.coverage;
         let sb_forwarded_secrets = self.sb_forwarded_secrets;
@@ -371,6 +374,7 @@ impl PEvent {
 /// Per-secret carrier summary: the handful of "first event" records that
 /// fully determine a data leak's provenance chain under the nondecreasing-
 /// cycle invariant. O(structures) memory per secret.
+#[derive(Debug)]
 struct SecretProv {
     addr: u64,
     value: u64,
@@ -384,9 +388,9 @@ struct SecretProv {
     firsts_after: [Option<PEvent>; NS],
 }
 
-/// Online provenance index: everything
-/// [`provenance::trace_chain`](crate::provenance::trace_chain) derives from
-/// the buffered trace, maintained incrementally in bounded memory.
+/// Provenance index: the first events every provenance chain is built
+/// from, maintained incrementally in bounded memory.
+#[derive(Debug)]
 struct ProvIndex {
     by_value: HashMap<u64, SecretProv>,
     /// First trusted-domain counter bump (M1 chain origin).
@@ -485,6 +489,19 @@ impl ProvIndex {
             self.m2_first_any.entry(e.structure).or_insert(pe);
         }
     }
+
+    /// The (first, last) trusted counter bumps strictly before `obs_cycle`
+    /// among the events observed so far: the window an M1 chain reports.
+    fn m1_window(&self, obs_cycle: u64) -> Option<(PEvent, Option<PEvent>)> {
+        let first = self.first_bump.filter(|b| b.cycle < obs_cycle)?;
+        let candidate = match self.latest_bump {
+            Some(l) if l.cycle < obs_cycle => Some(l),
+            Some(_) => self.latest_bump_prev,
+            None => None,
+        };
+        let last = candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle);
+        Some((first, last))
+    }
 }
 
 impl SecretProv {
@@ -504,10 +521,12 @@ impl SecretProv {
     }
 }
 
-/// An online checker: attach it to a core's trace as a [`TraceSink`]
-/// (typically with buffering disabled), run the case, then call
-/// [`StreamingChecker::finish`] to obtain a [`CheckReport`] identical to
-/// the batch [`check_case`](crate::checker::check_case) result.
+/// The TEESec checker. It observes every trace event of one run, online
+/// as the run's [`TraceSink`] (pass it in through
+/// [`RunOptions::checker`](crate::runner::RunOptions::checker)) or replayed
+/// from a buffered trace ([`check_case`](crate::checker::check_case)); then
+/// [`StreamingChecker::finish`] scans the end-of-run snapshot and returns
+/// the [`CheckReport`].
 ///
 /// ```
 /// use teesec::paths::AccessPath;
@@ -520,6 +539,7 @@ impl SecretProv {
 /// let checker = StreamingChecker::new(&tc, &cfg);
 /// assert_eq!(checker.events_seen(), 0);
 /// ```
+#[derive(Debug)]
 pub struct StreamingChecker {
     case: String,
     path: crate::paths::AccessPath,
@@ -534,7 +554,7 @@ pub struct StreamingChecker {
 }
 
 impl StreamingChecker {
-    /// Creates a streaming checker for one test case on one design.
+    /// Creates a checker for one test case on one design.
     pub fn new(tc: &TestCase, cfg: &CoreConfig) -> StreamingChecker {
         let mut secrets = tc.secrets.clone();
         secrets.reindex();
@@ -542,7 +562,7 @@ impl StreamingChecker {
             case: tc.name.clone(),
             path: tc.path,
             design: cfg.name.clone(),
-            scan: ScanState::new(tc.mcounteren, cfg.hpm_counters, secrets.clone()),
+            scan: ScanState::new(tc.mcounteren, cfg.hpm_counters),
             prov: ProvIndex::new(&secrets),
             secrets,
             m1_at_push: HashMap::new(),
@@ -559,15 +579,10 @@ impl StreamingChecker {
         checker
     }
 
-    /// Trace events observed so far (the streaming analog of a buffered
-    /// trace's length — useful for memory-bound assertions).
+    /// Trace events observed so far (the length of the trace the checker
+    /// has seen, whether or not anything buffered it).
     pub fn events_seen(&self) -> u64 {
         self.scan.events_seen
-    }
-
-    /// Findings discovered so far (pending classifications included).
-    pub fn findings_so_far(&self) -> usize {
-        self.scan.finding_count()
     }
 
     fn observe(&mut self, e: &TraceEvent) {
@@ -580,31 +595,18 @@ impl StreamingChecker {
         self.prov.observe(e, &self.secrets);
 
         let before = self.scan.finding_count();
-        self.scan.on_event(e);
+        self.scan.on_event(e, &self.secrets);
         // Capture the M1 accumulation window for metadata findings at push
         // time: their observation cycle is this event's cycle, and the
         // "last trusted bump before it" is only cheap to answer *now*.
         for i in before..self.scan.finding_count() {
             let f = self.scan.finding(i);
             if f.secret.is_none() && !matches!(f.structure, Structure::Ubtb | Structure::Ftb) {
-                if let Some(chain) = self.m1_window(f.cycle) {
+                if let Some(chain) = self.prov.m1_window(f.cycle) {
                     self.m1_at_push.insert(i, chain);
                 }
             }
         }
-    }
-
-    /// The (first, last) trusted counter bumps strictly before `obs_cycle`,
-    /// per the batch chain's window query.
-    fn m1_window(&self, obs_cycle: u64) -> Option<(PEvent, Option<PEvent>)> {
-        let first = self.prov.first_bump.filter(|b| b.cycle < obs_cycle)?;
-        let candidate = match self.prov.latest_bump {
-            Some(l) if l.cycle < obs_cycle => Some(l),
-            Some(_) => self.prov.latest_bump_prev,
-            None => None,
-        };
-        let last = candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle);
-        Some((first, last))
     }
 
     /// Finalizes the scan: resolves pending classifications, runs the
@@ -677,9 +679,9 @@ impl TraceSink for StreamingChecker {
     }
 }
 
-/// Reconstructs the provenance chain for `findings[index]` from the online
-/// index — the bounded-memory equivalent of
-/// [`provenance::trace_chain`](crate::provenance::trace_chain).
+/// Builds the provenance chain for `findings[index]` from the index.
+/// Returns `None` only when the finding's mechanism left no event in the
+/// trace (never for findings this checker produces).
 fn chain_for(
     finding: &Finding,
     index: usize,
@@ -743,8 +745,7 @@ fn chain_for(
                 ),
             };
             // Retention: the first carrier per structure between origin
-            // and observation, in trace order (first-per-structure is
-            // exactly what the batch seen-set loop keeps).
+            // and observation, in trace order.
             let mut carriers: Vec<&PEvent> = candidates
                 .iter()
                 .flatten()
@@ -788,16 +789,7 @@ fn chain_for(
             let (first, last) = if !obs_is_snapshot && index < slot_count {
                 *m1_at_push.get(&index)?
             } else {
-                let first = prov.first_bump.filter(|b| b.cycle < obs_cycle)?;
-                let candidate = match prov.latest_bump {
-                    Some(l) if l.cycle < obs_cycle => Some(l),
-                    Some(_) => prov.latest_bump_prev,
-                    None => None,
-                };
-                (
-                    first,
-                    candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle),
-                )
+                prov.m1_window(obs_cycle)?
             };
             let retention = last
                 .map(|e| vec![e.hop("last event counted during trusted execution".to_string())])

@@ -57,7 +57,6 @@ pub struct PlatformBuilder<'a> {
     enclaves: Vec<Option<CodeGen<'a>>>,
     seeds: Vec<(u64, Vec<u8>)>,
     irq_at: Option<u64>,
-    trace_enabled: bool,
 }
 
 /// Errors produced while building a platform image.
@@ -115,7 +114,6 @@ impl<'a> PlatformBuilder<'a> {
             enclaves: (0..layout::MAX_ENCLAVES).map(|_| None).collect(),
             seeds: Vec::new(),
             irq_at: None,
-            trace_enabled: true,
         }
     }
 
@@ -164,12 +162,6 @@ impl<'a> PlatformBuilder<'a> {
         self
     }
 
-    /// Disables trace recording (throughput benchmarks).
-    pub fn without_trace(mut self) -> Self {
-        self.trace_enabled = false;
-        self
-    }
-
     /// Assembles every region and boots a core.
     ///
     /// # Errors
@@ -193,7 +185,6 @@ impl<'a> PlatformBuilder<'a> {
         }
 
         let mut core = Core::new(self.core_config, mem, layout::SM_BASE);
-        core.trace.set_enabled(self.trace_enabled);
         if let Some(at) = self.irq_at {
             core.schedule_external_interrupt(at);
         }
@@ -224,11 +215,6 @@ impl<'a> PlatformBuilder<'a> {
             core.mem.write_bytes(addr, &bytes);
         }
 
-        if !self.trace_enabled {
-            // Match a fresh `.without_trace()` build: nothing recorded.
-            core.trace.clear();
-            core.trace.set_enabled(false);
-        }
         if let Some(at) = self.irq_at {
             core.schedule_external_interrupt(at);
         }
@@ -402,12 +388,6 @@ impl PlatformSnapshot {
     /// amortizes, surfaced in the snapshot-cache metrics.
     pub fn capture_us(&self) -> u64 {
         self.capture_us
-    }
-
-    /// The boot-prefix trace events a fork starts with (replayed into a
-    /// streaming sink before live events arrive).
-    pub fn boot_events(&self) -> impl Iterator<Item = &teesec_uarch::trace::TraceEvent> {
-        self.core.trace.iter_events()
     }
 }
 

@@ -471,11 +471,6 @@ impl Trace {
         self.buffering = on;
     }
 
-    /// Whether recorded events are retained in the buffer.
-    pub fn is_buffering(&self) -> bool {
-        self.buffering
-    }
-
     /// Attaches an online event consumer (replacing any previous one).
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
@@ -555,14 +550,6 @@ impl Trace {
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Discards all recorded events (frozen and live) and resets the
-    /// running stats.
-    pub fn clear(&mut self) {
-        self.frozen = None;
-        self.events.clear();
-        self.stats = TraceStats::default();
     }
 }
 
@@ -677,8 +664,6 @@ mod tests {
         assert_eq!(s.events_for(Structure::Hpc), 1);
         assert_eq!(s.domain_switches(), 1);
         assert_eq!(s.total(), 4);
-        t.clear();
-        assert_eq!(t.stats().total(), 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! on both designs, with the fast path forced on and off, this suite
 //! compares the serialized [`CheckReport`] (which embeds the provenance
 //! chains), the per-case [`CaseCoverage`], and the microarchitectural
-//! counter digest — through both the batch and the streaming pipeline.
+//! counter digest. The checker is fed two ways: replaying a buffered
+//! trace (`check_case_coverage`) and online while the case runs, from
+//! snapshot-forked platforms with no trace buffering.
 //!
 //! The fast path is elision-only by construction; this harness is the
 //! lock on that construction.
@@ -17,7 +19,7 @@ use teesec::testcase::TestCase;
 use teesec::Fuzzer;
 use teesec_uarch::CoreConfig;
 
-/// Batch pipeline under a forced fast-path setting: serialized report
+/// Buffered replay under a forced fast-path setting: serialized report
 /// (findings + provenance chains), coverage, and counter digest.
 fn batch_outputs(tc: &TestCase, cfg: &CoreConfig, fast: bool) -> (String, String, String) {
     let outcome = run_case_opts(
@@ -42,8 +44,8 @@ fn batch_outputs(tc: &TestCase, cfg: &CoreConfig, fast: bool) -> (String, String
     )
 }
 
-/// Streaming pipeline (online checker, no trace buffering, snapshot
-/// forks) under a forced fast-path setting.
+/// Online checking (no trace buffering, snapshot forks) under a forced
+/// fast-path setting.
 fn streaming_outputs(
     tc: &TestCase,
     cfg: &CoreConfig,
@@ -55,21 +57,13 @@ fn streaming_outputs(
         cfg,
         RunOptions {
             snapshot_cache: Some(cache),
-            sink: Some(Box::new(StreamingChecker::with_coverage(tc, cfg))),
+            checker: Some(StreamingChecker::with_coverage(tc, cfg)),
             fast_path: Some(fast),
             ..RunOptions::default()
         },
     )
     .expect("streaming build");
-    let checker = outcome
-        .platform
-        .core
-        .trace
-        .take_sink()
-        .expect("sink survives the run")
-        .into_any()
-        .downcast::<StreamingChecker>()
-        .expect("sink is the streaming checker");
+    let checker = outcome.checker.take().expect("the run returns its checker");
     let (report, coverage) = checker.finish_coverage(tc, &outcome);
     (
         serde_json::to_string(&report).expect("report serializes"),

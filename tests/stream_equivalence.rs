@@ -1,8 +1,11 @@
-//! Streaming-vs-batch equivalence: the online [`StreamingChecker`] fed
-//! from a trace sink (no trace buffering) must produce a byte-identical
-//! [`CheckReport`] to the batch `check_case` pipeline, and platforms
-//! forked from a copy-on-write boot snapshot must be indistinguishable
-//! from freshly-built ones.
+//! Online-vs-buffered equivalence: the [`StreamingChecker`] fed online
+//! while the case runs (no trace buffering, snapshot-forked platforms)
+//! must produce a byte-identical [`CheckReport`] to the same checker
+//! replaying a fresh run's buffered trace (`check_case`), every
+//! provenance chain must equal the whole-trace reconstruction in
+//! `common/provenance_oracle.rs`, and platforms forked from a
+//! copy-on-write boot snapshot must be indistinguishable from
+//! freshly-built ones.
 
 use teesec::checker::check_case;
 use teesec::report::CheckReport;
@@ -12,9 +15,22 @@ use teesec::testcase::TestCase;
 use teesec::Fuzzer;
 use teesec_uarch::CoreConfig;
 
+#[path = "common/provenance_oracle.rs"]
+mod provenance_oracle;
+
+/// `check_case` on a fresh build, with its provenance checked against
+/// the whole-trace oracle.
 fn batch_report(tc: &TestCase, cfg: &CoreConfig) -> CheckReport {
     let outcome = run_case(tc, cfg).expect("batch build");
-    check_case(tc, &outcome, cfg)
+    let report = check_case(tc, &outcome, cfg);
+    assert_eq!(
+        report.provenance,
+        provenance_oracle::chains(tc, &report.findings, &outcome),
+        "case {} on {}: provenance differs from the oracle",
+        tc.name,
+        cfg.name
+    );
+    report
 }
 
 fn streaming_report(tc: &TestCase, cfg: &CoreConfig, cache: Option<&SnapshotCache>) -> CheckReport {
@@ -23,27 +39,19 @@ fn streaming_report(tc: &TestCase, cfg: &CoreConfig, cache: Option<&SnapshotCach
         cfg,
         RunOptions {
             snapshot_cache: cache,
-            sink: Some(Box::new(StreamingChecker::new(tc, cfg))),
+            checker: Some(StreamingChecker::new(tc, cfg)),
             ..RunOptions::default()
         },
     )
     .expect("streaming build");
-    let checker = outcome
-        .platform
-        .core
-        .trace
-        .take_sink()
-        .expect("sink survives the run")
-        .into_any()
-        .downcast::<StreamingChecker>()
-        .expect("sink is the streaming checker");
+    let checker = outcome.checker.take().expect("the run returns its checker");
     checker.finish(tc, &outcome)
 }
 
-/// The tentpole equivalence guarantee: over the full default corpus, on
-/// both designs, the streaming pipeline (snapshot-forked platforms, no
-/// trace buffering, online checking) serializes to the byte-identical
-/// report the batch pipeline produces.
+/// The equivalence guarantee: over the full default corpus, on both
+/// designs, the online checker (snapshot-forked platforms, no trace
+/// buffering) serializes to the byte-identical report the buffered replay
+/// produces, and that report's provenance equals the oracle's.
 #[test]
 fn streaming_reports_are_byte_identical_to_batch_on_both_designs() {
     for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
@@ -132,20 +140,15 @@ fn streaming_coverage_is_byte_identical_to_batch_on_both_designs() {
                 &cfg,
                 RunOptions {
                     snapshot_cache: Some(&cache),
-                    sink: Some(Box::new(StreamingChecker::with_coverage(tc, &cfg))),
+                    checker: Some(StreamingChecker::with_coverage(tc, &cfg)),
                     ..RunOptions::default()
                 },
             )
             .expect("streaming build");
             let checker = stream_outcome
-                .platform
-                .core
-                .trace
-                .take_sink()
-                .expect("sink survives the run")
-                .into_any()
-                .downcast::<StreamingChecker>()
-                .expect("sink is the streaming checker");
+                .checker
+                .take()
+                .expect("the run returns its checker");
             let (_, stream_cov) = checker.finish_coverage(tc, &stream_outcome);
             let stream_cov = stream_cov.expect("coverage recording was on");
 

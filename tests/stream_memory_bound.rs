@@ -31,25 +31,17 @@ fn padded_case(name: &str, nops: u32) -> TestCase {
     tc
 }
 
-fn streaming_run(tc: &TestCase, cfg: &CoreConfig) -> (RunOutcome, Box<StreamingChecker>) {
+fn streaming_run(tc: &TestCase, cfg: &CoreConfig) -> (RunOutcome, StreamingChecker) {
     let mut outcome = run_case_opts(
         tc,
         cfg,
         RunOptions {
-            sink: Some(Box::new(StreamingChecker::new(tc, cfg))),
+            checker: Some(StreamingChecker::new(tc, cfg)),
             ..RunOptions::default()
         },
     )
     .expect("streaming build");
-    let checker = outcome
-        .platform
-        .core
-        .trace
-        .take_sink()
-        .expect("sink survives the run")
-        .into_any()
-        .downcast::<StreamingChecker>()
-        .expect("sink is the streaming checker");
+    let checker = outcome.checker.take().expect("the run returns its checker");
     (outcome, checker)
 }
 

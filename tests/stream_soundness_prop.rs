@@ -1,8 +1,9 @@
-//! Property-based soundness for the PR 4 streaming/snapshot machinery:
+//! Property-based soundness for the online checker and snapshots:
 //!
-//! * the online [`StreamingChecker`] never reports *fewer* findings than
-//!   the batch `check_case` pipeline on the same run — and in fact the
-//!   two reports serialize byte-identically;
+//! * the [`StreamingChecker`] fed online never reports *fewer* findings
+//!   than `check_case` replaying a buffered run of the same case — and in
+//!   fact the two reports serialize byte-identically, with every
+//!   provenance chain equal to the whole-trace oracle's;
 //! * snapshotting a core mid-run (a copy-on-write clone) and then letting
 //!   it run to completion is state-identical to the uninterrupted run.
 
@@ -24,6 +25,9 @@ use teesec_uarch::CoreConfig;
 mod gadgets;
 use gadgets::{gadget_program, BASE, DATA};
 
+#[path = "common/provenance_oracle.rs"]
+mod provenance_oracle;
+
 static BOOM_CORPUS: OnceLock<Vec<TestCase>> = OnceLock::new();
 static XS_CORPUS: OnceLock<Vec<TestCase>> = OnceLock::new();
 
@@ -39,8 +43,9 @@ fn corpus(cfg: &CoreConfig) -> &'static [TestCase] {
 
 proptest! {
     /// Soundness: on fuzzer-shaped cases with randomly perturbed setup
-    /// parameters, the streaming checker reports at least as many findings
-    /// as the batch pipeline — and the full reports are byte-identical.
+    /// parameters, the online checker reports at least as many findings
+    /// as the buffered replay — the full reports are byte-identical, and
+    /// the replay's provenance equals the oracle's.
     #[test]
     fn streaming_never_reports_fewer_findings_than_batch(
         idx in any::<usize>(),
@@ -58,25 +63,25 @@ proptest! {
 
         let batch_outcome = run_case(&tc, &cfg).expect("batch build");
         let batch = check_case(&tc, &batch_outcome, &cfg);
+        prop_assert_eq!(
+            &batch.provenance,
+            &provenance_oracle::chains(&tc, &batch.findings, &batch_outcome),
+            "{} on {}: provenance differs from the oracle", tc.name, cfg.name
+        );
 
         let mut stream_outcome = run_case_opts(
             &tc,
             &cfg,
             RunOptions {
-                sink: Some(Box::new(StreamingChecker::new(&tc, &cfg))),
+                checker: Some(StreamingChecker::new(&tc, &cfg)),
                 ..RunOptions::default()
             },
         )
         .expect("streaming build");
         let checker = stream_outcome
-            .platform
-            .core
-            .trace
-            .take_sink()
-            .expect("sink survives the run")
-            .into_any()
-            .downcast::<StreamingChecker>()
-            .expect("sink is the streaming checker");
+            .checker
+            .take()
+            .expect("the run returns its checker");
         let stream = checker.finish(&tc, &stream_outcome);
 
         prop_assert!(
