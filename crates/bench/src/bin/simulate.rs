@@ -1,10 +1,10 @@
 //! `simulate` — the fast-path on/off A/B microbench (figures in
 //! EXPERIMENTS.md, section "The fast-path simulator").
 //!
-//! Runs the same fuzzer-generated corpus through the engine twice per
-//! design — once with the fast-path simulator forced OFF (the reference
-//! path: decode every fetch, rescan every stalled ROB entry every cycle,
-//! deep-copy the trace on snapshot forks) and once forced ON — and
+//! Runs the same fuzzer-generated corpus through the production engine
+//! twice per design — once with the fast-path simulator forced OFF (the
+//! reference path: decode every fetch, rescan every stalled ROB entry
+//! every cycle, retry every blocked LSU access) and once forced ON — and
 //! reports the median-of-3 end-to-end wall time of each arm plus the
 //! off/on speedup. The two arms are byte-identical on every
 //! checker-visible output (reports, coverage, counter digests,

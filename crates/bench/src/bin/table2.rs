@@ -5,7 +5,14 @@
 //! simulation on a Xeon; ours is a Rust core model), but the *shape* holds:
 //! the verification plan is a one-time cost, construction is cheap, and
 //! simulation dominates per-case time.
+//!
+//! The paper simulates, then checks the log: two sequential phases. So this
+//! binary names the engine's sequential arm, with the streaming checker
+//! and the snapshot cache off, to time each phase on its own row.
 
+use teesec::campaign::Campaign;
+use teesec::engine::EngineOptions;
+use teesec::fuzz::Fuzzer;
 use teesec::gadgets::{catalog, GadgetKind};
 
 fn main() {
@@ -35,11 +42,12 @@ fn main() {
         teesec_uarch::CoreConfig::xiangshan(),
     ] {
         let name = cfg.name.clone();
-        let result = teesec_bench::run_design(
-            cfg,
-            teesec_uarch::config::MitigationSet::default(),
-            opts.cases,
-        );
+        let (result, _) =
+            Campaign::new(cfg, Fuzzer::with_target(opts.cases)).run_engine(EngineOptions {
+                streaming: false,
+                snapshot_cache: false,
+                ..EngineOptions::default()
+            });
         let t = result.timing;
         let per_case_us =
             (t.construct_us + t.simulate_us + t.check_us) / result.case_count.max(1) as u128;

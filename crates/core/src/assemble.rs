@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use teesec_isa::inst::MemWidth;
-use teesec_tee::enclave::LifecycleTracker;
+use teesec_tee::enclave::{InvalidTransition, LifecycleTracker};
 use teesec_tee::layout;
 use teesec_tee::SbiCall;
 use teesec_uarch::config::CoreConfig;
@@ -106,6 +106,13 @@ pub enum SkipReason {
     InvalidCombo,
 }
 
+/// A TEE-API order the lifecycle model rejects is an invalid combination.
+impl From<InvalidTransition> for SkipReason {
+    fn from(_: InvalidTransition) -> SkipReason {
+        SkipReason::InvalidCombo
+    }
+}
+
 /// The number of distinct secrets each case seeds in the victim region.
 const SECRET_COUNT: u64 = 4;
 
@@ -181,7 +188,7 @@ pub fn assemble_case(
             assemble_ptw_legal_case(&mut tc, path, &params, &mut lc)?
         }
         AccessPath::PtwPoisonedRoot => assemble_ptw_poisoned_case(&mut tc, &params, &mut lc)?,
-        AccessPath::PrefetchNextLine => assemble_prefetch_case(&mut tc, &params, &mut lc)?,
+        AccessPath::PrefetchNextLine => assemble_prefetch_case(&mut tc, &mut lc)?,
         AccessPath::SmScrub => assemble_scrub_case(&mut tc, &params, &mut lc)?,
         AccessPath::HpcRead => assemble_hpc_case(&mut tc, &params, cfg, &mut lc)?,
         AccessPath::BtbLookup => assemble_btb_case(&mut tc, &params, &mut lc)?,
@@ -261,53 +268,20 @@ fn run_victim_enclave(
             gadgets::enc_mem_to_l1(tc, 0, p.offset, SECRET_COUNT);
         }
     }
-    sbi(tc, lc, SbiCall::CreateEnclave, 0)?;
-    sbi(tc, lc, SbiCall::RunEnclave, 0)?;
+    gadgets::create_enclave(tc, lc, 0)?;
+    gadgets::run_enclave(tc, lc, 0)?;
     match p.lifecycle {
         Lifecycle::Stop => {
             // Implicit terminator stops the enclave.
-            lc.apply(0, SbiCall::StopEnclave)
-                .map_err(|_| SkipReason::InvalidCombo)?;
+            lc.apply(0, SbiCall::StopEnclave)?;
         }
         Lifecycle::StopResumeStop => {
-            tc.push(
-                Actor::Enclave(0),
-                Step::Sbi {
-                    call: SbiCall::StopEnclave,
-                    enclave: 0,
-                },
-            );
-            lc.apply(0, SbiCall::StopEnclave)
-                .map_err(|_| SkipReason::InvalidCombo)?;
-            sbi(tc, lc, SbiCall::ResumeEnclave, 0)?;
-            lc.apply(0, SbiCall::StopEnclave)
-                .map_err(|_| SkipReason::InvalidCombo)?;
+            gadgets::stop_enclave(tc, lc, 0)?;
+            gadgets::resume_enclave(tc, lc, 0)?;
+            lc.apply(0, SbiCall::StopEnclave)?;
         }
-        Lifecycle::Exit => {
-            tc.push(
-                Actor::Enclave(0),
-                Step::Sbi {
-                    call: SbiCall::ExitEnclave,
-                    enclave: 0,
-                },
-            );
-            lc.apply(0, SbiCall::ExitEnclave)
-                .map_err(|_| SkipReason::InvalidCombo)?;
-        }
+        Lifecycle::Exit => gadgets::exit_enclave(tc, lc, 0)?,
     }
-    Ok(())
-}
-
-/// Emits a host-side SBI call and checks it against the lifecycle model.
-fn sbi(
-    tc: &mut TestCase,
-    lc: &mut LifecycleTracker,
-    call: SbiCall,
-    enclave: u64,
-) -> Result<(), SkipReason> {
-    lc.apply(enclave as usize, call)
-        .map_err(|_| SkipReason::InvalidCombo)?;
-    tc.push(Actor::Host, Step::Sbi { call, enclave });
     Ok(())
 }
 
@@ -362,10 +336,9 @@ fn dispatch_attacker(
     lc: &mut LifecycleTracker,
 ) -> Result<(), SkipReason> {
     if p.attacker == Attacker::Enclave1 {
-        sbi(tc, lc, SbiCall::CreateEnclave, 1)?;
-        sbi(tc, lc, SbiCall::RunEnclave, 1)?;
-        lc.apply(1, SbiCall::StopEnclave)
-            .map_err(|_| SkipReason::InvalidCombo)?;
+        gadgets::create_enclave(tc, lc, 1)?;
+        gadgets::run_enclave(tc, lc, 1)?;
+        lc.apply(1, SbiCall::StopEnclave)?;
     }
     Ok(())
 }
@@ -391,8 +364,8 @@ fn assemble_demand_case(
             if warm {
                 // Attestation makes the SM read its private key, pulling
                 // SM-confidential data into the L1D (the D5 hit path).
-                sbi(tc, lc, SbiCall::CreateEnclave, 0)?;
-                sbi(tc, lc, SbiCall::AttestEnclave, 0)?;
+                gadgets::create_enclave(tc, lc, 0)?;
+                gadgets::attest_enclave(tc, lc, 0)?;
             }
         }
         Victim::Host => {
@@ -432,10 +405,9 @@ fn assemble_sb_case(
     // The enclave's final action is a burst of stores; they are still
     // draining from the store buffer when the host probes.
     gadgets::fill_enc_mem(tc, 0, p.offset, 8);
-    sbi(tc, lc, SbiCall::CreateEnclave, 0)?;
-    sbi(tc, lc, SbiCall::RunEnclave, 0)?;
-    lc.apply(0, SbiCall::StopEnclave)
-        .map_err(|_| SkipReason::InvalidCombo)?;
+    gadgets::create_enclave(tc, lc, 0)?;
+    gadgets::run_enclave(tc, lc, 0)?;
+    lc.apply(0, SbiCall::StopEnclave)?;
     // Probe the *last* store (deepest in the buffer).
     let addr = layout::enclave_data(0) + p.offset + 8 * 7;
     emit_probe(tc, AccessPath::LoadSbForward, p, addr);
@@ -511,29 +483,17 @@ fn assemble_ptw_poisoned_case(
     Ok(())
 }
 
-fn assemble_prefetch_case(
-    tc: &mut TestCase,
-    p: &CaseParams,
-    lc: &mut LifecycleTracker,
-) -> Result<(), SkipReason> {
-    let _ = lc;
+fn assemble_prefetch_case(tc: &mut TestCase, lc: &mut LifecycleTracker) -> Result<(), SkipReason> {
     // Secrets live in the *first* line of the enclave region; the enclave
     // never executes (a created-but-not-run enclave, as in Figure 2).
     for k in 0..SECRET_COUNT {
         tc.secrets
             .seed(layout::enclave_base(0) + 8 * k, Domain::Enclave(0));
     }
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::CreateEnclave,
-            enclave: 0,
-        },
-    );
+    gadgets::create_enclave(tc, lc, 0)?;
     gadgets::touch_page_boundary(tc, 0);
     // Give the asynchronous prefetch time to land before the test ends.
     gadgets::spin_delay(tc, Actor::Host, 64);
-    let _ = p;
     Ok(())
 }
 
@@ -553,7 +513,7 @@ fn assemble_scrub_case(
         tc.secrets.seed(a, Domain::Enclave(0));
         a += 8;
     }
-    sbi(tc, lc, SbiCall::DestroyEnclave, 0)?;
+    gadgets::destroy_enclave(tc, lc, 0)?;
     // Let the scrub's stores drain while the host idles in untrusted mode.
     gadgets::spin_delay(tc, Actor::Host, 128);
     Ok(())
@@ -569,10 +529,9 @@ fn assemble_hpc_case(
     gadgets::preload_enc_mem(tc, 0, p.offset, SECRET_COUNT);
     gadgets::enc_mem_to_l1(tc, 0, p.offset, SECRET_COUNT);
     gadgets::enc_branch(tc, 0, 0x200, true);
-    sbi(tc, lc, SbiCall::CreateEnclave, 0)?;
-    sbi(tc, lc, SbiCall::RunEnclave, 0)?;
-    lc.apply(0, SbiCall::StopEnclave)
-        .map_err(|_| SkipReason::InvalidCombo)?;
+    gadgets::create_enclave(tc, lc, 0)?;
+    gadgets::run_enclave(tc, lc, 0)?;
+    lc.apply(0, SbiCall::StopEnclave)?;
     if p.restricted_counters {
         // Figure 6 variant: counters privileged; the read transiently
         // writes back; an interrupt spills the context through the store
@@ -608,10 +567,9 @@ fn assemble_btb_case(
     gadgets::prime_ubtb(tc, branch_off);
     // Enclave executes a conditional branch at the same region offset.
     gadgets::enc_branch(tc, 0, branch_off, true);
-    sbi(tc, lc, SbiCall::CreateEnclave, 0)?;
-    sbi(tc, lc, SbiCall::RunEnclave, 0)?;
-    lc.apply(0, SbiCall::StopEnclave)
-        .map_err(|_| SkipReason::InvalidCombo)?;
+    gadgets::create_enclave(tc, lc, 0)?;
+    gadgets::run_enclave(tc, lc, 0)?;
+    lc.apply(0, SbiCall::StopEnclave)?;
     // Probe: the host branch again, timing it.
     gadgets::read_cycle(tc, Actor::Host);
     Ok(())

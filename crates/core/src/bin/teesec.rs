@@ -6,8 +6,8 @@
 //! teesec plan     [--design D] [--json]    # the verification plan
 //! teesec run <gadget> [--simlog FILE] [--checker-log FILE]  # exit 1 = leak
 //! teesec explain <gadget> [--json]         # leak provenance chains
-//! teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]
-//! teesec diff     [gadget ...] [--cases N] [--stride N] [--output FILE]
+//! teesec campaign [--cases N] [--output FILE] [--diff]
+//! teesec diff     [gadget ...] [--cases N] [--output FILE]
 //! teesec coverage-report [--cases N] [--seeds N] [--json] [--output FILE]
 //!                 [--fail-under-ratio PCT]          # heatmap + gaps
 //! teesec matrix   [--cases N]              # the Table 3 matrix
@@ -16,10 +16,10 @@
 //!
 //! `run`, `explain`, `campaign`, `diff` and `coverage-report` are one
 //! engine run each, through one pipeline: the production engine options
-//! (streaming checker, snapshot cache, plan coverage, counters, kept
-//! reports), with the differential oracle on for `diff` and
-//! `campaign --diff`. They differ only in their corpus and in how they
-//! print the result, and all five honour the same flags:
+//! of `EngineOptions::default()` (streaming checker, snapshot cache, plan
+//! coverage, counters, kept reports), with the differential oracle on for
+//! `diff` and `campaign --diff`. They differ only in their corpus and in
+//! how they print the result, and all five honour the same flags:
 //!
 //! * `--design D`, `--threads N`, `--case-cycle-budget N`, `--quiet`;
 //! * `--events FILE` — the engine's JSONL event stream;
@@ -56,6 +56,7 @@ use teesec::fuzz::{CoverageFuzzer, Fuzzer};
 use teesec::gadgets::{catalog, GadgetKind};
 use teesec::metrics::{atomic_write, campaign_snapshot, write_metrics_files};
 use teesec::paths::AccessPath;
+use teesec::runner::{run_case_opts, RunOptions};
 use teesec::simlog::render_simlog;
 use teesec::{CheckReport, TestCase, VerificationPlan};
 use teesec_telemetry::{MetricsHub, TelemetryServer};
@@ -67,8 +68,8 @@ fn usage() -> ExitCode {
         "usage:\n  teesec list-gadgets\n  teesec plan [--design boom|xiangshan] [--json]\n  \
          teesec run <access-gadget> [--simlog FILE] [--checker-log FILE]\n  \
          teesec explain <access-gadget> [--json]\n  \
-         teesec campaign [--cases N] [--output FILE] [--diff] [--stride N]\n  \
-         teesec diff [gadget ...] [--cases N] [--stride N] [--output FILE]\n  \
+         teesec campaign [--cases N] [--output FILE] [--diff]\n  \
+         teesec diff [gadget ...] [--cases N] [--output FILE]\n  \
          teesec coverage-report [--cases N] [--seeds N] [--json] [--output FILE]\n  \
          \x20                      [--fail-under-ratio PCT]\n  \
          teesec matrix [--cases N] [--threads N] [--case-cycle-budget N] [--quiet]\n  \
@@ -96,7 +97,6 @@ struct Opts {
     case_cycle_budget: Option<u64>,
     quiet: bool,
     diff: bool,
-    stride: u64,
     seeds: Option<usize>,
     fail_under_ratio: Option<u64>,
     serve: Option<String>,
@@ -122,7 +122,6 @@ fn parse(args: &[String]) -> Option<Opts> {
         case_cycle_budget: None,
         quiet: false,
         diff: false,
-        stride: 1,
         seeds: None,
         fail_under_ratio: None,
         serve: None,
@@ -155,7 +154,6 @@ fn parse(args: &[String]) -> Option<Opts> {
             "--case-cycle-budget" => o.case_cycle_budget = Some(args.next()?.parse().ok()?),
             "--quiet" => o.quiet = true,
             "--diff" => o.diff = true,
-            "--stride" => o.stride = args.next()?.parse().ok()?,
             "--seeds" => o.seeds = Some(args.next()?.parse().ok()?),
             "--fail-under-ratio" => o.fail_under_ratio = Some(args.next()?.parse().ok()?),
             "--serve" => o.serve = Some(args.next()?.clone()),
@@ -358,30 +356,22 @@ struct Sinks {
 }
 
 /// The production engine for `cfg`, and the only place the CLI builds
-/// engine options: streaming checker, snapshot cache, plan coverage,
-/// counters and kept reports, the fast path at the process default
-/// (`TEESEC_FASTPATH`), and the differential oracle when `oracle` is set.
+/// engine options: [`EngineOptions::default`] with the run's threads,
+/// watchdog, progress line and sinks, and the differential oracle when
+/// `oracle` is set.
 fn engine(opts: &Opts, cfg: CoreConfig, oracle: bool, sinks: Sinks) -> Engine {
     Engine::new(
         cfg,
         EngineOptions {
             threads: opts.threads,
             case_cycle_budget: opts.case_cycle_budget,
-            keep_reports: true,
             progress: !opts.quiet,
             events: sinks.events,
-            counters: true,
-            diff: oracle.then(|| DiffOptions {
-                stride: opts.stride,
-                ..DiffOptions::default()
-            }),
-            streaming: true,
-            snapshot_cache: true,
-            coverage: true,
-            fast_path: None,
+            diff: oracle.then(DiffOptions::default),
             tracer: sinks.tracer,
             telemetry: sinks.hub,
             checkpoint: sinks.checkpoint,
+            ..EngineOptions::default()
         },
     )
 }
@@ -561,8 +551,13 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             println!("simulated {} cycles ({exit})", case.cycles);
             if let Some(p) = &opts.simlog {
                 // The streaming checker keeps no trace, so the simulation log
-                // needs one buffered re-run of the (deterministic) case.
-                let outcome = match teesec::runner::run_case(tc, &opts.design) {
+                // needs one buffered re-run of the (deterministic) case,
+                // under the same watchdog budget.
+                let rerun = RunOptions {
+                    budget: opts.case_cycle_budget,
+                    ..RunOptions::default()
+                };
+                let outcome = match run_case_opts(tc, &opts.design, rerun) {
                     Ok(outcome) => outcome,
                     Err(e) => {
                         eprintln!("cannot re-run `{}` for the simulation log: {e}", tc.name);

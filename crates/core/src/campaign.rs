@@ -153,10 +153,9 @@ impl Campaign {
         Engine::new(self.cfg.clone(), opts).run_corpus(&corpus, timing)
     }
 
-    /// Runs the whole campaign on one engine worker with the default
-    /// [`EngineOptions`]. Returns the aggregate result and no per-case
-    /// reports; call [`Campaign::run_engine`] with `keep_reports` set to
-    /// keep them.
+    /// Runs the whole campaign through the production pipeline
+    /// ([`EngineOptions::default`]) on one engine worker. Returns the
+    /// aggregate result and the per-case reports in corpus order.
     ///
     /// Cases that fail to build or panic are quarantined into
     /// [`CaseResult::error`].
@@ -200,6 +199,18 @@ mod tests {
             "a 20-case corpus already uncovers leaks on the naive deployment"
         );
         assert!(result.avg_cycles() > 0);
+    }
+
+    /// `run` is the product pipeline, not a reduced mode.
+    #[test]
+    fn run_is_the_production_pipeline() {
+        let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(4));
+        let (result, reports) = campaign.run();
+        let engine = result.engine.as_ref().expect("engine metrics");
+        assert!(engine.snapshot.is_some(), "snapshot cache on");
+        assert!(engine.obs.is_some(), "counters on");
+        assert!(engine.plan_coverage.is_some(), "plan coverage on");
+        assert_eq!(reports.len(), result.case_count, "one report per case");
     }
 
     #[test]

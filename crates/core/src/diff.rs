@@ -5,11 +5,12 @@
 //! This module makes that trust checkable: it runs every test case on both
 //! machines over identical initial memory and compares architectural state
 //! at every retire boundary — retired PC, destination value, the full
-//! register file (at a configurable stride), and, at end of test, touched
-//! memory and trap CSRs. Speculation, transient writebacks, lazy exceptions
-//! and all the machinery TEESec probes must be architecturally invisible;
-//! any visible difference is reported as a structured [`Divergence`] naming
-//! the first mismatching retire and both machines' states.
+//! register file after every cycle that retired anything, and, at end of
+//! test, touched memory and trap CSRs. Speculation, transient writebacks,
+//! lazy exceptions and all the machinery TEESec probes must be
+//! architecturally invisible; any visible difference is reported as a
+//! structured [`Divergence`] naming the first mismatching retire and both
+//! machines' states.
 //!
 //! One class of reads is architecturally visible but *microarchitecture
 //! defined*: performance-counter CSRs (`cycle`, `time`, `instret`, the
@@ -39,24 +40,11 @@ use crate::testcase::{Step, TestCase};
 const TRAP_FUSE: u64 = 64;
 
 /// Options for a differential run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DiffOptions {
-    /// Compare the full 32-register file every `stride` retires (1 = every
-    /// retire). PC and destination values are compared at *every* retire
-    /// regardless.
-    pub stride: u64,
     /// Deterministic fault injected into the core mid-run — the oracle's
     /// self-test knob (a correct oracle must catch its own planted bugs).
     pub fault: Option<FaultInjection>,
-}
-
-impl Default for DiffOptions {
-    fn default() -> DiffOptions {
-        DiffOptions {
-            stride: 1,
-            fault: None,
-        }
-    }
 }
 
 /// A deterministic, test-only fault planted into the out-of-order core
@@ -139,7 +127,7 @@ pub enum DivergenceKind {
         /// Value the ISS computed.
         iss_value: u64,
     },
-    /// A stride register-file sweep found a mismatch (first register named).
+    /// A register-file sweep found a mismatch (first register named).
     RegFile {
         /// First mismatching register.
         reg: Reg,
@@ -315,7 +303,6 @@ pub fn diff_case(
     let core = &mut platform.core;
     core.set_retire_probe(true);
     let limit = tc.max_cycles;
-    let stride = opts.stride.max(1);
     let mut retires = 0u64;
     let mut last_swept = 0u64;
     let mut last_pc = layout::SM_BASE;
@@ -371,10 +358,10 @@ pub fn diff_case(
                 }
             }
         }
-        // Full register-file sweep at stride boundaries. This runs only
-        // after the cycle's whole retire batch is replayed, when both
-        // machines sit at the same architectural point.
-        if retires >= last_swept + stride {
+        // Full register-file sweep after every cycle that retired
+        // anything. This runs only after the cycle's whole retire batch is
+        // replayed, when both machines sit at the same architectural point.
+        if retires > last_swept {
             last_swept = retires;
             if let Some(kind) = regfile_mismatch(core, &iss) {
                 return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
@@ -500,7 +487,6 @@ mod tests {
                 reg: Reg::A5,
                 xor: 0xDEAD_BEEF,
             }),
-            ..DiffOptions::default()
         };
         let v = diff_case(&tc, &cfg, &opts).expect("build");
         let DiffVerdict::Diverged(d) = v else {

@@ -25,6 +25,7 @@
 //! aggregate [`EngineMetrics`] lands in
 //! [`CampaignResult::engine`](crate::campaign::CampaignResult::engine).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,15 +52,18 @@ use crate::runner::{run_case_opts, RunOptions, SnapshotCache, SnapshotCacheMetri
 use crate::stream::StreamingChecker;
 use crate::testcase::TestCase;
 
-/// Tuning knobs for one engine run.
-#[derive(Debug, Clone, Default)]
+/// Tuning knobs for one engine run. [`EngineOptions::default`] is the
+/// production pipeline that every case-running `teesec` subcommand runs;
+/// a caller that wants another arm names the field that selects it.
+#[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Worker threads (0 and 1 both mean "one worker").
     pub threads: usize,
     /// Simulated-cycle watchdog: per-case budget overriding any larger
-    /// `TestCase::max_cycles`. Budget-blown cases report `halted: false`.
+    /// `TestCase::max_cycles`. Budget-blown cases report `halted: false`,
+    /// and the oracle re-simulates them under the same budget.
     pub case_cycle_budget: Option<u64>,
-    /// Retain full per-case [`CheckReport`]s (memory-heavier).
+    /// Retain full per-case [`CheckReport`]s. On by default.
     pub keep_reports: bool,
     /// Emit a live `[done/total]` progress line to stderr.
     pub progress: bool,
@@ -67,7 +71,7 @@ pub struct EngineOptions {
     pub events: Option<EventSink>,
     /// Harvest per-case microarchitectural counters
     /// ([`UarchCounters`]) into [`EngineEvent::CaseCounters`] events and
-    /// the aggregate [`ObsMetrics`]. Off by default: harvesting walks
+    /// the aggregate [`ObsMetrics`]. On by default; harvesting walks
     /// every storage structure at case exit.
     pub counters: bool,
     /// Run the differential co-simulation oracle on every case, emitting
@@ -76,27 +80,27 @@ pub struct EngineOptions {
     /// diffing re-simulates each case on both machines.
     pub diff: Option<DiffOptions>,
     /// Feed each case's [`StreamingChecker`] online while the case runs,
-    /// with trace buffering disabled, so peak retained trace events stay
-    /// O(boot prefix) instead of O(cycles). Off, the trace is buffered and
-    /// replayed into the checker after the run: the same checker and the
-    /// same report (the `stream_equivalence` suite), at O(cycles) memory.
+    /// so peak retained trace events stay O(boot prefix) instead of
+    /// O(cycles). On by default. Off, the trace is buffered and replayed
+    /// into the checker after the run: the same checker and the same
+    /// report (the `stream_equivalence` suite), at O(cycles) memory.
     pub streaming: bool,
     /// Record per-case plan coverage (the structure × transition ×
     /// observer matrix) and secret-residency windows, emitting one
     /// [`EngineEvent::CaseCoverage`] per case and merging the aggregate
-    /// [`PlanCoverage`] into [`EngineMetrics::plan_coverage`]. Off by
-    /// default: recording rides the checker's event scan and the JSONL
-    /// stream grows by one event per case.
+    /// [`PlanCoverage`] into [`EngineMetrics::plan_coverage`]. On by
+    /// default; recording rides the checker's event scan.
     pub coverage: bool,
     /// Share one [`SnapshotCache`] across workers so cases with the same
     /// setup configuration fork a copy-on-write boot snapshot instead of
     /// re-assembling and re-simulating the SM boot. Hit/miss/bypass
-    /// counters land in [`EngineMetrics::snapshot`].
+    /// counters land in [`EngineMetrics::snapshot`]. On by default; off,
+    /// every case builds from reset.
     pub snapshot_cache: bool,
-    /// Force the fast-path simulator (page-keyed decode cache +
-    /// dirty-delta storage logging) on or off for every case. `None`
-    /// keeps the process default (`TEESEC_FASTPATH`, on unless set to
-    /// `0`/`off`/`false`/`no`). Both settings are byte-identical on
+    /// Force the fast-path simulator (page-keyed decode cache, fetch
+    /// memo, scan watermark and LSU retry memo) on or off for every case.
+    /// `None` keeps the process default (`TEESEC_FASTPATH`, on unless set
+    /// to `0`/`off`/`false`/`no`). Both settings are byte-identical on
     /// reports, coverage, counter digests, and provenance — proven by
     /// the `fastpath_equivalence` suite. Per-case decode-cache and
     /// scan-memo counters aggregate into [`EngineMetrics::fastpath`].
@@ -125,6 +129,27 @@ pub struct EngineOptions {
     /// A killed campaign therefore leaves parseable artifacts behind that
     /// describe exactly seqs `0..n`.
     pub checkpoint: Option<CheckpointOptions>,
+}
+
+impl Default for EngineOptions {
+    fn default() -> EngineOptions {
+        EngineOptions {
+            threads: 0,
+            case_cycle_budget: None,
+            keep_reports: true,
+            progress: false,
+            events: None,
+            counters: true,
+            diff: None,
+            streaming: true,
+            coverage: true,
+            snapshot_cache: true,
+            fast_path: None,
+            tracer: Tracer::default(),
+            telemetry: None,
+            checkpoint: None,
+        }
+    }
 }
 
 /// Where and how often the engine checkpoints mid-flight artifacts
@@ -621,7 +646,8 @@ pub(crate) struct CaseExecution {
 /// `opts.streaming` the checker observes the run online and the check
 /// phase shrinks to the finalize step; otherwise the check phase replays
 /// the buffered trace first. With `opts.diff` a healthy case also runs
-/// the differential oracle. Phase spans attach under `tctx`.
+/// the differential oracle, under the same watchdog budget. Phase spans
+/// attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
@@ -738,22 +764,32 @@ pub(crate) fn execute_case(
     // The oracle rebuilds its own platform; free this one first.
     drop(outcome);
     if let Some(diff_opts) = &opts.diff {
-        exec.result.diff = Some(execute_diff(tc, cfg, diff_opts, tctx));
+        let budget = opts.case_cycle_budget;
+        exec.result.diff = Some(execute_diff(tc, cfg, diff_opts, budget, tctx));
     }
     exec
 }
 
 /// Runs the differential oracle on one case under the same fault isolation
 /// as the case itself: a panicking or unbuildable diff becomes a
-/// [`DiffVerdict::Skipped`], never a dead worker.
+/// [`DiffVerdict::Skipped`], never a dead worker. The watchdog `budget`
+/// clamps the re-simulation as it clamped the case's own run.
 fn execute_diff(
     tc: &TestCase,
     cfg: &CoreConfig,
     opts: &DiffOptions,
+    budget: Option<u64>,
     tctx: TraceCtx<'_>,
 ) -> DiffVerdict {
     let mut span = tctx.span("diff");
-    let verdict = match catch_unwind(AssertUnwindSafe(|| diff_case(tc, cfg, opts))) {
+    let tc = match budget {
+        Some(b) if b < tc.max_cycles => Cow::Owned(TestCase {
+            max_cycles: b,
+            ..tc.clone()
+        }),
+        _ => Cow::Borrowed(tc),
+    };
+    let verdict = match catch_unwind(AssertUnwindSafe(|| diff_case(&tc, cfg, opts))) {
         Ok(Ok(verdict)) => verdict,
         Ok(Err(build)) => DiffVerdict::Skipped {
             reason: format!("rebuild for diff failed: {build}"),
@@ -1380,13 +1416,7 @@ mod tests {
         let mut unbuildable = corpus[0].clone();
         unbuildable.host_steps = vec![crate::testcase::Step::Nops(100_000)];
         corpus.insert(2, unbuildable);
-        let opts = EngineOptions {
-            keep_reports: true,
-            counters: true,
-            coverage: true,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::new(cfg, opts);
+        let engine = Engine::new(cfg, EngineOptions::default());
         let records: Vec<CaseRecord> = corpus
             .iter()
             .enumerate()
@@ -1435,6 +1465,8 @@ mod tests {
         let opts = EngineOptions {
             threads: 2,
             events: Some(EventSink::new(SharedBuf(buf.clone()))),
+            counters: false,
+            coverage: false,
             ..EngineOptions::default()
         };
         let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
@@ -1459,7 +1491,7 @@ mod tests {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let opts = EngineOptions {
             threads: 2,
-            counters: true,
+            coverage: false,
             events: Some(EventSink::new(SharedBuf(buf.clone()))),
             ..EngineOptions::default()
         };
@@ -1602,6 +1634,29 @@ mod tests {
         assert_eq!(metrics.cases_budget_exceeded, 4);
         assert!(result.cases.iter().all(|c| !c.halted));
         assert!(result.cases.iter().all(|c| c.cycles <= 50));
+    }
+
+    /// The oracle re-simulates a case under the watchdog budget that
+    /// stopped it, so a budget-blown case is skipped instead of being
+    /// compared to its full `max_cycles`.
+    #[test]
+    fn oracle_honours_the_watchdog_budget() {
+        let cfg = CoreConfig::boom();
+        let corpus = small_corpus(&cfg, 4);
+        let opts = EngineOptions {
+            threads: 2,
+            case_cycle_budget: Some(200),
+            diff: Some(DiffOptions::default()),
+            ..EngineOptions::default()
+        };
+        let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
+        let metrics = result.engine.as_ref().unwrap();
+        assert_eq!(metrics.cases_budget_exceeded, 4);
+        let dm = metrics.diff.as_ref().expect("diff metrics");
+        assert_eq!(dm.skipped, 4, "{dm:?}");
+        assert_eq!(dm.retires_compared, 0, "{dm:?}");
+        assert!(result.cases.iter().all(|c| matches!(&c.diff,
+            Some(DiffVerdict::Skipped { reason }) if reason.contains("200-cycle budget"))));
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! access gadgets, mirroring the paper's Table 2 inventory.
 //!
 //! Every gadget is a parameterized function appending [`Step`]s to a
-//! [`TestCase`]. Setup gadgets drive the TEE API; helper gadgets arrange
-//! microarchitectural preconditions (seed secrets, warm or evict caches,
-//! poison `satp`, prime branch predictors); access gadgets exercise exactly
-//! one memory access path from the verification plan.
+//! [`TestCase`]. Setup gadgets drive the TEE API in lifecycle-legal orders;
+//! helper gadgets arrange microarchitectural preconditions (seed secrets,
+//! warm or evict caches, poison `satp`, prime branch predictors); access
+//! gadgets exercise exactly one memory access path from the verification
+//! plan.
 
 use serde::{Deserialize, Serialize};
 
 use teesec_isa::csr;
 use teesec_isa::inst::MemWidth;
+use teesec_tee::enclave::{InvalidTransition, LifecycleTracker};
 use teesec_tee::layout;
 use teesec_tee::SbiCall;
 use teesec_uarch::trace::Domain;
@@ -199,84 +201,93 @@ pub fn catalog() -> Vec<GadgetSpec> {
 }
 
 // ---------------------------------------------------------------------------
-// Setup gadgets
+// Setup gadgets: the only emitter of SBI calls. Each call is checked against
+// the enclave lifecycle model first, so compositions keep to legal TEE-API
+// orders (paper §4.3); a rejected call pushes no step.
 // ---------------------------------------------------------------------------
 
+/// Applies `call` to `enclave` in the lifecycle model, then emits it as
+/// `actor`. An enclave's own call leaves `a0` at 0: the monitor reads the
+/// caller from the domain register.
+fn lifecycle_call(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    actor: Actor,
+    call: SbiCall,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lc.apply(enclave, call)?;
+    let a0 = match actor {
+        Actor::Host => enclave as u64,
+        Actor::Enclave(_) => 0,
+    };
+    tc.push(actor, Step::Sbi { call, enclave: a0 });
+    Ok(())
+}
+
 /// `Create_Enclave()` — host-side SBI create.
-pub fn create_enclave(tc: &mut TestCase, enclave: u64) {
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::CreateEnclave,
-            enclave,
-        },
-    );
+pub fn create_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lifecycle_call(tc, lc, Actor::Host, SbiCall::CreateEnclave, enclave)
 }
 
 /// `Run_Enclave()` — host-side SBI run (context switch into the enclave).
-pub fn run_enclave(tc: &mut TestCase, enclave: u64) {
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::RunEnclave,
-            enclave,
-        },
-    );
+pub fn run_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lifecycle_call(tc, lc, Actor::Host, SbiCall::RunEnclave, enclave)
 }
 
 /// `Stop_Enclave()` — enclave-side yield.
-pub fn stop_enclave(tc: &mut TestCase, enclave: usize) {
-    tc.push(
-        Actor::Enclave(enclave),
-        Step::Sbi {
-            call: SbiCall::StopEnclave,
-            enclave: 0,
-        },
-    );
+pub fn stop_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    let actor = Actor::Enclave(enclave);
+    lifecycle_call(tc, lc, actor, SbiCall::StopEnclave, enclave)
 }
 
 /// `Resume_Enclave()` — host-side SBI resume.
-pub fn resume_enclave(tc: &mut TestCase, enclave: u64) {
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::ResumeEnclave,
-            enclave,
-        },
-    );
+pub fn resume_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lifecycle_call(tc, lc, Actor::Host, SbiCall::ResumeEnclave, enclave)
 }
 
 /// `Destroy_Enclave()` — host-side SBI destroy (triggers the SM scrub).
-pub fn destroy_enclave(tc: &mut TestCase, enclave: u64) {
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::DestroyEnclave,
-            enclave,
-        },
-    );
+pub fn destroy_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lifecycle_call(tc, lc, Actor::Host, SbiCall::DestroyEnclave, enclave)
 }
 
 /// `Exit_Enclave()` — enclave-side terminal exit.
-pub fn exit_enclave(tc: &mut TestCase, enclave: usize) {
-    tc.push(
-        Actor::Enclave(enclave),
-        Step::Sbi {
-            call: SbiCall::ExitEnclave,
-            enclave: 0,
-        },
-    );
+pub fn exit_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    let actor = Actor::Enclave(enclave);
+    lifecycle_call(tc, lc, actor, SbiCall::ExitEnclave, enclave)
 }
 
 /// `Attest_Enclave()` — host-side SBI attest (SM reads enclave memory).
-pub fn attest_enclave(tc: &mut TestCase, enclave: u64) {
-    tc.push(
-        Actor::Host,
-        Step::Sbi {
-            call: SbiCall::AttestEnclave,
-            enclave,
-        },
-    );
+pub fn attest_enclave(
+    tc: &mut TestCase,
+    lc: &mut LifecycleTracker,
+    enclave: usize,
+) -> Result<(), InvalidTransition> {
+    lifecycle_call(tc, lc, Actor::Host, SbiCall::AttestEnclave, enclave)
 }
 
 /// `Setup_Host_VM()` — switch the host environment to sv39.

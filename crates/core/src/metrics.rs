@@ -511,7 +511,6 @@ mod tests {
         let campaign = Campaign::new(cfg.clone(), Fuzzer::with_target(4));
         let (result, _) = campaign.run_engine(EngineOptions {
             threads: 2,
-            counters: true,
             ..EngineOptions::default()
         });
         let snap = campaign_snapshot(&result, 1_000_000, 0);
@@ -550,8 +549,6 @@ mod tests {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(6));
         let (result, _) = campaign.run_engine(EngineOptions {
             threads: 2,
-            streaming: true,
-            snapshot_cache: true,
             ..EngineOptions::default()
         });
         let snap = campaign_snapshot(&result, 1_000_000, 0);
@@ -603,7 +600,6 @@ mod tests {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(8));
         let (result, _) = campaign.run_engine(EngineOptions {
             threads: 2,
-            coverage: true,
             ..EngineOptions::default()
         });
         let snap = campaign_snapshot(&result, 1_000_000, 0);

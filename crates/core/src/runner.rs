@@ -108,10 +108,11 @@ pub struct RunOptions<'c> {
     /// Checker fed every event as the run records it, handed back in
     /// [`RunOutcome::checker`]. When the platform is snapshot-forked, the
     /// events simulated before the fork are replayed into it first, so it
-    /// observes the exact sequence a fresh run would have produced. A
-    /// checker turns trace buffering off: peak retained events stay
-    /// O(boot prefix) instead of O(simulated cycles). Without one the
-    /// trace buffers every event, for [`check_case`](crate::check_case).
+    /// observes the exact sequence a fresh run would have produced. As the
+    /// trace's sink, it keeps the trace from retaining events: peak
+    /// retained events stay O(boot prefix) instead of O(simulated cycles).
+    /// Without one the trace buffers every event, for
+    /// [`check_case`](crate::check_case).
     pub checker: Option<StreamingChecker>,
     /// Span-recording context: when its tracer is set, the run emits
     /// `build` and `simulate` spans (under the context's parent span)
@@ -156,7 +157,6 @@ pub fn run_case_opts(
         // checker sees the full event sequence from reset.
         let checker = replay(checker, &platform.core.trace);
         platform.core.trace.set_sink(Box::new(checker));
-        platform.core.trace.set_buffering(false);
     }
     build_span.arg("cache", build.label());
     drop(build_span);
@@ -370,11 +370,9 @@ impl SnapshotCache {
         // run's first `at - 1` cycles: the interrupt only asserts from
         // cycle `at` onward.
         platform.run(at - 1);
-        if platform.core.fast_path() {
-            // Freeze the setup prefix: sibling forks share it by
-            // refcount instead of deep-copying the event buffer.
-            platform.core.trace.freeze();
-        }
+        // Freeze the setup prefix: sibling forks share it by refcount
+        // instead of deep-copying the event buffer.
+        platform.core.trace.freeze();
         let snap = Arc::new(PrefixSnapshot {
             prefix_cycles: platform.core.cycle,
             platform,
@@ -481,7 +479,6 @@ fn sm_options_for(tc: &TestCase, cfg: &CoreConfig) -> SmOptions {
         clear_hpcs_on_switch: tc.sm_clear_hpcs,
         hpm_counters: cfg.hpm_counters,
         enable_external_irq: tc.irq_at.is_some(),
-        ..SmOptions::default()
     }
 }
 

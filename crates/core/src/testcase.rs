@@ -11,7 +11,6 @@ use teesec_isa::asm::Assembler;
 use teesec_isa::csr::CsrAddr;
 use teesec_isa::inst::MemWidth;
 use teesec_isa::reg::Reg;
-use teesec_tee::layout::Layout;
 use teesec_tee::SbiCall;
 
 use crate::paths::AccessPath;
@@ -240,11 +239,6 @@ fn lower_step(a: &mut Assembler, step: &Step, region_base: u64, uid: &str) {
             }
         }
     }
-}
-
-/// Convenience: the layout every lowering shares.
-pub fn default_layout() -> Layout {
-    Layout::default()
 }
 
 #[cfg(test)]

@@ -766,19 +766,6 @@ impl Inst {
         Ok(inst)
     }
 
-    /// `true` for loads and stores.
-    pub fn is_memory(self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-
-    /// `true` for control-flow instructions.
-    pub fn is_control_flow(self) -> bool {
-        matches!(
-            self,
-            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
-        )
-    }
-
     /// The destination register, if the instruction writes one.
     pub fn dest(self) -> Option<Reg> {
         let rd = match self {

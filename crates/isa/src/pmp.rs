@@ -241,13 +241,6 @@ impl PmpSet {
         self.addr[i] = top >> 2;
     }
 
-    /// Disables entry `i`.
-    pub fn disable(&mut self, i: usize) {
-        if !self.cfg[i].l {
-            self.cfg[i].a = PmpAddrMatch::Off;
-        }
-    }
-
     /// The byte range `[lo, hi)` matched by entry `i`, if it is active.
     pub fn entry_range(&self, i: usize) -> Option<(u64, u64)> {
         match self.cfg[i].a {

@@ -363,11 +363,9 @@ impl PlatformSnapshot {
             return Err(BuildError::SnapshotBoot);
         }
         let boot_cycles = core.cycle;
-        if core.fast_path() {
-            // Dirty-delta storage: freeze the boot prefix so every fork
-            // shares it by refcount and only logs its own delta.
-            core.trace.freeze();
-        }
+        // Freeze the boot prefix so every fork shares it by refcount and
+        // only logs its own delta.
+        core.trace.freeze();
         Ok(PlatformSnapshot {
             core,
             satp_val,

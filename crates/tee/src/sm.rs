@@ -84,11 +84,6 @@ pub struct SmOptions {
     /// Enable machine external interrupts at boot (`mie.MEIE`); the SM's
     /// interrupt path then services platform-injected IRQs (Figure 6).
     pub enable_external_irq: bool,
-    /// Full GPR context switching at enclave boundaries, as real Keystone
-    /// performs: host registers saved at run/resume and restored at
-    /// stop/exit; enclave registers saved at stop and restored at resume;
-    /// fresh entries start with scrubbed registers.
-    pub full_context_switch: bool,
 }
 
 impl Default for SmOptions {
@@ -98,7 +93,6 @@ impl Default for SmOptions {
             clear_hpcs_on_switch: false,
             hpm_counters: 8,
             enable_external_irq: false,
-            full_context_switch: true,
         }
     }
 }
@@ -232,16 +226,14 @@ fn emit_trap_handler(a: &mut Assembler, opts: &SmOptions) {
     a.j("stop_1");
     for i in 0..layout::MAX_ENCLAVES {
         a.label(format!("stop_{i}"));
-        // Save the enclave's resume point and (optionally) its registers.
+        // Save the enclave's resume point and its registers.
         a.csrr(Reg::T3, csr::MEPC);
         a.sd(
             Reg::T3,
             Reg::T0,
             (scratch::ENC_RESUME + 8 * i as u64) as i32,
         );
-        if opts.full_context_switch {
-            emit_save_context(a, scratch::ENC_GPRS + 0x100 * i as u64);
-        }
+        emit_save_context(a, scratch::ENC_GPRS + 0x100 * i as u64);
         // Restore the host's address space and PMP view.
         a.ld(Reg::T1, Reg::T0, scratch::HOST_SATP as i32);
         a.csrw(csr::SATP, Reg::T1);
@@ -252,11 +244,9 @@ fn emit_trap_handler(a: &mut Assembler, opts: &SmOptions) {
         a.ld(Reg::T1, Reg::T0, scratch::HOST_CONT as i32);
         a.csrw(csr::MEPC, Reg::T1);
         emit_set_mpp_supervisor(a);
-        if opts.full_context_switch {
-            // The host's register file comes back; only a0 carries the SBI
-            // return value.
-            emit_restore_context(a, scratch::HOST_GPRS);
-        }
+        // The host's register file comes back; only a0 carries the SBI
+        // return value.
+        emit_restore_context(a, scratch::HOST_GPRS);
         a.li(Reg::A0, 0);
         a.j("restore_mret");
     }
@@ -340,10 +330,8 @@ fn emit_trap_handler(a: &mut Assembler, opts: &SmOptions) {
 /// Common enclave-entry sequence (run / resume). `resume_slot` selects the
 /// saved PC; `None` enters at the enclave's static entry point.
 fn emit_enter_enclave(a: &mut Assembler, opts: &SmOptions, i: usize, resume_slot: Option<u64>) {
-    if opts.full_context_switch {
-        // Park the host's register file (Keystone's context save).
-        emit_save_context(a, scratch::HOST_GPRS);
-    }
+    // Park the host's register file (Keystone's context save).
+    emit_save_context(a, scratch::HOST_GPRS);
     // Save host continuation (mepc was already advanced past the ecall).
     a.csrr(Reg::T1, csr::MEPC);
     a.sd(Reg::T1, Reg::T0, scratch::HOST_CONT as i32);
@@ -367,15 +355,11 @@ fn emit_enter_enclave(a: &mut Assembler, opts: &SmOptions, i: usize, resume_slot
     }
     a.csrw(csr::MEPC, Reg::T1);
     emit_set_mpp_supervisor(a);
-    if opts.full_context_switch {
-        match resume_slot {
-            // Fresh entry: the enclave starts with a scrubbed register file.
-            None => emit_scrub_context(a),
-            // Resume: the enclave's own saved context comes back.
-            Some(_) => emit_restore_context(a, scratch::ENC_GPRS + 0x100 * i as u64),
-        }
-    } else {
-        a.li(Reg::A0, 0);
+    match resume_slot {
+        // Fresh entry: the enclave starts with a scrubbed register file.
+        None => emit_scrub_context(a),
+        // Resume: the enclave's own saved context comes back.
+        Some(_) => emit_restore_context(a, scratch::ENC_GPRS + 0x100 * i as u64),
     }
     a.j("restore_mret");
 }

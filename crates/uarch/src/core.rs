@@ -411,12 +411,6 @@ impl Core {
         self.arch_rf[r.index() as usize]
     }
 
-    /// The *speculative* (physical) register file value — includes transient
-    /// writebacks that never retire.
-    pub fn spec_reg(&self, r: Reg) -> u64 {
-        self.spec_rf[r.index() as usize]
-    }
-
     /// Sets an architectural register (test setup).
     pub fn set_reg(&mut self, r: Reg, v: u64) {
         self.invalidate_scans();

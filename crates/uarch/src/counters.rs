@@ -53,11 +53,6 @@ impl UarchCounters {
         self.structures.iter().find(|c| c.structure == s)
     }
 
-    /// Sum of trace events across all structures and kinds.
-    pub fn events_total(&self) -> u64 {
-        self.trace_events
-    }
-
     /// Folds another run's counters into this one (campaign aggregation).
     /// Occupancy and capacity take the per-field maximum — occupancy is a
     /// point-in-time residue measure, not a flow.

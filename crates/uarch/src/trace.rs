@@ -377,8 +377,8 @@ impl TraceStats {
 ///
 /// A sink attached via [`Trace::set_sink`] observes every recorded event as
 /// it happens, which lets a checker run *during* the simulation instead of
-/// over a fully buffered log. Combined with [`Trace::set_buffering`]`(false)`
-/// this bounds trace memory regardless of how many cycles a case runs.
+/// over a fully buffered log. A trace with a sink retains no events, so
+/// trace memory stays bounded regardless of how many cycles a case runs.
 ///
 /// `Send + Sync` are required so a `Core` carrying a sink can still be
 /// shared across engine worker threads.
@@ -392,6 +392,10 @@ pub trait TraceSink: Send + Sync {
 
 /// The growing execution trace.
 ///
+/// A trace keeps events exactly when no sink is attached: recorded events
+/// go either to the [`TraceSink`] or to the buffer, never to both. The
+/// running [`TraceStats`] count every event either way.
+///
 /// Storage is split into an immutable *frozen prefix* and a live tail.
 /// [`Trace::freeze`] moves the tail into the reference-counted prefix, so
 /// cloning a frozen trace — as platform snapshot forks do for the shared
@@ -404,7 +408,6 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     stats: TraceStats,
     enabled: bool,
-    buffering: bool,
     sink: Option<Box<dyn TraceSink>>,
 }
 
@@ -415,7 +418,6 @@ impl std::fmt::Debug for Trace {
             .field("events", &self.events)
             .field("stats", &self.stats)
             .field("enabled", &self.enabled)
-            .field("buffering", &self.buffering)
             .field("sink", &self.sink.as_ref().map(|_| "<dyn TraceSink>"))
             .finish()
     }
@@ -434,21 +436,20 @@ impl Clone for Trace {
             events: self.events.clone(),
             stats: self.stats.clone(),
             enabled: self.enabled,
-            buffering: self.buffering,
             sink: None,
         }
     }
 }
 
 impl Trace {
-    /// Creates an enabled, empty, buffering trace.
+    /// Creates an enabled, empty trace that buffers every event until a
+    /// sink is attached.
     pub fn new() -> Trace {
         Trace {
             frozen: None,
             events: Vec::new(),
             stats: TraceStats::default(),
             enabled: true,
-            buffering: true,
             sink: None,
         }
     }
@@ -464,14 +465,10 @@ impl Trace {
         self.enabled
     }
 
-    /// Enables/disables event buffering. With buffering off, events still
-    /// update the running stats and feed the attached sink, but are not
-    /// retained — [`Trace::len`] stops growing and memory stays bounded.
-    pub fn set_buffering(&mut self, on: bool) {
-        self.buffering = on;
-    }
-
     /// Attaches an online event consumer (replacing any previous one).
+    /// From then on recorded events feed the sink instead of the buffer:
+    /// they still update the running stats, but [`Trace::len`] stops
+    /// growing and memory stays bounded. Events already buffered stay.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -492,11 +489,9 @@ impl Trace {
             return;
         }
         self.stats.bump(&event);
-        if let Some(sink) = self.sink.as_mut() {
-            sink.on_event(&event);
-        }
-        if self.buffering {
-            self.events.push(event);
+        match self.sink.as_mut() {
+            Some(sink) => sink.on_event(&event),
+            None => self.events.push(event),
         }
     }
 
@@ -689,11 +684,10 @@ mod tests {
     #[test]
     fn sink_sees_every_event_without_buffering() {
         let mut t = Trace::new();
-        t.set_buffering(false);
         t.set_sink(Box::new(CollectSink(Vec::new())));
         t.record(ev(1, Structure::L1d));
         t.record(ev(2, Structure::Lfb));
-        assert!(t.is_empty(), "buffering off retains nothing");
+        assert!(t.is_empty(), "a trace with a sink retains nothing");
         assert_eq!(t.stats().total(), 2, "stats still maintained");
         let sink = t.take_sink().expect("sink attached");
         let got = sink.into_any().downcast::<CollectSink>().expect("type");
@@ -714,12 +708,38 @@ mod tests {
     #[test]
     fn clone_drops_the_sink_but_keeps_events() {
         let mut t = Trace::new();
-        t.set_sink(Box::new(CollectSink(Vec::new())));
         t.record(ev(1, Structure::L1d));
+        t.set_sink(Box::new(CollectSink(Vec::new())));
+        t.record(ev(2, Structure::Lfb));
         let c = t.clone();
         assert!(!c.has_sink(), "per-run sink state must not be forked");
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().total(), 1);
+        assert_eq!(c.len(), 1, "the event buffered before the sink");
+        assert_eq!(c.stats().total(), 2);
         assert!(t.has_sink(), "original keeps its sink");
+    }
+
+    /// Freezing changes how events are stored, never what a reader sees.
+    #[test]
+    fn freezing_only_changes_storage() {
+        use Structure::{L1d, Lfb, Ubtb};
+        let (mut plain, mut frozen) = (Trace::new(), Trace::new());
+        for (cycle, s) in (1..).zip([L1d, Lfb, L1d, Ubtb]) {
+            // Freeze twice: after two events, then after a third.
+            if cycle >= 3 {
+                frozen.freeze();
+            }
+            plain.record(ev(cycle, s));
+            frozen.record(ev(cycle, s));
+        }
+        assert_eq!((frozen.frozen_len(), plain.frozen_len()), (3, 0));
+        assert!(plain.iter_events().eq(frozen.iter_events()));
+        assert_eq!(plain.len(), frozen.len());
+        assert_eq!(plain.stats(), frozen.stats());
+
+        let fork = frozen.clone();
+        let prefix = |t: &Trace| t.frozen.as_deref().map(<[TraceEvent]>::as_ptr);
+        assert_eq!(prefix(&fork), prefix(&frozen), "a fork shares the prefix");
+        assert_eq!(fork.frozen_len(), 3);
+        assert!(fork.iter_events().eq(plain.iter_events()));
     }
 }

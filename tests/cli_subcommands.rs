@@ -211,6 +211,39 @@ fn run_metrics_out_carries_the_coverage_and_snapshot_cache_families() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--simlog` re-runs the case for its log under the same watchdog
+/// budget, so the log ends where the reported run stopped.
+#[test]
+fn run_simlog_honours_the_case_cycle_budget() {
+    let dir = scratch_dir("simlog");
+    let simlog = dir.join("sim.log");
+    let out = teesec(&[
+        "run",
+        "exp_load_l1_hit",
+        "--quiet",
+        "--case-cycle-budget",
+        "200",
+        "--simlog",
+        path_arg(&simlog),
+    ]);
+    assert!(
+        stdout(&out).contains("simulated 200 cycles (CycleLimit)"),
+        "{}",
+        stdout(&out)
+    );
+    let last_cycle = read(&simlog)
+        .lines()
+        .filter_map(|l| l.split_whitespace().nth(1)?.parse().ok())
+        .max()
+        .unwrap_or(0u64);
+    assert!(last_cycle > 0, "the log records the run");
+    assert!(
+        last_cycle <= 200,
+        "the simulation log runs past the budget, to cycle {last_cycle}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn json_modes_print_exactly_one_document_with_artifacts_on() {
     let dir = scratch_dir("json");

@@ -15,18 +15,12 @@ use teesec::paths::AccessPath;
 use teesec::TestCase;
 use teesec_uarch::config::CoreConfig;
 
-/// An engine with the CLI's production options: streaming checker,
-/// snapshot cache, plan coverage, counters and kept reports.
+/// An engine with the production options on two workers.
 fn production(cfg: &CoreConfig) -> Engine {
     Engine::new(
         cfg.clone(),
         EngineOptions {
             threads: 2,
-            keep_reports: true,
-            counters: true,
-            streaming: true,
-            snapshot_cache: true,
-            coverage: true,
             ..EngineOptions::default()
         },
     )

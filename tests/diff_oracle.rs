@@ -101,18 +101,6 @@ fn verdicts_ride_each_case_result_and_fold_into_the_aggregate() {
     assert_eq!(result.engine.and_then(|m| m.diff), Some(folded));
 }
 
-#[test]
-fn wider_register_file_stride_still_matches() {
-    let cfg = CoreConfig::boom();
-    let opts = DiffOptions {
-        stride: 64,
-        ..DiffOptions::default()
-    };
-    let tc = assemble_case(AccessPath::LoadMemMiss, CaseParams::default(), &cfg).unwrap();
-    let v = diff_case(&tc, &cfg, &opts).expect("build");
-    assert!(matches!(v, DiffVerdict::Match { .. }), "got {v:?}");
-}
-
 /// The oracle self-test: plant a single-bit-pattern corruption in the
 /// core's architectural register file mid-run and require a structured
 /// divergence that does not pre-date the injection.
@@ -126,7 +114,6 @@ fn planted_ooo_bug_is_reported_with_the_first_bad_retire() {
             reg: Reg::T4,
             xor: 0x1,
         }),
-        ..DiffOptions::default()
     };
     let v = diff_case(&tc, &cfg, &opts).expect("build");
     let DiffVerdict::Diverged(d) = v else {

@@ -1,10 +1,10 @@
-//! Locks the engine to a serial reference oracle: every case simulated
-//! with the public `run_case` and checked with the batch `check_case`,
-//! one after another, in corpus order. The engine must produce an
-//! identical `CampaignResult` (and identical retained reports) at every
-//! worker count; timing and the engine-metrics attachment are the only
-//! permitted differences. Its aggregate metrics must not depend on the
-//! worker count either, apart from their timing fields.
+//! Locks the production engine to a serial reference oracle: every case
+//! simulated with the public `run_case` and checked with the batch
+//! `check_case`, one after another, in corpus order. The engine must
+//! produce an identical `CampaignResult` (and identical retained reports)
+//! at every worker count; timing and the engine-metrics attachment are
+//! the only permitted differences. Its aggregate metrics must not depend
+//! on the worker count either, apart from their timing fields.
 
 use std::collections::BTreeSet;
 
@@ -84,7 +84,6 @@ fn engine_matches_serial_at_1_2_and_7_threads() {
             &corpus,
             EngineOptions {
                 threads,
-                keep_reports: true,
                 ..EngineOptions::default()
             },
         );
@@ -120,8 +119,6 @@ fn aggregate_metrics_match_at_1_2_and_7_threads() {
                 &corpus,
                 EngineOptions {
                     threads,
-                    counters: true,
-                    coverage: true,
                     diff: Some(DiffOptions::default()),
                     ..EngineOptions::default()
                 },
@@ -164,8 +161,9 @@ fn aggregate_metrics_match_at_1_2_and_7_threads() {
 }
 
 /// The production configuration — streaming checker + shared snapshot
-/// cache across workers — must be result-identical to the plain batch
-/// engine, down to the retained reports, and must actually use the cache.
+/// cache across workers — must be result-identical to the batch engine
+/// that builds every case from reset, down to the retained reports, and
+/// must actually use the cache.
 #[test]
 fn streaming_snapshot_engine_matches_batch_engine() {
     let cfg = CoreConfig::boom();
@@ -175,7 +173,8 @@ fn streaming_snapshot_engine_matches_batch_engine() {
         &corpus,
         EngineOptions {
             threads: 4,
-            keep_reports: true,
+            streaming: false,
+            snapshot_cache: false,
             ..EngineOptions::default()
         },
     );
@@ -186,9 +185,6 @@ fn streaming_snapshot_engine_matches_batch_engine() {
         &corpus,
         EngineOptions {
             threads: 4,
-            keep_reports: true,
-            streaming: true,
-            snapshot_cache: true,
             ..EngineOptions::default()
         },
     );

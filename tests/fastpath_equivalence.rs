@@ -1,12 +1,12 @@
 //! Fast-path byte-identity: the fast-path simulator (page-keyed decode
-//! cache, fetch-line memo, dirty-scan watermark, LSU retry elision,
-//! frozen trace prefixes) must be *indistinguishable* from the reference
-//! path in every checker-visible output. Over the full default corpus,
-//! on both designs, with the fast path forced on and off, this suite
-//! compares the serialized [`CheckReport`] (which embeds the provenance
-//! chains), the per-case [`CaseCoverage`], and the microarchitectural
-//! counter digest. The checker is fed two ways: replaying a buffered
-//! trace (`check_case_coverage`) and online while the case runs, from
+//! cache, fetch-line memo, dirty-scan watermark, LSU retry elision) must
+//! be *indistinguishable* from the reference path in every
+//! checker-visible output. Over the full default corpus, on both designs,
+//! with the fast path forced on and off, this suite compares the
+//! serialized [`CheckReport`] (which embeds the provenance chains), the
+//! per-case [`CaseCoverage`], and the microarchitectural counter digest.
+//! The checker is fed two ways: replaying a buffered trace
+//! (`check_case_coverage`) and online while the case runs, from
 //! snapshot-forked platforms with no trace buffering.
 //!
 //! The fast path is elision-only by construction; this harness is the

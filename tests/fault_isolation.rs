@@ -115,7 +115,6 @@ fn result_events_arrive_in_seq_order_at_four_workers() {
     let sink = EventSink::file(path.to_str().expect("utf-8 temp path")).expect("create event file");
     let opts = EngineOptions {
         threads: 4,
-        counters: true,
         events: Some(sink),
         ..EngineOptions::default()
     };

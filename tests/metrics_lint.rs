@@ -113,17 +113,13 @@ fn parse(text: &str) -> Exposition {
     Exposition { families, samples }
 }
 
-/// A full-featured engine run (counters + diff + streaming + snapshot
-/// cache + tracing) so every optional family appears in the exposition.
+/// The production pipeline plus the oracle and tracing, so every
+/// optional family appears in the exposition.
 fn full_campaign_result() -> teesec::CampaignResult {
     let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(6));
     let (result, _) = campaign.run_engine(EngineOptions {
         threads: 2,
-        counters: true,
         diff: Some(teesec::diff::DiffOptions::default()),
-        streaming: true,
-        snapshot_cache: true,
-        coverage: true,
         tracer: Tracer::new(2),
         ..EngineOptions::default()
     });
@@ -433,8 +429,6 @@ fn live_scrape_families_are_a_subset_of_the_finals() {
         std::thread::spawn(move || {
             Campaign::new(CoreConfig::boom(), Fuzzer::with_target(400)).run_engine(EngineOptions {
                 threads: 2,
-                counters: true,
-                coverage: true,
                 telemetry: Some(hub),
                 ..EngineOptions::default()
             })

@@ -50,7 +50,6 @@ fn diverging_case_shrinks_while_still_diverging() {
             reg: Reg::A5,
             xor: 0xFFFF,
         }),
-        ..DiffOptions::default()
     };
     let mut keep = preserves_divergence(&cfg, &opts);
     assert!(keep(&tc), "the planted fault must diverge unminimized");

@@ -25,15 +25,20 @@ fn instrumented_run_stays_within_a_sane_multiple() {
         .run_corpus(&corpus[..2], PhaseTiming::default());
 
     let t0 = Instant::now();
-    let (plain, _) = Engine::new(cfg.clone(), EngineOptions::default())
-        .run_corpus(&corpus, PhaseTiming::default());
+    let (plain, _) = Engine::new(
+        cfg.clone(),
+        EngineOptions {
+            counters: false,
+            ..EngineOptions::default()
+        },
+    )
+    .run_corpus(&corpus, PhaseTiming::default());
     let plain_us = t0.elapsed().as_micros();
 
     let t1 = Instant::now();
     let (instrumented, _) = Engine::new(
         cfg,
         EngineOptions {
-            counters: true,
             events: Some(EventSink::new(std::io::sink())),
             ..EngineOptions::default()
         },

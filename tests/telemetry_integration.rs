@@ -117,8 +117,6 @@ fn mid_flight_scrapes_observe_the_campaign_then_its_completion() {
         std::thread::spawn(move || {
             Campaign::new(CoreConfig::boom(), Fuzzer::with_target(800)).run_engine(EngineOptions {
                 threads: 2,
-                counters: true,
-                coverage: true,
                 telemetry: Some(hub),
                 ..EngineOptions::default()
             })
@@ -385,11 +383,7 @@ fn status_document_matches_the_committed_schema() {
     let (_, _) =
         Campaign::new(CoreConfig::boom(), Fuzzer::with_target(8)).run_engine(EngineOptions {
             threads: 2,
-            counters: true,
             diff: Some(teesec::diff::DiffOptions::default()),
-            streaming: true,
-            snapshot_cache: true,
-            coverage: true,
             tracer: Tracer::new(2),
             telemetry: Some(hub.clone()),
             ..EngineOptions::default()

@@ -61,8 +61,6 @@ fn traced_run(
         EngineOptions {
             threads,
             counters,
-            streaming: true,
-            snapshot_cache: true,
             events: Some(EventSink::new(SharedBuf(buf.clone()))),
             tracer: tracer.clone(),
             ..EngineOptions::default()
