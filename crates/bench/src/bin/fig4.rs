@@ -32,8 +32,7 @@ fn run_on(cfg: &CoreConfig) {
         "  line-fill buffer snapshot at test end (final domain: {:?}):",
         outcome.platform.core.domain
     );
-    let mut secrets = tc.secrets.clone();
-    secrets.reindex();
+    let secrets = tc.secrets.indexed();
     let mut residual = 0;
     for (i, e) in outcome.platform.core.lsu.lfb.entries().iter().enumerate() {
         if !e.valid || e.state != LfbState::Filled {

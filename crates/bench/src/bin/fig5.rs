@@ -8,7 +8,7 @@ use teesec_isa::csr::Satp;
 use teesec_isa::pmp::PmpCfg;
 use teesec_isa::priv_level::PrivLevel;
 use teesec_uarch::csr_file::CsrFile;
-use teesec_uarch::lsu::{LoadRequest, Lsu};
+use teesec_uarch::lsu::{Completions, LoadRequest, Lsu};
 use teesec_uarch::mem::Memory;
 use teesec_uarch::trace::{Domain, Trace};
 use teesec_uarch::CoreConfig;
@@ -21,6 +21,7 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
     let mut csr = CsrFile::new(cfg.hpm_counters);
     let mut mem = Memory::new();
     let mut trace = Trace::new();
+    let mut completions = Completions::default();
     mem.write_u64(ADDR, SECRET);
     let mut cycle = 0u64;
     if warm {
@@ -46,7 +47,8 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
                 &mut mem,
                 &mut trace,
             );
-            if !lsu.take_completions().is_empty() {
+            lsu.swap_completions(&mut completions);
+            if !completions.loads.is_empty() {
                 break;
             }
         }
@@ -78,8 +80,8 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
             &mut mem,
             &mut trace,
         );
-        let mut c = lsu.take_completions();
-        if let Some(d) = c.pop() {
+        lsu.swap_completions(&mut completions);
+        if let Some(&d) = completions.loads.last() {
             break d;
         }
     };

@@ -21,6 +21,13 @@
 //!   per-cell exercise counts, per-structure residency histograms, the
 //!   coverage ratio, and the explicit gap list rendered by
 //!   `teesec coverage-report`.
+//!
+//! Every traced event marks a cell exercised, so a case's exercised cells
+//! are a `CellSet`: one bit per cell of the 14 structures × 5 transition
+//! points × 3 observer kinds. A cell's bit position is its rank in
+//! [`CellKey`] order (structure, then transition point, then observer,
+//! each in declaration order), so iterating the bits in ascending order
+//! yields the cells sorted, as [`CaseCoverage::exercised`] records them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -144,6 +151,76 @@ pub struct CellKey {
     pub observer: ObserverKind,
 }
 
+/// Transition points per structure in a [`CellSet`].
+const TRANSITIONS: usize = 5; // TransitionPoint::all().len()
+
+/// Observer kinds, in [`CellKey`] order.
+const OBSERVERS: [ObserverKind; 3] = [
+    ObserverKind::Host,
+    ObserverKind::Monitor,
+    ObserverKind::Enclave,
+];
+
+/// Cells in the matrix: structures × transition points × observers.
+const CELLS: usize = 14 * TRANSITIONS * OBSERVERS.len(); // Structure::all().len() = 14
+
+/// A set of coverage cells, one bit per cell, iterated in [`CellKey`]
+/// order (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CellSet([u64; CELLS.div_ceil(64)]);
+
+impl CellSet {
+    /// The cell's bit position: its rank in [`CellKey`] order.
+    fn bit(cell: CellKey) -> usize {
+        (cell.structure.index() * TRANSITIONS + cell.transition as usize) * OBSERVERS.len()
+            + cell.observer as usize
+    }
+
+    /// The cell at bit position `bit`.
+    fn cell(bit: usize) -> CellKey {
+        let per_structure = TRANSITIONS * OBSERVERS.len();
+        CellKey {
+            structure: Structure::all()[bit / per_structure],
+            transition: TransitionPoint::all()[bit % per_structure / OBSERVERS.len()],
+            observer: OBSERVERS[bit % OBSERVERS.len()],
+        }
+    }
+
+    /// Adds `cell`.
+    pub(crate) fn insert(&mut self, cell: CellKey) {
+        let bit = CellSet::bit(cell);
+        self.0[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Whether `cell` is in the set.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, cell: &CellKey) -> bool {
+        let bit = CellSet::bit(*cell);
+        self.0[bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    /// Whether the set is empty.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// The cells in [`CellKey`] order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = CellKey> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(CellSet::cell(w * 64 + bit))
+            })
+        })
+    }
+}
+
 /// One exercised cell where the checker also detected findings, with the
 /// leak classes seen there.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,7 +272,7 @@ pub struct CaseCoverage {
 pub(crate) struct CoverageTracker {
     domain: Domain,
     transition: TransitionPoint,
-    exercised: BTreeSet<CellKey>,
+    exercised: CellSet,
     detected: BTreeMap<CellKey, BTreeSet<LeakClass>>,
 }
 
@@ -204,7 +281,7 @@ impl CoverageTracker {
         CoverageTracker {
             domain: Domain::Untrusted,
             transition: TransitionPoint::Boot,
-            exercised: BTreeSet::new(),
+            exercised: CellSet::default(),
             detected: BTreeMap::new(),
         }
     }
@@ -269,7 +346,7 @@ impl CoverageTracker {
             .collect();
         detected.sort_by_key(|d| d.cell);
         CaseCoverage {
-            exercised: self.exercised.into_iter().collect(),
+            exercised: self.exercised.iter().collect(),
             detected,
             residency: case_residency(report),
         }
@@ -577,7 +654,47 @@ impl PlanCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use teesec_isa::priv_level::PrivLevel;
+
+    fn any_cell() -> impl Strategy<Value = CellKey> {
+        (
+            0..Structure::all().len(),
+            0..TRANSITIONS,
+            0..OBSERVERS.len(),
+        )
+            .prop_map(|(s, t, o)| CellKey {
+                structure: Structure::all()[s],
+                transition: TransitionPoint::all()[t],
+                observer: OBSERVERS[o],
+            })
+    }
+
+    proptest! {
+        /// A `CellSet` holds exactly the cells a `BTreeSet<CellKey>` holds
+        /// and iterates them in the same order.
+        #[test]
+        fn cell_set_iterates_like_a_btree_set(
+            cells in prop::collection::vec(any_cell(), 0..80),
+        ) {
+            let mut set = CellSet::default();
+            let mut reference = BTreeSet::new();
+            for &cell in &cells {
+                set.insert(cell);
+                reference.insert(cell);
+            }
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), reference.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(set.is_empty(), reference.is_empty());
+            for s in Structure::all() {
+                for t in TransitionPoint::all() {
+                    for o in OBSERVERS {
+                        let cell = CellKey { structure: *s, transition: *t, observer: o };
+                        prop_assert_eq!(set.contains(&cell), reference.contains(&cell));
+                    }
+                }
+            }
+        }
+    }
 
     fn ev(cycle: u64, domain: Domain, structure: Structure, kind: TraceEventKind) -> TraceEvent {
         TraceEvent {
@@ -706,7 +823,7 @@ mod tests {
                 tag: None,
             },
         ));
-        let cells: Vec<CellKey> = t.exercised.iter().copied().collect();
+        let cells: Vec<CellKey> = t.exercised.iter().collect();
         assert_eq!(
             cells,
             vec![

@@ -4,8 +4,19 @@
 //! *hash of the memory address where it is stored*, so any value the checker
 //! finds in the simulation log can be traced back to the exact enclave
 //! location it escaped from (paper §4.2).
+//!
+//! The checker probes the catalog for every value the simulation traces,
+//! so the value-keyed maps and sets here and in [`stream`](crate::stream)
+//! hash with `MulShift`, one multiply and one rotate, instead of
+//! SipHash. SipHash's keyed randomization defends a map against keys an
+//! adversary chooses. No key here comes from outside the program: each is
+//! a secret the program derived from an address with [`secret_for`], or a
+//! value the simulator produced while running generated programs. And no
+//! output depends on the maps' iteration order, which SipHash's random
+//! keys already changed from run to run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +34,41 @@ pub fn secret_for(addr: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// Multiply-shift hashing for 64-bit values: multiply by an odd constant,
+/// then rotate the well-mixed high half of the product down to the low
+/// bits a hash table indexes with. Safe only for keys no adversary picks
+/// (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MulShiftHasher(u64);
+
+impl Hasher for MulShiftHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of the checker's
+/// value-keyed maps and sets.
+pub(crate) type MulShift = BuildHasherDefault<MulShiftHasher>;
+
+/// A map keyed by traced 64-bit values.
+pub(crate) type ValueMap<V> = HashMap<u64, V, MulShift>;
+
+/// A set of traced 64-bit values.
+pub(crate) type ValueSet = HashSet<u64, MulShift>;
 
 /// One cataloged secret: where it lives and whose it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,8 +97,9 @@ pub struct SecretRecord {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SecretCatalog {
     records: Vec<SecretRecord>,
+    /// Value → index of the last record seeded with that value.
     #[serde(skip)]
-    by_value: HashMap<u64, usize>,
+    by_value: ValueMap<usize>,
 }
 
 impl SecretCatalog {
@@ -83,27 +130,35 @@ impl SecretCatalog {
     }
 
     /// Looks up a 64-bit value; returns the record if it is a cataloged
-    /// secret.
+    /// secret. A value seeded more than once resolves to its last record.
     pub fn identify(&self, value: u64) -> Option<SecretRecord> {
+        self.locate(value).map(|i| self.records[i])
+    }
+
+    /// The index in [`SecretCatalog::records`] that
+    /// [`SecretCatalog::identify`] resolves `value` to.
+    pub(crate) fn locate(&self, value: u64) -> Option<usize> {
         if value == 0 {
             return None;
         }
-        self.by_value.get(&value).map(|&i| self.records[i])
+        self.by_value.get(&value).copied()
     }
 
     /// Scans a byte buffer for any cataloged secret at every 8-byte-aligned
     /// window, returning (offset, record) pairs.
     pub fn scan_bytes(&self, data: &[u8]) -> Vec<(usize, SecretRecord)> {
-        let mut hits = Vec::new();
-        let mut off = 0;
-        while off + 8 <= data.len() {
-            let v = u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-            if let Some(rec) = self.identify(v) {
-                hits.push((off, rec));
-            }
-            off += 8;
-        }
-        hits
+        self.hits(data)
+            .map(|(off, i)| (off, self.records[i]))
+            .collect()
+    }
+
+    /// [`SecretCatalog::scan_bytes`] as (offset, record index) pairs,
+    /// without collecting them.
+    pub(crate) fn hits<'a>(&'a self, data: &'a [u8]) -> impl Iterator<Item = (usize, usize)> + 'a {
+        data.chunks_exact(8).enumerate().filter_map(|(k, word)| {
+            let v = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            self.locate(v).map(|i| (k * 8, i))
+        })
     }
 
     /// All records.
@@ -119,6 +174,17 @@ impl SecretCatalog {
     /// `true` when nothing was seeded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// A copy of this catalog with its value index built once from the
+    /// records (the source's own index, if any, is not copied).
+    pub fn indexed(&self) -> SecretCatalog {
+        let mut copy = SecretCatalog {
+            records: self.records.clone(),
+            by_value: ValueMap::default(),
+        };
+        copy.reindex();
+        copy
     }
 
     /// Rebuilds the value index (after deserialization).

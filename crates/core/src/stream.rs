@@ -15,6 +15,9 @@
 //!   chains from the whole trace, and the equivalence suites compare the
 //!   two.
 //!
+//! [`StreamingChecker`] resolves each traced value against the secret
+//! catalog once, as `Hits`, and hands the result to both layers.
+//!
 //! The memory bound relies on one trace invariant: event cycles are
 //! nondecreasing (events are recorded as the simulation advances). That
 //! makes every "first event before the observation" query answerable with
@@ -31,10 +34,16 @@ use crate::coverage::{CaseCoverage, CellKey, CoverageTracker};
 use crate::provenance::{event_verb, ProvenanceChain, ProvenanceHop};
 use crate::report::{CheckReport, Finding, LeakClass, Principle};
 use crate::runner::RunOutcome;
-use crate::secret::SecretCatalog;
+use crate::secret::{SecretCatalog, SecretRecord, ValueSet};
 use crate::testcase::TestCase;
 
 const NS: usize = 14; // Structure::all().len()
+
+/// The cataloged secrets one trace event carries, as (byte offset, record
+/// index) pairs into the case's [`SecretCatalog`]: at most one, at offset
+/// 0, for a scalar read or write; one per matching 8-byte window for a
+/// fill. [`StreamingChecker`] fills it once per event.
+type Hits = [(usize, usize)];
 
 /// One scanned finding slot. Register-file leaks from an enclave to the
 /// untrusted host cannot be classified when pushed (D4 vs D8 depends on
@@ -59,11 +68,11 @@ pub(crate) struct ScanState {
     /// rejected (Figure 6). A read must precede the spill that exposes it;
     /// with nondecreasing cycles every previously recorded read does, so
     /// value membership is sufficient.
-    transient_read_values: HashSet<u64>,
+    transient_read_values: ValueSet,
     /// Secret values the store buffer forwarded to a load (D8 evidence).
-    sb_forwarded_secrets: HashSet<u64>,
+    sb_forwarded_secrets: ValueSet,
     /// Secret addresses with a pending enclave→host register-file finding.
-    pending_rf_addrs: HashSet<u64>,
+    pending_rf_addrs: ValueSet,
     dedup: HashSet<FindingKey>,
     slots: Vec<Slot>,
     events_seen: u64,
@@ -77,9 +86,9 @@ impl ScanState {
         ScanState {
             mcounteren,
             tainted: vec![false; hpm_counters],
-            transient_read_values: HashSet::new(),
-            sb_forwarded_secrets: HashSet::new(),
-            pending_rf_addrs: HashSet::new(),
+            transient_read_values: ValueSet::default(),
+            sb_forwarded_secrets: ValueSet::default(),
+            pending_rf_addrs: ValueSet::default(),
             dedup: HashSet::new(),
             slots: Vec::new(),
             events_seen: 0,
@@ -114,10 +123,11 @@ impl ScanState {
         &self.slots[i].finding
     }
 
-    /// Feeds one trace event through the scan; `secrets` is the case's
-    /// indexed catalog.
-    pub(crate) fn on_event(&mut self, e: &TraceEvent, secrets: &SecretCatalog) {
+    /// Feeds one trace event through the scan; `hits` are the secrets of
+    /// the case's catalog `records` that the event carries.
+    pub(crate) fn on_event(&mut self, e: &TraceEvent, records: &[SecretRecord], hits: &Hits) {
         self.events_seen += 1;
+        let scalar_hit = || hits.first().map(|&(_, i)| records[i]);
         // Coverage first: a domain switch must advance the transition
         // window before any finding this event pushes is attributed.
         if let Some(cov) = self.coverage.as_mut() {
@@ -126,7 +136,7 @@ impl ScanState {
         match (&e.structure, &e.kind) {
             // ---- P1: verbatim secrets in the register file -----------------
             (Structure::RegFile, TraceEventKind::Write { value, .. }) => {
-                if let Some(rec) = secrets.identify(*value) {
+                if let Some(rec) = scalar_hit() {
                     if !authorized(rec.owner, e.domain) {
                         let detail = format!(
                             "secret written back to the register file in {:?} domain (owner {:?})",
@@ -171,13 +181,10 @@ impl ScanState {
             // ---- P1: secrets arriving in fill buffers / caches -------------
             (
                 s @ (Structure::Lfb | Structure::L1d | Structure::L2),
-                TraceEventKind::Fill {
-                    addr,
-                    data,
-                    purpose,
-                },
+                TraceEventKind::Fill { addr, purpose, .. },
             ) => {
-                for (off, rec) in secrets.scan_bytes(data) {
+                for &(off, i) in hits {
+                    let rec = records[i];
                     if authorized(rec.owner, e.domain) {
                         continue;
                     }
@@ -276,7 +283,7 @@ impl ScanState {
                 // Also: verbatim secrets entering the store buffer outside
                 // their owner's domain (enclave stores drain under host
                 // execution are authorized — owner wrote them).
-                if let Some(rec) = secrets.identify(*value) {
+                if let Some(rec) = scalar_hit() {
                     if !authorized(rec.owner, e.domain) {
                         self.push(Finding {
                             class: None,
@@ -292,9 +299,7 @@ impl ScanState {
                     }
                 }
             }
-            (Structure::StoreBuffer, TraceEventKind::Read { value, .. })
-                if secrets.identify(*value).is_some() =>
-            {
+            (Structure::StoreBuffer, TraceEventKind::Read { value, .. }) if !hits.is_empty() => {
                 self.sb_forwarded_secrets.insert(*value);
             }
             _ => {}
@@ -376,8 +381,6 @@ impl PEvent {
 /// cycle invariant. O(structures) memory per secret.
 #[derive(Debug)]
 struct SecretProv {
-    addr: u64,
-    value: u64,
     /// First carrying event executed in the owner's domain (the chain
     /// origin when it precedes the observation).
     first_in_domain: Option<PEvent>,
@@ -392,7 +395,9 @@ struct SecretProv {
 /// from, maintained incrementally in bounded memory.
 #[derive(Debug)]
 struct ProvIndex {
-    by_value: HashMap<u64, SecretProv>,
+    /// Carrier summaries by catalog record index. A value seeded more than
+    /// once only ever updates the record it resolves to (the last one).
+    by_record: Vec<SecretProv>,
     /// First trusted-domain counter bump (M1 chain origin).
     first_bump: Option<PEvent>,
     /// Most recent trusted bump / most recent one of an earlier cycle.
@@ -408,20 +413,13 @@ struct ProvIndex {
 impl ProvIndex {
     fn new(secrets: &SecretCatalog) -> ProvIndex {
         ProvIndex {
-            by_value: secrets
+            by_record: secrets
                 .records()
                 .iter()
-                .map(|r| {
-                    (
-                        r.value,
-                        SecretProv {
-                            addr: r.addr,
-                            value: r.value,
-                            first_in_domain: None,
-                            firsts_all: [None; NS],
-                            firsts_after: [None; NS],
-                        },
-                    )
+                .map(|_| SecretProv {
+                    first_in_domain: None,
+                    firsts_all: [None; NS],
+                    firsts_after: [None; NS],
                 })
                 .collect(),
             first_bump: None,
@@ -433,33 +431,16 @@ impl ProvIndex {
         }
     }
 
-    fn observe(&mut self, e: &TraceEvent, secrets: &SecretCatalog) {
+    fn observe(&mut self, e: &TraceEvent, records: &[SecretRecord], hits: &Hits) {
         let seq = self.seq;
         self.seq += 1;
         let pe = PEvent::from_event(e, seq);
 
-        // Secret carriers (scalar reads/writes and fill payloads).
-        match &e.kind {
-            TraceEventKind::Write { value, .. } | TraceEventKind::Read { value, .. } => {
-                if let Some(rec) = secrets.identify(*value) {
-                    if let Some(entry) = self.by_value.get_mut(value) {
-                        entry.observe_carrier(pe, rec.owner);
-                    }
-                }
-            }
-            TraceEventKind::Fill { data, .. } => {
-                let mut seen_values: Vec<u64> = Vec::new();
-                for (_, rec) in secrets.scan_bytes(data) {
-                    if seen_values.contains(&rec.value) {
-                        continue;
-                    }
-                    seen_values.push(rec.value);
-                    if let Some(entry) = self.by_value.get_mut(&rec.value) {
-                        entry.observe_carrier(pe, rec.owner);
-                    }
-                }
-            }
-            _ => {}
+        // Secret carriers (scalar reads/writes and fill payloads). A fill
+        // holding one secret twice observes it twice, which
+        // `observe_carrier` absorbs: it is idempotent for one event.
+        for &(_, i) in hits {
+            self.by_record[i].observe_carrier(pe, records[i].owner);
         }
 
         // M1: trusted counter-bump window.
@@ -545,6 +526,8 @@ pub struct StreamingChecker {
     path: crate::paths::AccessPath,
     design: String,
     secrets: SecretCatalog,
+    /// The current event's catalog hits (reused across events).
+    hits: Vec<(usize, usize)>,
     scan: ScanState,
     prov: ProvIndex,
     /// Per-slot M1 chain (first, last trusted bump) captured when the
@@ -556,8 +539,7 @@ pub struct StreamingChecker {
 impl StreamingChecker {
     /// Creates a checker for one test case on one design.
     pub fn new(tc: &TestCase, cfg: &CoreConfig) -> StreamingChecker {
-        let mut secrets = tc.secrets.clone();
-        secrets.reindex();
+        let secrets = tc.secrets.indexed();
         StreamingChecker {
             case: tc.name.clone(),
             path: tc.path,
@@ -565,6 +547,7 @@ impl StreamingChecker {
             scan: ScanState::new(tc.mcounteren, cfg.hpm_counters),
             prov: ProvIndex::new(&secrets),
             secrets,
+            hits: Vec::new(),
             m1_at_push: HashMap::new(),
             last_cycle: 0,
         }
@@ -592,10 +575,20 @@ impl StreamingChecker {
         );
         self.last_cycle = e.cycle;
 
-        self.prov.observe(e, &self.secrets);
+        self.hits.clear();
+        match &e.kind {
+            TraceEventKind::Write { value, .. } | TraceEventKind::Read { value, .. } => {
+                self.hits
+                    .extend(self.secrets.locate(*value).map(|i| (0, i)));
+            }
+            TraceEventKind::Fill { data, .. } => self.hits.extend(self.secrets.hits(data)),
+            _ => {}
+        }
+        let records = self.secrets.records();
+        self.prov.observe(e, records, &self.hits);
 
         let before = self.scan.finding_count();
-        self.scan.on_event(e, &self.secrets);
+        self.scan.on_event(e, records, &self.hits);
         // Capture the M1 accumulation window for metadata findings at push
         // time: their observation cycle is this event's cycle, and the
         // "last trusted bump before it" is only cheap to answer *now*.
@@ -654,7 +647,9 @@ impl StreamingChecker {
         let provenance = findings
             .iter()
             .enumerate()
-            .filter_map(|(i, f)| chain_for(f, i, end_cycle, &prov, &m1_at_push, slot_count))
+            .filter_map(|(i, f)| {
+                chain_for(f, i, end_cycle, &secrets, &prov, &m1_at_push, slot_count)
+            })
             .collect();
 
         let report = CheckReport {
@@ -686,6 +681,7 @@ fn chain_for(
     finding: &Finding,
     index: usize,
     end_cycle: u64,
+    secrets: &SecretCatalog,
     prov: &ProvIndex,
     m1_at_push: &HashMap<usize, (PEvent, Option<PEvent>)>,
     slot_count: usize,
@@ -715,7 +711,7 @@ fn chain_for(
 
     let (owner, origin, retention) = match (&finding.secret, finding.principle) {
         (Some(rec), _) => {
-            let entry = prov.by_value.get(&rec.value)?;
+            let entry = &prov.by_record[secrets.locate(rec.value)?];
             let owner = rec.owner;
             // The first in-domain carrier is the origin when it precedes
             // the observation; otherwise the secret's architectural seed
@@ -736,7 +732,7 @@ fn chain_for(
                         pc: None,
                         action: format!(
                             "secret {:#x} seeded at address {:#x} before the run",
-                            entry.value, entry.addr
+                            rec.value, rec.addr
                         ),
                     },
                     0,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use teesec::assemble::{assemble_case, Attacker, CaseParams, Lifecycle, Victim};
 use teesec::paths::AccessPath;
-use teesec::secret::{secret_for, SecretCatalog};
+use teesec::secret::{secret_for, SecretCatalog, SecretRecord};
 use teesec_isa::inst::MemWidth;
 use teesec_uarch::trace::Domain;
 use teesec_uarch::CoreConfig;
@@ -43,6 +43,15 @@ fn any_path() -> impl Strategy<Value = AccessPath> {
     prop::sample::select(AccessPath::all().to_vec())
 }
 
+/// `SecretCatalog::identify` by a linear search: the last record seeded
+/// with `value`, and nothing for 0.
+fn identify_by_search(records: &[SecretRecord], value: u64) -> Option<SecretRecord> {
+    if value == 0 {
+        return None;
+    }
+    records.iter().rev().find(|r| r.value == value).copied()
+}
+
 proptest! {
     /// Secrets are injective over distinct addresses within any realistic
     /// region (collision would break leak attribution).
@@ -76,6 +85,49 @@ proptest! {
         prop_assert_eq!(hits.len(), 1);
         prop_assert_eq!(hits[0].0, slot * 8);
         prop_assert_eq!(hits[0].1.addr, addr);
+    }
+
+    /// `identify` and `scan_bytes` agree with linear references over
+    /// random catalogs, addresses seeded more than once included, whether
+    /// the index was built seed by seed or by `indexed`. Probes are every
+    /// seeded secret, random values and 0; the scan buffer holds the
+    /// probes plus a ragged tail no 8-byte window covers.
+    #[test]
+    fn catalog_lookup_matches_a_linear_reference(
+        seeds in prop::collection::vec((0u64..48, 0u8..4), 1..40),
+        random in prop::collection::vec(any::<u64>(), 0..8),
+        tail in 0usize..8,
+    ) {
+        let owners = [
+            Domain::Enclave(0),
+            Domain::Enclave(1),
+            Domain::SecurityMonitor,
+            Domain::Untrusted,
+        ];
+        let mut seeded = SecretCatalog::new();
+        for &(k, owner) in &seeds {
+            seeded.seed(0x8040_0000 + 8 * k, owners[owner as usize]);
+        }
+        let records = seeded.records().to_vec();
+        let mut probes: Vec<u64> = records.iter().map(|r| r.value).collect();
+        probes.extend(&random);
+        probes.push(0);
+        let mut buf: Vec<u8> = probes.iter().flat_map(|v| v.to_le_bytes()).collect();
+        buf.extend(std::iter::repeat_n(0xA5, tail));
+        let reference: Vec<(usize, SecretRecord)> = buf
+            .chunks_exact(8)
+            .enumerate()
+            .filter_map(|(k, w)| {
+                identify_by_search(&records, u64::from_le_bytes(w.try_into().unwrap()))
+                    .map(|r| (k * 8, r))
+            })
+            .collect();
+        for catalog in [&seeded, &seeded.indexed()] {
+            for &v in &probes {
+                prop_assert_eq!(catalog.identify(v), identify_by_search(&records, v));
+            }
+            prop_assert_eq!(catalog.scan_bytes(&buf), reference);
+        }
     }
 
     /// The gadget assembler is total over the parameter space: every

@@ -1,7 +1,9 @@
 //! Forking a platform from its boot snapshot, and dropping the fork, must
 //! not allocate per cache line: each storage structure is a few flat
 //! buffers, so a fork costs a bounded number of heap allocations whatever
-//! the cache geometry.
+//! the cache geometry. Stepping a warmed platform through L1 hits must not
+//! allocate at all: the LSU hands completions to the core in buffers the
+//! two keep reusing.
 //!
 //! A counting global allocator tallies allocations and frees per thread,
 //! so the test harness's own threads add no noise.
@@ -9,6 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use teesec_isa::reg::Reg;
+use teesec_tee::layout;
 use teesec_tee::platform::PlatformSnapshot;
 use teesec_tee::sm::SmOptions;
 use teesec_tee::{HostVm, Platform};
@@ -99,4 +103,57 @@ fn boom_fork_is_allocation_bounded() {
 #[test]
 fn xiangshan_fork_is_allocation_bounded() {
     forks_are_allocation_bounded(CoreConfig::xiangshan());
+}
+
+/// Steps a forked platform whose host loops over one load that hits the
+/// L1D, with tracing off so nothing is buffered, and counts the heap
+/// operations of `CYCLES` cycles after a warm-up.
+fn stepping_is_allocation_free(cfg: CoreConfig) {
+    const CYCLES: u64 = 4_000;
+    let name = cfg.name.clone();
+    let snap = PlatformSnapshot::capture(cfg.clone(), &SmOptions::default(), HostVm::Bare)
+        .expect("boot snapshot");
+    let mut platform = Platform::builder(cfg)
+        .host_code(|a, _| {
+            a.li(Reg::T0, layout::HOST_DATA);
+            a.li(Reg::T1, 1_000_000);
+            a.label("loop");
+            a.ld(Reg::T2, Reg::T0, 0);
+            a.addi(Reg::T1, Reg::T1, -1);
+            a.bnez(Reg::T1, "loop");
+        })
+        .build_from(&snap)
+        .expect("fork from snapshot");
+    let core = &mut platform.core;
+    core.trace.set_enabled(false);
+    // Warm-up: the line is in the L1D and every buffer is at its
+    // steady-state capacity.
+    for _ in 0..CYCLES {
+        core.step();
+    }
+    let before = core.retired();
+    let ((), allocs, frees) = counted(|| {
+        for _ in 0..CYCLES {
+            core.step();
+        }
+    });
+    assert!(!core.halted, "{name}: the load loop outlasts the test");
+    // Three instructions per iteration, one of them the load.
+    let loads = (core.retired() - before) / 3;
+    assert!(loads > CYCLES / 20, "{name}: only {loads} loads completed");
+    assert_eq!(
+        (allocs, frees),
+        (0, 0),
+        "{name}: {CYCLES} cycles ({loads} loads) made {allocs} allocations and {frees} frees"
+    );
+}
+
+#[test]
+fn boom_stepping_is_allocation_free() {
+    stepping_is_allocation_free(CoreConfig::boom());
+}
+
+#[test]
+fn xiangshan_stepping_is_allocation_free() {
+    stepping_is_allocation_free(CoreConfig::xiangshan());
 }

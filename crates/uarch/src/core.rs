@@ -3,6 +3,16 @@
 //! exception handling (faults are recorded at execute and raised at commit —
 //! the Meltdown-enabling implementation both BOOM and XiangShan use), and
 //! precise trap/interrupt handling.
+//!
+//! The scoreboard is a rename table. Every ROB entry has an absolute
+//! *slot*: the head's slot plus its position. At dispatch each source
+//! operand records the slot of its producer, the register's youngest
+//! in-flight writer, from a 32-entry table, so reading an operand is one
+//! index. A producer slot below the head's belongs to a retired writer (or
+//! none), whose value is in the architectural file. A slot stays valid
+//! while its consumer lives: a squash or trap removes a producer only
+//! together with every younger entry, its consumers included, and
+//! rebuilds the table from the entries that remain.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -19,7 +29,7 @@ use crate::config::CoreConfig;
 use crate::counters::{StructureCounters, UarchCounters};
 use crate::csr_file::{CsrError, CsrFile};
 use crate::decode::{DecodeCache, DecodeCacheStats};
-use crate::lsu::{LoadRequest, Lsu, XlateRequest};
+use crate::lsu::{Completions, LoadRequest, Lsu, XlateRequest};
 use crate::mem::Memory;
 use crate::tlb::Tlb;
 use crate::trace::{Domain, HpcEvent, Structure, Trace, TraceEvent, TraceEventKind};
@@ -68,6 +78,9 @@ struct RobEntry {
     pc: u64,
     predicted_next: u64,
     inst: Result<Inst, u32>,
+    /// Each source register with its producer's ROB slot, recorded at
+    /// dispatch (unused pairs hold the zero register).
+    operands: [(Reg, u64); 2],
     state: EntryState,
     result: Option<u64>,
     exception: Option<Exception>,
@@ -149,6 +162,12 @@ pub struct Core {
     fetch_pc: u64,
     fetch_stalled: bool,
     rob: VecDeque<RobEntry>,
+    /// Absolute slot of the ROB head; position `p` holds slot
+    /// `rob_head_slot + p`. Starts at 1, so slot 0 means "no writer".
+    rob_head_slot: u64,
+    /// Per register, the slot of its youngest in-flight writer, or a slot
+    /// below the head when the architectural file holds the value.
+    youngest_writer: [u64; 32],
     next_seq: u64,
     spec_rf: [u64; 32],
     arch_rf: [u64; 32],
@@ -185,6 +204,9 @@ pub struct Core {
     /// Fast-path diagnostics: scans performed / scans elided.
     scan_checks: u64,
     scan_skips: u64,
+    /// The buffers [`Lsu::swap_completions`] hands completions over in,
+    /// kept across cycles so the hand-off does not allocate.
+    lsu_completions: Completions,
 }
 
 /// The single I-cache line the fetch stage is currently streaming
@@ -269,6 +291,8 @@ impl Core {
             fetch_pc: reset_pc,
             fetch_stalled: false,
             rob: VecDeque::new(),
+            rob_head_slot: 1,
+            youngest_writer: [0; 32],
             next_seq: 0,
             spec_rf: [0; 32],
             arch_rf: [0; 32],
@@ -285,6 +309,7 @@ impl Core {
             scan_from: 0,
             scan_checks: 0,
             scan_skips: 0,
+            lsu_completions: Completions::default(),
             mem,
             config,
         }
@@ -607,12 +632,49 @@ impl Core {
     // Operand scoreboard
     // ------------------------------------------------------------------
 
-    /// The value of `r` as seen by the instruction at ROB position `pos`,
-    /// or `None` if an older in-flight writer has not completed.
+    /// The value of source register `r` as seen by the instruction at ROB
+    /// position `pos`, or `None` if its producer has not completed.
     fn source_value(&self, pos: usize, r: Reg) -> Option<u64> {
         if r.is_zero() {
             return Some(0);
         }
+        let k = usize::from(self.rob[pos].operands[0].0 != r);
+        debug_assert_eq!(self.rob[pos].operands[k].0, r, "not a source at {pos}");
+        self.operand(pos, k)
+    }
+
+    /// The value of operand `k` of the instruction at ROB position `pos`,
+    /// or `None` if its producer has not completed.
+    fn operand(&self, pos: usize, k: usize) -> Option<u64> {
+        let (r, slot) = self.rob[pos].operands[k];
+        if r.is_zero() {
+            return Some(0);
+        }
+        let value = match slot.checked_sub(self.rob_head_slot) {
+            None => Some(self.arch_rf[r.index() as usize]),
+            Some(off) => {
+                let producer = &self.rob[off as usize];
+                if producer.state == EntryState::Done {
+                    producer.result
+                } else {
+                    None
+                }
+            }
+        };
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            value,
+            self.source_value_by_walk(pos, r),
+            "scoreboard and ROB walk disagree on {r:?} at {pos}"
+        );
+        value
+    }
+
+    /// [`Core::source_value`] by walking the ROB back from `pos` to the
+    /// youngest older writer: the reference the scoreboard is checked
+    /// against in debug builds.
+    #[cfg(debug_assertions)]
+    fn source_value_by_walk(&self, pos: usize, r: Reg) -> Option<u64> {
         for j in (0..pos).rev() {
             let e = &self.rob[j];
             let dest = match e.inst {
@@ -631,10 +693,7 @@ impl Core {
     }
 
     fn operands_ready(&self, pos: usize) -> bool {
-        match self.rob[pos].inst {
-            Ok(i) => i.sources().all(|r| self.source_value(pos, r).is_some()),
-            Err(_) => true,
-        }
+        (0..2).all(|k| self.operand(pos, k).is_some())
     }
 
     /// Is this entry the youngest writer of its destination register?
@@ -643,6 +702,20 @@ impl Core {
             return false;
         };
         let Some(d) = inst.dest() else { return false };
+        let youngest = self.youngest_writer[d.index() as usize] == self.rob_head_slot + pos as u64;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            youngest,
+            self.is_youngest_writer_by_walk(pos, d),
+            "scoreboard and ROB walk disagree on the youngest writer at {pos}"
+        );
+        youngest
+    }
+
+    /// [`Core::is_youngest_writer`] by walking the ROB forward from `pos`
+    /// for a younger writer of `d`: the debug-build reference.
+    #[cfg(debug_assertions)]
+    fn is_youngest_writer_by_walk(&self, pos: usize, d: Reg) -> bool {
         !self
             .rob
             .iter()
@@ -690,13 +763,29 @@ impl Core {
         }
     }
 
+    /// Points every register's youngest-writer entry at the youngest
+    /// remaining ROB entry that writes it (or at slot 0): after a squash
+    /// or trap removed the entries it may have pointed at.
+    fn rebuild_youngest_writers(&mut self) {
+        self.youngest_writer = [0; 32];
+        for (j, e) in self.rob.iter().enumerate() {
+            if let Some(d) = e.inst.ok().and_then(Inst::dest) {
+                self.youngest_writer[d.index() as usize] = self.rob_head_slot + j as u64;
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // LSU completion collection
     // ------------------------------------------------------------------
 
     fn collect_lsu_completions(&mut self) {
-        for c in self.lsu.take_completions() {
-            if let Some(pos) = self.rob.iter().position(|e| e.seq == c.seq) {
+        // The ROB is seq-ordered, so a binary search finds each entry.
+        // Draining leaves the kept buffers empty, so a fork copies none.
+        let mut done = std::mem::take(&mut self.lsu_completions);
+        self.lsu.swap_completions(&mut done);
+        for c in done.loads.drain(..) {
+            if let Ok(pos) = self.rob.binary_search_by_key(&c.seq, |e| e.seq) {
                 let mut v = c.value;
                 if let Some(bits) = self.rob[pos].sign_extend_from {
                     if bits < 64 {
@@ -711,8 +800,8 @@ impl Core {
                 self.writeback(pos, v);
             }
         }
-        for c in self.lsu.take_xlate_completions() {
-            if let Some(pos) = self.rob.iter().position(|e| e.seq == c.seq) {
+        for c in done.xlates.drain(..) {
+            if let Ok(pos) = self.rob.binary_search_by_key(&c.seq, |e| e.seq) {
                 // A store turning Done can unblock younger loads' scans
                 // — and only those; scans never read younger entries.
                 self.invalidate_scans_after(pos);
@@ -723,6 +812,7 @@ impl Core {
                 self.rob[pos].state = EntryState::Done;
             }
         }
+        self.lsu_completions = done;
     }
 
     // ------------------------------------------------------------------
@@ -1064,6 +1154,7 @@ impl Core {
         }
         self.lsu.squash_after(squash_seq);
         self.rebuild_spec_rf();
+        self.rebuild_youngest_writers();
         self.fetch_pc = actual_next;
         self.fetch_stalled = false;
     }
@@ -1119,6 +1210,7 @@ impl Core {
         // store buffer — all of which scans read.
         self.invalidate_scans();
         let head = self.rob.pop_front().expect("retire requires a head");
+        self.rob_head_slot += 1;
         if let (Ok(inst), Some(v)) = (head.inst, head.result) {
             if let Some(d) = inst.dest() {
                 self.arch_rf[d.index() as usize] = v;
@@ -1286,6 +1378,7 @@ impl Core {
         }
         self.lsu.squash_after(seq + 1);
         self.rebuild_spec_rf();
+        self.rebuild_youngest_writers();
         self.fetch_pc = target;
         self.fetch_stalled = false;
     }
@@ -1540,6 +1633,7 @@ impl Core {
         self.rob.clear();
         self.lsu.squash_after(0);
         self.rebuild_spec_rf();
+        self.rebuild_youngest_writers();
         self.fetch_pc = self.csr.mtvec;
         self.fetch_stalled = false;
     }
@@ -1640,11 +1734,24 @@ impl Core {
         } else {
             EntryState::Waiting
         };
+        // Read the producers before this entry becomes its destination's
+        // youngest writer: `addi a0, a0, 1` reads the older `a0`.
+        let mut operands = [(Reg::ZERO, 0); 2];
+        if let Ok(i) = inst {
+            for (operand, r) in operands.iter_mut().zip(i.sources()) {
+                *operand = (r, self.youngest_writer[r.index() as usize]);
+            }
+            if let Some(d) = i.dest() {
+                self.youngest_writer[d.index() as usize] =
+                    self.rob_head_slot + self.rob.len() as u64;
+            }
+        }
         self.rob.push_back(RobEntry {
             seq: self.next_seq,
             pc,
             predicted_next,
             inst,
+            operands,
             state,
             result: None,
             exception,

@@ -117,6 +117,18 @@ pub struct XlateCompletion {
     pub exception: Option<Exception>,
 }
 
+/// The completions one [`Lsu::swap_completions`] hand-off delivers. The
+/// caller keeps one and hands it back every cycle, so the LSU and its
+/// caller trade the same two pairs of buffers and a steady-state hand-off
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Completions {
+    /// Demand-load completions, in completion order.
+    pub loads: Vec<LoadCompletion>,
+    /// Store-translation completions, in completion order.
+    pub xlates: Vec<XlateCompletion>,
+}
+
 // ---------------------------------------------------------------------------
 // Internal state machines
 // ---------------------------------------------------------------------------
@@ -265,8 +277,7 @@ pub struct Lsu {
     xlates: Vec<StoreXlateOp>,
     walks: Vec<Walk>,
     mem_reqs: Vec<MemReq>,
-    completions: Vec<LoadCompletion>,
-    xlate_completions: Vec<XlateCompletion>,
+    completions: Completions,
     next_req_id: u64,
     next_walk_id: u64,
     /// Fast-path switch mirrored from the core ([`Lsu::set_fast_path`]).
@@ -296,8 +307,7 @@ impl Lsu {
             xlates: Vec::new(),
             walks: Vec::new(),
             mem_reqs: Vec::new(),
-            completions: Vec::new(),
-            xlate_completions: Vec::new(),
+            completions: Completions::default(),
             next_req_id: 0,
             next_walk_id: 0,
             fast_path: crate::core::fast_path_default(),
@@ -436,18 +446,17 @@ impl Lsu {
                 x.squashed = true;
             }
         }
-        self.completions.retain(|c| c.seq < from_seq);
-        self.xlate_completions.retain(|c| c.seq < from_seq);
+        self.completions.loads.retain(|c| c.seq < from_seq);
+        self.completions.xlates.retain(|c| c.seq < from_seq);
     }
 
-    /// Takes pending load completions.
-    pub fn take_completions(&mut self) -> Vec<LoadCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Takes pending store-translation completions.
-    pub fn take_xlate_completions(&mut self) -> Vec<XlateCompletion> {
-        std::mem::take(&mut self.xlate_completions)
+    /// Hands pending completions over: clears `out`, then swaps its
+    /// buffers with the LSU's, so `out` holds every completion since the
+    /// last hand-off and the LSU keeps `out`'s emptied buffers.
+    pub fn swap_completions(&mut self, out: &mut Completions) {
+        out.loads.clear();
+        out.xlates.clear();
+        std::mem::swap(&mut self.completions, out);
     }
 
     /// Flushes the L1D (mitigation).
@@ -556,23 +565,14 @@ impl Lsu {
         self.drain_stores(cycle, priv_level, domain, mem, trace);
         self.loads.retain(|l| l.state != LoadLane::Done);
         self.xlates.retain(|x| x.state != XlateState::Done);
-        let keep: Vec<u64> = self
-            .walks
-            .iter()
-            .filter(|w| w.outcome.is_none() || self.walk_has_waiters(w.id))
-            .map(|w| w.id)
-            .collect();
-        self.walks.retain(|w| keep.contains(&w.id));
-    }
-
-    fn walk_has_waiters(&self, walk_id: u64) -> bool {
-        self.loads
-            .iter()
-            .any(|l| l.state == LoadLane::Walking(walk_id))
-            || self
-                .xlates
-                .iter()
-                .any(|x| x.state == XlateState::Walking(walk_id))
+        // A finished walk stays until no load or store translation waits
+        // on it.
+        let (loads, xlates) = (&self.loads, &self.xlates);
+        self.walks.retain(|w| {
+            w.outcome.is_none()
+                || loads.iter().any(|l| l.state == LoadLane::Walking(w.id))
+                || xlates.iter().any(|x| x.state == XlateState::Walking(w.id))
+        });
     }
 
     fn alloc_req_id(&mut self) -> u64 {
@@ -591,6 +591,9 @@ impl Lsu {
         mem: &mut Memory,
         trace: &mut Trace,
     ) {
+        if self.mem_reqs.iter().all(|r| r.complete_at > cycle) {
+            return;
+        }
         let ready: Vec<MemReq> = self
             .mem_reqs
             .iter()
@@ -918,7 +921,7 @@ impl Lsu {
                             value = 0;
                         }
                         if !l.squashed {
-                            self.completions.push(LoadCompletion {
+                            self.completions.loads.push(LoadCompletion {
                                 seq: l.req.seq,
                                 value,
                                 exception: l.exception,
@@ -1343,7 +1346,7 @@ impl Lsu {
         x.exception = exception;
         x.state = XlateState::Done;
         if !x.squashed {
-            self.xlate_completions.push(XlateCompletion {
+            self.completions.xlates.push(XlateCompletion {
                 seq: req.seq,
                 pa,
                 exception,
@@ -1519,9 +1522,9 @@ mod tests {
         start: u64,
         max: u64,
     ) -> (Vec<LoadCompletion>, u64) {
-        let mut out = Vec::new();
+        let mut out = Completions::default();
         let mut cycle = start;
-        while out.is_empty() && cycle < start + max {
+        while out.loads.is_empty() && cycle < start + max {
             cycle += 1;
             lsu.tick(
                 cycle,
@@ -1531,9 +1534,9 @@ mod tests {
                 mem,
                 trace,
             );
-            out = lsu.take_completions();
+            lsu.swap_completions(&mut out);
         }
-        (out, cycle)
+        (out.loads, cycle)
     }
 
     fn load_req(seq: u64, addr: u64) -> LoadRequest {
@@ -1945,6 +1948,7 @@ mod tests {
         lsu.squash_after(5);
         let mut c = 0;
         let mut done = Vec::new();
+        let mut handed = Completions::default();
         while c < 300 {
             c += 1;
             lsu.tick(
@@ -1955,7 +1959,8 @@ mod tests {
                 &mut mem,
                 &mut trace,
             );
-            done.extend(lsu.take_completions());
+            lsu.swap_completions(&mut handed);
+            done.extend_from_slice(&handed.loads);
         }
         assert!(done.is_empty(), "squashed load must not complete");
         assert!(
@@ -1990,8 +1995,8 @@ mod tests {
             satp: Satp::default(),
         });
         let mut c = 0;
-        let mut done = Vec::new();
-        while done.is_empty() && c < 50 {
+        let mut done = Completions::default();
+        while done.xlates.is_empty() && c < 50 {
             c += 1;
             lsu.tick(
                 c,
@@ -2001,10 +2006,10 @@ mod tests {
                 &mut mem,
                 &mut trace,
             );
-            done = lsu.take_xlate_completions();
+            lsu.swap_completions(&mut done);
         }
         assert!(matches!(
-            done[0].exception,
+            done.xlates[0].exception,
             Some(Exception::StoreAccessFault(_))
         ));
     }

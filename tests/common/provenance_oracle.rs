@@ -18,8 +18,7 @@ use teesec_uarch::trace::{Structure, TraceEvent, TraceEventKind};
 /// trace. Findings whose mechanism cannot be located in the trace have no
 /// chain, as in the checker's report.
 pub fn chains(tc: &TestCase, findings: &[Finding], outcome: &RunOutcome) -> Vec<ProvenanceChain> {
-    let mut secrets = tc.secrets.clone();
-    secrets.reindex();
+    let secrets = tc.secrets.indexed();
     let events: Vec<&TraceEvent> = outcome.platform.core.trace.iter_events().collect();
     findings
         .iter()
