@@ -2,15 +2,22 @@
 //! out-of-order [`Core`] against the in-order [`Iss`] reference model.
 //!
 //! The checker is only as trustworthy as the simulated core it inspects.
-//! This module makes that trust checkable: it runs every test case on both
-//! machines over identical initial memory and compares architectural state
-//! at every retire boundary — retired PC, destination value, the full
-//! register file after every cycle that retired anything, and, at end of
-//! test, touched memory and trap CSRs. Speculation, transient writebacks,
-//! lazy exceptions and all the machinery TEESec probes must be
-//! architecturally invisible; any visible difference is reported as a
-//! structured [`Divergence`] naming the first mismatching retire and both
-//! machines' states.
+//! This module makes that trust checkable: a lockstep ISS, started over
+//! the core's initial memory, observes every cycle of the core's run and
+//! compares architectural state at every retire boundary — retired PC,
+//! destination value, the full register file after every cycle that
+//! retired anything, and, at end of test, touched memory and trap CSRs.
+//! Speculation, transient writebacks, lazy exceptions and all the
+//! machinery TEESec probes must be architecturally invisible; any visible
+//! difference is reported as a structured [`Divergence`] naming the first
+//! mismatching retire and both machines' states.
+//!
+//! The engine runs the oracle inside each case's production run
+//! ([`RunOptions::oracle`](crate::runner::RunOptions::oracle)), so every
+//! case is simulated once. A boot-forked run resumes the lockstep the
+//! snapshot cache parked beside its boot snapshot: the boot is compared
+//! once per capture, and retires still count from reset. [`diff_case`] is
+//! the same lockstep over a fresh, untraced build.
 //!
 //! One class of reads is architecturally visible but *microarchitecture
 //! defined*: performance-counter CSRs (`cycle`, `time`, `instret`, the
@@ -26,10 +33,9 @@ use teesec_isa::csr::{self, CsrAddr};
 use teesec_isa::inst::Inst;
 use teesec_isa::priv_level::PrivLevel;
 use teesec_isa::reg::Reg;
-use teesec_tee::layout;
 use teesec_tee::platform::BuildError;
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::core::Core;
+use teesec_uarch::core::{Core, RetiredInst, RunExit};
 use teesec_uarch::iss::Iss;
 
 use crate::runner::build_platform;
@@ -51,10 +57,15 @@ pub struct DiffOptions {
 /// while it runs under the oracle. Used to validate that the oracle
 /// actually detects real architectural corruption (acceptance: an injected
 /// bug must produce a [`Divergence`] naming the first bad retire).
+///
+/// The oracle observes the production run, so the fault corrupts that run
+/// too: the case's leakage report describes the corrupted execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultInjection {
     /// XOR `reg` in the core's architectural register file immediately
-    /// after the `at_retire`-th retirement.
+    /// after the `at_retire`-th retirement. A run forked from a boot
+    /// snapshot starts past the boot's retires; a fault planted inside the
+    /// boot lands after the fork's first cycle instead.
     CorruptArchReg {
         /// 1-based retirement ordinal after which the corruption lands.
         at_retire: u64,
@@ -243,6 +254,30 @@ fn exploits_translation_staleness(tc: &TestCase) -> bool {
         .any(|s| matches!(s, Step::SetSatpSv39 { .. }))
 }
 
+/// The `Skipped` verdict of a case outside the oracle's model, decided
+/// from the case alone before anything runs; `None` when the oracle
+/// compares it.
+pub(crate) fn out_of_model(tc: &TestCase) -> Option<DiffVerdict> {
+    let reason = if tc.irq_at.is_some() {
+        "asynchronous external interrupt (not modeled by the ISS)"
+    } else if exploits_translation_staleness(tc) {
+        // Repointing satp without an intervening sfence.vma makes the
+        // program's behaviour *implementation-defined*: the privileged spec
+        // permits stale translations to linger, so the core's TLB may
+        // legally keep serving the old mapping while the architectural ISS
+        // (which walks afresh on every access) faults on the poisoned root.
+        // Both are correct; there is nothing to compare. This is precisely
+        // the staleness window the D2 access path probes.
+        "satp poisoning without sfence.vma exploits implementation-defined \
+         translation staleness (core TLB vs. architectural re-walk)"
+    } else {
+        return None;
+    };
+    Some(DiffVerdict::Skipped {
+        reason: reason.into(),
+    })
+}
+
 /// Is this a read of a performance-counter CSR whose value is
 /// microarchitecture-defined (and therefore synchronized core → ISS rather
 /// than compared)?
@@ -263,8 +298,10 @@ fn uarch_defined_csr(addr: CsrAddr) -> bool {
         || (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + hpm).contains(&addr)
 }
 
-/// Differentially executes `tc` on `cfg`: the out-of-order core in
-/// lockstep against the reference ISS over identical initial memory.
+/// Differentially executes `tc` on `cfg`: the lockstep oracle over a
+/// fresh build from reset, with trace recording off (nothing reads it).
+/// The engine gives the same verdict for the case from inside its
+/// production run.
 ///
 /// # Errors
 ///
@@ -275,147 +312,246 @@ pub fn diff_case(
     cfg: &CoreConfig,
     opts: &DiffOptions,
 ) -> Result<DiffVerdict, BuildError> {
-    if tc.irq_at.is_some() {
-        return Ok(DiffVerdict::Skipped {
-            reason: "asynchronous external interrupt (not modeled by the ISS)".into(),
-        });
+    if let Some(skipped) = out_of_model(tc) {
+        return Ok(skipped);
     }
-    if exploits_translation_staleness(tc) {
-        // Repointing satp without an intervening sfence.vma makes the
-        // program's behaviour *implementation-defined*: the privileged spec
-        // permits stale translations to linger, so the core's TLB may
-        // legally keep serving the old mapping while the architectural ISS
-        // (which walks afresh on every access) faults on the poisoned root.
-        // Both are correct; there is nothing to compare. This is precisely
-        // the staleness window the D2 access path probes.
-        return Ok(DiffVerdict::Skipped {
-            reason: "satp poisoning without sfence.vma exploits implementation-defined \
-                     translation staleness (core TLB vs. architectural re-walk)"
-                .into(),
-        });
-    }
-    // Memory is copy-on-write, so a clone taken before the first step is
-    // the exact image the core starts from, at the cost of page pointers.
     let mut platform = build_platform(tc, cfg)?;
-    let iss_mem = platform.core.mem.clone();
-    let mut iss = Iss::new(iss_mem, layout::SM_BASE).with_hpm_counters(cfg.hpm_counters);
-
     let core = &mut platform.core;
-    core.set_retire_probe(true);
-    let limit = tc.max_cycles;
-    let mut retires = 0u64;
-    let mut last_swept = 0u64;
-    let mut last_pc = layout::SM_BASE;
-    let mut last_inst = String::from("<reset>");
+    core.trace.set_enabled(false);
+    let mut lockstep = Lockstep::new(core, opts);
+    let exit = core.run_observed(tc.max_cycles, |core| lockstep.observe(core));
+    Ok(lockstep.finish(core, exit, tc.max_cycles))
+}
 
-    while !core.halted && core.cycle < limit {
-        core.step();
-        for ev in core.take_retired_log() {
-            retires += 1;
-            last_pc = ev.pc;
-            last_inst = format!("{:?}", ev.inst);
-            let Some(step) = iss.step_retire(TRAP_FUSE) else {
-                return Ok(diverged(
-                    retires,
-                    ev.pc,
-                    &ev.inst,
-                    DivergenceKind::IssStalled,
-                    core,
-                    &iss,
-                ));
+/// The lockstep oracle: the reference ISS plus the compare state, fed the
+/// core after every cycle (see [`Core::run_observed`]). It compares each
+/// retire the core logs as it happens and the end-of-test state in
+/// [`Lockstep::finish`]. After the first divergence it stops comparing
+/// and turns the core's retire probe off, so the run finishes unobserved.
+///
+/// `Clone` forks it: the snapshot cache keeps one parked at each boot
+/// snapshot ([`Lockstep::park`]) and every fork resumes a copy
+/// ([`Lockstep::fork`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Lockstep {
+    iss: Iss,
+    fault: Option<FaultInjection>,
+    /// Retires compared, counted from reset.
+    retires: u64,
+    /// `retires` at the last register-file sweep.
+    last_swept: u64,
+    last_pc: u64,
+    /// The last retired instruction, formatted only into a divergence.
+    last_inst: Option<Inst>,
+    /// The buffer swapped with the core's retire log every cycle.
+    log: Vec<RetiredInst>,
+    /// The verdict, once it is decided before the run ends: the first
+    /// divergence, or a skip settled at a boot-snapshot capture.
+    settled: Option<DiffVerdict>,
+}
+
+impl Lockstep {
+    /// A lockstep oracle for `core` at reset: the ISS starts at the core's
+    /// reset PC over a copy-on-write clone of its memory, which must still
+    /// be the initial image. Turns the core's retire probe on.
+    pub(crate) fn new(core: &mut Core, opts: &DiffOptions) -> Lockstep {
+        core.set_retire_probe(true);
+        let iss =
+            Iss::new(core.mem.clone(), core.fetch_pc()).with_hpm_counters(core.config.hpm_counters);
+        Lockstep {
+            last_pc: iss.pc,
+            iss,
+            fault: opts.fault,
+            retires: 0,
+            last_swept: 0,
+            last_inst: None,
+            log: Vec::new(),
+            settled: None,
+        }
+    }
+
+    /// Compares the retires of the core's last cycle. Feed it the core
+    /// after every cycle of the run.
+    pub(crate) fn observe(&mut self, core: &mut Core) {
+        if self.settled.is_some() {
+            return;
+        }
+        let mut log = std::mem::take(&mut self.log);
+        core.swap_retired_log(&mut log);
+        let mismatch = self.compare_retires(core, &log);
+        self.log = log;
+        if let Some(kind) = mismatch {
+            self.diverge(core, kind);
+        }
+    }
+
+    fn compare_retires(&mut self, core: &mut Core, log: &[RetiredInst]) -> Option<DivergenceKind> {
+        // A fault planted inside a boot snapshot's prefix is already due.
+        self.inject_due_fault(core);
+        for ev in log {
+            self.retires += 1;
+            self.last_pc = ev.pc;
+            self.last_inst = Some(ev.inst);
+            let Some(step) = self.iss.step_retire(TRAP_FUSE) else {
+                return Some(DivergenceKind::IssStalled);
             };
             if step.pc != ev.pc {
-                let kind = DivergenceKind::RetirePc {
+                return Some(DivergenceKind::RetirePc {
                     core_pc: ev.pc,
                     iss_pc: step.pc,
-                };
-                return Ok(diverged(retires, ev.pc, &ev.inst, kind, core, &iss));
+                });
             }
             if let (Some(rd), Some(v)) = (ev.inst.dest(), ev.result) {
                 if is_uarch_defined_csr_read(&ev.inst) {
                     // Counter reads are microarchitecture-defined: adopt the
                     // core's committed value so downstream dataflow stays
                     // comparable.
-                    iss.set_reg(rd, v);
-                } else if iss.reg(rd) != v {
-                    let kind = DivergenceKind::DestValue {
+                    self.iss.set_reg(rd, v);
+                } else if self.iss.reg(rd) != v {
+                    return Some(DivergenceKind::DestValue {
                         reg: rd,
                         core_value: v,
-                        iss_value: iss.reg(rd),
-                    };
-                    return Ok(diverged(retires, ev.pc, &ev.inst, kind, core, &iss));
+                        iss_value: self.iss.reg(rd),
+                    });
                 }
             }
-            if let Some(FaultInjection::CorruptArchReg {
-                at_retire,
-                reg,
-                xor,
-            }) = opts.fault
-            {
-                if retires == at_retire {
-                    let v = core.reg(reg);
-                    core.set_reg(reg, v ^ xor);
-                }
-            }
+            self.inject_due_fault(core);
         }
         // Full register-file sweep after every cycle that retired
         // anything. This runs only after the cycle's whole retire batch is
         // replayed, when both machines sit at the same architectural point.
-        if retires > last_swept {
-            last_swept = retires;
-            if let Some(kind) = regfile_mismatch(core, &iss) {
-                return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+        if self.retires > self.last_swept {
+            self.last_swept = self.retires;
+            return regfile_mismatch(core, &self.iss);
+        }
+        None
+    }
+
+    fn inject_due_fault(&mut self, core: &mut Core) {
+        if let Some(FaultInjection::CorruptArchReg {
+            at_retire,
+            reg,
+            xor,
+        }) = self.fault
+        {
+            if self.retires >= at_retire {
+                self.fault = None;
+                core.set_reg(reg, core.reg(reg) ^ xor);
             }
         }
     }
 
-    if !core.halted {
-        return Ok(DiffVerdict::Skipped {
-            reason: format!("core hit the {limit}-cycle budget without halting"),
-        });
+    /// Records the first divergence and stops observing.
+    fn diverge(&mut self, core: &mut Core, kind: DivergenceKind) {
+        core.set_retire_probe(false);
+        self.settled = Some(self.divergence(core, kind));
     }
-    // Flush buffered committed stores so raw memory is comparable.
-    core.drain();
 
-    if !iss.halted {
-        let kind = DivergenceKind::ExitStatus {
-            core_halted: true,
-            iss_halted: false,
-        };
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+    fn divergence(&self, core: &Core, kind: DivergenceKind) -> DiffVerdict {
+        DiffVerdict::Diverged(Divergence {
+            retire_seq: self.retires,
+            pc: self.last_pc,
+            inst: self
+                .last_inst
+                .map_or_else(|| "<reset>".into(), |inst| format!("{inst:?}")),
+            kind,
+            core: core_state(core),
+            iss: iss_state(&self.iss),
+        })
     }
-    if let Some(kind) = regfile_mismatch(core, &iss) {
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
-    }
-    if let Some(addr) = core.mem.first_difference(&iss.mem) {
-        let kind = DivergenceKind::Memory {
-            addr,
-            core_byte: core.mem.read_u8(addr),
-            iss_byte: iss.mem.read_u8(addr),
-        };
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
-    }
-    let csrs: [(&str, u64, u64); 5] = [
-        ("mcause", core.csr.mcause, iss.csr.mcause),
-        ("mepc", core.csr.mepc, iss.csr.mepc),
-        ("mtval", core.csr.mtval, iss.csr.mtval),
-        ("mstatus", core.csr.mstatus.0, iss.csr.mstatus.0),
-        ("satp", core.csr.satp.0, iss.csr.satp.0),
-    ];
-    for (name, a, b) in csrs {
-        if a != b {
-            let kind = DivergenceKind::Csr {
-                name: name.into(),
-                core_value: a,
-                iss_value: b,
+
+    /// The verdict after the run ended with `exit` under the cycle
+    /// `limit`: any settled verdict, else a budget skip, else the
+    /// end-of-test comparison of exit status, registers, memory and trap
+    /// CSRs. Turns the core's retire probe off.
+    pub(crate) fn finish(self, core: &mut Core, exit: RunExit, limit: u64) -> DiffVerdict {
+        core.set_retire_probe(false);
+        if let Some(verdict) = self.settled {
+            return verdict;
+        }
+        if exit != RunExit::Halted {
+            return DiffVerdict::Skipped {
+                reason: format!("core hit the {limit}-cycle budget without halting"),
             };
-            return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+        }
+        // The run drained the store buffer after the halt, so raw memory
+        // is comparable.
+        let kind = if !self.iss.halted {
+            Some(DivergenceKind::ExitStatus {
+                core_halted: true,
+                iss_halted: false,
+            })
+        } else {
+            regfile_mismatch(core, &self.iss)
+                .or_else(|| memory_mismatch(core, &self.iss))
+                .or_else(|| csr_mismatch(core, &self.iss))
+        };
+        match kind {
+            Some(kind) => self.divergence(core, kind),
+            None => DiffVerdict::Match {
+                retires: self.retires,
+                cycles: core.cycle,
+            },
         }
     }
-    Ok(DiffVerdict::Match {
-        retires,
-        cycles: core.cycle,
-    })
+
+    /// Settles a lockstep that observed a boot up to a snapshot's capture
+    /// point, where `core` is parked. Forks resume it against their own
+    /// memory, which is exact only if the capture point is a clean fork
+    /// point: the LSU quiescent, the core and ISS memories equal, and the
+    /// ISS about to execute the instruction the core is parked before.
+    /// Otherwise every fork gets a `Skipped` verdict naming the cause. The
+    /// parked copy then drops its memory; forks supply theirs.
+    pub(crate) fn park(&mut self, core: &Core) {
+        if self.settled.is_some() {
+            return;
+        }
+        let cause = if !core.lsu.quiescent() {
+            Some("the LSU still holds memory work".to_string())
+        } else if let Some(addr) = core.mem.first_difference(&self.iss.mem) {
+            Some(format!("core and ISS memory differ at {addr:#x}"))
+        } else if self.iss.pc != core.fetch_pc() {
+            Some(format!(
+                "the ISS is at {:#x}, the core parked before {:#x}",
+                self.iss.pc,
+                core.fetch_pc()
+            ))
+        } else {
+            None
+        };
+        if let Some(cause) = cause {
+            self.settled = Some(DiffVerdict::Skipped {
+                reason: format!("boot snapshot is not a clean ISS fork point: {cause}"),
+            });
+        }
+        self.iss.mem = Default::default();
+    }
+
+    /// A copy of this parked lockstep for a run forked from its boot
+    /// snapshot: the ISS resumes against a copy-on-write clone of the
+    /// fork's memory, with `opts`' fault. Turns the fork's retire probe on
+    /// unless the verdict is already settled.
+    pub(crate) fn fork(&self, core: &mut Core, opts: &DiffOptions) -> Lockstep {
+        let mut fork = self.clone();
+        fork.fault = opts.fault;
+        if fork.settled.is_none() {
+            fork.iss.mem = core.mem.clone();
+            core.set_retire_probe(true);
+        }
+        fork
+    }
+
+    /// The reference ISS (for tests of the fork point).
+    #[cfg(test)]
+    pub(crate) fn iss(&self) -> &Iss {
+        &self.iss
+    }
+
+    /// The verdict settled before the run ended, if any.
+    #[cfg(test)]
+    pub(crate) fn settled(&self) -> Option<&DiffVerdict> {
+        self.settled.as_ref()
+    }
 }
 
 fn regfile_mismatch(core: &Core, iss: &Iss) -> Option<DivergenceKind> {
@@ -431,32 +567,28 @@ fn regfile_mismatch(core: &Core, iss: &Iss) -> Option<DivergenceKind> {
     None
 }
 
-fn diverged(
-    retire_seq: u64,
-    pc: u64,
-    inst: &Inst,
-    kind: DivergenceKind,
-    core: &Core,
-    iss: &Iss,
-) -> DiffVerdict {
-    diverged_at(retire_seq, pc, format!("{inst:?}"), kind, core, iss)
+fn memory_mismatch(core: &Core, iss: &Iss) -> Option<DivergenceKind> {
+    let addr = core.mem.first_difference(&iss.mem)?;
+    Some(DivergenceKind::Memory {
+        addr,
+        core_byte: core.mem.read_u8(addr),
+        iss_byte: iss.mem.read_u8(addr),
+    })
 }
 
-fn diverged_at(
-    retire_seq: u64,
-    pc: u64,
-    inst: String,
-    kind: DivergenceKind,
-    core: &Core,
-    iss: &Iss,
-) -> DiffVerdict {
-    DiffVerdict::Diverged(Divergence {
-        retire_seq,
-        pc,
-        inst,
-        kind,
-        core: core_state(core),
-        iss: iss_state(iss),
+fn csr_mismatch(core: &Core, iss: &Iss) -> Option<DivergenceKind> {
+    let csrs: [(&str, u64, u64); 5] = [
+        ("mcause", core.csr.mcause, iss.csr.mcause),
+        ("mepc", core.csr.mepc, iss.csr.mepc),
+        ("mtval", core.csr.mtval, iss.csr.mtval),
+        ("mstatus", core.csr.mstatus.0, iss.csr.mstatus.0),
+        ("satp", core.csr.satp.0, iss.csr.satp.0),
+    ];
+    let (name, core_value, iss_value) = csrs.into_iter().find(|(_, a, b)| a != b)?;
+    Some(DivergenceKind::Csr {
+        name: name.into(),
+        core_value,
+        iss_value,
     })
 }
 
@@ -507,6 +639,28 @@ mod tests {
             ),
             "unexpected kind: {:?}",
             d.kind
+        );
+    }
+
+    /// A capture point that is not a clean fork point settles every fork
+    /// as `Skipped`, naming the cause, instead of comparing against memory
+    /// the ISS never saw.
+    #[test]
+    fn an_unclean_fork_point_settles_forks_as_skipped() {
+        let cfg = CoreConfig::boom();
+        let tc = assemble_case(AccessPath::LoadL1Hit, CaseParams::default(), &cfg).unwrap();
+        let mut platform = build_platform(&tc, &cfg).unwrap();
+        let core = &mut platform.core;
+        let mut parked = Lockstep::new(core, &DiffOptions::default());
+        core.mem.write_u8(0x8030_0000, 0xAA);
+        parked.park(core);
+        let fork = parked.fork(core, &DiffOptions::default());
+        let exit = core.run(tc.max_cycles);
+        let v = fork.finish(core, exit, tc.max_cycles);
+        assert!(
+            matches!(&v, DiffVerdict::Skipped { reason }
+                if reason.contains("core and ISS memory differ at 0x80300000")),
+            "{v:?}"
         );
     }
 

@@ -25,7 +25,6 @@
 //! aggregate [`EngineMetrics`] lands in
 //! [`CampaignResult::engine`](crate::campaign::CampaignResult::engine).
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +45,7 @@ use teesec_uarch::{FastPathStats, RunExit, StructureCounters, UarchCounters};
 use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
 use crate::checker::replay;
 use crate::coverage::{CaseCoverage, PlanCoverage};
-use crate::diff::{diff_case, DiffOptions, DiffVerdict};
+use crate::diff::{DiffOptions, DiffVerdict};
 use crate::report::CheckReport;
 use crate::runner::{run_case_opts, RunOptions, SnapshotCache, SnapshotCacheMetrics};
 use crate::stream::StreamingChecker;
@@ -61,7 +60,7 @@ pub struct EngineOptions {
     pub threads: usize,
     /// Simulated-cycle watchdog: per-case budget overriding any larger
     /// `TestCase::max_cycles`. Budget-blown cases report `halted: false`,
-    /// and the oracle re-simulates them under the same budget.
+    /// and the oracle, which observes the same budgeted run, skips them.
     pub case_cycle_budget: Option<u64>,
     /// Retain full per-case [`CheckReport`]s. On by default.
     pub keep_reports: bool,
@@ -76,8 +75,12 @@ pub struct EngineOptions {
     pub counters: bool,
     /// Run the differential co-simulation oracle on every case, emitting
     /// one [`EngineEvent::CaseDiff`] per case and aggregating a
-    /// [`DiffMetrics`] into [`EngineMetrics::diff`]. Off by default:
-    /// diffing re-simulates each case on both machines.
+    /// [`DiffMetrics`] into [`EngineMetrics::diff`]. Off by default. The
+    /// oracle's lockstep ISS observes each case's own run (see
+    /// [`RunOptions::oracle`]): its cost lands in the `simulate` phase,
+    /// and an oracle panic quarantines the case like any other panic. A
+    /// planted [`DiffOptions::fault`] corrupts the case's run, report
+    /// included.
     pub diff: Option<DiffOptions>,
     /// Feed each case's [`StreamingChecker`] online while the case runs,
     /// so peak retained trace events stay O(boot prefix) instead of
@@ -107,11 +110,11 @@ pub struct EngineOptions {
     pub fast_path: Option<bool>,
     /// Span recorder. When enabled ([`Tracer::new`]), the engine emits a
     /// full span tree — `campaign` → per-worker `worker` → `queue_wait` /
-    /// `case` → `build` / `simulate` / `scan` / `diff` — plus watchdog
-    /// and snapshot-capture instants, analyzes it into
-    /// [`EngineMetrics::trace`], and leaves the raw spans retrievable via
-    /// [`Tracer::snapshot`] for `--trace-out`. The default (disabled)
-    /// tracer makes every instrumentation point a no-op.
+    /// `case` → `build` / `simulate` / `scan`, the oracle inside
+    /// `simulate` — plus watchdog and snapshot-capture instants, analyzes
+    /// it into [`EngineMetrics::trace`], and leaves the raw spans
+    /// retrievable via [`Tracer::snapshot`] for `--trace-out`. The default
+    /// (disabled) tracer makes every instrumentation point a no-op.
     pub tracer: Tracer,
     /// Live-telemetry hub (the `--serve` flag). When set, the engine
     /// mirrors every [`EngineEvent`] into the hub's SSE ring buffer and,
@@ -313,7 +316,8 @@ pub enum EngineEvent {
         findings_by_structure: BTreeMap<String, usize>,
         /// Platform build phase cost.
         build_us: u128,
-        /// Simulation phase cost (platform build excluded).
+        /// Simulation phase cost (platform build excluded; the oracle's
+        /// lockstep ISS included when [`EngineOptions::diff`] is set).
         simulate_us: u128,
         /// Check phase cost.
         check_us: u128,
@@ -487,7 +491,7 @@ pub struct DiffMetrics {
     /// Cases where the machines diverged.
     pub divergences: usize,
     /// Cases outside the oracle's model (irq-driven, implementation-
-    /// defined translation staleness, budget-blown, rebuild failure).
+    /// defined translation staleness, budget-blown).
     pub skipped: usize,
     /// Total retirements compared in lockstep across all matching cases.
     pub retires_compared: u64,
@@ -553,7 +557,8 @@ impl EngineMetrics {
 pub struct ObsMetrics {
     /// Per-case platform build wall time, µs (quarantined cases excluded).
     pub build_us: Histogram,
-    /// Per-case simulation wall time, µs (quarantined cases excluded).
+    /// Per-case simulation wall time, µs (quarantined cases excluded),
+    /// the oracle's lockstep ISS included when it is on.
     pub simulate_us: Histogram,
     /// Per-case check wall time, µs (quarantined cases excluded).
     pub check_us: Histogram,
@@ -645,8 +650,8 @@ pub(crate) struct CaseExecution {
 /// digest is harvested into [`CaseExecution::counters`]. With
 /// `opts.streaming` the checker observes the run online and the check
 /// phase shrinks to the finalize step; otherwise the check phase replays
-/// the buffered trace first. With `opts.diff` a healthy case also runs
-/// the differential oracle, under the same watchdog budget. Phase spans
+/// the buffered trace first. With `opts.diff` the differential oracle
+/// observes the same run, under the same watchdog budget. Phase spans
 /// attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
@@ -694,6 +699,7 @@ pub(crate) fn execute_case(
                 budget: opts.case_cycle_budget,
                 snapshot_cache,
                 checker: opts.streaming.then(new_checker),
+                oracle: opts.diff.clone(),
                 fast_path: opts.fast_path,
                 trace: tctx,
             },
@@ -739,7 +745,7 @@ pub(crate) fn execute_case(
     if budget_exceeded {
         tctx.mark("watchdog_fire");
     }
-    let mut exec = CaseExecution {
+    CaseExecution {
         result: CaseResult {
             name: tc.name.clone(),
             path: tc.path,
@@ -748,7 +754,7 @@ pub(crate) fn execute_case(
             classes: report.classes(),
             finding_count: report.findings.len(),
             error: None,
-            diff: None,
+            diff: outcome.diff,
         },
         report: opts.keep_reports.then_some(report),
         findings_by_structure,
@@ -760,46 +766,7 @@ pub(crate) fn execute_case(
         coverage,
         cache: Some(outcome.build.label()),
         fastpath,
-    };
-    // The oracle rebuilds its own platform; free this one first.
-    drop(outcome);
-    if let Some(diff_opts) = &opts.diff {
-        let budget = opts.case_cycle_budget;
-        exec.result.diff = Some(execute_diff(tc, cfg, diff_opts, budget, tctx));
     }
-    exec
-}
-
-/// Runs the differential oracle on one case under the same fault isolation
-/// as the case itself: a panicking or unbuildable diff becomes a
-/// [`DiffVerdict::Skipped`], never a dead worker. The watchdog `budget`
-/// clamps the re-simulation as it clamped the case's own run.
-fn execute_diff(
-    tc: &TestCase,
-    cfg: &CoreConfig,
-    opts: &DiffOptions,
-    budget: Option<u64>,
-    tctx: TraceCtx<'_>,
-) -> DiffVerdict {
-    let mut span = tctx.span("diff");
-    let tc = match budget {
-        Some(b) if b < tc.max_cycles => Cow::Owned(TestCase {
-            max_cycles: b,
-            ..tc.clone()
-        }),
-        _ => Cow::Borrowed(tc),
-    };
-    let verdict = match catch_unwind(AssertUnwindSafe(|| diff_case(&tc, cfg, opts))) {
-        Ok(Ok(verdict)) => verdict,
-        Ok(Err(build)) => DiffVerdict::Skipped {
-            reason: format!("rebuild for diff failed: {build}"),
-        },
-        Err(panic) => DiffVerdict::Skipped {
-            reason: format!("diff panic: {}", panic_message(&panic)),
-        },
-    };
-    span.arg("verdict", verdict.label());
-    verdict
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
@@ -1636,9 +1603,9 @@ mod tests {
         assert!(result.cases.iter().all(|c| c.cycles <= 50));
     }
 
-    /// The oracle re-simulates a case under the watchdog budget that
-    /// stopped it, so a budget-blown case is skipped instead of being
-    /// compared to its full `max_cycles`.
+    /// The oracle observes the budgeted run itself, so a budget-blown
+    /// case is skipped instead of being compared to its full
+    /// `max_cycles`.
     #[test]
     fn oracle_honours_the_watchdog_budget() {
         let cfg = CoreConfig::boom();

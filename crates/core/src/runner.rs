@@ -29,9 +29,10 @@ use teesec_tee::platform::{BuildError, HostVm, Platform, PlatformBuilder, Platfo
 use teesec_tee::sm::SmOptions;
 use teesec_trace::TraceCtx;
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::core::RunExit;
+use teesec_uarch::core::{Core, RunExit};
 
 use crate::checker::replay;
+use crate::diff::{self, DiffOptions, DiffVerdict, Lockstep};
 use crate::stream::StreamingChecker;
 use crate::testcase::{lower_steps, TestCase};
 
@@ -83,6 +84,9 @@ pub struct RunOutcome {
     /// The checker passed in through [`RunOptions::checker`], having
     /// observed every event of the run; `None` when none was passed.
     pub checker: Option<StreamingChecker>,
+    /// The differential oracle's verdict on this run; `Some` iff
+    /// [`RunOptions::oracle`] was set.
+    pub diff: Option<DiffVerdict>,
 }
 
 /// Builds and runs `tc` on a core configured by `cfg`.
@@ -114,9 +118,18 @@ pub struct RunOptions<'c> {
     /// Without one the trace buffers every event, for
     /// [`check_case`](crate::check_case).
     pub checker: Option<StreamingChecker>,
+    /// Differential oracle observing the run: a lockstep ISS compares
+    /// every retire of this very run, and its verdict lands in
+    /// [`RunOutcome::diff`]. A boot-forked run resumes the lockstep parked
+    /// at its boot snapshot, so retires count from reset and nothing is
+    /// simulated twice. Cases outside the oracle's model (see
+    /// [`diff_case`](crate::diff::diff_case)) get their `Skipped` verdict
+    /// without an ISS.
+    pub oracle: Option<DiffOptions>,
     /// Span-recording context: when its tracer is set, the run emits
     /// `build` and `simulate` spans (under the context's parent span)
-    /// plus periodic `sim_cycles` counter samples.
+    /// plus periodic `sim_cycles` counter samples. The oracle's ISS runs
+    /// inside `simulate`.
     pub trace: TraceCtx<'c>,
     /// Force the simulator fast path on/off for this run (`None` keeps
     /// the process default, see `teesec_uarch::fast_path_default`). Both
@@ -144,13 +157,26 @@ pub fn run_case_opts(
     let build_start = std::time::Instant::now();
     let mut build_span = opts.trace.span("build");
     let limit = opts.budget.map_or(tc.max_cycles, |b| b.min(tc.max_cycles));
-    let (mut platform, build) = match opts.snapshot_cache {
+    let (mut platform, build, boot) = match opts.snapshot_cache {
         Some(cache) => cache.platform_for(tc, cfg, limit)?,
-        None => (case_builder(tc, cfg).build()?, BuildKind::Fresh),
+        None => (case_builder(tc, cfg).build()?, BuildKind::Fresh, None),
     };
     if let Some(on) = opts.fast_path {
         platform.core.set_fast_path(on);
     }
+    let mut oracle = opts.oracle.as_ref().map(|o| {
+        let core = &mut platform.core;
+        match (diff::out_of_model(tc), boot, build) {
+            (Some(skipped), ..) => Oracle::Settled(skipped),
+            (None, Some(boot), _) => Oracle::Observing(boot.oracle.fork(core, o)),
+            (None, None, BuildKind::Fresh) => Oracle::Observing(Lockstep::new(core, o)),
+            // Only interrupt cases fork setup-prefix checkpoints, and the
+            // oracle skips those before this point.
+            (None, None, _) => Oracle::Settled(DiffVerdict::Skipped {
+                reason: "setup-prefix checkpoints carry no ISS state".into(),
+            }),
+        }
+    });
     if let Some(checker) = opts.checker.take() {
         // A forked platform's buffer already holds the events simulated
         // before the fork (a fresh build's is empty): replay them so the
@@ -164,18 +190,27 @@ pub fn run_case_opts(
         opts.trace.mark("snapshot_capture");
     }
     let build_us = build_start.elapsed().as_micros();
+    let lockstep = match &mut oracle {
+        Some(Oracle::Observing(lockstep)) => Some(lockstep),
+        _ => None,
+    };
     let exit = if opts.trace.active() {
         let mut sim_span = opts.trace.span("simulate");
-        let tctx = opts.trace;
-        let exit = platform.run_batched(limit, SIM_SAMPLE_CYCLES, &mut |core| {
-            tctx.counter_sample("sim_cycles", core.cycle);
-        });
+        let exit = simulate_traced(&mut platform.core, limit, lockstep, opts.trace);
         sim_span.arg("cycles", platform.core.cycle);
         sim_span.arg("cache", build.label());
         exit
+    } else if let Some(lockstep) = lockstep {
+        platform
+            .core
+            .run_observed(limit, |core| lockstep.observe(core))
     } else {
         platform.run(limit)
     };
+    let diff = oracle.map(|oracle| match oracle {
+        Oracle::Observing(lockstep) => lockstep.finish(&mut platform.core, exit, limit),
+        Oracle::Settled(verdict) => verdict,
+    });
     let cycles = platform.core.cycle;
     // Forks never carry a sink (`Trace::clone` drops it), so the only one
     // attached is the checker from `opts`.
@@ -192,7 +227,41 @@ pub fn run_case_opts(
         build_us,
         build,
         checker,
+        diff,
     })
+}
+
+/// The differential oracle of one run. One short-lived local per run, so
+/// its size does not matter.
+#[allow(clippy::large_enum_variant)]
+enum Oracle {
+    /// A lockstep observing the run.
+    Observing(Lockstep),
+    /// A verdict reached before the run, without an ISS.
+    Settled(DiffVerdict),
+}
+
+/// The traced run: `core` runs to `limit` under the lockstep, if any, and
+/// a `sim_cycles` counter sample is taken every [`SIM_SAMPLE_CYCLES`]
+/// simulated cycles and once at exit.
+fn simulate_traced(
+    core: &mut Core,
+    limit: u64,
+    mut lockstep: Option<&mut Lockstep>,
+    tctx: TraceCtx<'_>,
+) -> RunExit {
+    let mut next_sample = core.cycle + SIM_SAMPLE_CYCLES;
+    let exit = core.run_observed(limit, |core| {
+        if let Some(lockstep) = lockstep.as_deref_mut() {
+            lockstep.observe(core);
+        }
+        if core.cycle >= next_sample {
+            tctx.counter_sample("sim_cycles", core.cycle);
+            next_sample += SIM_SAMPLE_CYCLES;
+        }
+    });
+    tctx.counter_sample("sim_cycles", core.cycle);
+    exit
 }
 
 /// Hit/miss/bypass counters of a [`SnapshotCache`].
@@ -226,7 +295,9 @@ const PREFIX_CAP: usize = 64;
 ///   monitor image and host page tables — `(design, host_sv39,
 ///   mcounteren, sm_clear_hpcs, irq enabled)`. Everything else a case
 ///   varies (host/enclave programs, secret seeds, the interrupt cycle) is
-///   applied *after* the fork by [`PlatformBuilder::build_from`].
+///   applied *after* the fork by [`PlatformBuilder::build_from`]. The
+///   capture's boot runs under the differential oracle, whose lockstep is
+///   parked beside the snapshot for oracle runs to fork.
 /// - **Setup-prefix checkpoints** for interrupt-timing sweeps, keyed by
 ///   the design name plus the *entire case minus its interrupt cycle*
 ///   (name, access path and cycle budget are execution-irrelevant and
@@ -236,7 +307,7 @@ const PREFIX_CAP: usize = 64;
 ///   lands later forks the checkpoint and re-simulates only the tail.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
-    boots: Mutex<HashMap<BootKey, Option<Arc<PlatformSnapshot>>>>,
+    boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
     prefixes: Mutex<PrefixMap>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -253,6 +324,14 @@ type PrefixKey = (String, String);
 struct PrefixMap {
     entries: HashMap<PrefixKey, Option<Arc<PrefixSnapshot>>>,
     order: VecDeque<PrefixKey>,
+}
+
+/// A boot snapshot and the lockstep oracle that compared its boot,
+/// parked at the capture point ([`Lockstep::park`]).
+#[derive(Debug)]
+struct BootSnapshot {
+    snap: PlatformSnapshot,
+    oracle: Lockstep,
 }
 
 /// A fully built platform checkpointed mid-run, after the setup-gadget
@@ -284,14 +363,15 @@ impl SnapshotCache {
 
     /// Produces a ready-to-run platform for `tc`, forking the deepest
     /// applicable checkpoint (setup-prefix, then boot) and falling back
-    /// to a fresh build. Exactly one of hits/misses/bypasses is counted
-    /// per call, so the three always sum to the number of cases run.
+    /// to a fresh build, plus the boot snapshot a boot fork came from.
+    /// Exactly one of hits/misses/bypasses is counted per call, so the
+    /// three always sum to the number of cases run.
     fn platform_for(
         &self,
         tc: &TestCase,
         cfg: &CoreConfig,
         limit: u64,
-    ) -> Result<(Platform, BuildKind), BuildError> {
+    ) -> Result<(Platform, BuildKind, Option<Arc<BootSnapshot>>), BuildError> {
         // Tier one: setup-prefix checkpoints for interrupt-timing sweeps.
         // Only sound when the interrupt lands strictly inside the cycle
         // budget — otherwise a fresh run would hit the limit first.
@@ -306,7 +386,7 @@ impl SnapshotCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     let mut platform = snap.platform.clone();
                     platform.core.schedule_external_interrupt(at);
-                    return Ok((platform, BuildKind::PrefixForked));
+                    return Ok((platform, BuildKind::PrefixForked, None));
                 }
                 // Captured but inapplicable (interrupt inside the captured
                 // prefix, or the family's capture failed): tier two.
@@ -315,20 +395,21 @@ impl SnapshotCache {
             }
         }
         // Tier two: boot snapshots.
-        let (snap, fresh_capture) = self.boot_snapshot_for(tc, cfg);
-        match snap {
-            Some(snap) if boot_fork_applies(tc, &snap) => {
+        let (boot, fresh_capture) = self.boot_snapshot_for(tc, cfg);
+        match boot {
+            Some(boot) if boot_fork_applies(tc, &boot.snap) => {
                 let (counter, kind) = if fresh_capture {
                     (&self.misses, BuildKind::BootCaptured)
                 } else {
                     (&self.hits, BuildKind::BootForked)
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                Ok((case_builder(tc, cfg).build_from(&snap)?, kind))
+                let platform = case_builder(tc, cfg).build_from(&boot.snap)?;
+                Ok((platform, kind, Some(boot)))
             }
             _ => {
                 self.bypasses.fetch_add(1, Ordering::Relaxed);
-                Ok((case_builder(tc, cfg).build()?, BuildKind::Fresh))
+                Ok((case_builder(tc, cfg).build()?, BuildKind::Fresh, None))
             }
         }
     }
@@ -343,14 +424,14 @@ impl SnapshotCache {
         cfg: &CoreConfig,
         at: u64,
         key: PrefixKey,
-    ) -> Result<(Platform, BuildKind), BuildError> {
+    ) -> Result<(Platform, BuildKind, Option<Arc<BootSnapshot>>), BuildError> {
         let (boot, _) = self.boot_snapshot_for(tc, cfg);
         // Boot-capture cost (when this call did one) is accounted by
         // `boot_snapshot_for`; time only the prefix build + run here.
         let t0 = std::time::Instant::now();
         let built = match boot {
-            Some(snap) if boot_fork_applies(tc, &snap) => {
-                case_builder_with(tc, cfg, false).build_from(&snap)
+            Some(boot) if boot_fork_applies(tc, &boot.snap) => {
+                case_builder_with(tc, cfg, false).build_from(&boot.snap)
             }
             _ => case_builder_with(tc, cfg, false).build(),
         };
@@ -386,7 +467,7 @@ impl SnapshotCache {
         forked.core.schedule_external_interrupt(at);
         let mut map = self.prefixes.lock().expect("prefix cache poisoned");
         map.insert_bounded(key, Some(snap));
-        Ok((forked, BuildKind::PrefixCaptured))
+        Ok((forked, BuildKind::PrefixCaptured, None))
     }
 
     /// The boot snapshot for `tc`'s configuration, capturing it on first
@@ -396,7 +477,7 @@ impl SnapshotCache {
         &self,
         tc: &TestCase,
         cfg: &CoreConfig,
-    ) -> (Option<Arc<PlatformSnapshot>>, bool) {
+    ) -> (Option<Arc<BootSnapshot>>, bool) {
         let key: BootKey = (
             cfg.name.clone(),
             tc.host_sv39,
@@ -410,24 +491,40 @@ impl SnapshotCache {
             map.entry(key)
                 .or_insert_with(|| {
                     fresh_capture = true;
-                    PlatformSnapshot::capture(
-                        cfg.clone(),
-                        &sm_options_for(tc, cfg),
-                        host_vm_for(tc),
-                    )
-                    .ok()
-                    .map(Arc::new)
+                    let (snap, mut oracle) = capture_boot(tc, cfg).ok()?;
+                    oracle.park(snap.core());
+                    Some(Arc::new(BootSnapshot { snap, oracle }))
                 })
                 .clone()
         };
         if fresh_capture {
-            if let Some(snap) = &entry {
+            if let Some(boot) = &entry {
                 self.capture_us
-                    .fetch_add(snap.capture_us(), Ordering::Relaxed);
+                    .fetch_add(boot.snap.capture_us(), Ordering::Relaxed);
             }
         }
         (entry, fresh_capture)
     }
+}
+
+/// Captures the boot snapshot for `tc`'s configuration with a lockstep
+/// oracle observing the boot from reset.
+fn capture_boot(
+    tc: &TestCase,
+    cfg: &CoreConfig,
+) -> Result<(PlatformSnapshot, Lockstep), BuildError> {
+    let mut oracle = None;
+    let (snap, _) = PlatformSnapshot::capture_observed(
+        cfg.clone(),
+        &sm_options_for(tc, cfg),
+        host_vm_for(tc),
+        |core| {
+            let lockstep = oracle.insert(Lockstep::new(core, &DiffOptions::default()));
+            |core: &mut Core| lockstep.observe(core)
+        },
+    )?;
+    let oracle = oracle.expect("the capture builds its observer");
+    Ok((snap, oracle))
 }
 
 impl PrefixMap {
@@ -599,6 +696,43 @@ mod tests {
         assert_eq!(m.misses, 1, "one capture for the family: {m:?}");
         assert_eq!(m.hits, 3, "siblings fork the checkpoint: {m:?}");
         assert_eq!(m.bypasses, 0, "{m:?}");
+    }
+
+    /// Every boot configuration the cache keys is a clean point to fork
+    /// the oracle's ISS at: after the capture's boot ran in lockstep, the
+    /// lockstep matched, the LSU is quiescent, core and ISS memories are
+    /// equal, and the ISS is about to execute the host's first
+    /// instruction. So a fork that points the ISS at its own memory
+    /// compares against the same memory a fresh build would.
+    #[test]
+    fn boot_capture_is_a_clean_iss_fork_point() {
+        let designs = [
+            CoreConfig::boom(),
+            CoreConfig::xiangshan(),
+            CoreConfig::hardened_reference(),
+        ];
+        for cfg in designs {
+            for key in 0..16u32 {
+                let mut tc = TestCase::new("boot_key", AccessPath::LoadL1Hit);
+                tc.host_sv39 = key & 1 != 0;
+                tc.mcounteren = if key & 2 != 0 { u64::MAX } else { 0 };
+                tc.sm_clear_hpcs = key & 4 != 0;
+                tc.irq_at = (key & 8 != 0).then_some(1_000_000);
+                let what = format!("{} boot key {key:04b}", cfg.name);
+                let (snap, mut oracle) = capture_boot(&tc, &cfg).expect("the boot captures");
+                assert_eq!(oracle.settled(), None, "{what}: the boot lockstep matched");
+                let core = snap.core();
+                assert!(core.lsu.quiescent(), "{what}: LSU quiescent");
+                assert_eq!(
+                    core.mem.first_difference(&oracle.iss().mem),
+                    None,
+                    "{what}: core and ISS memory equal"
+                );
+                assert_eq!(oracle.iss().pc, layout::HOST_BASE, "{what}");
+                oracle.park(core);
+                assert_eq!(oracle.settled(), None, "{what}: parked forkable");
+            }
+        }
     }
 
     #[test]

@@ -353,26 +353,57 @@ impl PlatformSnapshot {
         sm_options: &SmOptions,
         host_vm: HostVm,
     ) -> Result<PlatformSnapshot, BuildError> {
+        let noop = |_: &mut Core| |_: &mut Core| {};
+        Self::capture_observed(core_config, sm_options, host_vm, noop).map(|(snap, _)| snap)
+    }
+
+    /// [`PlatformSnapshot::capture`] with the boot run observed:
+    /// `observer` is handed the reset core (its memory is the boot image)
+    /// and returns the per-cycle observer the boot then runs under, as in
+    /// [`Core::run_observed`]. A lockstep oracle checks the boot this way,
+    /// once per snapshot. The observer is returned beside the snapshot;
+    /// the snapshot's core never keeps a retire probe the observer turned
+    /// on, so forks that run unobserved log nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlatformSnapshot::capture`].
+    pub fn capture_observed<O: FnMut(&mut Core)>(
+        core_config: CoreConfig,
+        sm_options: &SmOptions,
+        host_vm: HostVm,
+        observer: impl FnOnce(&mut Core) -> O,
+    ) -> Result<(PlatformSnapshot, O), BuildError> {
         let t0 = std::time::Instant::now();
         let lay = Layout::default();
         let mut mem = Memory::new();
         load_sm(sm_options, &mut mem)?;
         let satp_val = build_host_pagetables(host_vm, &mut mem);
         let mut core = Core::new(core_config, mem, layout::SM_BASE);
-        if !core.run_until_fetch(layout::HOST_BASE, 1_000_000) {
+        let mut on_step = observer(&mut core);
+        let parked = core.run_until_fetch(layout::HOST_BASE, 1_000_000, &mut on_step);
+        core.set_retire_probe(false);
+        if !parked {
             return Err(BuildError::SnapshotBoot);
         }
         let boot_cycles = core.cycle;
         // Freeze the boot prefix so every fork shares it by refcount and
         // only logs its own delta.
         core.trace.freeze();
-        Ok(PlatformSnapshot {
+        let snap = PlatformSnapshot {
             core,
             satp_val,
             layout: lay,
             boot_cycles,
             capture_us: t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        })
+        };
+        Ok((snap, on_step))
+    }
+
+    /// The parked core every fork starts from (read-only: forks go
+    /// through [`PlatformBuilder::build_from`]).
+    pub fn core(&self) -> &Core {
+        &self.core
     }
 
     /// Simulated cycles the boot prefix consumed (the work each fork
@@ -413,17 +444,6 @@ impl Platform {
     /// Runs until the host's `ebreak` or the cycle limit.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         self.core.run(max_cycles)
-    }
-
-    /// [`Platform::run`] with a periodic observer — see
-    /// [`Core::run_batched`]; the stepping is bit-identical to `run`.
-    pub fn run_batched(
-        &mut self,
-        max_cycles: u64,
-        batch: u64,
-        on_batch: &mut dyn FnMut(&Core),
-    ) -> RunExit {
-        self.core.run_batched(max_cycles, batch, on_batch)
     }
 }
 

@@ -24,7 +24,7 @@ use teesec_obs::{Histogram, Summary};
 use crate::{Span, Trace};
 
 /// Pipeline phase names in execution order (children of a `case` span).
-pub const PHASE_ORDER: [&str; 5] = ["queue_wait", "build", "simulate", "scan", "diff"];
+pub const PHASE_ORDER: [&str; 4] = ["queue_wait", "build", "simulate", "scan"];
 
 /// Span names that are containers rather than pipeline phases.
 const CONTAINER_SPANS: [&str; 3] = ["campaign", "worker", "case"];

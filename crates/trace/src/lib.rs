@@ -20,7 +20,7 @@
 //!   ([`TraceReport`]).
 //!
 //! The span vocabulary the engine emits (children of each `case` span):
-//! `queue_wait` → `build` → `simulate` → `scan` → `diff`.
+//! `queue_wait` → `build` → `simulate` → `scan`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -177,7 +177,7 @@ pub struct Core {
     /// restored at `mret` unless firmware wrote MDOMAIN meanwhile.
     domain_before_trap: Option<Domain>,
     /// Retire probe: when on, every architectural commit is appended to
-    /// `retire_log` for [`Core::take_retired_log`].
+    /// `retire_log` for [`Core::swap_retired_log`].
     retire_probe: bool,
     retire_log: Vec<RetiredInst>,
     /// Fetch fence: when the fetch stage is about to fetch this PC, it
@@ -387,17 +387,25 @@ impl Core {
     }
 
     /// Steps until the fetch stage reaches the fence at `pc` (returns
-    /// `true`), or the core halts / `max_cycles` elapses (`false`). On
-    /// success the core is parked mid-cycle: execute/commit of the current
-    /// cycle have run, and fetch stopped just *before* fetching `pc`.
-    /// Complete the interrupted cycle later with [`Core::resume_fetch`].
-    pub fn run_until_fetch(&mut self, pc: u64, max_cycles: u64) -> bool {
+    /// `true`), or the core halts / `max_cycles` elapses (`false`),
+    /// handing the core to `on_step` after every cycle as
+    /// [`Core::run_observed`] does. On success the core is parked
+    /// mid-cycle: execute/commit of the current cycle have run, and fetch
+    /// stopped just *before* fetching `pc`. Complete the interrupted cycle
+    /// later with [`Core::resume_fetch`].
+    pub fn run_until_fetch(
+        &mut self,
+        pc: u64,
+        max_cycles: u64,
+        mut on_step: impl FnMut(&mut Core),
+    ) -> bool {
         self.invalidate_scans();
         self.invalidate_fetch_memo();
         self.lsu.note_external_change();
         self.set_fetch_fence(Some(pc));
         while !self.fetch_fence_hit && !self.halted && self.cycle < max_cycles {
             self.step();
+            on_step(self);
         }
         self.fetch_fence_hit
     }
@@ -416,7 +424,7 @@ impl Core {
     }
 
     /// Turns the retire probe on or off. While on, every architectural
-    /// commit is recorded; drain the log with [`Core::take_retired_log`]
+    /// commit is recorded; drain the log with [`Core::swap_retired_log`]
     /// (ideally every cycle — the log grows unboundedly otherwise).
     pub fn set_retire_probe(&mut self, on: bool) {
         self.retire_probe = on;
@@ -425,10 +433,14 @@ impl Core {
         }
     }
 
-    /// Drains the retire log recorded since the last call (empty unless
-    /// [`Core::set_retire_probe`] enabled the probe).
-    pub fn take_retired_log(&mut self) -> Vec<RetiredInst> {
-        std::mem::take(&mut self.retire_log)
+    /// Hands over the retire log recorded since the last call (empty
+    /// unless [`Core::set_retire_probe`] enabled the probe) by swapping it
+    /// with `buf`, whose old contents are discarded. The core keeps
+    /// logging into `buf`'s allocation, so a caller that swaps the same
+    /// buffer every cycle allocates nothing.
+    pub fn swap_retired_log(&mut self, buf: &mut Vec<RetiredInst>) {
+        buf.clear();
+        std::mem::swap(&mut self.retire_log, buf);
     }
 
     /// The architectural value of register `r`.
@@ -545,6 +557,17 @@ impl Core {
     /// until quiescent so buffered committed stores reach memory (hardware
     /// drains its store buffer eventually; tests inspect raw memory).
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
+        self.run_observed(max_cycles, |_| {})
+    }
+
+    /// [`Core::run`] with a per-cycle observer: `on_step` gets the core
+    /// after every simulated cycle, before the halt and budget checks and
+    /// before the post-halt drain. An observer that only reads leaves the
+    /// stepping bit-identical to `run`, so tracers can sample progress and
+    /// a lockstep oracle can compare every retire without perturbing the
+    /// simulation. `run` is this loop with an empty observer, which
+    /// monomorphizes away.
+    pub fn run_observed(&mut self, max_cycles: u64, mut on_step: impl FnMut(&mut Core)) -> RunExit {
         self.invalidate_scans();
         self.invalidate_fetch_memo();
         self.lsu.note_external_change();
@@ -553,32 +576,10 @@ impl Core {
                 return RunExit::CycleLimit;
             }
             self.step();
+            on_step(self);
         }
         self.drain();
         RunExit::Halted
-    }
-
-    /// [`Core::run`] with a periodic observer: `on_batch` is invoked after
-    /// every `batch` simulated cycles and once on exit, with the core
-    /// inspectable in between. The stepping is bit-identical to a single
-    /// `run(max_cycles)` call — the hook only partitions the same cycle
-    /// sequence — so tracers can sample progress (cycle counters, stall
-    /// state) without perturbing the simulation.
-    pub fn run_batched(
-        &mut self,
-        max_cycles: u64,
-        batch: u64,
-        on_batch: &mut dyn FnMut(&Core),
-    ) -> RunExit {
-        let batch = batch.max(1);
-        loop {
-            let target = max_cycles.min(self.cycle.saturating_add(batch));
-            let exit = self.run(target);
-            on_batch(self);
-            if exit == RunExit::Halted || self.cycle >= max_cycles {
-                return exit;
-            }
-        }
     }
 
     /// Ticks the LSU (without advancing the pipeline) until all in-flight
@@ -2015,7 +2016,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_is_cycle_identical_to_run() {
+    fn observed_run_is_cycle_identical_to_a_plain_run() {
         let program = |a: &mut Assembler| {
             a.li(Reg::T0, 0x8010_0000);
             for i in 0..24 {
@@ -2025,19 +2026,27 @@ mod tests {
             }
             a.inst(Inst::Ebreak);
         };
-        for (limit, batch) in [(200_000u64, 50u64), (200_000, 1), (40, 16), (40, 1_000)] {
+        for limit in [200_000u64, 40] {
             let mut plain = core_with(CoreConfig::boom(), program);
             let plain_exit = plain.run(limit);
-            let mut batched = core_with(CoreConfig::boom(), program);
-            let mut samples = Vec::new();
-            let batched_exit = batched.run_batched(limit, batch, &mut |c| samples.push(c.cycle));
-            assert_eq!(batched_exit, plain_exit, "limit {limit} batch {batch}");
-            assert_eq!(batched.cycle, plain.cycle, "limit {limit} batch {batch}");
-            assert_eq!(batched.retired(), plain.retired());
-            assert_eq!(batched.counters(), plain.counters());
-            assert!(!samples.is_empty(), "observer must fire at least once");
-            assert!(samples.windows(2).all(|w| w[0] <= w[1]), "{samples:?}");
-            assert_eq!(*samples.last().unwrap(), batched.cycle);
+            let mut observed = core_with(CoreConfig::boom(), program);
+            observed.set_retire_probe(true);
+            let (mut cycles, mut log, mut retires) = (Vec::new(), Vec::new(), 0);
+            let observed_exit = observed.run_observed(limit, |c| {
+                cycles.push(c.cycle);
+                c.swap_retired_log(&mut log);
+                retires += log.len() as u64;
+            });
+            assert_eq!(observed_exit, plain_exit, "limit {limit}");
+            assert_eq!(observed.cycle, plain.cycle, "limit {limit}");
+            assert_eq!(observed.retired(), plain.retired());
+            assert_eq!(observed.counters(), plain.counters());
+            assert_eq!(observed.mem.first_difference(&plain.mem), None);
+            // One call per stepped cycle (the post-halt drain is not a
+            // step), and the swapped logs hold every retire exactly once.
+            assert_eq!(cycles, (1..=cycles.len() as u64).collect::<Vec<_>>());
+            assert!(*cycles.last().unwrap() <= observed.cycle);
+            assert_eq!(retires, observed.retired(), "limit {limit}");
         }
     }
 

@@ -42,8 +42,10 @@ pub struct IssStep {
     pub retired: Option<Inst>,
 }
 
-/// The reference interpreter.
-#[derive(Debug)]
+/// The reference interpreter. `Clone` forks it mid-run; its memory is
+/// copy-on-write like the core's, so a fork costs one pointer per backed
+/// page.
+#[derive(Debug, Clone)]
 pub struct Iss {
     /// Physical memory.
     pub mem: Memory,

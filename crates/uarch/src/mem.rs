@@ -184,24 +184,40 @@ impl Memory {
     }
 
     /// The first byte address at which `self` and `other` differ, scanning
-    /// the union of both memories' backed pages.
+    /// the union of both memories' backed pages in address order. Pages
+    /// compare whole; a page both memories still share through one
+    /// copy-on-write allocation is equal without a look, and a page backed
+    /// on one side only compares against zeros.
     pub fn first_difference(&self, other: &Memory) -> Option<u64> {
-        let mut pages: Vec<u64> = self
-            .page_base_addrs()
-            .into_iter()
-            .chain(other.page_base_addrs())
+        static ZERO: [u8; PAGE] = [0; PAGE];
+        // Candidate pages: backed on one side only, or backed on both but
+        // no longer the same allocation.
+        let mut keys: Vec<u64> = (self.pages.iter())
+            .filter(|(key, slot)| {
+                other
+                    .pages
+                    .get(key)
+                    .is_none_or(|o| !Arc::ptr_eq(&o.data, &slot.data))
+            })
+            .map(|(&key, _)| key)
+            .chain(
+                (other.pages.keys())
+                    .filter(|key| !self.pages.contains_key(key))
+                    .copied(),
+            )
             .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        for base in pages {
-            for off in 0..PAGE_SIZE {
-                let a = base + off;
-                if self.read_u8(a) != other.read_u8(a) {
-                    return Some(a);
-                }
-            }
+        keys.sort_unstable();
+        fn page(m: &Memory, key: u64) -> &[u8; PAGE] {
+            m.pages.get(&key).map_or(&ZERO, |s| &s.data)
         }
-        None
+        keys.into_iter().find_map(|key| {
+            let (a, b) = (page(self, key), page(other, key));
+            if a == b {
+                return None;
+            }
+            let off = a.iter().zip(b.iter()).position(|(x, y)| x != y)?;
+            Some(key * PAGE_SIZE + off as u64)
+        })
     }
 }
 

@@ -270,4 +270,72 @@ proptest! {
             prop_assert_eq!(mem.read_u8(a), b);
         }
     }
+
+    /// The page-wise `Memory::first_difference` names the same first
+    /// differing byte as a byte-at-a-time scan, on sparse memories that
+    /// mix pages both sides still share copy-on-write, pages one side
+    /// wrote privately, pages equal on both sides but no longer shared,
+    /// zero pages backed on one side only, and pages that differ only in
+    /// their last byte.
+    #[test]
+    fn first_difference_matches_a_bytewise_reference(
+        shared in prop::collection::vec((0u64..8, 0u64..4096, 1u8..255), 0..8),
+        edits in prop::collection::vec((0u8..5, 0u64..8, 0u64..4096, any::<u8>()), 0..12),
+    ) {
+        let mut base = Memory::new();
+        for (page, off, byte) in shared {
+            base.write_u8(page * PAGE + off, byte);
+        }
+        let (mut a, mut b) = (base.clone(), base.clone());
+        for (kind, page, off, byte) in edits {
+            let addr = page * PAGE + off;
+            match kind {
+                // A private write on one side or the other.
+                0 => a.write_u8(addr, byte),
+                1 => b.write_u8(addr, byte),
+                // The same write on both sides: equal bytes, split pages.
+                2 => {
+                    a.write_u8(addr, byte);
+                    b.write_u8(addr, byte);
+                }
+                // A zero page backed on one side only (pages 8..12 hold
+                // nothing but zeros).
+                3 => {
+                    let side = if byte % 2 == 0 { &mut a } else { &mut b };
+                    side.write_u8((8 + page % 4) * PAGE + off, 0);
+                }
+                // Pages 12..16 differ, if at all, only in their last byte.
+                _ => {
+                    let last = (12 + page % 4) * PAGE + PAGE - 1;
+                    a.write_u8(last, byte);
+                    b.write_u8(last, byte ^ (off as u8 & 1));
+                }
+            }
+        }
+        prop_assert_eq!(a.first_difference(&b), first_difference_bytewise(&a, &b));
+        prop_assert_eq!(b.first_difference(&a), first_difference_bytewise(&b, &a));
+        prop_assert_eq!(a.first_difference(&a.clone()), None);
+    }
+}
+
+const PAGE: u64 = 4096;
+
+/// The byte-at-a-time scan `Memory::first_difference` replaced, kept as
+/// the reference: every byte of every page backed in either memory, in
+/// address order.
+fn first_difference_bytewise(a: &Memory, b: &Memory) -> Option<u64> {
+    let mut pages: Vec<u64> = (a.page_base_addrs().into_iter())
+        .chain(b.page_base_addrs())
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    for base in pages {
+        for off in 0..PAGE {
+            let addr = base + off;
+            if a.read_u8(addr) != b.read_u8(addr) {
+                return Some(addr);
+            }
+        }
+    }
+    None
 }

@@ -43,9 +43,11 @@ fn assert_lockstep_equivalence(seed: u64, branchy: bool, cfg: &CoreConfig) -> Re
     let mut iss = Iss::new(mem_iss, BASE);
 
     let mut retires = 0u64;
+    let mut log = Vec::new();
     while !core.halted && core.cycle < 500_000 {
         core.step();
-        for ev in core.take_retired_log() {
+        core.swap_retired_log(&mut log);
+        for ev in &log {
             retires += 1;
             let step = iss
                 .step_retire(64)

@@ -1,7 +1,9 @@
 //! Integration tests for the differential co-simulation oracle: the
 //! out-of-order core must match the reference ISS on every bundled access
-//! path, on both design presets, and the oracle must catch a planted
-//! architectural bug, naming the first bad retire.
+//! path, on both design presets, the oracle must catch a planted
+//! architectural bug, naming the first bad retire, and the oracle riding
+//! the engine's production run must give every case the verdict the
+//! standalone `diff_case` gives it.
 
 use teesec::assemble::{assemble_case, CaseParams};
 use teesec::campaign::{CampaignResult, CaseResult, PhaseTiming};
@@ -9,6 +11,7 @@ use teesec::diff::{diff_case, DiffOptions, DiffVerdict, FaultInjection};
 use teesec::engine::{DiffMetrics, Engine, EngineOptions};
 use teesec::paths::AccessPath;
 use teesec::testcase::Step;
+use teesec::TestCase;
 use teesec_isa::reg::Reg;
 use teesec_uarch::config::CoreConfig;
 
@@ -136,4 +139,97 @@ fn self_test_discriminates_clean_from_faulty() {
     let tc = assemble_case(AccessPath::StoreL1Hit, CaseParams::default(), &cfg).unwrap();
     let v = diff_case(&tc, &cfg, &DiffOptions::default()).expect("build");
     assert!(matches!(v, DiffVerdict::Match { .. }), "got {v:?}");
+}
+
+/// The engine's verdicts under `diff`, one per case.
+fn engine_verdicts(cfg: &CoreConfig, corpus: &[TestCase], opts: EngineOptions) -> Vec<DiffVerdict> {
+    let (result, _) = Engine::new(cfg.clone(), opts).run_corpus(corpus, PhaseTiming::default());
+    (result.cases.into_iter())
+        .map(|case| {
+            let name = case.name;
+            case.diff.unwrap_or_else(|| panic!("{name}: no verdict"))
+        })
+        .collect()
+}
+
+/// The oracle riding the engine's production run — boot-forked from the
+/// snapshot cache, with the lockstep parked at the boot snapshot — gives
+/// each case exactly the verdict `diff_case` gives it over a fresh build:
+/// the default gadgets, a satp-repointing case, an interrupt case, and a
+/// case blown by the watchdog budget.
+#[test]
+fn engine_oracle_verdicts_equal_standalone_diff_case() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let mut corpus = default_corpus(&cfg);
+        corpus
+            .push(assemble_case(AccessPath::PtwPoisonedRoot, CaseParams::default(), &cfg).unwrap());
+        let irq = CaseParams {
+            restricted_counters: true,
+            irq_at: Some(2_000),
+            ..CaseParams::default()
+        };
+        corpus.push(assemble_case(AccessPath::HpcRead, irq, &cfg).unwrap());
+        let opts = || EngineOptions {
+            threads: 2,
+            diff: Some(DiffOptions::default()),
+            ..EngineOptions::default()
+        };
+        let engine = engine_verdicts(&cfg, &corpus, opts());
+        let mut kinds = std::collections::BTreeSet::new();
+        for (tc, verdict) in corpus.iter().zip(&engine) {
+            let standalone = diff_case(tc, &cfg, &DiffOptions::default()).expect("build");
+            assert_eq!(verdict, &standalone, "{} on {}", tc.name, cfg.name);
+            kinds.insert(verdict.label());
+        }
+        assert_eq!(kinds.len(), 2, "matches and skips: {kinds:?}");
+
+        // A budget the case cannot halt within: the engine clamps the run,
+        // `diff_case` runs the case with the same clamped `max_cycles`.
+        let budget = 100;
+        let blown = &corpus[..1];
+        let verdict = &engine_verdicts(
+            &cfg,
+            blown,
+            EngineOptions {
+                case_cycle_budget: Some(budget),
+                ..opts()
+            },
+        )[0];
+        let clamped = TestCase {
+            max_cycles: budget,
+            ..blown[0].clone()
+        };
+        let standalone = diff_case(&clamped, &cfg, &DiffOptions::default()).expect("build");
+        assert!(
+            matches!(verdict, DiffVerdict::Skipped { reason } if reason.contains("100-cycle budget")),
+            "{verdict:?}"
+        );
+        assert_eq!(verdict, &standalone, "budget-blown case on {}", cfg.name);
+    }
+}
+
+/// A fault planted through `EngineOptions::diff` corrupts the production
+/// run the oracle observes, which must then report a divergence at or
+/// after the planted retire, whether the retire falls inside the boot the
+/// snapshot skips or after it.
+#[test]
+fn engine_fault_injection_diverges_at_or_after_the_planted_retire() {
+    let cfg = CoreConfig::xiangshan();
+    let corpus = [assemble_case(AccessPath::StoreL1Hit, CaseParams::default(), &cfg).unwrap()];
+    for at_retire in [5, 200] {
+        let fault = FaultInjection::CorruptArchReg {
+            at_retire,
+            reg: Reg::S11,
+            xor: 0x1,
+        };
+        let opts = EngineOptions {
+            diff: Some(DiffOptions { fault: Some(fault) }),
+            ..EngineOptions::default()
+        };
+        let verdict = &engine_verdicts(&cfg, &corpus, opts)[0];
+        let DiffVerdict::Diverged(d) = verdict else {
+            panic!("fault at retire {at_retire} must be caught, got {verdict:?}");
+        };
+        assert!(d.retire_seq >= at_retire, "{at_retire}: {d}");
+    }
 }
