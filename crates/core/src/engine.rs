@@ -100,13 +100,10 @@ pub struct EngineOptions {
     /// counters land in [`EngineMetrics::snapshot`]. On by default; off,
     /// every case builds from reset.
     pub snapshot_cache: bool,
-    /// Force the fast-path simulator (page-keyed decode cache, fetch
-    /// memo, scan watermark and LSU retry memo) on or off for every case.
-    /// `None` keeps the process default (`TEESEC_FASTPATH`, on unless set
-    /// to `0`/`off`/`false`/`no`). Both settings are byte-identical on
-    /// reports, coverage, counter digests, and provenance — proven by
-    /// the `fastpath_equivalence` suite. Per-case decode-cache and
-    /// scan-memo counters aggregate into [`EngineMetrics::fastpath`].
+    /// Ignored. The simulator has one path, its elisions always on and
+    /// checked against their references in debug builds. The field stays
+    /// only because the `campaign_bench` package still names it; the
+    /// next change to that package drops the name, and then the field.
     pub fast_path: Option<bool>,
     /// Span recorder. When enabled ([`Tracer::new`]), the engine emits a
     /// full span tree — `campaign` → per-worker `worker` → `queue_wait` /
@@ -433,11 +430,11 @@ pub struct EngineMetrics {
     /// in event streams recorded before the field existed (deserializes
     /// to `None`).
     pub plan_coverage: Option<PlanCoverage>,
-    /// Fast-path effectiveness counters (decode-cache hit/miss/
-    /// invalidation, dirty-scan check/skip) summed over every case that
-    /// ran with the fast path on. `None` when every case ran the
-    /// reference path. Absent in event streams recorded before the
-    /// field existed (deserializes to `None`).
+    /// Effectiveness counters of the simulator's elisions (decode-cache
+    /// hit/miss/invalidation, dirty-scan check/skip) summed over every
+    /// case that ran. `None` only when no case ran to completion. Absent
+    /// in event streams recorded before the field existed (deserializes
+    /// to `None`).
     pub fastpath: Option<FastPathMetrics>,
 }
 
@@ -447,13 +444,13 @@ const TRACE_TOP_STRAGGLERS: usize = 5;
 
 /// Aggregate fast-path effectiveness for one engine run: how well the
 /// page-keyed decode cache and the dirty-scan memoization performed
-/// across every case that ran with the fast path on. Purely
-/// observational — the fast path is byte-identical to the reference
-/// path on all checker-visible output, so none of these counters ever
+/// across every case that ran. Purely observational — the elisions
+/// change no checker-visible output, so none of these counters ever
 /// appear in [`UarchCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastPathMetrics {
-    /// Cases that ran with the fast path enabled.
+    /// Cases whose counters were harvested: every case that ran, the
+    /// quarantined ones excepted.
     pub cases: usize,
     /// Instruction fetches served from a memoized decode slot.
     pub decode_hits: u64,
@@ -639,7 +636,7 @@ pub(crate) struct CaseExecution {
     /// cases that never finished building).
     pub cache: Option<&'static str>,
     /// Decode-cache and scan-memo counters harvested at case exit;
-    /// `Some` iff the case finished with the fast path on.
+    /// `None` for quarantined cases.
     pub fastpath: Option<FastPathStats>,
 }
 
@@ -700,7 +697,6 @@ pub(crate) fn execute_case(
                 snapshot_cache,
                 checker: opts.streaming.then(new_checker),
                 oracle: opts.diff.clone(),
-                fast_path: opts.fast_path,
                 trace: tctx,
             },
         )
@@ -728,11 +724,7 @@ pub(crate) fn execute_case(
     drop(scan_span);
     let check_us = t_chk.elapsed().as_micros();
     let counters = opts.counters.then(|| outcome.platform.core.counters());
-    let fastpath = outcome
-        .platform
-        .core
-        .fast_path()
-        .then(|| outcome.platform.core.fast_path_stats());
+    let fastpath = Some(outcome.platform.core.fast_path_stats());
 
     let mut findings_by_structure = BTreeMap::new();
     for f in &report.findings {

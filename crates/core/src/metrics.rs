@@ -565,7 +565,6 @@ mod tests {
         let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(4));
         let (result, _) = campaign.run_engine(EngineOptions {
             threads: 2,
-            fast_path: Some(true),
             ..EngineOptions::default()
         });
         let snap = campaign_snapshot(&result, 1_000_000, 0);
@@ -579,20 +578,10 @@ mod tests {
             .engine
             .unwrap()
             .fastpath
-            .expect("fast path forced on");
+            .expect("every case that ran is harvested");
         assert_eq!(m.cases, result.case_count);
         assert!(m.decode_hits > 0, "hot loops must hit the decode cache");
         assert!(m.scan_skips > 0, "stalled entries must skip rescans");
-
-        // Forced off, the aggregate must be absent and the series quiet.
-        let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(2));
-        let (result, _) = campaign.run_engine(EngineOptions {
-            fast_path: Some(false),
-            ..EngineOptions::default()
-        });
-        let snap = campaign_snapshot(&result, 1_000_000, 0);
-        assert!(!snap.render_prometheus().contains("teesec_decode_cache"));
-        assert!(result.engine.unwrap().fastpath.is_none());
     }
 
     #[test]

@@ -131,11 +131,6 @@ pub struct RunOptions<'c> {
     /// plus periodic `sim_cycles` counter samples. The oracle's ISS runs
     /// inside `simulate`.
     pub trace: TraceCtx<'c>,
-    /// Force the simulator fast path on/off for this run (`None` keeps
-    /// the process default, see `teesec_uarch::fast_path_default`). Both
-    /// settings are byte-identical in every checker observable; off is
-    /// the reference path the equivalence harness compares against.
-    pub fast_path: Option<bool>,
 }
 
 /// Simulated cycles between `sim_cycles` counter samples on a traced run
@@ -161,9 +156,6 @@ pub fn run_case_opts(
         Some(cache) => cache.platform_for(tc, cfg, limit)?,
         None => (case_builder(tc, cfg).build()?, BuildKind::Fresh, None),
     };
-    if let Some(on) = opts.fast_path {
-        platform.core.set_fast_path(on);
-    }
     let mut oracle = opts.oracle.as_ref().map(|o| {
         let core = &mut platform.core;
         match (diff::out_of_model(tc), boot, build) {

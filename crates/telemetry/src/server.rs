@@ -1,14 +1,16 @@
 //! A dependency-free HTTP/1.1 exposition server over a [`MetricsHub`].
 //!
 //! One thread accepts on a non-blocking `TcpListener`; each connection is
-//! answered on its own short-lived thread. Every response carries
-//! `Connection: close`, so the protocol surface stays a single
-//! request/response exchange — except `GET /events`, which streams
-//! Server-Sent Events until the campaign completes and its tail drains.
+//! answered on its own short-lived thread, at most [`MAX_CONNECTIONS`] at
+//! once. Past the cap the accept loop itself answers `503` and spawns
+//! nothing. Every response carries `Connection: close`, so the protocol
+//! surface stays a single request/response exchange — except
+//! `GET /events`, which streams Server-Sent Events until the campaign
+//! completes and its tail drains.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -25,6 +27,12 @@ const SSE_BATCH_WAIT: Duration = Duration::from_millis(250);
 /// The read timeout applies per read, so without this cap a client that
 /// trickles bytes without a newline would grow a buffer without limit.
 const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+/// Most connections served at once, SSE subscribers included. Each one
+/// holds a thread, so without a cap a burst of clients (or idle sockets
+/// held open for the read timeout) grows the thread count without limit.
+const MAX_CONNECTIONS: usize = 32;
+/// How long the accept loop may block writing a `503` refusal.
+const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// A running telemetry server. Dropping it stops the accept loop; live
 /// SSE streams notice the stop flag within one batch wait and close.
@@ -78,13 +86,39 @@ pub fn serve(hub: MetricsHub, addr: impl ToSocketAddrs) -> std::io::Result<Telem
     })
 }
 
+/// One live connection's claim on [`MAX_CONNECTIONS`], released when
+/// its thread ends. The count publishes no other data, so its atomic
+/// operations are `Relaxed`.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn accept_loop(listener: TcpListener, hub: MetricsHub, stop: Arc<AtomicBool>) {
+    let live = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
+            // Only this loop claims slots, so the check cannot race
+            // another claim; releases only make room.
+            Ok((mut stream, _)) if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS => {
+                let _ = stream.set_write_timeout(Some(REFUSAL_WRITE_TIMEOUT));
+                let _ = write_response(
+                    &mut stream,
+                    "503 Service Unavailable",
+                    "text/plain; charset=utf-8",
+                    "too many connections\n",
+                );
+            }
             Ok((stream, _)) => {
+                live.fetch_add(1, Ordering::Relaxed);
+                let slot = ConnectionSlot(Arc::clone(&live));
                 let hub = hub.clone();
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    let _slot = slot;
                     // A failed or disconnected client is the client's
                     // problem; the server just moves on.
                     let _ = handle_connection(stream, &hub, &stop);
@@ -400,6 +434,48 @@ mod tests {
         let pad = "p".repeat(MAX_REQUEST_HEAD as usize - fixed);
         let (status, _, _) = http_get(server.local_addr(), "/health", &format!("X: {pad}\r\n"));
         assert!(status.contains("200"), "{status}");
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_refused_until_one_closes() {
+        let hub = MetricsHub::default();
+        let server = started(&hub);
+        let addr = server.local_addr();
+        // Idle clients: each holds a connection thread that waits for its
+        // request head.
+        let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        // The accept loop takes connections in arrival order, so this one
+        // meets the cap. It sends nothing, so the refusal closes cleanly.
+        let mut refused = TcpStream::connect(addr).expect("connect");
+        let mut response = String::new();
+        refused.read_to_string(&mut response).expect("read refusal");
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{response}"
+        );
+        assert!(response.contains("Connection: close\r\n"), "{response}");
+
+        // Closing one held connection frees its slot once its thread sees
+        // the close.
+        drop(held.pop());
+        let deadline = std::time::Instant::now() + Duration::from_secs(3);
+        loop {
+            let mut probe = TcpStream::connect(addr).expect("connect");
+            let mut response = String::new();
+            // A refused probe may be reset before its request is read.
+            let _ = write!(probe, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+            let _ = probe.read_to_string(&mut response);
+            if response.starts_with("HTTP/1.1 200 OK\r\n") {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no connection was accepted after one closed: {response}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]

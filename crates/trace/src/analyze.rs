@@ -186,8 +186,13 @@ pub(crate) fn analyze(trace: &Trace, top_n: usize) -> TraceReport {
         })
         .collect();
 
-    // Worker utilization and starvation over the traced window.
-    let mut worker_ids: Vec<usize> = cases.iter().map(|s| s.worker).collect();
+    // Worker utilization and starvation over the traced window. A worker
+    // that ran no case still opened its `worker` span, so it is listed,
+    // fully idle, instead of vanishing from the table.
+    let mut worker_ids: Vec<usize> = (spans.iter())
+        .filter(|s| s.name == "worker" || s.name == "case")
+        .map(|s| s.worker)
+        .collect();
     worker_ids.sort_unstable();
     worker_ids.dedup();
     let mut workers = Vec::new();
@@ -509,6 +514,26 @@ mod tests {
         let w1 = &r.workers[1];
         assert_eq!(w1.busy_ratio_ppm, 1_000_000);
         assert_eq!(w1.starved_intervals, 0);
+    }
+
+    #[test]
+    fn a_worker_that_ran_no_case_is_listed_fully_idle() {
+        let mut trace = sample_trace();
+        trace.spans.push(Span {
+            id: 10,
+            parent: 0,
+            worker: 2,
+            name: "worker".into(),
+            start_us: 0,
+            dur_us: 40_000,
+            args: vec![],
+        });
+        let r = trace.analyze(2);
+        assert_eq!(r.workers.len(), 3);
+        let w2 = &r.workers[2];
+        assert_eq!((w2.worker, w2.cases, w2.busy_ratio_ppm), (2, 0, 0));
+        assert_eq!(w2.idle_us, 40_000);
+        assert_eq!((w2.starved_intervals, w2.starved_us), (1, 40_000));
     }
 
     #[test]

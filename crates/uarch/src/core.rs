@@ -15,7 +15,6 @@
 //! rebuilds the table from the entries that remain.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 use teesec_isa::csr::{self, CsrAddr, Mstatus};
 use teesec_isa::inst::{CsrOp, CsrSrc, Inst};
@@ -185,14 +184,9 @@ pub struct Core {
     /// `fetch_fence_hit` — the snapshot point for platform checkpointing.
     fetch_fence: Option<u64>,
     fetch_fence_hit: bool,
-    /// Fast-path switch (page-keyed decode cache + dirty-scan elision).
-    /// Defaults from `TEESEC_FASTPATH`; both settings are byte-identical
-    /// in every architectural and traced observable.
-    fast_path: bool,
-    /// Pre-decoded instruction cache (consulted only on the fast path;
-    /// clones empty, see [`DecodeCache`]).
+    /// Pre-decoded instruction cache (clones empty, see [`DecodeCache`]).
     decode_cache: DecodeCache,
-    /// Fetch-line memo (fast path only; clones cold, see [`FetchMemo`]).
+    /// Fetch-line memo (clones cold, see [`FetchMemo`]).
     fetch_memo: FetchMemo,
     /// Dirty-scan watermark: every waiting ROB entry at a position below
     /// it was scanned after the last change to anything its scan reads,
@@ -201,7 +195,7 @@ pub struct Core {
     /// effects are only visible to younger scans); retires, traps, and
     /// serializing instructions reset it to 0.
     scan_from: usize,
-    /// Fast-path diagnostics: scans performed / scans elided.
+    /// Elision diagnostics: scans performed / scans elided.
     scan_checks: u64,
     scan_skips: u64,
     /// The buffers [`Lsu::swap_completions`] hands completions over in,
@@ -223,7 +217,8 @@ pub struct Core {
 /// are unchanged; (c) translation, privilege, and PMP verdicts are
 /// pinned by dropping the memo at every serializing instruction, trap,
 /// and run entry, and every full-path fetch (line switch, fill, or
-/// fault) rebuilds it.
+/// fault) rebuilds it. Debug builds re-derive every hit by peeking at
+/// the I-side state ([`Core::fetch_word_by_peek`]).
 #[derive(Debug, Default)]
 struct FetchMemo {
     valid: bool,
@@ -244,30 +239,20 @@ impl Clone for FetchMemo {
     }
 }
 
-/// Fast-path effectiveness counters, exported by the engine as the
-/// `teesec_decode_cache_*` and `teesec_dirty_scan_*` Prometheus families.
-/// Deliberately *not* part of [`UarchCounters`]: the counter digest is a
-/// byte-identity observable across fast-path settings, these are not.
+/// Effectiveness counters of the simulator's elisions (the fast path),
+/// exported by the engine as the `teesec_decode_cache_*` and
+/// `teesec_dirty_scan_*` Prometheus families. Deliberately *not* part of
+/// [`UarchCounters`]: they count the simulator's own work, not the
+/// modeled core's, and a snapshot fork restarts the decode cache cold,
+/// so they differ between a forked and a fresh run of one case.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Decode-cache hit/miss/invalidation counts.
     pub decode: DecodeCacheStats,
-    /// Operand/store-queue scans actually performed (fast path on).
+    /// Operand/store-queue scans and LSU access retries performed.
     pub scan_checks: u64,
-    /// Scans elided because the dirty epoch was unchanged.
+    /// Scans and retries elided because none of their inputs changed.
     pub scan_skips: u64,
-}
-
-/// Process-wide fast-path default: on unless `TEESEC_FASTPATH` is set to
-/// `0`, `off`, `false` or `no`.
-pub fn fast_path_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("TEESEC_FASTPATH").as_deref(),
-            Ok("0" | "off" | "false" | "no")
-        )
-    })
 }
 
 impl Core {
@@ -303,7 +288,6 @@ impl Core {
             retire_log: Vec::new(),
             fetch_fence: None,
             fetch_fence_hit: false,
-            fast_path: fast_path_default(),
             decode_cache: DecodeCache::new(),
             fetch_memo: FetchMemo::default(),
             scan_from: 0,
@@ -315,26 +299,10 @@ impl Core {
         }
     }
 
-    /// Enables or disables the fast path (decode cache + dirty-scan
-    /// elision). Both settings produce byte-identical runs; off is the
-    /// reference path the equivalence harness compares against.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-        self.lsu.set_fast_path(on);
-        self.scan_from = 0;
-        self.fetch_memo.valid = false;
-        if !on {
-            self.decode_cache.flush();
-        }
-    }
-
-    /// Whether the fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Fast-path effectiveness counters (zeroes when the fast path never
-    /// ran; decode stats reset on `Clone`, see [`DecodeCache`]).
+    /// How often the decode cache, fetch memo, scan watermark and LSU
+    /// retry memo were used (decode stats reset on `Clone`, see
+    /// [`DecodeCache`]). Debug builds check each use against its
+    /// reference as it happens.
     pub fn fast_path_stats(&self) -> FastPathStats {
         let (lsu_checks, lsu_skips) = self.lsu.fastpath_counters();
         FastPathStats {
@@ -857,28 +825,28 @@ impl Core {
     }
 
     fn execute_stage(&mut self) {
-        let fast = self.fast_path;
         let mut issued = 0usize;
         // Dirty-scan elision: every waiting entry below the watermark was
         // scanned after the last change to anything its scan reads, and
         // stalled — a rescan would return the same verdict. The walk
         // starts at the watermark, which during a long stall sits past
         // the whole ROB and skips the stage outright.
-        let mut pos = if fast {
-            let start = self.scan_from.min(self.rob.len());
-            self.scan_skips += start as u64;
-            start
-        } else {
-            0
-        };
+        let mut pos = self.scan_from.min(self.rob.len());
+        self.scan_skips += pos as u64;
+        #[cfg(debug_assertions)]
+        for skipped in 0..pos {
+            debug_assert!(
+                !self.would_issue(skipped),
+                "scan watermark {pos} skips ROB entry {skipped} (pc {:#x}), which would issue now",
+                self.rob[skipped].pc
+            );
+        }
         while pos < self.rob.len() && issued < self.config.width * 2 {
             if self.rob[pos].state != EntryState::Waiting || self.rob[pos].serializing {
                 pos += 1;
                 continue;
             }
-            if fast {
-                self.scan_checks += 1;
-            }
+            self.scan_checks += 1;
             if !self.operands_ready(pos) {
                 pos += 1;
                 continue;
@@ -1072,14 +1040,35 @@ impl Core {
             }
             pos += 1;
         }
-        if fast {
-            // Everything below `pos` has now been scanned against current
-            // state: a mid-walk writeback or store resolution at `p` only
-            // invalidates entries younger than `p`, which the walk
-            // visited afterwards. (`min` guards against a mid-walk
-            // squash; an early exit on the issue budget leaves the
-            // watermark at the first unvisited entry.)
-            self.scan_from = pos.min(self.rob.len());
+        // Everything below `pos` has now been scanned against current
+        // state: a mid-walk writeback or store resolution at `p` only
+        // invalidates entries younger than `p`, which the walk visited
+        // afterwards. (`min` guards against a mid-walk squash; an early
+        // exit on the issue budget leaves the watermark at the first
+        // unvisited entry.)
+        self.scan_from = pos.min(self.rob.len());
+    }
+
+    /// Whether a visit by the execute walk would change the entry at
+    /// `pos`: it is waiting, not serializing, its operands are ready, and
+    /// it is not a load an older store blocks. Side-effect free: the
+    /// debug-build reference each entry below the scan watermark is
+    /// checked against.
+    #[cfg(debug_assertions)]
+    fn would_issue(&self, pos: usize) -> bool {
+        let e = &self.rob[pos];
+        if e.state != EntryState::Waiting || e.serializing || !self.operands_ready(pos) {
+            return false;
+        }
+        match e.inst {
+            Ok(Inst::Load {
+                width, rs1, offset, ..
+            }) => {
+                let base = self.source_value(pos, rs1).expect("checked ready");
+                let vaddr = base.wrapping_add(offset as i64 as u64);
+                self.scan_store_queue(pos, vaddr, width.bytes()) != SqScan::Wait
+            }
+            _ => true,
         }
     }
 
@@ -1655,10 +1644,25 @@ impl Core {
                 self.fetch_fence_hit = true;
                 return;
             }
-            // Fast path: the line memo serves the word, the translation,
-            // and the decode without touching the ITLB, PMP, or L1I.
+            // The line memo serves the word, the translation, and the
+            // decode without touching the ITLB, PMP, or L1I.
             let (word, pa, fetch_exc, predecoded) = match self.fetch_memo_probe(pc) {
-                Some((w, pa, d)) => (w, pa, None, Some(d)),
+                Some((w, pa, d)) => {
+                    #[cfg(debug_assertions)]
+                    {
+                        debug_assert_eq!(
+                            self.fetch_word_by_peek(pc),
+                            Some((w, pa)),
+                            "fetch memo serves a stale word or address at pc {pc:#x}"
+                        );
+                        debug_assert_eq!(
+                            d,
+                            Inst::decode(w).ok(),
+                            "fetch memo serves a stale decode at pc {pc:#x}"
+                        );
+                    }
+                    (w, pa, None, Some(d))
+                }
                 None => {
                     let (w, pa, e) = self.fetch_word(pc);
                     (w, pa, e, None)
@@ -1677,11 +1681,10 @@ impl Core {
                     // memoized result (validated against the page version
                     // *and* the fetched word itself) is identical to a
                     // fresh decode.
-                    None if self.fast_path => {
+                    None => {
                         let version = self.mem.page_version(pa);
                         self.decode_cache.decode(pa, version, word)
                     }
-                    None => Inst::decode(word).ok(),
                 },
             };
             match decoded {
@@ -1856,10 +1859,41 @@ impl Core {
             });
         }
         let word = self.l1i.read(pa, 4).expect("line just ensured resident") as u32;
-        if self.fast_path {
-            self.install_fetch_memo(pc, pa);
-        }
+        self.install_fetch_memo(pc, pa);
         (word, pa, None)
+    }
+
+    /// [`Core::fetch_word`] without its side effects: the word and
+    /// physical address the full fetch path would return for `pc`, read
+    /// by peeking at the ITLB, PMP and L1I (no LRU touch, no fill, no
+    /// trace event). `None` when the full path would not serve the fetch
+    /// from resident state: a fault, an ITLB miss or an L1I miss. The
+    /// debug-build reference every fetch-memo hit is checked against.
+    #[cfg(debug_assertions)]
+    fn fetch_word_by_peek(&self, pc: u64) -> Option<(u32, u64)> {
+        let pa = if self.priv_level != PrivLevel::Machine && self.csr.satp.is_sv39() {
+            let va = VirtAddr(pc);
+            let pte = (self.itlb.entries().iter())
+                .find(|e| e.valid && e.vpn == pc >> 12)?
+                .pte;
+            if !va.is_canonical() || !pte.permits(AccessKind::Execute, self.priv_level, false) {
+                return None;
+            }
+            pte.pa().0 | va.page_offset()
+        } else {
+            pc
+        };
+        if !self
+            .csr
+            .pmp
+            .allows(pa, 4, AccessKind::Execute, self.priv_level)
+        {
+            return None;
+        }
+        let line = self.l1i.peek_line(pa)?;
+        let off = (pa - line.line_addr) as usize;
+        let bytes = line.data.get(off..off + 4)?;
+        Some((u32::from_le_bytes(bytes.try_into().ok()?), pa))
     }
 
     /// Probes the fetch-line memo for `pc`. A hit returns the word, its
@@ -1867,7 +1901,7 @@ impl Core {
     /// ITLB probe, PMP check, L1I lookup, and decode the full path would
     /// perform with identical results (see [`FetchMemo`]).
     fn fetch_memo_probe(&mut self, pc: u64) -> Option<(u32, u64, Option<Inst>)> {
-        if !self.fast_path || !self.fetch_memo.valid || pc & 3 != 0 {
+        if !self.fetch_memo.valid || pc & 3 != 0 {
             return None;
         }
         let m = &mut self.fetch_memo;

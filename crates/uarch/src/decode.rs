@@ -1,4 +1,4 @@
-//! Page-keyed pre-decoded instruction cache for the fetch fast path.
+//! Page-keyed pre-decoded instruction cache for the fetch stage.
 //!
 //! Decoding an instruction word is a pure function, so its result can be
 //! memoized per fetch address. The cache is keyed by *physical page* and
@@ -13,9 +13,9 @@
 //! Defense in depth: each slot stores the instruction *word* alongside
 //! the decoded result, and a hit requires the fetched word to match. Even
 //! if an invalidation edge were ever missed, a stale slot can therefore
-//! never alter what the pipeline executes — the fast path degrades to a
-//! re-decode, never to a wrong decode. This is what makes the fast path
-//! byte-identity-safe by construction.
+//! never alter what the pipeline executes — the cache degrades to a
+//! re-decode, never to a wrong decode. Debug builds also re-decode every
+//! hit and assert that it matches.
 //!
 //! [`Memory::page_version`]: crate::mem::Memory::page_version
 
@@ -65,8 +65,8 @@ impl DecodedPage {
     }
 }
 
-/// The pre-decoded instruction cache. One per [`Core`](crate::core::Core);
-/// consulted by the fetch stage only when the fast path is enabled.
+/// The pre-decoded instruction cache. One per [`Core`](crate::core::Core),
+/// consulted by the fetch stage whenever the fetch-line memo misses.
 #[derive(Debug, Default)]
 pub struct DecodeCache {
     /// Move-to-front: the front entry is the page fetch is streaming
@@ -123,6 +123,11 @@ impl DecodeCache {
         if let Some((w, decoded)) = entry.slots[slot] {
             if w == word {
                 self.stats.hits += 1;
+                debug_assert_eq!(
+                    decoded,
+                    Inst::decode(word).ok(),
+                    "decode cache hit at {pa:#x} differs from a fresh decode"
+                );
                 return decoded;
             }
         }

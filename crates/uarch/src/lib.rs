@@ -52,7 +52,7 @@ pub mod trace;
 pub mod trap;
 
 pub use config::CoreConfig;
-pub use core::{fast_path_default, Core, FastPathStats, RetiredInst, RunExit};
+pub use core::{Core, FastPathStats, RetiredInst, RunExit};
 pub use counters::{StructureCounters, UarchCounters};
 pub use decode::{DecodeCache, DecodeCacheStats};
 pub use iss::{Iss, IssExit, IssStep};

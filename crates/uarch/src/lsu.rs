@@ -154,11 +154,12 @@ struct LoadOp {
     /// The miss counter fires once per load, not once per retry tick.
     miss_counted: bool,
     /// [`Lsu::epoch`] value of the last [`Lsu::try_access`] attempt.
-    /// On the fast path a load stalled in [`LoadLane::Access`] skips its
-    /// per-cycle retry while the epoch is unchanged: the stall verdict
-    /// reads only the store buffer, L1D/LFB state, and the PMP — all of
-    /// which bump the epoch when they change — and a failed attempt has
-    /// no side effects, so the elided retries are provably identical.
+    /// A load stalled in [`LoadLane::Access`] skips its per-cycle retry
+    /// while the epoch is unchanged: the stall verdict reads only the
+    /// store buffer, L1D/LFB state, and the PMP — all of which bump the
+    /// epoch when they change — and a failed attempt has no side
+    /// effects, so the elided retries are provably identical. Debug
+    /// builds check each skip against [`Lsu::access_would_progress`].
     attempt_epoch: u64,
 }
 
@@ -280,15 +281,13 @@ pub struct Lsu {
     completions: Completions,
     next_req_id: u64,
     next_walk_id: u64,
-    /// Fast-path switch mirrored from the core ([`Lsu::set_fast_path`]).
-    fast_path: bool,
     /// Change counter over every input of the access-retry verdict
     /// (store buffer, L1D, LFB, fill completions, PMP). Starts at 1 so a
     /// zero-initialized [`LoadOp::attempt_epoch`] always scans first.
     epoch: u64,
-    /// Access retries actually performed (fast path only).
+    /// Access retries actually performed.
     retry_checks: u64,
-    /// Access retries elided as provably-unchanged (fast path only).
+    /// Access retries elided as provably unchanged.
     retry_skips: u64,
 }
 
@@ -310,7 +309,6 @@ impl Lsu {
             completions: Completions::default(),
             next_req_id: 0,
             next_walk_id: 0,
-            fast_path: crate::core::fast_path_default(),
             epoch: 1,
             retry_checks: 0,
             retry_skips: 0,
@@ -318,14 +316,7 @@ impl Lsu {
         }
     }
 
-    /// Mirrors the core's fast-path switch. Bumps the epoch so every
-    /// stalled load rescans on the next tick regardless of direction.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-        self.epoch += 1;
-    }
-
-    /// `(retries performed, retries elided)` under the fast path.
+    /// `(retries performed, retries elided)` by the retry memo.
     pub fn fastpath_counters(&self) -> (u64, u64) {
         (self.retry_checks, self.retry_skips)
     }
@@ -1013,16 +1004,20 @@ impl Lsu {
                     }
                 }
                 LoadLane::Access => {
-                    // Fast path: a stalled load's retry verdict cannot
-                    // change until some verdict input does (every such
-                    // change bumps `epoch`), and a failed attempt has no
-                    // side effects — skip the redundant re-probe.
-                    if self.fast_path && self.loads[i].attempt_epoch == self.epoch {
+                    // A stalled load's retry verdict cannot change until
+                    // some verdict input does (every such change bumps
+                    // `epoch`), and a failed attempt has no side effects
+                    // — skip the redundant re-probe.
+                    if self.loads[i].attempt_epoch == self.epoch {
                         self.retry_skips += 1;
+                        #[cfg(debug_assertions)]
+                        debug_assert!(
+                            !self.access_would_progress(i, csr),
+                            "LSU skips the retry of load seq {} at cycle {cycle}, which would progress",
+                            self.loads[i].req.seq
+                        );
                     } else {
-                        if self.fast_path {
-                            self.retry_checks += 1;
-                        }
+                        self.retry_checks += 1;
                         self.try_access(i, cycle, priv_level, domain, csr, mem, trace);
                     }
                 }
@@ -1179,6 +1174,45 @@ impl Lsu {
         self.loads[i].state = LoadLane::WaitFill(id);
         self.maybe_prefetch(line_addr, req.priv_level, cycle, csr);
         let _ = mem;
+    }
+
+    /// Whether a [`Lsu::try_access`] attempt for load `i` would change
+    /// anything beyond its per-attempt timeline stamps: answer (fault,
+    /// forward, hit or fake hit), record a new fault, count its L1D miss,
+    /// or allocate a fill. Side-effect free: the debug-build reference
+    /// every skipped retry is checked against.
+    #[cfg(debug_assertions)]
+    fn access_would_progress(&self, i: usize, csr: &CsrFile) -> bool {
+        let load = &self.loads[i];
+        let req = load.req;
+        let pa = load.pa.expect("access stage requires a PA");
+        if !pa.is_multiple_of(req.width) {
+            return true;
+        }
+        let faulted = !csr
+            .pmp
+            .allows(pa, req.width, AccessKind::Read, req.priv_level);
+        if faulted
+            && (load.exception.is_none()
+                || self.cfg.effective_pmp_check() == PmpCheckTiming::BeforeAccess)
+        {
+            return true;
+        }
+        match self.probe_store_buffer(pa, req.width) {
+            Some(SbProbe::Forward(_)) => return true,
+            Some(SbProbe::Conflict) => return false,
+            None => {}
+        }
+        if self.l1d.contains(pa) || !load.miss_counted {
+            return true;
+        }
+        if faulted && self.cfg.faulting_miss_policy == FaultingMissPolicy::FakeHitZero {
+            return true;
+        }
+        let line_addr = pa & !(self.l1d.line_size() - 1);
+        let lfb_free = (self.lfb.entries().iter())
+            .any(|e| !e.valid || e.state == crate::cache::LfbState::Filled);
+        self.lfb.pending_for(line_addr).is_none() && lfb_free
     }
 
     fn maybe_prefetch(

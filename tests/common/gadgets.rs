@@ -234,8 +234,8 @@ fn remap_tree(root: u64, code_pa: u64) -> [(u64, u64); 3] {
 
 /// What [`satp_remap_gadget`] returns: the machine-mode program, the two
 /// S-mode code pages (to load at [`REMAP_PA1`]/[`REMAP_PA2`]), the
-/// page-table words as `(addr, value)` pairs, and the exact `a0` both
-/// executions must leave behind.
+/// page-table words as `(addr, value)` pairs, and the exact `a0` the
+/// run must leave behind.
 pub type SatpRemapGadget = (Vec<u32>, [Vec<u32>; 2], Vec<(u64, u64)>, u64);
 
 /// The satp-remap gadget: a machine-mode supervisor that `mret`s into
@@ -247,7 +247,7 @@ pub type SatpRemapGadget = (Vec<u32>, [Vec<u32>; 2], Vec<(u64, u64)>, u64);
 ///
 /// Returns the machine-mode program, the two S-mode code pages (to load
 /// at [`REMAP_PA1`]/[`REMAP_PA2`]), the page-table words (addr, value),
-/// and the exact `a0` both executions must leave behind.
+/// and the exact `a0` the run must leave behind.
 pub fn satp_remap_gadget(seed: u64) -> SatpRemapGadget {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut expected = 0u64;
