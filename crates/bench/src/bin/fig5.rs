@@ -8,13 +8,22 @@ use teesec_isa::csr::Satp;
 use teesec_isa::pmp::PmpCfg;
 use teesec_isa::priv_level::PrivLevel;
 use teesec_uarch::csr_file::CsrFile;
-use teesec_uarch::lsu::{Completions, LoadRequest, Lsu};
+use teesec_uarch::lsu::{AccessRequest, Completions, Lsu};
 use teesec_uarch::mem::Memory;
-use teesec_uarch::trace::{Domain, Trace};
+use teesec_uarch::trace::{Domain, Stamp, Trace};
 use teesec_uarch::CoreConfig;
 
 const SECRET: u64 = 0x5EC2_E7F1_65AB_1E00;
 const ADDR: u64 = 0x8040_2000;
+
+/// The stamp of an untrusted supervisor at `cycle`.
+fn host(cycle: u64) -> Stamp {
+    Stamp {
+        cycle,
+        priv_level: PrivLevel::Supervisor,
+        domain: Domain::Untrusted,
+    }
+}
 
 fn run_lane(cfg: &CoreConfig, warm: bool) {
     let mut lsu = Lsu::new(cfg);
@@ -27,7 +36,7 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
     if warm {
         // Warm the line with a permitted access first.
         lsu.start_load(
-            LoadRequest {
+            AccessRequest {
                 seq: 1,
                 vaddr: ADDR,
                 width: 8,
@@ -39,14 +48,7 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
         );
         loop {
             cycle += 1;
-            lsu.tick(
-                cycle,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                &mut csr,
-                &mut mem,
-                &mut trace,
-            );
+            lsu.tick(host(cycle), &mut csr, &mut mem, &mut trace);
             lsu.swap_completions(&mut completions);
             if !completions.loads.is_empty() {
                 break;
@@ -60,7 +62,7 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
         .program_napot(1, 0, 1 << 48, PmpCfg::napot(true, true, true));
     let start = cycle;
     lsu.start_load(
-        LoadRequest {
+        AccessRequest {
             seq: 2,
             vaddr: ADDR,
             width: 8,
@@ -72,14 +74,7 @@ fn run_lane(cfg: &CoreConfig, warm: bool) {
     );
     let done = loop {
         cycle += 1;
-        lsu.tick(
-            cycle,
-            PrivLevel::Supervisor,
-            Domain::Untrusted,
-            &mut csr,
-            &mut mem,
-            &mut trace,
-        );
+        lsu.tick(host(cycle), &mut csr, &mut mem, &mut trace);
         lsu.swap_completions(&mut completions);
         if let Some(&d) = completions.loads.last() {
             break d;

@@ -695,7 +695,7 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
         }
         if let Some(fp) = metrics.fastpath.as_ref() {
             println!(
-                "  fast path: {} cases, decode {} hits / {} misses / {} invalidations, scans {} run / {} skipped",
+                "  fast path: {} cases, fetch memo {} hits / {} misses / {} invalidations, scans {} run / {} skipped",
                 fp.cases,
                 fp.decode_hits,
                 fp.decode_misses,

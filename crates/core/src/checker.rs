@@ -108,7 +108,6 @@ pub fn check_case_coverage(
 /// Scans the end-of-run microarchitectural snapshot for residues (the
 /// checker's finalize step).
 pub(crate) fn scan_snapshot(
-    tc: &TestCase,
     outcome: &RunOutcome,
     secrets: &SecretCatalog,
     findings: &mut Vec<Finding>,
@@ -233,7 +232,6 @@ pub(crate) fn scan_snapshot(
             }
         }
     }
-    let _ = tc;
 }
 
 #[cfg(test)]

@@ -430,7 +430,7 @@ pub struct EngineMetrics {
     /// in event streams recorded before the field existed (deserializes
     /// to `None`).
     pub plan_coverage: Option<PlanCoverage>,
-    /// Effectiveness counters of the simulator's elisions (decode-cache
+    /// Effectiveness counters of the simulator's elisions (fetch-memo
     /// hit/miss/invalidation, dirty-scan check/skip) summed over every
     /// case that ran. `None` only when no case ran to completion. Absent
     /// in event streams recorded before the field existed (deserializes
@@ -443,21 +443,22 @@ pub struct EngineMetrics {
 const TRACE_TOP_STRAGGLERS: usize = 5;
 
 /// Aggregate fast-path effectiveness for one engine run: how well the
-/// page-keyed decode cache and the dirty-scan memoization performed
-/// across every case that ran. Purely observational — the elisions
-/// change no checker-visible output, so none of these counters ever
-/// appear in [`UarchCounters`].
+/// fetch-line memo and the dirty-scan memoization performed across every
+/// case that ran. Purely observational — the elisions change no
+/// checker-visible output, so none of these counters ever appear in
+/// [`UarchCounters`]. The fetch-memo counters keep the `decode_*` names
+/// that the status schema, the event stream and the benchmark read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastPathMetrics {
     /// Cases whose counters were harvested: every case that ran, the
     /// quarantined ones excepted.
     pub cases: usize,
-    /// Instruction fetches served from a memoized decode slot.
+    /// Instruction fetches the fetch memo served.
     pub decode_hits: u64,
-    /// Fetches decoded fresh and memoized.
+    /// Fetches that took the full path (ITLB, PMP, L1I) and decoded.
     pub decode_misses: u64,
-    /// Decode-cache pages invalidated (version bumps, `fence.i`,
-    /// capacity evictions, explicit flushes).
+    /// Drops of a valid fetch memo (serializing instructions, traps, run
+    /// entries).
     pub decode_invalidations: u64,
     /// Operand/store-queue stall scans actually performed.
     pub scan_checks: u64,
@@ -470,9 +471,9 @@ impl FastPathMetrics {
     /// Folds one case's harvested [`FastPathStats`] into the aggregate.
     pub fn absorb(&mut self, s: &FastPathStats) {
         self.cases += 1;
-        self.decode_hits += s.decode.hits;
-        self.decode_misses += s.decode.misses;
-        self.decode_invalidations += s.decode.invalidations;
+        self.decode_hits += s.fetch.hits;
+        self.decode_misses += s.fetch.misses;
+        self.decode_invalidations += s.fetch.invalidations;
         self.scan_checks += s.scan_checks;
         self.scan_skips += s.scan_skips;
     }
@@ -635,8 +636,8 @@ pub(crate) struct CaseExecution {
     /// Which build path produced the platform (`None` for quarantined
     /// cases that never finished building).
     pub cache: Option<&'static str>,
-    /// Decode-cache and scan-memo counters harvested at case exit;
-    /// `None` for quarantined cases.
+    /// Fetch-memo and scan-memo counters harvested at case exit; `None`
+    /// for quarantined cases.
     pub fastpath: Option<FastPathStats>,
 }
 

@@ -199,19 +199,19 @@ fn result_families(snap: &mut MetricsSnapshot, result: &CampaignResult) {
             "teesec_decode_cache_hits_total",
             &[("design", design)],
             fp.decode_hits,
-            "Instruction fetches served from a memoized decode slot",
+            "Instruction fetches served by the fetch-line memo",
         );
         snap.counter(
             "teesec_decode_cache_misses_total",
             &[("design", design)],
             fp.decode_misses,
-            "Instruction fetches decoded fresh and memoized",
+            "Instruction fetches that took the full path and decoded",
         );
         snap.counter(
             "teesec_decode_cache_invalidations_total",
             &[("design", design)],
             fp.decode_invalidations,
-            "Decode-cache pages dropped by version bumps, fence.i, or eviction",
+            "Fetch-line memo drops at serializing instructions, traps, and run entries",
         );
         snap.counter(
             "teesec_dirty_scan_checks_total",
@@ -580,7 +580,7 @@ mod tests {
             .fastpath
             .expect("every case that ran is harvested");
         assert_eq!(m.cases, result.case_count);
-        assert!(m.decode_hits > 0, "hot loops must hit the decode cache");
+        assert!(m.decode_hits > 0, "hot loops must hit the fetch memo");
         assert!(m.scan_skips > 0, "stalled entries must skip rescans");
     }
 

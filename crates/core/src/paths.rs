@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use teesec_uarch::config::{CoreConfig, PrefetcherKind, PtwRequestPath};
+use teesec_uarch::config::{CoreConfig, PrefetcherKind};
 
 /// Whether a path is initiated by an instruction or by hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,7 +119,6 @@ impl AccessPath {
     /// Whether this path undergoes a PMP permission check on the given
     /// design, and when (the §4.1.2 permission-policy profile).
     pub fn permission_policy(self, cfg: &CoreConfig) -> PermissionPolicy {
-        use teesec_uarch::config::PmpCheckTiming;
         match self {
             AccessPath::PrefetchNextLine => {
                 if cfg.prefetcher_pmp_check {
@@ -138,10 +137,8 @@ impl AccessPath {
             AccessPath::SmScrub => PermissionPolicy::MachineMode,
             AccessPath::HpcRead | AccessPath::BtbLookup => PermissionPolicy::Unchecked,
             AccessPath::InstFetch => PermissionPolicy::CheckedBefore,
-            _ => match cfg.effective_pmp_check() {
-                PmpCheckTiming::ParallelWithAccess => PermissionPolicy::CheckedLazy,
-                PmpCheckTiming::BeforeAccess => PermissionPolicy::CheckedBefore,
-            },
+            _ if cfg.mitigations.serialize_pmp_check => PermissionPolicy::CheckedBefore,
+            _ => PermissionPolicy::CheckedLazy,
         }
     }
 
@@ -151,12 +148,9 @@ impl AccessPath {
         match self {
             AccessPath::PrefetchNextLine => cfg.l1d_prefetcher != PrefetcherKind::None,
             AccessPath::LoadSbForward => cfg.store_buffer_entries > 0,
-            AccessPath::PtwPoisonedRoot => {
-                // The scenario exists everywhere; on a pre-checking design
-                // the request is suppressed — which is what the test proves.
-                let _ = matches!(cfg.ptw_request_path, PtwRequestPath::ViaL1d);
-                true
-            }
+            // The poisoned-root scenario exists everywhere too: on a
+            // pre-checking design the request is suppressed, which is what
+            // the test proves.
             _ => true,
         }
     }

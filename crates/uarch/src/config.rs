@@ -9,20 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// When the PMP permission check completes relative to the data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PmpCheckTiming {
-    /// Check runs in parallel with the cache access; data can be returned,
-    /// written back and forwarded before the fault squashes the instruction
-    /// (the Meltdown-style lazy-exception implementation in both BOOM and
-    /// XiangShan).
-    ParallelWithAccess,
-    /// Check fully serializes before the access is issued; a denied access
-    /// never touches the memory hierarchy (paper Table 4, "serialize
-    /// permission checks" mitigation).
-    BeforeAccess,
-}
-
 /// What the L1D returns for a PMP-faulting load that *misses* in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultingMissPolicy {
@@ -75,8 +61,12 @@ pub struct MitigationSet {
     pub flush_bpu_on_domain_switch: bool,
     /// Reset hardware performance counters at every domain switch.
     pub clear_hpc_on_domain_switch: bool,
-    /// Serialize PMP checks before memory accesses (overrides
-    /// [`CoreConfig::pmp_check`]).
+    /// Serialize PMP checks before memory accesses, so a denied access
+    /// never touches the memory hierarchy. Off, the check runs in parallel
+    /// with the cache access, and data can be returned, written back and
+    /// forwarded before the fault squashes the instruction (the
+    /// Meltdown-style lazy-exception implementation of both BOOM and
+    /// XiangShan).
     pub serialize_pmp_check: bool,
     /// PMP-check page-table-walker refill addresses *before* issuing the
     /// request (XiangShan already does this; a mitigation for BOOM).
@@ -189,8 +179,6 @@ pub struct CoreConfig {
     pub mem_latency: u64,
 
     // ---- security-relevant policies --------------------------------------
-    /// PMP check timing for explicit loads/stores.
-    pub pmp_check: PmpCheckTiming,
     /// Behaviour of a PMP-faulting load that misses in L1D.
     pub faulting_miss_policy: FaultingMissPolicy,
     /// PTW request routing.
@@ -243,7 +231,6 @@ impl CoreConfig {
             l1_hit_latency: 3,
             l2_latency: 14,
             mem_latency: 60,
-            pmp_check: PmpCheckTiming::ParallelWithAccess,
             faulting_miss_policy: FaultingMissPolicy::ForwardToL2,
             ptw_request_path: PtwRequestPath::ViaL1d,
             ptw_pmp_precheck: false,
@@ -282,7 +269,6 @@ impl CoreConfig {
             l1_hit_latency: 3,
             l2_latency: 18,
             mem_latency: 80,
-            pmp_check: PmpCheckTiming::ParallelWithAccess,
             faulting_miss_policy: FaultingMissPolicy::FakeHitZero,
             ptw_request_path: PtwRequestPath::DirectToL2,
             ptw_pmp_precheck: true,
@@ -304,7 +290,6 @@ impl CoreConfig {
     pub fn hardened_reference() -> CoreConfig {
         let mut cfg = CoreConfig::boom();
         cfg.name = "hardened-reference".to_string();
-        cfg.pmp_check = PmpCheckTiming::BeforeAccess;
         cfg.faulting_miss_policy = FaultingMissPolicy::FakeHitZero;
         cfg.ptw_pmp_precheck = true;
         cfg.prefetcher_pmp_check = true;
@@ -323,15 +308,6 @@ impl CoreConfig {
             tag_bpu_with_domain: true,
         };
         cfg
-    }
-
-    /// The effective PMP check timing after mitigations.
-    pub fn effective_pmp_check(&self) -> PmpCheckTiming {
-        if self.mitigations.serialize_pmp_check {
-            PmpCheckTiming::BeforeAccess
-        } else {
-            self.pmp_check
-        }
     }
 
     /// The effective PTW PMP pre-check policy after mitigations.
@@ -413,14 +389,6 @@ mod tests {
         assert!(!b.store_buffer_forwarding && x.store_buffer_forwarding);
         assert_eq!(b.store_buffer_entries, 0);
         assert!(x.store_buffer_entries > 0);
-    }
-
-    #[test]
-    fn serialize_mitigation_overrides_timing() {
-        let mut c = CoreConfig::boom();
-        assert_eq!(c.effective_pmp_check(), PmpCheckTiming::ParallelWithAccess);
-        c.mitigations.serialize_pmp_check = true;
-        assert_eq!(c.effective_pmp_check(), PmpCheckTiming::BeforeAccess);
     }
 
     #[test]

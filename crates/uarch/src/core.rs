@@ -27,11 +27,10 @@ use crate::btb::{Bht, Ftb, Ubtb};
 use crate::config::CoreConfig;
 use crate::counters::{StructureCounters, UarchCounters};
 use crate::csr_file::{CsrError, CsrFile};
-use crate::decode::{DecodeCache, DecodeCacheStats};
-use crate::lsu::{Completions, LoadRequest, Lsu, XlateRequest};
+use crate::lsu::{AccessRequest, Completions, Lsu};
 use crate::mem::Memory;
 use crate::tlb::Tlb;
-use crate::trace::{Domain, HpcEvent, Structure, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{Domain, HpcEvent, Stamp, Structure, Trace, TraceEventKind};
 use crate::trap::{Exception, Interrupt};
 
 /// The custom machine CSR the platform firmware writes to declare the active
@@ -184,8 +183,6 @@ pub struct Core {
     /// `fetch_fence_hit` — the snapshot point for platform checkpointing.
     fetch_fence: Option<u64>,
     fetch_fence_hit: bool,
-    /// Pre-decoded instruction cache (clones empty, see [`DecodeCache`]).
-    decode_cache: DecodeCache,
     /// Fetch-line memo (clones cold, see [`FetchMemo`]).
     fetch_memo: FetchMemo,
     /// Dirty-scan watermark: every waiting ROB entry at a position below
@@ -205,7 +202,8 @@ pub struct Core {
 
 /// The single I-cache line the fetch stage is currently streaming
 /// through, with its translation and lazily memoized per-slot decodes. A
-/// hit elides the ITLB probe, the PMP check, the L1I lookup, and decode.
+/// hit elides the ITLB probe, the PMP check, the L1I lookup, and decode;
+/// a miss takes that full path and decodes the fetched word.
 ///
 /// Byte-identity safety: (a) a resident L1I line is immutable, so the
 /// memoized words equal what `Cache::read` would return — including
@@ -229,26 +227,40 @@ struct FetchMemo {
     /// `(word, memoized decode)` per 4-byte slot; decode is pure, so the
     /// memoized result is identical to a fresh `Inst::decode`.
     slots: Vec<(u32, Option<Option<Inst>>)>,
+    stats: FetchMemoStats,
 }
 
 impl Clone for FetchMemo {
-    /// Forks start cold, mirroring [`DecodeCache`]: the memo is pure
-    /// acceleration state, never worth carrying across a snapshot fork.
+    /// Forks start cold: the memo is pure acceleration state, never worth
+    /// carrying across a snapshot fork, and its counters restart, so a
+    /// fork counts only its own fetches.
     fn clone(&self) -> FetchMemo {
         FetchMemo::default()
     }
 }
 
+/// How the fetch-line memo served the fetch stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FetchMemoStats {
+    /// Fetches the memo served.
+    pub hits: u64,
+    /// Fetches that took the full path (ITLB, PMP, L1I) and decoded.
+    pub misses: u64,
+    /// Drops of a valid memo: serializing instructions, traps and run
+    /// entries.
+    pub invalidations: u64,
+}
+
 /// Effectiveness counters of the simulator's elisions (the fast path),
-/// exported by the engine as the `teesec_decode_cache_*` and
+/// exported by the engine as the `teesec_decode_cache_*` (fetch memo) and
 /// `teesec_dirty_scan_*` Prometheus families. Deliberately *not* part of
 /// [`UarchCounters`]: they count the simulator's own work, not the
-/// modeled core's, and a snapshot fork restarts the decode cache cold,
-/// so they differ between a forked and a fresh run of one case.
+/// modeled core's, and a snapshot fork restarts the fetch memo cold, so
+/// they differ between a forked and a fresh run of one case.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Decode-cache hit/miss/invalidation counts.
-    pub decode: DecodeCacheStats,
+    /// Fetch-memo hit/miss/invalidation counts.
+    pub fetch: FetchMemoStats,
     /// Operand/store-queue scans and LSU access retries performed.
     pub scan_checks: u64,
     /// Scans and retries elided because none of their inputs changed.
@@ -288,7 +300,6 @@ impl Core {
             retire_log: Vec::new(),
             fetch_fence: None,
             fetch_fence_hit: false,
-            decode_cache: DecodeCache::new(),
             fetch_memo: FetchMemo::default(),
             scan_from: 0,
             scan_checks: 0,
@@ -299,14 +310,13 @@ impl Core {
         }
     }
 
-    /// How often the decode cache, fetch memo, scan watermark and LSU
-    /// retry memo were used (decode stats reset on `Clone`, see
-    /// [`DecodeCache`]). Debug builds check each use against its
-    /// reference as it happens.
+    /// How often the fetch memo, scan watermark and LSU retry memo were
+    /// used. The fetch counters restart on `Clone`, with the memo. Debug
+    /// builds check each use against its reference as it happens.
     pub fn fast_path_stats(&self) -> FastPathStats {
         let (lsu_checks, lsu_skips) = self.lsu.fastpath_counters();
         FastPathStats {
-            decode: self.decode_cache.stats,
+            fetch: self.fetch_memo.stats,
             scan_checks: self.scan_checks + lsu_checks,
             scan_skips: self.scan_skips + lsu_skips,
         }
@@ -337,7 +347,18 @@ impl Core {
     /// state may have changed.
     #[inline]
     fn invalidate_fetch_memo(&mut self) {
-        self.fetch_memo.valid = false;
+        let m = &mut self.fetch_memo;
+        m.stats.invalidations += u64::from(m.valid);
+        m.valid = false;
+    }
+
+    /// The stamp of an event recorded now.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            cycle: self.cycle,
+            priv_level: self.priv_level,
+            domain: self.domain,
+        }
     }
 
     /// Arms (or clears, with `None`) the fetch fence: the fetch stage halts
@@ -557,14 +578,8 @@ impl Core {
         while !self.lsu.quiescent() && budget > 0 {
             self.cycle += 1;
             budget -= 1;
-            self.lsu.tick(
-                self.cycle,
-                self.priv_level,
-                self.domain,
-                &mut self.csr,
-                &mut self.mem,
-                &mut self.trace,
-            );
+            self.lsu
+                .tick(self.stamp(), &mut self.csr, &mut self.mem, &mut self.trace);
         }
     }
 
@@ -580,14 +595,8 @@ impl Core {
                 self.csr.mip |= 1 << Interrupt::MachineExternal.number();
             }
         }
-        self.lsu.tick(
-            self.cycle,
-            self.priv_level,
-            self.domain,
-            &mut self.csr,
-            &mut self.mem,
-            &mut self.trace,
-        );
+        self.lsu
+            .tick(self.stamp(), &mut self.csr, &mut self.mem, &mut self.trace);
         self.collect_lsu_completions();
         if self.take_interrupt_if_pending() {
             return;
@@ -703,20 +712,15 @@ impl Core {
         if self.is_youngest_writer(pos) {
             self.spec_rf[d.index() as usize] = value;
         }
-        let (cycle, priv_level, domain, pc) =
-            (self.cycle, self.priv_level, self.domain, self.rob[pos].pc);
-        self.trace.record(TraceEvent {
-            cycle,
-            priv_level,
-            domain,
-            pc: Some(pc),
-            structure: Structure::RegFile,
-            kind: TraceEventKind::Write {
+        self.trace.record(self.stamp().event(
+            Some(self.rob[pos].pc),
+            Structure::RegFile,
+            TraceEventKind::Write {
                 index: d.index() as u64,
                 value,
                 tag: None,
             },
-        });
+        ));
     }
 
     fn rebuild_spec_rf(&mut self) {
@@ -895,7 +899,7 @@ impl Core {
                     let target = pc.wrapping_add(offset as i64 as u64);
                     self.rob[pos].state = EntryState::Done;
                     self.writeback(pos, pc + 4);
-                    self.resolve_control_flow(pos, target, true);
+                    self.resolve_control_flow(pos, target);
                     issued += 1;
                     // Positions after `pos` may have been squashed.
                     pos += 1;
@@ -905,7 +909,7 @@ impl Core {
                     let target = src(self, rs1).wrapping_add(offset as i64 as u64) & !1;
                     self.rob[pos].state = EntryState::Done;
                     self.writeback(pos, pc + 4);
-                    self.resolve_control_flow(pos, target, true);
+                    self.resolve_control_flow(pos, target);
                     issued += 1;
                     pos += 1;
                     continue;
@@ -925,10 +929,16 @@ impl Core {
                     self.rob[pos].state = EntryState::Done;
                     if taken {
                         self.csr.hpc_bump(HpcEvent::BranchTaken, self.domain);
-                        self.record_hpc_bump(HpcEvent::BranchTaken, Some(pc));
+                        self.trace.record(self.stamp().event(
+                            Some(pc),
+                            Structure::Hpc,
+                            TraceEventKind::CounterBump {
+                                event: HpcEvent::BranchTaken,
+                            },
+                        ));
                     }
                     self.train_predictors(pc, target, taken);
-                    self.resolve_control_flow(pos, target, taken);
+                    self.resolve_control_flow(pos, target);
                     issued += 1;
                     pos += 1;
                     continue;
@@ -957,27 +967,29 @@ impl Core {
                                 v = ((v << shift) as i64 >> shift) as u64;
                             }
                             self.csr.hpc_bump(HpcEvent::StoreToLoadForward, self.domain);
-                            self.record_hpc_bump(HpcEvent::StoreToLoadForward, Some(pc));
-                            let (cycle, priv_level, domain) =
-                                (self.cycle, self.priv_level, self.domain);
-                            self.trace.record(TraceEvent {
-                                cycle,
-                                priv_level,
-                                domain,
-                                pc: Some(pc),
-                                structure: Structure::StoreQueue,
-                                kind: TraceEventKind::Read {
+                            let at = self.stamp();
+                            self.trace.record(at.event(
+                                Some(pc),
+                                Structure::Hpc,
+                                TraceEventKind::CounterBump {
+                                    event: HpcEvent::StoreToLoadForward,
+                                },
+                            ));
+                            self.trace.record(at.event(
+                                Some(pc),
+                                Structure::StoreQueue,
+                                TraceEventKind::Read {
                                     index: vaddr,
                                     value: v,
                                 },
-                            });
+                            ));
                             self.rob[pos].state = EntryState::Done;
                             self.writeback(pos, v);
                             issued += 1;
                         }
                         SqScan::Clear => {
                             self.rob[pos].sign_extend_from = signed.then_some(bytes * 8);
-                            let req = LoadRequest {
+                            let req = AccessRequest {
                                 seq: self.rob[pos].seq,
                                 vaddr,
                                 width: bytes,
@@ -1010,20 +1022,16 @@ impl Core {
                         value,
                         width: bytes,
                     });
-                    let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-                    self.trace.record(TraceEvent {
-                        cycle,
-                        priv_level,
-                        domain,
-                        pc: Some(pc),
-                        structure: Structure::StoreQueue,
-                        kind: TraceEventKind::Write {
+                    self.trace.record(self.stamp().event(
+                        Some(pc),
+                        Structure::StoreQueue,
+                        TraceEventKind::Write {
                             index: vaddr,
                             value,
                             tag: Some(bytes),
                         },
-                    });
-                    let req = XlateRequest {
+                    ));
+                    let req = AccessRequest {
                         seq: self.rob[pos].seq,
                         vaddr,
                         width: bytes,
@@ -1072,72 +1080,56 @@ impl Core {
         }
     }
 
-    fn record_hpc_bump(&mut self, event: HpcEvent, pc: Option<u64>) {
-        let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-        self.trace.record(TraceEvent {
-            cycle,
-            priv_level,
-            domain,
-            pc,
-            structure: Structure::Hpc,
-            kind: TraceEventKind::CounterBump { event },
-        });
-    }
-
     fn train_predictors(&mut self, pc: u64, target: u64, taken: bool) {
-        let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
+        let at = self.stamp();
         self.bht.train(pc, taken);
-        self.trace.record(TraceEvent {
-            cycle,
-            priv_level,
-            domain,
-            pc: Some(pc),
-            structure: Structure::Bht,
-            kind: TraceEventKind::Write {
+        self.trace.record(at.event(
+            Some(pc),
+            Structure::Bht,
+            TraceEventKind::Write {
                 index: pc >> 2,
                 value: taken as u64,
                 tag: None,
             },
-        });
+        ));
         if taken {
-            let idx = self.ubtb.train(pc, target, taken, domain);
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: Some(pc),
-                structure: Structure::Ubtb,
-                kind: TraceEventKind::Write {
+            let idx = self.ubtb.train(pc, target, taken, at.domain);
+            self.trace.record(at.event(
+                Some(pc),
+                Structure::Ubtb,
+                TraceEventKind::Write {
                     index: idx as u64,
                     value: target,
                     tag: Some(self.ubtb.tag(pc)),
                 },
-            });
-            self.ftb.train(pc, target, taken, domain);
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: Some(pc),
-                structure: Structure::Ftb,
-                kind: TraceEventKind::Write {
+            ));
+            self.ftb.train(pc, target, taken, at.domain);
+            self.trace.record(at.event(
+                Some(pc),
+                Structure::Ftb,
+                TraceEventKind::Write {
                     index: pc >> 2,
                     value: target,
                     tag: None,
                 },
-            });
+            ));
         }
     }
 
     /// Compares the resolved next PC with the fetch-time prediction and
     /// redirects (squashing younger work) on a mismatch.
-    fn resolve_control_flow(&mut self, pos: usize, actual_next: u64, _taken: bool) {
+    fn resolve_control_flow(&mut self, pos: usize, actual_next: u64) {
         if self.rob[pos].predicted_next == actual_next {
             return;
         }
         self.csr.hpc_bump(HpcEvent::BranchMispredict, self.domain);
-        let pc = self.rob[pos].pc;
-        self.record_hpc_bump(HpcEvent::BranchMispredict, Some(pc));
+        self.trace.record(self.stamp().event(
+            Some(self.rob[pos].pc),
+            Structure::Hpc,
+            TraceEventKind::CounterBump {
+                event: HpcEvent::BranchMispredict,
+            },
+        ));
         let squash_seq = self.rob[pos].seq + 1;
         while self.rob.len() > pos + 1 {
             self.rob.pop_back();
@@ -1218,15 +1210,8 @@ impl Core {
         }
         if let Some(s) = head.store {
             let pa = s.pa.expect("store without exception has a PA");
-            self.lsu.commit_store(
-                pa,
-                s.value,
-                s.width,
-                self.domain,
-                self.cycle,
-                &mut self.trace,
-                self.priv_level,
-            );
+            self.lsu
+                .commit_store(pa, s.value, s.width, self.stamp(), &mut self.trace);
         }
         self.retired += 1;
         self.csr.instret += 1;
@@ -1326,21 +1311,13 @@ impl Core {
             Inst::FenceI => {
                 // fence.i synchronizes the instruction stream with memory.
                 self.l1i.flush_all();
-                self.decode_cache.flush();
             }
             Inst::SfenceVma => {
-                self.lsu
-                    .sfence(self.cycle, &mut self.trace, self.priv_level, self.domain);
+                let at = self.stamp();
+                self.lsu.sfence(at, &mut self.trace);
                 self.itlb.flush_all();
-                let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-                self.trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: Some(pc),
-                    structure: Structure::Itlb,
-                    kind: TraceEventKind::Flush,
-                });
+                self.trace
+                    .record(at.event(Some(pc), Structure::Itlb, TraceEventKind::Flush));
             }
             Inst::Csr {
                 op,
@@ -1421,19 +1398,14 @@ impl Core {
                     if let Ok(v) = self.csr.read_unchecked(addr, PrivLevel::Machine) {
                         self.writeback(0, v);
                         if is_hpc_read(addr) {
-                            let (cycle, priv_level, domain) =
-                                (self.cycle, self.priv_level, self.domain);
-                            self.trace.record(TraceEvent {
-                                cycle,
-                                priv_level,
-                                domain,
-                                pc: Some(pc),
-                                structure: Structure::Hpc,
-                                kind: TraceEventKind::Read {
+                            self.trace.record(self.stamp().event(
+                                Some(pc),
+                                Structure::Hpc,
+                                TraceEventKind::Read {
                                     index: hpc_read_index(addr),
                                     value: v,
                                 },
-                            });
+                            ));
                         }
                     }
                     self.rob[0].exception = Some(Exception::IllegalInstruction(0));
@@ -1456,20 +1428,15 @@ impl Core {
                         self.apply_domain_switch_mitigations();
                     }
                     if (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr) {
-                        let (cycle, priv_level, domain) =
-                            (self.cycle, self.priv_level, self.domain);
-                        self.trace.record(TraceEvent {
-                            cycle,
-                            priv_level,
-                            domain,
-                            pc: Some(pc),
-                            structure: Structure::Hpc,
-                            kind: TraceEventKind::Write {
+                        self.trace.record(self.stamp().event(
+                            Some(pc),
+                            Structure::Hpc,
+                            TraceEventKind::Write {
                                 index: (addr - csr::MHPMCOUNTER3) as u64,
                                 value: new,
                                 tag: None,
                             },
-                        });
+                        ));
                     }
                     if effect.satp_written {
                         // Real hardware requires sfence.vma; the model keeps
@@ -1487,18 +1454,14 @@ impl Core {
         // Reads of tainted performance counters are the checker's M1 signal;
         // record the read explicitly.
         if wants_read && is_hpc_read(addr) {
-            let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: Some(pc),
-                structure: Structure::Hpc,
-                kind: TraceEventKind::Read {
+            self.trace.record(self.stamp().event(
+                Some(pc),
+                Structure::Hpc,
+                TraceEventKind::Read {
                     index: hpc_read_index(addr),
                     value: old,
                 },
-            });
+            ));
         }
     }
 
@@ -1507,63 +1470,46 @@ impl Core {
     /// firmware exit (`mret`).
     fn apply_domain_switch_mitigations(&mut self) {
         let m = self.config.mitigations;
-        let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
+        let at = self.stamp();
         if m.flush_l1d_on_domain_switch {
             // A purge-style flush (MI6's approach): complete pending
             // committed stores first, otherwise they would re-pollute the
             // invalidated cache moments later.
             self.lsu.drain_all_stores(&mut self.mem);
-            self.lsu
-                .flush_l1d(cycle, &mut self.trace, priv_level, domain);
+            self.lsu.flush_l1d(at, &mut self.trace);
         }
         if m.flush_lfb_on_domain_switch {
-            self.lsu
-                .flush_lfb(cycle, &mut self.trace, priv_level, domain);
+            self.lsu.flush_lfb(at, &mut self.trace);
         }
         if m.flush_store_buffer_on_domain_switch {
             self.lsu
-                .flush_store_buffer(&mut self.mem, cycle, &mut self.trace, priv_level, domain);
+                .flush_store_buffer(&mut self.mem, at, &mut self.trace);
         }
         if m.flush_bpu_on_domain_switch {
             self.ubtb.flush_all();
             self.ftb.flush_all();
             self.bht.flush_all();
             for s in [Structure::Ubtb, Structure::Ftb, Structure::Bht] {
-                self.trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: None,
-                    structure: s,
-                    kind: TraceEventKind::Flush,
-                });
+                self.trace.record(at.event(None, s, TraceEventKind::Flush));
             }
         }
         if m.clear_hpc_on_domain_switch {
             self.csr.hpc_clear();
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: None,
-                structure: Structure::Hpc,
-                kind: TraceEventKind::Flush,
-            });
+            self.trace
+                .record(at.event(None, Structure::Hpc, TraceEventKind::Flush));
         }
     }
 
     fn set_domain(&mut self, d: Domain) {
         if d != self.domain {
             self.domain = d;
-            let (cycle, priv_level) = (self.cycle, self.priv_level);
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain: d,
-                pc: None,
-                structure: Structure::Hpc, // marker events carry no structure; HPC is benign
-                kind: TraceEventKind::DomainSwitch { to: d },
-            });
+            // The marker carries the new domain. Marker events carry no
+            // structure; HPC is benign.
+            self.trace.record(self.stamp().event(
+                None,
+                Structure::Hpc,
+                TraceEventKind::DomainSwitch { to: d },
+            ));
         }
     }
 
@@ -1573,7 +1519,13 @@ impl Core {
 
     fn take_exception(&mut self, e: Exception, epc: u64) {
         self.csr.hpc_bump(HpcEvent::Exception, self.domain);
-        self.record_hpc_bump(HpcEvent::Exception, Some(epc));
+        self.trace.record(self.stamp().event(
+            Some(epc),
+            Structure::Hpc,
+            TraceEventKind::CounterBump {
+                event: HpcEvent::Exception,
+            },
+        ));
         self.enter_trap(e.cause(), e.tval(), epc);
     }
 
@@ -1646,44 +1598,18 @@ impl Core {
             }
             // The line memo serves the word, the translation, and the
             // decode without touching the ITLB, PMP, or L1I.
-            let (word, pa, fetch_exc, predecoded) = match self.fetch_memo_probe(pc) {
-                Some((w, pa, d)) => {
-                    #[cfg(debug_assertions)]
-                    {
-                        debug_assert_eq!(
-                            self.fetch_word_by_peek(pc),
-                            Some((w, pa)),
-                            "fetch memo serves a stale word or address at pc {pc:#x}"
-                        );
-                        debug_assert_eq!(
-                            d,
-                            Inst::decode(w).ok(),
-                            "fetch memo serves a stale decode at pc {pc:#x}"
-                        );
+            let (word, decoded) = match self.fetch_memo_probe(pc) {
+                Some(hit) => hit,
+                None => match self.fetch_word(pc) {
+                    Ok(w) => {
+                        self.fetch_memo.stats.misses += 1;
+                        (w, Inst::decode(w).ok())
                     }
-                    (w, pa, None, Some(d))
-                }
-                None => {
-                    let (w, pa, e) = self.fetch_word(pc);
-                    (w, pa, e, None)
-                }
-            };
-            let decoded = match fetch_exc {
-                Some(e) => {
-                    // Dispatch a poisoned entry that raises at commit.
-                    self.push_entry(pc, pc + 4, Err(0), Some(e), false);
-                    self.fetch_stalled = true; // wait for the fault to commit
-                    return;
-                }
-                None => match predecoded {
-                    Some(d) => d,
-                    // Decode is a pure function of the word, so the
-                    // memoized result (validated against the page version
-                    // *and* the fetched word itself) is identical to a
-                    // fresh decode.
-                    None => {
-                        let version = self.mem.page_version(pa);
-                        self.decode_cache.decode(pa, version, word)
+                    Err(e) => {
+                        // Dispatch a poisoned entry that raises at commit.
+                        self.push_entry(pc, pc + 4, Err(0), Some(e), false);
+                        self.fetch_stalled = true; // wait for the fault to commit
+                        return;
                     }
                 },
             };
@@ -1807,24 +1733,21 @@ impl Core {
         }
     }
 
-    /// Fetches the instruction word at `pc`, performing I-side translation
-    /// and PMP checking. Returns the word, the physical address it came
-    /// from (decode-cache key), and an optional fetch fault.
-    fn fetch_word(&mut self, pc: u64) -> (u32, u64, Option<Exception>) {
+    /// Fetches the instruction word at `pc` the full way: I-side
+    /// translation, PMP check and L1I access (filling it on a miss). Then
+    /// points the fetch memo at the word's line.
+    fn fetch_word(&mut self, pc: u64) -> Result<u32, Exception> {
         let pa = if self.priv_level != PrivLevel::Machine && self.csr.satp.is_sv39() {
             let va = VirtAddr(pc);
             if !va.is_canonical() {
-                return (0, 0, Some(Exception::InstPageFault(pc)));
+                return Err(Exception::InstPageFault(pc));
             }
             let pte = match self.itlb.lookup(va) {
                 Some(p) => p,
-                None => match self.functional_iwalk(va) {
-                    Ok(p) => p,
-                    Err(e) => return (0, 0, Some(e)),
-                },
+                None => self.functional_iwalk(va)?,
             };
             if !pte.permits(AccessKind::Execute, self.priv_level, false) {
-                return (0, 0, Some(Exception::InstPageFault(pc)));
+                return Err(Exception::InstPageFault(pc));
             }
             pte.pa().0 | va.page_offset()
         } else {
@@ -1835,7 +1758,7 @@ impl Core {
             .pmp
             .allows(pa, 4, AccessKind::Execute, self.priv_level)
         {
-            return (0, 0, Some(Exception::InstAccessFault(pc)));
+            return Err(Exception::InstAccessFault(pc));
         }
         // I-side cache: fills are traced like every other storage element
         // (fetch latency itself is not modeled; see DESIGN.md).
@@ -1844,23 +1767,19 @@ impl Core {
             let mut data = vec![0u8; self.config.line_size as usize];
             self.mem.read_bytes(line_addr, &mut data);
             self.l1i.fill(line_addr, &data, self.domain);
-            let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-            self.trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: Some(pc),
-                structure: Structure::L1i,
-                kind: TraceEventKind::Fill {
+            self.trace.record(self.stamp().event(
+                Some(pc),
+                Structure::L1i,
+                TraceEventKind::Fill {
                     addr: line_addr,
                     data,
                     purpose: crate::trace::FillPurpose::Demand,
                 },
-            });
+            ));
         }
         let word = self.l1i.read(pa, 4).expect("line just ensured resident") as u32;
         self.install_fetch_memo(pc, pa);
-        (word, pa, None)
+        Ok(word)
     }
 
     /// [`Core::fetch_word`] without its side effects: the word and
@@ -1896,11 +1815,11 @@ impl Core {
         Some((u32::from_le_bytes(bytes.try_into().ok()?), pa))
     }
 
-    /// Probes the fetch-line memo for `pc`. A hit returns the word, its
-    /// physical address, and the (lazily memoized) decode — eliding the
-    /// ITLB probe, PMP check, L1I lookup, and decode the full path would
-    /// perform with identical results (see [`FetchMemo`]).
-    fn fetch_memo_probe(&mut self, pc: u64) -> Option<(u32, u64, Option<Inst>)> {
+    /// Probes the fetch-line memo for `pc`. A hit returns the word and
+    /// its (lazily memoized) decode — eliding the ITLB probe, PMP check,
+    /// L1I lookup, and decode the full path would perform with identical
+    /// results (see [`FetchMemo`]).
+    fn fetch_memo_probe(&mut self, pc: u64) -> Option<(u32, Option<Inst>)> {
         if !self.fetch_memo.valid || pc & 3 != 0 {
             return None;
         }
@@ -1910,17 +1829,24 @@ impl Core {
         }
         let off = pc - m.va_line;
         let (word, decoded) = &mut m.slots[(off / 4) as usize];
-        let d = match decoded {
-            Some(d) => *d,
-            None => {
-                let d = Inst::decode(*word).ok();
-                *decoded = Some(d);
-                d
-            }
-        };
-        let hit = (*word, m.pa_line + off, d);
-        self.decode_cache.stats.hits += 1;
-        Some(hit)
+        let d = *decoded.get_or_insert_with(|| Inst::decode(*word).ok());
+        let word = *word;
+        m.stats.hits += 1;
+        #[cfg(debug_assertions)]
+        {
+            let pa = self.fetch_memo.pa_line + off;
+            debug_assert_eq!(
+                self.fetch_word_by_peek(pc),
+                Some((word, pa)),
+                "fetch memo serves a stale word or address at pc {pc:#x}"
+            );
+            debug_assert_eq!(
+                d,
+                Inst::decode(word).ok(),
+                "fetch memo serves a stale decode at pc {pc:#x}"
+            );
+        }
+        Some((word, d))
     }
 
     /// (Re)points the fetch-line memo at the line containing `pa`, which
@@ -1959,19 +1885,15 @@ impl Core {
                     return Err(Exception::InstPageFault(va.0));
                 }
                 let slot = self.itlb.insert(va, pte, self.domain);
-                let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
-                self.trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: Some(va.0),
-                    structure: Structure::Itlb,
-                    kind: TraceEventKind::Write {
+                self.trace.record(self.stamp().event(
+                    Some(va.0),
+                    Structure::Itlb,
+                    TraceEventKind::Write {
                         index: slot as u64,
                         value: pte.0,
                         tag: None,
                     },
-                });
+                ));
                 return Ok(pte);
             }
             table = pte.pa().0;

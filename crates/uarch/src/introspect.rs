@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{CoreConfig, PrefetcherKind};
+use crate::config::CoreConfig;
 use crate::trace::Structure;
 
 /// What a storage element holds, from the checker's perspective.
@@ -185,10 +185,6 @@ impl StorageInventory {
                 flushed_on_domain_switch: m.clear_hpc_on_domain_switch,
             },
         ]);
-        // The prefetcher has no payload storage of its own, but its presence
-        // turns the LFB into an implicit-fill target. Nothing extra to list
-        // when absent.
-        let _ = matches!(config.l1d_prefetcher, PrefetcherKind::NextLine);
         StorageInventory {
             design: config.name.clone(),
             elements,

@@ -236,7 +236,7 @@ impl Iss {
         Err(())
     }
 
-    fn load(&mut self, vaddr: u64, width: u64, kind_src: u64) -> Result<u64, Exception> {
+    fn load(&mut self, vaddr: u64, width: u64) -> Result<u64, Exception> {
         let pa = self
             .translate(vaddr, AccessKind::Read)
             .map_err(|_| Exception::LoadPageFault(vaddr))?;
@@ -250,7 +250,6 @@ impl Iss {
         {
             return Err(Exception::LoadAccessFault(vaddr));
         }
-        let _ = kind_src;
         Ok(self.mem.read_uint(pa, width))
     }
 
@@ -313,7 +312,7 @@ impl Iss {
             } => {
                 let vaddr = self.reg(rs1).wrapping_add(offset as i64 as u64);
                 let bytes = width.bytes();
-                let mut v = self.load(vaddr, bytes, 0)?;
+                let mut v = self.load(vaddr, bytes)?;
                 if signed && bytes < 8 {
                     let shift = 64 - bytes * 8;
                     v = ((v << shift) as i64 >> shift) as u64;

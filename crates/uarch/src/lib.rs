@@ -42,7 +42,6 @@ pub mod config;
 pub mod core;
 pub mod counters;
 pub mod csr_file;
-pub mod decode;
 pub mod introspect;
 pub mod iss;
 pub mod lsu;
@@ -52,8 +51,7 @@ pub mod trace;
 pub mod trap;
 
 pub use config::CoreConfig;
-pub use core::{Core, FastPathStats, RetiredInst, RunExit};
+pub use core::{Core, FastPathStats, FetchMemoStats, RetiredInst, RunExit};
 pub use counters::{StructureCounters, UarchCounters};
-pub use decode::{DecodeCache, DecodeCacheStats};
 pub use iss::{Iss, IssExit, IssStep};
 pub use trace::{Domain, Structure, Trace};

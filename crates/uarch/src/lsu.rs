@@ -24,16 +24,14 @@ use serde::{Deserialize, Serialize};
 use teesec_isa::csr::Satp;
 use teesec_isa::pmp::AccessKind;
 use teesec_isa::priv_level::PrivLevel;
-use teesec_isa::vm::{pte_addr, Pte, VirtAddr, SV39_LEVELS};
+use teesec_isa::vm::{pte_addr, PhysAddr, Pte, VirtAddr, SV39_LEVELS};
 
-use crate::cache::{Cache, Lfb};
-use crate::config::{
-    CoreConfig, FaultingMissPolicy, PmpCheckTiming, PrefetcherKind, PtwRequestPath,
-};
+use crate::cache::{Cache, Lfb, LfbState};
+use crate::config::{CoreConfig, FaultingMissPolicy, PrefetcherKind, PtwRequestPath};
 use crate::csr_file::CsrFile;
 use crate::mem::Memory;
 use crate::tlb::{PtwCache, Tlb};
-use crate::trace::{Domain, FillPurpose, HpcEvent, Structure, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{Domain, FillPurpose, HpcEvent, Stamp, Structure, Trace, TraceEventKind};
 use crate::trap::Exception;
 
 /// Cycle timestamps of the pipeline stages a load traversed — the lanes of
@@ -56,30 +54,13 @@ pub struct LoadTimeline {
     pub sb_forward: bool,
 }
 
-/// A demand load entering the LSU.
+/// A demand load, or a store-address translation (stores probe the
+/// MMU/PMP at execute but only touch memory at commit), entering the LSU.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadRequest {
+pub struct AccessRequest {
     /// Program-order token (monotone; used for squash).
     pub seq: u64,
     /// Virtual (or physical when translation is off) address.
-    pub vaddr: u64,
-    /// Access size in bytes.
-    pub width: u64,
-    /// Privilege of the issuing instruction.
-    pub priv_level: PrivLevel,
-    /// `mstatus.SUM` at issue.
-    pub sum: bool,
-    /// `satp` at issue.
-    pub satp: Satp,
-}
-
-/// A store-address translation request (stores probe the MMU/PMP at execute
-/// but only touch memory at commit).
-#[derive(Debug, Clone, Copy)]
-pub struct XlateRequest {
-    /// Program-order token.
-    pub seq: u64,
-    /// Virtual address.
     pub vaddr: u64,
     /// Access size in bytes.
     pub width: u64,
@@ -145,7 +126,7 @@ enum XlateState {
 
 #[derive(Debug, Clone)]
 struct LoadOp {
-    req: LoadRequest,
+    req: AccessRequest,
     squashed: bool,
     state: LoadLane,
     timeline: LoadTimeline,
@@ -181,11 +162,9 @@ enum LoadLane {
 
 #[derive(Debug, Clone)]
 struct StoreXlateOp {
-    req: XlateRequest,
+    req: AccessRequest,
     squashed: bool,
     state: XlateState,
-    pa: Option<u64>,
-    exception: Option<Exception>,
 }
 
 /// A committed store waiting to drain into the L1D.
@@ -238,18 +217,31 @@ enum ReqDest {
     StoreDrain,
 }
 
+impl ReqDest {
+    /// Why the line is fetched, as its fill events record it.
+    fn purpose(self) -> FillPurpose {
+        match self {
+            ReqDest::Load(_) => FillPurpose::Demand,
+            ReqDest::Walk(_) => FillPurpose::PageWalk,
+            ReqDest::Prefetch => FillPurpose::Prefetch,
+            ReqDest::StoreDrain => FillPurpose::StoreRefill,
+        }
+    }
+}
+
+/// An outstanding line request. One that holds an LFB entry lands in
+/// that entry and in the L1D; one that bypasses the fill buffers (a
+/// direct-to-L2 or L1D-hit page-walk read) only returns its data.
 #[derive(Debug, Clone, Copy)]
 struct MemReq {
     id: u64,
     line_addr: u64,
-    purpose: FillPurpose,
     complete_at: u64,
     lfb_idx: Option<usize>,
     dest: ReqDest,
-    /// Zero the returned/filled data (clear-illegal-data-returns mitigation).
+    /// Zero the returned data and keep it out of the L1D
+    /// (clear-illegal-data-returns mitigation).
     zero_fill: bool,
-    /// Skip installing the line into the L1D (zeroed or direct-to-L2 paths).
-    fill_l1d: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,7 +326,7 @@ impl Lsu {
     }
 
     /// Enqueues a demand load.
-    pub fn start_load(&mut self, req: LoadRequest, cycle: u64) {
+    pub fn start_load(&mut self, req: AccessRequest, cycle: u64) {
         let timeline = LoadTimeline {
             tlb_req: cycle,
             ..LoadTimeline::default()
@@ -352,49 +344,34 @@ impl Lsu {
     }
 
     /// Enqueues a store-address translation.
-    pub fn start_store_xlate(&mut self, req: XlateRequest) {
+    pub fn start_store_xlate(&mut self, req: AccessRequest) {
         self.xlates.push(StoreXlateOp {
             req,
             squashed: false,
             state: XlateState::Translate,
-            pa: None,
-            exception: None,
         });
     }
 
-    /// Enqueues a committed store for draining.
-    #[allow(clippy::too_many_arguments)]
-    pub fn commit_store(
-        &mut self,
-        pa: u64,
-        value: u64,
-        width: u64,
-        domain: Domain,
-        cycle: u64,
-        trace: &mut Trace,
-        priv_level: PrivLevel,
-    ) {
+    /// Enqueues a store committed under `at` for draining.
+    pub fn commit_store(&mut self, pa: u64, value: u64, width: u64, at: Stamp, trace: &mut Trace) {
         self.store_buffer.push_back(StoreBufferEntry {
             pa,
             value,
             width,
-            domain,
-            cycle,
+            domain: at.domain,
+            cycle: at.cycle,
         });
         self.note_change();
         if self.cfg.store_buffer_entries > 0 {
-            trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: None,
-                structure: Structure::StoreBuffer,
-                kind: TraceEventKind::Write {
+            trace.record(at.event(
+                None,
+                Structure::StoreBuffer,
+                TraceEventKind::Write {
                     index: pa,
                     value,
                     tag: Some(width),
                 },
-            });
+            ));
         }
     }
 
@@ -451,109 +428,70 @@ impl Lsu {
     }
 
     /// Flushes the L1D (mitigation).
-    pub fn flush_l1d(&mut self, cycle: u64, trace: &mut Trace, p: PrivLevel, d: Domain) {
+    pub fn flush_l1d(&mut self, at: Stamp, trace: &mut Trace) {
         self.note_change();
         self.l1d.flush_all();
-        trace.record(flush_event(cycle, p, d, Structure::L1d));
+        trace.record(at.event(None, Structure::L1d, TraceEventKind::Flush));
     }
 
     /// Flushes the LFB (mitigation).
-    pub fn flush_lfb(&mut self, cycle: u64, trace: &mut Trace, p: PrivLevel, d: Domain) {
+    pub fn flush_lfb(&mut self, at: Stamp, trace: &mut Trace) {
         self.note_change();
         self.lfb.flush_all();
-        trace.record(flush_event(cycle, p, d, Structure::Lfb));
+        trace.record(at.event(None, Structure::Lfb, TraceEventKind::Flush));
     }
 
-    /// Synchronously completes every buffered committed store (no trace
-    /// event — this is the drain a cache-flush operation performs before
-    /// invalidating lines, not a distinct mitigation).
+    /// Synchronously completes every buffered committed store, and
+    /// cancels the write-allocate refill in flight: the drain has already
+    /// absorbed its store, and letting it land later would re-install a
+    /// (possibly secret) line into a just-flushed cache. Records no event:
+    /// a cache flush drains this way before invalidating lines.
     pub fn drain_all_stores(&mut self, mem: &mut Memory) {
         self.note_change();
         while let Some(e) = self.store_buffer.pop_front() {
-            mem.write_uint(e.pa, e.value, e.width);
-            if self.l1d.contains(e.pa) {
-                self.l1d.write(e.pa, e.value, e.width);
-            }
-            if self.l2.contains(e.pa) {
-                self.l2.write(e.pa, e.value, e.width);
-            }
+            self.perform_store_write(e, mem);
         }
-        self.cancel_outstanding_store_refills();
-        self.drain_state = DrainState::Probe;
-    }
-
-    /// Cancels in-flight write-allocate refills: the synchronous drain has
-    /// already absorbed their stores, and letting them land later would
-    /// re-install (possibly secret) lines into a just-flushed cache.
-    fn cancel_outstanding_store_refills(&mut self) {
-        self.note_change();
-        let cancelled: Vec<MemReq> = self
+        for req in self
             .mem_reqs
             .iter()
             .filter(|r| r.dest == ReqDest::StoreDrain)
-            .copied()
-            .collect();
-        self.mem_reqs.retain(|r| r.dest != ReqDest::StoreDrain);
-        for req in cancelled {
+        {
             if let Some(idx) = req.lfb_idx {
                 self.lfb.invalidate_entry(idx);
             }
         }
+        self.mem_reqs.retain(|r| r.dest != ReqDest::StoreDrain);
+        self.drain_state = DrainState::Probe;
     }
 
-    /// Drops all buffered committed stores after writing them through to
-    /// memory (mitigation drains rather than discards — discarding would
-    /// lose architectural state).
-    pub fn flush_store_buffer(
-        &mut self,
-        mem: &mut Memory,
-        cycle: u64,
-        trace: &mut Trace,
-        p: PrivLevel,
-        d: Domain,
-    ) {
-        self.note_change();
-        while let Some(e) = self.store_buffer.pop_front() {
-            mem.write_uint(e.pa, e.value, e.width);
-            if self.l1d.contains(e.pa) {
-                self.l1d.write(e.pa, e.value, e.width);
-            }
-            if self.l2.contains(e.pa) {
-                self.l2.write(e.pa, e.value, e.width);
-            }
-        }
-        self.cancel_outstanding_store_refills();
-        self.drain_state = DrainState::Probe;
-        trace.record(flush_event(cycle, p, d, Structure::StoreBuffer));
+    /// Drains the store buffer and records its flush (mitigation: it
+    /// drains rather than discards — discarding would lose architectural
+    /// state).
+    pub fn flush_store_buffer(&mut self, mem: &mut Memory, at: Stamp, trace: &mut Trace) {
+        self.drain_all_stores(mem);
+        trace.record(at.event(None, Structure::StoreBuffer, TraceEventKind::Flush));
     }
 
     /// Flushes both TLBs' data side and the PTW cache (`sfence.vma`).
-    pub fn sfence(&mut self, cycle: u64, trace: &mut Trace, p: PrivLevel, d: Domain) {
+    pub fn sfence(&mut self, at: Stamp, trace: &mut Trace) {
         self.dtlb.flush_all();
         self.ptw_cache.flush_all();
-        trace.record(flush_event(cycle, p, d, Structure::Dtlb));
-        trace.record(flush_event(cycle, p, d, Structure::PtwCache));
+        trace.record(at.event(None, Structure::Dtlb, TraceEventKind::Flush));
+        trace.record(at.event(None, Structure::PtwCache, TraceEventKind::Flush));
     }
 
     // -----------------------------------------------------------------
     // The per-cycle state machine advance.
     // -----------------------------------------------------------------
 
-    /// Advances every in-flight operation by one cycle.
-    pub fn tick(
-        &mut self,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
-        self.complete_mem_reqs(cycle, priv_level, domain, csr, mem, trace);
-        self.advance_walks(cycle, priv_level, domain, csr, mem, trace);
-        self.advance_loads(cycle, priv_level, domain, csr, mem, trace);
-        self.advance_xlates(cycle, priv_level, domain, csr, trace);
-        self.drain_stores(cycle, priv_level, domain, mem, trace);
+    /// Advances every in-flight operation by one cycle; its events carry
+    /// the stamp `at`.
+    pub fn tick(&mut self, at: Stamp, csr: &mut CsrFile, mem: &mut Memory, trace: &mut Trace) {
+        self.complete_mem_reqs(at, mem, trace);
+        self.advance_walks(at, csr, trace);
+        self.advance_loads(at, csr, trace);
+        self.advance_xlates(at, csr, trace);
+        self.drain_stores(at.cycle, mem);
         self.loads.retain(|l| l.state != LoadLane::Done);
         self.xlates.retain(|x| x.state != XlateState::Done);
         // A finished walk stays until no load or store translation waits
@@ -566,22 +504,42 @@ impl Lsu {
         });
     }
 
-    fn alloc_req_id(&mut self) -> u64 {
+    /// Queues the request for the line at `line_addr` on behalf of `dest`,
+    /// holding LFB entry `lfb_idx` if any, and returns its id. It lands
+    /// after the L1D hit latency when `l1d_hit`, and otherwise after the
+    /// L2 round trip, plus the memory latency when the line misses in L2.
+    fn issue_fill(
+        &mut self,
+        cycle: u64,
+        line_addr: u64,
+        dest: ReqDest,
+        lfb_idx: Option<usize>,
+        zero_fill: bool,
+        l1d_hit: bool,
+    ) -> u64 {
+        let latency = if l1d_hit {
+            self.cfg.l1_hit_latency
+        } else if self.l2.contains(line_addr) {
+            self.cfg.l2_latency
+        } else {
+            self.cfg.l2_latency + self.cfg.mem_latency
+        };
         self.next_req_id += 1;
+        self.mem_reqs.push(MemReq {
+            id: self.next_req_id,
+            line_addr,
+            complete_at: cycle + latency,
+            lfb_idx,
+            dest,
+            zero_fill,
+        });
         self.next_req_id
     }
 
     // ---- memory request completion ------------------------------------
 
-    fn complete_mem_reqs(
-        &mut self,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
+    fn complete_mem_reqs(&mut self, at: Stamp, mem: &mut Memory, trace: &mut Trace) {
+        let cycle = at.cycle;
         if self.mem_reqs.iter().all(|r| r.complete_at > cycle) {
             return;
         }
@@ -592,76 +550,43 @@ impl Lsu {
             .copied()
             .collect();
         self.mem_reqs.retain(|r| r.complete_at > cycle);
-        if !ready.is_empty() {
-            // Completions fill the L1D/LFB and may pop a draining store —
-            // any stalled load's retry verdict can flip.
-            self.note_change();
-        }
+        // Completions fill the L1D/LFB and may pop a draining store — any
+        // stalled load's retry verdict can flip.
+        self.note_change();
         for req in ready {
-            let line_size = self.l1d.line_size();
+            let fill = |data: &[u8]| TraceEventKind::Fill {
+                addr: req.line_addr,
+                data: data.to_vec(),
+                purpose: req.dest.purpose(),
+            };
             // Obtain the line: from L2 if present, else from memory (which
             // also installs it into L2 — the hierarchy is inclusive here).
-            let mut data = vec![0u8; line_size as usize];
+            let mut data = vec![0u8; self.l1d.line_size() as usize];
             if let Some(line) = self.l2.read_line(req.line_addr) {
                 data.copy_from_slice(line);
             } else {
                 mem.read_bytes(req.line_addr, &mut data);
-                self.l2.fill(req.line_addr, &data, domain);
-                trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: None,
-                    structure: Structure::L2,
-                    kind: TraceEventKind::Fill {
-                        addr: req.line_addr,
-                        data: data.clone(),
-                        purpose: req.purpose,
-                    },
-                });
+                self.l2.fill(req.line_addr, &data, at.domain);
+                trace.record(at.event(None, Structure::L2, fill(&data)));
             }
             if req.zero_fill {
                 data.fill(0);
             }
-            // Complete the LFB entry with the (possibly zeroed) line. A
-            // mitigation flush may have invalidated — and a newer request
-            // reallocated — the entry while this request was outstanding;
-            // the late fill only lands if the slot still belongs to it.
-            let lfb_slot_live = req.lfb_idx.is_some_and(|idx| {
+            // A mitigation flush may have invalidated — and a newer request
+            // reallocated — the LFB entry while this request was
+            // outstanding: the late fill only lands in, and only releases,
+            // a slot that still belongs to it.
+            let live_lfb = req.lfb_idx.filter(|&idx| {
                 let e = self.lfb.entry(idx);
-                e.valid
-                    && e.state == crate::cache::LfbState::Pending
-                    && e.line_addr == req.line_addr
+                e.valid && e.state == LfbState::Pending && e.line_addr == req.line_addr
             });
-            if let (Some(idx), true) = (req.lfb_idx, lfb_slot_live) {
-                self.lfb.complete(idx, &data, domain, cycle);
-                trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: None,
-                    structure: Structure::Lfb,
-                    kind: TraceEventKind::Fill {
-                        addr: req.line_addr,
-                        data: data.clone(),
-                        purpose: req.purpose,
-                    },
-                });
+            if let Some(idx) = live_lfb {
+                self.lfb.complete(idx, &data, at.domain, cycle);
+                trace.record(at.event(None, Structure::Lfb, fill(&data)));
             }
-            if req.fill_l1d {
-                self.l1d.fill(req.line_addr, &data, domain);
-                trace.record(TraceEvent {
-                    cycle,
-                    priv_level,
-                    domain,
-                    pc: None,
-                    structure: Structure::L1d,
-                    kind: TraceEventKind::Fill {
-                        addr: req.line_addr,
-                        data: data.clone(),
-                        purpose: req.purpose,
-                    },
-                });
+            if req.lfb_idx.is_some() && !req.zero_fill {
+                self.l1d.fill(req.line_addr, &data, at.domain);
+                trace.record(at.event(None, Structure::L1d, fill(&data)));
             }
             match req.dest {
                 ReqDest::Load(seq) => {
@@ -683,7 +608,7 @@ impl Lsu {
                 ReqDest::Walk(walk_id) => {
                     if let Some(w) = self.walks.iter_mut().find(|w| w.id == walk_id) {
                         if w.state == WalkState::WaitMem(req.id) {
-                            let pa = pte_addr(teesec_isa::vm::PhysAddr(w.table_pa), w.va, w.level);
+                            let pa = pte_addr(PhysAddr(w.table_pa), w.va, w.level);
                             let off = (pa.0 - req.line_addr) as usize;
                             let mut v = 0u64;
                             for i in (0..8).rev() {
@@ -706,12 +631,11 @@ impl Lsu {
                 }
             }
             if self.cfg.lfb_deallocate_on_complete {
-                if let Some(idx) = req.lfb_idx {
+                if let Some(idx) = live_lfb {
                     self.lfb.invalidate_entry(idx);
                 }
             }
         }
-        let _ = csr;
     }
 
     // ---- page-table walker ---------------------------------------------
@@ -731,31 +655,27 @@ impl Lsu {
         id
     }
 
-    fn advance_walks(
-        &mut self,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
-        let mut new_reqs: Vec<MemReq> = Vec::new();
+    fn advance_walks(&mut self, at: Stamp, csr: &mut CsrFile, trace: &mut Trace) {
         let line_size = self.l1d.line_size();
         for wi in 0..self.walks.len() {
             if self.walks[wi].outcome.is_some() {
                 continue;
             }
             loop {
-                let (state, level, table_pa, va, access) = {
-                    let w = &self.walks[wi];
-                    (w.state, w.level, w.table_pa, w.va, w.access)
-                };
+                let Walk {
+                    id,
+                    va,
+                    level,
+                    table_pa,
+                    state,
+                    access,
+                    ..
+                } = self.walks[wi];
+                let paddr = pte_addr(PhysAddr(table_pa), va, level).0;
                 match state {
                     WalkState::WaitMem(_) => break,
                     WalkState::Lookup => {
-                        let paddr = pte_addr(teesec_isa::vm::PhysAddr(table_pa), va, level);
-                        if let Some(pte) = self.ptw_cache.lookup(paddr.0) {
+                        if let Some(pte) = self.ptw_cache.lookup(paddr) {
                             self.walks[wi].state = WalkState::HavePte(pte);
                             continue;
                         }
@@ -763,7 +683,7 @@ impl Lsu {
                         // creating the request; if denied, no request at all.
                         let ptw_denied =
                             !csr.pmp
-                                .allows(paddr.0, 8, AccessKind::Read, PrivLevel::Supervisor);
+                                .allows(paddr, 8, AccessKind::Read, PrivLevel::Supervisor);
                         if self.cfg.effective_ptw_precheck() && ptw_denied {
                             self.walks[wi].outcome =
                                 Some(WalkOutcome::Fault(access_fault(access, va.0)));
@@ -775,111 +695,71 @@ impl Lsu {
                         let zero_fill =
                             ptw_denied && self.cfg.mitigations.clear_illegal_data_returns;
                         // Issue the implicit PTE fetch.
-                        let line_addr = paddr.0 & !(line_size - 1);
-                        let id = self.alloc_req_id();
-                        let (lfb_idx, fill_l1d, latency) = match self.cfg.ptw_request_path {
+                        let line_addr = paddr & !(line_size - 1);
+                        let (lfb_idx, l1d_hit) = match self.cfg.ptw_request_path {
+                            PtwRequestPath::ViaL1d if self.l1d.contains(paddr) => (None, true),
+                            // The BOOM path: a walk that misses in the L1D
+                            // allocates an LFB entry and fills the L1D —
+                            // enclave data lands in both (case D2).
                             PtwRequestPath::ViaL1d => {
-                                if self.l1d.contains(paddr.0) {
-                                    // L1D hit: short latency, no fill.
-                                    (None, false, self.cfg.l1_hit_latency)
-                                } else {
-                                    let lat = self.cfg.l2_latency
-                                        + if self.l2.contains(line_addr) {
-                                            0
-                                        } else {
-                                            self.cfg.mem_latency
-                                        };
-                                    // The BOOM path: the walk allocates an
-                                    // LFB entry and fills the L1D — enclave
-                                    // data lands in both (case D2).
-                                    match self.lfb.allocate(line_addr, FillPurpose::PageWalk) {
-                                        Some(idx) => (Some(idx), true, lat),
-                                        None => break, // structural stall; retry next tick
-                                    }
+                                match self.lfb.allocate(line_addr, FillPurpose::PageWalk) {
+                                    Some(idx) => (Some(idx), false),
+                                    None => break, // structural stall; retry next tick
                                 }
                             }
-                            PtwRequestPath::DirectToL2 => {
-                                let lat = self.cfg.l2_latency
-                                    + if self.l2.contains(line_addr) {
-                                        0
-                                    } else {
-                                        self.cfg.mem_latency
-                                    };
-                                (None, false, lat)
-                            }
+                            PtwRequestPath::DirectToL2 => (None, false),
                         };
-                        csr.hpc_bump(HpcEvent::PageWalk, domain);
-                        trace.record(TraceEvent {
-                            cycle,
-                            priv_level,
-                            domain,
-                            pc: None,
-                            structure: Structure::Hpc,
-                            kind: TraceEventKind::CounterBump {
+                        csr.hpc_bump(HpcEvent::PageWalk, at.domain);
+                        trace.record(at.event(
+                            None,
+                            Structure::Hpc,
+                            TraceEventKind::CounterBump {
                                 event: HpcEvent::PageWalk,
                             },
-                        });
-                        new_reqs.push(MemReq {
-                            id,
+                        ));
+                        let req = self.issue_fill(
+                            at.cycle,
                             line_addr,
-                            purpose: FillPurpose::PageWalk,
-                            complete_at: cycle + latency,
+                            ReqDest::Walk(id),
                             lfb_idx,
-                            dest: ReqDest::Walk(self.walks[wi].id),
                             zero_fill,
-                            fill_l1d: fill_l1d && !zero_fill,
-                        });
-                        self.walks[wi].state = WalkState::WaitMem(id);
+                            l1d_hit,
+                        );
+                        self.walks[wi].state = WalkState::WaitMem(req);
                         break;
                     }
                     WalkState::HavePte(pte) => {
-                        let paddr = pte_addr(teesec_isa::vm::PhysAddr(table_pa), va, level);
-                        self.ptw_cache.insert(paddr.0, pte, domain);
-                        trace.record(TraceEvent {
-                            cycle,
-                            priv_level,
-                            domain,
-                            pc: None,
-                            structure: Structure::PtwCache,
-                            kind: TraceEventKind::Write {
-                                index: paddr.0,
+                        self.ptw_cache.insert(paddr, pte, at.domain);
+                        trace.record(at.event(
+                            None,
+                            Structure::PtwCache,
+                            TraceEventKind::Write {
+                                index: paddr,
                                 value: pte.0,
                                 tag: Some(level as u64),
                             },
-                        });
-                        if !pte.valid() {
-                            self.walks[wi].outcome =
-                                Some(WalkOutcome::Fault(page_fault(access, va.0)));
-                            break;
+                        ));
+                        let w = &mut self.walks[wi];
+                        if pte.valid() && !pte.is_leaf() && level > 0 {
+                            // Next level proceeds on a later tick (one level
+                            // per cycle when PTW-cache hits, otherwise
+                            // memory-bound).
+                            w.level = level - 1;
+                            w.table_pa = pte.pa().0;
+                            w.state = WalkState::Lookup;
+                        } else if pte.valid() && pte.is_leaf() && level == 0 {
+                            w.outcome = Some(WalkOutcome::Translated(pte));
+                        } else {
+                            // An invalid PTE, a pointer past the last level,
+                            // or a superpage (the model's proxy kernel
+                            // produces none).
+                            w.outcome = Some(WalkOutcome::Fault(page_fault(access, va.0)));
                         }
-                        if pte.is_leaf() {
-                            if level != 0 {
-                                // Superpages are not produced by the model's
-                                // proxy kernel; treat as a page fault.
-                                self.walks[wi].outcome =
-                                    Some(WalkOutcome::Fault(page_fault(access, va.0)));
-                                break;
-                            }
-                            self.walks[wi].outcome = Some(WalkOutcome::Translated(pte));
-                            break;
-                        }
-                        if level == 0 {
-                            self.walks[wi].outcome =
-                                Some(WalkOutcome::Fault(page_fault(access, va.0)));
-                            break;
-                        }
-                        self.walks[wi].level = level - 1;
-                        self.walks[wi].table_pa = pte.pa().0;
-                        self.walks[wi].state = WalkState::Lookup;
-                        // Next level proceeds on a later tick (one level per
-                        // cycle when PTW-cache hits, otherwise memory-bound).
                         break;
                     }
                 }
             }
         }
-        self.mem_reqs.extend(new_reqs);
-        let _ = mem;
     }
 
     fn walk_outcome(&self, walk_id: u64) -> Option<WalkOutcome> {
@@ -891,20 +771,13 @@ impl Lsu {
 
     // ---- loads ----------------------------------------------------------
 
-    fn advance_loads(
-        &mut self,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
+    fn advance_loads(&mut self, at: Stamp, csr: &mut CsrFile, trace: &mut Trace) {
+        let cycle = at.cycle;
         for i in 0..self.loads.len() {
             match self.loads[i].state {
                 LoadLane::Done | LoadLane::WaitFill(_) => {}
-                LoadLane::Respond { value, at } => {
-                    if at <= cycle {
+                LoadLane::Respond { value, at: due } => {
+                    if due <= cycle {
                         let l = &mut self.loads[i];
                         let mut value = value;
                         if l.exception.is_some() && self.cfg.mitigations.clear_illegal_data_returns
@@ -923,83 +796,32 @@ impl Lsu {
                         l.state = LoadLane::Done;
                     }
                 }
-                LoadLane::Translate => {
+                LoadLane::Translate | LoadLane::Walking(_) => {
+                    let walk = match self.loads[i].state {
+                        LoadLane::Walking(id) => Some(id),
+                        _ => None,
+                    };
                     let req = self.loads[i].req;
-                    match self.translate(
-                        req.vaddr,
-                        req.priv_level,
-                        req.sum,
-                        req.satp,
-                        AccessKind::Read,
-                        cycle,
-                        domain,
-                        csr,
-                        trace,
-                    ) {
+                    let outcome = self.translate(req, AccessKind::Read, walk, at, csr, trace);
+                    let l = &mut self.loads[i];
+                    match outcome {
+                        TranslateOutcome::Walking(id) => l.state = LoadLane::Walking(id),
                         TranslateOutcome::Done(pa) => {
-                            self.loads[i].pa = Some(pa);
-                            self.loads[i].timeline.tlb_resp = cycle;
-                            self.loads[i].state = LoadLane::Access;
+                            l.pa = Some(pa);
+                            l.timeline.tlb_resp = cycle;
+                            l.state = LoadLane::Access;
                             // PMP check + access happen on the next tick
                             // (same-cycle in hardware terms; the +0/+1 skew
                             // is uniform across configurations).
-                            self.try_access(i, cycle, priv_level, domain, csr, mem, trace);
+                            self.try_access(i, at, csr, trace);
                         }
                         TranslateOutcome::Fault(e) => {
-                            self.loads[i].timeline.tlb_resp = cycle;
-                            self.loads[i].exception = Some(e);
-                            self.loads[i].state = LoadLane::Respond {
+                            l.timeline.tlb_resp = cycle;
+                            l.exception = Some(e);
+                            l.state = LoadLane::Respond {
                                 value: 0,
                                 at: cycle + 1,
                             };
-                        }
-                        TranslateOutcome::Walking(id) => {
-                            self.loads[i].state = LoadLane::Walking(id);
-                        }
-                    }
-                }
-                LoadLane::Walking(walk_id) => {
-                    if let Some(outcome) = self.walk_outcome(walk_id) {
-                        let req = self.loads[i].req;
-                        match outcome {
-                            WalkOutcome::Translated(pte) => {
-                                self.dtlb.insert(VirtAddr(req.vaddr), pte, domain);
-                                trace.record(TraceEvent {
-                                    cycle,
-                                    priv_level,
-                                    domain,
-                                    pc: None,
-                                    structure: Structure::Dtlb,
-                                    kind: TraceEventKind::Write {
-                                        index: req.vaddr >> 12,
-                                        value: pte.0,
-                                        tag: None,
-                                    },
-                                });
-                                if pte.permits(AccessKind::Read, req.priv_level, req.sum) {
-                                    let pa = pte.pa().0 | (req.vaddr & 0xFFF);
-                                    self.loads[i].pa = Some(pa);
-                                    self.loads[i].timeline.tlb_resp = cycle;
-                                    self.loads[i].state = LoadLane::Access;
-                                    self.try_access(i, cycle, priv_level, domain, csr, mem, trace);
-                                } else {
-                                    self.loads[i].timeline.tlb_resp = cycle;
-                                    self.loads[i].exception =
-                                        Some(Exception::LoadPageFault(req.vaddr));
-                                    self.loads[i].state = LoadLane::Respond {
-                                        value: 0,
-                                        at: cycle + 1,
-                                    };
-                                }
-                            }
-                            WalkOutcome::Fault(e) => {
-                                self.loads[i].timeline.tlb_resp = cycle;
-                                self.loads[i].exception = Some(e);
-                                self.loads[i].state = LoadLane::Respond {
-                                    value: 0,
-                                    at: cycle + 1,
-                                };
-                            }
                         }
                     }
                 }
@@ -1018,7 +840,7 @@ impl Lsu {
                         );
                     } else {
                         self.retry_checks += 1;
-                        self.try_access(i, cycle, priv_level, domain, csr, mem, trace);
+                        self.try_access(i, at, csr, trace);
                     }
                 }
             }
@@ -1027,17 +849,8 @@ impl Lsu {
 
     /// PMP check + store-buffer probe + cache access for load `i`, whose
     /// physical address is resolved.
-    #[allow(clippy::too_many_arguments)]
-    fn try_access(
-        &mut self,
-        i: usize,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
+    fn try_access(&mut self, i: usize, at: Stamp, csr: &mut CsrFile, trace: &mut Trace) {
+        let cycle = at.cycle;
         self.loads[i].attempt_epoch = self.epoch;
         let req = self.loads[i].req;
         let pa = self.loads[i].pa.expect("access stage requires a PA");
@@ -1057,7 +870,7 @@ impl Lsu {
         if faulted {
             self.loads[i].exception = Some(Exception::LoadAccessFault(req.vaddr));
         }
-        if faulted && self.cfg.effective_pmp_check() == PmpCheckTiming::BeforeAccess {
+        if faulted && self.cfg.mitigations.serialize_pmp_check {
             // Serialized check: the access never reaches the hierarchy.
             self.loads[i].state = LoadLane::Respond {
                 value: 0,
@@ -1070,27 +883,21 @@ impl Lsu {
         if let Some(sb_hit) = self.probe_store_buffer(pa, req.width) {
             match sb_hit {
                 SbProbe::Forward(value) => {
-                    csr.hpc_bump(HpcEvent::StoreToLoadForward, domain);
-                    trace.record(TraceEvent {
-                        cycle,
-                        priv_level,
-                        domain,
-                        pc: None,
-                        structure: Structure::Hpc,
-                        kind: TraceEventKind::CounterBump {
+                    csr.hpc_bump(HpcEvent::StoreToLoadForward, at.domain);
+                    trace.record(at.event(
+                        None,
+                        Structure::Hpc,
+                        TraceEventKind::CounterBump {
                             event: HpcEvent::StoreToLoadForward,
                         },
-                    });
+                    ));
                     // The forward itself is an observable store-buffer read
                     // (the checker uses it to classify D8 by mechanism).
-                    trace.record(TraceEvent {
-                        cycle,
-                        priv_level,
-                        domain,
-                        pc: None,
-                        structure: Structure::StoreBuffer,
-                        kind: TraceEventKind::Read { index: pa, value },
-                    });
+                    trace.record(at.event(
+                        None,
+                        Structure::StoreBuffer,
+                        TraceEventKind::Read { index: pa, value },
+                    ));
                     // XiangShan forwards even to faulting loads (case D8).
                     self.loads[i].timeline.cache_resp = cycle + 1;
                     self.loads[i].timeline.sb_forward = true;
@@ -1122,17 +929,14 @@ impl Lsu {
         // fill takes).
         if !self.loads[i].miss_counted {
             self.loads[i].miss_counted = true;
-            csr.hpc_bump(HpcEvent::L1dMiss, domain);
-            trace.record(TraceEvent {
-                cycle,
-                priv_level,
-                domain,
-                pc: None,
-                structure: Structure::Hpc,
-                kind: TraceEventKind::CounterBump {
+            csr.hpc_bump(HpcEvent::L1dMiss, at.domain);
+            trace.record(at.event(
+                None,
+                Structure::Hpc,
+                TraceEventKind::CounterBump {
                     event: HpcEvent::L1dMiss,
                 },
-            });
+            ));
         }
         if faulted && self.cfg.faulting_miss_policy == FaultingMissPolicy::FakeHitZero {
             // XiangShan: the slow miss path leaves time to observe the
@@ -1153,27 +957,17 @@ impl Lsu {
         let Some(lfb_idx) = self.lfb.allocate(line_addr, FillPurpose::Demand) else {
             return; // all MSHRs pending: structural stall
         };
-        let latency = self.cfg.l2_latency
-            + if self.l2.contains(line_addr) {
-                0
-            } else {
-                self.cfg.mem_latency
-            };
-        let id = self.alloc_req_id();
         let zero_fill = faulted && self.cfg.mitigations.clear_illegal_data_returns;
-        self.mem_reqs.push(MemReq {
-            id,
+        let id = self.issue_fill(
+            cycle,
             line_addr,
-            purpose: FillPurpose::Demand,
-            complete_at: cycle + latency,
-            lfb_idx: Some(lfb_idx),
-            dest: ReqDest::Load(req.seq),
+            ReqDest::Load(req.seq),
+            Some(lfb_idx),
             zero_fill,
-            fill_l1d: !zero_fill,
-        });
+            false,
+        );
         self.loads[i].state = LoadLane::WaitFill(id);
         self.maybe_prefetch(line_addr, req.priv_level, cycle, csr);
-        let _ = mem;
     }
 
     /// Whether a [`Lsu::try_access`] attempt for load `i` would change
@@ -1192,10 +986,7 @@ impl Lsu {
         let faulted = !csr
             .pmp
             .allows(pa, req.width, AccessKind::Read, req.priv_level);
-        if faulted
-            && (load.exception.is_none()
-                || self.cfg.effective_pmp_check() == PmpCheckTiming::BeforeAccess)
-        {
+        if faulted && (load.exception.is_none() || self.cfg.mitigations.serialize_pmp_check) {
             return true;
         }
         match self.probe_store_buffer(pa, req.width) {
@@ -1210,8 +1001,7 @@ impl Lsu {
             return true;
         }
         let line_addr = pa & !(self.l1d.line_size() - 1);
-        let lfb_free = (self.lfb.entries().iter())
-            .any(|e| !e.valid || e.state == crate::cache::LfbState::Filled);
+        let lfb_free = (self.lfb.entries().iter()).any(|e| !e.valid || e.state == LfbState::Filled);
         self.lfb.pending_for(line_addr).is_none() && lfb_free
     }
 
@@ -1241,23 +1031,7 @@ impl Lsu {
         let Some(lfb_idx) = self.lfb.allocate(next, FillPurpose::Prefetch) else {
             return;
         };
-        let latency = self.cfg.l2_latency
-            + if self.l2.contains(next) {
-                0
-            } else {
-                self.cfg.mem_latency
-            };
-        let id = self.alloc_req_id();
-        self.mem_reqs.push(MemReq {
-            id,
-            line_addr: next,
-            purpose: FillPurpose::Prefetch,
-            complete_at: cycle + latency,
-            lfb_idx: Some(lfb_idx),
-            dest: ReqDest::Prefetch,
-            zero_fill: false,
-            fill_l1d: true,
-        });
+        self.issue_fill(cycle, next, ReqDest::Prefetch, Some(lfb_idx), false, false);
     }
 
     fn probe_store_buffer(&self, pa: u64, width: u64) -> Option<SbProbe> {
@@ -1277,82 +1051,18 @@ impl Lsu {
 
     // ---- store-address translations --------------------------------------
 
-    fn advance_xlates(
-        &mut self,
-        cycle: u64,
-        priv_level: PrivLevel,
-        domain: Domain,
-        csr: &mut CsrFile,
-        trace: &mut Trace,
-    ) {
+    fn advance_xlates(&mut self, at: Stamp, csr: &mut CsrFile, trace: &mut Trace) {
         for i in 0..self.xlates.len() {
-            match self.xlates[i].state {
-                XlateState::Done => {}
-                XlateState::Translate => {
-                    let req = self.xlates[i].req;
-                    match self.translate(
-                        req.vaddr,
-                        req.priv_level,
-                        req.sum,
-                        req.satp,
-                        AccessKind::Write,
-                        cycle,
-                        domain,
-                        csr,
-                        trace,
-                    ) {
-                        TranslateOutcome::Done(pa) => {
-                            self.finish_xlate(i, Some(pa), None, csr);
-                        }
-                        TranslateOutcome::Fault(e) => {
-                            self.finish_xlate(i, None, Some(e), csr);
-                        }
-                        TranslateOutcome::Walking(id) => {
-                            self.xlates[i].state = XlateState::Walking(id);
-                        }
-                    }
-                }
-                XlateState::Walking(walk_id) => {
-                    if let Some(outcome) = self.walk_outcome(walk_id) {
-                        let req = self.xlates[i].req;
-                        match outcome {
-                            WalkOutcome::Translated(pte) => {
-                                self.dtlb.insert(VirtAddr(req.vaddr), pte, domain);
-                                trace.record(TraceEvent {
-                                    cycle,
-                                    priv_level,
-                                    domain,
-                                    pc: None,
-                                    structure: Structure::Dtlb,
-                                    kind: TraceEventKind::Write {
-                                        index: req.vaddr >> 12,
-                                        value: pte.0,
-                                        tag: None,
-                                    },
-                                });
-                                if pte.permits(AccessKind::Write, req.priv_level, req.sum) {
-                                    let pa = pte.pa().0 | (req.vaddr & 0xFFF);
-                                    self.finish_xlate(i, Some(pa), None, csr);
-                                } else {
-                                    self.finish_xlate(
-                                        i,
-                                        None,
-                                        Some(Exception::StorePageFault(req.vaddr)),
-                                        csr,
-                                    );
-                                }
-                            }
-                            WalkOutcome::Fault(e) => {
-                                let e = match e {
-                                    Exception::LoadPageFault(a) => Exception::StorePageFault(a),
-                                    Exception::LoadAccessFault(a) => Exception::StoreAccessFault(a),
-                                    other => other,
-                                };
-                                self.finish_xlate(i, None, Some(e), csr);
-                            }
-                        }
-                    }
-                }
+            let walk = match self.xlates[i].state {
+                XlateState::Done => continue,
+                XlateState::Translate => None,
+                XlateState::Walking(id) => Some(id),
+            };
+            let req = self.xlates[i].req;
+            match self.translate(req, AccessKind::Write, walk, at, csr, trace) {
+                TranslateOutcome::Walking(id) => self.xlates[i].state = XlateState::Walking(id),
+                TranslateOutcome::Done(pa) => self.finish_xlate(i, Some(pa), None, csr),
+                TranslateOutcome::Fault(e) => self.finish_xlate(i, None, Some(e), csr),
             }
         }
     }
@@ -1364,9 +1074,10 @@ impl Lsu {
         mut exception: Option<Exception>,
         csr: &CsrFile,
     ) {
-        let req = self.xlates[i].req;
+        let x = &mut self.xlates[i];
+        let req = x.req;
         if let Some(pa) = pa {
-            if pa % req.width != 0 {
+            if !pa.is_multiple_of(req.width) {
                 exception = Some(Exception::StoreMisaligned(req.vaddr));
             } else if !csr
                 .pmp
@@ -1375,9 +1086,6 @@ impl Lsu {
                 exception = Some(Exception::StoreAccessFault(req.vaddr));
             }
         }
-        let x = &mut self.xlates[i];
-        x.pa = pa;
-        x.exception = exception;
         x.state = XlateState::Done;
         if !x.squashed {
             self.completions.xlates.push(XlateCompletion {
@@ -1390,57 +1098,81 @@ impl Lsu {
 
     // ---- shared translation front end ------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// Advances the translation of `req` for `access` by one step. Without
+    /// a `walk`, it looks `req` up in the DTLB and starts a walk on a miss;
+    /// with one, it waits for the walk and installs the leaf it finds in
+    /// the DTLB. Either way, the leaf must permit the access.
     fn translate(
         &mut self,
-        vaddr: u64,
-        priv_level: PrivLevel,
-        sum: bool,
-        satp: Satp,
+        req: AccessRequest,
         access: AccessKind,
-        cycle: u64,
-        domain: Domain,
+        walk: Option<u64>,
+        at: Stamp,
         csr: &mut CsrFile,
         trace: &mut Trace,
     ) -> TranslateOutcome {
-        if priv_level == PrivLevel::Machine || !satp.is_sv39() {
-            return TranslateOutcome::Done(vaddr);
-        }
-        let va = VirtAddr(vaddr);
-        if !va.is_canonical() {
-            return TranslateOutcome::Fault(page_fault(access, vaddr));
-        }
-        if let Some(pte) = self.dtlb.lookup(va) {
-            return if pte.permits(access, priv_level, sum) {
-                TranslateOutcome::Done(pte.pa().0 | va.page_offset())
-            } else {
-                TranslateOutcome::Fault(page_fault(access, vaddr))
-            };
-        }
-        csr.hpc_bump(HpcEvent::DtlbMiss, domain);
-        trace.record(TraceEvent {
-            cycle,
-            priv_level,
-            domain,
-            pc: None,
-            structure: Structure::Hpc,
-            kind: TraceEventKind::CounterBump {
-                event: HpcEvent::DtlbMiss,
+        let pte = match walk {
+            None => {
+                if req.priv_level == PrivLevel::Machine || !req.satp.is_sv39() {
+                    return TranslateOutcome::Done(req.vaddr);
+                }
+                let va = VirtAddr(req.vaddr);
+                if !va.is_canonical() {
+                    return TranslateOutcome::Fault(page_fault(access, req.vaddr));
+                }
+                let Some(pte) = self.dtlb.lookup(va) else {
+                    csr.hpc_bump(HpcEvent::DtlbMiss, at.domain);
+                    // The bump carries the requester's privilege, not the tick's.
+                    let miss = Stamp {
+                        priv_level: req.priv_level,
+                        ..at
+                    };
+                    trace.record(miss.event(
+                        None,
+                        Structure::Hpc,
+                        TraceEventKind::CounterBump {
+                            event: HpcEvent::DtlbMiss,
+                        },
+                    ));
+                    return TranslateOutcome::Walking(self.start_walk(va, req.satp, access));
+                };
+                pte
+            }
+            Some(id) => match self.walk_outcome(id) {
+                None => return TranslateOutcome::Walking(id),
+                Some(WalkOutcome::Fault(e)) => {
+                    // A walk faults with the access kind it started with.
+                    debug_assert!(
+                        [page_fault(access, e.tval()), access_fault(access, e.tval())].contains(&e),
+                        "walk {id} answers a {access:?} translation with {e:?}"
+                    );
+                    return TranslateOutcome::Fault(e);
+                }
+                Some(WalkOutcome::Translated(pte)) => {
+                    self.dtlb.insert(VirtAddr(req.vaddr), pte, at.domain);
+                    trace.record(at.event(
+                        None,
+                        Structure::Dtlb,
+                        TraceEventKind::Write {
+                            index: req.vaddr >> 12,
+                            value: pte.0,
+                            tag: None,
+                        },
+                    ));
+                    pte
+                }
             },
-        });
-        TranslateOutcome::Walking(self.start_walk(va, satp, access))
+        };
+        if pte.permits(access, req.priv_level, req.sum) {
+            TranslateOutcome::Done(pte.pa().0 | VirtAddr(req.vaddr).page_offset())
+        } else {
+            TranslateOutcome::Fault(page_fault(access, req.vaddr))
+        }
     }
 
     // ---- committed store draining -----------------------------------------
 
-    fn drain_stores(
-        &mut self,
-        cycle: u64,
-        _priv_level: PrivLevel,
-        domain: Domain,
-        mem: &mut Memory,
-        trace: &mut Trace,
-    ) {
+    fn drain_stores(&mut self, cycle: u64, mem: &mut Memory) {
         if self.drain_state != DrainState::Probe {
             return;
         }
@@ -1464,25 +1196,15 @@ impl Lsu {
         let Some(lfb_idx) = self.lfb.allocate(line_addr, FillPurpose::StoreRefill) else {
             return;
         };
-        let latency = self.cfg.l2_latency
-            + if self.l2.contains(line_addr) {
-                0
-            } else {
-                self.cfg.mem_latency
-            };
-        let id = self.alloc_req_id();
-        self.mem_reqs.push(MemReq {
-            id,
+        let id = self.issue_fill(
+            cycle,
             line_addr,
-            purpose: FillPurpose::StoreRefill,
-            complete_at: cycle + latency,
-            lfb_idx: Some(lfb_idx),
-            dest: ReqDest::StoreDrain,
-            zero_fill: false,
-            fill_l1d: true,
-        });
+            ReqDest::StoreDrain,
+            Some(lfb_idx),
+            false,
+            false,
+        );
         self.drain_state = DrainState::WaitFill(id);
-        let _ = (cycle, domain, trace);
     }
 
     fn perform_store_write(&mut self, e: StoreBufferEntry, mem: &mut Memory) {
@@ -1524,17 +1246,6 @@ fn access_fault(access: AccessKind, addr: u64) -> Exception {
     }
 }
 
-fn flush_event(cycle: u64, p: PrivLevel, d: Domain, s: Structure) -> TraceEvent {
-    TraceEvent {
-        cycle,
-        priv_level: p,
-        domain: d,
-        pc: None,
-        structure: s,
-        kind: TraceEventKind::Flush,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1560,27 +1271,48 @@ mod tests {
         let mut cycle = start;
         while out.loads.is_empty() && cycle < start + max {
             cycle += 1;
-            lsu.tick(
-                cycle,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                csr,
-                mem,
-                trace,
-            );
+            lsu.tick(host(cycle), csr, mem, trace);
             lsu.swap_completions(&mut out);
         }
         (out.loads, cycle)
     }
 
-    fn load_req(seq: u64, addr: u64) -> LoadRequest {
-        LoadRequest {
+    /// The stamp of an untrusted supervisor at `cycle`.
+    fn host(cycle: u64) -> Stamp {
+        Stamp {
+            cycle,
+            priv_level: PrivLevel::Supervisor,
+            domain: Domain::Untrusted,
+        }
+    }
+
+    fn load_req(seq: u64, addr: u64) -> AccessRequest {
+        AccessRequest {
             seq,
             vaddr: addr,
             width: 8,
             priv_level: PrivLevel::Supervisor,
             sum: false,
             satp: Satp::default(),
+        }
+    }
+
+    /// Writes a three-level sv39 table mapping VA 0x4000_0000 to PA
+    /// 0x8020_0000 with leaf permissions `perms`, and returns a supervisor
+    /// request for `VA + 0x18` under it.
+    fn mapped_req(mem: &mut Memory, perms: u64) -> AccessRequest {
+        let (root, l1, l0) = (0x8100_0000u64, 0x8100_1000u64, 0x8100_2000u64);
+        let va = VirtAddr(0x4000_0000);
+        mem.write_u64(root + va.vpn(2) * 8, Pte::table(PhysAddr(l1)).0);
+        mem.write_u64(l1 + va.vpn(1) * 8, Pte::table(PhysAddr(l0)).0);
+        mem.write_u64(
+            l0 + va.vpn(0) * 8,
+            Pte::leaf(PhysAddr(0x8020_0000), perms).0,
+        );
+        AccessRequest {
+            vaddr: 0x4000_0018,
+            satp: Satp::sv39(root),
+            ..load_req(1, 0)
         }
     }
 
@@ -1725,14 +1457,7 @@ mod tests {
         // Let the prefetch land.
         for _ in 0..200 {
             c += 1;
-            lsu.tick(
-                c,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                &mut csr,
-                &mut mem,
-                &mut trace,
-            );
+            lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
         }
         let prefetch_fill = trace.for_structure(Structure::Lfb).any(|e| {
             matches!(
@@ -1758,14 +1483,7 @@ mod tests {
         let (_, mut c) = run_until_complete(&mut lsu, &mut csr, &mut mem, &mut trace, 0, 300);
         for _ in 0..200 {
             c += 1;
-            lsu.tick(
-                c,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                &mut csr,
-                &mut mem,
-                &mut trace,
-            );
+            lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
         }
         assert!(!trace.for_structure(Structure::Lfb).any(|e| {
             matches!(
@@ -1787,10 +1505,12 @@ mod tests {
             0x8040_0008,
             0xFEED_FACE,
             8,
-            Domain::Enclave(0),
-            1,
+            Stamp {
+                cycle: 1,
+                priv_level: PrivLevel::Supervisor,
+                domain: Domain::Enclave(0),
+            },
             &mut trace,
-            PrivLevel::Supervisor,
         );
         // Protect the region, then issue a host load to the same address.
         csr.pmp
@@ -1814,10 +1534,12 @@ mod tests {
             0x8040_0008,
             0xFEED_FACE,
             8,
-            Domain::Enclave(0),
-            1,
+            Stamp {
+                cycle: 1,
+                priv_level: PrivLevel::Supervisor,
+                domain: Domain::Enclave(0),
+            },
             &mut trace,
-            PrivLevel::Supervisor,
         );
         csr.pmp
             .program_napot(0, 0x8040_0000, 0x1000, PmpCfg::napot(false, false, false));
@@ -1841,18 +1563,22 @@ mod tests {
             0x8040_0000,
             0,
             8,
-            Domain::SecurityMonitor,
-            1,
+            Stamp {
+                cycle: 1,
+                priv_level: PrivLevel::Machine,
+                domain: Domain::SecurityMonitor,
+            },
             &mut trace,
-            PrivLevel::Machine,
         );
         let mut c = 1;
         while lsu.store_buffer_len() > 0 && c < 500 {
             c += 1;
             lsu.tick(
-                c,
-                PrivLevel::Machine,
-                Domain::SecurityMonitor,
+                Stamp {
+                    cycle: c,
+                    priv_level: PrivLevel::Machine,
+                    domain: Domain::SecurityMonitor,
+                },
                 &mut csr,
                 &mut mem,
                 &mut trace,
@@ -1879,38 +1605,66 @@ mod tests {
     #[test]
     fn sv39_translation_through_real_page_tables() {
         let (mut lsu, mut csr, mut mem, mut trace) = setup(CoreConfig::boom());
-        // Build a 3-level table mapping VA 0x4000_0000 -> PA 0x8020_0000.
-        let root = 0x8100_0000u64;
-        let l1 = 0x8100_1000u64;
-        let l0 = 0x8100_2000u64;
-        let va = VirtAddr(0x4000_0000);
-        mem.write_u64(
-            root + va.vpn(2) * 8,
-            Pte::table(teesec_isa::vm::PhysAddr(l1)).0,
-        );
-        mem.write_u64(
-            l1 + va.vpn(1) * 8,
-            Pte::table(teesec_isa::vm::PhysAddr(l0)).0,
-        );
-        mem.write_u64(
-            l0 + va.vpn(0) * 8,
-            Pte::leaf(teesec_isa::vm::PhysAddr(0x8020_0000), Pte::R | Pte::W).0,
-        );
+        let req = mapped_req(&mut mem, Pte::R | Pte::W);
         mem.write_u64(0x8020_0018, 0xCAFE_F00D);
-        let req = LoadRequest {
-            seq: 1,
-            vaddr: 0x4000_0018,
-            width: 8,
-            priv_level: PrivLevel::Supervisor,
-            sum: false,
-            satp: Satp::sv39(root),
-        };
         lsu.start_load(req, 0);
         let (done, _) = run_until_complete(&mut lsu, &mut csr, &mut mem, &mut trace, 0, 1000);
         assert_eq!(done[0].value, 0xCAFE_F00D);
         assert_eq!(done[0].pa, Some(0x8020_0018));
         // TLB now holds the mapping; a second access is fast.
         assert!(lsu.dtlb.lookup(VirtAddr(0x4000_0000)).is_some());
+    }
+
+    #[test]
+    fn xiangshan_walk_reads_page_tables_through_l2_only() {
+        let (mut lsu, mut csr, mut mem, mut trace) = setup(CoreConfig::xiangshan());
+        let req = mapped_req(&mut mem, Pte::R | Pte::W);
+        mem.write_u64(0x8020_0018, 0xCAFE_F00D);
+        lsu.start_load(req, 0);
+        let (done, _) = run_until_complete(&mut lsu, &mut csr, &mut mem, &mut trace, 0, 1000);
+        assert_eq!(done[0].value, 0xCAFE_F00D);
+        assert_eq!(done[0].pa, Some(0x8020_0018));
+        assert!(done[0].exception.is_none());
+        // The walker's requests go straight to L2: one fill per table
+        // level there, and none in the LFB or the L1D.
+        let walk_fills = |s: Structure| {
+            (trace.for_structure(s))
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        TraceEventKind::Fill {
+                            purpose: FillPurpose::PageWalk,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(walk_fills(Structure::L2), SV39_LEVELS);
+        assert_eq!(walk_fills(Structure::Lfb), 0);
+        assert_eq!(walk_fills(Structure::L1d), 0);
+    }
+
+    #[test]
+    fn store_xlate_walk_checks_the_leaf_for_write_permission() {
+        for (perms, pa, exception) in [
+            (Pte::R, None, Some(Exception::StorePageFault(0x4000_0018))),
+            (Pte::R | Pte::W, Some(0x8020_0018), None),
+        ] {
+            let (mut lsu, mut csr, mut mem, mut trace) = setup(CoreConfig::boom());
+            lsu.start_store_xlate(mapped_req(&mut mem, perms));
+            let mut c = 0;
+            let mut done = Completions::default();
+            while done.xlates.is_empty() && c < 1000 {
+                c += 1;
+                lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
+                lsu.swap_completions(&mut done);
+            }
+            assert_eq!(done.xlates[0].pa, pa, "leaf perms {perms:#x}");
+            assert_eq!(done.xlates[0].exception, exception, "leaf perms {perms:#x}");
+            // The walk ran: the leaf is in the DTLB.
+            assert!(lsu.dtlb.lookup(VirtAddr(0x4000_0000)).is_some());
+        }
     }
 
     #[test]
@@ -1922,7 +1676,7 @@ mod tests {
         mem.write_u64(enclave_pa, 0xE9C1_A6E5);
         csr.pmp
             .program_napot(0, enclave_pa, 0x1000, PmpCfg::napot(false, false, false));
-        let req = LoadRequest {
+        let req = AccessRequest {
             seq: 1,
             vaddr: 0x4000_0000,
             width: 8,
@@ -1951,7 +1705,7 @@ mod tests {
         mem.write_u64(enclave_pa, 0xE9C1_A6E5);
         csr.pmp
             .program_napot(0, enclave_pa, 0x1000, PmpCfg::napot(false, false, false));
-        let req = LoadRequest {
+        let req = AccessRequest {
             seq: 1,
             vaddr: 0x4000_0000,
             width: 8,
@@ -1985,14 +1739,7 @@ mod tests {
         let mut handed = Completions::default();
         while c < 300 {
             c += 1;
-            lsu.tick(
-                c,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                &mut csr,
-                &mut mem,
-                &mut trace,
-            );
+            lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
             lsu.swap_completions(&mut handed);
             done.extend_from_slice(&handed.loads);
         }
@@ -2020,7 +1767,7 @@ mod tests {
         let (mut lsu, mut csr, mut mem, mut trace) = setup(CoreConfig::boom());
         csr.pmp
             .program_napot(0, 0x8040_0000, 0x1000, PmpCfg::napot(true, false, false));
-        lsu.start_store_xlate(XlateRequest {
+        lsu.start_store_xlate(AccessRequest {
             seq: 1,
             vaddr: 0x8040_0000,
             width: 8,
@@ -2032,19 +1779,48 @@ mod tests {
         let mut done = Completions::default();
         while done.xlates.is_empty() && c < 50 {
             c += 1;
-            lsu.tick(
-                c,
-                PrivLevel::Supervisor,
-                Domain::Untrusted,
-                &mut csr,
-                &mut mem,
-                &mut trace,
-            );
+            lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
             lsu.swap_completions(&mut done);
         }
         assert!(matches!(
             done.xlates[0].exception,
             Some(Exception::StoreAccessFault(_))
         ));
+    }
+
+    #[test]
+    fn late_refill_spares_the_lfb_entry_a_newer_miss_took() {
+        // XiangShan releases LFB entries on refill completion. A flush frees
+        // A's entry while its refill is in flight and B's miss takes the
+        // slot: A's late refill must neither fill nor release it.
+        let (mut lsu, mut csr, mut mem, mut trace) = setup(CoreConfig::xiangshan());
+        let (a, b) = (0x8000_1000u64, 0x8000_3000u64);
+        mem.write_u64(b, 0xB0B);
+        lsu.start_load(load_req(1, a), 0);
+        lsu.tick(host(1), &mut csr, &mut mem, &mut trace);
+        let slot = lsu.lfb.pending_for(a).expect("A misses into the LFB");
+        lsu.flush_lfb(host(1), &mut trace);
+        lsu.start_load(load_req(2, b), 1);
+        lsu.tick(host(2), &mut csr, &mut mem, &mut trace);
+        assert_eq!(lsu.lfb.pending_for(b), Some(slot), "B takes A's slot");
+        let filled = |trace: &Trace, s: Structure, line: u64| {
+            (trace.for_structure(s))
+                .any(|e| matches!(e.kind, TraceEventKind::Fill { addr, .. } if addr == line))
+        };
+        let mut c = 2;
+        while !filled(&trace, Structure::Lfb, b) {
+            assert!(
+                lsu.lfb.pending_for(b).is_some(),
+                "B lost its LFB entry at cycle {c}"
+            );
+            assert!(c < 1000, "B's refill never landed");
+            c += 1;
+            lsu.tick(host(c), &mut csr, &mut mem, &mut trace);
+        }
+        assert!(filled(&trace, Structure::L1d, a), "A's refill landed first");
+        assert!(
+            !filled(&trace, Structure::Lfb, a),
+            "A's flushed entry stays empty"
+        );
     }
 }

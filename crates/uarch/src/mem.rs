@@ -6,6 +6,11 @@
 //! half of forking a platform from a snapshot is therefore O(backed pages)
 //! pointer copies, not a full memory copy; the core's storage structures
 //! add a copy of their few flat buffers each.
+//!
+//! Writes carry no per-page version, because nothing outside the modeled
+//! structures caches state derived from memory: the core's fetch memo
+//! holds words of a resident L1I line, which (as in hardware) does not see
+//! memory writes until `fence.i` flushes it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,21 +19,10 @@ use teesec_isa::vm::PAGE_SIZE;
 
 const PAGE: usize = PAGE_SIZE as usize;
 
-/// A backed page plus its write-version, used by consumers that cache
-/// derived per-page state (the fetch-stage decode cache) to detect
-/// staleness without comparing bytes.
-#[derive(Debug, Clone)]
-struct PageSlot {
-    data: Arc<[u8; PAGE]>,
-    /// Bumped exactly once per mutable access to the page. Unbacked pages
-    /// are version 0, so the first write yields version 1.
-    version: u64,
-}
-
 /// Byte-addressable sparse physical memory. Unbacked locations read as zero.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, PageSlot>,
+    pages: HashMap<u64, Arc<[u8; PAGE]>>,
 }
 
 impl Memory {
@@ -38,33 +32,19 @@ impl Memory {
     }
 
     fn page_mut(&mut self, addr: u64) -> &mut [u8] {
-        let key = addr / PAGE_SIZE;
-        let slot = self.pages.entry(key).or_insert_with(|| PageSlot {
-            data: Arc::new([0u8; PAGE]),
-            version: 0,
-        });
-        // Every mutable access conservatively counts as a write: derived
-        // caches keyed on the version re-validate, which is always sound.
-        slot.version += 1;
+        let page = self
+            .pages
+            .entry(addr / PAGE_SIZE)
+            .or_insert_with(|| Arc::new([0u8; PAGE]));
         // Copy-on-write: duplicate the page only if a snapshot still
         // shares it.
-        &mut Arc::make_mut(&mut slot.data)[..]
-    }
-
-    /// The write-version of the page containing `addr` (0 when unbacked).
-    ///
-    /// The version is bumped exactly once per mutating call per touched
-    /// page — in particular [`Memory::write_bytes`] spanning a page
-    /// boundary bumps each touched page once, not once per byte — and
-    /// versions advance independently in each half of a CoW clone pair.
-    pub fn page_version(&self, addr: u64) -> u64 {
-        self.pages.get(&(addr / PAGE_SIZE)).map_or(0, |s| s.version)
+        &mut Arc::make_mut(page)[..]
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr / PAGE_SIZE)) {
-            Some(p) => p.data[(addr % PAGE_SIZE) as usize],
+            Some(p) => p[(addr % PAGE_SIZE) as usize],
             None => 0,
         }
     }
@@ -84,7 +64,7 @@ impl Memory {
             let off = (a % PAGE_SIZE) as usize;
             let run = buf.len().min(done + PAGE - off);
             match self.pages.get(&(a / PAGE_SIZE)) {
-                Some(p) => buf[done..run].copy_from_slice(&p.data[off..off + (run - done)]),
+                Some(p) => buf[done..run].copy_from_slice(&p[off..off + (run - done)]),
                 None => buf[done..run].fill(0),
             }
             done = run;
@@ -113,7 +93,7 @@ impl Memory {
             let mut v = 0u64;
             if let Some(p) = self.pages.get(&(addr / PAGE_SIZE)) {
                 for i in (0..len as usize).rev() {
-                    v = (v << 8) | p.data[off + i] as u64;
+                    v = (v << 8) | p[off + i] as u64;
                 }
             }
             return v;
@@ -193,12 +173,7 @@ impl Memory {
         // Candidate pages: backed on one side only, or backed on both but
         // no longer the same allocation.
         let mut keys: Vec<u64> = (self.pages.iter())
-            .filter(|(key, slot)| {
-                other
-                    .pages
-                    .get(key)
-                    .is_none_or(|o| !Arc::ptr_eq(&o.data, &slot.data))
-            })
+            .filter(|(key, page)| other.pages.get(key).is_none_or(|o| !Arc::ptr_eq(o, page)))
             .map(|(&key, _)| key)
             .chain(
                 (other.pages.keys())
@@ -208,7 +183,7 @@ impl Memory {
             .collect();
         keys.sort_unstable();
         fn page(m: &Memory, key: u64) -> &[u8; PAGE] {
-            m.pages.get(&key).map_or(&ZERO, |s| &s.data)
+            m.pages.get(&key).map_or(&ZERO, |p| &**p)
         }
         keys.into_iter().find_map(|key| {
             let (a, b) = (page(self, key), page(other, key));
@@ -265,66 +240,19 @@ mod tests {
         a.write_u64(0x3000, 0xBBBB);
         let mut b = a.clone();
         // Clone shares every backed page until one side writes.
-        assert!(Arc::ptr_eq(&a.pages[&1].data, &b.pages[&1].data));
+        assert!(Arc::ptr_eq(&a.pages[&1], &b.pages[&1]));
         b.write_u64(0x1000, 0xCCCC);
         assert!(
-            !Arc::ptr_eq(&a.pages[&1].data, &b.pages[&1].data),
+            !Arc::ptr_eq(&a.pages[&1], &b.pages[&1]),
             "written page split"
         );
         assert!(
-            Arc::ptr_eq(&a.pages[&3].data, &b.pages[&3].data),
+            Arc::ptr_eq(&a.pages[&3], &b.pages[&3]),
             "untouched page shared"
         );
         assert_eq!(a.read_u64(0x1000), 0xAAAA, "original unaffected");
         assert_eq!(b.read_u64(0x1000), 0xCCCC);
         assert_eq!(b.read_u64(0x3000), 0xBBBB);
-    }
-
-    #[test]
-    fn page_version_starts_at_zero_and_tracks_writes() {
-        let mut m = Memory::new();
-        assert_eq!(m.page_version(0x1000), 0, "unbacked page is version 0");
-        m.write_u8(0x1000, 1);
-        assert_eq!(m.page_version(0x1000), 1);
-        m.write_u64(0x1800, 7);
-        assert_eq!(m.page_version(0x1000), 2, "same page, any width");
-        assert_eq!(m.page_version(0x2000), 0, "neighbour untouched");
-    }
-
-    #[test]
-    fn write_bytes_bumps_each_touched_page_exactly_once() {
-        let mut m = Memory::new();
-        // Pre-back three pages so the baseline versions are all 1.
-        for p in 0..3u64 {
-            m.write_u8(0x1000 + p * PAGE_SIZE, 0);
-        }
-        let v0: Vec<u64> = (0..3)
-            .map(|p| m.page_version(0x1000 + p * PAGE_SIZE))
-            .collect();
-        // One write spanning all three pages: page-chunked path must bump
-        // each touched page's version exactly once, not once per byte.
-        let data = vec![0xAB; (2 * PAGE_SIZE + 64) as usize];
-        m.write_bytes(0x1FF0, &data);
-        for p in 0..3u64 {
-            assert_eq!(
-                m.page_version(0x1000 + p * PAGE_SIZE),
-                v0[p as usize] + 1,
-                "page {p} must be bumped exactly once by one spanning write"
-            );
-        }
-    }
-
-    #[test]
-    fn clone_halves_version_independently() {
-        let mut a = Memory::new();
-        a.write_u8(0x1000, 1);
-        let mut b = a.clone();
-        assert_eq!(b.page_version(0x1000), a.page_version(0x1000));
-        b.write_u8(0x1000, 2);
-        assert_eq!(b.page_version(0x1000), 2);
-        assert_eq!(a.page_version(0x1000), 1, "CoW split leaves origin alone");
-        a.write_u8(0x1000, 3);
-        assert_eq!(a.page_version(0x1000), 2, "each half advances on its own");
     }
 
     #[test]

@@ -283,6 +283,33 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// The cycle, privilege level and domain every [`TraceEvent`] is stamped
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    /// Simulation cycle.
+    pub cycle: u64,
+    /// Privilege level.
+    pub priv_level: PrivLevel,
+    /// Security domain.
+    pub domain: Domain,
+}
+
+impl Stamp {
+    /// The event `kind` on `structure`, attributed to `pc`, under this
+    /// stamp.
+    pub fn event(self, pc: Option<u64>, structure: Structure, kind: TraceEventKind) -> TraceEvent {
+        TraceEvent {
+            cycle: self.cycle,
+            priv_level: self.priv_level,
+            domain: self.domain,
+            pc,
+            structure,
+            kind,
+        }
+    }
+}
+
 /// Per-structure event counts for one event kind class.
 ///
 /// The indices of every array are [`Structure::index`] positions.

@@ -1,11 +1,10 @@
-//! Adversarial programs for the simulator's elisions: the page-keyed
-//! decode cache, the fetch-line memo, the scan watermark and the LSU
-//! retry memo. There is no "off" run to compare against. Each program
-//! runs once, and the debug-build references check every use of every
-//! elision as it happens: a fetch-memo hit re-derives its word and
-//! address by peeking, every memo or decode-cache hit re-decodes, each
-//! entry the watermark skips must still stall, and each skipped LSU
-//! retry must be one that would not progress. Tier-1 builds keep debug
+//! Adversarial programs for the simulator's three elisions: the
+//! fetch-line memo, the scan watermark and the LSU retry memo. There is
+//! no "off" run to compare against. Each program runs once, and the
+//! debug-build references check every use of every elision as it
+//! happens: a fetch-memo hit re-derives its word and address by peeking
+//! and re-decodes, each entry the watermark skips must still stall, and
+//! each skipped LSU retry must be one that would not progress. Tier-1 builds keep debug
 //! assertions on (see `[profile.test]` in the workspace manifest), so a
 //! missed invalidation edge fails here with the reference's message.
 //!
@@ -14,8 +13,7 @@
 //!   page boundary into the page the core is about to execute;
 //! * *satp remaps* that re-enter a virtual address under a new root;
 //! * `Platform::clone()` mid-run (a CoW fork that deliberately colds the
-//!   decode cache and fetch memo) must behave exactly like the
-//!   uninterrupted run;
+//!   fetch memo) must behave exactly like the uninterrupted run;
 //! * and the witness that the elisions engage on both designs, so the
 //!   references are not checking nothing.
 
@@ -70,12 +68,11 @@ fn assert_same_state(a: &Core, b: &Core, what: &str) {
 }
 
 proptest! {
-    /// Self-modifying code: every store into an executing page bumps the
-    /// page version, and `fence.i` flushes the L1I and the decode cache
-    /// and drops the fetch memo, so every elided fetch matches its
-    /// reference — synced (fence + fence.i) or racing the front end,
-    /// where the I-side is stale by design and the reference reads the
-    /// same stale line. A synced patch must also execute.
+    /// Self-modifying code: `fence.i` flushes the L1I and drops the fetch
+    /// memo, so every elided fetch matches its reference — synced (fence
+    /// + fence.i) or racing the front end, where the I-side is stale by
+    /// design and the reference reads the same stale line. A synced patch
+    /// must also execute.
     #[test]
     fn self_modifying_gadget_fast_path_matches_reference(
         seed in any::<u64>(),
@@ -99,10 +96,10 @@ proptest! {
     }
 
     /// satp remap: re-entering the same VA under a different root must
-    /// fetch (and decode) the *new* physical page. The decode cache is
-    /// keyed physically and the fetch memo dies at every serializing
-    /// instruction, so the core must execute page 1 then page 2 — and
-    /// leave the exact a0 the two pages' immediates sum to.
+    /// fetch (and decode) the *new* physical page. The fetch memo dies at
+    /// every serializing instruction, so the core must execute page 1
+    /// then page 2 — and leave the exact a0 the two pages' immediates sum
+    /// to.
     #[test]
     fn satp_remap_never_replays_the_old_address_space(seed in any::<u64>()) {
         let (supervisor, pages, tables, expected) = satp_remap_gadget(seed);
@@ -122,9 +119,8 @@ proptest! {
     }
 
     /// `Platform::clone()` mid-run is indistinguishable from never
-    /// forking: the clone's decode cache and fetch memo start cold (CoW
-    /// halves' page versions advance independently), and cold caches
-    /// are an elision-only slowdown, never a behavior change.
+    /// forking: the clone's fetch memo starts cold, and a cold memo is an
+    /// elision-only slowdown, never a behavior change.
     #[test]
     fn platform_clone_mid_run_with_fast_path_matches_uninterrupted(
         seed in any::<u64>(),
@@ -167,12 +163,12 @@ proptest! {
 /// core level. Aligned stores can never straddle a 4 KiB page, so the
 /// spanning writer is the DMA-style `write_bytes` — exactly what
 /// snapshot restores and image loads use. Mid-run, an 8-byte write
-/// straddling the boundary into the page the core is *about to execute*
-/// must bump both touched pages' versions exactly once, and the decode
-/// cache must re-decode the patched word instead of serving the
-/// placeholder it may already have cached.
+/// straddles the boundary into the page the core is *about to execute*.
+/// After the `fence.i`, the L1I must refill the patched line and the
+/// fetch memo must serve the patched word from it, not a placeholder
+/// either may have held before.
 #[test]
-fn page_spanning_write_into_executing_page_invalidates_decode() {
+fn page_spanning_write_into_executing_page_reaches_l1i_and_fetch_memo() {
     use teesec_isa::asm::Assembler;
     use teesec_isa::csr;
     use teesec_isa::inst::{AluOp, Inst};
@@ -220,18 +216,7 @@ fn page_spanning_write_into_executing_page_invalidates_decode() {
         core.step();
     }
     assert!(!core.halted);
-    let v0 = (core.mem.page_version(BASE), core.mem.page_version(page1));
     core.mem.write_bytes(page1 - 4, &value.to_le_bytes());
-    assert_eq!(
-        core.mem.page_version(BASE),
-        v0.0 + 1,
-        "one spanning write must bump the first page's version exactly once"
-    );
-    assert_eq!(
-        core.mem.page_version(page1),
-        v0.1 + 1,
-        "one spanning write must bump the second page's version exactly once"
-    );
     while !core.halted && core.cycle < BOUND {
         core.step();
     }
@@ -245,9 +230,9 @@ fn page_spanning_write_into_executing_page_invalidates_decode() {
 
 /// Deterministic witness that the self-modifying-code path really
 /// exercises the invalidation machinery (so the proptest above is not
-/// vacuously running with a cold cache).
+/// vacuously running with a cold memo).
 #[test]
-fn synced_smc_gadget_invalidates_the_decode_cache() {
+fn synced_smc_gadget_invalidates_the_fetch_memo() {
     let (words, expected) = smc_gadget_program(0xD15A_55EB, 3, true);
     let core = run_program(&words, &CoreConfig::boom());
     assert_eq!(
@@ -257,17 +242,14 @@ fn synced_smc_gadget_invalidates_the_decode_cache() {
     );
     let stats = core.fast_path_stats();
     assert!(
-        stats.decode.invalidations > 0,
-        "rewriting an executing page must invalidate the decode cache: {stats:?}"
+        stats.fetch.invalidations > 0,
+        "syncing a rewritten executing page must drop the fetch memo: {stats:?}"
     );
-    assert!(
-        stats.decode.hits > 0,
-        "the cache must also have been in use"
-    );
+    assert!(stats.fetch.hits > 0, "the memo must also have been in use");
 }
 
 /// The references are not vacuous: over a fuzzed corpus, on both
-/// designs, the decode cache hits and the scan watermark skips, so the
+/// designs, the fetch memo hits and the scan watermark skips, so the
 /// debug-build checks behind them run.
 #[test]
 fn elisions_engage_on_both_designs() {
@@ -278,10 +260,10 @@ fn elisions_engage_on_both_designs() {
         for tc in &corpus {
             let outcome = run_case(tc, &cfg).expect("build");
             let stats = outcome.platform.core.fast_path_stats();
-            hits += stats.decode.hits;
+            hits += stats.fetch.hits;
             skips += stats.scan_skips;
         }
-        assert!(hits > 0, "{}: decode cache never hit", cfg.name);
+        assert!(hits > 0, "{}: fetch memo never hit", cfg.name);
         assert!(skips > 0, "{}: dirty-scan elision never engaged", cfg.name);
     }
 }
