@@ -5,7 +5,9 @@
 //! lacks. Each column then reports what it costs: the simulated cycles of
 //! one stop/resume-heavy enclave workload, against the unmitigated design
 //! (the performance question the paper leaves to future work, §8). The
-//! cycles are deterministic, so no host timer is involved.
+//! cycles are deterministic, so no host timer is involved. A caveat line
+//! under each cost block says what the cycles cannot show: the model
+//! charges no cycles for a flush.
 //!
 //! Notable paper shapes this reproduces: flushing the L1D only mitigates
 //! D4–D7 on XiangShan (BOOM's faulting miss still forwards to L2 — the
@@ -142,7 +144,10 @@ fn print_block(cfg: &CoreConfig, cols: &[Column], baseline: &BTreeSet<LeakClass>
         let overhead = 100.0 * (c as f64 - base_cycles as f64) / base_cycles as f64;
         println!("  {:<13} {c:>7} cycles ({overhead:+6.1}%)", col.label);
     }
-    println!();
+    println!(
+        "  (the model charges no cycles for a flush, and a store-buffer flush completes its \
+         stores at once: a negative overhead is drain work moved out of simulated time)\n"
+    );
 }
 
 fn main() {

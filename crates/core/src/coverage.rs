@@ -62,7 +62,7 @@ pub enum TransitionPoint {
 
 impl TransitionPoint {
     /// Every transition point, in matrix-row order.
-    pub fn all() -> &'static [TransitionPoint] {
+    pub const fn all() -> &'static [TransitionPoint] {
         &[
             TransitionPoint::Boot,
             TransitionPoint::EnclaveEntry,
@@ -152,7 +152,7 @@ pub struct CellKey {
 }
 
 /// Transition points per structure in a [`CellSet`].
-const TRANSITIONS: usize = 5; // TransitionPoint::all().len()
+const TRANSITIONS: usize = TransitionPoint::all().len();
 
 /// Observer kinds, in [`CellKey`] order.
 const OBSERVERS: [ObserverKind; 3] = [
@@ -162,7 +162,7 @@ const OBSERVERS: [ObserverKind; 3] = [
 ];
 
 /// Cells in the matrix: structures × transition points × observers.
-const CELLS: usize = 14 * TRANSITIONS * OBSERVERS.len(); // Structure::all().len() = 14
+const CELLS: usize = Structure::COUNT * TRANSITIONS * OBSERVERS.len();
 
 /// A set of coverage cells, one bit per cell, iterated in [`CellKey`]
 /// order (see the module docs).

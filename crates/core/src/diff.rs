@@ -290,12 +290,11 @@ fn is_uarch_defined_csr_read(inst: &Inst) -> bool {
 }
 
 fn uarch_defined_csr(addr: CsrAddr) -> bool {
-    let hpm = csr::HPM_COUNTER_COUNT as CsrAddr;
     matches!(
         addr,
         csr::CYCLE | csr::TIME | csr::INSTRET | csr::MCYCLE | csr::MINSTRET
-    ) || (csr::HPMCOUNTER3..csr::HPMCOUNTER3 + hpm).contains(&addr)
-        || (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + hpm).contains(&addr)
+    ) || csr::hpm_slot(csr::HPMCOUNTER3, addr).is_some()
+        || csr::hpm_slot(csr::MHPMCOUNTER3, addr).is_some()
 }
 
 /// Differentially executes `tc` on `cfg`: the lockstep oracle over a

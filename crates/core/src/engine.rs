@@ -39,8 +39,7 @@ use teesec_obs::{Histogram, Summary};
 use teesec_telemetry::{MetricsHub, ProgressModel};
 use teesec_trace::{TraceCtx, TraceReport, Tracer};
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::introspect::StorageInventory;
-use teesec_uarch::{FastPathStats, RunExit, StructureCounters, UarchCounters};
+use teesec_uarch::{FastPathStats, RunExit, UarchCounters};
 
 use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
 use crate::checker::replay;
@@ -549,8 +548,8 @@ impl EngineMetrics {
 /// Deep-observability aggregates for one engine run: log₂-bucketed
 /// per-phase wall-time histograms, a per-case simulated-cycle histogram,
 /// and campaign-wide [`UarchCounters`] seeded from the design's
-/// [`StorageInventory`] (so every inventoried structure appears even when
-/// no case touched it).
+/// [`StorageInventory`](teesec_uarch::introspect::StorageInventory) (so
+/// every inventoried structure appears even when no case touched it).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsMetrics {
     /// Per-case platform build wall time, µs (quarantined cases excluded).
@@ -571,32 +570,12 @@ impl ObsMetrics {
     /// An empty aggregate whose structure list is pre-seeded from the
     /// design's storage inventory with zeroed flow counters.
     pub fn for_design(cfg: &CoreConfig) -> ObsMetrics {
-        let inventory = StorageInventory::profile(cfg);
         ObsMetrics {
             build_us: Histogram::new(),
             simulate_us: Histogram::new(),
             check_us: Histogram::new(),
             case_cycles: Histogram::new(),
-            uarch: UarchCounters {
-                cycles: 0,
-                instructions_retired: 0,
-                trace_events: 0,
-                counter_bumps: 0,
-                domain_switches: 0,
-                structures: inventory
-                    .elements
-                    .iter()
-                    .map(|e| StructureCounters {
-                        structure: e.structure,
-                        fills: 0,
-                        writes: 0,
-                        reads: 0,
-                        flushes: 0,
-                        occupancy_at_exit: 0,
-                        capacity: e.entries as u64,
-                    })
-                    .collect(),
-            },
+            uarch: UarchCounters::for_design(cfg),
         }
     }
 
@@ -1349,6 +1328,7 @@ mod tests {
     use super::*;
     use crate::fuzz::Fuzzer;
     use serde_json::Value;
+    use teesec_uarch::introspect::StorageInventory;
 
     fn small_corpus(cfg: &CoreConfig, n: usize) -> Vec<TestCase> {
         Fuzzer::with_target(n).generate(cfg)
@@ -1469,15 +1449,15 @@ mod tests {
         assert_eq!(obs.simulate_us.count(), 4);
         assert!(obs.uarch.cycles > 0, "aggregated cycles");
         assert!(obs.uarch.instructions_retired > 0);
-        // Every inventoried structure is present even if untouched.
-        let inventory = StorageInventory::profile(&cfg);
-        for e in &inventory.elements {
-            assert!(
-                obs.uarch.structure(e.structure).is_some(),
-                "missing {:?}",
-                e.structure
-            );
-        }
+        // Exactly the inventoried structures, in inventory order, even
+        // where untouched.
+        let listed: Vec<_> = obs.uarch.structures.iter().map(|c| c.structure).collect();
+        let inventoried: Vec<_> = StorageInventory::profile(&cfg)
+            .elements
+            .iter()
+            .map(|e| e.structure)
+            .collect();
+        assert_eq!(listed, inventoried);
     }
 
     #[test]

@@ -332,10 +332,10 @@ fn result_families(snap: &mut MetricsSnapshot, result: &CampaignResult) {
         obs.uarch.domain_switches,
         "Security-domain switches across the corpus",
     );
-    // One series per inventoried structure — ObsMetrics seeds its counter
-    // set from the StorageInventory, so absent means "not in this design"
-    // (e.g. the store buffer on a zero-entry configuration), never
-    // "happened to be untouched".
+    // One series per inventoried structure, in inventory order, and no
+    // other: the counters follow the StorageInventory, so absent means
+    // "not in this design" (e.g. the store buffer on a zero-entry
+    // configuration), never "happened to be untouched".
     for s in &obs.uarch.structures {
         let labels = &[
             ("design", design),
@@ -507,26 +507,46 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_inventoried_structure() {
-        let cfg = CoreConfig::boom();
-        let campaign = Campaign::new(cfg.clone(), Fuzzer::with_target(4));
-        let (result, _) = campaign.run_engine(EngineOptions {
-            threads: 2,
-            ..EngineOptions::default()
-        });
-        let snap = campaign_snapshot(&result, 1_000_000, 0);
-        let prom = snap.render_prometheus();
-        for e in &StorageInventory::profile(&cfg).elements {
-            let needle = format!("structure=\"{}\"", e.structure.display_name());
-            assert!(
-                prom.contains(&needle),
-                "missing series for {:?}:\n{prom}",
-                e.structure
-            );
+        for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+            let campaign = Campaign::new(cfg.clone(), Fuzzer::with_target(4));
+            let (result, _) = campaign.run_engine(EngineOptions {
+                threads: 2,
+                ..EngineOptions::default()
+            });
+            let snap = campaign_snapshot(&result, 1_000_000, 0);
+            let prom = snap.render_prometheus();
+            let inventoried: Vec<&str> = StorageInventory::profile(&cfg)
+                .elements
+                .iter()
+                .map(|e| e.structure.display_name())
+                .collect();
+            // Every per-structure family lists exactly the inventoried
+            // structures, in inventory order.
+            for family in [
+                "fills_total",
+                "writes_total",
+                "reads_total",
+                "flushes_total",
+                "occupancy_entries",
+                "capacity_entries",
+            ] {
+                let prefix = format!("teesec_structure_{family}{{");
+                let listed: Vec<&str> = prom
+                    .lines()
+                    .filter(|l| l.starts_with(&prefix))
+                    .map(|l| {
+                        let start = l.find("structure=\"").expect("structure label") + 11;
+                        let len = l[start..].find('"').expect("closing quote");
+                        &l[start..start + len]
+                    })
+                    .collect();
+                assert_eq!(listed, inventoried, "{} {family}:\n{prom}", cfg.name);
+            }
+            assert!(prom.contains("teesec_cases_total"));
+            assert!(prom.contains("teesec_case_cycles_bucket"));
+            let json = snap.render_json();
+            assert!(json.contains("teesec_structure_fills_total"));
         }
-        assert!(prom.contains("teesec_cases_total"));
-        assert!(prom.contains("teesec_case_cycles_bucket"));
-        let json = snap.render_json();
-        assert!(json.contains("teesec_structure_fills_total"));
     }
 
     #[test]

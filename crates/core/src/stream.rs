@@ -37,8 +37,6 @@ use crate::runner::RunOutcome;
 use crate::secret::{SecretCatalog, SecretRecord, ValueSet};
 use crate::testcase::TestCase;
 
-const NS: usize = 14; // Structure::all().len()
-
 /// The cataloged secrets one trace event carries, as (byte offset, record
 /// index) pairs into the case's [`SecretCatalog`]: at most one, at offset
 /// 0, for a scalar read or write; one per matching 8-byte window for a
@@ -385,10 +383,10 @@ struct SecretProv {
     /// origin when it precedes the observation).
     first_in_domain: Option<PEvent>,
     /// First carrying event per structure, over the whole trace.
-    firsts_all: [Option<PEvent>; NS],
+    firsts_all: [Option<PEvent>; Structure::COUNT],
     /// First carrying event per structure strictly after
     /// `first_in_domain.cycle`.
-    firsts_after: [Option<PEvent>; NS],
+    firsts_after: [Option<PEvent>; Structure::COUNT],
 }
 
 /// Provenance index: the first events every provenance chain is built
@@ -418,8 +416,8 @@ impl ProvIndex {
                 .iter()
                 .map(|_| SecretProv {
                     first_in_domain: None,
-                    firsts_all: [None; NS],
-                    firsts_after: [None; NS],
+                    firsts_all: [None; Structure::COUNT],
+                    firsts_after: [None; Structure::COUNT],
                 })
                 .collect(),
             first_bump: None,

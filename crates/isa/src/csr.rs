@@ -117,6 +117,14 @@ pub fn hpmcounter_csr(i: usize) -> CsrAddr {
     HPMCOUNTER3 + i as CsrAddr
 }
 
+/// The HPM slot (0 → counter 3) that `addr` names in the window of
+/// [`HPM_COUNTER_COUNT`] registers starting at `window` (`HPMCOUNTER3`,
+/// `MHPMCOUNTER3` or `MHPMEVENT3`); `None` outside the window.
+pub fn hpm_slot(window: CsrAddr, addr: CsrAddr) -> Option<usize> {
+    let slot = addr.checked_sub(window)? as usize;
+    (slot < HPM_COUNTER_COUNT).then_some(slot)
+}
+
 /// The minimum privilege required to *access* a CSR, per the standard
 /// encoding (bits 9:8 of the address).
 pub fn required_privilege(addr: CsrAddr) -> PrivLevel {
@@ -259,6 +267,19 @@ mod tests {
         assert_eq!(pmpcfg_csr_for_entry(8), PMPCFG2);
         assert_eq!(pmpaddr_csr_for_entry(0), 0x3B0);
         assert_eq!(pmpaddr_csr_for_entry(15), 0x3BF);
+    }
+
+    #[test]
+    fn hpm_slot_covers_exactly_each_window() {
+        let past = HPM_COUNTER_COUNT as CsrAddr;
+        for window in [HPMCOUNTER3, MHPMCOUNTER3, MHPMEVENT3] {
+            assert_eq!(hpm_slot(window, window), Some(0));
+            assert_eq!(hpm_slot(window, window + past - 1), Some(28));
+            assert_eq!(hpm_slot(window, window - 1), None);
+            assert_eq!(hpm_slot(window, window + past), None);
+        }
+        assert_eq!(hpm_slot(HPMCOUNTER3, hpmcounter_csr(5)), Some(5));
+        assert_eq!(hpm_slot(MHPMCOUNTER3, mhpmcounter_csr(28)), Some(28));
     }
 
     #[test]

@@ -193,6 +193,9 @@ impl Ftb {
     }
 }
 
+/// Two-bit counters in every design's BHT.
+pub const BHT_ENTRIES: usize = 1024;
+
 /// A bimodal (2-bit counter) branch history table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bht {

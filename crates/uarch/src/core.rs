@@ -23,9 +23,9 @@ use teesec_isa::priv_level::PrivLevel;
 use teesec_isa::reg::Reg;
 use teesec_isa::vm::{pte_addr, PhysAddr, Pte, VirtAddr, SV39_LEVELS};
 
-use crate::btb::{Bht, Ftb, Ubtb};
+use crate::btb::{Bht, Ftb, Ubtb, BHT_ENTRIES};
 use crate::config::CoreConfig;
-use crate::counters::{StructureCounters, UarchCounters};
+use crate::counters::UarchCounters;
 use crate::csr_file::{CsrError, CsrFile};
 use crate::lsu::{AccessRequest, Completions, Lsu};
 use crate::mem::Memory;
@@ -278,7 +278,7 @@ impl Core {
             trace: Trace::new(),
             ubtb: Ubtb::new(config.ubtb_entries, config.ubtb_tag_bits),
             ftb: Ftb::new(config.ftb_sets, config.ftb_ways, 16),
-            bht: Bht::new(1024),
+            bht: Bht::new(BHT_ENTRIES),
             itlb: Tlb::new(config.itlb_entries),
             l1i: crate::cache::Cache::new(config.l1d_sets, config.l1d_ways, config.line_size),
             cycle: 0,
@@ -452,84 +452,66 @@ impl Core {
     }
 
     /// Harvests the run's microarchitectural counters: cycles, retired
-    /// instructions, per-structure trace-event counts, and each storage
-    /// element's occupancy at this instant (after a finished run, the
-    /// residue surface the checker scans).
+    /// instructions, and for each structure the design inventories its
+    /// trace-event counts and its occupancy at this instant (after a
+    /// finished run, the residue surface the checker scans).
     pub fn counters(&self) -> UarchCounters {
         let stats = self.trace.stats();
-        let cfg = &self.config;
-        let count_valid = |it: usize| it as u64;
-        let occupancy = |s: Structure| -> u64 {
+        let occupancy = |s: Structure| -> usize {
             match s {
-                Structure::RegFile => count_valid(self.arch_rf.iter().filter(|&&v| v != 0).count()),
-                Structure::L1d => count_valid(self.lsu.l1d.valid_lines().count()),
-                Structure::L1i => count_valid(self.l1i.valid_lines().count()),
-                Structure::L2 => count_valid(self.lsu.l2.valid_lines().count()),
-                Structure::Lfb => {
-                    count_valid(self.lsu.lfb.entries().iter().filter(|e| e.valid).count())
-                }
+                Structure::RegFile => self.arch_rf.iter().filter(|&&v| v != 0).count(),
+                Structure::L1d => self.lsu.l1d.valid_lines().count(),
+                Structure::L1i => self.l1i.valid_lines().count(),
+                Structure::L2 => self.lsu.l2.valid_lines().count(),
+                Structure::Lfb => self.lsu.lfb.entries().iter().filter(|e| e.valid).count(),
                 // The store queue is ROB-resident; it is empty whenever the
                 // pipeline is (any finished run).
                 Structure::StoreQueue => 0,
-                Structure::StoreBuffer => count_valid(self.lsu.store_buffer_len()),
-                Structure::Dtlb => count_valid(self.lsu.dtlb.valid_count()),
-                Structure::Itlb => count_valid(self.itlb.valid_count()),
-                Structure::PtwCache => count_valid(
-                    self.lsu
-                        .ptw_cache
-                        .entries()
-                        .iter()
-                        .filter(|e| e.valid)
-                        .count(),
-                ),
-                Structure::Ubtb => {
-                    count_valid(self.ubtb.entries().iter().filter(|e| e.valid).count())
-                }
-                Structure::Ftb => {
-                    count_valid(self.ftb.entries().iter().filter(|e| e.valid).count())
-                }
-                Structure::Bht => {
-                    count_valid(self.bht.counters().iter().filter(|&&c| c != 1).count())
-                }
-                Structure::Hpc => count_valid(self.csr.hpm.iter().filter(|&&v| v != 0).count()),
+                Structure::StoreBuffer => self.lsu.store_buffer_len(),
+                Structure::Dtlb => self.lsu.dtlb.valid_count(),
+                Structure::Itlb => self.itlb.valid_count(),
+                Structure::PtwCache => self
+                    .lsu
+                    .ptw_cache
+                    .entries()
+                    .iter()
+                    .filter(|e| e.valid)
+                    .count(),
+                Structure::Ubtb => self.ubtb.entries().iter().filter(|e| e.valid).count(),
+                Structure::Ftb => self.ftb.entries().iter().filter(|e| e.valid).count(),
+                Structure::Bht => self.bht.counters().iter().filter(|&&c| c != 1).count(),
+                Structure::Hpc => self.csr.hpm.iter().filter(|&&v| v != 0).count(),
             }
         };
-        let capacity = |s: Structure| -> u64 {
-            (match s {
-                Structure::RegFile => 32,
-                Structure::L1d | Structure::L1i => cfg.l1d_sets * cfg.l1d_ways,
-                Structure::L2 => cfg.l2_sets * cfg.l2_ways,
-                Structure::Lfb => cfg.lfb_entries,
-                Structure::StoreQueue => cfg.store_queue_entries,
-                Structure::StoreBuffer => cfg.store_buffer_entries,
-                Structure::Dtlb => cfg.dtlb_entries,
-                Structure::Itlb => cfg.itlb_entries,
-                Structure::PtwCache => cfg.ptw_cache_entries,
-                Structure::Ubtb => cfg.ubtb_entries,
-                Structure::Ftb => cfg.ftb_sets * cfg.ftb_ways,
-                Structure::Bht => self.bht.counters().len(),
-                Structure::Hpc => cfg.hpm_counters,
-            }) as u64
-        };
-        UarchCounters {
-            cycles: self.cycle,
-            instructions_retired: self.retired,
-            trace_events: stats.total(),
-            counter_bumps: stats.counter_bumps(),
-            domain_switches: stats.domain_switches(),
-            structures: Structure::all()
-                .iter()
-                .map(|&s| StructureCounters {
-                    structure: s,
-                    fills: stats.fills(s),
-                    writes: stats.writes(s),
-                    reads: stats.reads(s),
-                    flushes: stats.flushes(s),
-                    occupancy_at_exit: occupancy(s),
-                    capacity: capacity(s),
-                })
-                .collect(),
+        let mut counters = UarchCounters::for_design(&self.config);
+        counters.cycles = self.cycle;
+        counters.instructions_retired = self.retired;
+        counters.trace_events = stats.total();
+        counters.counter_bumps = stats.counter_bumps();
+        counters.domain_switches = stats.domain_switches();
+        for c in &mut counters.structures {
+            let s = c.structure;
+            c.fills = stats.fills(s);
+            c.writes = stats.writes(s);
+            c.reads = stats.reads(s);
+            c.flushes = stats.flushes(s);
+            c.occupancy_at_exit = occupancy(s) as u64;
         }
+        // No trace event may land on a structure the design does not
+        // inventory. Occupancy is not checked: BOOM's LSU drains stores
+        // through its store-buffer queue, so a budget-blown BOOM run can
+        // end with entries there.
+        #[cfg(debug_assertions)]
+        for &s in Structure::all() {
+            let events = stats.fills(s) + stats.writes(s) + stats.reads(s) + stats.flushes(s);
+            debug_assert!(
+                events == 0 || counters.structure(s).is_some(),
+                "{}: {events} trace events recorded against {}, which the design does not inventory",
+                self.config.name,
+                s.display_name()
+            );
+        }
+        counters
     }
 
     /// The next fetch PC (diagnostics).
@@ -1365,13 +1347,13 @@ impl Core {
                     let v = self.source_value(0, r).expect("head operands ready");
                     let new = apply_csr_op(op, old, v);
                     self.domain_before_trap = None;
-                    self.set_domain(decode_domain(new));
+                    self.set_domain(Domain::decode(new));
                 }
             } else if let CsrSrc::Imm(i) = src {
                 if op == CsrOp::Rw || i != 0 {
                     let new = apply_csr_op(op, old, i as u64);
                     self.domain_before_trap = None;
-                    self.set_domain(decode_domain(new));
+                    self.set_domain(Domain::decode(new));
                 }
             }
             self.writeback(0, old);
@@ -1397,14 +1379,11 @@ impl Core {
                     // CSR_FLUSH_DELAY cycles before the exception is raised.
                     if let Ok(v) = self.csr.read_unchecked(addr, PrivLevel::Machine) {
                         self.writeback(0, v);
-                        if is_hpc_read(addr) {
+                        if let Some(index) = hpc_read_index(addr) {
                             self.trace.record(self.stamp().event(
                                 Some(pc),
                                 Structure::Hpc,
-                                TraceEventKind::Read {
-                                    index: hpc_read_index(addr),
-                                    value: v,
-                                },
+                                TraceEventKind::Read { index, value: v },
                             ));
                         }
                     }
@@ -1427,12 +1406,12 @@ impl Core {
                     if effect.pmp_reconfigured {
                         self.apply_domain_switch_mitigations();
                     }
-                    if (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr) {
+                    if let Some(slot) = csr::hpm_slot(csr::MHPMCOUNTER3, addr) {
                         self.trace.record(self.stamp().event(
                             Some(pc),
                             Structure::Hpc,
                             TraceEventKind::Write {
-                                index: (addr - csr::MHPMCOUNTER3) as u64,
+                                index: slot as u64,
                                 value: new,
                                 tag: None,
                             },
@@ -1453,14 +1432,11 @@ impl Core {
         self.writeback(0, old);
         // Reads of tainted performance counters are the checker's M1 signal;
         // record the read explicitly.
-        if wants_read && is_hpc_read(addr) {
+        if let Some(index) = hpc_read_index(addr).filter(|_| wants_read) {
             self.trace.record(self.stamp().event(
                 Some(pc),
                 Structure::Hpc,
-                TraceEventKind::Read {
-                    index: hpc_read_index(addr),
-                    value: old,
-                },
+                TraceEventKind::Read { index, value: old },
             ));
         }
     }
@@ -1918,30 +1894,21 @@ fn apply_csr_op(op: CsrOp, old: u64, src: u64) -> u64 {
     }
 }
 
-fn decode_domain(v: u64) -> Domain {
-    Domain::decode(v)
-}
-
-fn is_hpc_read(addr: CsrAddr) -> bool {
-    (csr::HPMCOUNTER3..csr::HPMCOUNTER3 + 29).contains(&addr)
-        || (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr)
-        || addr == csr::CYCLE
-        || addr == csr::INSTRET
-}
-
-fn hpc_read_index(addr: CsrAddr) -> u64 {
-    if (csr::HPMCOUNTER3..csr::HPMCOUNTER3 + 29).contains(&addr) {
-        (addr - csr::HPMCOUNTER3) as u64
-    } else if (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr) {
-        (addr - csr::MHPMCOUNTER3) as u64
-    } else {
-        u64::MAX // cycle/instret: not a programmable counter
+/// The trace index of a performance-counter read: the HPM slot of an
+/// `hpmcounter`/`mhpmcounter` CSR, `u64::MAX` for `cycle`/`instret` (not
+/// programmable counters), `None` for any other CSR.
+fn hpc_read_index(addr: CsrAddr) -> Option<u64> {
+    match csr::hpm_slot(csr::HPMCOUNTER3, addr).or(csr::hpm_slot(csr::MHPMCOUNTER3, addr)) {
+        Some(slot) => Some(slot as u64),
+        None if addr == csr::CYCLE || addr == csr::INSTRET => Some(u64::MAX),
+        None => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::introspect::StorageInventory;
     use teesec_isa::asm::Assembler;
 
     const BASE: u64 = 0x8000_0000;
@@ -2020,7 +1987,6 @@ mod tests {
         assert_eq!(c.cycles, core.cycle);
         assert_eq!(c.instructions_retired, core.retired());
         assert_eq!(c.trace_events, core.trace.len() as u64);
-        assert_eq!(c.structures.len(), Structure::all().len());
         for sc in &c.structures {
             assert!(
                 sc.occupancy_at_exit <= sc.capacity,
@@ -2044,6 +2010,34 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceEventKind::Fill { .. }))
             .count() as u64;
         assert_eq!(l1d.fills, manual);
+    }
+
+    #[test]
+    fn counters_list_exactly_the_inventory() {
+        for cfg in [
+            CoreConfig::boom(),
+            CoreConfig::xiangshan(),
+            CoreConfig::hardened_reference(),
+        ] {
+            let mut core = core_with(cfg.clone(), |a| {
+                a.li(Reg::T0, 0x8010_0000);
+                a.sd(Reg::T0, Reg::T0, 0);
+                a.inst(Inst::Ebreak);
+            });
+            run(&mut core);
+            let listed: Vec<(Structure, u64)> = core
+                .counters()
+                .structures
+                .iter()
+                .map(|c| (c.structure, c.capacity))
+                .collect();
+            let inventoried: Vec<(Structure, u64)> = StorageInventory::profile(&cfg)
+                .elements
+                .iter()
+                .map(|e| (e.structure, e.entries as u64))
+                .collect();
+            assert_eq!(listed, inventoried, "{}", cfg.name);
+        }
     }
 
     #[test]

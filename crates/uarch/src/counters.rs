@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::CoreConfig;
+use crate::introspect::StorageInventory;
 use crate::trace::Structure;
 
 /// Counters for one storage element.
@@ -43,41 +45,66 @@ pub struct UarchCounters {
     pub counter_bumps: u64,
     /// Security-domain switches observed.
     pub domain_switches: u64,
-    /// Per-structure counters, in [`Structure::all`] order.
+    /// Per-structure counters, one per element of the design's
+    /// [`StorageInventory`], in inventory order.
     pub structures: Vec<StructureCounters>,
 }
 
 impl UarchCounters {
-    /// The counters for `s`, if the harvested core modeled it.
+    /// Zeroed counters for `config`: one entry per inventoried structure,
+    /// each with its inventory capacity.
+    pub fn for_design(config: &CoreConfig) -> UarchCounters {
+        UarchCounters {
+            cycles: 0,
+            instructions_retired: 0,
+            trace_events: 0,
+            counter_bumps: 0,
+            domain_switches: 0,
+            structures: StorageInventory::profile(config)
+                .elements
+                .iter()
+                .map(|e| StructureCounters {
+                    structure: e.structure,
+                    fills: 0,
+                    writes: 0,
+                    reads: 0,
+                    flushes: 0,
+                    occupancy_at_exit: 0,
+                    capacity: e.entries as u64,
+                })
+                .collect(),
+        }
+    }
+
+    /// The counters for `s`, if the design inventories it.
     pub fn structure(&self, s: Structure) -> Option<&StructureCounters> {
         self.structures.iter().find(|c| c.structure == s)
     }
 
     /// Folds another run's counters into this one (campaign aggregation).
-    /// Occupancy and capacity take the per-field maximum — occupancy is a
-    /// point-in-time residue measure, not a flow.
+    /// Both must list the same structures in the same order (one design's
+    /// inventory). Occupancy and capacity take the per-field maximum —
+    /// occupancy is a point-in-time residue measure, not a flow.
     pub fn absorb(&mut self, other: &UarchCounters) {
+        debug_assert!(
+            self.structures
+                .iter()
+                .map(|c| c.structure)
+                .eq(other.structures.iter().map(|c| c.structure)),
+            "absorbing counters over a different structure list"
+        );
         self.cycles += other.cycles;
         self.instructions_retired += other.instructions_retired;
         self.trace_events += other.trace_events;
         self.counter_bumps += other.counter_bumps;
         self.domain_switches += other.domain_switches;
-        for theirs in &other.structures {
-            match self
-                .structures
-                .iter_mut()
-                .find(|c| c.structure == theirs.structure)
-            {
-                Some(ours) => {
-                    ours.fills += theirs.fills;
-                    ours.writes += theirs.writes;
-                    ours.reads += theirs.reads;
-                    ours.flushes += theirs.flushes;
-                    ours.occupancy_at_exit = ours.occupancy_at_exit.max(theirs.occupancy_at_exit);
-                    ours.capacity = ours.capacity.max(theirs.capacity);
-                }
-                None => self.structures.push(theirs.clone()),
-            }
+        for (ours, theirs) in self.structures.iter_mut().zip(&other.structures) {
+            ours.fills += theirs.fills;
+            ours.writes += theirs.writes;
+            ours.reads += theirs.reads;
+            ours.flushes += theirs.flushes;
+            ours.occupancy_at_exit = ours.occupancy_at_exit.max(theirs.occupancy_at_exit);
+            ours.capacity = ours.capacity.max(theirs.capacity);
         }
     }
 }
@@ -106,7 +133,10 @@ mod tests {
             trace_events: 10,
             counter_bumps: 2,
             domain_switches: 1,
-            structures: vec![counters(Structure::L1d, 3, 5)],
+            structures: vec![
+                counters(Structure::L1d, 3, 5),
+                counters(Structure::Lfb, 0, 0),
+            ],
         };
         let b = UarchCounters {
             cycles: 50,
@@ -127,10 +157,7 @@ mod tests {
         let l1d = a.structure(Structure::L1d).unwrap();
         assert_eq!(l1d.fills, 5);
         assert_eq!(l1d.occupancy_at_exit, 5, "occupancy maxes, not sums");
-        assert!(
-            a.structure(Structure::Lfb).is_some(),
-            "absorbed new structure"
-        );
+        assert_eq!(a.structure(Structure::Lfb).unwrap().fills, 1);
         assert!(a.structure(Structure::Ubtb).is_none());
     }
 

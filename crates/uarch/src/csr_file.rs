@@ -195,19 +195,20 @@ impl CsrFile {
             _ if (csr::PMPADDR0..csr::PMPADDR0 + 16).contains(&addr) => {
                 self.pmp.addr_raw((addr - csr::PMPADDR0) as usize)
             }
-            _ if (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr) => {
-                let i = (addr - csr::MHPMCOUNTER3) as usize;
-                self.hpm.get(i).copied().ok_or(CsrError::Nonexistent)?
-            }
-            _ if (csr::HPMCOUNTER3..csr::HPMCOUNTER3 + 29).contains(&addr) => {
-                let i = (addr - csr::HPMCOUNTER3) as usize;
-                if !self.counter_accessible(3 + i as u64, priv_level) {
-                    return Err(CsrError::NotPrivileged);
+            _ => {
+                if let Some(i) = csr::hpm_slot(csr::MHPMCOUNTER3, addr) {
+                    self.hpm.get(i).copied().ok_or(CsrError::Nonexistent)?
+                } else if let Some(i) = csr::hpm_slot(csr::HPMCOUNTER3, addr) {
+                    if !self.counter_accessible(3 + i as u64, priv_level) {
+                        return Err(CsrError::NotPrivileged);
+                    }
+                    self.hpm.get(i).copied().ok_or(CsrError::Nonexistent)?
+                } else if csr::hpm_slot(csr::MHPMEVENT3, addr).is_some() {
+                    0
+                } else {
+                    return Err(CsrError::Nonexistent);
                 }
-                self.hpm.get(i).copied().ok_or(CsrError::Nonexistent)?
             }
-            _ if (csr::MHPMEVENT3..csr::MHPMEVENT3 + 29).contains(&addr) => 0,
-            _ => return Err(CsrError::Nonexistent),
         };
         Ok(v)
     }
@@ -286,18 +287,19 @@ impl CsrFile {
                     .set_addr_raw((addr - csr::PMPADDR0) as usize, value);
                 effect.pmp_reconfigured = true;
             }
-            _ if (csr::MHPMCOUNTER3..csr::MHPMCOUNTER3 + 29).contains(&addr) => {
-                let i = (addr - csr::MHPMCOUNTER3) as usize;
-                if i >= self.hpm.len() {
+            _ => {
+                if let Some(i) = csr::hpm_slot(csr::MHPMCOUNTER3, addr) {
+                    if i >= self.hpm.len() {
+                        return Err(CsrError::Nonexistent);
+                    }
+                    self.hpm[i] = value;
+                    if value == 0 {
+                        self.hpm_contributors[i].clear();
+                    }
+                } else if csr::hpm_slot(csr::MHPMEVENT3, addr).is_none() {
                     return Err(CsrError::Nonexistent);
                 }
-                self.hpm[i] = value;
-                if value == 0 {
-                    self.hpm_contributors[i].clear();
-                }
             }
-            _ if (csr::MHPMEVENT3..csr::MHPMEVENT3 + 29).contains(&addr) => {}
-            _ => return Err(CsrError::Nonexistent),
         }
         Ok(effect)
     }

@@ -2,12 +2,16 @@
 //! pass that enumerates every HDL construct mapping to memory cells
 //! (paper §4.1.3).
 //!
-//! Each stateful structure in the core model reports itself here; the
-//! TEESec verification plan consumes the inventory to decide what to log
-//! and what the checker must scan.
+//! [`StorageInventory::profile`] is the one statement of which structures
+//! a design has, in which order and with what capacity. The verification
+//! plan and its coverage-matrix cells, the core's harvested counters
+//! ([`crate::core::Core::counters`]) and the engine's campaign-wide
+//! counter seed all read it. The checker's end-of-run snapshot scan does
+//! not: it scans a fixed set of structures.
 
 use serde::{Deserialize, Serialize};
 
+use crate::btb::BHT_ENTRIES;
 use crate::config::CoreConfig;
 use crate::trace::Structure;
 
@@ -57,8 +61,9 @@ pub struct StorageElement {
 pub struct StorageInventory {
     /// Design name this inventory describes.
     pub design: String,
-    /// The elements, in [`Structure::all`] order (absent structures are
-    /// omitted — e.g. the store buffer on a core with zero SB entries).
+    /// The elements, in [`Structure::all`] order. A structure the design
+    /// lacks is omitted — e.g. the store buffer on a core with zero SB
+    /// entries — and the core records no trace event against it.
     pub elements: Vec<StorageElement>,
 }
 
@@ -170,7 +175,7 @@ impl StorageInventory {
             },
             StorageElement {
                 structure: Structure::Bht,
-                entries: 1024,
+                entries: BHT_ENTRIES,
                 entry_bytes: 1,
                 content: ContentClass::Metadata,
                 implicit_fill: false,
@@ -194,27 +199,6 @@ impl StorageInventory {
     /// Looks up one element.
     pub fn element(&self, s: Structure) -> Option<&StorageElement> {
         self.elements.iter().find(|e| e.structure == s)
-    }
-
-    /// Elements that can be filled by implicit (permission-check-skipping)
-    /// accesses — the paths §4.1.2 calls out as frequently unchecked.
-    pub fn implicit_fill_targets(&self) -> impl Iterator<Item = &StorageElement> {
-        self.elements.iter().filter(|e| e.implicit_fill)
-    }
-
-    /// Elements holding enclave-relevant metadata (P2 targets).
-    pub fn metadata_elements(&self) -> impl Iterator<Item = &StorageElement> {
-        self.elements
-            .iter()
-            .filter(|e| e.content == ContentClass::Metadata)
-    }
-
-    /// Total modeled state in bytes (diagnostic).
-    pub fn total_state_bytes(&self) -> usize {
-        self.elements
-            .iter()
-            .map(|e| e.entries * e.entry_bytes)
-            .sum()
     }
 }
 
@@ -267,26 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_fill_targets_include_lfb_and_caches() {
-        let inv = StorageInventory::profile(&CoreConfig::boom());
-        let implicit: Vec<Structure> = inv.implicit_fill_targets().map(|e| e.structure).collect();
-        assert!(implicit.contains(&Structure::Lfb));
-        assert!(implicit.contains(&Structure::L1d));
-        assert!(implicit.contains(&Structure::PtwCache));
-        assert!(!implicit.contains(&Structure::RegFile));
-    }
-
-    #[test]
-    fn metadata_elements_cover_p2_targets() {
-        let inv = StorageInventory::profile(&CoreConfig::xiangshan());
-        let meta: Vec<Structure> = inv.metadata_elements().map(|e| e.structure).collect();
-        assert!(meta.contains(&Structure::Ubtb));
-        assert!(meta.contains(&Structure::Hpc));
-        assert!(meta.contains(&Structure::Dtlb));
-        assert!(!meta.contains(&Structure::L1d));
-    }
-
-    #[test]
     fn capacities_follow_config() {
         let cfg = CoreConfig::xiangshan();
         let inv = StorageInventory::profile(&cfg);
@@ -298,6 +262,5 @@ mod tests {
             inv.element(Structure::L1d).unwrap().entries,
             cfg.l1d_sets * cfg.l1d_ways
         );
-        assert!(inv.total_state_bytes() > 0);
     }
 }

@@ -466,10 +466,13 @@ impl Lsu {
 
     /// Drains the store buffer and records its flush (mitigation: it
     /// drains rather than discards — discarding would lose architectural
-    /// state).
+    /// state). A design without a store buffer drains its pending stores
+    /// but records nothing, as in [`Lsu::commit_store`].
     pub fn flush_store_buffer(&mut self, mem: &mut Memory, at: Stamp, trace: &mut Trace) {
         self.drain_all_stores(mem);
-        trace.record(at.event(None, Structure::StoreBuffer, TraceEventKind::Flush));
+        if self.cfg.store_buffer_entries > 0 {
+            trace.record(at.event(None, Structure::StoreBuffer, TraceEventKind::Flush));
+        }
     }
 
     /// Flushes both TLBs' data side and the PTW cache (`sfence.vma`).

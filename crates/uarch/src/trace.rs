@@ -61,8 +61,9 @@ impl Domain {
 
 /// A microarchitectural storage element class.
 ///
-/// These are the structures the verification plan inventories (paper §4.1.3)
-/// and the checker scans for residue.
+/// These are the structure classes the model knows. Which of them a design
+/// has, and with what capacity, is its
+/// [`StorageInventory`](crate::introspect::StorageInventory) (paper §4.1.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Structure {
     /// The physical register file (speculative writebacks included).
@@ -96,8 +97,9 @@ pub enum Structure {
 }
 
 impl Structure {
-    /// Every structure class, in inventory order.
-    pub fn all() -> &'static [Structure] {
+    /// Every structure class, in declaration order (the order of
+    /// [`Structure::index`] and of the derived `Ord`).
+    pub const fn all() -> &'static [Structure] {
         &[
             Structure::RegFile,
             Structure::L1d,
@@ -116,25 +118,13 @@ impl Structure {
         ]
     }
 
+    /// The number of structure classes.
+    pub const COUNT: usize = Structure::all().len();
+
     /// This structure's position in [`Structure::all`] (dense index for
     /// per-structure counter arrays).
-    pub fn index(self) -> usize {
-        match self {
-            Structure::RegFile => 0,
-            Structure::L1d => 1,
-            Structure::L1i => 2,
-            Structure::L2 => 3,
-            Structure::Lfb => 4,
-            Structure::StoreQueue => 5,
-            Structure::StoreBuffer => 6,
-            Structure::Dtlb => 7,
-            Structure::Itlb => 8,
-            Structure::PtwCache => 9,
-            Structure::Ubtb => 10,
-            Structure::Ftb => 11,
-            Structure::Bht => 12,
-            Structure::Hpc => 13,
-        }
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
     /// Stable display name used in reports (matches the paper's terminology).
@@ -313,30 +303,15 @@ impl Stamp {
 /// Per-structure event counts for one event kind class.
 ///
 /// The indices of every array are [`Structure::index`] positions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceStats {
-    fills: Vec<u64>,
-    writes: Vec<u64>,
-    reads: Vec<u64>,
-    flushes: Vec<u64>,
+    fills: [u64; Structure::COUNT],
+    writes: [u64; Structure::COUNT],
+    reads: [u64; Structure::COUNT],
+    flushes: [u64; Structure::COUNT],
     counter_bumps: u64,
     domain_switches: u64,
     total: u64,
-}
-
-impl Default for TraceStats {
-    fn default() -> TraceStats {
-        let n = Structure::all().len();
-        TraceStats {
-            fills: vec![0; n],
-            writes: vec![0; n],
-            reads: vec![0; n],
-            flushes: vec![0; n],
-            counter_bumps: 0,
-            domain_switches: 0,
-            total: 0,
-        }
-    }
 }
 
 impl TraceStats {
@@ -372,16 +347,6 @@ impl TraceStats {
     /// Flush/invalidate events recorded against `s`.
     pub fn flushes(&self, s: Structure) -> u64 {
         self.flushes[s.index()]
-    }
-
-    /// All events recorded against `s`, across kinds (counter bumps count
-    /// toward [`Structure::Hpc`]).
-    pub fn events_for(&self, s: Structure) -> u64 {
-        let mut n = self.fills(s) + self.writes(s) + self.reads(s) + self.flushes(s);
-        if s == Structure::Hpc {
-            n += self.counter_bumps;
-        }
-        n
     }
 
     /// HPM counter-bump events.
@@ -681,10 +646,15 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.flushes(Structure::L1d), 1);
         assert_eq!(s.fills(Structure::L1d), 1);
-        assert_eq!(s.events_for(Structure::L1d), 2);
+        assert_eq!(s.writes(Structure::L1d) + s.reads(Structure::L1d), 0);
         assert_eq!(s.counter_bumps(), 1);
-        assert_eq!(s.events_for(Structure::Hpc), 1);
         assert_eq!(s.domain_switches(), 1);
+        // Bumps and markers are counted apart from the per-kind arrays.
+        let hpc = Structure::Hpc;
+        assert_eq!(
+            s.fills(hpc) + s.writes(hpc) + s.reads(hpc) + s.flushes(hpc),
+            0
+        );
         assert_eq!(s.total(), 4);
     }
 

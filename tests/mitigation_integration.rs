@@ -2,15 +2,22 @@
 //! exactly the classes the paper (and our measured refinements) attribute
 //! to it, while architectural correctness is preserved.
 
+use std::collections::BTreeSet;
+
+use teesec::assemble::{assemble_case, CaseParams};
 use teesec::campaign::Campaign;
 use teesec::fuzz::Fuzzer;
 use teesec::report::LeakClass;
+use teesec::runner::run_case;
+use teesec::AccessPath;
 use teesec_uarch::config::MitigationSet;
+use teesec_uarch::introspect::StorageInventory;
+use teesec_uarch::trace::{Structure, TraceEventKind};
 use teesec_uarch::CoreConfig;
 
 const CASES: usize = 150;
 
-fn classes_with(base: CoreConfig, m: MitigationSet) -> std::collections::BTreeSet<LeakClass> {
+fn classes_with(base: CoreConfig, m: MitigationSet) -> BTreeSet<LeakClass> {
     let (r, _) = Campaign::new(base.with_mitigations(m), Fuzzer::with_target(CASES)).run();
     r.classes_found
 }
@@ -216,5 +223,58 @@ fn every_mitigation_preserves_architectural_results() {
             expected,
             "mitigation {m:?} altered architectural state"
         );
+    }
+}
+
+#[test]
+fn inventory_flush_column_matches_recorded_flushes() {
+    // Each single-flush mitigation must flush exactly the structures the
+    // inventory flags `flushed_on_domain_switch`, and nothing the design
+    // lacks. The default LoadL1Hit host runs bare, so no `sfence.vma`
+    // adds a TLB flush.
+    let singles = [
+        MitigationSet {
+            flush_l1d_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_store_buffer_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_lfb_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_bpu_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            clear_hpc_on_domain_switch: true,
+            ..Default::default()
+        },
+    ];
+    for base in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        for m in singles {
+            let cfg = base.clone().with_mitigations(m);
+            let tc = assemble_case(AccessPath::LoadL1Hit, CaseParams::default(), &cfg)
+                .expect("assemble");
+            let out = run_case(&tc, &cfg).expect("run");
+            let flushed: BTreeSet<Structure> = out
+                .platform
+                .core
+                .trace
+                .iter_events()
+                .filter(|e| e.kind == TraceEventKind::Flush)
+                .map(|e| e.structure)
+                .collect();
+            let flagged: BTreeSet<Structure> = StorageInventory::profile(&cfg)
+                .elements
+                .iter()
+                .filter(|e| e.flushed_on_domain_switch)
+                .map(|e| e.structure)
+                .collect();
+            assert_eq!(flushed, flagged, "{} under {m:?}", cfg.name);
+        }
     }
 }

@@ -126,9 +126,20 @@ fn sample_plan_coverage() -> PlanCoverage {
 }
 
 fn sample_metrics() -> EngineMetrics {
-    let mut obs = ObsMetrics::for_design(&CoreConfig::boom());
+    let cfg = CoreConfig::boom();
+    let mut obs = ObsMetrics::for_design(&cfg);
     obs.record_case(1234, 150, 2000, 300);
-    obs.uarch.absorb(&sample_counters());
+    // The sample case's counters over the design's own structure list.
+    let sample = sample_counters();
+    let structures = UarchCounters::for_design(&cfg)
+        .structures
+        .into_iter()
+        .map(|c| sample.structure(c.structure).cloned().unwrap_or(c))
+        .collect();
+    obs.uarch.absorb(&UarchCounters {
+        structures,
+        ..sample
+    });
     let mut h = Histogram::new();
     h.record(42);
     EngineMetrics {
