@@ -3,10 +3,11 @@
 //!
 //! The checker is only as trustworthy as the simulated core it inspects.
 //! This module makes that trust checkable: a lockstep ISS, started over
-//! the core's initial memory, observes every cycle of the core's run and
-//! compares architectural state at every retire boundary — retired PC,
-//! destination value, the full register file after every cycle that
-//! retired anything, and, at end of test, touched memory and trap CSRs.
+//! the core's initial memory, observes every cycle the core steps (the
+//! idle cycles it jumps over retire nothing) and compares architectural
+//! state at every retire boundary — retired PC, destination value, the
+//! full register file after every cycle that retired anything, and, at
+//! end of test, touched memory and trap CSRs.
 //! Speculation, transient writebacks, lazy exceptions and all the
 //! machinery TEESec probes must be architecturally invisible; any visible
 //! difference is reported as a structured [`Divergence`] naming the first
@@ -50,6 +51,10 @@ const TRAP_FUSE: u64 = 64;
 pub struct DiffOptions {
     /// Deterministic fault injected into the core mid-run — the oracle's
     /// self-test knob (a correct oracle must catch its own planted bugs).
+    /// It lands in the observer call whose comparisons reach its retire,
+    /// right after that retire is compared, so it does not depend on how
+    /// often the core calls the observer: the core jumps over idle cycles
+    /// without calling it ([`Core::run_observed`]).
     pub fault: Option<FaultInjection>,
 }
 
@@ -63,9 +68,9 @@ pub struct DiffOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultInjection {
     /// XOR `reg` in the core's architectural register file immediately
-    /// after the `at_retire`-th retirement. A run forked from a boot
-    /// snapshot starts past the boot's retires; a fault planted inside the
-    /// boot lands after the fork's first cycle instead.
+    /// after the `at_retire`-th retirement is compared. A run forked from
+    /// a boot snapshot starts past the boot's retires; a fault planted
+    /// inside the boot lands at the fork, before the fork's first cycle.
     CorruptArchReg {
         /// 1-based retirement ordinal after which the corruption lands.
         at_retire: u64,
@@ -323,10 +328,11 @@ pub fn diff_case(
 }
 
 /// The lockstep oracle: the reference ISS plus the compare state, fed the
-/// core after every cycle (see [`Core::run_observed`]). It compares each
-/// retire the core logs as it happens and the end-of-test state in
-/// [`Lockstep::finish`]. After the first divergence it stops comparing
-/// and turns the core's retire probe off, so the run finishes unobserved.
+/// core after every cycle it steps (see [`Core::run_observed`]). It
+/// compares each retire the core logs as it happens and the end-of-test
+/// state in [`Lockstep::finish`]. After the first divergence it stops
+/// comparing and turns the core's retire probe off, so the run finishes
+/// unobserved.
 ///
 /// `Clone` forks it: the snapshot cache keeps one parked at each boot
 /// snapshot ([`Lockstep::park`]) and every fork resumes a copy
@@ -357,7 +363,7 @@ impl Lockstep {
         core.set_retire_probe(true);
         let iss =
             Iss::new(core.mem.clone(), core.fetch_pc()).with_hpm_counters(core.config.hpm_counters);
-        Lockstep {
+        let mut lockstep = Lockstep {
             last_pc: iss.pc,
             iss,
             fault: opts.fault,
@@ -366,11 +372,13 @@ impl Lockstep {
             last_inst: None,
             log: Vec::new(),
             settled: None,
-        }
+        };
+        lockstep.inject_due_fault(core);
+        lockstep
     }
 
     /// Compares the retires of the core's last cycle. Feed it the core
-    /// after every cycle of the run.
+    /// after every cycle the run steps.
     pub(crate) fn observe(&mut self, core: &mut Core) {
         if self.settled.is_some() {
             return;
@@ -385,8 +393,6 @@ impl Lockstep {
     }
 
     fn compare_retires(&mut self, core: &mut Core, log: &[RetiredInst]) -> Option<DivergenceKind> {
-        // A fault planted inside a boot snapshot's prefix is already due.
-        self.inject_due_fault(core);
         for ev in log {
             self.retires += 1;
             self.last_pc = ev.pc;
@@ -426,6 +432,10 @@ impl Lockstep {
         None
     }
 
+    /// Injects the planted fault once the retires compared reach its
+    /// ordinal: after each compared retire, and when the lockstep starts
+    /// (a fault planted inside a boot snapshot's prefix is due at the
+    /// fork).
     fn inject_due_fault(&mut self, core: &mut Core) {
         if let Some(FaultInjection::CorruptArchReg {
             at_retire,
@@ -536,6 +546,7 @@ impl Lockstep {
         if fork.settled.is_none() {
             fork.iss.mem = core.mem.clone();
             core.set_retire_probe(true);
+            fork.inject_due_fault(core);
         }
         fork
     }

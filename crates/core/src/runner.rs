@@ -234,8 +234,11 @@ enum Oracle {
 }
 
 /// The traced run: `core` runs to `limit` under the lockstep, if any, and
-/// a `sim_cycles` counter sample is taken every [`SIM_SAMPLE_CYCLES`]
-/// simulated cycles and once at exit.
+/// a `sim_cycles` counter sample is taken about every
+/// [`SIM_SAMPLE_CYCLES`] simulated cycles and once at exit. Samples are
+/// taken from the per-cycle observer, which the core calls only for the
+/// cycles it steps ([`Core::run_observed`]), so each lands on the first
+/// stepped cycle at or after its boundary.
 fn simulate_traced(
     core: &mut Core,
     limit: u64,

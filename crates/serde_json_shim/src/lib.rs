@@ -144,16 +144,29 @@ fn render_string(s: &str, out: &mut String) {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// The deepest nesting of arrays and objects the parser accepts, as in
+/// `serde_json`. Parsing recurses once per level, so the limit keeps a
+/// hostile document from overflowing the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 /// Parses a complete JSON document into a [`Value`].
+///
+/// # Errors
+///
+/// Fails on malformed JSON, trailing characters, and arrays or objects
+/// nested more than 128 levels deep.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -205,8 +218,23 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded: arrays and objects nest deeper than \
+                         {RECURSION_LIMIT} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if self.bytes[self.pos] == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Value::String(self.string()?)),
             b't' | b'f' | b'n' => {
                 if self.eat_keyword("true") {
@@ -373,10 +401,10 @@ impl<'a> Parser<'a> {
                 .map(Value::Float)
                 .map_err(|_| Error::custom(format!("invalid float `{text}`")))
         } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<u128>()
-                .map(|n| Value::Int(-(n as i128)))
-                .map_err(|_| Error::custom(format!("invalid integer `{text}`")))
+            (stripped.parse::<u128>().ok())
+                .and_then(|n| 0i128.checked_sub_unsigned(n))
+                .map(Value::Int)
+                .ok_or_else(|| Error::custom(format!("invalid integer `{text}`")))
         } else {
             text.parse::<u128>()
                 .map(Value::UInt)
@@ -431,6 +459,26 @@ mod tests {
         assert_eq!(v, Value::UInt(u64::MAX as u128));
         let back: u64 = from_str(&to_string(&u64::MAX).unwrap()).unwrap();
         assert_eq!(back, u64::MAX);
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nest(RECURSION_LIMIT)).is_ok());
+        let err = parse_value(&nest(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200), "}".repeat(200));
+        assert!(parse_value(&objects).is_err());
+        // Deep enough to overflow the stack without the limit.
+        assert!(parse_value(&nest(100_000)).is_err());
+    }
+
+    #[test]
+    fn integers_past_i128_are_errors() {
+        let min = i128::MIN.to_string();
+        assert_eq!(parse_value(&min).unwrap(), Value::Int(i128::MIN));
+        assert!(parse_value("-170141183460469231731687303715884105729").is_err());
+        assert!(parse_value("-340282366920938463463374607431768211455").is_err());
     }
 
     #[test]

@@ -331,6 +331,7 @@ fn serve_events(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Read;
 
     /// A blocking one-shot HTTP GET against the test server.
@@ -553,5 +554,28 @@ mod tests {
         assert!(response.contains("id: 9\n"), "{response}");
         assert!(response.contains("id: 10\n"), "{response}");
         assert!(hub.events_dropped_total() >= 6);
+    }
+
+    proptest! {
+        /// The request reader returns a request, `None` or an I/O error
+        /// on any input: arbitrary bytes, and a valid request head with
+        /// a random run of bytes overwritten. A parsed request's method and
+        /// path came from the bytes read.
+        #[test]
+        fn request_reader_never_panics(
+            noise in prop::collection::vec(any::<u8>(), 0..600),
+            at in any::<usize>(),
+        ) {
+            let _ = read_request(noise.as_slice());
+            let mut head = b"GET /metrics?last_id=3 HTTP/1.1\r\nHost: t\r\nX: y\r\n\r\n".to_vec();
+            let at = at % head.len();
+            let end = (at + noise.len()).min(head.len());
+            head[at..end].copy_from_slice(&noise[..end - at]);
+            if let Ok(Some(request)) = read_request(head.as_slice()) {
+                let text = String::from_utf8_lossy(&head);
+                prop_assert!(text.contains(request.method.as_str()));
+                prop_assert!(text.contains(request.path.as_str()));
+            }
+        }
     }
 }

@@ -197,6 +197,7 @@ pub(crate) fn from_chrome_json(s: &str) -> Result<Trace, serde::Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_trace() -> Trace {
         Trace {
@@ -296,5 +297,39 @@ mod tests {
     fn missing_trace_events_is_an_error() {
         assert!(Trace::from_chrome_json("{}").is_err());
         assert!(Trace::from_chrome_json("not json").is_err());
+    }
+
+    /// A `traceEvents` array nested 100,000 deep is an error, not a stack
+    /// overflow that aborts the reader.
+    #[test]
+    fn deeply_nested_trace_events_are_a_parse_error() {
+        let depth = 100_000;
+        let doc = format!(
+            r#"{{"traceEvents":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = from_chrome_json(&doc).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    proptest! {
+        /// The reader behind `teesec trace-report` returns a trace or an
+        /// error on any input: arbitrary bytes, and a rendered trace with
+        /// a random run of bytes overwritten, truncated at a random point.
+        #[test]
+        fn chrome_reader_never_panics(
+            noise in prop::collection::vec(any::<u8>(), 0..512),
+            at in any::<usize>(),
+            cut in any::<usize>(),
+        ) {
+            let _ = from_chrome_json(&String::from_utf8_lossy(&noise));
+            let mut doc = sample_trace().to_chrome_json().into_bytes();
+            let at = at % doc.len();
+            let end = (at + noise.len()).min(doc.len());
+            doc[at..end].copy_from_slice(&noise[..end - at]);
+            doc.truncate(cut % (doc.len() + 1));
+            let _ = from_chrome_json(&String::from_utf8_lossy(&doc));
+        }
     }
 }

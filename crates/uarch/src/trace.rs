@@ -487,6 +487,15 @@ impl Trace {
         }
     }
 
+    /// [`Trace::record`] for an event that is costly to build, such as a
+    /// fill with its line payload: `event` runs only while recording is
+    /// on.
+    pub fn record_with(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.enabled {
+            self.record(event());
+        }
+    }
+
     /// Moves every buffered event into the immutable shared prefix.
     /// Purely a storage-representation change: [`Trace::iter_events`]
     /// yields the identical sequence before and after. Call at snapshot

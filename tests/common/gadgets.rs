@@ -36,10 +36,26 @@ fn reg(rng: &mut StdRng) -> Reg {
 /// branches and bounded countdown loops; otherwise the program is pure
 /// straight-line ALU/memory work.
 pub fn gadget_program(seed: u64, len: usize, branchy: bool) -> Vec<u32> {
+    gadget(seed, len, branchy, false)
+}
+
+/// [`gadget_program`] with machine external interrupts enabled: a
+/// scheduled interrupt traps to the handler, whose `ebreak` ends the run.
+pub fn irq_gadget_program(seed: u64, len: usize, branchy: bool) -> Vec<u32> {
+    gadget(seed, len, branchy, true)
+}
+
+fn gadget(seed: u64, len: usize, branchy: bool, irqs: bool) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut a = Assembler::new(BASE);
     a.la(Reg::T5, "handler");
     a.csrw(csr::MTVEC, Reg::T5);
+    if irqs {
+        a.li(Reg::T5, 1 << 11); // MEIE
+        a.csrw(csr::MIE, Reg::T5);
+        a.li(Reg::T5, 0x8); // mstatus.MIE
+        a.csrrs(Reg::ZERO, csr::MSTATUS, Reg::T5);
+    }
     a.li(Reg::S10, DATA);
     let mut label = 0usize;
     for _ in 0..len {

@@ -1,12 +1,16 @@
-//! Adversarial programs for the simulator's three elisions: the
-//! fetch-line memo, the scan watermark and the LSU retry memo. There is
-//! no "off" run to compare against. Each program runs once, and the
-//! debug-build references check every use of every elision as it
-//! happens: a fetch-memo hit re-derives its word and address by peeking
-//! and re-decodes, each entry the watermark skips must still stall, and
-//! each skipped LSU retry must be one that would not progress. Tier-1 builds keep debug
-//! assertions on (see `[profile.test]` in the workspace manifest), so a
-//! missed invalidation edge fails here with the reference's message.
+//! Adversarial programs for the simulator's four elisions: the
+//! fetch-line memo, the scan watermark, the LSU retry memo and the
+//! idle-cycle fast-forward. There is no "off" run to compare against.
+//! Each program runs once, and the debug-build references check every
+//! use of every elision as it happens: a fetch-memo hit re-derives its
+//! word and address by peeking and re-decodes, each entry the watermark
+//! skips must still stall, each skipped LSU retry must be one that would
+//! not progress, and a copy of the core steps through each span the clock
+//! jumps over. Tier-1 builds keep debug assertions on (see
+//! `[profile.test]` in the workspace manifest), so a missed invalidation
+//! edge fails here with the reference's message. The fast-forward is also
+//! compared with plain stepping, which CI repeats in a release build,
+//! where every reference is compiled out.
 //!
 //! * random gadgets that *rewrite their own code pages*, with and
 //!   without explicit synchronization, and a DMA-style write spanning a
@@ -14,22 +18,29 @@
 //! * *satp remaps* that re-enter a virtual address under a new root;
 //! * `Platform::clone()` mid-run (a CoW fork that deliberately colds the
 //!   fetch memo) must behave exactly like the uninterrupted run;
+//! * random gadgets with interrupts, some landing inside idle spans, and
+//!   random cycle budgets, run once with the fast-forward and once
+//!   stepped cycle by cycle;
 //! * and the witness that the elisions engage on both designs, so the
 //!   references are not checking nothing.
 
 use proptest::prelude::*;
 
-use teesec::runner::run_case;
+use teesec::runner::{build_platform, run_case};
 use teesec::Fuzzer;
 use teesec_isa::reg::Reg;
 use teesec_tee::platform::Platform;
-use teesec_uarch::core::Core;
+use teesec_uarch::core::{Core, RunExit};
 use teesec_uarch::mem::Memory;
+use teesec_uarch::trace::Stamp;
 use teesec_uarch::CoreConfig;
 
 #[path = "common/gadgets.rs"]
 mod gadgets;
-use gadgets::{emit_alu_body, satp_remap_gadget, smc_gadget_program, BASE, REMAP_PA1, REMAP_PA2};
+use gadgets::{
+    emit_alu_body, irq_gadget_program, satp_remap_gadget, smc_gadget_program, BASE, REMAP_PA1,
+    REMAP_PA2,
+};
 
 const BOUND: u64 = 500_000;
 
@@ -67,7 +78,99 @@ fn assert_same_state(a: &Core, b: &Core, what: &str) {
     assert_eq!(a.counters(), b.counters(), "{what}: counters diverged");
 }
 
+/// Steps `core` one cycle at a time up to `limit`, then, if it halted,
+/// drains its LSU one tick at a time: the run [`Core::run`] must equal,
+/// without a single jump.
+fn step_to(core: &mut Core, limit: u64) -> RunExit {
+    while !core.halted && core.cycle < limit {
+        core.step();
+    }
+    if !core.halted {
+        return RunExit::CycleLimit;
+    }
+    for _ in 0..4_000_000 {
+        if core.lsu.quiescent() {
+            break;
+        }
+        core.cycle += 1;
+        let at = Stamp {
+            cycle: core.cycle,
+            priv_level: core.priv_level,
+            domain: core.domain,
+        };
+        core.lsu
+            .tick(at, &mut core.csr, &mut core.mem, &mut core.trace);
+    }
+    RunExit::Halted
+}
+
 proptest! {
+    /// The idle-cycle fast-forward equals stepping. A random gadget with
+    /// interrupts enabled runs under a random cycle budget on each of the
+    /// three designs, with no interrupt, one at a random cycle, or one at
+    /// a cycle the interrupt-free run jumps over. One copy runs with
+    /// [`Core::run`], the other is stepped and drained tick by tick; both
+    /// end with the same exit, cycle, trace, counters, elision counters,
+    /// registers and memory.
+    #[test]
+    fn fast_forward_matches_stepping(
+        seed in any::<u64>(),
+        branchy in any::<bool>(),
+        design in 0usize..3,
+        budget in 1u64..600,
+        irq in 0u8..3,
+        pick in any::<u64>(),
+    ) {
+        let cfg = [
+            CoreConfig::boom(),
+            CoreConfig::xiangshan(),
+            CoreConfig::hardened_reference(),
+        ][design].clone();
+        let words = irq_gadget_program(seed, 40, branchy);
+        let build = |irq_at: Option<u64>| {
+            let mut mem = Memory::new();
+            mem.load_words(BASE, &words);
+            let mut core = Core::new(cfg.clone(), mem, BASE);
+            if let Some(at) = irq_at {
+                core.schedule_external_interrupt(at);
+            }
+            core
+        };
+        let irq_at = match irq {
+            0 => None,
+            1 => Some(1 + pick % budget),
+            _ => {
+                // A cycle inside a span the interrupt-free run jumps over.
+                let mut probe = build(None);
+                let mut observed = vec![0u64];
+                probe.run_observed(budget, |c| observed.push(c.cycle));
+                let skipped: Vec<u64> = (observed.windows(2))
+                    .flat_map(|w| w[0] + 1..w[1])
+                    .collect();
+                (!skipped.is_empty()).then(|| skipped[(pick % skipped.len() as u64) as usize])
+            }
+        };
+        let mut jumped = build(irq_at);
+        let jumped_exit = jumped.run(budget);
+        let mut stepped = build(irq_at);
+        let stepped_exit = step_to(&mut stepped, budget);
+        let what = format!("{} seed {seed} budget {budget} irq {irq_at:?}", cfg.name);
+        prop_assert_eq!(jumped_exit, stepped_exit, "{}: exit", what);
+        prop_assert_eq!(jumped.cycle, stepped.cycle, "{}: cycle", what);
+        prop_assert!(
+            jumped.trace.iter_events().eq(stepped.trace.iter_events()),
+            "{}: trace events differ", what
+        );
+        prop_assert_eq!(jumped.counters(), stepped.counters(), "{}: counters", what);
+        prop_assert_eq!(
+            jumped.fast_path_stats(), stepped.fast_path_stats(), "{}: fast-path stats", what
+        );
+        for r in Reg::all() {
+            prop_assert_eq!(jumped.reg(r), stepped.reg(r), "{}: register {}", what, r);
+        }
+        prop_assert!(jumped.mem.first_difference(&stepped.mem).is_none(), "{}: memory", what);
+    }
+
     /// Self-modifying code: `fence.i` flushes the L1I and drops the fetch
     /// memo, so every elided fetch matches its reference — synced (fence
     /// + fence.i) or racing the front end, where the I-side is stale by
@@ -249,21 +352,39 @@ fn synced_smc_gadget_invalidates_the_fetch_memo() {
 }
 
 /// The references are not vacuous: over a fuzzed corpus, on both
-/// designs, the fetch memo hits and the scan watermark skips, so the
-/// debug-build checks behind them run.
+/// designs, the fetch memo hits, the scan watermark skips and the clock
+/// jumps over idle cycles (the observer is called for fewer cycles than
+/// the run simulates), so the debug-build checks behind them run.
 #[test]
 fn elisions_engage_on_both_designs() {
     for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
         let corpus = Fuzzer::with_target(8).generate(&cfg);
         let mut hits = 0u64;
         let mut skips = 0u64;
+        let (mut observed, mut simulated) = (0u64, 0u64);
         for tc in &corpus {
             let outcome = run_case(tc, &cfg).expect("build");
             let stats = outcome.platform.core.fast_path_stats();
             hits += stats.fetch.hits;
             skips += stats.scan_skips;
+            // Cycles up to the last stepped one: the post-halt drain is
+            // not stepped either way.
+            let mut platform = build_platform(tc, &cfg).expect("build");
+            let start = platform.core.cycle;
+            let (mut calls, mut last) = (0u64, start);
+            platform.core.run_observed(tc.max_cycles, |c| {
+                calls += 1;
+                last = c.cycle;
+            });
+            observed += calls;
+            simulated += last - start;
         }
         assert!(hits > 0, "{}: fetch memo never hit", cfg.name);
         assert!(skips > 0, "{}: dirty-scan elision never engaged", cfg.name);
+        assert!(
+            observed < simulated,
+            "{}: {observed} observer calls over {simulated} cycles — the clock never jumped",
+            cfg.name
+        );
     }
 }
