@@ -5,9 +5,12 @@
 //! lacks. Each column then reports what it costs: the simulated cycles of
 //! one stop/resume-heavy enclave workload, against the unmitigated design
 //! (the performance question the paper leaves to future work, §8). The
-//! cycles are deterministic, so no host timer is involved. A caveat line
-//! under each cost block says what the cycles cannot show: the model
-//! charges no cycles for a flush.
+//! cycles are deterministic, so no host timer is involved. A domain
+//! switch under an L1D or store-buffer flush waits at the ROB head until
+//! its committed stores have drained through the cache, write-allocate
+//! refills included, so the drain costs what it takes. A caveat line under
+//! each cost block says what the cycles cannot show: the flush itself,
+//! like a serialized PMP check, is charged no cycles.
 //!
 //! Notable paper shapes this reproduces: flushing the L1D only mitigates
 //! D4–D7 on XiangShan (BOOM's faulting miss still forwards to L2 — the
@@ -145,8 +148,8 @@ fn print_block(cfg: &CoreConfig, cols: &[Column], baseline: &BTreeSet<LeakClass>
         println!("  {:<13} {c:>7} cycles ({overhead:+6.1}%)", col.label);
     }
     println!(
-        "  (the model charges no cycles for a flush, and a store-buffer flush completes its \
-         stores at once: a negative overhead is drain work moved out of simulated time)\n"
+        "  (a flushing domain switch first drains its stores through the cache, refills \
+         included; the flush itself, like a serialized PMP check, is charged no cycles)\n"
     );
 }
 

@@ -105,6 +105,13 @@ pub fn pmpaddr_csr_for_entry(i: usize) -> CsrAddr {
     PMPADDR0 + i as CsrAddr
 }
 
+/// `true` if `addr` names a PMP register: `pmpcfg0..=pmpcfg3` or one of
+/// the [`PMP_ENTRY_COUNT`] `pmpaddrN`.
+pub fn is_pmp(addr: CsrAddr) -> bool {
+    (PMPCFG0..PMPCFG0 + 4).contains(&addr)
+        || (PMPADDR0..PMPADDR0 + PMP_ENTRY_COUNT as CsrAddr).contains(&addr)
+}
+
 /// `mhpmcounterN` for programmable counter index `i` (0 → counter 3).
 pub fn mhpmcounter_csr(i: usize) -> CsrAddr {
     assert!(i < HPM_COUNTER_COUNT, "hpm index {i} out of range");
@@ -267,6 +274,19 @@ mod tests {
         assert_eq!(pmpcfg_csr_for_entry(8), PMPCFG2);
         assert_eq!(pmpaddr_csr_for_entry(0), 0x3B0);
         assert_eq!(pmpaddr_csr_for_entry(15), 0x3BF);
+        for i in 0..PMP_ENTRY_COUNT {
+            assert!(is_pmp(pmpcfg_csr_for_entry(i)) && is_pmp(pmpaddr_csr_for_entry(i)));
+        }
+        for addr in [
+            PMPCFG0 - 1,
+            PMPCFG0 + 4,
+            PMPADDR0 - 1,
+            PMPADDR0 + 16,
+            SATP,
+            MSTATUS,
+        ] {
+            assert!(!is_pmp(addr), "{addr:#x}");
+        }
     }
 
     #[test]

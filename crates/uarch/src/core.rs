@@ -86,8 +86,6 @@ struct RobEntry {
     serializing: bool,
     /// For the delayed flush of faulting CSR reads.
     commit_not_before: u64,
-    /// Set once the serializing instruction performed its effect.
-    sys_executed: bool,
     sign_extend_from: Option<u64>,
 }
 
@@ -612,7 +610,9 @@ impl Core {
     /// is one whose step would change nothing but the clock — it retires
     /// nothing, records no trace event and moves no in-flight ROB or LSU
     /// item — so `on_step` is not called for it, and every trace, counter
-    /// and [`FastPathStats`] value equals stepping's. A budget-blown run
+    /// and [`FastPathStats`] value equals stepping's. Such cycles include
+    /// those in which a `fence`, `wfi` or mitigated domain switch waits at
+    /// the ROB head for the store drain or the interrupt. A budget-blown run
     /// still returns [`RunExit::CycleLimit`] with `cycle == max_cycles`.
     /// [`Core::step`] stays exactly one cycle.
     pub fn run_observed(&mut self, max_cycles: u64, mut on_step: impl FnMut(&mut Core)) -> RunExit {
@@ -699,11 +699,14 @@ impl Core {
     ///   whole ROB, so every waiting entry is proven stalled;
     /// * fetch is blocked: stalled behind a serializing or faulting
     ///   entry, or the ROB is full;
-    /// * commit cannot act: the ROB is empty, its head is an unfinished
-    ///   ordinary instruction, or a serializing head has executed and
-    ///   waits for its delayed commit (which ends the span). A serializing
-    ///   head that has not executed re-executes every cycle (a spinning
-    ///   `wfi` or `fence`), so it is never idle;
+    /// * commit cannot act: the ROB is empty, its head is unfinished, or a
+    ///   serializing head has executed and waits for its delayed commit
+    ///   (which ends the span). An unfinished serializing head waits
+    ///   before it executes (`Core::head_must_wait`), and only the
+    ///   interrupt or the LSU, bounded below, can end that wait: a
+    ///   serializing entry that became the head this step, and may execute
+    ///   next, came by a retire, trap or dispatch, which left the
+    ///   watermark below the ROB's length;
     /// * no interrupt is taken: none is pending and enabled, and a
     ///   scheduled one that has not asserted yet ends the span;
     /// * the LSU tick is idle ([`Lsu::next_event`]), whose next response
@@ -716,13 +719,11 @@ impl Core {
         let next_cycle = self.cycle + 1;
         let mut next = u64::MAX;
         if let Some(head) = self.rob.front() {
-            if head.serializing {
-                if !head.sys_executed || head.commit_not_before <= next_cycle {
+            if head.state == EntryState::Done {
+                if !head.serializing || head.commit_not_before <= next_cycle {
                     return None;
                 }
                 next = head.commit_not_before;
-            } else if head.state == EntryState::Done {
-                return None;
             }
         }
         if self.external_interrupt_due() {
@@ -1410,18 +1411,14 @@ impl Core {
         for _ in 0..self.config.width {
             let Some(head) = self.rob.front() else { return };
             if head.serializing {
-                if !self.operands_ready(0) {
-                    return;
-                }
-                if !head.sys_executed {
+                if head.state != EntryState::Done {
+                    if !self.operands_ready(0) || self.head_must_wait() {
+                        return;
+                    }
                     self.execute_system_at_head();
                 }
                 // The system instruction may have scheduled a delayed flush.
                 let head = self.rob.front().expect("head persists");
-                if !head.sys_executed {
-                    // A WFI still waiting for its interrupt.
-                    return;
-                }
                 if self.cycle < head.commit_not_before {
                     return;
                 }
@@ -1444,6 +1441,26 @@ impl Core {
                 return;
             }
             self.retire_head();
+        }
+    }
+
+    /// Whether the serializing head must wait before it executes: a
+    /// `fence` for the committed stores to drain, a `wfi` for an enabled
+    /// interrupt to pend, and a domain switch (`mret`, or a CSR naming a
+    /// PMP register) for the drain, as a fence does, when a mitigation
+    /// flushes the L1D or the store buffer there. Only the drain or the
+    /// interrupt can end a wait, and both bound every idle-cycle jump.
+    fn head_must_wait(&self) -> bool {
+        let m = self.config.mitigations;
+        let switch_drains = m.flush_l1d_on_domain_switch || m.flush_store_buffer_on_domain_switch;
+        match self.rob[0].inst {
+            Ok(Inst::Fence) => !self.lsu.stores_drained(),
+            Ok(Inst::Wfi) => self.csr.mip & self.csr.mie == 0,
+            Ok(Inst::Mret) => switch_drains && !self.lsu.stores_drained(),
+            Ok(Inst::Csr { csr: addr, .. }) => {
+                switch_drains && csr::is_pmp(addr) && !self.lsu.stores_drained()
+            }
+            _ => false,
         }
     }
 
@@ -1497,25 +1514,17 @@ impl Core {
         let head = self.rob.front().expect("caller checked");
         let pc = head.pc;
         let seq = head.seq;
-        let inst = match head.inst {
-            Ok(i) => i,
-            Err(w) => {
-                self.rob[0].exception = Some(Exception::IllegalInstruction(w));
-                self.rob[0].sys_executed = true;
-                self.rob[0].state = EntryState::Done;
-                return;
-            }
+        let Ok(inst) = head.inst else {
+            unreachable!("fetch marks only decoded instructions serializing")
         };
-        self.rob[0].sys_executed = true;
         self.rob[0].state = EntryState::Done;
         match inst {
             Inst::Ecall => {
                 self.rob[0].exception = Some(Exception::Ecall(self.priv_level));
             }
-            Inst::Ebreak => {
-                // Platform convention: ebreak halts the test; retire below.
-                self.rob[0].commit_not_before = 0;
-            }
+            // Platform convention: ebreak halts the test when it retires.
+            // A wfi or fence did all its work waiting (`head_must_wait`).
+            Inst::Ebreak | Inst::Wfi | Inst::Fence => {}
             Inst::Mret => {
                 if self.priv_level != PrivLevel::Machine {
                     self.rob[0].exception =
@@ -1553,22 +1562,6 @@ impl Core {
                 self.priv_level = spp;
                 self.redirect_after_head(self.csr.sepc, seq);
             }
-            Inst::Wfi => {
-                let pending = self.csr.mip & self.csr.mie;
-                if pending == 0 {
-                    // Spin at the head until an interrupt is pending.
-                    self.rob[0].sys_executed = false;
-                    self.rob[0].state = EntryState::Waiting;
-                }
-            }
-            Inst::Fence => {
-                if !self.lsu.stores_drained() {
-                    // Fences order memory operations: hold at the head until
-                    // all committed stores have reached the L1D.
-                    self.rob[0].sys_executed = false;
-                    self.rob[0].state = EntryState::Waiting;
-                }
-            }
             Inst::FenceI => {
                 // fence.i synchronizes the instruction stream with memory.
                 self.l1i.flush_all();
@@ -1590,12 +1583,8 @@ impl Core {
             }
             _ => unreachable!("non-serializing instruction at system execute"),
         }
-        if self.rob[0].sys_executed
-            && self.rob[0].exception.is_none()
-            && !matches!(inst, Inst::Mret | Inst::Sret)
-        {
-            // Serializing instructions resume fetch at pc + 4 (a WFI that is
-            // still waiting has sys_executed reset and does not redirect).
+        if self.rob[0].exception.is_none() && !matches!(inst, Inst::Mret | Inst::Sret) {
+            // Serializing instructions resume fetch at pc + 4.
             self.redirect_after_head(pc + 4, seq);
         }
     }
@@ -1696,11 +1685,8 @@ impl Core {
                             },
                         ));
                     }
-                    if effect.satp_written {
-                        // Real hardware requires sfence.vma; the model keeps
-                        // stale TLB entries too (matching hardware), so no
-                        // implicit flush here.
-                    }
+                    // A satp write flushes no TLB: real hardware requires
+                    // sfence.vma, and the model keeps stale entries too.
                 }
                 Err(_) => {
                     self.rob[0].exception = Some(Exception::IllegalInstruction(0));
@@ -1727,18 +1713,16 @@ impl Core {
         let m = self.config.mitigations;
         let at = self.stamp();
         if m.flush_l1d_on_domain_switch {
-            // A purge-style flush (MI6's approach): complete pending
-            // committed stores first, otherwise they would re-pollute the
-            // invalidated cache moments later.
-            self.lsu.drain_all_stores(&mut self.mem);
+            // A purge-style flush (MI6's approach). The switch waited at
+            // the ROB head for the committed stores to drain, so none
+            // re-pollutes the invalidated cache moments later.
             self.lsu.flush_l1d(at, &mut self.trace);
         }
         if m.flush_lfb_on_domain_switch {
             self.lsu.flush_lfb(at, &mut self.trace);
         }
         if m.flush_store_buffer_on_domain_switch {
-            self.lsu
-                .flush_store_buffer(&mut self.mem, at, &mut self.trace);
+            self.lsu.flush_store_buffer(at, &mut self.trace);
         }
         if m.flush_bpu_on_domain_switch {
             self.ubtb.flush_all();
@@ -1946,7 +1930,6 @@ impl Core {
             store: None,
             serializing,
             commit_not_before: 0,
-            sys_executed: false,
             sign_extend_from: None,
         });
     }
@@ -2261,6 +2244,38 @@ mod tests {
             assert!(cycles.windows(2).all(|w| w[0] < w[1]), "limit {limit}");
             assert!(*cycles.last().unwrap() <= observed.cycle);
             assert_eq!(retires, observed.retired(), "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn a_waiting_fence_is_jumped_and_the_jump_equals_stepping() {
+        // The store to a cold line is still refilling when the fence
+        // reaches the head, so the fence waits out the miss.
+        let program = |a: &mut Assembler| {
+            a.li(Reg::T0, 0x8010_0000);
+            a.sd(Reg::T0, Reg::T0, 0);
+            a.inst(Inst::Fence);
+            a.inst(Inst::Ebreak);
+        };
+        let state = |c: &Core| (c.cycle, c.counters(), c.fast_path_stats());
+        for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+            let (mut stepped, mut waits) = (core_with(cfg.clone(), program), 0);
+            while !stepped.halted {
+                stepped.step();
+                waits += usize::from(stepped.rob.front().map(|e| e.inst) == Some(Ok(Inst::Fence)));
+            }
+            while !stepped.lsu.quiescent() {
+                stepped.drain_tick();
+            }
+            let (mut jumped, mut calls) = (core_with(cfg, program), 0);
+            jumped.run_observed(200_000, |_| calls += 1);
+            assert!(
+                calls < waits,
+                "{calls} observer calls, {waits} waiting cycles"
+            );
+            assert!(jumped.trace.iter_events().eq(stepped.trace.iter_events()));
+            assert_eq!(state(&jumped), state(&stepped));
+            assert_eq!(jumped.mem.first_difference(&stepped.mem), None);
         }
     }
 

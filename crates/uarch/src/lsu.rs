@@ -407,7 +407,8 @@ impl Lsu {
     }
 
     /// `true` once every committed store has reached the L1D/memory
-    /// (the condition a `fence` waits for).
+    /// (the condition a `fence`, or a domain switch under a flushing
+    /// mitigation, waits for at the ROB head).
     pub fn stores_drained(&self) -> bool {
         self.store_buffer.is_empty() && self.drain_state == DrainState::Probe
     }
@@ -599,35 +600,16 @@ impl Lsu {
         trace.record(at.event(None, Structure::Lfb, TraceEventKind::Flush));
     }
 
-    /// Synchronously completes every buffered committed store, and
-    /// cancels the write-allocate refill in flight: the drain has already
-    /// absorbed its store, and letting it land later would re-install a
-    /// (possibly secret) line into a just-flushed cache. Records no event:
-    /// a cache flush drains this way before invalidating lines.
-    pub fn drain_all_stores(&mut self, mem: &mut Memory) {
-        self.note_change();
-        while let Some(e) = self.store_buffer.pop_front() {
-            self.perform_store_write(e, mem);
-        }
-        for req in self
-            .mem_reqs
-            .iter()
-            .filter(|r| r.dest == ReqDest::StoreDrain)
-        {
-            if let Some(idx) = req.lfb_idx {
-                self.lfb.invalidate_entry(idx);
-            }
-        }
-        self.mem_reqs.retain(|r| r.dest != ReqDest::StoreDrain);
-        self.drain_state = DrainState::Probe;
-    }
-
-    /// Drains the store buffer and records its flush (mitigation: it
-    /// drains rather than discards — discarding would lose architectural
-    /// state). A design without a store buffer drains its pending stores
-    /// but records nothing, as in [`Lsu::commit_store`].
-    pub fn flush_store_buffer(&mut self, mem: &mut Memory, at: Stamp, trace: &mut Trace) {
-        self.drain_all_stores(mem);
+    /// Records the store buffer's flush (mitigation). The core holds the
+    /// domain switch at the ROB head until every committed store has
+    /// drained through the normal path, so the flush discards nothing:
+    /// discarding would lose architectural state. A design without a
+    /// store buffer records nothing, as in [`Lsu::commit_store`].
+    pub fn flush_store_buffer(&mut self, at: Stamp, trace: &mut Trace) {
+        assert!(
+            self.stores_drained(),
+            "store-buffer flush with committed stores still buffered"
+        );
         if self.cfg.store_buffer_entries > 0 {
             trace.record(at.event(None, Structure::StoreBuffer, TraceEventKind::Flush));
         }

@@ -41,6 +41,9 @@ pub fn gadget_program(seed: u64, len: usize, branchy: bool) -> Vec<u32> {
 
 /// [`gadget_program`] with machine external interrupts enabled: a
 /// scheduled interrupt traps to the handler, whose `ebreak` ends the run.
+/// About one slot in ten is an instruction that waits at the ROB head: a
+/// `fence`, a `csrw pmpaddrN` (a domain switch, which waits under a
+/// flushing mitigation) or a `wfi`, which waits for the interrupt.
 pub fn irq_gadget_program(seed: u64, len: usize, branchy: bool) -> Vec<u32> {
     gadget(seed, len, branchy, true)
 }
@@ -59,6 +62,21 @@ fn gadget(seed: u64, len: usize, branchy: bool, irqs: bool) -> Vec<u32> {
     a.li(Reg::S10, DATA);
     let mut label = 0usize;
     for _ in 0..len {
+        if irqs && rng.gen_range(0..10) == 0 {
+            match rng.gen_range(0..5) {
+                0 | 1 => {
+                    a.inst(Inst::Fence);
+                }
+                2 | 3 => {
+                    let entry = rng.gen_range(0..csr::PMP_ENTRY_COUNT);
+                    a.csrw(csr::pmpaddr_csr_for_entry(entry), reg(&mut rng));
+                }
+                _ => {
+                    a.wfi();
+                }
+            }
+            continue;
+        }
         let roll = if branchy {
             rng.gen_range(0..100)
         } else {

@@ -18,9 +18,10 @@
 //! * *satp remaps* that re-enter a virtual address under a new root;
 //! * `Platform::clone()` mid-run (a CoW fork that deliberately colds the
 //!   fetch memo) must behave exactly like the uninterrupted run;
-//! * random gadgets with interrupts, some landing inside idle spans, and
-//!   random cycle budgets, run once with the fast-forward and once
-//!   stepped cycle by cycle;
+//! * random gadgets with interrupts, some landing inside idle spans,
+//!   `fence`, `wfi` and PMP writes that wait at the ROB head, and random
+//!   cycle budgets, run once with the fast-forward and once stepped
+//!   cycle by cycle;
 //! * and the witness that the elisions engage on both designs, so the
 //!   references are not checking nothing.
 
@@ -30,6 +31,7 @@ use teesec::runner::{build_platform, run_case};
 use teesec::Fuzzer;
 use teesec_isa::reg::Reg;
 use teesec_tee::platform::Platform;
+use teesec_uarch::config::MitigationSet;
 use teesec_uarch::core::{Core, RunExit};
 use teesec_uarch::mem::Memory;
 use teesec_uarch::trace::Stamp;
@@ -106,17 +108,18 @@ fn step_to(core: &mut Core, limit: u64) -> RunExit {
 
 proptest! {
     /// The idle-cycle fast-forward equals stepping. A random gadget with
-    /// interrupts enabled runs under a random cycle budget on each of the
-    /// three designs, with no interrupt, one at a random cycle, or one at
-    /// a cycle the interrupt-free run jumps over. One copy runs with
-    /// [`Core::run`], the other is stepped and drained tick by tick; both
-    /// end with the same exit, cycle, trace, counters, elision counters,
-    /// registers and memory.
+    /// interrupts enabled, and heads that wait for the store drain or the
+    /// interrupt, runs under a random cycle budget on each of the three
+    /// designs and on BOOM with every flush, with no interrupt, one at a
+    /// random cycle, or one at a cycle the interrupt-free run jumps over.
+    /// One copy runs with [`Core::run`], the other is stepped and drained
+    /// tick by tick; both end with the same exit, cycle, trace, counters,
+    /// elision counters, registers and memory.
     #[test]
     fn fast_forward_matches_stepping(
         seed in any::<u64>(),
         branchy in any::<bool>(),
-        design in 0usize..3,
+        design in 0usize..4,
         budget in 1u64..600,
         irq in 0u8..3,
         pick in any::<u64>(),
@@ -125,6 +128,7 @@ proptest! {
             CoreConfig::boom(),
             CoreConfig::xiangshan(),
             CoreConfig::hardened_reference(),
+            CoreConfig::boom().with_mitigations(MitigationSet::flush_everything()),
         ][design].clone();
         let words = irq_gadget_program(seed, 40, branchy);
         let build = |irq_at: Option<u64>| {

@@ -4,15 +4,21 @@
 
 use std::collections::BTreeSet;
 
-use teesec::assemble::{assemble_case, CaseParams};
+use teesec::assemble::{assemble_case, CaseParams, Lifecycle};
 use teesec::campaign::Campaign;
 use teesec::fuzz::Fuzzer;
 use teesec::report::LeakClass;
 use teesec::runner::run_case;
 use teesec::AccessPath;
+use teesec_isa::asm::Assembler;
+use teesec_isa::csr;
+use teesec_isa::inst::Inst;
+use teesec_isa::reg::Reg;
 use teesec_uarch::config::MitigationSet;
+use teesec_uarch::core::{Core, RunExit};
 use teesec_uarch::introspect::StorageInventory;
-use teesec_uarch::trace::{Structure, TraceEventKind};
+use teesec_uarch::mem::Memory;
+use teesec_uarch::trace::{FillPurpose, Structure, TraceEventKind};
 use teesec_uarch::CoreConfig;
 
 const CASES: usize = 150;
@@ -223,6 +229,93 @@ fn every_mitigation_preserves_architectural_results() {
             expected,
             "mitigation {m:?} altered architectural state"
         );
+    }
+}
+
+#[test]
+fn a_mitigated_domain_switch_drains_through_the_normal_path() {
+    // XiangShan under the store-buffer flush: the PMP write waits at the
+    // ROB head until the store to a cold line has drained, write-allocate
+    // refill included, and only then flushes the buffer.
+    const BASE: u64 = 0x8000_0000;
+    let line = 0x8010_0000;
+    let mut a = Assembler::new(BASE);
+    a.li(Reg::T0, line);
+    a.li(Reg::T1, 0x5EED);
+    a.sd(Reg::T1, Reg::T0, 0);
+    a.csrw(csr::PMPCFG0, Reg::ZERO);
+    a.inst(Inst::Ebreak);
+    let mut mem = Memory::new();
+    mem.load_words(BASE, &a.assemble().expect("assemble"));
+    let m = MitigationSet {
+        flush_store_buffer_on_domain_switch: true,
+        ..Default::default()
+    };
+    let mut core = Core::new(CoreConfig::xiangshan().with_mitigations(m), mem, BASE);
+    assert_eq!(core.run(100_000), RunExit::Halted);
+    let events: Vec<_> = core.trace.iter_events().collect();
+    let refill = events.iter().position(|e| {
+        let TraceEventKind::Fill { addr, purpose, .. } = e.kind else {
+            return false;
+        };
+        e.structure == Structure::Lfb && addr == line && purpose == FillPurpose::StoreRefill
+    });
+    let flush = (events.iter())
+        .position(|e| e.structure == Structure::StoreBuffer && e.kind == TraceEventKind::Flush);
+    let (Some(refill), Some(flush)) = (refill, flush) else {
+        panic!("store refill at {refill:?}, store-buffer flush at {flush:?}");
+    };
+    assert!(
+        refill < flush,
+        "the refill (event {refill}) lands after the flush ({flush})"
+    );
+    assert_eq!(core.mem.read_u64(line), 0x5EED);
+}
+
+#[test]
+fn domain_switch_flushes_never_save_cycles() {
+    // `table4`'s cost workload. A domain switch under a flush waits for
+    // the stores to drain and then invalidates state, so it may cost
+    // cycles but never save them.
+    let params = CaseParams {
+        lifecycle: Lifecycle::StopResumeStop,
+        warm_via_stores: true,
+        ..CaseParams::default()
+    };
+    let cycles = |cfg: &CoreConfig| {
+        let tc = assemble_case(AccessPath::LoadL1Hit, params, cfg).expect("assemble");
+        run_case(&tc, cfg).expect("run").cycles
+    };
+    let flushes = [
+        MitigationSet {
+            flush_l1d_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_store_buffer_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_lfb_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet {
+            flush_bpu_on_domain_switch: true,
+            clear_hpc_on_domain_switch: true,
+            ..Default::default()
+        },
+        MitigationSet::flush_everything(),
+    ];
+    for base in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let unmitigated = cycles(&base);
+        for m in flushes {
+            let mitigated = cycles(&base.clone().with_mitigations(m));
+            assert!(
+                mitigated >= unmitigated,
+                "{} under {m:?}: {mitigated} cycles against {unmitigated} unmitigated",
+                base.name
+            );
+        }
     }
 }
 
