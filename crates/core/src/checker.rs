@@ -74,7 +74,9 @@ pub(crate) fn finding_key(f: &Finding) -> FindingKey {
 /// Feeds every event of a buffered `trace` to `checker`, in order. This is
 /// how a checker catches up on events recorded before it was attached: a
 /// whole run for [`check_case`], the snapshot prefix of a forked platform
-/// for [`run_case_opts`](crate::runner::run_case_opts).
+/// for [`run_case_opts`](crate::runner::run_case_opts). A setup-prefix
+/// fork skips it when its checkpoint parked a checker that records
+/// coverage alike, and starts from a copy of that checker instead.
 pub(crate) fn replay(mut checker: StreamingChecker, trace: &Trace) -> StreamingChecker {
     for e in trace.iter_events() {
         checker.on_event(e);

@@ -268,7 +268,7 @@ pub struct CaseCoverage {
 
 /// The per-case coverage recorder, carried by the checker's
 /// [`ScanState`](crate::stream::ScanState).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CoverageTracker {
     domain: Domain,
     transition: TransitionPoint,

@@ -13,10 +13,13 @@
 //!   for the cycle their external interrupt lands — fork a checkpoint of
 //!   the fully built platform *run up to the first interrupt candidate*,
 //!   skipping the shared setup-gadget prefix's simulation entirely and
-//!   re-simulating only the post-interrupt tail.
+//!   re-simulating only the post-interrupt tail. The checkpoint also
+//!   parks the checker its capture fed over the prefix, and a fork's
+//!   checker starts as a copy of it instead of re-scanning the prefix.
 //!
-//! All paths produce cycle-exact identical platforms (asserted by the
-//! `stream_equivalence` suite), so callers opt in purely for speed.
+//! All paths produce cycle-exact identical platforms and reports
+//! (asserted by the `stream_equivalence` suite), so callers opt in purely
+//! for speed.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,10 +114,14 @@ pub struct RunOptions<'c> {
     pub snapshot_cache: Option<&'c SnapshotCache>,
     /// Checker fed every event as the run records it, handed back in
     /// [`RunOutcome::checker`]. When the platform is snapshot-forked, the
-    /// events simulated before the fork are replayed into it first, so it
-    /// observes the exact sequence a fresh run would have produced. As the
-    /// trace's sink, it keeps the trace from retaining events: peak
-    /// retained events stay O(boot prefix) instead of O(simulated cycles).
+    /// checker first catches up on the events simulated before the fork,
+    /// so it observes the exact sequence a fresh run would have produced:
+    /// a boot fork replays its boot prefix into it, and a setup-prefix
+    /// fork replaces it with a copy of the checker parked at the
+    /// checkpoint when both record coverage alike (else it replays the
+    /// prefix too). As the trace's sink, it keeps the trace from
+    /// retaining events: peak retained events stay O(boot prefix) instead
+    /// of O(simulated cycles).
     /// Without one the trace buffers every event, for
     /// [`check_case`](crate::check_case).
     pub checker: Option<StreamingChecker>,
@@ -152,9 +159,20 @@ pub fn run_case_opts(
     let build_start = std::time::Instant::now();
     let mut build_span = opts.trace.span("build");
     let limit = opts.budget.map_or(tc.max_cycles, |b| b.min(tc.max_cycles));
-    let (mut platform, build, boot) = match opts.snapshot_cache {
-        Some(cache) => cache.platform_for(tc, cfg, limit)?,
-        None => (case_builder(tc, cfg).build()?, BuildKind::Fresh, None),
+    let checker = opts.checker.take();
+    let Built {
+        mut platform,
+        kind: build,
+        boot,
+        checker,
+    } = match opts.snapshot_cache {
+        Some(cache) => cache.platform_for(tc, cfg, limit, checker)?,
+        None => Built::replayed(
+            case_builder(tc, cfg).build()?,
+            BuildKind::Fresh,
+            None,
+            checker,
+        ),
     };
     let mut oracle = opts.oracle.as_ref().map(|o| {
         let core = &mut platform.core;
@@ -169,11 +187,7 @@ pub fn run_case_opts(
             }),
         }
     });
-    if let Some(checker) = opts.checker.take() {
-        // A forked platform's buffer already holds the events simulated
-        // before the fork (a fresh build's is empty): replay them so the
-        // checker sees the full event sequence from reset.
-        let checker = replay(checker, &platform.core.trace);
+    if let Some(checker) = checker {
         platform.core.trace.set_sink(Box::new(checker));
     }
     build_span.arg("cache", build.label());
@@ -233,6 +247,38 @@ enum Oracle {
     Settled(DiffVerdict),
 }
 
+/// A platform ready to run, as [`SnapshotCache::platform_for`] hands it
+/// out.
+struct Built {
+    platform: Platform,
+    kind: BuildKind,
+    /// The boot snapshot a boot fork came from.
+    boot: Option<Arc<BootSnapshot>>,
+    /// The run's checker, caught up on every event the platform simulated
+    /// before this run.
+    checker: Option<StreamingChecker>,
+}
+
+impl Built {
+    /// `platform` with `checker` caught up by replaying the events the
+    /// platform buffered before this run: a boot fork's boot prefix, and
+    /// none for a fresh build.
+    fn replayed(
+        platform: Platform,
+        kind: BuildKind,
+        boot: Option<Arc<BootSnapshot>>,
+        checker: Option<StreamingChecker>,
+    ) -> Built {
+        let checker = checker.map(|checker| replay(checker, &platform.core.trace));
+        Built {
+            platform,
+            kind,
+            boot,
+            checker,
+        }
+    }
+}
+
 /// The traced run: `core` runs to `limit` under the lockstep, if any, and
 /// a `sim_cycles` counter sample is taken about every
 /// [`SIM_SAMPLE_CYCLES`] simulated cycles and once at exit. Samples are
@@ -277,8 +323,9 @@ pub struct SnapshotCacheMetrics {
 }
 
 /// Retained setup-prefix checkpoints are bounded: each holds a
-/// copy-on-write platform (shared pages plus the buffered prefix trace),
-/// so the cache evicts the oldest sweep family beyond this many.
+/// copy-on-write platform (shared pages plus the buffered prefix trace)
+/// and the checker fed over that prefix, so the cache evicts the oldest
+/// sweep family beyond this many.
 const PREFIX_CAP: usize = 64;
 
 /// A keyed cache of copy-on-write platform checkpoints, shared across
@@ -300,6 +347,12 @@ const PREFIX_CAP: usize = 64;
 ///   platform, simulates the shared setup prefix up to one cycle before
 ///   its interrupt, and checkpoints there; every sibling whose interrupt
 ///   lands later forks the checkpoint and re-simulates only the tail.
+///   When the capturing case runs with a checker, the checker is fed the
+///   prefix once and a copy is parked beside the platform. A sibling
+///   whose checker records coverage alike starts from a copy of it under
+///   its own case name and path, the only checker state the key leaves
+///   out, instead of replaying the prefix. Debug builds check every such
+///   copy against the replay it replaces.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
@@ -338,6 +391,34 @@ struct PrefixSnapshot {
     /// interrupts scheduled strictly later: before this cycle the
     /// captured execution and a fresh run are indistinguishable.
     prefix_cycles: u64,
+    /// The capturing case's checker, fed every event of the prefix;
+    /// `None` when that case ran without one.
+    checker: Option<StreamingChecker>,
+}
+
+impl PrefixSnapshot {
+    /// `checker` caught up on the prefix a fork of this checkpoint skips:
+    /// a copy of the parked checker when it records coverage as `checker`
+    /// does, and otherwise a replay of the prefix. In debug builds the
+    /// copy is checked against that replay.
+    fn catch_up(&self, checker: StreamingChecker, tc: &TestCase) -> StreamingChecker {
+        let trace = &self.platform.core.trace;
+        let Some(parked) = self
+            .checker
+            .as_ref()
+            .filter(|parked| parked.records_coverage() == checker.records_coverage())
+        else {
+            return replay(checker, trace);
+        };
+        let forked = parked.fork_as(&checker);
+        debug_assert!(
+            forked == replay(checker, trace),
+            "the checker parked at a setup-prefix checkpoint differs from replaying the prefix \
+             for case {}",
+            tc.name
+        );
+        forked
+    }
 }
 
 impl SnapshotCache {
@@ -358,7 +439,7 @@ impl SnapshotCache {
 
     /// Produces a ready-to-run platform for `tc`, forking the deepest
     /// applicable checkpoint (setup-prefix, then boot) and falling back
-    /// to a fresh build, plus the boot snapshot a boot fork came from.
+    /// to a fresh build, with `checker` caught up on the fork's prefix.
     /// Exactly one of hits/misses/bypasses is counted per call, so the
     /// three always sum to the number of cases run.
     fn platform_for(
@@ -366,7 +447,8 @@ impl SnapshotCache {
         tc: &TestCase,
         cfg: &CoreConfig,
         limit: u64,
-    ) -> Result<(Platform, BuildKind, Option<Arc<BootSnapshot>>), BuildError> {
+        checker: Option<StreamingChecker>,
+    ) -> Result<Built, BuildError> {
         // Tier one: setup-prefix checkpoints for interrupt-timing sweeps.
         // Only sound when the interrupt lands strictly inside the cycle
         // budget — otherwise a fresh run would hit the limit first.
@@ -381,12 +463,17 @@ impl SnapshotCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     let mut platform = snap.platform.clone();
                     platform.core.schedule_external_interrupt(at);
-                    return Ok((platform, BuildKind::PrefixForked, None));
+                    return Ok(Built {
+                        platform,
+                        kind: BuildKind::PrefixForked,
+                        boot: None,
+                        checker: checker.map(|checker| snap.catch_up(checker, tc)),
+                    });
                 }
                 // Captured but inapplicable (interrupt inside the captured
                 // prefix, or the family's capture failed): tier two.
                 Some(_) => {}
-                None => return self.capture_prefix(tc, cfg, at, key),
+                None => return self.capture_prefix(tc, cfg, at, key, checker),
             }
         }
         // Tier two: boot snapshots.
@@ -400,26 +487,29 @@ impl SnapshotCache {
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
                 let platform = case_builder(tc, cfg).build_from(&boot.snap)?;
-                Ok((platform, kind, Some(boot)))
+                Ok(Built::replayed(platform, kind, Some(boot), checker))
             }
             _ => {
                 self.bypasses.fetch_add(1, Ordering::Relaxed);
-                Ok((case_builder(tc, cfg).build()?, BuildKind::Fresh, None))
+                let platform = case_builder(tc, cfg).build()?;
+                Ok(Built::replayed(platform, BuildKind::Fresh, None, checker))
             }
         }
     }
 
     /// First case of a sweep family: build the full platform (forking the
     /// boot snapshot when possible), simulate the shared setup prefix up
-    /// to one cycle before this case's interrupt, checkpoint there, and
-    /// hand this case a fork of the fresh checkpoint.
+    /// to one cycle before this case's interrupt, checkpoint there with
+    /// `checker` fed over the prefix, and hand this case a fork of the
+    /// fresh checkpoint and the fed checker.
     fn capture_prefix(
         &self,
         tc: &TestCase,
         cfg: &CoreConfig,
         at: u64,
         key: PrefixKey,
-    ) -> Result<(Platform, BuildKind, Option<Arc<BootSnapshot>>), BuildError> {
+        checker: Option<StreamingChecker>,
+    ) -> Result<Built, BuildError> {
         let (boot, _) = self.boot_snapshot_for(tc, cfg);
         // Boot-capture cost (when this call did one) is accounted by
         // `boot_snapshot_for`; time only the prefix build + run here.
@@ -449,20 +539,27 @@ impl SnapshotCache {
         // Freeze the setup prefix: sibling forks share it by refcount
         // instead of deep-copying the event buffer.
         platform.core.trace.freeze();
-        let snap = Arc::new(PrefixSnapshot {
-            prefix_cycles: platform.core.cycle,
-            platform,
-        });
         self.capture_us.fetch_add(
             t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let checker = checker.map(|checker| replay(checker, &platform.core.trace));
+        let snap = Arc::new(PrefixSnapshot {
+            prefix_cycles: platform.core.cycle,
+            platform,
+            checker: checker.clone(),
+        });
         let mut forked = snap.platform.clone();
         forked.core.schedule_external_interrupt(at);
         let mut map = self.prefixes.lock().expect("prefix cache poisoned");
         map.insert_bounded(key, Some(snap));
-        Ok((forked, BuildKind::PrefixCaptured, None))
+        Ok(Built {
+            platform: forked,
+            kind: BuildKind::PrefixCaptured,
+            boot: None,
+            checker,
+        })
     }
 
     /// The boot snapshot for `tc`'s configuration, capturing it on first

@@ -47,7 +47,7 @@ type Hits = [(usize, usize)];
 /// untrusted host cannot be classified when pushed (D4 vs D8 depends on
 /// whether the store buffer *ever* forwards the value, including later in
 /// the run), so those stay pending until [`ScanState::into_findings`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct Slot {
     finding: Finding,
     /// `Some(secret value)` while the D4/D8 classification is pending.
@@ -58,7 +58,7 @@ struct Slot {
 }
 
 /// The checker's per-event trace-scan state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScanState {
     mcounteren: u64,
     tainted: Vec<bool>,
@@ -340,7 +340,7 @@ impl ScanState {
 }
 
 /// A trace event distilled to what provenance reconstruction needs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PEvent {
     /// Position in the trace (total order; cycles alone can tie).
     seq: u64,
@@ -377,7 +377,7 @@ impl PEvent {
 /// Per-secret carrier summary: the handful of "first event" records that
 /// fully determine a data leak's provenance chain under the nondecreasing-
 /// cycle invariant. O(structures) memory per secret.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct SecretProv {
     /// First carrying event executed in the owner's domain (the chain
     /// origin when it precedes the observation).
@@ -391,7 +391,7 @@ struct SecretProv {
 
 /// Provenance index: the first events every provenance chain is built
 /// from, maintained incrementally in bounded memory.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct ProvIndex {
     /// Carrier summaries by catalog record index. A value seeded more than
     /// once only ever updates the record it resolves to (the last one).
@@ -505,7 +505,10 @@ impl SecretProv {
 /// [`RunOptions::checker`](crate::runner::RunOptions::checker)) or replayed
 /// from a buffered trace ([`check_case`](crate::checker::check_case)); then
 /// [`StreamingChecker::finish`] scans the end-of-run snapshot and returns
-/// the [`CheckReport`].
+/// the [`CheckReport`]. Its state is a value: a checker cloned after some
+/// events carries on exactly as the original would, which is how a
+/// setup-prefix checkpoint hands its fed checker to every sibling fork
+/// ([`SnapshotCache`](crate::runner::SnapshotCache)).
 ///
 /// ```
 /// use teesec::paths::AccessPath;
@@ -518,7 +521,7 @@ impl SecretProv {
 /// let checker = StreamingChecker::new(&tc, &cfg);
 /// assert_eq!(checker.events_seen(), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingChecker {
     case: String,
     path: crate::paths::AccessPath,
@@ -564,6 +567,24 @@ impl StreamingChecker {
     /// has seen, whether or not anything buffered it).
     pub fn events_seen(&self) -> u64 {
         self.scan.events_seen
+    }
+
+    /// Whether this checker records plan coverage
+    /// ([`StreamingChecker::with_coverage`]).
+    pub(crate) fn records_coverage(&self) -> bool {
+        self.scan.coverage.is_some()
+    }
+
+    /// A copy of this checker that reports as `case`'s checker does. The
+    /// case name and access path are the only state `case` may differ in
+    /// from a checker that saw the same events for a case of the same
+    /// design, secrets and `mcounteren`.
+    pub(crate) fn fork_as(&self, case: &StreamingChecker) -> StreamingChecker {
+        StreamingChecker {
+            case: case.case.clone(),
+            path: case.path,
+            ..self.clone()
+        }
     }
 
     fn observe(&mut self, e: &TraceEvent) {

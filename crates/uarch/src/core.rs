@@ -1412,7 +1412,13 @@ impl Core {
             let Some(head) = self.rob.front() else { return };
             if head.serializing {
                 if head.state != EntryState::Done {
-                    if !self.operands_ready(0) || self.head_must_wait() {
+                    // Every producer of the head has retired, so its
+                    // operands come from the architectural file.
+                    debug_assert!(
+                        self.operands_ready(0),
+                        "the serializing ROB head waits on an operand"
+                    );
+                    if self.head_must_wait() {
                         return;
                     }
                     self.execute_system_at_head();

@@ -272,10 +272,7 @@ impl CsrFile {
             csr::SCOUNTEREN => self.scounteren = value,
             csr::SIE => self.mie = value,
             csr::SIP => self.mip = value,
-            csr::SATP => {
-                self.satp = Satp(value);
-                effect.satp_written = true;
-            }
+            csr::SATP => self.satp = Satp(value),
             csr::MCYCLE => self.cycle = value,
             csr::MINSTRET => self.instret = value,
             _ if (csr::PMPCFG0..csr::PMPCFG0 + 4).contains(&addr) => {
@@ -327,8 +324,6 @@ pub struct CsrWriteEffect {
     /// A PMP CSR changed — Keystone's domain-switch marker; triggers
     /// mitigation flushes when configured.
     pub pmp_reconfigured: bool,
-    /// `satp` changed (address-translation root moved).
-    pub satp_written: bool,
 }
 
 #[cfg(test)]
@@ -448,7 +443,7 @@ mod tests {
         let eff = f
             .write(csr::SATP, Satp::sv39(0x8020_0000).0, PrivLevel::Supervisor)
             .unwrap();
-        assert!(eff.satp_written && !eff.pmp_reconfigured);
+        assert!(!eff.pmp_reconfigured);
         assert!(f.satp.is_sv39());
     }
 
