@@ -15,6 +15,9 @@ use teesec::fuzz::Fuzzer;
 use teesec::{check_case, run_case, CheckReport, TestCase};
 use teesec_uarch::{CoreConfig, RunExit};
 
+#[path = "common/sweep.rs"]
+mod sweep;
+
 const CORPUS: usize = 40;
 
 /// The serial reference: no engine code runs, so a fold, ordering or
@@ -229,4 +232,35 @@ fn engine_matches_serial_on_second_design() {
         },
     );
     assert_eq!(normalized(engine), serial);
+}
+
+/// An interrupt-timing sweep family runs through the engine's
+/// setup-prefix checkpoint: one case captures it, and every sibling forks
+/// it with a copy of the checker parked there. The engine must match the
+/// serial oracle on both designs, reports included, and quarantine
+/// nothing: a copy that differs from replaying the prefix panics in debug
+/// builds, and the engine would quarantine that case instead of failing.
+#[test]
+fn engine_matches_serial_on_an_irq_sweep() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let sweep = sweep::irq_sweep(&cfg);
+        let (serial, serial_reports) = serial_oracle(&cfg, &sweep);
+        // One worker, so no second worker captures the family at once.
+        let options = EngineOptions {
+            threads: 1,
+            ..EngineOptions::default()
+        };
+        let (engine, engine_reports) = run_engine(&cfg, &sweep, options);
+        let metrics = engine.engine.as_ref().expect("engine metrics attached");
+        assert_eq!(metrics.cases_quarantined, 0, "{}", cfg.name);
+        let cache = metrics.snapshot.as_ref().expect("the cache is on");
+        assert_eq!(
+            (cache.misses, cache.hits),
+            (1, sweep.len() as u64 - 1),
+            "{}: one capture, every sibling a fork ({cache:?})",
+            cfg.name
+        );
+        assert_eq!(normalized(engine), serial, "{}", cfg.name);
+        assert_eq!(engine_reports, serial_reports, "{}", cfg.name);
+    }
 }
