@@ -6,14 +6,20 @@
 //! the verification plan is a one-time cost, construction is cheap, and
 //! simulation dominates per-case time.
 //!
-//! The paper simulates, then checks the log: two sequential phases. So this
-//! binary names the engine's sequential arm, with the streaming checker
-//! and the snapshot cache off, to time each phase on its own row.
+//! The paper simulates each test, then checks its log: two sequential
+//! phases. The production engine folds them together, checking each case
+//! online while it runs, so this binary times the two phases itself: per
+//! case, `run_case` (built from reset, trace buffered) lands on the
+//! simulation row and `check_case` on the checker row.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use teesec::campaign::Campaign;
-use teesec::engine::EngineOptions;
+use teesec::checker::check_case;
 use teesec::fuzz::Fuzzer;
 use teesec::gadgets::{catalog, GadgetKind};
+use teesec::runner::run_case;
 
 fn main() {
     let opts = teesec_bench::parse_args();
@@ -41,18 +47,21 @@ fn main() {
         teesec_uarch::CoreConfig::boom(),
         teesec_uarch::CoreConfig::xiangshan(),
     ] {
-        let name = cfg.name.clone();
-        let (result, _) =
-            Campaign::new(cfg, Fuzzer::with_target(opts.cases)).run_engine(EngineOptions {
-                streaming: false,
-                snapshot_cache: false,
-                ..EngineOptions::default()
-            });
-        let t = result.timing;
-        let per_case_us =
-            (t.construct_us + t.simulate_us + t.check_us) / result.case_count.max(1) as u128;
-        println!("design: {name}");
-        println!("  test cases generated/run : {}", result.case_count);
+        let (corpus, mut t) = Campaign::new(cfg.clone(), Fuzzer::with_target(opts.cases)).prepare();
+        let mut cycles = 0u64;
+        for tc in &corpus {
+            let t_sim = Instant::now();
+            let outcome = run_case(tc, &cfg).expect("the fuzzer emits buildable cases");
+            t.simulate_us += t_sim.elapsed().as_micros();
+            let t_chk = Instant::now();
+            black_box(check_case(tc, &outcome, &cfg));
+            t.check_us += t_chk.elapsed().as_micros();
+            cycles += outcome.cycles;
+        }
+        let n = corpus.len().max(1);
+        let per_case_us = (t.construct_us + t.simulate_us + t.check_us) / n as u128;
+        println!("design: {}", cfg.name);
+        println!("  test cases generated/run : {}", corpus.len());
         println!(
             "  verification plan        : {:>10} us  (one-time, automated)",
             t.plan_us
@@ -70,7 +79,7 @@ fn main() {
             "  avg per test case        : {:>10} us  (~5 min in the paper)",
             per_case_us
         );
-        println!("  avg simulated cycles/case: {:>10}", result.avg_cycles());
+        println!("  avg simulated cycles/case: {:>10}", cycles / n as u64);
         println!();
     }
     println!("Run with --full for the paper's 585-case corpus.");

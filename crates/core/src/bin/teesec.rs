@@ -15,11 +15,12 @@
 //! ```
 //!
 //! `run`, `explain`, `campaign`, `diff` and `coverage-report` are one
-//! engine run each, through one pipeline: the production engine options
-//! of `EngineOptions::default()` (streaming checker, snapshot cache, plan
-//! coverage, counters, kept reports), with the differential oracle on for
-//! `diff` and `campaign --diff`. They differ only in their corpus and in
-//! how they print the result, and all five honour the same flags:
+//! engine run each, through the engine's one pipeline (each case checked
+//! online on a snapshot-forked platform) under the production options of
+//! `EngineOptions::default()` (plan coverage, counters, kept reports),
+//! with the differential oracle on for `diff` and `campaign --diff`. They
+//! differ only in their corpus and in how they print the result, and all
+//! five honour the same flags:
 //!
 //! * `--design D`, `--threads N`, `--case-cycle-budget N`, `--quiet`;
 //! * `--events FILE` — the engine's JSONL event stream;

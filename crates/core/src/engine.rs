@@ -42,7 +42,6 @@ use teesec_uarch::config::CoreConfig;
 use teesec_uarch::{FastPathStats, RunExit, UarchCounters};
 
 use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
-use crate::checker::replay;
 use crate::coverage::{CaseCoverage, PlanCoverage};
 use crate::diff::{DiffOptions, DiffVerdict};
 use crate::report::CheckReport;
@@ -50,9 +49,11 @@ use crate::runner::{run_case_opts, RunOptions, SnapshotCache, SnapshotCacheMetri
 use crate::stream::StreamingChecker;
 use crate::testcase::TestCase;
 
-/// Tuning knobs for one engine run. [`EngineOptions::default`] is the
-/// production pipeline that every case-running `teesec` subcommand runs;
-/// a caller that wants another arm names the field that selects it.
+/// Tuning knobs for one engine run. The engine has one pipeline: each
+/// case is checked online while it runs, on a platform forked from the
+/// run's shared [`SnapshotCache`] when a checkpoint applies.
+/// [`EngineOptions::default`] is what every case-running `teesec`
+/// subcommand starts from.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Worker threads (0 and 1 both mean "one worker").
@@ -81,28 +82,22 @@ pub struct EngineOptions {
     /// planted [`DiffOptions::fault`] corrupts the case's run, report
     /// included.
     pub diff: Option<DiffOptions>,
-    /// Feed each case's [`StreamingChecker`] online while the case runs,
-    /// so peak retained trace events stay O(boot prefix) instead of
-    /// O(cycles). On by default. Off, the trace is buffered and replayed
-    /// into the checker after the run: the same checker and the same
-    /// report (the `stream_equivalence` suite), at O(cycles) memory.
-    pub streaming: bool,
     /// Record per-case plan coverage (the structure × transition ×
     /// observer matrix) and secret-residency windows, emitting one
     /// [`EngineEvent::CaseCoverage`] per case and merging the aggregate
     /// [`PlanCoverage`] into [`EngineMetrics::plan_coverage`]. On by
     /// default; recording rides the checker's event scan.
     pub coverage: bool,
-    /// Share one [`SnapshotCache`] across workers so cases with the same
-    /// setup configuration fork a copy-on-write boot snapshot instead of
-    /// re-assembling and re-simulating the SM boot. Hit/miss/bypass
-    /// counters land in [`EngineMetrics::snapshot`]. On by default; off,
-    /// every case builds from reset.
+    /// Ignored, as are `snapshot_cache` and `fast_path`. Every case is
+    /// checked online on a platform from the run's snapshot cache, and
+    /// the simulator runs its one path, its elisions checked against their
+    /// references in debug builds. The three fields stay only because the
+    /// `campaign_bench` package still names them; the next change to that
+    /// package drops the names, and then the fields.
+    pub streaming: bool,
+    /// Ignored; see [`EngineOptions::streaming`].
     pub snapshot_cache: bool,
-    /// Ignored. The simulator has one path, its elisions always on and
-    /// checked against their references in debug builds. The field stays
-    /// only because the `campaign_bench` package still names it; the
-    /// next change to that package drops the name, and then the field.
+    /// Ignored; see [`EngineOptions::streaming`].
     pub fast_path: Option<bool>,
     /// Span recorder. When enabled ([`Tracer::new`]), the engine emits a
     /// full span tree — `campaign` → per-worker `worker` → `queue_wait` /
@@ -140,8 +135,8 @@ impl Default for EngineOptions {
             events: None,
             counters: true,
             diff: None,
-            streaming: true,
             coverage: true,
+            streaming: true,
             snapshot_cache: true,
             fast_path: None,
             tracer: Tracer::default(),
@@ -415,9 +410,9 @@ pub struct EngineMetrics {
     /// Differential-oracle aggregates. `Some` iff
     /// [`EngineOptions::diff`] was set.
     pub diff: Option<DiffMetrics>,
-    /// Snapshot-cache hit/miss/bypass counters. `Some` iff
-    /// [`EngineOptions::snapshot_cache`] was on. Absent in event streams
-    /// recorded before the field existed (deserializes to `None`).
+    /// Snapshot-cache hit/miss/bypass counters, always `Some` from an
+    /// engine run. Absent in event streams recorded before the field
+    /// existed (deserializes to `None`).
     pub snapshot: Option<SnapshotCacheMetrics>,
     /// Trace analysis — critical path, per-phase wall-time attribution,
     /// worker utilization, top straggler cases. `Some` iff
@@ -623,18 +618,17 @@ pub(crate) struct CaseExecution {
 /// Builds, simulates, and checks `tc` under `opts`, quarantining build
 /// errors and panics into `CaseResult::error` instead of propagating them.
 ///
-/// With `opts.counters` the finished core's microarchitectural counter
-/// digest is harvested into [`CaseExecution::counters`]. With
-/// `opts.streaming` the checker observes the run online and the check
-/// phase shrinks to the finalize step; otherwise the check phase replays
-/// the buffered trace first. With `opts.diff` the differential oracle
-/// observes the same run, under the same watchdog budget. Phase spans
-/// attach under `tctx`.
+/// The platform forks a checkpoint of `cache` when one applies, and the
+/// checker observes the run online, so the check phase is the finalize
+/// step. With `opts.counters` the finished core's microarchitectural
+/// counter digest is harvested into [`CaseExecution::counters`]. With
+/// `opts.diff` the differential oracle observes the same run, under the
+/// same watchdog budget. Phase spans attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
     opts: &EngineOptions,
-    snapshot_cache: Option<&SnapshotCache>,
+    cache: &SnapshotCache,
     tctx: TraceCtx<'_>,
 ) -> CaseExecution {
     let quarantined = |error: String| CaseExecution {
@@ -660,22 +654,20 @@ pub(crate) fn execute_case(
         fastpath: None,
     };
 
-    let new_checker = || {
-        if opts.coverage {
+    let t_sim = Instant::now();
+    let mut outcome = match catch_unwind(AssertUnwindSafe(|| {
+        let checker = if opts.coverage {
             StreamingChecker::with_coverage(tc, cfg)
         } else {
             StreamingChecker::new(tc, cfg)
-        }
-    };
-    let t_sim = Instant::now();
-    let mut outcome = match catch_unwind(AssertUnwindSafe(|| {
+        };
         run_case_opts(
             tc,
             cfg,
             RunOptions {
                 budget: opts.case_cycle_budget,
-                snapshot_cache,
-                checker: opts.streaming.then(new_checker),
+                snapshot_cache: Some(cache),
+                checker: Some(checker),
                 oracle: opts.diff.clone(),
                 trace: tctx,
             },
@@ -690,11 +682,11 @@ pub(crate) fn execute_case(
 
     let t_chk = Instant::now();
     let mut scan_span = tctx.span("scan");
-    scan_span.arg("streaming", u64::from(opts.streaming));
-    let streamed = outcome.checker.take();
     let (report, coverage) = match catch_unwind(AssertUnwindSafe(|| {
-        let checker =
-            streamed.unwrap_or_else(|| replay(new_checker(), &outcome.platform.core.trace));
+        let checker = outcome
+            .checker
+            .take()
+            .expect("the run hands back the checker it was given");
         checker.finish_coverage(tc, &outcome)
     })) {
         Ok(out) => out,
@@ -833,14 +825,9 @@ impl Fold {
     /// The folded prefix as a result, with the aggregates that are sampled
     /// rather than folded — wall time, snapshot-cache counters, trace
     /// analysis — refreshed.
-    fn snapshot(
-        &mut self,
-        t0: Instant,
-        cache: Option<&SnapshotCache>,
-        tracer: &Tracer,
-    ) -> &CampaignResult {
+    fn snapshot(&mut self, t0: Instant, cache: &SnapshotCache, tracer: &Tracer) -> &CampaignResult {
         self.metrics.wall_us = t0.elapsed().as_micros();
-        self.metrics.snapshot = cache.map(SnapshotCache::metrics);
+        self.metrics.snapshot = Some(cache.metrics());
         self.metrics.trace = tracer
             .enabled()
             .then(|| tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
@@ -1032,7 +1019,7 @@ impl Engine {
             });
         }
 
-        let cache = self.opts.snapshot_cache.then(SnapshotCache::new);
+        let cache = SnapshotCache::new();
         let tracer = &self.opts.tracer;
         let mut fold = Fold::new(
             self.cfg.name.clone(),
@@ -1043,7 +1030,7 @@ impl Engine {
         // scraper that beats the first publication must not see 503.
         if hub.is_some() {
             let progress = fold.progress(t0);
-            let result = fold.snapshot(t0, cache.as_ref(), tracer);
+            let result = fold.snapshot(t0, &cache, tracer);
             self.publish(result, &progress, false, true, false);
         }
         let checkpoint_every = self.opts.checkpoint.as_ref().map(|c| c.every.max(1));
@@ -1052,7 +1039,7 @@ impl Engine {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|worker| {
-                    let (tx, cursor, cache) = (tx.clone(), &cursor, cache.as_ref());
+                    let (tx, cursor, cache) = (tx.clone(), &cursor, &cache);
                     scope.spawn(move || self.work(worker, corpus, cursor, cache, campaign_id, &tx))
                 })
                 .collect();
@@ -1071,7 +1058,7 @@ impl Engine {
                         checkpoint_every.is_some_and(|n| fold.result.case_count.is_multiple_of(n));
                     if live || due {
                         let progress = fold.progress(t0);
-                        let result = fold.snapshot(t0, cache.as_ref(), tracer);
+                        let result = fold.snapshot(t0, &cache, tracer);
                         self.publish(result, &progress, false, live, due);
                     }
                     if live {
@@ -1096,7 +1083,7 @@ impl Engine {
         drop(campaign_span);
 
         // Refresh the sampled aggregates; `finish` attaches them.
-        fold.snapshot(t0, cache.as_ref(), tracer);
+        fold.snapshot(t0, &cache, tracer);
         let progress = fold.progress(t0);
         let (result, reports) = fold.finish();
         if self.narrated() {
@@ -1129,7 +1116,7 @@ impl Engine {
         worker: usize,
         corpus: &[TestCase],
         cursor: &AtomicUsize,
-        cache: Option<&SnapshotCache>,
+        cache: &SnapshotCache,
         campaign_id: u64,
         tx: &Sender<CaseRecord>,
     ) {
@@ -1357,6 +1344,7 @@ mod tests {
         unbuildable.host_steps = vec![crate::testcase::Step::Nops(100_000)];
         corpus.insert(2, unbuildable);
         let engine = Engine::new(cfg, EngineOptions::default());
+        let cache = SnapshotCache::new();
         let records: Vec<CaseRecord> = corpus
             .iter()
             .enumerate()
@@ -1365,7 +1353,7 @@ mod tests {
                 worker: seq % 2,
                 span_id: None,
                 parent_id: None,
-                exec: execute_case(tc, &engine.cfg, &engine.opts, None, TraceCtx::default()),
+                exec: execute_case(tc, &engine.cfg, &engine.opts, &cache, TraceCtx::default()),
             })
             .collect();
 

@@ -273,7 +273,7 @@ impl CoverageFuzzer {
 
         let execute = |outcome: &mut CoverageOutcome, path, params, tc: TestCase| {
             outcome.executed += 1;
-            let exec = execute_case(&tc, cfg, opts, Some(&cache), TraceCtx::default());
+            let exec = execute_case(&tc, cfg, opts, &cache, TraceCtx::default());
             // A quarantined case records no coverage and is never kept.
             let Some(cc) = exec.coverage else { return };
             let before = exercised_cells(&outcome.coverage);

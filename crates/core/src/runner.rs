@@ -18,9 +18,11 @@
 //!   checker starts as a copy of it instead of re-scanning the prefix.
 //!
 //! All paths produce cycle-exact identical platforms and reports
-//! (asserted by the `stream_equivalence` suite), so callers opt in purely
-//! for speed.
+//! (asserted by the `stream_equivalence` suite), so the choice is one of
+//! speed alone: the engine passes every case its run's [`SnapshotCache`],
+//! and [`run_case`] builds fresh.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -121,7 +123,7 @@ pub struct RunOptions<'c> {
     /// checkpoint when both record coverage alike (else it replays the
     /// prefix too). As the trace's sink, it keeps the trace from
     /// retaining events: peak retained events stay O(boot prefix) instead
-    /// of O(simulated cycles).
+    /// of O(simulated cycles). The engine passes one for every case.
     /// Without one the trace buffers every event, for
     /// [`check_case`](crate::check_case).
     pub checker: Option<StreamingChecker>,
@@ -221,8 +223,8 @@ pub fn run_case_opts(
     // Forks never carry a sink (`Trace::clone` drops it), so the only one
     // attached is the checker from `opts`.
     let checker = platform.core.trace.take_sink().map(|sink| {
+        let sink: Box<dyn Any> = sink;
         *sink
-            .into_any()
             .downcast::<StreamingChecker>()
             .expect("the runner attaches no sink but the checker")
     });

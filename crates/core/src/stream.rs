@@ -689,10 +689,6 @@ impl TraceSink for StreamingChecker {
     fn on_event(&mut self, event: &TraceEvent) {
         self.observe(event);
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// Builds the provenance chain for `findings[index]` from the index.

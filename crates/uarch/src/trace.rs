@@ -373,13 +373,12 @@ impl TraceStats {
 /// trace memory stays bounded regardless of how many cycles a case runs.
 ///
 /// `Send + Sync` are required so a `Core` carrying a sink can still be
-/// shared across engine worker threads.
-pub trait TraceSink: Send + Sync {
+/// shared across engine worker threads. `Any` lets the caller recover the
+/// concrete sink after the run: upcast the box taken back with
+/// [`Trace::take_sink`] to `Box<dyn Any>` and downcast it.
+pub trait TraceSink: std::any::Any + Send + Sync {
     /// Called once per recorded event, in record order.
     fn on_event(&mut self, event: &TraceEvent);
-
-    /// Recovers the concrete sink for downcasting after the run.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
 /// The growing execution trace.
@@ -681,10 +680,6 @@ mod tests {
         fn on_event(&mut self, event: &TraceEvent) {
             self.0.push(event.cycle);
         }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
     }
 
     #[test]
@@ -695,8 +690,8 @@ mod tests {
         t.record(ev(2, Structure::Lfb));
         assert!(t.is_empty(), "a trace with a sink retains nothing");
         assert_eq!(t.stats().total(), 2, "stats still maintained");
-        let sink = t.take_sink().expect("sink attached");
-        let got = sink.into_any().downcast::<CollectSink>().expect("type");
+        let sink: Box<dyn std::any::Any> = t.take_sink().expect("sink attached");
+        let got = sink.downcast::<CollectSink>().expect("type");
         assert_eq!(got.0, vec![1, 2], "sink saw events in record order");
         assert!(!t.has_sink());
     }
@@ -707,7 +702,7 @@ mod tests {
         t.set_enabled(false);
         t.set_sink(Box::new(CollectSink(Vec::new())));
         t.record(ev(1, Structure::L1d));
-        let sink = t.take_sink().unwrap().into_any();
+        let sink: Box<dyn std::any::Any> = t.take_sink().unwrap();
         assert!(sink.downcast::<CollectSink>().unwrap().0.is_empty());
     }
 

@@ -95,6 +95,19 @@ fn engine_matches_serial_at_1_2_and_7_threads() {
         assert_eq!(metrics.cases_total, CORPUS);
         assert_eq!(metrics.cases_quarantined, 0);
         assert_eq!(metrics.cases_per_worker.iter().sum::<usize>(), CORPUS);
+        let cache = metrics
+            .snapshot
+            .as_ref()
+            .expect("snapshot metrics attached");
+        assert_eq!(
+            (cache.hits + cache.misses + cache.bypasses) as usize,
+            CORPUS,
+            "every case consults the cache exactly once at {threads} threads: {cache:?}"
+        );
+        assert!(
+            cache.hits > 0,
+            "a 40-case corpus must share setups at {threads} threads: {cache:?}"
+        );
         assert_eq!(
             normalized(engine.clone()),
             serial,
@@ -161,61 +174,6 @@ fn aggregate_metrics_match_at_1_2_and_7_threads() {
         assert_eq!(obs.uarch, base_obs.uarch, "{threads}w");
         assert_eq!(obs.case_cycles, base_obs.case_cycles, "{threads}w");
     }
-}
-
-/// The production configuration — streaming checker + shared snapshot
-/// cache across workers — must be result-identical to the batch engine
-/// that builds every case from reset, down to the retained reports, and
-/// must actually use the cache.
-#[test]
-fn streaming_snapshot_engine_matches_batch_engine() {
-    let cfg = CoreConfig::boom();
-    let corpus = Fuzzer::with_target(CORPUS).generate(&cfg);
-    let (batch, batch_reports) = run_engine(
-        &cfg,
-        &corpus,
-        EngineOptions {
-            threads: 4,
-            streaming: false,
-            snapshot_cache: false,
-            ..EngineOptions::default()
-        },
-    );
-    assert!(batch.engine.as_ref().unwrap().snapshot.is_none());
-
-    let (streamed, streamed_reports) = run_engine(
-        &cfg,
-        &corpus,
-        EngineOptions {
-            threads: 4,
-            ..EngineOptions::default()
-        },
-    );
-    assert_eq!(
-        normalized(streamed.clone()),
-        normalized(batch.clone()),
-        "streaming + snapshot-cache engine diverged from the batch engine"
-    );
-    assert_eq!(
-        streamed_reports, batch_reports,
-        "retained reports diverged under streaming"
-    );
-    let cache = streamed
-        .engine
-        .as_ref()
-        .unwrap()
-        .snapshot
-        .as_ref()
-        .expect("snapshot metrics attached when the cache is on");
-    assert_eq!(
-        (cache.hits + cache.misses + cache.bypasses) as usize,
-        CORPUS,
-        "every case consults the cache exactly once: {cache:?}"
-    );
-    assert!(
-        cache.hits > 0,
-        "a 40-case corpus must share setups: {cache:?}"
-    );
 }
 
 #[test]

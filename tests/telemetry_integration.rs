@@ -353,9 +353,10 @@ fn schema_of(value: &Value) -> Value {
 
 /// Compares a live schema against the committed one. A live `"null"`
 /// matches any committed shape (optional aggregates render as `null`
-/// when their producer is off or has nothing yet — e.g. `snapshot_cache`
-/// with the cache off, or `fastpath` before any case has finished), and
-/// an empty live array matches a committed one-element array.
+/// when their producer is off or has nothing yet — e.g.
+/// `coverage_ratio_ppm` with coverage off, or `fastpath` before any case
+/// has finished), and an empty live array matches a committed
+/// one-element array.
 fn assert_schema_matches(expected: &Value, actual: &Value, path: &str) {
     if actual == &Value::String("null".into()) && expected != actual {
         return;
