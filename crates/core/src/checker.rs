@@ -75,8 +75,8 @@ pub(crate) fn finding_key(f: &Finding) -> FindingKey {
 /// how a checker catches up on events recorded before it was attached: a
 /// whole run for [`check_case`], the snapshot prefix of a forked platform
 /// for [`run_case_opts`](crate::runner::run_case_opts). A setup-prefix
-/// fork skips it when its checkpoint parked a checker that records
-/// coverage alike, and starts from a copy of that checker instead.
+/// fork skips it when its checkpoint parked a checker, and starts from a
+/// copy of that checker instead.
 pub(crate) fn replay(mut checker: StreamingChecker, trace: &Trace) -> StreamingChecker {
     for e in trace.iter_events() {
         checker.on_event(e);
@@ -89,22 +89,19 @@ pub(crate) fn replay(mut checker: StreamingChecker, trace: &Trace) -> StreamingC
 /// a run without [`RunOptions::checker`](crate::runner::RunOptions::checker),
 /// so that its trace buffered every event.
 pub fn check_case(tc: &TestCase, outcome: &RunOutcome, cfg: &CoreConfig) -> CheckReport {
-    replay(StreamingChecker::new(tc, cfg), &outcome.platform.core.trace).finish(tc, outcome)
+    replay(StreamingChecker::new(tc, cfg), &outcome.platform.core.trace).finish(outcome)
 }
 
-/// [`check_case`] with plan-coverage recording on: additionally returns
-/// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record.
+/// [`check_case`], additionally returning the case's
+/// [`CaseCoverage`](crate::coverage::CaseCoverage) record.
 pub fn check_case_coverage(
     tc: &TestCase,
     outcome: &RunOutcome,
     cfg: &CoreConfig,
 ) -> (CheckReport, crate::coverage::CaseCoverage) {
-    let checker = replay(
-        StreamingChecker::with_coverage(tc, cfg),
-        &outcome.platform.core.trace,
-    );
+    let checker = replay(StreamingChecker::new(tc, cfg), &outcome.platform.core.trace);
     let (report, coverage) = checker.finish_coverage(tc, outcome);
-    (report, coverage.expect("coverage recording was enabled"))
+    (report, coverage.expect("every checker records coverage"))
 }
 
 /// Scans the end-of-run microarchitectural snapshot for residues (the

@@ -82,11 +82,12 @@ pub struct EngineOptions {
     /// planted [`DiffOptions::fault`] corrupts the case's run, report
     /// included.
     pub diff: Option<DiffOptions>,
-    /// Record per-case plan coverage (the structure × transition ×
-    /// observer matrix) and secret-residency windows, emitting one
+    /// Keep each case's plan-coverage record (the structure × transition
+    /// × observer matrix) and secret-residency windows, emitting one
     /// [`EngineEvent::CaseCoverage`] per case and merging the aggregate
     /// [`PlanCoverage`] into [`EngineMetrics::plan_coverage`]. On by
-    /// default; recording rides the checker's event scan.
+    /// default. The checker records coverage on every case as it scans;
+    /// this switch decides only whether the engine keeps the record.
     pub coverage: bool,
     /// Ignored, as are `snapshot_cache` and `fast_path`. Every case is
     /// checked online on a platform from the run's snapshot cache, and
@@ -621,9 +622,11 @@ pub(crate) struct CaseExecution {
 /// The platform forks a checkpoint of `cache` when one applies, and the
 /// checker observes the run online, so the check phase is the finalize
 /// step. With `opts.counters` the finished core's microarchitectural
-/// counter digest is harvested into [`CaseExecution::counters`]. With
-/// `opts.diff` the differential oracle observes the same run, under the
-/// same watchdog budget. Phase spans attach under `tctx`.
+/// counter digest is harvested into [`CaseExecution::counters`]. The
+/// checker records plan coverage on every case, and `opts.coverage` keeps
+/// the record in [`CaseExecution::coverage`]. With `opts.diff` the
+/// differential oracle observes the same run, under the same watchdog
+/// budget. Phase spans attach under `tctx`.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
@@ -656,18 +659,13 @@ pub(crate) fn execute_case(
 
     let t_sim = Instant::now();
     let mut outcome = match catch_unwind(AssertUnwindSafe(|| {
-        let checker = if opts.coverage {
-            StreamingChecker::with_coverage(tc, cfg)
-        } else {
-            StreamingChecker::new(tc, cfg)
-        };
         run_case_opts(
             tc,
             cfg,
             RunOptions {
                 budget: opts.case_cycle_budget,
                 snapshot_cache: Some(cache),
-                checker: Some(checker),
+                checker: Some(StreamingChecker::new(tc, cfg)),
                 oracle: opts.diff.clone(),
                 trace: tctx,
             },
@@ -675,7 +673,7 @@ pub(crate) fn execute_case(
     })) {
         Ok(Ok(outcome)) => outcome,
         Ok(Err(build)) => return quarantined(format!("build error: {build}")),
-        Err(panic) => return quarantined(format!("panic: {}", panic_message(&panic))),
+        Err(panic) => return quarantined(format!("panic: {}", panic_message(&*panic))),
     };
     let build_us = outcome.build_us;
     let simulate_us = t_sim.elapsed().as_micros().saturating_sub(build_us);
@@ -690,7 +688,7 @@ pub(crate) fn execute_case(
         checker.finish_coverage(tc, &outcome)
     })) {
         Ok(out) => out,
-        Err(panic) => return quarantined(format!("checker panic: {}", panic_message(&panic))),
+        Err(panic) => return quarantined(format!("checker panic: {}", panic_message(&*panic))),
     };
     scan_span.arg("findings", report.findings.len());
     drop(scan_span);
@@ -727,7 +725,7 @@ pub(crate) fn execute_case(
         simulate_us,
         check_us,
         counters,
-        coverage,
+        coverage: coverage.filter(|_| opts.coverage),
         cache: Some(outcome.build.label()),
         fastpath,
     }

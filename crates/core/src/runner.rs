@@ -120,8 +120,8 @@ pub struct RunOptions<'c> {
     /// so it observes the exact sequence a fresh run would have produced:
     /// a boot fork replays its boot prefix into it, and a setup-prefix
     /// fork replaces it with a copy of the checker parked at the
-    /// checkpoint when both record coverage alike (else it replays the
-    /// prefix too). As the trace's sink, it keeps the trace from
+    /// checkpoint (or replays the prefix too, when the capture ran
+    /// without a checker). As the trace's sink, it keeps the trace from
     /// retaining events: peak retained events stay O(boot prefix) instead
     /// of O(simulated cycles). The engine passes one for every case.
     /// Without one the trace buffers every event, for
@@ -350,11 +350,11 @@ const PREFIX_CAP: usize = 64;
 ///   its interrupt, and checkpoints there; every sibling whose interrupt
 ///   lands later forks the checkpoint and re-simulates only the tail.
 ///   When the capturing case runs with a checker, the checker is fed the
-///   prefix once and a copy is parked beside the platform. A sibling
-///   whose checker records coverage alike starts from a copy of it under
-///   its own case name and path, the only checker state the key leaves
-///   out, instead of replaying the prefix. Debug builds check every such
-///   copy against the replay it replaces.
+///   prefix once and a copy is parked beside the platform. A sibling that
+///   runs with a checker starts from a copy of it under its own case name
+///   and path, the only checker state the key leaves out, instead of
+///   replaying the prefix. Debug builds check every such copy against the
+///   replay it replaces.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
@@ -400,16 +400,12 @@ struct PrefixSnapshot {
 
 impl PrefixSnapshot {
     /// `checker` caught up on the prefix a fork of this checkpoint skips:
-    /// a copy of the parked checker when it records coverage as `checker`
-    /// does, and otherwise a replay of the prefix. In debug builds the
-    /// copy is checked against that replay.
+    /// a copy of the parked checker, or a replay of the prefix when the
+    /// capture ran without a checker. In debug builds the copy is checked
+    /// against that replay.
     fn catch_up(&self, checker: StreamingChecker, tc: &TestCase) -> StreamingChecker {
         let trace = &self.platform.core.trace;
-        let Some(parked) = self
-            .checker
-            .as_ref()
-            .filter(|parked| parked.records_coverage() == checker.records_coverage())
-        else {
+        let Some(parked) = &self.checker else {
             return replay(checker, trace);
         };
         let forked = parked.fork_as(&checker);
@@ -704,7 +700,7 @@ fn case_builder_with(
         .host_vm(host_vm_for(tc))
         .sm_options(sm_options_for(tc, cfg));
     let host_steps = tc.host_steps.clone();
-    builder = builder.host_code(move |a, _| {
+    builder = builder.host_code(move |a| {
         lower_steps(a, &host_steps, layout::HOST_BASE, "h");
     });
     for (i, steps) in tc.enclave_steps.iter().enumerate() {
@@ -720,7 +716,7 @@ fn case_builder_with(
         }
         let steps = steps.clone();
         let base = layout::enclave_base(i);
-        builder = builder.enclave_code(i, move |a, _| {
+        builder = builder.enclave_code(i, move |a| {
             lower_steps(a, &steps, base, &format!("e{i}"));
         });
     }

@@ -50,11 +50,11 @@ type Hits = [(usize, usize)];
 #[derive(Debug, Clone, PartialEq)]
 struct Slot {
     finding: Finding,
-    /// `Some(secret value)` while the D4/D8 classification is pending.
-    pending_rf_value: Option<u64>,
-    /// Coverage cell captured at push time, so the late-resolved class
-    /// lands in the window the finding was actually observed in.
-    pending_cell: Option<CellKey>,
+    /// `Some((secret value, coverage cell))` while the D4/D8
+    /// classification is pending. The cell is captured at push time, so
+    /// the late-resolved class lands in the window the finding was
+    /// actually observed in.
+    pending: Option<(u64, CellKey)>,
 }
 
 /// The checker's per-event trace-scan state machine.
@@ -74,9 +74,8 @@ pub(crate) struct ScanState {
     dedup: HashSet<FindingKey>,
     slots: Vec<Slot>,
     events_seen: u64,
-    /// Plan-coverage recorder; `None` unless coverage recording was
-    /// requested (the default keeps the hot path untouched).
-    coverage: Option<CoverageTracker>,
+    /// Plan-coverage recorder: every scan records which plan cells it saw.
+    coverage: CoverageTracker,
 }
 
 impl ScanState {
@@ -90,24 +89,16 @@ impl ScanState {
             dedup: HashSet::new(),
             slots: Vec::new(),
             events_seen: 0,
-            coverage: None,
+            coverage: CoverageTracker::new(),
         }
-    }
-
-    /// Turns on plan-coverage recording for this scan.
-    pub(crate) fn enable_coverage(&mut self) {
-        self.coverage = Some(CoverageTracker::new());
     }
 
     fn push(&mut self, f: Finding) {
         if self.dedup.insert(finding_key(&f)) {
-            if let Some(cov) = self.coverage.as_mut() {
-                cov.record_detection(&f);
-            }
+            self.coverage.record_detection(&f);
             self.slots.push(Slot {
                 finding: f,
-                pending_rf_value: None,
-                pending_cell: None,
+                pending: None,
             });
         }
     }
@@ -128,9 +119,7 @@ impl ScanState {
         let scalar_hit = || hits.first().map(|&(_, i)| records[i]);
         // Coverage first: a domain switch must advance the transition
         // window before any finding this event pushes is attributed.
-        if let Some(cov) = self.coverage.as_mut() {
-            cov.on_event(e);
-        }
+        self.coverage.on_event(e);
         match (&e.structure, &e.kind) {
             // ---- P1: verbatim secrets in the register file -----------------
             (Structure::RegFile, TraceEventKind::Write { value, .. }) => {
@@ -159,14 +148,11 @@ impl ScanState {
                             // secret (later ones deduplicate to the same
                             // key whichever way it resolves).
                             if self.pending_rf_addrs.insert(rec.addr) {
-                                let pending_cell = self.coverage.as_mut().map(|cov| {
-                                    cov.record_detection(&finding);
-                                    cov.cell(finding.structure, finding.observer)
-                                });
+                                self.coverage.record_detection(&finding);
+                                let cell = self.coverage.cell(finding.structure, finding.observer);
                                 self.slots.push(Slot {
                                     finding,
-                                    pending_rf_value: Some(*value),
-                                    pending_cell,
+                                    pending: Some((*value, cell)),
                                 });
                             }
                         } else {
@@ -305,11 +291,10 @@ impl ScanState {
     }
 
     /// Resolves pending register-file classifications and returns the
-    /// findings plus the dedup key set (carried into the snapshot scan so
-    /// trace-time findings suppress equivalent residue findings).
-    pub(crate) fn into_findings(
-        self,
-    ) -> (Vec<Finding>, HashSet<FindingKey>, Option<CoverageTracker>) {
+    /// findings, the dedup key set (carried into the snapshot scan so
+    /// trace-time findings suppress equivalent residue findings) and the
+    /// coverage tracker.
+    pub(crate) fn into_findings(self) -> (Vec<Finding>, HashSet<FindingKey>, CoverageTracker) {
         let mut dedup = self.dedup;
         let mut coverage = self.coverage;
         let sb_forwarded_secrets = self.sb_forwarded_secrets;
@@ -318,7 +303,7 @@ impl ScanState {
             .into_iter()
             .map(|slot| {
                 let mut f = slot.finding;
-                if let Some(v) = slot.pending_rf_value {
+                if let Some((v, cell)) = slot.pending {
                     let class = if sb_forwarded_secrets.contains(&v) {
                         LeakClass::D8
                     } else {
@@ -328,9 +313,7 @@ impl ScanState {
                     // The final key cannot collide: D4/D8 register-file
                     // keys are produced by this arm alone.
                     dedup.insert(finding_key(&f));
-                    if let (Some(cov), Some(cell)) = (coverage.as_mut(), slot.pending_cell) {
-                        cov.resolve_class(cell, class);
-                    }
+                    coverage.resolve_class(cell, class);
                 }
                 f
             })
@@ -505,8 +488,10 @@ impl SecretProv {
 /// [`RunOptions::checker`](crate::runner::RunOptions::checker)) or replayed
 /// from a buffered trace ([`check_case`](crate::checker::check_case)); then
 /// [`StreamingChecker::finish`] scans the end-of-run snapshot and returns
-/// the [`CheckReport`]. Its state is a value: a checker cloned after some
-/// events carries on exactly as the original would, which is how a
+/// the [`CheckReport`]. Every checker records plan coverage as it scans,
+/// and [`StreamingChecker::finish_coverage`] also returns the case's
+/// [`CaseCoverage`] record. Its state is a value: a checker cloned after
+/// some events carries on exactly as the original would, which is how a
 /// setup-prefix checkpoint hands its fed checker to every sibling fork
 /// ([`SnapshotCache`](crate::runner::SnapshotCache)).
 ///
@@ -538,7 +523,8 @@ pub struct StreamingChecker {
 }
 
 impl StreamingChecker {
-    /// Creates a checker for one test case on one design.
+    /// Creates a checker for one test case on one design, recording plan
+    /// coverage.
     pub fn new(tc: &TestCase, cfg: &CoreConfig) -> StreamingChecker {
         let secrets = tc.secrets.indexed();
         StreamingChecker {
@@ -554,25 +540,17 @@ impl StreamingChecker {
         }
     }
 
-    /// Like [`StreamingChecker::new`], with plan-coverage recording on:
-    /// [`StreamingChecker::finish_coverage`] then yields the case's
-    /// [`CaseCoverage`] record alongside the report.
+    /// The same as [`StreamingChecker::new`], which records plan coverage
+    /// already. It stays only because the `campaign_bench` package still
+    /// calls this name.
     pub fn with_coverage(tc: &TestCase, cfg: &CoreConfig) -> StreamingChecker {
-        let mut checker = StreamingChecker::new(tc, cfg);
-        checker.scan.enable_coverage();
-        checker
+        StreamingChecker::new(tc, cfg)
     }
 
     /// Trace events observed so far (the length of the trace the checker
     /// has seen, whether or not anything buffered it).
     pub fn events_seen(&self) -> u64 {
         self.scan.events_seen
-    }
-
-    /// Whether this checker records plan coverage
-    /// ([`StreamingChecker::with_coverage`]).
-    pub(crate) fn records_coverage(&self) -> bool {
-        self.scan.coverage.is_some()
     }
 
     /// A copy of this checker that reports as `case`'s checker does. The
@@ -624,20 +602,27 @@ impl StreamingChecker {
     /// Finalizes the scan: resolves pending classifications, runs the
     /// end-of-run snapshot scan, reconstructs provenance chains, and
     /// returns the complete report.
-    pub fn finish(self, tc: &TestCase, outcome: &RunOutcome) -> CheckReport {
-        self.finish_coverage(tc, outcome).0
+    pub fn finish(self, outcome: &RunOutcome) -> CheckReport {
+        self.finish_scan(outcome).0
     }
 
     /// Like [`StreamingChecker::finish`], additionally returning the
-    /// per-case coverage record when the checker was created with
-    /// [`StreamingChecker::with_coverage`] (`None` otherwise). The checker
-    /// took all it needs of the case when it was created; `_tc` stays only
-    /// because the benchmark calls this signature.
+    /// per-case coverage record, always `Some`. The checker took all it
+    /// needs of the case when it was created; `_tc` and the `Option` stay
+    /// only because the benchmark calls this signature.
     pub fn finish_coverage(
         self,
         _tc: &TestCase,
         outcome: &RunOutcome,
     ) -> (CheckReport, Option<CaseCoverage>) {
+        let (report, coverage) = self.finish_scan(outcome);
+        let coverage = coverage.finish(&report);
+        (report, Some(coverage))
+    }
+
+    /// [`StreamingChecker::finish`], returning the coverage tracker beside
+    /// the report.
+    fn finish_scan(self, outcome: &RunOutcome) -> (CheckReport, CoverageTracker) {
         let StreamingChecker {
             case,
             path,
@@ -658,10 +643,8 @@ impl StreamingChecker {
             }
         };
         scan_snapshot(outcome, &secrets, &mut findings, &mut push);
-        if let Some(cov) = coverage.as_mut() {
-            for f in &findings[snapshot_from..] {
-                cov.record_detection(f);
-            }
+        for f in &findings[snapshot_from..] {
+            coverage.record_detection(f);
         }
 
         let end_cycle = outcome.cycles;
@@ -680,8 +663,7 @@ impl StreamingChecker {
             findings,
             provenance,
         };
-        let case_coverage = coverage.map(|cov| cov.finish(&report));
-        (report, case_coverage)
+        (report, coverage)
     }
 }
 

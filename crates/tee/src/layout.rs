@@ -3,8 +3,6 @@
 //! All regions are NAPOT-aligned so each maps to exactly one PMP entry —
 //! the way Keystone carves physical memory into security domains.
 
-use serde::{Deserialize, Serialize};
-
 /// Base of the security monitor region (boot vector + trap handler +
 /// scratch). Protected from S/U by PMP entry 0.
 pub const SM_BASE: u64 = 0x8000_0000;
@@ -91,65 +89,6 @@ pub mod scratch {
     pub const ENC_GPRS: u64 = 0x300;
 }
 
-/// A description of the full layout (serializable for reports).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Layout {
-    /// SM region base.
-    pub sm_base: u64,
-    /// SM region size.
-    pub sm_size: u64,
-    /// Host region base.
-    pub host_base: u64,
-    /// Host region size.
-    pub host_size: u64,
-    /// Shared buffer base.
-    pub shared_base: u64,
-    /// Enclave bases.
-    pub enclave_bases: Vec<u64>,
-    /// Per-enclave size.
-    pub enclave_size: u64,
-    /// Page-table arena base.
-    pub pt_base: u64,
-}
-
-impl Default for Layout {
-    fn default() -> Self {
-        Layout {
-            sm_base: SM_BASE,
-            sm_size: SM_SIZE,
-            host_base: HOST_BASE,
-            host_size: HOST_SIZE,
-            shared_base: SHARED_BASE,
-            enclave_bases: (0..MAX_ENCLAVES).map(enclave_base).collect(),
-            enclave_size: ENCLAVE_SIZE,
-            pt_base: PT_BASE,
-        }
-    }
-}
-
-impl Layout {
-    /// `true` if `addr` falls inside enclave `i`'s region.
-    pub fn in_enclave(&self, i: usize, addr: u64) -> bool {
-        let base = self.enclave_bases[i];
-        addr >= base && addr < base + self.enclave_size
-    }
-
-    /// The enclave owning `addr`, if any.
-    pub fn enclave_of(&self, addr: u64) -> Option<usize> {
-        (0..self.enclave_bases.len()).find(|&i| self.in_enclave(i, addr))
-    }
-
-    /// `true` if `addr` falls inside the SM region.
-    pub fn in_sm(&self, addr: u64) -> bool {
-        addr >= self.sm_base && addr < self.sm_base + self.sm_size
-    }
-
-    /// `true` if `addr` falls inside the host region.
-    pub fn in_host(&self, addr: u64) -> bool {
-        addr >= self.host_base && addr < self.host_base + self.host_size
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,17 +121,6 @@ mod tests {
                 assert!(b1 + s1 <= b2 || b2 + s2 <= b1, "overlap {b1:#x}/{b2:#x}");
             }
         }
-    }
-
-    #[test]
-    fn layout_classification() {
-        let l = Layout::default();
-        assert!(l.in_sm(SM_BASE + 8));
-        assert!(!l.in_sm(HOST_BASE));
-        assert!(l.in_host(HOST_DATA));
-        assert_eq!(l.enclave_of(enclave_data(0)), Some(0));
-        assert_eq!(l.enclave_of(enclave_data(1)), Some(1));
-        assert_eq!(l.enclave_of(HOST_BASE), None);
     }
 
     #[test]

@@ -28,6 +28,5 @@ pub mod sbi;
 pub mod sm;
 
 pub use enclave::{EnclaveState, LifecycleTracker};
-pub use layout::Layout;
 pub use platform::{HostVm, Platform, PlatformBuilder};
 pub use sbi::SbiCall;

@@ -14,7 +14,7 @@ use teesec_uarch::config::CoreConfig;
 use teesec_uarch::core::{Core, RunExit};
 use teesec_uarch::mem::Memory;
 
-use crate::layout::{self, Layout};
+use crate::layout;
 use crate::pagetable::PageTableBuilder;
 use crate::sbi::SbiCall;
 use crate::sm::{self, SmOptions};
@@ -31,7 +31,7 @@ pub enum HostVm {
     Sv39,
 }
 
-type CodeGen<'a> = Box<dyn FnOnce(&mut Assembler, &Layout) + 'a>;
+type CodeGen<'a> = Box<dyn FnOnce(&mut Assembler) + 'a>;
 
 /// Builds a [`Platform`].
 ///
@@ -41,7 +41,7 @@ type CodeGen<'a> = Box<dyn FnOnce(&mut Assembler, &Layout) + 'a>;
 /// use teesec_uarch::CoreConfig;
 ///
 /// let mut platform = Platform::builder(CoreConfig::boom())
-///     .host_code(|a, _| {
+///     .host_code(|a| {
 ///         a.li(Reg::S2, 42);
 ///     })
 ///     .build()?;
@@ -120,14 +120,14 @@ impl<'a> PlatformBuilder<'a> {
     /// Supplies the host (untrusted supervisor) code generator. The code is
     /// entered in S-mode at [`layout::HOST_BASE`]; an `ebreak` terminator is
     /// appended automatically.
-    pub fn host_code(mut self, f: impl FnOnce(&mut Assembler, &Layout) + 'a) -> Self {
+    pub fn host_code(mut self, f: impl FnOnce(&mut Assembler) + 'a) -> Self {
         self.host = Some(Box::new(f));
         self
     }
 
     /// Supplies enclave `i`'s payload. Entered in S-mode at its region
     /// base; a `StopEnclave` terminator is appended automatically.
-    pub fn enclave_code(mut self, i: usize, f: impl FnOnce(&mut Assembler, &Layout) + 'a) -> Self {
+    pub fn enclave_code(mut self, i: usize, f: impl FnOnce(&mut Assembler) + 'a) -> Self {
         self.enclaves[i] = Some(Box::new(f));
         self
     }
@@ -169,16 +169,15 @@ impl<'a> PlatformBuilder<'a> {
     /// Returns [`BuildError`] when generated code fails to assemble or
     /// overflows its region.
     pub fn build(self) -> Result<Platform, BuildError> {
-        let lay = Layout::default();
         let mut mem = Memory::new();
 
         load_sm(&self.sm_options, &mut mem)?;
         let satp_val = build_host_pagetables(self.host_vm, &mut mem);
 
-        let host_words = assemble_host(self.host, satp_val, &lay)?;
+        let host_words = assemble_host(self.host, satp_val)?;
         mem.load_words(layout::HOST_BASE, &host_words);
 
-        load_enclaves(self.enclaves, &lay, &mut mem)?;
+        load_enclaves(self.enclaves, &mut mem)?;
 
         for (addr, bytes) in self.seeds {
             mem.write_bytes(addr, &bytes);
@@ -188,7 +187,7 @@ impl<'a> PlatformBuilder<'a> {
         if let Some(at) = self.irq_at {
             core.schedule_external_interrupt(at);
         }
-        Ok(Platform { core, layout: lay })
+        Ok(Platform { core })
     }
 
     /// Forks a platform from a pre-booted [`PlatformSnapshot`] instead of
@@ -203,13 +202,12 @@ impl<'a> PlatformBuilder<'a> {
     /// Returns [`BuildError`] when generated code fails to assemble or
     /// overflows its region.
     pub fn build_from(self, snap: &PlatformSnapshot) -> Result<Platform, BuildError> {
-        let lay = snap.layout.clone();
         let mut core = snap.core.clone();
 
-        let host_words = assemble_host(self.host, snap.satp_val, &lay)?;
+        let host_words = assemble_host(self.host, snap.satp_val)?;
         core.mem.load_words(layout::HOST_BASE, &host_words);
 
-        load_enclaves(self.enclaves, &lay, &mut core.mem)?;
+        load_enclaves(self.enclaves, &mut core.mem)?;
 
         for (addr, bytes) in self.seeds {
             core.mem.write_bytes(addr, &bytes);
@@ -219,7 +217,7 @@ impl<'a> PlatformBuilder<'a> {
             core.schedule_external_interrupt(at);
         }
         core.resume_fetch();
-        Ok(Platform { core, layout: lay })
+        Ok(Platform { core })
     }
 }
 
@@ -264,11 +262,7 @@ fn build_host_pagetables(host_vm: HostVm, mem: &mut Memory) -> Option<u64> {
 }
 
 /// Host code: prologue + payload + terminator.
-fn assemble_host(
-    host: Option<CodeGen<'_>>,
-    satp_val: Option<u64>,
-    lay: &Layout,
-) -> Result<Vec<u32>, BuildError> {
+fn assemble_host(host: Option<CodeGen<'_>>, satp_val: Option<u64>) -> Result<Vec<u32>, BuildError> {
     let mut host_asm = Assembler::new(layout::HOST_BASE);
     if let Some(satp) = satp_val {
         host_asm.li(Reg::T0, satp);
@@ -279,7 +273,7 @@ fn assemble_host(
         host_asm.csrrs(Reg::ZERO, csr::SSTATUS, Reg::T0);
     }
     if let Some(f) = host {
-        f(&mut host_asm, lay);
+        f(&mut host_asm);
     }
     host_asm.inst(Inst::Ebreak);
     let host_words = host_asm.assemble()?;
@@ -294,15 +288,11 @@ fn assemble_host(
     Ok(host_words)
 }
 
-fn load_enclaves(
-    enclaves: Vec<Option<CodeGen<'_>>>,
-    lay: &Layout,
-    mem: &mut Memory,
-) -> Result<(), BuildError> {
+fn load_enclaves(enclaves: Vec<Option<CodeGen<'_>>>, mem: &mut Memory) -> Result<(), BuildError> {
     for (i, gen) in enclaves.into_iter().enumerate() {
         let Some(f) = gen else { continue };
         let mut easm = Assembler::new(layout::enclave_base(i));
-        f(&mut easm, lay);
+        f(&mut easm);
         // Default terminator: yield back to the host.
         easm.li(Reg::A7, SbiCall::StopEnclave.id());
         easm.ecall();
@@ -335,7 +325,6 @@ fn load_enclaves(
 pub struct PlatformSnapshot {
     core: Core,
     satp_val: Option<u64>,
-    layout: Layout,
     boot_cycles: u64,
     capture_us: u64,
 }
@@ -375,7 +364,6 @@ impl PlatformSnapshot {
         observer: impl FnOnce(&mut Core) -> O,
     ) -> Result<(PlatformSnapshot, O), BuildError> {
         let t0 = std::time::Instant::now();
-        let lay = Layout::default();
         let mut mem = Memory::new();
         load_sm(sm_options, &mut mem)?;
         let satp_val = build_host_pagetables(host_vm, &mut mem);
@@ -393,7 +381,6 @@ impl PlatformSnapshot {
         let snap = PlatformSnapshot {
             core,
             satp_val,
-            layout: lay,
             boot_cycles,
             capture_us: t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
         };
@@ -431,8 +418,6 @@ impl PlatformSnapshot {
 pub struct Platform {
     /// The simulated core (trace, caches and CSRs are reachable through it).
     pub core: Core,
-    /// The physical memory map.
-    pub layout: Layout,
 }
 
 impl Platform {
@@ -471,7 +456,7 @@ mod tests {
     #[test]
     fn boots_to_host_and_halts() {
         let mut p = Platform::builder(boom())
-            .host_code(|a, _| {
+            .host_code(|a| {
                 a.li(Reg::S2, 0x1234);
             })
             .build()
@@ -489,9 +474,9 @@ mod tests {
     fn host_cannot_read_enclave_memory_architecturally() {
         let mut p = Platform::builder(boom())
             .seed_u64(layout::enclave_data(0), 0xDEAD_BEEF)
-            .host_code(|a, lay| {
+            .host_code(|a| {
                 a.li(Reg::S2, 0x1111);
-                a.li(Reg::T4, lay.enclave_bases[0] + layout::ENCLAVE_SIZE / 2);
+                a.li(Reg::T4, layout::enclave_data(0));
                 a.ld(Reg::S3, Reg::T4, 0); // PMP fault; SM skips it
                 a.li(Reg::S4, 0x2222); // execution continues
             })
@@ -507,14 +492,14 @@ mod tests {
     #[test]
     fn full_enclave_lifecycle_roundtrip() {
         let mut p = Platform::builder(boom())
-            .enclave_code(0, |a, lay| {
+            .enclave_code(0, |a| {
                 // The enclave writes a token into its own memory, then the
                 // implicit StopEnclave terminator yields.
-                a.li(Reg::T0, lay.enclave_bases[0] + layout::ENCLAVE_SIZE / 2);
+                a.li(Reg::T0, layout::enclave_data(0));
                 a.li(Reg::T1, 0x0E0E);
                 a.sd(Reg::T1, Reg::T0, 0);
             })
-            .host_code(|a, _| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::CreateEnclave, 0);
                 emit_sbi_call(a, SbiCall::RunEnclave, 0);
                 // Back from the enclave's stop: mark progress.
@@ -534,10 +519,10 @@ mod tests {
     #[test]
     fn enclave_runs_in_enclave_domain() {
         let mut p = Platform::builder(boom())
-            .enclave_code(0, |a, _| {
+            .enclave_code(0, |a| {
                 a.li(Reg::T1, 1);
             })
-            .host_code(|a, _| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::RunEnclave, 0);
             })
             .build()
@@ -559,8 +544,8 @@ mod tests {
     #[test]
     fn stop_resume_preserves_enclave_progress() {
         let mut p = Platform::builder(boom())
-            .enclave_code(0, |a, lay| {
-                let data = lay.enclave_bases[0] + layout::ENCLAVE_SIZE / 2;
+            .enclave_code(0, |a| {
+                let data = layout::enclave_data(0);
                 a.li(Reg::S5, 0xA);
                 a.li(Reg::A7, SbiCall::StopEnclave.id());
                 a.ecall(); // yield mid-way
@@ -572,7 +557,7 @@ mod tests {
                 a.sd(Reg::T1, Reg::T0, 0);
                 // implicit terminator: stop again
             })
-            .host_code(|a, _| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::RunEnclave, 0);
                 a.li(Reg::S2, 1); // after first stop
                 emit_sbi_call(a, SbiCall::ResumeEnclave, 0);
@@ -590,9 +575,9 @@ mod tests {
     fn sv39_host_boots_and_walks_pages() {
         let mut p = Platform::builder(boom())
             .host_vm(HostVm::Sv39)
-            .host_code(|a, lay| {
+            .host_code(|a| {
                 // A translated data access (identity map).
-                a.li(Reg::T0, lay.shared_base);
+                a.li(Reg::T0, layout::SHARED_BASE);
                 a.li(Reg::T1, 0x5AFE);
                 a.sd(Reg::T1, Reg::T0, 0);
                 a.ld(Reg::S2, Reg::T0, 0);
@@ -611,13 +596,13 @@ mod tests {
     fn lifecycle_builder<'a>(cfg: CoreConfig) -> PlatformBuilder<'a> {
         Platform::builder(cfg)
             .seed_u64(layout::enclave_data(0) + 8, 0x5E_C4E7)
-            .enclave_code(0, |a, lay| {
-                let data = lay.enclave_bases[0] + layout::ENCLAVE_SIZE / 2;
+            .enclave_code(0, |a| {
+                let data = layout::enclave_data(0);
                 a.li(Reg::T0, data);
                 a.ld(Reg::T1, Reg::T0, 8);
                 a.sd(Reg::T1, Reg::T0, 16);
             })
-            .host_code(|a, _| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::CreateEnclave, 0);
                 emit_sbi_call(a, SbiCall::RunEnclave, 0);
                 a.li(Reg::S2, 0x33);
@@ -662,8 +647,8 @@ mod tests {
         let build = || {
             Platform::builder(boom())
                 .host_vm(HostVm::Sv39)
-                .host_code(|a, lay| {
-                    a.li(Reg::T0, lay.shared_base);
+                .host_code(|a| {
+                    a.li(Reg::T0, layout::SHARED_BASE);
                     a.li(Reg::T1, 0x5AFE);
                     a.sd(Reg::T1, Reg::T0, 0);
                     a.ld(Reg::S2, Reg::T0, 0);
@@ -685,17 +670,17 @@ mod tests {
         // context switch — the SM saves/restores the host's register file).
         let mut p = Platform::builder(boom())
             .seed_u64(layout::enclave_data(1), 0x5EC2_0001)
-            .enclave_code(0, |a, lay| {
-                a.li(Reg::T0, lay.enclave_bases[1] + layout::ENCLAVE_SIZE / 2);
+            .enclave_code(0, |a| {
+                a.li(Reg::T0, layout::enclave_data(1));
                 a.ld(Reg::T1, Reg::T0, 0); // faults; SM skips
-                a.li(Reg::T2, lay.shared_base);
+                a.li(Reg::T2, layout::SHARED_BASE);
                 a.sd(Reg::T1, Reg::T2, 0); // what the probe saw
                 a.li(Reg::T1, 0x99);
                 a.sd(Reg::T1, Reg::T2, 8); // progress token
             })
-            .host_code(|a, lay| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::RunEnclave, 0);
-                a.li(Reg::T0, lay.shared_base);
+                a.li(Reg::T0, layout::SHARED_BASE);
                 a.ld(Reg::S6, Reg::T0, 0);
                 a.ld(Reg::S7, Reg::T0, 8);
             })

@@ -144,7 +144,7 @@ fn stepping_is_allocation_free(cfg: CoreConfig, host: fn(&mut Assembler), min_lo
     let snap = PlatformSnapshot::capture(cfg.clone(), &SmOptions::default(), HostVm::Bare)
         .expect("boot snapshot");
     let mut platform = Platform::builder(cfg)
-        .host_code(|a, _| host(a))
+        .host_code(host)
         .build_from(&snap)
         .expect("fork from snapshot");
     let core = &mut platform.core;

@@ -24,7 +24,7 @@ fn main() {
     // up against the protection boundary.
     let mut platform = Platform::builder(CoreConfig::boom())
         .seed_u64(enclave_line, secret)
-        .host_code(move |a, _| {
+        .host_code(move |a| {
             // The faultless access at the boundary (Figure 2's `ld a5`).
             a.li(Reg::A4, boundary);
             a.ld(Reg::A5, Reg::A4, 0);

@@ -32,13 +32,13 @@ fn main() {
     let encl_pc = layout::enclave_base(0) + OFF;
 
     let mut platform = Platform::builder(CoreConfig::xiangshan())
-        .enclave_code(0, |a, lay| {
+        .enclave_code(0, |a| {
             // The victim's secret-dependent branch (taken here).
-            branch_at(a, lay.enclave_bases[0], OFF, true, "enclave");
+            branch_at(a, layout::enclave_base(0), OFF, true, "enclave");
         })
-        .host_code(|a, lay| {
+        .host_code(|a| {
             // Prime: host branch at the colliding offset.
-            branch_at(a, lay.host_base, OFF, true, "host");
+            branch_at(a, layout::HOST_BASE, OFF, true, "host");
             emit_sbi_call(a, SbiCall::RunEnclave, 0);
             // Probe happens by inspecting predictor state below; a real
             // attacker would time a re-execution of the branch.

@@ -14,13 +14,13 @@ fn secrets_flow_through_real_memory_hierarchy() {
     // enclave; memory must be scrubbed while the host's own data survives.
     let mut p = Platform::builder(CoreConfig::boom())
         .seed_u64(layout::HOST_DATA, 0x1111_2222)
-        .enclave_code(0, |a, lay| {
+        .enclave_code(0, |a| {
             a.li(Reg::T0, 40);
             a.addi(Reg::T0, Reg::T0, 2);
-            a.li(Reg::T1, lay.enclave_bases[0] + layout::ENCLAVE_SIZE / 2);
+            a.li(Reg::T1, layout::enclave_data(0));
             a.sd(Reg::T0, Reg::T1, 0);
         })
-        .host_code(|a, _| {
+        .host_code(|a| {
             emit_sbi_call(a, SbiCall::CreateEnclave, 0);
             emit_sbi_call(a, SbiCall::RunEnclave, 0);
             emit_sbi_call(a, SbiCall::DestroyEnclave, 0);
@@ -41,8 +41,8 @@ fn sv39_and_bare_hosts_compute_identically() {
     let run = |vm: HostVm| {
         let mut p = Platform::builder(CoreConfig::xiangshan())
             .host_vm(vm)
-            .host_code(|a, lay| {
-                a.li(Reg::T0, lay.shared_base);
+            .host_code(|a| {
+                a.li(Reg::T0, layout::SHARED_BASE);
                 a.li(Reg::S2, 0);
                 for k in 0..8 {
                     a.li(Reg::T1, 100 + k);
@@ -72,7 +72,7 @@ fn attestation_is_content_sensitive() {
     let measure = |seed: u64| {
         let mut p = Platform::builder(CoreConfig::boom())
             .seed_u64(layout::enclave_data(0) + 0x100, seed)
-            .host_code(|a, _| {
+            .host_code(|a| {
                 emit_sbi_call(a, SbiCall::CreateEnclave, 0);
                 emit_sbi_call(a, SbiCall::AttestEnclave, 0);
                 a.mv(Reg::S4, Reg::A0); // measurement
@@ -93,8 +93,8 @@ fn attestation_is_content_sensitive() {
 fn hardware_walks_appear_in_the_trace() {
     let mut p = Platform::builder(CoreConfig::boom())
         .host_vm(HostVm::Sv39)
-        .host_code(|a, lay| {
-            a.li(Reg::T0, lay.shared_base + 0x2000);
+        .host_code(|a| {
+            a.li(Reg::T0, layout::SHARED_BASE + 0x2000);
             a.li(Reg::T1, 7);
             a.sd(Reg::T1, Reg::T0, 0);
             a.ld(Reg::S2, Reg::T0, 0);
@@ -119,7 +119,7 @@ fn hardware_walks_appear_in_the_trace() {
 #[test]
 fn domain_attribution_follows_lifecycle() {
     let mut p = Platform::builder(CoreConfig::xiangshan())
-        .enclave_code(0, |a, _| {
+        .enclave_code(0, |a| {
             a.li(Reg::T0, 1);
             // Yield mid-way; the implicit terminator stops again after
             // the resume.
@@ -127,7 +127,7 @@ fn domain_attribution_follows_lifecycle() {
             a.ecall();
             a.li(Reg::T0, 2);
         })
-        .host_code(|a, _| {
+        .host_code(|a| {
             emit_sbi_call(a, SbiCall::RunEnclave, 0);
             emit_sbi_call(a, SbiCall::ResumeEnclave, 0);
         })
@@ -156,7 +156,7 @@ fn user_mode_transition_via_sret() {
     // same PMP view (Keystone gives PMP no U/S distinction for unlocked
     // entries) and the test ends there.
     let mut p = Platform::builder(CoreConfig::boom())
-        .host_code(|a, _| {
+        .host_code(|a| {
             a.la(Reg::T0, "user");
             a.csrw(teesec_isa::csr::SEPC, Reg::T0);
             // sstatus.SPP = 0 (user)

@@ -234,7 +234,7 @@ proptest! {
         split in 1u64..4_000,
     ) {
         let mut p = Platform::builder(CoreConfig::boom())
-            .host_code(|a, _| emit_alu_body(a, seed, 40))
+            .host_code(|a| emit_alu_body(a, seed, 40))
             .build()
             .expect("platform build");
         p.core.trace.set_enabled(false);

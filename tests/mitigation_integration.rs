@@ -192,11 +192,12 @@ fn every_mitigation_preserves_architectural_results() {
     // A compute+memory workload must produce identical architectural
     // results under every mitigation combination.
     use teesec_isa::reg::Reg;
+    use teesec_tee::layout;
     use teesec_tee::platform::Platform;
     let run = |m: MitigationSet| {
         let mut p = Platform::builder(CoreConfig::xiangshan().with_mitigations(m))
-            .host_code(|a, lay| {
-                a.li(Reg::T0, lay.shared_base);
+            .host_code(|a| {
+                a.li(Reg::T0, layout::SHARED_BASE);
                 a.li(Reg::S2, 0);
                 for k in 0..6i32 {
                     a.li(Reg::T1, (k as u64) * 31 + 7);

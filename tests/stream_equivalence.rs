@@ -36,47 +36,32 @@ fn batch_report(tc: &TestCase, cfg: &CoreConfig) -> CheckReport {
     report
 }
 
-/// The checker a run hands the runner.
-#[derive(Debug, Clone, Copy)]
-enum Checking {
-    /// None: the trace buffers every event, and `check_case_coverage`
-    /// scans it after the run.
-    Off,
-    /// A plain [`StreamingChecker`].
-    Plain,
-    /// A [`StreamingChecker`] recording plan coverage.
-    Coverage,
-}
-
-/// Runs `tc` through `cache` with the checker `checking` names, and
-/// returns its report and coverage as JSON (`None` for a plain checker,
-/// which records none).
+/// Runs `tc` through `cache`, checked `online` by a [`StreamingChecker`]
+/// the runner feeds, or else by `check_case_coverage` scanning the trace
+/// the run buffered, and returns its report and coverage as JSON.
 fn cached_run(
     tc: &TestCase,
     cfg: &CoreConfig,
     cache: &SnapshotCache,
-    checking: Checking,
-) -> (String, Option<String>) {
-    let checker = match checking {
-        Checking::Off => None,
-        Checking::Plain => Some(StreamingChecker::new(tc, cfg)),
-        Checking::Coverage => Some(StreamingChecker::with_coverage(tc, cfg)),
-    };
+    online: bool,
+) -> (String, String) {
     let options = RunOptions {
         snapshot_cache: Some(cache),
-        checker,
+        checker: online.then(|| StreamingChecker::new(tc, cfg)),
         ..RunOptions::default()
     };
     let mut outcome = run_case_opts(tc, cfg, options).expect("cached build");
     let (report, coverage) = match outcome.checker.take() {
-        Some(checker) => checker.finish_coverage(tc, &outcome),
-        None => {
-            let (report, coverage) = check_case_coverage(tc, &outcome, cfg);
-            (report, Some(coverage))
+        Some(checker) => {
+            let (report, coverage) = checker.finish_coverage(tc, &outcome);
+            (report, coverage.expect("every checker records coverage"))
         }
+        None => check_case_coverage(tc, &outcome, cfg),
     };
-    let coverage = coverage.map(|coverage| serde_json::to_string(&coverage).unwrap());
-    (serde_json::to_string(&report).unwrap(), coverage)
+    (
+        serde_json::to_string(&report).unwrap(),
+        serde_json::to_string(&coverage).unwrap(),
+    )
 }
 
 /// The equivalence guarantee: over the full default corpus, on both
@@ -91,7 +76,7 @@ fn streaming_reports_are_byte_identical_to_batch_on_both_designs() {
         let cache = SnapshotCache::new();
         for tc in &corpus {
             let batch = serde_json::to_string(&batch_report(tc, &cfg)).unwrap();
-            let (stream, _) = cached_run(tc, &cfg, &cache, Checking::Plain);
+            let (stream, _) = cached_run(tc, &cfg, &cache, true);
             assert_eq!(
                 stream, batch,
                 "case {} on {}: streaming report differs from batch",
@@ -114,21 +99,15 @@ fn streaming_reports_are_byte_identical_to_batch_on_both_designs() {
 /// Interrupt-timing sweeps are the setup-prefix checkpoint's home turf:
 /// every sibling except the first forks a platform already simulated up
 /// to just before its interrupt, and a checker already fed that prefix
-/// when the capture had one that records coverage alike. On both designs
-/// and for every order of callers a cache can see (the capture's checker,
-/// then the siblings'), each report and coverage record must be
+/// when the capture had one. On both designs and for every order of
+/// callers a cache can see (online or buffered checking for the capture,
+/// then for the siblings), each report and coverage record must be
 /// byte-identical to the batch pipeline's on a fresh build, and the
 /// family must be captured once and forked by every sibling.
 #[test]
 fn irq_sweep_forks_the_setup_prefix_and_stays_byte_identical() {
-    let orders = [
-        (Checking::Plain, Checking::Plain),
-        (Checking::Coverage, Checking::Coverage),
-        (Checking::Off, Checking::Plain),
-        (Checking::Off, Checking::Coverage),
-        (Checking::Coverage, Checking::Plain),
-        (Checking::Plain, Checking::Coverage),
-    ];
+    let orders = [(true, true), (false, true), (true, false)];
+    let mode = |online: bool| if online { "online" } else { "buffered" };
     for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
         let sweep = sweep::irq_sweep(&cfg);
         let batch: Vec<(String, String)> = sweep
@@ -141,19 +120,22 @@ fn irq_sweep_forks_the_setup_prefix_and_stays_byte_identical() {
             })
             .collect();
         for (capture, forks) in orders {
-            let order = format!("{} with a {capture:?} capture, {forks:?} forks", cfg.name);
+            let order = format!(
+                "{} with a {} capture, {} forks",
+                cfg.name,
+                mode(capture),
+                mode(forks)
+            );
             let cache = SnapshotCache::new();
             for (k, (tc, (batch_report, batch_coverage))) in sweep.iter().zip(&batch).enumerate() {
-                let checking = if k == 0 { capture } else { forks };
+                let online = if k == 0 { capture } else { forks };
                 let what = format!("{} on {order}", tc.name);
-                let (report, coverage) = cached_run(tc, &cfg, &cache, checking);
+                let (report, coverage) = cached_run(tc, &cfg, &cache, online);
                 assert_eq!(&report, batch_report, "{what}: report differs from batch");
-                if let Some(coverage) = coverage {
-                    assert_eq!(
-                        &coverage, batch_coverage,
-                        "{what}: coverage differs from batch"
-                    );
-                }
+                assert_eq!(
+                    &coverage, batch_coverage,
+                    "{what}: coverage differs from batch"
+                );
             }
             let m = cache.metrics();
             assert_eq!(
@@ -194,7 +176,7 @@ fn streaming_coverage_is_byte_identical_to_batch_on_both_designs() {
                 &cfg,
                 RunOptions {
                     snapshot_cache: Some(&cache),
-                    checker: Some(StreamingChecker::with_coverage(tc, &cfg)),
+                    checker: Some(StreamingChecker::new(tc, &cfg)),
                     ..RunOptions::default()
                 },
             )
@@ -204,7 +186,7 @@ fn streaming_coverage_is_byte_identical_to_batch_on_both_designs() {
                 .take()
                 .expect("the run returns its checker");
             let (_, stream_cov) = checker.finish_coverage(tc, &stream_outcome);
-            let stream_cov = stream_cov.expect("coverage recording was on");
+            let stream_cov = stream_cov.expect("every checker records coverage");
 
             assert_eq!(
                 serde_json::to_string(&stream_cov).unwrap(),

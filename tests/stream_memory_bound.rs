@@ -86,7 +86,7 @@ fn streaming_retains_constant_events_while_the_run_grows() {
 
     // And despite never buffering, the streaming report matches batch.
     let batch_report = check_case(&long, &batch_long, &cfg);
-    let stream_report = long_checker.finish(&long, &long_out);
+    let stream_report = long_checker.finish(&long_out);
     assert_eq!(
         serde_json::to_string(&stream_report).unwrap(),
         serde_json::to_string(&batch_report).unwrap(),

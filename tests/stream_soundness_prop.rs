@@ -82,7 +82,7 @@ proptest! {
             .checker
             .take()
             .expect("the run returns its checker");
-        let stream = checker.finish(&tc, &stream_outcome);
+        let stream = checker.finish(&stream_outcome);
 
         prop_assert!(
             stream.findings.len() >= batch.findings.len(),
