@@ -621,8 +621,10 @@ pub(crate) struct CaseExecution {
 ///
 /// The platform forks a checkpoint of `cache` when one applies, and the
 /// checker observes the run online, so the check phase is the finalize
-/// step. With `opts.counters` the finished core's microarchitectural
-/// counter digest is harvested into [`CaseExecution::counters`]. The
+/// step. Once the case's results are collected, its platform goes back to
+/// `cache` for the next fork to write into. With `opts.counters` the
+/// finished core's microarchitectural counter digest is harvested into
+/// [`CaseExecution::counters`]. The
 /// checker records plan coverage on every case, and `opts.coverage` keeps
 /// the record in [`CaseExecution::coverage`]. With `opts.diff` the
 /// differential oracle observes the same run, under the same watchdog
@@ -695,6 +697,9 @@ pub(crate) fn execute_case(
     let check_us = t_chk.elapsed().as_micros();
     let counters = opts.counters.then(|| outcome.platform.core.counters());
     let fastpath = Some(outcome.platform.core.fast_path_stats());
+    // Everything the case reports is collected: the next fork writes into
+    // this platform instead of a new one.
+    cache.recycle(outcome.platform);
 
     let mut findings_by_structure = BTreeMap::new();
     for f in &report.findings {

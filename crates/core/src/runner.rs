@@ -332,7 +332,11 @@ const PREFIX_CAP: usize = 64;
 
 /// A keyed cache of copy-on-write platform checkpoints, shared across
 /// engine workers (interior mutability; take a `&SnapshotCache` per
-/// worker). Two tiers:
+/// worker). Forks write into the platforms of finished cases: the engine
+/// hands each case's platform back ([`SnapshotCache::recycle`]), and the
+/// next fork reuses its buffers instead of allocating and freeing a
+/// platform per case. So a run keeps one spare per worker, owned by the
+/// cache and dropped with it. Two tiers:
 ///
 /// - **Boot snapshots**, keyed by everything the boot prefix depends on:
 ///   the design name plus the setup knobs lowered into the security
@@ -345,10 +349,11 @@ const PREFIX_CAP: usize = 64;
 /// - **Setup-prefix checkpoints** for interrupt-timing sweeps, keyed by
 ///   the design name plus the *entire case minus its interrupt cycle*
 ///   (name, access path and cycle budget are execution-irrelevant and
-///   canonicalized out). The first case of a sweep family builds the full
-///   platform, simulates the shared setup prefix up to one cycle before
-///   its interrupt, and checkpoints there; every sibling whose interrupt
-///   lands later forks the checkpoint and re-simulates only the tail.
+///   left out), compared field by field. The first case of a sweep family
+///   builds the full platform, simulates the shared setup prefix up to
+///   one cycle before its interrupt, and checkpoints there; every sibling
+///   whose interrupt lands later forks the checkpoint and re-simulates
+///   only the tail.
 ///   When the capturing case runs with a checker, the checker is fed the
 ///   prefix once and a copy is parked beside the platform. A sibling that
 ///   runs with a checker starts from a copy of it under its own case name
@@ -359,6 +364,8 @@ const PREFIX_CAP: usize = 64;
 pub struct SnapshotCache {
     boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
     prefixes: Mutex<PrefixMap>,
+    /// Platforms of finished cases, for the next forks to write into.
+    spares: Mutex<Vec<Platform>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
@@ -366,14 +373,21 @@ pub struct SnapshotCache {
 }
 
 type BootKey = (String, bool, u64, bool, bool);
-type PrefixKey = (String, String);
 
-/// Insertion-ordered map of setup-prefix checkpoints (`None` marks a
-/// family whose capture failed, so siblings skip straight to tier two).
+/// Setup-prefix checkpoints, oldest first.
 #[derive(Debug, Default)]
 struct PrefixMap {
-    entries: HashMap<PrefixKey, Option<Arc<PrefixSnapshot>>>,
-    order: VecDeque<PrefixKey>,
+    entries: VecDeque<PrefixEntry>,
+}
+
+/// One sweep family's checkpoint: the design and the case that captured
+/// it, which stand for the family, and the checkpoint (`None` when the
+/// capture failed, so siblings skip straight to tier two).
+#[derive(Debug)]
+struct PrefixEntry {
+    design: String,
+    case: TestCase,
+    snap: Option<Arc<PrefixSnapshot>>,
 }
 
 /// A boot snapshot and the lockstep oracle that compared its boot,
@@ -425,6 +439,32 @@ impl SnapshotCache {
         SnapshotCache::default()
     }
 
+    /// Takes back the platform of a finished case, which a later fork
+    /// will overwrite. Hand back only a platform whose run is over and
+    /// whose results are collected.
+    pub fn recycle(&self, platform: Platform) {
+        self.spares
+            .lock()
+            .expect("spare platforms poisoned")
+            .push(platform);
+    }
+
+    /// A platform a finished case left behind, if any.
+    fn spare(&self) -> Option<Platform> {
+        self.spares.lock().expect("spare platforms poisoned").pop()
+    }
+
+    /// A fork of `platform`, written into a spare when there is one.
+    fn fork(&self, platform: &Platform) -> Platform {
+        match self.spare() {
+            Some(mut spare) => {
+                spare.clone_from(platform);
+                spare
+            }
+            None => platform.clone(),
+        }
+    }
+
     /// Current counter values.
     pub fn metrics(&self) -> SnapshotCacheMetrics {
         SnapshotCacheMetrics {
@@ -451,15 +491,14 @@ impl SnapshotCache {
         // Only sound when the interrupt lands strictly inside the cycle
         // budget — otherwise a fresh run would hit the limit first.
         if let Some(at) = tc.irq_at.filter(|&at| at > 0 && at - 1 < limit) {
-            let key: PrefixKey = (cfg.name.clone(), prefix_fingerprint(tc));
             let cached = {
                 let map = self.prefixes.lock().expect("prefix cache poisoned");
-                map.entries.get(&key).cloned()
+                map.get(&cfg.name, tc).cloned()
             };
             match cached {
                 Some(Some(snap)) if at > snap.prefix_cycles => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    let mut platform = snap.platform.clone();
+                    let mut platform = self.fork(&snap.platform);
                     platform.core.schedule_external_interrupt(at);
                     return Ok(Built {
                         platform,
@@ -471,7 +510,7 @@ impl SnapshotCache {
                 // Captured but inapplicable (interrupt inside the captured
                 // prefix, or the family's capture failed): tier two.
                 Some(_) => {}
-                None => return self.capture_prefix(tc, cfg, at, key, checker),
+                None => return self.capture_prefix(tc, cfg, at, checker),
             }
         }
         // Tier two: boot snapshots.
@@ -484,7 +523,7 @@ impl SnapshotCache {
                     (&self.hits, BuildKind::BootForked)
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                let platform = case_builder(tc, cfg).build_from(&boot.snap)?;
+                let platform = case_builder(tc, cfg).build_from(&boot.snap, self.spare())?;
                 Ok(Built::replayed(platform, kind, Some(boot), checker))
             }
             _ => {
@@ -505,7 +544,6 @@ impl SnapshotCache {
         tc: &TestCase,
         cfg: &CoreConfig,
         at: u64,
-        key: PrefixKey,
         checker: Option<StreamingChecker>,
     ) -> Result<Built, BuildError> {
         let (boot, _) = self.boot_snapshot_for(tc, cfg);
@@ -514,7 +552,7 @@ impl SnapshotCache {
         let t0 = std::time::Instant::now();
         let built = match boot {
             Some(boot) if boot_fork_applies(tc, &boot.snap) => {
-                case_builder_with(tc, cfg, false).build_from(&boot.snap)
+                case_builder_with(tc, cfg, false).build_from(&boot.snap, self.spare())
             }
             _ => case_builder_with(tc, cfg, false).build(),
         };
@@ -524,7 +562,7 @@ impl SnapshotCache {
                 // Remember the failure so siblings skip the capture
                 // attempt; the case itself surfaces the build error.
                 let mut map = self.prefixes.lock().expect("prefix cache poisoned");
-                map.insert_bounded(key, None);
+                map.insert_bounded(&cfg.name, tc, None);
                 self.bypasses.fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
@@ -548,10 +586,10 @@ impl SnapshotCache {
             platform,
             checker: checker.clone(),
         });
-        let mut forked = snap.platform.clone();
+        let mut forked = self.fork(&snap.platform);
         forked.core.schedule_external_interrupt(at);
         let mut map = self.prefixes.lock().expect("prefix cache poisoned");
-        map.insert_bounded(key, Some(snap));
+        map.insert_bounded(&cfg.name, tc, Some(snap));
         Ok(Built {
             platform: forked,
             kind: BuildKind::PrefixCaptured,
@@ -618,16 +656,32 @@ fn capture_boot(
 }
 
 impl PrefixMap {
-    /// Inserts, evicting the oldest family beyond [`PREFIX_CAP`] so
-    /// retained checkpoint memory stays bounded.
-    fn insert_bounded(&mut self, key: PrefixKey, snap: Option<Arc<PrefixSnapshot>>) {
-        if self.entries.insert(key.clone(), snap).is_none() {
-            self.order.push_back(key);
-            while self.order.len() > PREFIX_CAP {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
+    /// Where `tc`'s sweep family on `design` sits. The search runs newest
+    /// first, since a sweep submits a family's cases together.
+    fn position(&self, design: &str, tc: &TestCase) -> Option<usize> {
+        (self.entries.iter()).rposition(|e| e.design == design && same_family(&e.case, tc))
+    }
+
+    /// The checkpoint slot of `tc`'s sweep family on `design`.
+    fn get(&self, design: &str, tc: &TestCase) -> Option<&Option<Arc<PrefixSnapshot>>> {
+        self.position(design, tc).map(|i| &self.entries[i].snap)
+    }
+
+    /// Inserts, or replaces the checkpoint of a family already present,
+    /// evicting the oldest family beyond [`PREFIX_CAP`] so retained
+    /// checkpoint memory stays bounded.
+    fn insert_bounded(&mut self, design: &str, tc: &TestCase, snap: Option<Arc<PrefixSnapshot>>) {
+        if let Some(i) = self.position(design, tc) {
+            self.entries[i].snap = snap;
+            return;
+        }
+        self.entries.push_back(PrefixEntry {
+            design: design.to_string(),
+            case: tc.clone(),
+            snap,
+        });
+        if self.entries.len() > PREFIX_CAP {
+            self.entries.pop_front();
         }
     }
 }
@@ -639,17 +693,31 @@ fn boot_fork_applies(tc: &TestCase, snap: &PlatformSnapshot) -> bool {
     tc.irq_at.is_none_or(|at| at > snap.boot_cycles() + 1)
 }
 
-/// The sweep-family key: the case with every execution-irrelevant field
-/// (name, access-path label, cycle budget) and the swept interrupt cycle
-/// canonicalized out. Two cases with equal fingerprints build and run
-/// bit-identically up to their first interrupt.
-fn prefix_fingerprint(tc: &TestCase) -> String {
-    let mut probe = tc.clone();
-    probe.name = String::new();
-    probe.path = crate::paths::AccessPath::LoadL1Hit;
-    probe.max_cycles = 0;
-    probe.irq_at = None;
-    serde_json::to_string(&probe).expect("test cases serialize")
+/// The sweep-family key: whether `a` and `b` are equal in every field but
+/// the execution-irrelevant ones (name, access-path label, cycle budget)
+/// and the swept interrupt cycle. Two such cases build and run
+/// bit-identically up to their first interrupt. `a` is destructured
+/// whole, so a field added to [`TestCase`] must be sorted into one group
+/// or the other.
+fn same_family(a: &TestCase, b: &TestCase) -> bool {
+    let TestCase {
+        name: _,
+        path: _,
+        host_steps,
+        enclave_steps,
+        secrets,
+        host_sv39,
+        mcounteren,
+        sm_clear_hpcs,
+        irq_at: _,
+        max_cycles: _,
+    } = a;
+    *host_sv39 == b.host_sv39
+        && *mcounteren == b.mcounteren
+        && *sm_clear_hpcs == b.sm_clear_hpcs
+        && *host_steps == b.host_steps
+        && *enclave_steps == b.enclave_steps
+        && secrets.records() == b.secrets.records()
 }
 
 fn host_vm_for(tc: &TestCase) -> HostVm {
@@ -734,6 +802,8 @@ mod tests {
     use super::*;
     use crate::assemble::{assemble_case, CaseParams};
     use crate::paths::AccessPath;
+    use crate::testcase::Step;
+    use teesec_uarch::trace::Domain;
 
     #[test]
     fn default_case_runs_to_completion() {
@@ -786,6 +856,70 @@ mod tests {
         assert_eq!(m.misses, 1, "one capture for the family: {m:?}");
         assert_eq!(m.hits, 3, "siblings fork the checkpoint: {m:?}");
         assert_eq!(m.bypasses, 0, "{m:?}");
+    }
+
+    /// The setup-prefix map keys a sweep family on the design and every
+    /// field of the case but its name, path label, cycle budget and
+    /// interrupt cycle: cases that differ only in those share a
+    /// checkpoint, and a case that differs in anything else does not.
+    #[test]
+    fn sweep_family_key_leaves_out_exactly_the_swept_and_unexecuted_fields() {
+        let cfg = CoreConfig::boom();
+        let params = CaseParams {
+            restricted_counters: true,
+            irq_at: Some(2_000),
+            ..CaseParams::default()
+        };
+        let base = assemble_case(AccessPath::HpcRead, params, &cfg).unwrap();
+        let mut map = PrefixMap::default();
+        map.insert_bounded(&cfg.name, &base, None);
+        type Edit = (&'static str, fn(&mut TestCase));
+        let edited = |edit: fn(&mut TestCase)| {
+            let mut tc = base.clone();
+            edit(&mut tc);
+            tc
+        };
+        let shared: [Edit; 4] = [
+            ("name", |tc| tc.name.push_str("_irq1")),
+            ("path label", |tc| tc.path = AccessPath::LoadL1Hit),
+            ("cycle budget", |tc| tc.max_cycles += 1),
+            ("interrupt cycle", |tc| tc.irq_at = Some(2_037)),
+        ];
+        for (field, edit) in shared {
+            let tc = edited(edit);
+            assert!(
+                same_family(&base, &tc) && same_family(&tc, &base),
+                "{field}"
+            );
+            assert!(
+                map.get(&cfg.name, &tc).is_some(),
+                "{field}: shares the checkpoint"
+            );
+        }
+        let apart: [Edit; 6] = [
+            ("one host step", |tc| tc.host_steps[0] = Step::Nops(7)),
+            ("one enclave step", |tc| {
+                tc.enclave_steps[1].push(Step::ReadCycle)
+            }),
+            ("one secret", |tc| {
+                tc.secrets.seed(layout::enclave_data(1), Domain::Enclave(1));
+            }),
+            ("mcounteren", |tc| tc.mcounteren ^= 1),
+            ("host_sv39", |tc| tc.host_sv39 = !tc.host_sv39),
+            ("sm_clear_hpcs", |tc| tc.sm_clear_hpcs = !tc.sm_clear_hpcs),
+        ];
+        for (field, edit) in apart {
+            let tc = edited(edit);
+            assert!(
+                !same_family(&base, &tc) && !same_family(&tc, &base),
+                "{field}"
+            );
+            assert!(map.get(&cfg.name, &tc).is_none(), "{field}: another family");
+        }
+        assert!(
+            map.get("xiangshan", &base).is_none(),
+            "the design is part of the key"
+        );
     }
 
     /// Every boot configuration the cache keys is a clean point to fork

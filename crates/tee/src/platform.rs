@@ -197,14 +197,28 @@ impl<'a> PlatformBuilder<'a> {
     /// (host/enclave code, seeds, interrupt schedule) is applied on top of
     /// the forked copy-on-write image.
     ///
+    /// The fork is written into `spare` when one is given: a platform a
+    /// finished case left behind, of any design, whose buffers the fork
+    /// reuses through [`Clone::clone_from`]. Without one it is a new
+    /// platform. Either way it is the same platform, bit for bit.
+    ///
     /// # Errors
     ///
     /// Returns [`BuildError`] when generated code fails to assemble or
     /// overflows its region.
-    pub fn build_from(self, snap: &PlatformSnapshot) -> Result<Platform, BuildError> {
-        let mut core = snap.core.clone();
-
+    pub fn build_from(
+        self,
+        snap: &PlatformSnapshot,
+        spare: Option<Platform>,
+    ) -> Result<Platform, BuildError> {
         let host_words = assemble_host(self.host, snap.satp_val)?;
+        let mut core = match spare {
+            Some(Platform { mut core }) => {
+                core.clone_from(&snap.core);
+                core
+            }
+            None => snap.core.clone(),
+        };
         core.mem.load_words(layout::HOST_BASE, &host_words);
 
         load_enclaves(self.enclaves, &mut core.mem)?;
@@ -411,13 +425,26 @@ impl PlatformSnapshot {
 ///
 /// Cloning is copy-on-write at page granularity (see [`Memory`]): a clone
 /// shares every backed page with the original, so checkpoint/fork schemes
-/// can duplicate a mid-run platform by copying each storage structure's
-/// few flat buffers (caches, fill buffer, TLBs, predictors) plus one
-/// pointer per backed page (see [`Core`]).
-#[derive(Debug, Clone)]
+/// can duplicate a mid-run platform by copying one pointer per backed
+/// page, the TLBs, predictors and fill buffer, and each cache's live lines
+/// (see [`Core`]). [`Clone::clone_from`] writes the copy into a platform
+/// that already exists, reusing its buffers.
+#[derive(Debug)]
 pub struct Platform {
     /// The simulated core (trace, caches and CSRs are reachable through it).
     pub core: Core,
+}
+
+impl Clone for Platform {
+    fn clone(&self) -> Platform {
+        Platform {
+            core: self.core.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Platform) {
+        self.core.clone_from(&source.core);
+    }
 }
 
 impl Platform {
@@ -617,7 +644,7 @@ mod tests {
 
         let mut fresh = lifecycle_builder(boom()).build().expect("fresh build");
         let mut forked = lifecycle_builder(boom())
-            .build_from(&snap)
+            .build_from(&snap, None)
             .expect("forked build");
 
         assert_eq!(fresh.run(2_000_000), RunExit::Halted);
@@ -640,6 +667,36 @@ mod tests {
         );
     }
 
+    /// A fork written into a platform that already ran a case, of this
+    /// design or of another, is the fork a new platform would be.
+    #[test]
+    fn snapshot_fork_into_a_spare_matches_fresh_build() {
+        let snap = PlatformSnapshot::capture(boom(), &SmOptions::default(), HostVm::Bare)
+            .expect("capture");
+        let mut fresh = lifecycle_builder(boom()).build().expect("fresh build");
+        assert_eq!(fresh.run(2_000_000), RunExit::Halted);
+        for cfg in [boom(), CoreConfig::xiangshan()] {
+            let mut spare = lifecycle_builder(cfg.clone()).build().expect("spare");
+            assert_eq!(spare.run(2_000_000), RunExit::Halted);
+            let mut forked = lifecycle_builder(boom())
+                .build_from(&snap, Some(spare))
+                .expect("fork into the spare");
+            assert_eq!(forked.run(2_000_000), RunExit::Halted);
+            let what = format!("fork into a {} spare", cfg.name);
+            assert_eq!(fresh.core.cycle, forked.core.cycle, "{what}");
+            for r in teesec_isa::reg::Reg::all() {
+                assert_eq!(fresh.core.reg(r), forked.core.reg(r), "{what}: {r:?}");
+            }
+            assert_eq!(fresh.core.counters(), forked.core.counters(), "{what}");
+            assert_eq!(fresh.core.trace.len(), forked.core.trace.len(), "{what}");
+            assert_eq!(
+                fresh.core.mem.first_difference(&forked.core.mem),
+                None,
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn snapshot_fork_matches_fresh_build_under_sv39() {
         let snap = PlatformSnapshot::capture(boom(), &SmOptions::default(), HostVm::Sv39)
@@ -655,7 +712,7 @@ mod tests {
                 })
         };
         let mut fresh = build().build().expect("fresh");
-        let mut forked = build().build_from(&snap).expect("forked");
+        let mut forked = build().build_from(&snap, None).expect("forked");
         assert_eq!(fresh.run(1_000_000), RunExit::Halted);
         assert_eq!(forked.run(1_000_000), RunExit::Halted);
         assert_eq!(fresh.core.reg(Reg::S2), 0x5AFE);

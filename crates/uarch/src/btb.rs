@@ -41,11 +41,31 @@ const EMPTY: BtbEntry = BtbEntry {
 };
 
 /// A direct-mapped micro-BTB with partial tags.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Ubtb {
     entries: Vec<BtbEntry>,
     index_bits: u32,
     tag_bits: u32,
+}
+
+impl Clone for Ubtb {
+    fn clone(&self) -> Ubtb {
+        let mut ubtb = Ubtb::new(self.entries.len(), self.tag_bits);
+        ubtb.clone_from(self);
+        ubtb
+    }
+
+    /// Copies every entry into this uBTB's entry buffer.
+    fn clone_from(&mut self, source: &Ubtb) {
+        let Ubtb {
+            entries,
+            index_bits,
+            tag_bits,
+        } = source;
+        self.entries.clone_from(entries);
+        self.index_bits = *index_bits;
+        self.tag_bits = *tag_bits;
+    }
 }
 
 impl Ubtb {
@@ -114,13 +134,37 @@ impl Ubtb {
 }
 
 /// A set-associative fetch-target buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Ftb {
     entries: Vec<BtbEntry>,
     sets: usize,
     ways: usize,
     tag_bits: u32,
     use_counter: u64,
+}
+
+impl Clone for Ftb {
+    fn clone(&self) -> Ftb {
+        let mut ftb = Ftb::new(self.sets, self.ways, self.tag_bits);
+        ftb.clone_from(self);
+        ftb
+    }
+
+    /// Copies every entry into this FTB's entry buffer.
+    fn clone_from(&mut self, source: &Ftb) {
+        let Ftb {
+            entries,
+            sets,
+            ways,
+            tag_bits,
+            use_counter,
+        } = source;
+        self.entries.clone_from(entries);
+        self.sets = *sets;
+        self.ways = *ways;
+        self.tag_bits = *tag_bits;
+        self.use_counter = *use_counter;
+    }
 }
 
 impl Ftb {
@@ -197,9 +241,23 @@ impl Ftb {
 pub const BHT_ENTRIES: usize = 1024;
 
 /// A bimodal (2-bit counter) branch history table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Bht {
     counters: Vec<u8>,
+}
+
+impl Clone for Bht {
+    fn clone(&self) -> Bht {
+        let mut bht = Bht::new(self.counters.len());
+        bht.clone_from(self);
+        bht
+    }
+
+    /// Copies every counter into this BHT's counter buffer.
+    fn clone_from(&mut self, source: &Bht) {
+        let Bht { counters } = source;
+        self.counters.clone_from(counters);
+    }
 }
 
 impl Bht {

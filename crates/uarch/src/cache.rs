@@ -29,28 +29,98 @@ pub struct CacheLine<'a> {
 }
 
 /// Per-way metadata; the way's payload sits at the same slot index in
-/// [`Cache`]'s flat byte array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// [`Cache`]'s flat byte array, and its valid bit in the live bitset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineMeta {
-    valid: bool,
     line_addr: u64,
     last_use: u64,
     fill_domain: Domain,
 }
 
+/// The metadata of a slot that holds no line.
+const EMPTY: LineMeta = LineMeta {
+    line_addr: 0,
+    last_use: 0,
+    fill_domain: Domain::Untrusted,
+};
+
+/// The set bits of one bitset word, lowest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
 /// A physically indexed, physically tagged set-associative cache.
 ///
 /// Metadata and payloads live in two flat arrays (one entry and one
-/// `line_size`-byte run per way slot), so cloning a cache is two buffer
-/// copies and dropping it two frees, whatever its geometry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `line_size`-byte run per way slot), and a bitset marks the slots that
+/// hold a line. A slot that holds no line is always empty (zero metadata
+/// and payload): invalidating or flushing a line resets its slot. So
+/// [`Clone::clone_from`] copies only the slots live in the source or the
+/// destination, into the destination's buffers, and still leaves every
+/// array bit-identical to a full copy; debug builds check each copy
+/// against the full one. Forking a cache that holds a few dozen lines
+/// copies a few dozen lines, whatever its geometry.
+#[derive(Debug)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     line_size: u64,
+    /// One bit per way slot, set while the slot holds a line.
+    live: Vec<u64>,
     meta: Vec<LineMeta>,
     payload: Vec<u8>,
     use_counter: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        let mut cache = Cache::new(self.sets, self.ways, self.line_size);
+        cache.clone_from(self);
+        cache
+    }
+
+    /// Makes `self` a copy of `source` through the slots live on either
+    /// side: a slot live in `source` is copied, and one live only here is
+    /// reset. A cache of another geometry is first replaced by an empty
+    /// one.
+    fn clone_from(&mut self, source: &Cache) {
+        let Cache {
+            sets,
+            ways,
+            line_size,
+            live,
+            meta: _,
+            payload: _,
+            use_counter,
+        } = source;
+        if (self.sets, self.ways, self.line_size) != (*sets, *ways, *line_size) {
+            *self = Cache::new(*sets, *ways, *line_size);
+        }
+        for (w, &theirs) in live.iter().enumerate() {
+            for bit in Bits(self.live[w] | theirs) {
+                let slot = w * 64 + bit;
+                if theirs >> bit & 1 != 0 {
+                    self.copy_slot(source, slot);
+                } else {
+                    self.reset(slot);
+                }
+            }
+        }
+        self.use_counter = *use_counter;
+        #[cfg(debug_assertions)]
+        self.check_full_copy(source);
+    }
 }
 
 impl Cache {
@@ -65,18 +135,14 @@ impl Cache {
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        let empty = LineMeta {
-            valid: false,
-            line_addr: 0,
-            last_use: 0,
-            fill_domain: Domain::Untrusted,
-        };
+        let slots = sets * ways;
         Cache {
             sets,
             ways,
             line_size,
-            meta: vec![empty; sets * ways],
-            payload: vec![0; sets * ways * line_size as usize],
+            live: vec![0; slots.div_ceil(64)],
+            meta: vec![EMPTY; slots],
+            payload: vec![0; slots * line_size as usize],
             use_counter: 0,
         }
     }
@@ -100,11 +166,18 @@ impl Cache {
         s * self.ways..(s + 1) * self.ways
     }
 
+    fn is_live(&self, slot: usize) -> bool {
+        self.live[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// The live slots in ascending order.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.live.iter().enumerate()).flat_map(|(w, &bits)| Bits(bits).map(move |b| w * 64 + b))
+    }
+
     fn find(&self, line_addr: u64) -> Option<usize> {
-        self.set_range(line_addr).find(|&i| {
-            let w = &self.meta[i];
-            w.valid && w.line_addr == line_addr
-        })
+        self.set_range(line_addr)
+            .find(|&i| self.is_live(i) && self.meta[i].line_addr == line_addr)
     }
 
     fn bytes(&self, slot: usize) -> &[u8] {
@@ -117,6 +190,41 @@ impl Cache {
         &mut self.payload[slot * n..(slot + 1) * n]
     }
 
+    /// Empties `slot`: clears its valid bit and zeroes its metadata and
+    /// payload, the state every slot without a line is in.
+    fn reset(&mut self, slot: usize) {
+        self.live[slot / 64] &= !(1 << (slot % 64));
+        self.meta[slot] = EMPTY;
+        self.bytes_mut(slot).fill(0);
+    }
+
+    /// Copies `source`'s line at `slot` into the same slot here.
+    fn copy_slot(&mut self, source: &Cache, slot: usize) {
+        self.live[slot / 64] |= 1 << (slot % 64);
+        self.meta[slot] = source.meta[slot];
+        self.bytes_mut(slot).copy_from_slice(source.bytes(slot));
+    }
+
+    /// Debug-build reference of [`Cache::clone_from`]: every array equals
+    /// `source`'s, as a full copy would leave it.
+    #[cfg(debug_assertions)]
+    fn check_full_copy(&self, source: &Cache) {
+        if self.live == source.live
+            && self.meta == source.meta
+            && self.payload == source.payload
+            && self.use_counter == source.use_counter
+        {
+            return;
+        }
+        let n = self.line_size as usize;
+        let slot = (0..self.meta.len()).find(|&i| {
+            self.is_live(i) != source.is_live(i)
+                || self.meta[i] != source.meta[i]
+                || self.bytes(i) != source.bytes(i)
+        });
+        panic!("live-line copy leaves slot {slot:?} of {n}-byte lines unlike a full copy of the source cache");
+    }
+
     /// Stamps `slot` as the most recently used way.
     fn touch(&mut self, slot: usize) {
         self.use_counter += 1;
@@ -126,7 +234,7 @@ impl Cache {
     fn view(&self, slot: usize) -> CacheLine<'_> {
         let w = self.meta[slot];
         CacheLine {
-            valid: w.valid,
+            valid: self.is_live(slot),
             line_addr: w.line_addr,
             data: self.bytes(slot),
             last_use: w.last_use,
@@ -193,21 +301,20 @@ impl Cache {
             Some(slot) => (slot, None),
             None => {
                 let range = self.set_range(line_addr);
-                let victim = range
-                    .clone()
-                    .find(|&i| !self.meta[i].valid)
-                    .unwrap_or_else(|| {
-                        range
+                match range.clone().find(|&i| !self.is_live(i)) {
+                    Some(empty) => (empty, None),
+                    None => {
+                        let victim = range
                             .min_by_key(|&i| self.meta[i].last_use)
-                            .expect("ways >= 1")
-                    });
-                let old = self.meta[victim];
-                (victim, old.valid.then_some(old.line_addr))
+                            .expect("ways >= 1");
+                        (victim, Some(self.meta[victim].line_addr))
+                    }
+                }
             }
         };
+        self.live[slot / 64] |= 1 << (slot % 64);
         self.touch(slot);
         let w = &mut self.meta[slot];
-        w.valid = true;
         w.line_addr = line_addr;
         w.fill_domain = domain;
         self.bytes_mut(slot).copy_from_slice(data);
@@ -217,22 +324,28 @@ impl Cache {
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: u64) {
         if let Some(slot) = self.find(self.line_addr(addr)) {
-            self.meta[slot].valid = false;
+            self.reset(slot);
         }
     }
 
     /// Invalidates every line.
     pub fn flush_all(&mut self) {
-        for w in &mut self.meta {
-            w.valid = false;
+        for w in 0..self.live.len() {
+            for bit in Bits(self.live[w]) {
+                self.reset(w * 64 + bit);
+            }
         }
     }
 
-    /// Iterates currently valid lines (for snapshot-based checks).
+    /// Iterates currently valid lines in ascending slot order (for
+    /// snapshot-based checks).
     pub fn valid_lines(&self) -> impl Iterator<Item = CacheLine<'_>> {
-        (0..self.meta.len())
-            .filter(|&i| self.meta[i].valid)
-            .map(|i| self.view(i))
+        self.live_slots().map(|i| self.view(i))
+    }
+
+    /// Number of valid lines.
+    pub fn valid_count(&self) -> usize {
+        self.live.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -247,7 +360,7 @@ pub enum LfbState {
 }
 
 /// One LFB/MSHR entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LfbEntry {
     /// Entry holds a live or residual request.
     pub valid: bool,
@@ -265,13 +378,68 @@ pub struct LfbEntry {
     pub fill_cycle: u64,
 }
 
-/// The line-fill buffer (doubles as the MSHR file).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+impl Clone for LfbEntry {
+    fn clone(&self) -> LfbEntry {
+        LfbEntry {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this entry's payload buffer.
+    fn clone_from(&mut self, source: &LfbEntry) {
+        let LfbEntry {
+            valid,
+            line_addr,
+            ref data,
+            state,
+            purpose,
+            fill_domain,
+            fill_cycle,
+        } = *source;
+        self.data.clone_from(data);
+        *self = LfbEntry {
+            valid,
+            line_addr,
+            data: std::mem::take(&mut self.data),
+            state,
+            purpose,
+            fill_domain,
+            fill_cycle,
+        };
+    }
+}
+
+/// The line-fill buffer (doubles as the MSHR file). Cloning copies every
+/// entry; [`Clone::clone_from`] copies them into the destination's
+/// entries and payload buffers.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Lfb {
     entries: Vec<LfbEntry>,
     line_size: u64,
     alloc_clock: u64,
     alloc_stamp: Vec<u64>,
+}
+
+impl Clone for Lfb {
+    fn clone(&self) -> Lfb {
+        let mut lfb = Lfb::new(self.entries.len(), self.line_size);
+        lfb.clone_from(self);
+        lfb
+    }
+
+    fn clone_from(&mut self, source: &Lfb) {
+        let Lfb {
+            entries,
+            line_size,
+            alloc_clock,
+            alloc_stamp,
+        } = source;
+        self.entries.clone_from(entries);
+        self.line_size = *line_size;
+        self.alloc_clock = *alloc_clock;
+        self.alloc_stamp.clone_from(alloc_stamp);
+    }
 }
 
 impl Lfb {

@@ -118,12 +118,15 @@ pub struct RetiredInst {
 ///
 /// `Clone` forks the complete core state — architectural and
 /// microarchitectural; platform snapshotting builds on this. The fork
-/// copies each storage structure's few flat buffers (a cache is one
-/// metadata and one payload array) and one pointer per backed page of the
-/// copy-on-write [`Memory`]: a few dozen heap allocations in all, whatever
-/// the cache geometry. The clone does *not* inherit an attached trace sink
-/// (see [`Trace::clone`]).
-#[derive(Debug, Clone)]
+/// copies one pointer per backed page of the copy-on-write [`Memory`],
+/// every entry of the TLBs, predictors and fill buffer, and only the live
+/// lines of each cache (see [`Cache`](crate::cache::Cache)).
+/// [`Clone::clone_from`] writes all of that into the destination core's
+/// buffers, so forking into a core that already ran a case allocates no
+/// storage; `clone` is a new core plus `clone_from`, so both run the same
+/// copy code. Neither inherits an attached trace sink (see
+/// [`Trace::clone`]).
+#[derive(Debug)]
 pub struct Core {
     /// The configuration the core was built with.
     pub config: CoreConfig,
@@ -199,6 +202,91 @@ pub struct Core {
     /// The buffer an L1I fill reads its line into, kept across fills
     /// (and left empty) so a fill does not allocate.
     line_buf: Vec<u8>,
+}
+
+impl Clone for Core {
+    fn clone(&self) -> Core {
+        let mut core = Core::new(self.config.clone(), Memory::new(), self.fetch_pc);
+        core.clone_from(self);
+        core
+    }
+
+    fn clone_from(&mut self, source: &Core) {
+        let Core {
+            config,
+            mem,
+            csr,
+            lsu,
+            trace,
+            ubtb,
+            ftb,
+            bht,
+            itlb,
+            l1i,
+            cycle,
+            priv_level,
+            domain,
+            halted,
+            fetch_pc,
+            fetch_stalled,
+            rob,
+            rob_head_slot,
+            youngest_writer,
+            next_seq,
+            spec_rf,
+            arch_rf,
+            ext_irq_at,
+            retired,
+            domain_before_trap,
+            retire_probe,
+            retire_log,
+            fetch_fence,
+            fetch_fence_hit,
+            fetch_memo,
+            scan_from,
+            scan_checks,
+            scan_skips,
+            lsu_completions,
+            line_buf,
+        } = source;
+        if self.config != *config {
+            self.config.clone_from(config);
+        }
+        self.mem.clone_from(mem);
+        self.csr.clone_from(csr);
+        self.lsu.clone_from(lsu);
+        self.trace.clone_from(trace);
+        self.ubtb.clone_from(ubtb);
+        self.ftb.clone_from(ftb);
+        self.bht.clone_from(bht);
+        self.itlb.clone_from(itlb);
+        self.l1i.clone_from(l1i);
+        self.cycle = *cycle;
+        self.priv_level = *priv_level;
+        self.domain = *domain;
+        self.halted = *halted;
+        self.fetch_pc = *fetch_pc;
+        self.fetch_stalled = *fetch_stalled;
+        self.rob.clone_from(rob);
+        self.rob_head_slot = *rob_head_slot;
+        self.youngest_writer = *youngest_writer;
+        self.next_seq = *next_seq;
+        self.spec_rf = *spec_rf;
+        self.arch_rf = *arch_rf;
+        self.ext_irq_at = *ext_irq_at;
+        self.retired = *retired;
+        self.domain_before_trap = *domain_before_trap;
+        self.retire_probe = *retire_probe;
+        self.retire_log.clone_from(retire_log);
+        self.fetch_fence = *fetch_fence;
+        self.fetch_fence_hit = *fetch_fence_hit;
+        self.fetch_memo.clone_from(fetch_memo);
+        self.scan_from = *scan_from;
+        self.scan_checks = *scan_checks;
+        self.scan_skips = *scan_skips;
+        self.lsu_completions.clone_from(lsu_completions);
+        self.line_buf.clone_from(line_buf);
+    }
 }
 
 /// What advances the clock in a loop [`Core::fast_forward`] serves: a
@@ -297,6 +385,17 @@ impl Clone for FetchMemo {
     /// fork counts only its own fetches.
     fn clone(&self) -> FetchMemo {
         FetchMemo::default()
+    }
+
+    /// Leaves this memo as cold as [`FetchMemo::clone`] does, keeping its
+    /// slot buffer.
+    fn clone_from(&mut self, _: &FetchMemo) {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        *self = FetchMemo {
+            slots,
+            ..FetchMemo::default()
+        };
     }
 }
 
@@ -523,9 +622,9 @@ impl Core {
         let occupancy = |s: Structure| -> usize {
             match s {
                 Structure::RegFile => self.arch_rf.iter().filter(|&&v| v != 0).count(),
-                Structure::L1d => self.lsu.l1d.valid_lines().count(),
-                Structure::L1i => self.l1i.valid_lines().count(),
-                Structure::L2 => self.lsu.l2.valid_lines().count(),
+                Structure::L1d => self.lsu.l1d.valid_count(),
+                Structure::L1i => self.l1i.valid_count(),
+                Structure::L2 => self.lsu.l2.valid_count(),
                 Structure::Lfb => self.lsu.lfb.entries().iter().filter(|e| e.valid).count(),
                 // The store queue is ROB-resident; it is empty whenever the
                 // pipeline is (any finished run).

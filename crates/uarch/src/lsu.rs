@@ -102,12 +102,28 @@ pub struct XlateCompletion {
 /// caller keeps one and hands it back every cycle, so the LSU and its
 /// caller trade the same two pairs of buffers and a steady-state hand-off
 /// allocates nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Completions {
     /// Demand-load completions, in completion order.
     pub loads: Vec<LoadCompletion>,
     /// Store-translation completions, in completion order.
     pub xlates: Vec<XlateCompletion>,
+}
+
+impl Clone for Completions {
+    fn clone(&self) -> Completions {
+        Completions {
+            loads: self.loads.clone(),
+            xlates: self.xlates.clone(),
+        }
+    }
+
+    /// Copies both lists into this hand-off's buffers.
+    fn clone_from(&mut self, source: &Completions) {
+        let Completions { loads, xlates } = source;
+        self.loads.clone_from(loads);
+        self.xlates.clone_from(xlates);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +267,7 @@ enum DrainState {
 }
 
 /// The load/store unit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Lsu {
     cfg: CoreConfig,
     /// L1 data cache.
@@ -305,6 +321,63 @@ pub(crate) struct InFlight {
     next_ids: (u64, u64),
     epoch: u64,
     retry_counters: (u64, u64),
+}
+
+impl Clone for Lsu {
+    fn clone(&self) -> Lsu {
+        let mut lsu = Lsu::new(&self.cfg);
+        lsu.clone_from(self);
+        lsu
+    }
+
+    /// Copies every structure and in-flight item into this LSU's buffers;
+    /// the caches copy only their live lines ([`Cache`]).
+    fn clone_from(&mut self, source: &Lsu) {
+        let Lsu {
+            cfg,
+            l1d,
+            l2,
+            lfb,
+            dtlb,
+            ptw_cache,
+            store_buffer,
+            drain_state,
+            loads,
+            xlates,
+            walks,
+            mem_reqs,
+            ready,
+            line,
+            completions,
+            next_req_id,
+            next_walk_id,
+            epoch,
+            retry_checks,
+            retry_skips,
+        } = source;
+        if self.cfg != *cfg {
+            self.cfg.clone_from(cfg);
+        }
+        self.l1d.clone_from(l1d);
+        self.l2.clone_from(l2);
+        self.lfb.clone_from(lfb);
+        self.dtlb.clone_from(dtlb);
+        self.ptw_cache.clone_from(ptw_cache);
+        self.store_buffer.clone_from(store_buffer);
+        self.drain_state = *drain_state;
+        self.loads.clone_from(loads);
+        self.xlates.clone_from(xlates);
+        self.walks.clone_from(walks);
+        self.mem_reqs.clone_from(mem_reqs);
+        self.ready.clone_from(ready);
+        self.line.clone_from(line);
+        self.completions.clone_from(completions);
+        self.next_req_id = *next_req_id;
+        self.next_walk_id = *next_walk_id;
+        self.epoch = *epoch;
+        self.retry_checks = *retry_checks;
+        self.retry_skips = *retry_skips;
+    }
 }
 
 impl Lsu {

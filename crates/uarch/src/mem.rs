@@ -5,7 +5,7 @@
 //! physically duplicated when one of the clones writes to it. The memory
 //! half of forking a platform from a snapshot is therefore O(backed pages)
 //! pointer copies, not a full memory copy; the core's storage structures
-//! add a copy of their few flat buffers each.
+//! add a copy of their entries, and the caches of their live lines only.
 //!
 //! Writes carry no per-page version, because nothing outside the modeled
 //! structures caches state derived from memory: the core's fetch memo
@@ -20,9 +20,22 @@ use teesec_isa::vm::PAGE_SIZE;
 const PAGE: usize = PAGE_SIZE as usize;
 
 /// Byte-addressable sparse physical memory. Unbacked locations read as zero.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Memory {
     pages: HashMap<u64, Arc<[u8; PAGE]>>,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            pages: self.pages.clone(),
+        }
+    }
+
+    /// Shares `source`'s pages through this memory's page table.
+    fn clone_from(&mut self, source: &Memory) {
+        self.pages.clone_from(&source.pages);
+    }
 }
 
 impl Memory {

@@ -23,10 +23,28 @@ pub struct TlbEntry {
 }
 
 /// A fully associative TLB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Tlb {
     entries: Vec<TlbEntry>,
     use_counter: u64,
+}
+
+impl Clone for Tlb {
+    fn clone(&self) -> Tlb {
+        let mut tlb = Tlb::new(self.entries.len());
+        tlb.clone_from(self);
+        tlb
+    }
+
+    /// Copies every entry into this TLB's entry buffer.
+    fn clone_from(&mut self, source: &Tlb) {
+        let Tlb {
+            entries,
+            use_counter,
+        } = source;
+        self.entries.clone_from(entries);
+        self.use_counter = *use_counter;
+    }
 }
 
 impl Tlb {
@@ -104,10 +122,28 @@ impl Tlb {
 ///
 /// XiangShan PMP-checks refill addresses before requesting them (paper
 /// §7.1.2); the walker consults that policy, not this structure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct PtwCache {
     entries: Vec<PtwCacheEntry>,
     use_counter: u64,
+}
+
+impl Clone for PtwCache {
+    fn clone(&self) -> PtwCache {
+        let mut cache = PtwCache::new(self.entries.len());
+        cache.clone_from(self);
+        cache
+    }
+
+    /// Copies every entry into this cache's entry buffer.
+    fn clone_from(&mut self, source: &PtwCache) {
+        let PtwCache {
+            entries,
+            use_counter,
+        } = source;
+        self.entries.clone_from(entries);
+        self.use_counter = *use_counter;
+    }
 }
 
 /// One PTW cache entry.

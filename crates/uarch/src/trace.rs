@@ -430,6 +430,23 @@ impl Clone for Trace {
             sink: None,
         }
     }
+
+    /// [`Trace::clone`] into this trace's event buffer; a sink attached
+    /// here is dropped.
+    fn clone_from(&mut self, source: &Trace) {
+        let Trace {
+            frozen,
+            events,
+            stats,
+            enabled,
+            sink: _,
+        } = source;
+        self.frozen.clone_from(frozen);
+        self.events.clone_from(events);
+        self.stats.clone_from(stats);
+        self.enabled = *enabled;
+        self.sink = None;
+    }
 }
 
 impl Trace {

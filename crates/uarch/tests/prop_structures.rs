@@ -175,6 +175,41 @@ proptest! {
         prop_assert_eq!(resident, expect);
     }
 
+    /// `clone_from` between two caches of one geometry, each after its
+    /// own random history, leaves what `clone` gives: the same live lines
+    /// (address, payload, recency stamp, domain), in the same
+    /// `valid_lines` order, and the same victim for every further fill.
+    /// The destination's history leaves lines the source lacks, which the
+    /// copy must drop.
+    #[test]
+    fn cache_clone_from_matches_clone(
+        src_ops in prop::collection::vec((0u8..32, 0u64..64, any::<u64>()), 0..160),
+        dst_ops in prop::collection::vec((0u8..32, 0u64..64, any::<u64>()), 0..160),
+        fills in prop::collection::vec((0u64..64, any::<u8>()), 1..48),
+    ) {
+        // 96 slots: one whole bitset word and part of a second.
+        let new = || Cache::new(16, 6, 64);
+        let (mut src, mut dst) = (new(), new());
+        run_cache_ops(&mut src, &src_ops);
+        run_cache_ops(&mut dst, &dst_ops);
+        let mut full = src.clone();
+        dst.clone_from(&src);
+        prop_assert_eq!(cache_lines(&full), cache_lines(&src), "clone");
+        prop_assert_eq!(cache_lines(&dst), cache_lines(&full), "clone_from");
+        for (i, (line, byte)) in fills.into_iter().enumerate() {
+            let (la, data) = (line * 64, [byte; 64]);
+            let domain = Domain::Enclave(i as u32);
+            prop_assert_eq!(
+                dst.fill(la, &data, domain),
+                full.fill(la, &data, domain),
+                "fill {} of {:#x}: victim",
+                i,
+                la
+            );
+        }
+        prop_assert_eq!(cache_lines(&dst), cache_lines(&full), "after further fills");
+    }
+
     /// The LFB never loses a pending request except through `flush_all`,
     /// and residual (filled) entries persist until reallocated.
     #[test]
@@ -323,6 +358,41 @@ const PAGE: u64 = 4096;
 /// The byte-at-a-time scan `Memory::first_difference` replaced, kept as
 /// the reference: every byte of every page backed in either memory, in
 /// address order.
+/// Runs `(kind, line, value)` operations on `cache`: mostly fills, with
+/// writes, reads, invalidations and the odd `flush_all`.
+fn run_cache_ops(cache: &mut Cache, ops: &[(u8, u64, u64)]) {
+    for &(kind, line, value) in ops {
+        let la = line * 64;
+        match kind {
+            0..=17 => {
+                let data: Vec<u8> = (0..64u64).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+                let domain = match value % 3 {
+                    0 => Domain::Untrusted,
+                    1 => Domain::SecurityMonitor,
+                    _ => Domain::Enclave(kind as u32),
+                };
+                cache.fill(la, &data, domain);
+            }
+            18..=22 => {
+                cache.write(la + value % 8 * 8, value, 8);
+            }
+            23..=25 => {
+                cache.read(la + value % 8 * 8, 8);
+            }
+            26..=30 => cache.invalidate(la),
+            _ => cache.flush_all(),
+        }
+    }
+}
+
+/// Every live line of `cache` in `valid_lines` order, with its payload,
+/// recency stamp and filling domain.
+fn cache_lines(cache: &Cache) -> Vec<(u64, Vec<u8>, u64, Domain)> {
+    (cache.valid_lines())
+        .map(|l| (l.line_addr, l.data.to_vec(), l.last_use, l.fill_domain))
+        .collect()
+}
+
 fn first_difference_bytewise(a: &Memory, b: &Memory) -> Option<u64> {
     let mut pages: Vec<u64> = (a.page_base_addrs().into_iter())
         .chain(b.page_base_addrs())

@@ -5,7 +5,9 @@
 //!   fact the two reports serialize byte-identically, with every
 //!   provenance chain equal to the whole-trace oracle's;
 //! * snapshotting a core mid-run (a copy-on-write clone) and then letting
-//!   it run to completion is state-identical to the uninterrupted run.
+//!   it run to completion is state-identical to the uninterrupted run,
+//!   whether the snapshot is a new core or is written with `clone_from`
+//!   into a core that already ran another program.
 
 use std::sync::OnceLock;
 
@@ -101,73 +103,107 @@ proptest! {
     /// the clone finish the run, and compare against a never-interrupted
     /// twin — registers, memory, cycle count, counters, and the residue
     /// surface the snapshot scan reads (every valid L1D/L1I/L2 line with
-    /// its payload, and every LFB entry) must all match.
+    /// its payload, and every LFB entry) must all match. The snapshot is
+    /// also written with `clone_from` into a core that first ran another
+    /// random program to its end, as the runner's snapshot cache forks
+    /// into a finished case's platform, and that fork must finish the same
+    /// way.
     #[test]
     fn snapshot_plus_remaining_steps_matches_uninterrupted_run(
         seed in any::<u64>(),
+        other_seed in any::<u64>(),
         split in 1u64..2_000,
         branchy in any::<bool>(),
+        xiangshan in any::<bool>(),
     ) {
-        let words = gadget_program(seed, 40, branchy);
-        let mut mem = Memory::new();
-        mem.load_words(BASE, &words);
-        for off in (0..0x200u64).step_by(8) {
-            mem.write_u64(DATA + off, seed ^ off);
-        }
-        let mut core = Core::new(CoreConfig::boom(), mem, BASE);
-        core.trace.set_enabled(false);
+        let cfg = if xiangshan {
+            CoreConfig::xiangshan()
+        } else {
+            CoreConfig::boom()
+        };
+        let mut core = gadget_core(&cfg, seed, branchy);
         let mut straight = core.clone();
+        let mut recycled = gadget_core(&cfg, other_seed, !branchy);
+        prop_assert!(run_to_end(&mut recycled), "seed {other_seed}: the other program did not halt");
 
         while !core.halted && core.cycle < split {
             core.step();
         }
         let mut resumed = core.clone(); // the snapshot
-        drop(core); // the original may die; the snapshot must not care
+        recycled.clone_from(&core); // the snapshot, into a finished core
+        drop(core); // the original may die; the snapshots must not care
 
-        const BOUND: u64 = 500_000;
-        while !resumed.halted && resumed.cycle < BOUND {
-            resumed.step();
-        }
-        while !straight.halted && straight.cycle < BOUND {
-            straight.step();
-        }
-        prop_assert!(resumed.halted, "seed {seed}: resumed core did not halt");
-        prop_assert!(straight.halted, "seed {seed}: straight core did not halt");
-        resumed.drain();
-        straight.drain();
+        prop_assert!(run_to_end(&mut straight), "seed {seed}: straight core did not halt");
+        prop_assert!(run_to_end(&mut resumed), "seed {seed}: resumed core did not halt");
+        prop_assert!(run_to_end(&mut recycled), "seed {seed}: recycled core did not halt");
+        same_end_state(&resumed, &straight, &format!("{} seed {seed}, clone", cfg.name))?;
+        same_end_state(&recycled, &straight, &format!("{} seed {seed}, clone_from", cfg.name))?;
+    }
+}
 
-        prop_assert_eq!(resumed.cycle, straight.cycle, "seed {seed}: cycle count");
-        for r in Reg::all() {
-            prop_assert_eq!(
-                resumed.reg(r), straight.reg(r),
-                "seed {seed}: register {} diverged", r
-            );
-        }
-        prop_assert!(
-            resumed.mem.first_difference(&straight.mem).is_none(),
-            "seed {seed}: memory diverged"
-        );
-        prop_assert_eq!(resumed.counters(), straight.counters(), "seed {seed}: counters");
-        // Compared without recency stamps: a fork's fetch memo starts cold,
-        // so its first fetches re-stamp L1I lines the straight core's memo
-        // skipped. Only the order of stamps within a set picks victims, and
-        // the lines themselves are what the snapshot scan reads.
-        let residue = |c: &teesec_uarch::cache::Cache| -> Vec<_> {
-            c.valid_lines()
-                .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
-                .collect()
-        };
-        for (level, a, b) in [
-            ("L1D", &resumed.lsu.l1d, &straight.lsu.l1d),
-            ("L1I", &resumed.l1i, &straight.l1i),
-            ("L2", &resumed.lsu.l2, &straight.lsu.l2),
-        ] {
-            prop_assert_eq!(residue(a), residue(b), "seed {seed}: {level} lines");
-        }
+/// A core running a random 40-instruction gadget program over data
+/// derived from `seed`, with tracing off.
+fn gadget_core(cfg: &CoreConfig, seed: u64, branchy: bool) -> Core {
+    let words = gadget_program(seed, 40, branchy);
+    let mut mem = Memory::new();
+    mem.load_words(BASE, &words);
+    for off in (0..0x200u64).step_by(8) {
+        mem.write_u64(DATA + off, seed ^ off);
+    }
+    let mut core = Core::new(cfg.clone(), mem, BASE);
+    core.trace.set_enabled(false);
+    core
+}
+
+/// Steps `core` until it halts (within a bound) and drains its LSU;
+/// `false` when it does not halt.
+fn run_to_end(core: &mut Core) -> bool {
+    const BOUND: u64 = 500_000;
+    while !core.halted && core.cycle < BOUND {
+        core.step();
+    }
+    if core.halted {
+        core.drain();
+    }
+    core.halted
+}
+
+/// `fork`, a snapshot run to its end, finished as `straight` did.
+fn same_end_state(fork: &Core, straight: &Core, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fork.cycle, straight.cycle, "{what}: cycle count");
+    for r in Reg::all() {
         prop_assert_eq!(
-            resumed.lsu.lfb.entries(),
-            straight.lsu.lfb.entries(),
-            "seed {seed}: LFB entries"
+            fork.reg(r),
+            straight.reg(r),
+            "{what}: register {} diverged",
+            r
         );
     }
+    prop_assert!(
+        fork.mem.first_difference(&straight.mem).is_none(),
+        "{what}: memory diverged"
+    );
+    prop_assert_eq!(fork.counters(), straight.counters(), "{what}: counters");
+    // Compared without recency stamps: a fork's fetch memo starts cold,
+    // so its first fetches re-stamp L1I lines the straight core's memo
+    // skipped. Only the order of stamps within a set picks victims, and
+    // the lines themselves are what the snapshot scan reads.
+    let residue = |c: &teesec_uarch::cache::Cache| -> Vec<_> {
+        c.valid_lines()
+            .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
+            .collect()
+    };
+    for (level, a, b) in [
+        ("L1D", &fork.lsu.l1d, &straight.lsu.l1d),
+        ("L1I", &fork.l1i, &straight.l1i),
+        ("L2", &fork.lsu.l2, &straight.lsu.l2),
+    ] {
+        prop_assert_eq!(residue(a), residue(b), "{what}: {level} lines");
+    }
+    prop_assert_eq!(
+        fork.lsu.lfb.entries(),
+        straight.lsu.lfb.entries(),
+        "{what}: LFB entries"
+    );
+    Ok(())
 }
