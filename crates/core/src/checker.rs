@@ -71,12 +71,15 @@ pub(crate) fn finding_key(f: &Finding) -> FindingKey {
     )
 }
 
-/// Feeds every event of a buffered `trace` to `checker`, in order. This is
-/// how a checker catches up on events recorded before it was attached: a
-/// whole run for [`check_case`], the snapshot prefix of a forked platform
-/// for [`run_case_opts`](crate::runner::run_case_opts). A setup-prefix
-/// fork skips it when its checkpoint parked a checker, and starts from a
-/// copy of that checker instead.
+/// Feeds every event of a buffered `trace` to `checker`, in order, each
+/// fill with its own `data` as the line. This is how a checker catches up
+/// on events recorded before it was attached: a whole run for
+/// [`check_case`], and for [`run_case_opts`](crate::runner::run_case_opts)
+/// a boot fork's boot prefix, which a setup-prefix capture also replays
+/// before it feeds its checker the setup prefix online. A setup-prefix
+/// fork replays the checkpoint's setup prefix only when the capture ran
+/// without a checker and so buffered it; otherwise it starts from a copy
+/// of the checker parked there.
 pub(crate) fn replay(mut checker: StreamingChecker, trace: &Trace) -> StreamingChecker {
     for e in trace.iter_events() {
         checker.on_event(e);

@@ -13,9 +13,11 @@
 //!   for the cycle their external interrupt lands — fork a checkpoint of
 //!   the fully built platform *run up to the first interrupt candidate*,
 //!   skipping the shared setup-gadget prefix's simulation entirely and
-//!   re-simulating only the post-interrupt tail. The checkpoint also
-//!   parks the checker its capture fed over the prefix, and a fork's
-//!   checker starts as a copy of it instead of re-scanning the prefix.
+//!   re-simulating only the post-interrupt tail. A capture with a checker
+//!   feeds it the prefix online and parks it at the checkpoint, which
+//!   then keeps no prefix events: a fork's checker starts as a copy of it
+//!   instead of re-scanning the prefix. A capture without a checker
+//!   buffers the prefix's events for its siblings to replay.
 //!
 //! All paths produce cycle-exact identical platforms and reports
 //! (asserted by the `stream_equivalence` suite), so the choice is one of
@@ -35,6 +37,7 @@ use teesec_tee::sm::SmOptions;
 use teesec_trace::TraceCtx;
 use teesec_uarch::config::CoreConfig;
 use teesec_uarch::core::{Core, RunExit};
+use teesec_uarch::trace::Trace;
 
 use crate::checker::replay;
 use crate::diff::{self, DiffOptions, DiffVerdict, Lockstep};
@@ -123,9 +126,11 @@ pub struct RunOptions<'c> {
     /// checkpoint (or replays the prefix too, when the capture ran
     /// without a checker). As the trace's sink, it keeps the trace from
     /// retaining events: peak retained events stay O(boot prefix) instead
-    /// of O(simulated cycles). The engine passes one for every case.
-    /// Without one the trace buffers every event, for
-    /// [`check_case`](crate::check_case).
+    /// of O(simulated cycles), on a setup-prefix fork too. The engine
+    /// passes one for every case. Without one the trace buffers every
+    /// event, for [`check_case`](crate::check_case); such a case forks a
+    /// setup-prefix checkpoint only if the checkpoint buffered its prefix,
+    /// and the boot snapshot otherwise.
     pub checker: Option<StreamingChecker>,
     /// Differential oracle observing the run: a lockstep ISS compares
     /// every retire of this very run, and its verdict lands in
@@ -222,12 +227,7 @@ pub fn run_case_opts(
     let cycles = platform.core.cycle;
     // Forks never carry a sink (`Trace::clone` drops it), so the only one
     // attached is the checker from `opts`.
-    let checker = platform.core.trace.take_sink().map(|sink| {
-        let sink: Box<dyn Any> = sink;
-        *sink
-            .downcast::<StreamingChecker>()
-            .expect("the runner attaches no sink but the checker")
-    });
+    let checker = take_checker(&mut platform.core.trace);
     Ok(RunOutcome {
         platform,
         exit,
@@ -236,6 +236,16 @@ pub fn run_case_opts(
         build,
         checker,
         diff,
+    })
+}
+
+/// The checker attached as `trace`'s sink, taken back.
+fn take_checker(trace: &mut Trace) -> Option<StreamingChecker> {
+    trace.take_sink().map(|sink| {
+        let sink: Box<dyn Any> = sink;
+        *sink
+            .downcast::<StreamingChecker>()
+            .expect("the runner attaches no sink but the checker")
     })
 }
 
@@ -325,9 +335,9 @@ pub struct SnapshotCacheMetrics {
 }
 
 /// Retained setup-prefix checkpoints are bounded: each holds a
-/// copy-on-write platform (shared pages plus the buffered prefix trace)
-/// and the checker fed over that prefix, so the cache evicts the oldest
-/// sweep family beyond this many.
+/// copy-on-write platform (shared pages, plus the prefix's events when the
+/// capture ran without a checker) and the checker fed over that prefix,
+/// so the cache evicts the oldest sweep family beyond this many.
 const PREFIX_CAP: usize = 64;
 
 /// A keyed cache of copy-on-write platform checkpoints, shared across
@@ -355,11 +365,15 @@ const PREFIX_CAP: usize = 64;
 ///   whose interrupt lands later forks the checkpoint and re-simulates
 ///   only the tail.
 ///   When the capturing case runs with a checker, the checker is fed the
-///   prefix once and a copy is parked beside the platform. A sibling that
-///   runs with a checker starts from a copy of it under its own case name
-///   and path, the only checker state the key leaves out, instead of
-///   replaying the prefix. Debug builds check every such copy against the
-///   replay it replaces.
+///   prefix online and a copy is parked beside the platform, whose trace
+///   then keeps no prefix events. A sibling that runs with a checker
+///   starts from a copy of it under its own case name and path, the only
+///   checker state the key leaves out, instead of replaying the prefix;
+///   a sibling without one forks the boot snapshot (tier two), still
+///   counted as a hit. When the capturing case runs without a checker,
+///   the platform buffers the prefix, and every sibling forks it. Debug
+///   builds check every copy of a parked checker against a replay of the
+///   prefix.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
@@ -402,6 +416,10 @@ struct BootSnapshot {
 /// prefix shared by an interrupt-timing sweep family.
 #[derive(Debug)]
 struct PrefixSnapshot {
+    /// The checkpointed platform. Its trace buffers the whole prefix when
+    /// the capture ran without a checker; otherwise it holds only what was
+    /// buffered before the capture attached its checker: a boot fork's
+    /// boot prefix, shared with the boot snapshot.
     platform: Platform,
     /// The cycle the checkpoint was taken at. Forking is sound only for
     /// interrupts scheduled strictly later: before this cycle the
@@ -410,25 +428,32 @@ struct PrefixSnapshot {
     /// The capturing case's checker, fed every event of the prefix;
     /// `None` when that case ran without one.
     checker: Option<StreamingChecker>,
+    /// Debug builds: the trace of the prefix simulated once more without a
+    /// checker, whose replay [`PrefixSnapshot::catch_up`] checks every
+    /// copy of the parked checker against. Empty when none is parked.
+    #[cfg(debug_assertions)]
+    reference: Trace,
 }
 
 impl PrefixSnapshot {
     /// `checker` caught up on the prefix a fork of this checkpoint skips:
-    /// a copy of the parked checker, or a replay of the prefix when the
-    /// capture ran without a checker. In debug builds the copy is checked
-    /// against that replay.
+    /// a copy of the parked checker, or a replay of the buffered prefix
+    /// when the capture ran without a checker. In debug builds the copy is
+    /// checked against a replay of the prefix.
     fn catch_up(&self, checker: StreamingChecker, tc: &TestCase) -> StreamingChecker {
-        let trace = &self.platform.core.trace;
         let Some(parked) = &self.checker else {
-            return replay(checker, trace);
+            return replay(checker, &self.platform.core.trace);
         };
         let forked = parked.fork_as(&checker);
-        debug_assert!(
-            forked == replay(checker, trace),
+        #[cfg(debug_assertions)]
+        assert!(
+            forked == replay(checker, &self.reference),
             "the checker parked at a setup-prefix checkpoint differs from replaying the prefix \
              for case {}",
             tc.name
         );
+        #[cfg(not(debug_assertions))]
+        let _ = tc;
         forked
     }
 }
@@ -490,6 +515,7 @@ impl SnapshotCache {
         // Tier one: setup-prefix checkpoints for interrupt-timing sweeps.
         // Only sound when the interrupt lands strictly inside the cycle
         // budget — otherwise a fresh run would hit the limit first.
+        let mut counted = false;
         if let Some(at) = tc.irq_at.filter(|&at| at > 0 && at - 1 < limit) {
             let cached = {
                 let map = self.prefixes.lock().expect("prefix cache poisoned");
@@ -498,14 +524,20 @@ impl SnapshotCache {
             match cached {
                 Some(Some(snap)) if at > snap.prefix_cycles => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    let mut platform = self.fork(&snap.platform);
-                    platform.core.schedule_external_interrupt(at);
-                    return Ok(Built {
-                        platform,
-                        kind: BuildKind::PrefixForked,
-                        boot: None,
-                        checker: checker.map(|checker| snap.catch_up(checker, tc)),
-                    });
+                    if checker.is_some() || snap.checker.is_none() {
+                        let mut platform = self.fork(&snap.platform);
+                        platform.core.schedule_external_interrupt(at);
+                        return Ok(Built {
+                            platform,
+                            kind: BuildKind::PrefixForked,
+                            boot: None,
+                            checker: checker.map(|checker| snap.catch_up(checker, tc)),
+                        });
+                    }
+                    // A checker-less case cannot catch up on a checkpoint
+                    // that parked a checker instead of buffering the
+                    // prefix's events: tier two, already counted as a hit.
+                    counted = true;
                 }
                 // Captured but inapplicable (interrupt inside the captured
                 // prefix, or the family's capture failed): tier two.
@@ -514,6 +546,11 @@ impl SnapshotCache {
             }
         }
         // Tier two: boot snapshots.
+        let count = |counter: &AtomicU64| {
+            if !counted {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         let (boot, fresh_capture) = self.boot_snapshot_for(tc, cfg);
         match boot {
             Some(boot) if boot_fork_applies(tc, &boot.snap) => {
@@ -522,12 +559,12 @@ impl SnapshotCache {
                 } else {
                     (&self.hits, BuildKind::BootForked)
                 };
-                counter.fetch_add(1, Ordering::Relaxed);
+                count(counter);
                 let platform = case_builder(tc, cfg).build_from(&boot.snap, self.spare())?;
                 Ok(Built::replayed(platform, kind, Some(boot), checker))
             }
             _ => {
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
+                count(&self.bypasses);
                 let platform = case_builder(tc, cfg).build()?;
                 Ok(Built::replayed(platform, BuildKind::Fresh, None, checker))
             }
@@ -537,8 +574,9 @@ impl SnapshotCache {
     /// First case of a sweep family: build the full platform (forking the
     /// boot snapshot when possible), simulate the shared setup prefix up
     /// to one cycle before this case's interrupt, checkpoint there with
-    /// `checker` fed over the prefix, and hand this case a fork of the
-    /// fresh checkpoint and the fed checker.
+    /// `checker` fed over the prefix online, and hand this case a fork of
+    /// the fresh checkpoint and the fed checker. Without a checker the
+    /// checkpoint buffers the prefix instead.
     fn capture_prefix(
         &self,
         tc: &TestCase,
@@ -567,24 +605,45 @@ impl SnapshotCache {
                 return Err(e);
             }
         };
+        // Debug builds: the prefix as a checker-less run buffers it, the
+        // reference `catch_up` checks each copy of the parked checker with.
+        #[cfg(debug_assertions)]
+        let reference = if checker.is_some() {
+            let mut reference = platform.clone();
+            reference.run(at - 1);
+            reference.core.trace
+        } else {
+            Trace::default()
+        };
+        // A checker catches up on what the platform buffered so far (a
+        // boot fork's boot prefix) and then takes the setup prefix online,
+        // so the checkpoint keeps none of the prefix's events.
+        if let Some(checker) = checker {
+            let checker = replay(checker, &platform.core.trace);
+            platform.core.trace.set_sink(Box::new(checker));
+        }
         // The prefix run is interrupt-free by construction (the builder
         // above never schedules one), so it is bit-identical to a fresh
         // run's first `at - 1` cycles: the interrupt only asserts from
         // cycle `at` onward.
         platform.run(at - 1);
-        // Freeze the setup prefix: sibling forks share it by refcount
-        // instead of deep-copying the event buffer.
-        platform.core.trace.freeze();
+        let checker = take_checker(&mut platform.core.trace);
+        if checker.is_none() {
+            // Freeze the buffered setup prefix: sibling forks share it by
+            // refcount instead of deep-copying the event buffer.
+            platform.core.trace.freeze();
+        }
         self.capture_us.fetch_add(
             t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let checker = checker.map(|checker| replay(checker, &platform.core.trace));
         let snap = Arc::new(PrefixSnapshot {
             prefix_cycles: platform.core.cycle,
             platform,
             checker: checker.clone(),
+            #[cfg(debug_assertions)]
+            reference,
         });
         let mut forked = self.fork(&snap.platform);
         forked.core.schedule_external_interrupt(at);

@@ -565,7 +565,8 @@ impl StreamingChecker {
         }
     }
 
-    fn observe(&mut self, e: &TraceEvent) {
+    /// Scans event `e`, whose fill line, if any, is `line`.
+    fn observe(&mut self, e: &TraceEvent, line: &[u8]) {
         debug_assert!(
             e.cycle >= self.last_cycle,
             "trace cycles must be nondecreasing for streaming checking"
@@ -578,7 +579,7 @@ impl StreamingChecker {
                 self.hits
                     .extend(self.secrets.locate(*value).map(|i| (0, i)));
             }
-            TraceEventKind::Fill { data, .. } => self.hits.extend(self.secrets.hits(data)),
+            TraceEventKind::Fill { .. } => self.hits.extend(self.secrets.hits(line)),
             _ => {}
         }
         let records = self.secrets.records();
@@ -668,8 +669,8 @@ impl StreamingChecker {
 }
 
 impl TraceSink for StreamingChecker {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.observe(event);
+    fn on_record(&mut self, event: &TraceEvent, line: &[u8]) {
+        self.observe(event, line);
     }
 }
 

@@ -6,8 +6,9 @@
 //! it, reuses every buffer and allocates nothing. Stepping a warmed
 //! platform through L1 hits, or through loads that all miss the L1D, must
 //! not allocate at all: the LSU hands completions to the core in buffers
-//! the two keep reusing, every fill passes through a kept line buffer,
-//! and with the trace off no fill payload is built.
+//! the two keep reusing, and every fill passes through a kept line buffer.
+//! That holds with the trace off, and with it on and a sink attached: the
+//! sink borrows each fill's line, so no fill payload is built.
 //!
 //! A counting global allocator tallies allocations and frees per thread,
 //! so the test harness's own threads add no noise.
@@ -22,7 +23,7 @@ use teesec_tee::platform::PlatformSnapshot;
 use teesec_tee::sm::SmOptions;
 use teesec_tee::{HostVm, Platform};
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::trace::HpcEvent;
+use teesec_uarch::trace::{HpcEvent, TraceEvent, TraceEventKind, TraceSink};
 use teesec_uarch::RunExit;
 
 struct Counting;
@@ -197,13 +198,38 @@ fn missing_loads(a: &mut Assembler) {
     a.j("wrap");
 }
 
-/// Steps a forked platform whose host runs `host`, with tracing off so
-/// nothing is buffered, and counts the heap operations of `CYCLES`
+/// A sink that allocates nothing itself: it counts the fills it is handed
+/// and the bytes of the lines it borrows.
+#[derive(Default)]
+struct Tally {
+    fills: u64,
+    line_bytes: u64,
+}
+
+impl TraceSink for Tally {
+    fn on_record(&mut self, event: &TraceEvent, line: &[u8]) {
+        if matches!(event.kind, TraceEventKind::Fill { .. }) {
+            self.fills += 1;
+            self.line_bytes += line.len() as u64;
+        }
+    }
+}
+
+/// Steps a forked platform whose host runs `host`, with tracing off, or
+/// on with a [`Tally`] attached when `sink` is set, so nothing is
+/// buffered either way, and counts the heap operations of `CYCLES`
 /// cycles after a warm-up, in which at least `min_loads` loads retire.
-/// Returns the L1D misses those cycles counted.
-fn stepping_is_allocation_free(cfg: CoreConfig, host: fn(&mut Assembler), min_loads: u64) -> u64 {
+/// Returns the L1D misses those cycles counted and the fills the sink
+/// was handed in them (0 without a sink).
+fn stepping_is_allocation_free(
+    cfg: CoreConfig,
+    host: fn(&mut Assembler),
+    min_loads: u64,
+    sink: bool,
+) -> (u64, u64) {
     const CYCLES: u64 = 4_000;
-    let name = cfg.name.clone();
+    let name = format!("{} (sink: {sink})", cfg.name);
+    let line_size = cfg.line_size;
     let snap = PlatformSnapshot::capture(cfg.clone(), &SmOptions::default(), HostVm::Bare)
         .expect("boot snapshot");
     let mut platform = Platform::builder(cfg)
@@ -211,7 +237,12 @@ fn stepping_is_allocation_free(cfg: CoreConfig, host: fn(&mut Assembler), min_lo
         .build_from(&snap, None)
         .expect("fork from snapshot");
     let core = &mut platform.core;
-    core.trace.set_enabled(false);
+    let buffered = core.trace.len();
+    if sink {
+        core.trace.set_sink(Box::new(Tally::default()));
+    } else {
+        core.trace.set_enabled(false);
+    }
     // Warm-up: every buffer is at its steady-state capacity.
     for _ in 0..CYCLES {
         core.step();
@@ -233,25 +264,48 @@ fn stepping_is_allocation_free(cfg: CoreConfig, host: fn(&mut Assembler), min_lo
         (0, 0),
         "{name}: {CYCLES} cycles ({loads} loads, {misses} L1D misses) made {allocs} allocations and {frees} frees"
     );
-    misses
+    assert_eq!(core.trace.len(), buffered, "{name}: nothing is buffered");
+    let fills = core.trace.take_sink().map_or(0, |tally| {
+        let tally: Box<dyn std::any::Any> = tally;
+        let tally = tally.downcast::<Tally>().expect("the tally");
+        assert_eq!(
+            tally.line_bytes,
+            tally.fills * line_size,
+            "{name}: every fill lends the sink a whole line"
+        );
+        tally.fills
+    });
+    (misses, fills)
 }
 
 #[test]
 fn boom_stepping_is_allocation_free() {
-    stepping_is_allocation_free(CoreConfig::boom(), hitting_load, 201);
+    for sink in [false, true] {
+        stepping_is_allocation_free(CoreConfig::boom(), hitting_load, 201, sink);
+    }
 }
 
 #[test]
 fn xiangshan_stepping_is_allocation_free() {
-    stepping_is_allocation_free(CoreConfig::xiangshan(), hitting_load, 201);
+    for sink in [false, true] {
+        stepping_is_allocation_free(CoreConfig::xiangshan(), hitting_load, 201, sink);
+    }
 }
 
-/// Every load misses the L1D, so fills complete throughout.
+/// Every load misses the L1D, so fills complete throughout, and with a
+/// sink attached each one lends it the line.
 #[test]
 fn l1d_missing_loads_are_allocation_free() {
     for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
-        let name = cfg.name.clone();
-        let misses = stepping_is_allocation_free(cfg, missing_loads, 500);
-        assert!(misses >= 500, "{name}: only {misses} L1D misses");
+        for sink in [false, true] {
+            let name = format!("{} (sink: {sink})", cfg.name);
+            let (misses, fills) =
+                stepping_is_allocation_free(cfg.clone(), missing_loads, 500, sink);
+            assert!(misses >= 500, "{name}: only {misses} L1D misses");
+            assert!(
+                !sink || fills >= misses,
+                "{name}: {fills} fills for {misses} L1D misses"
+            );
+        }
     }
 }

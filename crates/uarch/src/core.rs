@@ -2114,19 +2114,15 @@ impl Core {
             data.resize(self.config.line_size as usize, 0);
             self.mem.read_bytes(line_addr, &mut data);
             self.l1i.fill(line_addr, &data, self.domain);
-            let at = self.stamp();
-            // The payload is built only when the trace records it.
-            self.trace.record_with(|| {
-                at.event(
-                    Some(pc),
-                    Structure::L1i,
-                    TraceEventKind::Fill {
-                        addr: line_addr,
-                        data: data.clone(),
-                        purpose: crate::trace::FillPurpose::Demand,
-                    },
-                )
-            });
+            // A sink borrows the line; only a buffering trace copies it.
+            self.trace.record_fill(
+                self.stamp(),
+                Some(pc),
+                Structure::L1i,
+                line_addr,
+                crate::trace::FillPurpose::Demand,
+                &data,
+            );
             data.clear();
             self.line_buf = data;
         }

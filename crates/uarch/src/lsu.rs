@@ -768,14 +768,9 @@ impl Lsu {
         let mut data = std::mem::take(&mut self.line);
         data.resize(self.l1d.line_size() as usize, 0);
         for req in ready.drain(..) {
-            // The payload is built only when the trace records it.
-            let fill = |s: Structure, data: &[u8]| {
-                let kind = TraceEventKind::Fill {
-                    addr: req.line_addr,
-                    data: data.to_vec(),
-                    purpose: req.dest.purpose(),
-                };
-                at.event(None, s, kind)
+            // A sink borrows the line; only a buffering trace copies it.
+            let mut fill = |s: Structure, data: &[u8]| {
+                trace.record_fill(at, None, s, req.line_addr, req.dest.purpose(), data);
             };
             // Obtain the line: from L2 if present, else from memory (which
             // also installs it into L2 — the hierarchy is inclusive here).
@@ -784,7 +779,7 @@ impl Lsu {
             } else {
                 mem.read_bytes(req.line_addr, &mut data);
                 self.l2.fill(req.line_addr, &data, at.domain);
-                trace.record_with(|| fill(Structure::L2, &data));
+                fill(Structure::L2, &data);
             }
             if req.zero_fill {
                 data.fill(0);
@@ -799,11 +794,11 @@ impl Lsu {
             });
             if let Some(idx) = live_lfb {
                 self.lfb.complete(idx, &data, at.domain, cycle);
-                trace.record_with(|| fill(Structure::Lfb, &data));
+                fill(Structure::Lfb, &data);
             }
             if req.lfb_idx.is_some() && !req.zero_fill {
                 self.l1d.fill(req.line_addr, &data, at.domain);
-                trace.record_with(|| fill(Structure::L1d, &data));
+                fill(Structure::L1d, &data);
             }
             match req.dest {
                 ReqDest::Load(seq) => {

@@ -372,13 +372,31 @@ impl TraceStats {
 /// over a fully buffered log. A trace with a sink retains no events, so
 /// trace memory stays bounded regardless of how many cycles a case runs.
 ///
+/// A sink borrows each fill's line from the structure that was filled
+/// ([`Trace::record_fill`]), so recording a fill into a sink copies and
+/// allocates nothing. The owned [`TraceEvent`], payload included, is the
+/// form a buffering trace keeps and serializes.
+///
 /// `Send + Sync` are required so a `Core` carrying a sink can still be
 /// shared across engine worker threads. `Any` lets the caller recover the
 /// concrete sink after the run: upcast the box taken back with
 /// [`Trace::take_sink`] to `Box<dyn Any>` and downcast it.
 pub trait TraceSink: std::any::Any + Send + Sync {
-    /// Called once per recorded event, in record order.
-    fn on_event(&mut self, event: &TraceEvent);
+    /// Called once per recorded event, in record order. A
+    /// [`TraceEventKind::Fill`]'s line is `line`: a fill the trace hands
+    /// over live carries an empty `data`, so read the line from here.
+    /// `line` is empty for every other kind.
+    fn on_record(&mut self, event: &TraceEvent, line: &[u8]);
+
+    /// [`TraceSink::on_record`] for an owned event, such as one replayed
+    /// from a buffered trace: a fill's line is its `data`.
+    fn on_event(&mut self, event: &TraceEvent) {
+        let line = match &event.kind {
+            TraceEventKind::Fill { data, .. } => data.as_slice(),
+            _ => &[],
+        };
+        self.on_record(event, line);
+    }
 }
 
 /// The growing execution trace.
@@ -389,10 +407,12 @@ pub trait TraceSink: std::any::Any + Send + Sync {
 ///
 /// Storage is split into an immutable *frozen prefix* and a live tail.
 /// [`Trace::freeze`] moves the tail into the reference-counted prefix, so
-/// cloning a frozen trace — as platform snapshot forks do for the shared
-/// boot/setup prefix — is O(1) instead of a deep event copy, and each
-/// fork then only owns its delta. Readers see one contiguous stream via
-/// [`Trace::iter_events`].
+/// cloning a frozen trace — as platform snapshot forks do for the boot
+/// prefix — is O(1) instead of a deep event copy, and each fork then only
+/// owns its delta. Readers see one contiguous stream via
+/// [`Trace::iter_events`]. A checkpoint taken while a sink was attached
+/// holds only what was buffered before the sink came: a setup-prefix
+/// checkpoint whose capture fed a checker keeps the boot prefix alone.
 #[derive(Default)]
 pub struct Trace {
     frozen: Option<std::sync::Arc<[TraceEvent]>>,
@@ -503,19 +523,50 @@ impl Trace {
         }
     }
 
-    /// [`Trace::record`] for an event that is costly to build, such as a
-    /// fill with its line payload: `event` runs only while recording is
-    /// on.
-    pub fn record_with(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.enabled {
-            self.record(event());
+    /// Records a fill of `line` into `structure` at `addr`, under `at`
+    /// and attributed to `pc` (no-op when disabled). A sink borrows
+    /// `line` ([`TraceSink::on_record`]); only a buffering trace copies it,
+    /// into the event's `data`.
+    pub fn record_fill(
+        &mut self,
+        at: Stamp,
+        pc: Option<u64>,
+        structure: Structure,
+        addr: u64,
+        purpose: FillPurpose,
+        line: &[u8],
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let fill = |data| {
+            at.event(
+                pc,
+                structure,
+                TraceEventKind::Fill {
+                    addr,
+                    data,
+                    purpose,
+                },
+            )
+        };
+        match self.sink.as_mut() {
+            Some(sink) => {
+                let event = fill(Vec::new());
+                self.stats.bump(&event);
+                sink.on_record(&event, line);
+            }
+            None => self.record(fill(line.to_vec())),
         }
     }
 
     /// Moves every buffered event into the immutable shared prefix.
     /// Purely a storage-representation change: [`Trace::iter_events`]
     /// yields the identical sequence before and after. Call at snapshot
-    /// points so clones share the prefix instead of deep-copying it.
+    /// points so clones share the prefix instead of deep-copying it: the
+    /// boot snapshot, and a setup-prefix checkpoint whose capture ran
+    /// without a sink. One whose capture fed a sink has nothing new to
+    /// freeze.
     pub fn freeze(&mut self) {
         if self.events.is_empty() {
             return;
@@ -691,12 +742,19 @@ mod tests {
         assert_eq!(t.stats().total(), 0);
     }
 
-    struct CollectSink(Vec<u64>);
+    /// Keeps each event it is handed and the line it borrows with it.
+    struct CollectSink(Vec<(TraceEvent, Vec<u8>)>);
 
     impl TraceSink for CollectSink {
-        fn on_event(&mut self, event: &TraceEvent) {
-            self.0.push(event.cycle);
+        fn on_record(&mut self, event: &TraceEvent, line: &[u8]) {
+            self.0.push((event.clone(), line.to_vec()));
         }
+    }
+
+    fn cycles(sink: Box<dyn TraceSink>) -> Vec<u64> {
+        let sink: Box<dyn std::any::Any> = sink;
+        let sink = sink.downcast::<CollectSink>().expect("type");
+        sink.0.iter().map(|(e, _)| e.cycle).collect()
     }
 
     #[test]
@@ -707,10 +765,59 @@ mod tests {
         t.record(ev(2, Structure::Lfb));
         assert!(t.is_empty(), "a trace with a sink retains nothing");
         assert_eq!(t.stats().total(), 2, "stats still maintained");
-        let sink: Box<dyn std::any::Any> = t.take_sink().expect("sink attached");
-        let got = sink.downcast::<CollectSink>().expect("type");
-        assert_eq!(got.0, vec![1, 2], "sink saw events in record order");
+        let got = cycles(t.take_sink().expect("sink attached"));
+        assert_eq!(got, vec![1, 2], "sink saw events in record order");
         assert!(!t.has_sink());
+    }
+
+    /// A sink borrows a fill's line, and it is the line a buffering trace
+    /// keeps in the event's `data`, whether the fill arrives live or is
+    /// replayed from the buffer.
+    #[test]
+    fn a_sink_borrows_the_line_a_buffered_fill_keeps() {
+        let at = Stamp {
+            cycle: 5,
+            priv_level: PrivLevel::Supervisor,
+            domain: Domain::Enclave(1),
+        };
+        let line: Vec<u8> = (0..64).collect();
+        let (mut buffered, mut live) = (Trace::new(), Trace::new());
+        live.set_sink(Box::new(CollectSink(Vec::new())));
+        for t in [&mut buffered, &mut live] {
+            t.record_fill(
+                at,
+                Some(0x8000_0000),
+                Structure::L1d,
+                0x9000_0040,
+                FillPurpose::Prefetch,
+                &line,
+            );
+        }
+        assert!(live.is_empty());
+        assert_eq!(live.stats(), buffered.stats());
+        let kept = buffered.iter_events().next().expect("buffered").clone();
+        let TraceEventKind::Fill { data, .. } = &kept.kind else {
+            panic!("a fill: {kept:?}");
+        };
+        assert_eq!(data, &line, "the buffered event keeps the line");
+
+        let mut replayed = CollectSink(Vec::new());
+        replayed.on_event(&kept);
+        let sink: Box<dyn std::any::Any> = live.take_sink().expect("sink attached");
+        let got = sink.downcast::<CollectSink>().expect("type");
+        let [(header, borrowed)] = &got.0[..] else {
+            panic!("one event: {:?}", got.0);
+        };
+        assert_eq!(borrowed, data, "the live fill's borrowed line");
+        assert_eq!(replayed.0[0].1, *data, "the replayed fill's line");
+        let mut empty = kept.clone();
+        if let TraceEventKind::Fill { data, .. } = &mut empty.kind {
+            data.clear();
+        }
+        assert_eq!(
+            header, &empty,
+            "the live fill carries no payload of its own"
+        );
     }
 
     #[test]
@@ -719,8 +826,7 @@ mod tests {
         t.set_enabled(false);
         t.set_sink(Box::new(CollectSink(Vec::new())));
         t.record(ev(1, Structure::L1d));
-        let sink: Box<dyn std::any::Any> = t.take_sink().unwrap();
-        assert!(sink.downcast::<CollectSink>().unwrap().0.is_empty());
+        assert!(cycles(t.take_sink().unwrap()).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use teesec::checker::{check_case, check_case_coverage};
 use teesec::report::CheckReport;
-use teesec::runner::{run_case, run_case_opts, RunOptions, SnapshotCache};
+use teesec::runner::{run_case, run_case_opts, BuildKind, RunOptions, SnapshotCache};
 use teesec::stream::StreamingChecker;
 use teesec::testcase::TestCase;
 use teesec::Fuzzer;
@@ -38,13 +38,14 @@ fn batch_report(tc: &TestCase, cfg: &CoreConfig) -> CheckReport {
 
 /// Runs `tc` through `cache`, checked `online` by a [`StreamingChecker`]
 /// the runner feeds, or else by `check_case_coverage` scanning the trace
-/// the run buffered, and returns its report and coverage as JSON.
+/// the run buffered, and returns its report and coverage as JSON, and how
+/// its platform was built.
 fn cached_run(
     tc: &TestCase,
     cfg: &CoreConfig,
     cache: &SnapshotCache,
     online: bool,
-) -> (String, String) {
+) -> (String, String, BuildKind) {
     let options = RunOptions {
         snapshot_cache: Some(cache),
         checker: online.then(|| StreamingChecker::new(tc, cfg)),
@@ -61,6 +62,7 @@ fn cached_run(
     (
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&coverage).unwrap(),
+        outcome.build,
     )
 }
 
@@ -76,7 +78,7 @@ fn streaming_reports_are_byte_identical_to_batch_on_both_designs() {
         let cache = SnapshotCache::new();
         for tc in &corpus {
             let batch = serde_json::to_string(&batch_report(tc, &cfg)).unwrap();
-            let (stream, _) = cached_run(tc, &cfg, &cache, true);
+            let (stream, ..) = cached_run(tc, &cfg, &cache, true);
             assert_eq!(
                 stream, batch,
                 "case {} on {}: streaming report differs from batch",
@@ -103,7 +105,10 @@ fn streaming_reports_are_byte_identical_to_batch_on_both_designs() {
 /// callers a cache can see (online or buffered checking for the capture,
 /// then for the siblings), each report and coverage record must be
 /// byte-identical to the batch pipeline's on a fresh build, and the
-/// family must be captured once and forked by every sibling.
+/// family must be captured once, every sibling counting as a hit. An
+/// online capture parks its checker and keeps no prefix events, so a
+/// buffered sibling of it forks the boot snapshot instead; every other
+/// sibling forks the checkpoint.
 #[test]
 fn irq_sweep_forks_the_setup_prefix_and_stays_byte_identical() {
     let orders = [(true, true), (false, true), (true, false)];
@@ -130,12 +135,18 @@ fn irq_sweep_forks_the_setup_prefix_and_stays_byte_identical() {
             for (k, (tc, (batch_report, batch_coverage))) in sweep.iter().zip(&batch).enumerate() {
                 let online = if k == 0 { capture } else { forks };
                 let what = format!("{} on {order}", tc.name);
-                let (report, coverage) = cached_run(tc, &cfg, &cache, online);
+                let (report, coverage, build) = cached_run(tc, &cfg, &cache, online);
                 assert_eq!(&report, batch_report, "{what}: report differs from batch");
                 assert_eq!(
                     &coverage, batch_coverage,
                     "{what}: coverage differs from batch"
                 );
+                let forked = match (k, capture, online) {
+                    (0, ..) => BuildKind::PrefixCaptured,
+                    (_, true, false) => BuildKind::BootForked,
+                    _ => BuildKind::PrefixForked,
+                };
+                assert_eq!(build, forked, "{what}: built from the wrong checkpoint");
             }
             let m = cache.metrics();
             assert_eq!(
