@@ -34,11 +34,12 @@ fn run_on(cfg: &CoreConfig) {
     );
     let secrets = tc.secrets.indexed();
     let mut residual = 0;
-    for (i, e) in outcome.platform.core.lsu.lfb.entries().iter().enumerate() {
-        if !e.valid || e.state != LfbState::Filled {
+    let lfb = outcome.platform.core.lsu.lfb.slots();
+    for (i, e) in lfb.live() {
+        if e.state != LfbState::Filled {
             continue;
         }
-        let hits = secrets.scan_bytes(&e.data);
+        let hits = secrets.scan_bytes(lfb.bytes(i));
         println!(
             "    entry {i}: line {:#x} purpose {:?} filled at cycle {} — {} secret word(s)",
             e.line_addr,

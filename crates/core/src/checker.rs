@@ -124,11 +124,9 @@ pub(crate) fn scan_snapshot(
     }
 
     // Line-fill-buffer residuals (the D1/D2/D3 "remains in state" half).
-    for entry in core.lsu.lfb.entries() {
-        if !entry.valid {
-            continue;
-        }
-        for (off, rec) in secrets.scan_bytes(&entry.data) {
+    let lfb = core.lsu.lfb.slots();
+    for (slot, entry) in lfb.live() {
+        for (off, rec) in secrets.scan_bytes(lfb.bytes(slot)) {
             if authorized(rec.owner, observer) {
                 continue;
             }
@@ -153,12 +151,13 @@ pub(crate) fn scan_snapshot(
     }
 
     // Cache residuals: enclave lines that were never flushed.
-    for (structure, lines) in [
-        (Structure::L1d, core.lsu.l1d.valid_lines()),
-        (Structure::L2, core.lsu.l2.valid_lines()),
+    for (structure, cache) in [
+        (Structure::L1d, &core.lsu.l1d),
+        (Structure::L2, &core.lsu.l2),
     ] {
-        for line in lines {
-            for (off, rec) in secrets.scan_bytes(line.data) {
+        let lines = cache.slots();
+        for (slot, line) in lines.live() {
+            for (off, rec) in secrets.scan_bytes(lines.bytes(slot)) {
                 if authorized(rec.owner, observer) {
                     continue;
                 }
@@ -191,8 +190,8 @@ pub(crate) fn scan_snapshot(
         return;
     }
     let mut btb_residue = false;
-    for e in core.ubtb.entries() {
-        if e.valid && e.train_domain.is_enclave() {
+    for (_, e) in core.ubtb.slots().live() {
+        if e.train_domain.is_enclave() {
             btb_residue = true;
             push(
                 findings,
@@ -214,8 +213,8 @@ pub(crate) fn scan_snapshot(
         }
     }
     if !btb_residue {
-        for e in core.ftb.entries() {
-            if e.valid && e.train_domain.is_enclave() {
+        for (_, e) in core.ftb.slots().live() {
+            if e.train_domain.is_enclave() {
                 push(
                     findings,
                     Finding {

@@ -11,6 +11,7 @@
 //! modeled explicitly by the TEE crate instead).
 
 use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
 use crate::priv_level::PrivLevel;
 
@@ -144,26 +145,10 @@ impl PmpCfg {
 /// assert!(!pmp.allows(0x8040_0000, 8, AccessKind::Read, PrivLevel::Supervisor));
 /// assert!(pmp.allows(0x8000_0000, 8, AccessKind::Read, PrivLevel::Supervisor));
 /// ```
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize, CloneFrom)]
 pub struct PmpSet {
     cfg: Vec<PmpCfg>,
     addr: Vec<u64>,
-}
-
-impl Clone for PmpSet {
-    fn clone(&self) -> PmpSet {
-        PmpSet {
-            cfg: self.cfg.clone(),
-            addr: self.addr.clone(),
-        }
-    }
-
-    /// Copies both register arrays into this set's buffers.
-    fn clone_from(&mut self, source: &PmpSet) {
-        let PmpSet { cfg, addr } = source;
-        self.cfg.clone_from(cfg);
-        self.addr.clone_from(addr);
-    }
 }
 
 /// Outcome of a PMP permission check.

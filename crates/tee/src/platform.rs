@@ -5,6 +5,7 @@
 //! This is the equivalent of the paper's Keystone-enabled Berkeley
 //! Bootloader + modified riscv-pk test environment (paper §6).
 
+use teesec_derive::CloneFrom;
 use teesec_isa::asm::{AssembleError, Assembler};
 use teesec_isa::csr;
 use teesec_isa::inst::Inst;
@@ -426,25 +427,13 @@ impl PlatformSnapshot {
 /// Cloning is copy-on-write at page granularity (see [`Memory`]): a clone
 /// shares every backed page with the original, so checkpoint/fork schemes
 /// can duplicate a mid-run platform by copying one pointer per backed
-/// page, the TLBs, predictors and fill buffer, and each cache's live lines
+/// page, the live slots of every slotted structure and the BHT's counters
 /// (see [`Core`]). [`Clone::clone_from`] writes the copy into a platform
 /// that already exists, reusing its buffers.
-#[derive(Debug)]
+#[derive(Debug, CloneFrom)]
 pub struct Platform {
     /// The simulated core (trace, caches and CSRs are reachable through it).
     pub core: Core,
-}
-
-impl Clone for Platform {
-    fn clone(&self) -> Platform {
-        Platform {
-            core: self.core.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Platform) {
-        self.core.clone_from(&source.core);
-    }
 }
 
 impl Platform {
@@ -615,7 +604,7 @@ mod tests {
         assert_eq!(p.core.reg(Reg::S2), 0x5AFE);
         // The hardware walker must have inserted translations.
         assert!(
-            p.core.lsu.dtlb.valid_count() > 0,
+            p.core.lsu.dtlb.slots().live_count() > 0,
             "DTLB populated by hardware walks"
         );
     }

@@ -1,9 +1,10 @@
 //! Forking a platform from its boot snapshot, and dropping the fork, must
-//! not allocate per cache line: each storage structure is a few flat
-//! buffers, so a fork into a new platform costs a bounded number of heap
-//! allocations whatever the cache geometry. A fork written into a
-//! platform that already ran a case, as the runner's snapshot cache makes
-//! it, reuses every buffer and allocates nothing. Stepping a warmed
+//! not allocate per entry: each slotted structure is one live-slot table
+//! of a few flat buffers, so a fork into a new platform costs a bounded
+//! number of heap allocations whatever the geometry. A fork written into
+//! a platform that already ran a case, as the runner's snapshot cache
+//! makes it, reuses every buffer (the derived `clone_from` passes each
+//! field its own buffer) and allocates nothing. Stepping a warmed
 //! platform through L1 hits, or through loads that all miss the L1D, must
 //! not allocate at all: the LSU hands completions to the core in buffers
 //! the two keep reusing, and every fill passes through a kept line buffer.
@@ -145,7 +146,7 @@ fn recycled_fork_heap_ops(cfg: CoreConfig) -> (u64, u64) {
     );
     let core = &mut platform.core;
     assert!(
-        core.lsu.l1d.valid_count() >= 64,
+        core.lsu.l1d.slots().live_count() >= 64,
         "{name}: the case filled the L1D"
     );
     let ((), allocs, frees) = counted(|| core.clone_from(snap.core()));

@@ -5,15 +5,14 @@
 //! an enclave branch that differ only in excluded high bits collide in the
 //! same entry (paper Figure 7).
 
-use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
+use crate::slots::Slots;
 use crate::trace::Domain;
 
 /// One uBTB/FTB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtbEntry {
-    /// Valid bit.
-    pub valid: bool,
     /// Partial tag derived from the branch PC.
     pub tag: u64,
     /// Predicted target address.
@@ -30,42 +29,12 @@ pub struct BtbEntry {
     pub train_pc: u64,
 }
 
-const EMPTY: BtbEntry = BtbEntry {
-    valid: false,
-    tag: 0,
-    target: 0,
-    taken: false,
-    last_use: 0,
-    train_domain: Domain::Untrusted,
-    train_pc: 0,
-};
-
 /// A direct-mapped micro-BTB with partial tags.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, CloneFrom)]
 pub struct Ubtb {
-    entries: Vec<BtbEntry>,
+    entries: Slots<BtbEntry>,
     index_bits: u32,
     tag_bits: u32,
-}
-
-impl Clone for Ubtb {
-    fn clone(&self) -> Ubtb {
-        let mut ubtb = Ubtb::new(self.entries.len(), self.tag_bits);
-        ubtb.clone_from(self);
-        ubtb
-    }
-
-    /// Copies every entry into this uBTB's entry buffer.
-    fn clone_from(&mut self, source: &Ubtb) {
-        let Ubtb {
-            entries,
-            index_bits,
-            tag_bits,
-        } = source;
-        self.entries.clone_from(entries);
-        self.index_bits = *index_bits;
-        self.tag_bits = *tag_bits;
-    }
 }
 
 impl Ubtb {
@@ -77,10 +46,15 @@ impl Ubtb {
             "uBTB entries must be a power of two"
         );
         Ubtb {
-            entries: vec![EMPTY; entries],
+            entries: Slots::new(entries, 0),
             index_bits: entries.trailing_zeros(),
             tag_bits,
         }
+    }
+
+    /// The entries, one slot each, by index.
+    pub fn slots(&self) -> &Slots<BtbEntry> {
+        &self.entries
     }
 
     /// The entry index for a PC (instructions are 4-byte aligned).
@@ -96,23 +70,25 @@ impl Ubtb {
 
     /// Predicts the target for `pc`, if a tag-matching entry exists.
     pub fn predict(&self, pc: u64) -> Option<&BtbEntry> {
-        let e = &self.entries[self.index(pc)];
-        (e.valid && e.tag == self.tag(pc)).then_some(e)
+        let tag = self.tag(pc);
+        self.entries.get(self.index(pc)).filter(|e| e.tag == tag)
     }
 
     /// Trains the entry for a resolved branch.
     pub fn train(&mut self, pc: u64, target: u64, taken: bool, domain: Domain) -> usize {
         let idx = self.index(pc);
         let tag = self.tag(pc);
-        self.entries[idx] = BtbEntry {
-            valid: true,
-            tag,
-            target,
-            taken,
-            last_use: 0,
-            train_domain: domain,
-            train_pc: pc,
-        };
+        self.entries.set(
+            idx,
+            BtbEntry {
+                tag,
+                target,
+                taken,
+                last_use: 0,
+                train_domain: domain,
+                train_pc: pc,
+            },
+        );
         idx
     }
 
@@ -124,47 +100,18 @@ impl Ubtb {
 
     /// Invalidates every entry (BPU flush mitigation).
     pub fn flush_all(&mut self) {
-        self.entries.fill(EMPTY);
-    }
-
-    /// All entries, for snapshot inspection.
-    pub fn entries(&self) -> &[BtbEntry] {
-        &self.entries
+        self.entries.flush_all();
     }
 }
 
 /// A set-associative fetch-target buffer.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, CloneFrom)]
 pub struct Ftb {
-    entries: Vec<BtbEntry>,
+    entries: Slots<BtbEntry>,
     sets: usize,
     ways: usize,
     tag_bits: u32,
     use_counter: u64,
-}
-
-impl Clone for Ftb {
-    fn clone(&self) -> Ftb {
-        let mut ftb = Ftb::new(self.sets, self.ways, self.tag_bits);
-        ftb.clone_from(self);
-        ftb
-    }
-
-    /// Copies every entry into this FTB's entry buffer.
-    fn clone_from(&mut self, source: &Ftb) {
-        let Ftb {
-            entries,
-            sets,
-            ways,
-            tag_bits,
-            use_counter,
-        } = source;
-        self.entries.clone_from(entries);
-        self.sets = *sets;
-        self.ways = *ways;
-        self.tag_bits = *tag_bits;
-        self.use_counter = *use_counter;
-    }
 }
 
 impl Ftb {
@@ -172,12 +119,17 @@ impl Ftb {
     pub fn new(sets: usize, ways: usize, tag_bits: u32) -> Ftb {
         assert!(sets.is_power_of_two(), "FTB sets must be a power of two");
         Ftb {
-            entries: vec![EMPTY; sets * ways],
+            entries: Slots::new(sets * ways, 0),
             sets,
             ways,
             tag_bits,
             use_counter: 0,
         }
+    }
+
+    /// The ways, one slot each, in set order.
+    pub fn slots(&self) -> &Slots<BtbEntry> {
+        &self.entries
     }
 
     fn set_of(&self, pc: u64) -> usize {
@@ -188,52 +140,47 @@ impl Ftb {
         (pc >> (2 + self.sets.trailing_zeros())) & ((1 << self.tag_bits) - 1)
     }
 
+    fn ways_of(&self, pc: u64) -> std::ops::Range<usize> {
+        let s = self.set_of(pc);
+        s * self.ways..(s + 1) * self.ways
+    }
+
     /// Predicts the target for `pc`.
     pub fn predict(&self, pc: u64) -> Option<&BtbEntry> {
-        let s = self.set_of(pc);
         let t = self.tag_of(pc);
-        self.entries[s * self.ways..(s + 1) * self.ways]
-            .iter()
-            .find(|e| e.valid && e.tag == t)
+        (self.ways_of(pc))
+            .filter_map(|i| self.entries.get(i))
+            .find(|e| e.tag == t)
     }
 
     /// Trains the FTB with a resolved branch.
     pub fn train(&mut self, pc: u64, target: u64, taken: bool, domain: Domain) {
-        let s = self.set_of(pc);
         let t = self.tag_of(pc);
         self.use_counter += 1;
-        let counter = self.use_counter;
-        let base = s * self.ways;
-        let way = (0..self.ways)
-            .find(|&w| {
-                let e = &self.entries[base + w];
-                e.valid && e.tag == t
-            })
-            .or_else(|| (0..self.ways).find(|&w| !self.entries[base + w].valid))
+        let ways = self.ways_of(pc);
+        let way = (ways.clone())
+            .find(|&i| self.entries.get(i).is_some_and(|e| e.tag == t))
+            .or_else(|| ways.clone().find(|&i| !self.entries.is_live(i)))
             .unwrap_or_else(|| {
-                (0..self.ways)
-                    .min_by_key(|&w| self.entries[base + w].last_use)
+                ways.min_by_key(|&i| self.entries.get(i).map(|e| e.last_use))
                     .expect("ways >= 1")
             });
-        self.entries[base + way] = BtbEntry {
-            valid: true,
-            tag: t,
-            target,
-            taken,
-            last_use: counter,
-            train_domain: domain,
-            train_pc: pc,
-        };
+        self.entries.set(
+            way,
+            BtbEntry {
+                tag: t,
+                target,
+                taken,
+                last_use: self.use_counter,
+                train_domain: domain,
+                train_pc: pc,
+            },
+        );
     }
 
     /// Invalidates every entry.
     pub fn flush_all(&mut self) {
-        self.entries.fill(EMPTY);
-    }
-
-    /// All entries, for snapshot inspection.
-    pub fn entries(&self) -> &[BtbEntry] {
-        &self.entries
+        self.entries.flush_all();
     }
 }
 
@@ -241,23 +188,9 @@ impl Ftb {
 pub const BHT_ENTRIES: usize = 1024;
 
 /// A bimodal (2-bit counter) branch history table.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, CloneFrom)]
 pub struct Bht {
     counters: Vec<u8>,
-}
-
-impl Clone for Bht {
-    fn clone(&self) -> Bht {
-        let mut bht = Bht::new(self.counters.len());
-        bht.clone_from(self);
-        bht
-    }
-
-    /// Copies every counter into this BHT's counter buffer.
-    fn clone_from(&mut self, source: &Bht) {
-        let Bht { counters } = source;
-        self.counters.clone_from(counters);
-    }
 }
 
 impl Bht {

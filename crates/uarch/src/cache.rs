@@ -7,16 +7,15 @@
 //! D3), and fills still deposit whole cache lines of another domain's data
 //! into the LFB and L1D (cases D1/D2).
 
-use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
+use crate::slots::Slots;
 use crate::trace::{Domain, FillPurpose};
 
-/// One cache line, as seen through [`Cache::valid_lines`] and
-/// [`Cache::peek_line`]: the way's metadata plus a borrow of its payload.
+/// One cache line, as [`Cache::peek_line`] returns it: the way's metadata
+/// plus a borrow of its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLine<'a> {
-    /// Valid bit.
-    pub valid: bool,
     /// Full line address (line-aligned physical address; doubles as tag).
     pub line_addr: u64,
     /// Line payload.
@@ -28,99 +27,29 @@ pub struct CacheLine<'a> {
     pub fill_domain: Domain,
 }
 
-/// Per-way metadata; the way's payload sits at the same slot index in
-/// [`Cache`]'s flat byte array, and its valid bit in the live bitset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineMeta {
-    line_addr: u64,
-    last_use: u64,
-    fill_domain: Domain,
-}
-
-/// The metadata of a slot that holds no line.
-const EMPTY: LineMeta = LineMeta {
-    line_addr: 0,
-    last_use: 0,
-    fill_domain: Domain::Untrusted,
-};
-
-/// The set bits of one bitset word, lowest first.
-struct Bits(u64);
-
-impl Iterator for Bits {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let bit = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(bit)
-    }
+/// The metadata of one way; its payload is the slot's payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineMeta {
+    /// Full line address (line-aligned physical address; doubles as tag).
+    pub line_addr: u64,
+    /// LRU timestamp (higher = more recent).
+    pub last_use: u64,
+    /// Domain that caused the fill.
+    pub fill_domain: Domain,
 }
 
 /// A physically indexed, physically tagged set-associative cache.
 ///
-/// Metadata and payloads live in two flat arrays (one entry and one
-/// `line_size`-byte run per way slot), and a bitset marks the slots that
-/// hold a line. A slot that holds no line is always empty (zero metadata
-/// and payload): invalidating or flushing a line resets its slot. So
-/// [`Clone::clone_from`] copies only the slots live in the source or the
-/// destination, into the destination's buffers, and still leaves every
-/// array bit-identical to a full copy; debug builds check each copy
-/// against the full one. Forking a cache that holds a few dozen lines
-/// copies a few dozen lines, whatever its geometry.
-#[derive(Debug)]
+/// Each way is a slot of a live-slot table ([`Slots`]) whose payload is
+/// the line, so a fork copies only the live lines, whatever the cache's
+/// geometry.
+#[derive(Debug, CloneFrom)]
 pub struct Cache {
     sets: usize,
     ways: usize,
     line_size: u64,
-    /// One bit per way slot, set while the slot holds a line.
-    live: Vec<u64>,
-    meta: Vec<LineMeta>,
-    payload: Vec<u8>,
+    lines: Slots<LineMeta>,
     use_counter: u64,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        let mut cache = Cache::new(self.sets, self.ways, self.line_size);
-        cache.clone_from(self);
-        cache
-    }
-
-    /// Makes `self` a copy of `source` through the slots live on either
-    /// side: a slot live in `source` is copied, and one live only here is
-    /// reset. A cache of another geometry is first replaced by an empty
-    /// one.
-    fn clone_from(&mut self, source: &Cache) {
-        let Cache {
-            sets,
-            ways,
-            line_size,
-            live,
-            meta: _,
-            payload: _,
-            use_counter,
-        } = source;
-        if (self.sets, self.ways, self.line_size) != (*sets, *ways, *line_size) {
-            *self = Cache::new(*sets, *ways, *line_size);
-        }
-        for (w, &theirs) in live.iter().enumerate() {
-            for bit in Bits(self.live[w] | theirs) {
-                let slot = w * 64 + bit;
-                if theirs >> bit & 1 != 0 {
-                    self.copy_slot(source, slot);
-                } else {
-                    self.reset(slot);
-                }
-            }
-        }
-        self.use_counter = *use_counter;
-        #[cfg(debug_assertions)]
-        self.check_full_copy(source);
-    }
 }
 
 impl Cache {
@@ -135,16 +64,18 @@ impl Cache {
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        let slots = sets * ways;
         Cache {
             sets,
             ways,
             line_size,
-            live: vec![0; slots.div_ceil(64)],
-            meta: vec![EMPTY; slots],
-            payload: vec![0; slots * line_size as usize],
+            lines: Slots::new(sets * ways, line_size as usize),
             use_counter: 0,
         }
+    }
+
+    /// The ways, one slot each, in set order.
+    pub fn slots(&self) -> &Slots<LineMeta> {
+        &self.lines
     }
 
     /// The line-aligned address containing `addr`.
@@ -166,79 +97,24 @@ impl Cache {
         s * self.ways..(s + 1) * self.ways
     }
 
-    fn is_live(&self, slot: usize) -> bool {
-        self.live[slot / 64] >> (slot % 64) & 1 != 0
-    }
-
-    /// The live slots in ascending order.
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (self.live.iter().enumerate()).flat_map(|(w, &bits)| Bits(bits).map(move |b| w * 64 + b))
-    }
-
     fn find(&self, line_addr: u64) -> Option<usize> {
         self.set_range(line_addr)
-            .find(|&i| self.is_live(i) && self.meta[i].line_addr == line_addr)
-    }
-
-    fn bytes(&self, slot: usize) -> &[u8] {
-        let n = self.line_size as usize;
-        &self.payload[slot * n..(slot + 1) * n]
-    }
-
-    fn bytes_mut(&mut self, slot: usize) -> &mut [u8] {
-        let n = self.line_size as usize;
-        &mut self.payload[slot * n..(slot + 1) * n]
-    }
-
-    /// Empties `slot`: clears its valid bit and zeroes its metadata and
-    /// payload, the state every slot without a line is in.
-    fn reset(&mut self, slot: usize) {
-        self.live[slot / 64] &= !(1 << (slot % 64));
-        self.meta[slot] = EMPTY;
-        self.bytes_mut(slot).fill(0);
-    }
-
-    /// Copies `source`'s line at `slot` into the same slot here.
-    fn copy_slot(&mut self, source: &Cache, slot: usize) {
-        self.live[slot / 64] |= 1 << (slot % 64);
-        self.meta[slot] = source.meta[slot];
-        self.bytes_mut(slot).copy_from_slice(source.bytes(slot));
-    }
-
-    /// Debug-build reference of [`Cache::clone_from`]: every array equals
-    /// `source`'s, as a full copy would leave it.
-    #[cfg(debug_assertions)]
-    fn check_full_copy(&self, source: &Cache) {
-        if self.live == source.live
-            && self.meta == source.meta
-            && self.payload == source.payload
-            && self.use_counter == source.use_counter
-        {
-            return;
-        }
-        let n = self.line_size as usize;
-        let slot = (0..self.meta.len()).find(|&i| {
-            self.is_live(i) != source.is_live(i)
-                || self.meta[i] != source.meta[i]
-                || self.bytes(i) != source.bytes(i)
-        });
-        panic!("live-line copy leaves slot {slot:?} of {n}-byte lines unlike a full copy of the source cache");
+            .find(|&i| self.lines.get(i).is_some_and(|m| m.line_addr == line_addr))
     }
 
     /// Stamps `slot` as the most recently used way.
     fn touch(&mut self, slot: usize) {
         self.use_counter += 1;
-        self.meta[slot].last_use = self.use_counter;
+        self.lines.entry_mut(slot).last_use = self.use_counter;
     }
 
     fn view(&self, slot: usize) -> CacheLine<'_> {
-        let w = self.meta[slot];
+        let m = self.lines.get(slot).expect("a live way");
         CacheLine {
-            valid: self.is_live(slot),
-            line_addr: w.line_addr,
-            data: self.bytes(slot),
-            last_use: w.last_use,
-            fill_domain: w.fill_domain,
+            line_addr: m.line_addr,
+            data: self.lines.bytes(slot),
+            last_use: m.last_use,
+            fill_domain: m.fill_domain,
         }
     }
 
@@ -254,7 +130,7 @@ impl Cache {
         let slot = self.find(la)?;
         self.touch(slot);
         let off = (addr - la) as usize;
-        let bytes = &self.bytes(slot)[off..off + len as usize];
+        let bytes = &self.lines.bytes(slot)[off..off + len as usize];
         Some(bytes.iter().rev().fold(0, |v, &b| (v << 8) | b as u64))
     }
 
@@ -263,7 +139,7 @@ impl Cache {
     pub fn read_line(&mut self, line_addr: u64) -> Option<&[u8]> {
         let slot = self.find(line_addr)?;
         self.touch(slot);
-        Some(self.bytes(slot))
+        Some(self.lines.bytes(slot))
     }
 
     /// Writes `len` bytes at `addr` on a hit. Returns `false` on a miss.
@@ -274,7 +150,7 @@ impl Cache {
         };
         self.touch(slot);
         let off = (addr - la) as usize;
-        let bytes = &mut self.bytes_mut(slot)[off..off + len as usize];
+        let bytes = &mut self.lines.bytes_mut(slot)[off..off + len as usize];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = (value >> (8 * i)) as u8;
         }
@@ -301,73 +177,57 @@ impl Cache {
             Some(slot) => (slot, None),
             None => {
                 let range = self.set_range(line_addr);
-                match range.clone().find(|&i| !self.is_live(i)) {
+                match range.clone().find(|&i| !self.lines.is_live(i)) {
                     Some(empty) => (empty, None),
                     None => {
                         let victim = range
-                            .min_by_key(|&i| self.meta[i].last_use)
+                            .min_by_key(|&i| self.lines.get(i).map(|m| m.last_use))
                             .expect("ways >= 1");
-                        (victim, Some(self.meta[victim].line_addr))
+                        (victim, self.lines.get(victim).map(|m| m.line_addr))
                     }
                 }
             }
         };
-        self.live[slot / 64] |= 1 << (slot % 64);
-        self.touch(slot);
-        let w = &mut self.meta[slot];
-        w.line_addr = line_addr;
-        w.fill_domain = domain;
-        self.bytes_mut(slot).copy_from_slice(data);
+        self.use_counter += 1;
+        let meta = LineMeta {
+            line_addr,
+            last_use: self.use_counter,
+            fill_domain: domain,
+        };
+        self.lines.set(slot, meta).copy_from_slice(data);
         evicted
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: u64) {
         if let Some(slot) = self.find(self.line_addr(addr)) {
-            self.reset(slot);
+            self.lines.reset(slot);
         }
     }
 
     /// Invalidates every line.
     pub fn flush_all(&mut self) {
-        for w in 0..self.live.len() {
-            for bit in Bits(self.live[w]) {
-                self.reset(w * 64 + bit);
-            }
-        }
-    }
-
-    /// Iterates currently valid lines in ascending slot order (for
-    /// snapshot-based checks).
-    pub fn valid_lines(&self) -> impl Iterator<Item = CacheLine<'_>> {
-        self.live_slots().map(|i| self.view(i))
-    }
-
-    /// Number of valid lines.
-    pub fn valid_count(&self) -> usize {
-        self.live.iter().map(|w| w.count_ones() as usize).sum()
+        self.lines.flush_all();
     }
 }
 
 /// State of a line-fill-buffer entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LfbState {
     /// Request outstanding; no data yet.
     Pending,
     /// Fill completed; data resides in the buffer until the entry is
     /// *reallocated* (residual data — this persistence is case D3's leak).
+    #[default]
     Filled,
 }
 
-/// One LFB/MSHR entry.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One LFB/MSHR entry. Its payload, the filled line, is the slot's
+/// payload: zeros until the fill completes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LfbEntry {
-    /// Entry holds a live or residual request.
-    pub valid: bool,
     /// Line address of the fill.
     pub line_addr: u64,
-    /// Fill payload (valid once `state == Filled`).
-    pub data: Vec<u8>,
     /// Request state.
     pub state: LfbState,
     /// What initiated the fill.
@@ -376,177 +236,84 @@ pub struct LfbEntry {
     pub fill_domain: Domain,
     /// Cycle the data arrived.
     pub fill_cycle: u64,
+    /// Allocation stamp (higher = newer): the oldest completed entry is
+    /// reallocated first.
+    pub alloc_stamp: u64,
 }
 
-impl Clone for LfbEntry {
-    fn clone(&self) -> LfbEntry {
-        LfbEntry {
-            data: self.data.clone(),
-            ..*self
-        }
-    }
-
-    /// Copies `source` into this entry's payload buffer.
-    fn clone_from(&mut self, source: &LfbEntry) {
-        let LfbEntry {
-            valid,
-            line_addr,
-            ref data,
-            state,
-            purpose,
-            fill_domain,
-            fill_cycle,
-        } = *source;
-        self.data.clone_from(data);
-        *self = LfbEntry {
-            valid,
-            line_addr,
-            data: std::mem::take(&mut self.data),
-            state,
-            purpose,
-            fill_domain,
-            fill_cycle,
-        };
-    }
-}
-
-/// The line-fill buffer (doubles as the MSHR file). Cloning copies every
-/// entry; [`Clone::clone_from`] copies them into the destination's
-/// entries and payload buffers.
-#[derive(Debug, Serialize, Deserialize)]
+/// The line-fill buffer (doubles as the MSHR file): a live-slot table
+/// ([`Slots`]) of entries whose payloads are the filled lines. An entry
+/// stays live, residual data included, until it is reallocated, released
+/// or flushed.
+#[derive(Debug, PartialEq, Eq, CloneFrom)]
 pub struct Lfb {
-    entries: Vec<LfbEntry>,
-    line_size: u64,
+    entries: Slots<LfbEntry>,
     alloc_clock: u64,
-    alloc_stamp: Vec<u64>,
-}
-
-impl Clone for Lfb {
-    fn clone(&self) -> Lfb {
-        let mut lfb = Lfb::new(self.entries.len(), self.line_size);
-        lfb.clone_from(self);
-        lfb
-    }
-
-    fn clone_from(&mut self, source: &Lfb) {
-        let Lfb {
-            entries,
-            line_size,
-            alloc_clock,
-            alloc_stamp,
-        } = source;
-        self.entries.clone_from(entries);
-        self.line_size = *line_size;
-        self.alloc_clock = *alloc_clock;
-        self.alloc_stamp.clone_from(alloc_stamp);
-    }
 }
 
 impl Lfb {
     /// Creates an LFB with `n` entries.
     pub fn new(n: usize, line_size: u64) -> Lfb {
-        let e = LfbEntry {
-            valid: false,
-            line_addr: 0,
-            data: vec![0; line_size as usize],
-            state: LfbState::Filled,
-            purpose: FillPurpose::Demand,
-            fill_domain: Domain::Untrusted,
-            fill_cycle: 0,
-        };
         Lfb {
-            entries: vec![e; n],
-            line_size,
+            entries: Slots::new(n, line_size as usize),
             alloc_clock: 0,
-            alloc_stamp: vec![0; n],
         }
+    }
+
+    /// The entries, one slot each, with their lines as payloads.
+    pub fn slots(&self) -> &Slots<LfbEntry> {
+        &self.entries
     }
 
     /// Allocates an entry for a new outstanding fill.
     ///
-    /// Prefers invalid entries, then the oldest *completed* entry (whose
+    /// Prefers free entries, then the oldest *completed* entry (whose
     /// residual data is thereby finally displaced). Returns `None` when
     /// every entry is still pending (structural stall).
     pub fn allocate(&mut self, line_addr: u64, purpose: FillPurpose) -> Option<usize> {
-        let idx = self.entries.iter().position(|e| !e.valid).or_else(|| {
-            self.entries
-                .iter()
-                .enumerate()
+        let idx = self.entries.first_free().or_else(|| {
+            (self.entries.live())
                 .filter(|(_, e)| e.state == LfbState::Filled)
-                .min_by_key(|&(i, _)| self.alloc_stamp[i])
+                .min_by_key(|(_, e)| e.alloc_stamp)
                 .map(|(i, _)| i)
         })?;
         self.alloc_clock += 1;
-        self.alloc_stamp[idx] = self.alloc_clock;
-        let e = &mut self.entries[idx];
-        e.valid = true;
-        e.line_addr = line_addr;
-        e.state = LfbState::Pending;
-        e.purpose = purpose;
-        e.data.fill(0);
+        let entry = LfbEntry {
+            line_addr,
+            state: LfbState::Pending,
+            purpose,
+            alloc_stamp: self.alloc_clock,
+            ..LfbEntry::default()
+        };
+        self.entries.set(idx, entry).fill(0);
         Some(idx)
     }
 
-    /// Marks entry `idx` filled with a copy of `data`.
+    /// Marks live entry `idx` filled with a copy of `data`.
     pub fn complete(&mut self, idx: usize, data: &[u8], domain: Domain, cycle: u64) {
-        debug_assert_eq!(data.len() as u64, self.line_size);
-        let e = &mut self.entries[idx];
-        debug_assert!(e.valid && e.state == LfbState::Pending);
-        e.data.copy_from_slice(data);
+        let e = self.entries.entry_mut(idx);
+        debug_assert_eq!(e.state, LfbState::Pending);
         e.state = LfbState::Filled;
         e.fill_domain = domain;
         e.fill_cycle = cycle;
+        self.entries.bytes_mut(idx).copy_from_slice(data);
     }
 
     /// Is a fill for this line already outstanding? (Request merging.)
     pub fn pending_for(&self, line_addr: u64) -> Option<usize> {
         self.entries
-            .iter()
-            .position(|e| e.valid && e.state == LfbState::Pending && e.line_addr == line_addr)
+            .find(|e| e.state == LfbState::Pending && e.line_addr == line_addr)
     }
 
     /// Invalidates a single entry, dropping its residual data (models a
     /// design that releases MSHR data on refill completion).
     pub fn invalidate_entry(&mut self, idx: usize) {
-        self.entries[idx].valid = false;
-        self.entries[idx].data.fill(0);
+        self.entries.reset(idx);
     }
 
     /// Invalidates every entry (mitigation flush).
     pub fn flush_all(&mut self) {
-        for e in &mut self.entries {
-            e.valid = false;
-            e.data.fill(0);
-        }
-    }
-
-    /// Entry accessor.
-    pub fn entry(&self, idx: usize) -> &LfbEntry {
-        &self.entries[idx]
-    }
-
-    /// All entries (tests and snapshot checks).
-    pub fn entries(&self) -> &[LfbEntry] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the LFB has no entries (never the case in a validated
-    /// configuration).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Valid entries whose residual data belongs to a trusted domain —
-    /// convenience for tests mirroring the checker's P1 scan.
-    pub fn residual_trusted_entries(&self) -> impl Iterator<Item = &LfbEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.valid && e.state == LfbState::Filled && e.fill_domain.is_trusted())
+        self.entries.flush_all();
     }
 }
 
@@ -608,7 +375,7 @@ mod tests {
         let mut c = Cache::new(4, 4, 64);
         c.fill(0x1000, &line(1), Domain::Untrusted);
         c.fill(0x1000, &line(2), Domain::Enclave(0));
-        assert_eq!(c.valid_lines().count(), 1);
+        assert_eq!(c.slots().live_count(), 1);
         assert_eq!(c.read(0x1000, 1), Some(2));
         assert_eq!(c.peek_line(0x1000).unwrap().fill_domain, Domain::Enclave(0));
     }
@@ -621,7 +388,7 @@ mod tests {
         c.invalidate(0x1000);
         assert!(!c.contains(0x1000) && c.contains(0x2000));
         c.flush_all();
-        assert_eq!(c.valid_lines().count(), 0);
+        assert_eq!(c.slots().live_count(), 0);
     }
 
     #[test]
@@ -644,10 +411,10 @@ mod tests {
         let idx = lfb.allocate(0x5000, FillPurpose::StoreRefill).unwrap();
         lfb.complete(idx, &line(0x42), Domain::Enclave(1), 99);
         // Long after the request completed, the secret bytes are still there.
-        let e = lfb.entry(idx);
+        let e = lfb.slots().get(idx).expect("the entry stays live");
         assert_eq!(e.state, LfbState::Filled);
-        assert!(e.data.iter().all(|&b| b == 0x42));
-        assert_eq!(lfb.residual_trusted_entries().count(), 1);
+        assert_eq!(e.fill_domain, Domain::Enclave(1));
+        assert!(lfb.slots().bytes(idx).iter().all(|&b| b == 0x42));
     }
 
     #[test]
@@ -665,7 +432,7 @@ mod tests {
         let idx = lfb.allocate(0x5000, FillPurpose::Demand).unwrap();
         lfb.complete(idx, &line(0x42), Domain::Enclave(1), 5);
         lfb.flush_all();
-        assert_eq!(lfb.residual_trusted_entries().count(), 0);
-        assert!(lfb.entries().iter().all(|e| !e.valid));
+        assert_eq!(lfb.slots().live_count(), 0);
+        assert!(lfb.slots().bytes(idx).iter().all(|&b| b == 0));
     }
 }

@@ -8,6 +8,7 @@
 //! discovered by the TEESec checker from the simulation trace.
 
 use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
 /// What the L1D returns for a PMP-faulting load that *misses* in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,7 +121,8 @@ impl MitigationSet {
 }
 
 /// Full microarchitectural configuration of a core instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// [`Clone::clone_from`] copies the name into this config's buffer.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize, CloneFrom)]
 pub struct CoreConfig {
     /// Human-readable design name (appears in the verification plan).
     pub name: String,

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 
+use teesec_derive::CloneFrom;
 use teesec_isa::csr::{self, CsrAddr, Mstatus};
 use teesec_isa::inst::{CsrOp, CsrSrc, Inst};
 use teesec_isa::pmp::AccessKind;
@@ -118,15 +119,14 @@ pub struct RetiredInst {
 ///
 /// `Clone` forks the complete core state — architectural and
 /// microarchitectural; platform snapshotting builds on this. The fork
-/// copies one pointer per backed page of the copy-on-write [`Memory`],
-/// every entry of the TLBs, predictors and fill buffer, and only the live
-/// lines of each cache (see [`Cache`](crate::cache::Cache)).
-/// [`Clone::clone_from`] writes all of that into the destination core's
-/// buffers, so forking into a core that already ran a case allocates no
-/// storage; `clone` is a new core plus `clone_from`, so both run the same
-/// copy code. Neither inherits an attached trace sink (see
-/// [`Trace::clone`]).
-#[derive(Debug)]
+/// copies one pointer per backed page of the copy-on-write [`Memory`], the
+/// live slots of every slotted structure (caches, fill buffer, TLBs, PTW
+/// cache and BTBs; see [`Slots`](crate::slots::Slots)) and the BHT's
+/// counters. `clone` copies field by field; [`Clone::clone_from`] calls
+/// each field's own `clone_from`, so forking into a core that already ran
+/// a case allocates no storage. Neither inherits an attached trace sink
+/// (see [`Trace::clone`]), and both start the fetch memo cold.
+#[derive(Debug, CloneFrom)]
 pub struct Core {
     /// The configuration the core was built with.
     pub config: CoreConfig,
@@ -202,91 +202,6 @@ pub struct Core {
     /// The buffer an L1I fill reads its line into, kept across fills
     /// (and left empty) so a fill does not allocate.
     line_buf: Vec<u8>,
-}
-
-impl Clone for Core {
-    fn clone(&self) -> Core {
-        let mut core = Core::new(self.config.clone(), Memory::new(), self.fetch_pc);
-        core.clone_from(self);
-        core
-    }
-
-    fn clone_from(&mut self, source: &Core) {
-        let Core {
-            config,
-            mem,
-            csr,
-            lsu,
-            trace,
-            ubtb,
-            ftb,
-            bht,
-            itlb,
-            l1i,
-            cycle,
-            priv_level,
-            domain,
-            halted,
-            fetch_pc,
-            fetch_stalled,
-            rob,
-            rob_head_slot,
-            youngest_writer,
-            next_seq,
-            spec_rf,
-            arch_rf,
-            ext_irq_at,
-            retired,
-            domain_before_trap,
-            retire_probe,
-            retire_log,
-            fetch_fence,
-            fetch_fence_hit,
-            fetch_memo,
-            scan_from,
-            scan_checks,
-            scan_skips,
-            lsu_completions,
-            line_buf,
-        } = source;
-        if self.config != *config {
-            self.config.clone_from(config);
-        }
-        self.mem.clone_from(mem);
-        self.csr.clone_from(csr);
-        self.lsu.clone_from(lsu);
-        self.trace.clone_from(trace);
-        self.ubtb.clone_from(ubtb);
-        self.ftb.clone_from(ftb);
-        self.bht.clone_from(bht);
-        self.itlb.clone_from(itlb);
-        self.l1i.clone_from(l1i);
-        self.cycle = *cycle;
-        self.priv_level = *priv_level;
-        self.domain = *domain;
-        self.halted = *halted;
-        self.fetch_pc = *fetch_pc;
-        self.fetch_stalled = *fetch_stalled;
-        self.rob.clone_from(rob);
-        self.rob_head_slot = *rob_head_slot;
-        self.youngest_writer = *youngest_writer;
-        self.next_seq = *next_seq;
-        self.spec_rf = *spec_rf;
-        self.arch_rf = *arch_rf;
-        self.ext_irq_at = *ext_irq_at;
-        self.retired = *retired;
-        self.domain_before_trap = *domain_before_trap;
-        self.retire_probe = *retire_probe;
-        self.retire_log.clone_from(retire_log);
-        self.fetch_fence = *fetch_fence;
-        self.fetch_fence_hit = *fetch_fence_hit;
-        self.fetch_memo.clone_from(fetch_memo);
-        self.scan_from = *scan_from;
-        self.scan_checks = *scan_checks;
-        self.scan_skips = *scan_skips;
-        self.lsu_completions.clone_from(lsu_completions);
-        self.line_buf.clone_from(line_buf);
-    }
 }
 
 /// What advances the clock in a loop [`Core::fast_forward`] serves: a
@@ -622,25 +537,19 @@ impl Core {
         let occupancy = |s: Structure| -> usize {
             match s {
                 Structure::RegFile => self.arch_rf.iter().filter(|&&v| v != 0).count(),
-                Structure::L1d => self.lsu.l1d.valid_count(),
-                Structure::L1i => self.l1i.valid_count(),
-                Structure::L2 => self.lsu.l2.valid_count(),
-                Structure::Lfb => self.lsu.lfb.entries().iter().filter(|e| e.valid).count(),
+                Structure::L1d => self.lsu.l1d.slots().live_count(),
+                Structure::L1i => self.l1i.slots().live_count(),
+                Structure::L2 => self.lsu.l2.slots().live_count(),
+                Structure::Lfb => self.lsu.lfb.slots().live_count(),
                 // The store queue is ROB-resident; it is empty whenever the
                 // pipeline is (any finished run).
                 Structure::StoreQueue => 0,
                 Structure::StoreBuffer => self.lsu.store_buffer_len(),
-                Structure::Dtlb => self.lsu.dtlb.valid_count(),
-                Structure::Itlb => self.itlb.valid_count(),
-                Structure::PtwCache => self
-                    .lsu
-                    .ptw_cache
-                    .entries()
-                    .iter()
-                    .filter(|e| e.valid)
-                    .count(),
-                Structure::Ubtb => self.ubtb.entries().iter().filter(|e| e.valid).count(),
-                Structure::Ftb => self.ftb.entries().iter().filter(|e| e.valid).count(),
+                Structure::Dtlb => self.lsu.dtlb.slots().live_count(),
+                Structure::Itlb => self.itlb.slots().live_count(),
+                Structure::PtwCache => self.lsu.ptw_cache.slots().live_count(),
+                Structure::Ubtb => self.ubtb.slots().live_count(),
+                Structure::Ftb => self.ftb.slots().live_count(),
                 Structure::Bht => self.bht.counters().iter().filter(|&&c| c != 1).count(),
                 Structure::Hpc => self.csr.hpm.iter().filter(|&&v| v != 0).count(),
             }
@@ -2141,9 +2050,8 @@ impl Core {
     fn fetch_word_by_peek(&self, pc: u64) -> Option<(u32, u64)> {
         let pa = if self.priv_level != PrivLevel::Machine && self.csr.satp.is_sv39() {
             let va = VirtAddr(pc);
-            let pte = (self.itlb.entries().iter())
-                .find(|e| e.valid && e.vpn == pc >> 12)?
-                .pte;
+            let (_, e) = (self.itlb.slots().live()).find(|(_, e)| e.vpn == pc >> 12)?;
+            let pte = e.pte;
             if !va.is_canonical() || !pte.permits(AccessKind::Execute, self.priv_level, false) {
                 return None;
             }
@@ -2487,7 +2395,7 @@ mod tests {
             a.inst(Inst::Ebreak);
         });
         run(&mut core);
-        let trained = core.ubtb.entries().iter().any(|e| e.valid);
+        let trained = core.ubtb.slots().live_count() > 0;
         assert!(trained, "taken branch must train the uBTB");
         let mispredicts = core.csr.hpm[HpcEvent::BranchMispredict.counter_index()];
         let taken = core.csr.hpm[HpcEvent::BranchTaken.counter_index()];

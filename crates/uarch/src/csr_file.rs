@@ -2,6 +2,7 @@
 //! hardware performance counters.
 
 use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
 use teesec_isa::csr::{self, CsrAddr, Mstatus, Satp};
 use teesec_isa::pmp::{PmpCfg, PmpSet};
@@ -23,7 +24,7 @@ pub enum CsrError {
 }
 
 /// The architectural CSR state of the core.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize, CloneFrom)]
 pub struct CsrFile {
     /// Machine status.
     pub mstatus: Mstatus,
@@ -69,51 +70,6 @@ pub struct CsrFile {
     /// the last reset — model-side ground truth used by tests; the checker
     /// derives the same information from trace events.
     pub hpm_contributors: Vec<Vec<Domain>>,
-}
-
-impl Clone for CsrFile {
-    fn clone(&self) -> CsrFile {
-        let mut csr = CsrFile::new(self.hpm.len());
-        csr.clone_from(self);
-        csr
-    }
-
-    /// Copies every register into this file, and the counters and their
-    /// contributor lists into its buffers.
-    fn clone_from(&mut self, source: &CsrFile) {
-        let CsrFile {
-            mstatus,
-            mtvec,
-            mepc,
-            mcause,
-            mtval,
-            mscratch,
-            mie,
-            mip,
-            mcounteren,
-            stvec,
-            sepc,
-            scause,
-            stval,
-            sscratch,
-            scounteren,
-            satp,
-            pmp,
-            cycle,
-            instret,
-            hpm,
-            hpm_contributors,
-        } = source;
-        self.pmp.clone_from(pmp);
-        self.hpm.clone_from(hpm);
-        self.hpm_contributors.clone_from(hpm_contributors);
-        (self.mstatus, self.satp) = (*mstatus, *satp);
-        (self.mtvec, self.mepc, self.mcause, self.mtval) = (*mtvec, *mepc, *mcause, *mtval);
-        (self.mscratch, self.mie, self.mip, self.mcounteren) = (*mscratch, *mie, *mip, *mcounteren);
-        (self.stvec, self.sepc, self.scause, self.stval) = (*stvec, *sepc, *scause, *stval);
-        (self.sscratch, self.scounteren) = (*sscratch, *scounteren);
-        (self.cycle, self.instret) = (*cycle, *instret);
-    }
 }
 
 impl CsrFile {

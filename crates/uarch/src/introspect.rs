@@ -6,8 +6,14 @@
 //! a design has, in which order and with what capacity. The verification
 //! plan and its coverage-matrix cells, the core's harvested counters
 //! ([`crate::core::Core::counters`]) and the engine's campaign-wide
-//! counter seed all read it. The checker's end-of-run snapshot scan does
-//! not: it scans a fixed set of structures.
+//! counter seed all read it.
+//!
+//! Every slotted structure (caches, fill buffer, TLBs, PTW cache, BTBs)
+//! holds its entries in a live-slot table ([`crate::slots::Slots`]) and
+//! exposes it through one accessor, `slots()`. The counters read each
+//! table's live count; the checker's end-of-run snapshot scan reads the
+//! live entries of a fixed set of five (LFB, L1D, L2, uBTB and FTB), not
+//! the profile.
 
 use serde::{Deserialize, Serialize};
 

@@ -46,6 +46,7 @@ pub mod introspect;
 pub mod iss;
 pub mod lsu;
 pub mod mem;
+pub mod slots;
 pub mod tlb;
 pub mod trace;
 pub mod trap;

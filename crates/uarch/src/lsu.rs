@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
+use teesec_derive::CloneFrom;
 
 use teesec_isa::csr::Satp;
 use teesec_isa::pmp::AccessKind;
@@ -102,28 +103,12 @@ pub struct XlateCompletion {
 /// caller keeps one and hands it back every cycle, so the LSU and its
 /// caller trade the same two pairs of buffers and a steady-state hand-off
 /// allocates nothing.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq, CloneFrom)]
 pub struct Completions {
     /// Demand-load completions, in completion order.
     pub loads: Vec<LoadCompletion>,
     /// Store-translation completions, in completion order.
     pub xlates: Vec<XlateCompletion>,
-}
-
-impl Clone for Completions {
-    fn clone(&self) -> Completions {
-        Completions {
-            loads: self.loads.clone(),
-            xlates: self.xlates.clone(),
-        }
-    }
-
-    /// Copies both lists into this hand-off's buffers.
-    fn clone_from(&mut self, source: &Completions) {
-        let Completions { loads, xlates } = source;
-        self.loads.clone_from(loads);
-        self.xlates.clone_from(xlates);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,8 +251,12 @@ enum DrainState {
     WaitFill(u64),
 }
 
-/// The load/store unit.
-#[derive(Debug)]
+/// The load/store unit. A clone copies every structure and in-flight
+/// item; [`Clone::clone_from`] copies them into the destination's buffers,
+/// and the slotted structures copy only their live slots ([`Slots`]).
+///
+/// [`Slots`]: crate::slots::Slots
+#[derive(Debug, CloneFrom)]
 pub struct Lsu {
     cfg: CoreConfig,
     /// L1 data cache.
@@ -316,68 +305,11 @@ pub(crate) struct InFlight {
     mem_reqs: Vec<MemReq>,
     store_buffer: VecDeque<StoreBufferEntry>,
     drain_state: DrainState,
-    lfb: Vec<crate::cache::LfbEntry>,
+    lfb: Lfb,
     completions: Completions,
     next_ids: (u64, u64),
     epoch: u64,
     retry_counters: (u64, u64),
-}
-
-impl Clone for Lsu {
-    fn clone(&self) -> Lsu {
-        let mut lsu = Lsu::new(&self.cfg);
-        lsu.clone_from(self);
-        lsu
-    }
-
-    /// Copies every structure and in-flight item into this LSU's buffers;
-    /// the caches copy only their live lines ([`Cache`]).
-    fn clone_from(&mut self, source: &Lsu) {
-        let Lsu {
-            cfg,
-            l1d,
-            l2,
-            lfb,
-            dtlb,
-            ptw_cache,
-            store_buffer,
-            drain_state,
-            loads,
-            xlates,
-            walks,
-            mem_reqs,
-            ready,
-            line,
-            completions,
-            next_req_id,
-            next_walk_id,
-            epoch,
-            retry_checks,
-            retry_skips,
-        } = source;
-        if self.cfg != *cfg {
-            self.cfg.clone_from(cfg);
-        }
-        self.l1d.clone_from(l1d);
-        self.l2.clone_from(l2);
-        self.lfb.clone_from(lfb);
-        self.dtlb.clone_from(dtlb);
-        self.ptw_cache.clone_from(ptw_cache);
-        self.store_buffer.clone_from(store_buffer);
-        self.drain_state = *drain_state;
-        self.loads.clone_from(loads);
-        self.xlates.clone_from(xlates);
-        self.walks.clone_from(walks);
-        self.mem_reqs.clone_from(mem_reqs);
-        self.ready.clone_from(ready);
-        self.line.clone_from(line);
-        self.completions.clone_from(completions);
-        self.next_req_id = *next_req_id;
-        self.next_walk_id = *next_walk_id;
-        self.epoch = *epoch;
-        self.retry_checks = *retry_checks;
-        self.retry_skips = *retry_skips;
-    }
 }
 
 impl Lsu {
@@ -563,7 +495,7 @@ impl Lsu {
             mem_reqs: self.mem_reqs.clone(),
             store_buffer: self.store_buffer.clone(),
             drain_state: self.drain_state,
-            lfb: self.lfb.entries().to_vec(),
+            lfb: self.lfb.clone(),
             completions: self.completions.clone(),
             next_ids: (self.next_req_id, self.next_walk_id),
             epoch: self.epoch,
@@ -614,7 +546,7 @@ impl Lsu {
         if self.store_buffer != before.store_buffer || self.drain_state != before.drain_state {
             return Some("the store drain".into());
         }
-        if self.lfb.entries() != before.lfb {
+        if self.lfb != before.lfb {
             return Some("the line fill buffer".into());
         }
         if self.completions != before.completions {
@@ -789,8 +721,8 @@ impl Lsu {
             // outstanding: the late fill only lands in, and only releases,
             // a slot that still belongs to it.
             let live_lfb = req.lfb_idx.filter(|&idx| {
-                let e = self.lfb.entry(idx);
-                e.valid && e.state == LfbState::Pending && e.line_addr == req.line_addr
+                (self.lfb.slots().get(idx))
+                    .is_some_and(|e| e.state == LfbState::Pending && e.line_addr == req.line_addr)
             });
             if let Some(idx) = live_lfb {
                 self.lfb.complete(idx, &data, at.domain, cycle);
@@ -1216,7 +1148,9 @@ impl Lsu {
             return true;
         }
         let line_addr = pa & !(self.l1d.line_size() - 1);
-        let lfb_free = (self.lfb.entries().iter()).any(|e| !e.valid || e.state == LfbState::Filled);
+        let lfb = self.lfb.slots();
+        let lfb_free =
+            lfb.first_free().is_some() || (lfb.live()).any(|(_, e)| e.state == LfbState::Filled);
         self.lfb.pending_for(line_addr).is_none() && lfb_free
     }
 
@@ -1802,14 +1736,12 @@ mod tests {
         assert_eq!(lsu.store_buffer_len(), 0);
         assert_eq!(mem.read_u64(0x8040_0000), 0, "store landed");
         // The LFB residual entry holds the OLD line.
-        let residual = lsu
-            .lfb
-            .entries()
-            .iter()
-            .find(|e| e.valid && e.line_addr == 0x8040_0000)
+        let lfb = lsu.lfb.slots();
+        let (residual, _) = (lfb.live())
+            .find(|(_, e)| e.line_addr == 0x8040_0000)
             .expect("residual LFB entry");
         let mut old = [0u8; 8];
-        old.copy_from_slice(&residual.data[0..8]);
+        old.copy_from_slice(&lfb.bytes(residual)[0..8]);
         assert_eq!(
             u64::from_le_bytes(old),
             0x01D5_EC2E_7C0F_FEE5,

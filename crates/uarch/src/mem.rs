@@ -4,8 +4,8 @@
 //! platform snapshotting does) shares every backed page, and a page is only
 //! physically duplicated when one of the clones writes to it. The memory
 //! half of forking a platform from a snapshot is therefore O(backed pages)
-//! pointer copies, not a full memory copy; the core's storage structures
-//! add a copy of their entries, and the caches of their live lines only.
+//! pointer copies, not a full memory copy; the core's slotted storage
+//! structures add a copy of their live slots only.
 //!
 //! Writes carry no per-page version, because nothing outside the modeled
 //! structures caches state derived from memory: the core's fetch memo
@@ -15,27 +15,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use teesec_derive::CloneFrom;
 use teesec_isa::vm::PAGE_SIZE;
 
 const PAGE: usize = PAGE_SIZE as usize;
 
 /// Byte-addressable sparse physical memory. Unbacked locations read as zero.
-#[derive(Debug, Default)]
+/// [`Clone::clone_from`] shares the source's pages through this memory's
+/// page table.
+#[derive(Debug, Default, CloneFrom)]
 pub struct Memory {
     pages: HashMap<u64, Arc<[u8; PAGE]>>,
-}
-
-impl Clone for Memory {
-    fn clone(&self) -> Memory {
-        Memory {
-            pages: self.pages.clone(),
-        }
-    }
-
-    /// Shares `source`'s pages through this memory's page table.
-    fn clone_from(&mut self, source: &Memory) {
-        self.pages.clone_from(&source.pages);
-    }
 }
 
 impl Memory {

@@ -149,9 +149,10 @@ impl Structure {
 }
 
 /// Why a cache line / fill buffer was filled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FillPurpose {
     /// Demand load/store miss.
+    #[default]
     Demand,
     /// Hardware prefetch (implicit, unchecked).
     Prefetch,

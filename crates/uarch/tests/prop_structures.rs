@@ -1,15 +1,27 @@
 //! Property-based tests of the microarchitectural storage structures:
 //! caches, fill buffers, TLBs and branch predictors maintain their
-//! invariants under arbitrary operation sequences.
+//! invariants under arbitrary operation sequences, and every structure
+//! built on a live-slot table copies like a full clone.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
 
-use teesec_uarch::btb::Ubtb;
-use teesec_uarch::cache::{Cache, Lfb};
+use teesec_isa::vm::{PhysAddr, Pte, VirtAddr};
+use teesec_uarch::btb::{BtbEntry, Ftb, Ubtb};
+use teesec_uarch::cache::{Cache, Lfb, LfbEntry, LineMeta};
 use teesec_uarch::mem::Memory;
-use teesec_uarch::tlb::Tlb;
+use teesec_uarch::slots::Slots;
+use teesec_uarch::tlb::{PtwCache, PtwCacheEntry, Tlb, TlbEntry};
 use teesec_uarch::trace::{Domain, FillPurpose};
+
+/// A random operation: its kind, a key (an address, PC or slot) and a
+/// value.
+type Op = (u8, u64, u64);
+
+fn ops(keys: u64) -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..32, 0..keys, any::<u64>()), 0..160)
+}
 
 proptest! {
     /// A cache behaves like a (partial) map: after a fill, reads return the
@@ -32,7 +44,7 @@ proptest! {
                 }
             }
             // Structural invariant: at most sets×ways lines resident.
-            prop_assert!(cache.valid_lines().count() <= 8);
+            prop_assert!(cache.slots().live_count() <= 8);
         }
     }
 
@@ -165,9 +177,9 @@ proptest! {
                 }
             }
         }
-        let mut resident: Vec<(u64, Vec<u8>, Domain)> = cache
-            .valid_lines()
-            .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
+        let lines = cache.slots();
+        let mut resident: Vec<(u64, Vec<u8>, Domain)> = (lines.live())
+            .map(|(i, l)| (l.line_addr, lines.bytes(i).to_vec(), l.fill_domain))
             .collect();
         resident.sort_by_key(|l| l.0);
         let mut expect: Vec<(u64, Vec<u8>, Domain)> = model.into_iter().flatten().collect();
@@ -175,39 +187,71 @@ proptest! {
         prop_assert_eq!(resident, expect);
     }
 
-    /// `clone_from` between two caches of one geometry, each after its
-    /// own random history, leaves what `clone` gives: the same live lines
-    /// (address, payload, recency stamp, domain), in the same
-    /// `valid_lines` order, and the same victim for every further fill.
-    /// The destination's history leaves lines the source lacks, which the
-    /// copy must drop.
+    /// A live-slot table against a map model, at payload widths 0 and 64
+    /// over 96 slots (one whole bitset word and part of a second): `live`
+    /// lists the model's slots in ascending order, every other slot reads
+    /// empty, and `clone_from` into a table with its own history leaves
+    /// every array as `clone` does.
     #[test]
-    fn cache_clone_from_matches_clone(
-        src_ops in prop::collection::vec((0u8..32, 0u64..64, any::<u64>()), 0..160),
-        dst_ops in prop::collection::vec((0u8..32, 0u64..64, any::<u64>()), 0..160),
-        fills in prop::collection::vec((0u64..64, any::<u8>()), 1..48),
-    ) {
-        // 96 slots: one whole bitset word and part of a second.
-        let new = || Cache::new(16, 6, 64);
-        let (mut src, mut dst) = (new(), new());
-        run_cache_ops(&mut src, &src_ops);
-        run_cache_ops(&mut dst, &dst_ops);
-        let mut full = src.clone();
-        dst.clone_from(&src);
-        prop_assert_eq!(cache_lines(&full), cache_lines(&src), "clone");
-        prop_assert_eq!(cache_lines(&dst), cache_lines(&full), "clone_from");
-        for (i, (line, byte)) in fills.into_iter().enumerate() {
-            let (la, data) = (line * 64, [byte; 64]);
-            let domain = Domain::Enclave(i as u32);
-            prop_assert_eq!(
-                dst.fill(la, &data, domain),
-                full.fill(la, &data, domain),
-                "fill {} of {:#x}: victim",
-                i,
-                la
-            );
+    fn slots_match_a_map_model(src_ops in ops(96), dst_ops in ops(96)) {
+        for width in [0, 64] {
+            let (mut src, mut dst) = (Slots::new(96, width), Slots::new(96, width));
+            let model = run_slot_ops(&mut src, &src_ops);
+            run_slot_ops(&mut dst, &dst_ops);
+            let expect: Vec<_> = (model.into_iter())
+                .map(|(slot, (entry, payload))| (slot, entry, payload))
+                .collect();
+            prop_assert_eq!(live(&src), expect, "width {}", width);
+            for slot in (0..96).filter(|&slot| !src.is_live(slot)) {
+                prop_assert_eq!(src.get(slot), None);
+                prop_assert!(src.bytes(slot).iter().all(|&b| b == 0), "slot {} not empty", slot);
+            }
+            let full = src.clone();
+            dst.clone_from(&src);
+            prop_assert_eq!(&full, &src, "clone, width {}", width);
+            prop_assert_eq!(&dst, &src, "clone_from, width {}", width);
         }
-        prop_assert_eq!(cache_lines(&dst), cache_lines(&full), "after further fills");
+    }
+
+    /// `clone_from` between two caches of one geometry, each after its
+    /// own random history, leaves what `clone` gives (see
+    /// [`clone_from_matches_clone`]). 96 ways: one whole bitset word and
+    /// part of a second.
+    #[test]
+    fn cache_clone_from_matches_clone(src_ops in ops(64), dst_ops in ops(64), more in ops(64)) {
+        clone_from_matches_clone(|| Cache::new(16, 6, 64), &src_ops, &dst_ops, &more)?;
+    }
+
+    /// [`clone_from_matches_clone`] for the uBTB, 128 entries with a
+    /// one-bit tag, so PCs collide.
+    #[test]
+    fn ubtb_clone_from_matches_clone(src_ops in ops(512), dst_ops in ops(512), more in ops(512)) {
+        clone_from_matches_clone(|| Ubtb::new(128, 1), &src_ops, &dst_ops, &more)?;
+    }
+
+    /// [`clone_from_matches_clone`] for the FTB, 4 sets of 3 ways with 8
+    /// tags each, so sets fill and evict.
+    #[test]
+    fn ftb_clone_from_matches_clone(src_ops in ops(64), dst_ops in ops(64), more in ops(64)) {
+        clone_from_matches_clone(|| Ftb::new(4, 3, 3), &src_ops, &dst_ops, &more)?;
+    }
+
+    /// [`clone_from_matches_clone`] for an 8-entry TLB.
+    #[test]
+    fn tlb_clone_from_matches_clone(src_ops in ops(16), dst_ops in ops(16), more in ops(16)) {
+        clone_from_matches_clone(|| Tlb::new(8), &src_ops, &dst_ops, &more)?;
+    }
+
+    /// [`clone_from_matches_clone`] for an 8-entry PTW cache.
+    #[test]
+    fn ptw_cache_clone_from_matches_clone(src_ops in ops(16), dst_ops in ops(16), more in ops(16)) {
+        clone_from_matches_clone(|| PtwCache::new(8), &src_ops, &dst_ops, &more)?;
+    }
+
+    /// [`clone_from_matches_clone`] for an 8-entry LFB.
+    #[test]
+    fn lfb_clone_from_matches_clone(src_ops in ops(16), dst_ops in ops(16), more in ops(16)) {
+        clone_from_matches_clone(|| Lfb::new(8, 64), &src_ops, &dst_ops, &more)?;
     }
 
     /// The LFB never loses a pending request except through `flush_all`,
@@ -237,8 +281,8 @@ proptest! {
                 lfb.complete(idx, &[0x5A; 64], Domain::Enclave(0), 1);
                 prop_assert!(lfb.pending_for(la).is_none());
                 // Residual data persists after completion.
-                prop_assert!(lfb.entry(idx).valid);
-                prop_assert_eq!(lfb.entry(idx).data[0], 0x5A);
+                prop_assert!(lfb.slots().is_live(idx));
+                prop_assert_eq!(lfb.slots().bytes(idx)[0], 0x5A);
             }
         }
     }
@@ -249,7 +293,6 @@ proptest! {
     fn tlb_latest_translation_wins(
         inserts in prop::collection::vec((0u64..32, 1u64..500), 1..64)
     ) {
-        use teesec_isa::vm::{PhysAddr, Pte, VirtAddr};
         let mut tlb = Tlb::new(8);
         let mut model: HashMap<u64, u64> = HashMap::new();
         for (page, ppn) in inserts {
@@ -257,7 +300,7 @@ proptest! {
             let pte = Pte::leaf(PhysAddr(ppn << 12), Pte::R | Pte::W);
             tlb.insert(va, pte, Domain::Untrusted);
             model.insert(page, ppn);
-            prop_assert!(tlb.valid_count() <= 8);
+            prop_assert!(tlb.slots().live_count() <= 8);
             if let Some(hit) = tlb.lookup(va) {
                 prop_assert_eq!(hit.ppn(), model[&page]);
             } else {
@@ -355,44 +398,259 @@ proptest! {
 
 const PAGE: u64 = 4096;
 
-/// The byte-at-a-time scan `Memory::first_difference` replaced, kept as
-/// the reference: every byte of every page backed in either memory, in
-/// address order.
-/// Runs `(kind, line, value)` operations on `cache`: mostly fills, with
-/// writes, reads, invalidations and the odd `flush_all`.
-fn run_cache_ops(cache: &mut Cache, ops: &[(u8, u64, u64)]) {
-    for &(kind, line, value) in ops {
-        let la = line * 64;
+/// A structure on a live-slot table, as the clone properties drive it.
+trait Slotted: Clone {
+    type Entry: Copy + Default + PartialEq + Debug;
+
+    fn table(&self) -> &Slots<Self::Entry>;
+
+    /// Runs operation `kind` on `key` and `value`: mostly fills, inserts
+    /// or training, with lookups, invalidations and the odd flush. Returns
+    /// what the operation returned, in `Debug` form.
+    fn op(&mut self, kind: u8, key: u64, value: u64) -> String;
+}
+
+/// `clone_from` between two structures of one shape, each after its own
+/// random history, leaves what `clone` gives: the same live slots (index,
+/// entry with its recency stamp, payload) and the same result and live
+/// slots after every further operation. The destination's history leaves
+/// entries the source lacks, which the copy must drop.
+fn clone_from_matches_clone<S: Slotted>(
+    new: impl Fn() -> S,
+    src_ops: &[Op],
+    dst_ops: &[Op],
+    more: &[Op],
+) -> Result<(), TestCaseError> {
+    let (mut src, mut dst) = (new(), new());
+    for &(kind, key, value) in src_ops {
+        src.op(kind, key, value);
+    }
+    for &(kind, key, value) in dst_ops {
+        dst.op(kind, key, value);
+    }
+    let mut full = src.clone();
+    dst.clone_from(&src);
+    prop_assert_eq!(live(full.table()), live(src.table()), "clone");
+    prop_assert_eq!(live(dst.table()), live(full.table()), "clone_from");
+    for (i, &(kind, key, value)) in more.iter().enumerate() {
+        let (ours, theirs) = (dst.op(kind, key, value), full.op(kind, key, value));
+        prop_assert_eq!(ours, theirs, "operation {}", i);
+        prop_assert_eq!(
+            live(dst.table()),
+            live(full.table()),
+            "after operation {}",
+            i
+        );
+    }
+    Ok(())
+}
+
+/// Every live slot of `slots` in ascending order, with its entry and
+/// payload.
+fn live<T: Copy + Default + PartialEq>(slots: &Slots<T>) -> Vec<(usize, T, Vec<u8>)> {
+    (slots.live())
+        .map(|(i, e)| (i, *e, slots.bytes(i).to_vec()))
+        .collect()
+}
+
+/// The payload a fill with `value` writes: every byte differs.
+fn payload(value: u64, width: usize) -> Vec<u8> {
+    (0..width)
+        .map(|i| (value >> (i % 8 * 8)) as u8 ^ i as u8)
+        .collect()
+}
+
+fn domain(value: u64) -> Domain {
+    match value % 3 {
+        0 => Domain::Untrusted,
+        1 => Domain::SecurityMonitor,
+        _ => Domain::Enclave((value >> 8) as u32 % 4),
+    }
+}
+
+/// Runs `(kind, slot, value)` operations on `slots`: entries set with and
+/// without a payload write, resets and the odd flush. Returns the map
+/// model of what the table must hold.
+fn run_slot_ops(slots: &mut Slots<u64>, ops: &[Op]) -> BTreeMap<usize, (u64, Vec<u8>)> {
+    let mut model = BTreeMap::new();
+    let width = slots.width();
+    for &(kind, slot, value) in ops {
+        let slot = slot as usize;
         match kind {
             0..=17 => {
-                let data: Vec<u8> = (0..64u64).map(|i| (value >> (i % 8 * 8)) as u8).collect();
-                let domain = match value % 3 {
-                    0 => Domain::Untrusted,
-                    1 => Domain::SecurityMonitor,
-                    _ => Domain::Enclave(kind as u32),
-                };
-                cache.fill(la, &data, domain);
+                let data = payload(value, width);
+                slots.set(slot, value).copy_from_slice(&data);
+                model.insert(slot, (value, data));
             }
+            // A new entry over the payload the slot already holds.
             18..=22 => {
-                cache.write(la + value % 8 * 8, value, 8);
+                slots.set(slot, value);
+                let data = model.remove(&slot).map_or(vec![0; width], |(_, data)| data);
+                model.insert(slot, (value, data));
             }
-            23..=25 => {
-                cache.read(la + value % 8 * 8, 8);
+            23..=30 => {
+                slots.reset(slot);
+                model.remove(&slot);
             }
-            26..=30 => cache.invalidate(la),
-            _ => cache.flush_all(),
+            _ => {
+                slots.flush_all();
+                model.clear();
+            }
+        }
+    }
+    model
+}
+
+impl Slotted for Cache {
+    type Entry = LineMeta;
+
+    fn table(&self) -> &Slots<LineMeta> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, line: u64, value: u64) -> String {
+        let la = line * 64;
+        match kind {
+            0..=17 => format!("{:?}", self.fill(la, &payload(value, 64), domain(value))),
+            18..=22 => format!("{:?}", self.write(la + value % 8 * 8, value, 8)),
+            23..=25 => format!("{:?}", self.read(la + value % 8 * 8, 8)),
+            26..=30 => {
+                self.invalidate(la);
+                String::new()
+            }
+            _ => {
+                self.flush_all();
+                String::new()
+            }
         }
     }
 }
 
-/// Every live line of `cache` in `valid_lines` order, with its payload,
-/// recency stamp and filling domain.
-fn cache_lines(cache: &Cache) -> Vec<(u64, Vec<u8>, u64, Domain)> {
-    (cache.valid_lines())
-        .map(|l| (l.line_addr, l.data.to_vec(), l.last_use, l.fill_domain))
-        .collect()
+impl Slotted for Ubtb {
+    type Entry = BtbEntry;
+
+    fn table(&self) -> &Slots<BtbEntry> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, key: u64, value: u64) -> String {
+        let pc = key * 4;
+        match kind {
+            0..=17 => format!("{:?}", self.train(pc, value, value & 1 != 0, domain(value))),
+            18..=30 => format!("{:?}", self.predict(pc)),
+            _ => {
+                self.flush_all();
+                String::new()
+            }
+        }
+    }
 }
 
+impl Slotted for Ftb {
+    type Entry = BtbEntry;
+
+    fn table(&self) -> &Slots<BtbEntry> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, key: u64, value: u64) -> String {
+        let pc = key * 4;
+        match kind {
+            0..=17 => format!("{:?}", self.train(pc, value, value & 1 != 0, domain(value))),
+            18..=30 => format!("{:?}", self.predict(pc)),
+            _ => {
+                self.flush_all();
+                String::new()
+            }
+        }
+    }
+}
+
+impl Slotted for Tlb {
+    type Entry = TlbEntry;
+
+    fn table(&self) -> &Slots<TlbEntry> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, page: u64, value: u64) -> String {
+        let va = VirtAddr(page << 12);
+        match kind {
+            0..=17 => {
+                let pte = Pte::leaf(PhysAddr((value & 0xFFFF) << 12), Pte::R);
+                format!("{:?}", self.insert(va, pte, domain(value)))
+            }
+            18..=30 => format!("{:?}", self.lookup(va)),
+            _ => {
+                self.flush_all();
+                String::new()
+            }
+        }
+    }
+}
+
+impl Slotted for PtwCache {
+    type Entry = PtwCacheEntry;
+
+    fn table(&self) -> &Slots<PtwCacheEntry> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, key: u64, value: u64) -> String {
+        let pte_addr = 0x8000_0000 + key * 8;
+        match kind {
+            0..=17 => format!("{:?}", self.insert(pte_addr, Pte(value), domain(value))),
+            18..=30 => format!("{:?}", self.lookup(pte_addr)),
+            _ => {
+                self.flush_all();
+                String::new()
+            }
+        }
+    }
+}
+
+impl Slotted for Lfb {
+    type Entry = LfbEntry;
+
+    fn table(&self) -> &Slots<LfbEntry> {
+        self.slots()
+    }
+
+    fn op(&mut self, kind: u8, line: u64, value: u64) -> String {
+        let la = line * 64;
+        match kind {
+            0..=11 => {
+                let purpose = [
+                    FillPurpose::Demand,
+                    FillPurpose::Prefetch,
+                    FillPurpose::PageWalk,
+                    FillPurpose::StoreRefill,
+                ][value as usize % 4];
+                format!("{:?}", self.allocate(la, purpose))
+            }
+            // Completes the pending fill of the line, if there is one.
+            12..=23 => {
+                let pending = self.pending_for(la);
+                if let Some(idx) = pending {
+                    self.complete(idx, &payload(value, 64), domain(value), value >> 32);
+                }
+                format!("{pending:?}")
+            }
+            24..=30 => {
+                self.invalidate_entry(value as usize % 8);
+                String::new()
+            }
+            _ => {
+                self.flush_all();
+                String::new()
+            }
+        }
+    }
+}
+
+/// The byte-at-a-time scan `Memory::first_difference` replaced, kept as
+/// the reference: every byte of every page backed in either memory, in
+/// address order.
 fn first_difference_bytewise(a: &Memory, b: &Memory) -> Option<u64> {
     let mut pages: Vec<u64> = (a.page_base_addrs().into_iter())
         .chain(b.page_base_addrs())

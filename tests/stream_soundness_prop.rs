@@ -19,8 +19,12 @@ use teesec::stream::StreamingChecker;
 use teesec::testcase::TestCase;
 use teesec::Fuzzer;
 use teesec_isa::reg::Reg;
+use teesec_uarch::btb::BtbEntry;
+use teesec_uarch::cache::LineMeta;
 use teesec_uarch::core::Core;
 use teesec_uarch::mem::Memory;
+use teesec_uarch::slots::Slots;
+use teesec_uarch::tlb::{PtwCacheEntry, TlbEntry};
 use teesec_uarch::CoreConfig;
 
 #[path = "common/gadgets.rs"]
@@ -101,9 +105,10 @@ proptest! {
     /// Snapshot/restore soundness at the core level: clone the core after
     /// `split` cycles (the CoW fork the platform snapshot relies on), let
     /// the clone finish the run, and compare against a never-interrupted
-    /// twin — registers, memory, cycle count, counters, and the residue
-    /// surface the snapshot scan reads (every valid L1D/L1I/L2 line with
-    /// its payload, and every LFB entry) must all match. The snapshot is
+    /// twin — registers, memory, cycle count, counters, and the live
+    /// entries of every slotted structure (caches, LFB, TLBs, PTW cache
+    /// and BTBs, with payloads, recency stamps aside) must all match,
+    /// the residue surface the snapshot scan reads included. The snapshot is
     /// also written with `clone_from` into a core that first ran another
     /// random program to its end, as the runner's snapshot cache forks
     /// into a finished case's platform, and that fork must finish the same
@@ -185,25 +190,53 @@ fn same_end_state(fork: &Core, straight: &Core, what: &str) -> Result<(), TestCa
     );
     prop_assert_eq!(fork.counters(), straight.counters(), "{what}: counters");
     // Compared without recency stamps: a fork's fetch memo starts cold,
-    // so its first fetches re-stamp L1I lines the straight core's memo
-    // skipped. Only the order of stamps within a set picks victims, and
-    // the lines themselves are what the snapshot scan reads.
-    let residue = |c: &teesec_uarch::cache::Cache| -> Vec<_> {
-        c.valid_lines()
-            .map(|l| (l.line_addr, l.data.to_vec(), l.fill_domain))
+    // so its first fetches re-stamp L1I lines and ITLB entries the
+    // straight core's memo skipped. Only the order of stamps picks
+    // victims, and the entries themselves are what the snapshot scan
+    // reads.
+    let line = |m: LineMeta| LineMeta { last_use: 0, ..m };
+    let btb = |e: BtbEntry| BtbEntry { last_use: 0, ..e };
+    let tlb = |e: TlbEntry| TlbEntry { last_use: 0, ..e };
+    let ptw = |e: PtwCacheEntry| PtwCacheEntry { last_use: 0, ..e };
+    let (a, b) = (&fork.lsu, &straight.lsu);
+    same_live(what, "L1D", a.l1d.slots(), b.l1d.slots(), line)?;
+    same_live(what, "L1I", fork.l1i.slots(), straight.l1i.slots(), line)?;
+    same_live(what, "L2", a.l2.slots(), b.l2.slots(), line)?;
+    same_live(what, "LFB", a.lfb.slots(), b.lfb.slots(), |e| e)?;
+    same_live(what, "uBTB", fork.ubtb.slots(), straight.ubtb.slots(), btb)?;
+    same_live(what, "FTB", fork.ftb.slots(), straight.ftb.slots(), btb)?;
+    same_live(what, "DTLB", a.dtlb.slots(), b.dtlb.slots(), tlb)?;
+    same_live(what, "ITLB", fork.itlb.slots(), straight.itlb.slots(), tlb)?;
+    same_live(
+        what,
+        "PTW cache",
+        a.ptw_cache.slots(),
+        b.ptw_cache.slots(),
+        ptw,
+    )?;
+    Ok(())
+}
+
+/// `fork` and `straight` hold the same live slots of one structure: the
+/// same slot indices, entries (as `unstamp` leaves them) and payloads.
+fn same_live<T: Copy + Default + PartialEq + std::fmt::Debug>(
+    what: &str,
+    structure: &str,
+    fork: &Slots<T>,
+    straight: &Slots<T>,
+    unstamp: impl Fn(T) -> T,
+) -> Result<(), TestCaseError> {
+    let live = |slots: &Slots<T>| -> Vec<_> {
+        (slots.live())
+            .map(|(i, e)| (i, unstamp(*e), slots.bytes(i).to_vec()))
             .collect()
     };
-    for (level, a, b) in [
-        ("L1D", &fork.lsu.l1d, &straight.lsu.l1d),
-        ("L1I", &fork.l1i, &straight.l1i),
-        ("L2", &fork.lsu.l2, &straight.lsu.l2),
-    ] {
-        prop_assert_eq!(residue(a), residue(b), "{what}: {level} lines");
-    }
     prop_assert_eq!(
-        fork.lsu.lfb.entries(),
-        straight.lsu.lfb.entries(),
-        "{what}: LFB entries"
+        live(fork),
+        live(straight),
+        "{}: {} entries",
+        what,
+        structure
     );
     Ok(())
 }
