@@ -190,8 +190,9 @@ pub struct Core {
     /// it was scanned after the last change to anything its scan reads,
     /// and stalled — so the execute walk starts here. Writebacks and
     /// store resolutions at position `p` pull it down to `p + 1` (their
-    /// effects are only visible to younger scans); retires, traps, and
-    /// serializing instructions reset it to 0.
+    /// effects are only visible to younger scans); a retire shifts it down
+    /// by one with the positions. A retiring store or serializing head
+    /// resets it to 0, as traps and serializing instructions do.
     scan_from: usize,
     /// Elision diagnostics: scans performed / scans elided.
     scan_checks: u64,
@@ -400,10 +401,10 @@ impl Core {
 
     /// Resets the dirty-scan watermark: every waiting entry will be
     /// rescanned. Called wherever state that scans read may have changed
-    /// beyond a known ROB position — retires shift every position, traps
-    /// and serializing instructions can change anything — and defensively
-    /// at the public run entry points (external code may have poked
-    /// `mem`/`csr`/registers between runs).
+    /// beyond a known ROB position — a retiring store leaves the store
+    /// queue, traps and serializing instructions can change anything — and
+    /// defensively at the public run entry points (external code may have
+    /// poked `mem`/`csr`/registers between runs).
     #[inline]
     fn invalidate_scans(&mut self) {
         self.scan_from = 0;
@@ -707,14 +708,14 @@ impl Core {
     ///   whole ROB, so every waiting entry is proven stalled;
     /// * fetch is blocked: stalled behind a serializing or faulting
     ///   entry, or the ROB is full;
-    /// * commit cannot act: the ROB is empty, its head is unfinished, or a
-    ///   serializing head has executed and waits for its delayed commit
-    ///   (which ends the span). An unfinished serializing head waits
-    ///   before it executes (`Core::head_must_wait`), and only the
-    ///   interrupt or the LSU, bounded below, can end that wait: a
-    ///   serializing entry that became the head this step, and may execute
-    ///   next, came by a retire, trap or dispatch, which left the
-    ///   watermark below the ROB's length;
+    /// * commit cannot act: the ROB is empty, its head is an unfinished
+    ///   ordinary instruction, a serializing head has executed and waits
+    ///   for its delayed commit (which ends the span), or an unfinished
+    ///   serializing head must wait before it executes
+    ///   (`Core::head_must_wait`). Only the interrupt or the LSU, bounded
+    ///   below, can end that wait. A serializing head that need not wait
+    ///   executes next step: a retire can leave it there with the
+    ///   watermark covering the ROB;
     /// * no interrupt is taken: none is pending and enabled, and a
     ///   scheduled one that has not asserted yet ends the span;
     /// * the LSU tick is idle ([`Lsu::next_event`]), whose next response
@@ -732,6 +733,8 @@ impl Core {
                     return None;
                 }
                 next = head.commit_not_before;
+            } else if head.serializing && !self.head_must_wait() {
+                return None;
             }
         }
         if self.external_interrupt_due() {
@@ -1479,11 +1482,18 @@ impl Core {
     }
 
     fn retire_head(&mut self) {
-        // Retiring shifts every ROB position, moves the head's result
-        // into the architectural file, and releases a head store to the
-        // store buffer — all of which scans read.
-        self.invalidate_scans();
         let head = self.rob.pop_front().expect("retire requires a head");
+        // Retiring shifts every ROB position down by one, and the
+        // watermark with them: the head's result moves into the
+        // architectural file, but a finished head already supplied it to
+        // every operand scan. A store released to the store buffer leaves
+        // the store queue, which can clear a younger load's `Wait`, and a
+        // serializing head may have changed anything, so those rescan.
+        if head.store.is_some() || head.serializing {
+            self.invalidate_scans();
+        } else {
+            self.scan_from = self.scan_from.saturating_sub(1);
+        }
         self.rob_head_slot += 1;
         if let (Ok(inst), Some(v)) = (head.inst, head.result) {
             if let Some(d) = inst.dest() {
@@ -2285,6 +2295,97 @@ mod tests {
             assert!(jumped.trace.iter_events().eq(stepped.trace.iter_events()));
             assert_eq!(state(&jumped), state(&stepped));
             assert_eq!(jumped.mem.first_difference(&stepped.mem), None);
+        }
+    }
+
+    /// Steps `core` until its ROB head satisfies `at`; returns whether the
+    /// head is then unexecuted.
+    fn step_until_head(core: &mut Core, at: impl Fn(&Inst) -> bool) -> bool {
+        while !core
+            .rob
+            .front()
+            .is_some_and(|e| e.inst.as_ref().is_ok_and(&at))
+        {
+            assert!(!core.halted && core.cycle < 10_000, "the head never came");
+            core.step();
+        }
+        core.rob[0].state == EntryState::Waiting
+    }
+
+    #[test]
+    fn a_retire_shifts_the_scan_watermark_with_the_rob() {
+        // The first load reads the second's address, so the second issues
+        // (and misses the L1D) in the cycle the first completes, and the
+        // add waits on it while the first retires.
+        let mut core = core_with(CoreConfig::boom(), |a| {
+            a.li(Reg::T0, 0x8010_0000);
+            a.ld(Reg::T1, Reg::T0, 0);
+            a.ld(Reg::T2, Reg::T1, 0);
+            a.addi(Reg::T3, Reg::T2, 1);
+            a.inst(Inst::Ebreak);
+        });
+        core.mem.write_u64(0x8010_0000, 0x8020_0000);
+        step_until_head(&mut core, |i| matches!(i, Inst::Load { rd: Reg::T2, .. }));
+        assert_eq!(
+            core.rob[1].state,
+            EntryState::Waiting,
+            "the add waits on the load"
+        );
+        // The walk left the watermark past the four entries the retire
+        // found, and the retire shifted it down with them.
+        assert_eq!((core.scan_from, core.rob.len()), (3, 3));
+    }
+
+    #[test]
+    fn a_retiring_store_resets_the_scan_watermark() {
+        let mut core = core_with(CoreConfig::boom(), |a| {
+            a.li(Reg::T0, 0x8010_0000);
+            a.li(Reg::T3, 0x8020_0000);
+            a.sd(Reg::T0, Reg::T0, 0);
+            a.ld(Reg::T2, Reg::T3, 0);
+            a.addi(Reg::T4, Reg::T2, 1);
+            a.inst(Inst::Ebreak);
+        });
+        step_until_head(&mut core, |i| matches!(i, Inst::Load { rd: Reg::T2, .. }));
+        assert_eq!(
+            core.rob[1].state,
+            EntryState::Waiting,
+            "the add waits on the load"
+        );
+        assert_eq!((core.scan_from, core.rob.len()), (0, 3));
+    }
+
+    #[test]
+    fn a_serializing_head_a_retire_exposes_is_stepped() {
+        // The add issues in the cycle the load completes, so BOOM's two
+        // commit slots retire both, and the serializing head they expose
+        // executes only at the next step.
+        let csrr = Inst::Csr {
+            op: CsrOp::Rs,
+            rd: Reg::A0,
+            src: CsrSrc::Reg(Reg::ZERO),
+            csr: csr::MSCRATCH,
+        };
+        for serializing in [Inst::Fence, csrr] {
+            let mut core = core_with(CoreConfig::boom(), |a| {
+                a.li(Reg::T0, 0x8010_0000);
+                a.ld(Reg::T1, Reg::T0, 0);
+                a.addi(Reg::T2, Reg::T1, 1);
+                a.inst(serializing);
+                a.inst(Inst::Ebreak);
+            });
+            assert!(
+                step_until_head(&mut core, |i| *i == serializing),
+                "{serializing:?}"
+            );
+            assert!(
+                core.fetch_stalled && !core.head_must_wait(),
+                "{serializing:?}"
+            );
+            assert_eq!((core.scan_from, core.rob.len()), (1, 1), "{serializing:?}");
+            // The LSU alone would let the clock jump.
+            assert!(core.lsu.next_event(core.cycle).is_some(), "{serializing:?}");
+            assert_eq!(core.next_step_event(), None, "{serializing:?}");
         }
     }
 
