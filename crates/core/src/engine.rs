@@ -439,9 +439,10 @@ const TRACE_TOP_STRAGGLERS: usize = 5;
 
 /// Aggregate fast-path effectiveness for one engine run: how well the
 /// fetch-line memo and the dirty-scan memoization performed across every
-/// case that ran. Purely observational — the elisions change no
-/// checker-visible output, so none of these counters ever appear in
-/// [`UarchCounters`]. The fetch-memo counters keep the `decode_*` names
+/// case that ran. Each case adds only what its own run did: a snapshot
+/// fork starts every count at zero. Purely observational — the elisions
+/// change no checker-visible output, so none of these counters ever
+/// appear in [`UarchCounters`]. The fetch-memo counters keep the `decode_*` names
 /// that the status schema, the event stream and the benchmark read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastPathMetrics {

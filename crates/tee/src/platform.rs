@@ -464,6 +464,7 @@ pub fn emit_sbi_call(a: &mut Assembler, call: SbiCall, enclave: u64) {
 mod tests {
     use super::*;
     use teesec_uarch::trace::Domain;
+    use teesec_uarch::FastPathStats;
 
     fn boom() -> CoreConfig {
         CoreConfig::boom()
@@ -683,6 +684,42 @@ mod tests {
                 None,
                 "{what}"
             );
+        }
+    }
+
+    /// A fork counts only its own run: its scan and retry counts start at
+    /// zero, as its fetch memo's do, although the boot the snapshot ran
+    /// scanned. The first fetch `build_from` completes is the fork's own.
+    #[test]
+    fn a_fork_starts_with_no_fast_path_counts() {
+        for cfg in [boom(), CoreConfig::xiangshan()] {
+            let snap = PlatformSnapshot::capture(cfg.clone(), &SmOptions::default(), HostVm::Bare)
+                .expect("capture");
+            let boot = snap.core().fast_path_stats();
+            assert!(boot.scan_checks > 0, "{}: the boot scanned", cfg.name);
+            let clone = snap.core().clone();
+            assert_eq!(
+                clone.fast_path_stats(),
+                FastPathStats::default(),
+                "{}",
+                cfg.name
+            );
+            assert_eq!(clone.lsu.fastpath_counters(), (0, 0), "{}", cfg.name);
+            let mut spare = lifecycle_builder(cfg.clone()).build().expect("spare");
+            assert_eq!(spare.run(2_000_000), RunExit::Halted);
+            for spare in [None, Some(spare)] {
+                let fork = lifecycle_builder(cfg.clone())
+                    .build_from(&snap, spare)
+                    .expect("fork");
+                let stats = fork.core.fast_path_stats();
+                assert_eq!(
+                    (stats.scan_checks, stats.scan_skips),
+                    (0, 0),
+                    "{}",
+                    cfg.name
+                );
+                assert_eq!(stats.fetch.misses, 1, "{}: the resumed fetch", cfg.name);
+            }
         }
     }
 

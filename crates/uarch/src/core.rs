@@ -125,7 +125,8 @@ pub struct RetiredInst {
 /// counters. `clone` copies field by field; [`Clone::clone_from`] calls
 /// each field's own `clone_from`, so forking into a core that already ran
 /// a case allocates no storage. Neither inherits an attached trace sink
-/// (see [`Trace::clone`]), and both start the fetch memo cold.
+/// (see [`Trace::clone`]), and both start the fetch memo cold and every
+/// [`FastPathStats`] count at zero, so a fork counts only its own run.
 #[derive(Debug, CloneFrom)]
 pub struct Core {
     /// The configuration the core was built with.
@@ -194,9 +195,8 @@ pub struct Core {
     /// by one with the positions. A retiring store or serializing head
     /// resets it to 0, as traps and serializing instructions do.
     scan_from: usize,
-    /// Elision diagnostics: scans performed / scans elided.
-    scan_checks: u64,
-    scan_skips: u64,
+    /// Execute-walk scans performed and elided (restart on `Clone`).
+    scans: ElisionCounts,
     /// The buffers [`Lsu::swap_completions`] hands completions over in,
     /// kept across cycles so the hand-off does not allocate.
     lsu_completions: Completions,
@@ -327,12 +327,35 @@ pub struct FetchMemoStats {
     pub invalidations: u64,
 }
 
+/// How often an elided check ran and was skipped: the execute walk's
+/// stall scans, or the LSU's access retries. A clone restarts both at
+/// zero, as the fetch memo's counts do, so a fork counts only its own run.
+#[derive(Debug, Default)]
+pub(crate) struct ElisionCounts {
+    pub(crate) checks: u64,
+    pub(crate) skips: u64,
+}
+
+impl Clone for ElisionCounts {
+    fn clone(&self) -> ElisionCounts {
+        ElisionCounts::default()
+    }
+}
+
+impl ElisionCounts {
+    /// `(checks, skips)`.
+    pub(crate) fn pair(&self) -> (u64, u64) {
+        (self.checks, self.skips)
+    }
+}
+
 /// Effectiveness counters of the simulator's elisions (the fast path),
 /// exported by the engine as the `teesec_decode_cache_*` (fetch memo) and
 /// `teesec_dirty_scan_*` Prometheus families. Deliberately *not* part of
 /// [`UarchCounters`]: they count the simulator's own work, not the
-/// modeled core's, and a snapshot fork restarts the fetch memo cold, so
-/// they differ between a forked and a fresh run of one case.
+/// modeled core's. A snapshot fork starts the fetch memo cold and every
+/// count at zero, so a fork counts only what it ran itself, and a forked
+/// and a fresh run of one case differ.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Fetch-memo hit/miss/invalidation counts.
@@ -378,8 +401,7 @@ impl Core {
             fetch_fence_hit: false,
             fetch_memo: FetchMemo::default(),
             scan_from: 0,
-            scan_checks: 0,
-            scan_skips: 0,
+            scans: ElisionCounts::default(),
             lsu_completions: Completions::default(),
             line_buf: Vec::new(),
             mem,
@@ -388,14 +410,15 @@ impl Core {
     }
 
     /// How often the fetch memo, scan watermark and LSU retry memo were
-    /// used. The fetch counters restart on `Clone`, with the memo. Debug
-    /// builds check each use against its reference as it happens.
+    /// used since this core was built or forked: every count restarts on
+    /// `Clone`. Debug builds check each use against its reference as it
+    /// happens.
     pub fn fast_path_stats(&self) -> FastPathStats {
         let (lsu_checks, lsu_skips) = self.lsu.fastpath_counters();
         FastPathStats {
             fetch: self.fetch_memo.stats,
-            scan_checks: self.scan_checks + lsu_checks,
-            scan_skips: self.scan_skips + lsu_skips,
+            scan_checks: self.scans.checks + lsu_checks,
+            scan_skips: self.scans.skips + lsu_skips,
         }
     }
 
@@ -688,7 +711,7 @@ impl Core {
         self.cycle = to;
         if clock == Clock::Step {
             self.csr.cycle = to;
-            self.scan_skips += skipped * self.rob.len() as u64;
+            self.scans.skips += skipped * self.rob.len() as u64;
         }
         self.lsu.skip_idle_ticks(skipped);
         #[cfg(debug_assertions)]
@@ -786,7 +809,7 @@ impl Core {
         let stepped = self.clocks();
         let (cycle, csr_cycle, scans, _) = before.clocks;
         (self.cycle, self.csr.cycle) = (cycle, csr_cycle);
-        (self.scan_checks, self.scan_skips) = scans;
+        (self.scans.checks, self.scans.skips) = scans;
         self.lsu.rewind_retry_counters(&before.lsu);
         stepped
     }
@@ -814,9 +837,8 @@ impl Core {
     /// the CSR cycle, the scan counters and the LSU's retry counters.
     #[cfg(debug_assertions)]
     fn clocks(&self) -> Clocks {
-        let scans = (self.scan_checks, self.scan_skips);
         let retries = self.lsu.fastpath_counters();
-        (self.cycle, self.csr.cycle, scans, retries)
+        (self.cycle, self.csr.cycle, self.scans.pair(), retries)
     }
 
     /// What this core changed since `before` that an idle step must not,
@@ -1109,7 +1131,7 @@ impl Core {
         // starts at the watermark, which during a long stall sits past
         // the whole ROB and skips the stage outright.
         let mut pos = self.scan_from.min(self.rob.len());
-        self.scan_skips += pos as u64;
+        self.scans.skips += pos as u64;
         #[cfg(debug_assertions)]
         for skipped in 0..pos {
             debug_assert!(
@@ -1123,7 +1145,7 @@ impl Core {
                 pos += 1;
                 continue;
             }
-            self.scan_checks += 1;
+            self.scans.checks += 1;
             if !self.operands_ready(pos) {
                 pos += 1;
                 continue;

@@ -29,6 +29,7 @@ use teesec_isa::vm::{pte_addr, PhysAddr, Pte, VirtAddr, SV39_LEVELS};
 
 use crate::cache::{Cache, Lfb, LfbState};
 use crate::config::{CoreConfig, FaultingMissPolicy, PrefetcherKind, PtwRequestPath};
+use crate::core::ElisionCounts;
 use crate::csr_file::CsrFile;
 use crate::mem::Memory;
 use crate::tlb::{PtwCache, Tlb};
@@ -252,8 +253,9 @@ enum DrainState {
 }
 
 /// The load/store unit. A clone copies every structure and in-flight
-/// item; [`Clone::clone_from`] copies them into the destination's buffers,
-/// and the slotted structures copy only their live slots ([`Slots`]).
+/// item and restarts the retry counts; [`Clone::clone_from`] copies them
+/// into the destination's buffers, and the slotted structures copy only
+/// their live slots ([`Slots`]).
 ///
 /// [`Slots`]: crate::slots::Slots
 #[derive(Debug, CloneFrom)]
@@ -287,10 +289,9 @@ pub struct Lsu {
     /// (store buffer, L1D, LFB, fill completions, PMP). Starts at 1 so a
     /// zero-initialized [`LoadOp::attempt_epoch`] always scans first.
     epoch: u64,
-    /// Access retries actually performed.
-    retry_checks: u64,
-    /// Access retries elided as provably unchanged.
-    retry_skips: u64,
+    /// Access retries performed and elided as provably unchanged
+    /// (restart on `Clone`).
+    retries: ElisionCounts,
 }
 
 /// The LSU's in-flight items, which an idle tick leaves as they were,
@@ -333,15 +334,15 @@ impl Lsu {
             next_req_id: 0,
             next_walk_id: 0,
             epoch: 1,
-            retry_checks: 0,
-            retry_skips: 0,
+            retries: ElisionCounts::default(),
             cfg: cfg.clone(),
         }
     }
 
-    /// `(retries performed, retries elided)` by the retry memo.
+    /// `(retries performed, retries elided)` by the retry memo since this
+    /// LSU was built or forked.
     pub fn fastpath_counters(&self) -> (u64, u64) {
-        (self.retry_checks, self.retry_skips)
+        self.retries.pair()
     }
 
     /// Invalidates memoized access-retry verdicts after a change the LSU
@@ -480,7 +481,7 @@ impl Lsu {
     /// stalled in its access stage.
     pub(crate) fn skip_idle_ticks(&mut self, ticks: u64) {
         let stalled = self.loads.iter().filter(|l| l.state == LoadLane::Access);
-        self.retry_skips += ticks * stalled.count() as u64;
+        self.retries.skips += ticks * stalled.count() as u64;
     }
 
     /// A copy of the in-flight items and the retry counters, taken by the
@@ -561,7 +562,7 @@ impl Lsu {
     /// Turns the retry counters back to `before`'s.
     #[cfg(debug_assertions)]
     pub(crate) fn rewind_retry_counters(&mut self, before: &InFlight) {
-        (self.retry_checks, self.retry_skips) = before.retry_counters;
+        (self.retries.checks, self.retries.skips) = before.retry_counters;
     }
 
     /// Drops completion delivery for all ops with `seq >= from_seq`.
@@ -978,7 +979,7 @@ impl Lsu {
                     // `epoch`), and a failed attempt has no side effects
                     // — skip the redundant re-probe.
                     if self.loads[i].attempt_epoch == self.epoch {
-                        self.retry_skips += 1;
+                        self.retries.skips += 1;
                         #[cfg(debug_assertions)]
                         debug_assert!(
                             !self.access_would_progress(i, csr),
@@ -986,7 +987,7 @@ impl Lsu {
                             self.loads[i].req.seq
                         );
                     } else {
-                        self.retry_checks += 1;
+                        self.retries.checks += 1;
                         self.try_access(i, at, csr, trace);
                     }
                 }
