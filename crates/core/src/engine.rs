@@ -442,8 +442,9 @@ const TRACE_TOP_STRAGGLERS: usize = 5;
 /// case that ran. Each case adds only what its own run did: a snapshot
 /// fork starts every count at zero. Purely observational — the elisions
 /// change no checker-visible output, so none of these counters ever
-/// appear in [`UarchCounters`]. The fetch-memo counters keep the `decode_*` names
-/// that the status schema, the event stream and the benchmark read.
+/// appear in [`UarchCounters`]. The fetch-memo counters keep the
+/// `decode_*` names that the status schema, the event stream and the
+/// benchmark read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastPathMetrics {
     /// Cases whose counters were harvested: every case that ran, the

@@ -704,7 +704,6 @@ mod tests {
                 "{}",
                 cfg.name
             );
-            assert_eq!(clone.lsu.fastpath_counters(), (0, 0), "{}", cfg.name);
             let mut spare = lifecycle_builder(cfg.clone()).build().expect("spare");
             assert_eq!(spare.run(2_000_000), RunExit::Halted);
             for spare in [None, Some(spare)] {
