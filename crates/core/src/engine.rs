@@ -1024,7 +1024,7 @@ impl Engine {
             });
         }
 
-        let cache = SnapshotCache::new();
+        let cache = SnapshotCache::for_corpus(&self.cfg.name, corpus);
         let tracer = &self.opts.tracer;
         let mut fold = Fold::new(
             self.cfg.name.clone(),

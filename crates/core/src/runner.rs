@@ -17,7 +17,10 @@
 //!   feeds it the prefix online and parks it at the checkpoint, which
 //!   then keeps no prefix events: a fork's checker starts as a copy of it
 //!   instead of re-scanning the prefix. A capture without a checker
-//!   buffers the prefix's events for its siblings to replay.
+//!   buffers the prefix's events for its siblings to replay. The engine
+//!   builds its cache from the corpus it runs, so a checkpoint lives only
+//!   until its family's last case has forked it, and its platform then
+//!   serves the next family's capture.
 //!
 //! All paths produce cycle-exact identical platforms and reports
 //! (asserted by the `stream_equivalence` suite), so the choice is one of
@@ -337,7 +340,10 @@ pub struct SnapshotCacheMetrics {
 /// Retained setup-prefix checkpoints are bounded: each holds a
 /// copy-on-write platform (shared pages, plus the prefix's events when the
 /// capture ran without a checker) and the checker fed over that prefix,
-/// so the cache evicts the oldest sweep family beyond this many.
+/// so the cache evicts the oldest sweep family beyond this many. A cache
+/// built from its corpus also lets a checkpoint go as soon as its family's
+/// last case has forked it, so this bound only bites when more families
+/// than this are in flight at once.
 const PREFIX_CAP: usize = 64;
 
 /// A keyed cache of copy-on-write platform checkpoints, shared across
@@ -346,7 +352,8 @@ const PREFIX_CAP: usize = 64;
 /// hands each case's platform back ([`SnapshotCache::recycle`]), and the
 /// next fork reuses its buffers instead of allocating and freeing a
 /// platform per case. So a run keeps one spare per worker, owned by the
-/// cache and dropped with it. Two tiers:
+/// cache and dropped with it, plus the platform of each setup-prefix
+/// checkpoint it has let go until the next capture takes it. Two tiers:
 ///
 /// - **Boot snapshots**, keyed by everything the boot prefix depends on:
 ///   the design name plus the setup knobs lowered into the security
@@ -374,6 +381,15 @@ const PREFIX_CAP: usize = 64;
 ///   the platform buffers the prefix, and every sibling forks it. Debug
 ///   builds check every copy of a parked checker against a replay of the
 ///   prefix.
+///
+///   A cache built from the corpus it serves ([`SnapshotCache::for_corpus`])
+///   knows how many cases each sweep family has. Once it has served a
+///   family's last case, whichever tier served it, it drops the family's
+///   checkpoint and keeps the checkpoint's platform as a spare, so the
+///   next capture builds into one spare and forks into another. A run
+///   that submits its sweeps family by family thus holds one checkpoint
+///   at a time. A cache built with [`SnapshotCache::new`] keeps every
+///   checkpoint until 64 newer families evict it (`PREFIX_CAP`).
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     boots: Mutex<HashMap<BootKey, Option<Arc<BootSnapshot>>>>,
@@ -388,10 +404,22 @@ pub struct SnapshotCache {
 
 type BootKey = (String, bool, u64, bool, bool);
 
-/// Setup-prefix checkpoints, oldest first.
+/// Setup-prefix checkpoints, oldest first, and the sweep families of the
+/// corpus the cache was built from (none for [`SnapshotCache::new`]).
 #[derive(Debug, Default)]
 struct PrefixMap {
     entries: VecDeque<PrefixEntry>,
+    families: Vec<Family>,
+}
+
+/// One sweep family of the corpus a cache was built from: the design and
+/// a case that stand for it, and how many of its cases the cache has yet
+/// to serve.
+#[derive(Debug)]
+struct Family {
+    design: String,
+    case: TestCase,
+    unserved: usize,
 }
 
 /// One sweep family's checkpoint: the design and the case that captured
@@ -413,7 +441,10 @@ struct BootSnapshot {
 }
 
 /// A fully built platform checkpointed mid-run, after the setup-gadget
-/// prefix shared by an interrupt-timing sweep family.
+/// prefix shared by an interrupt-timing sweep family. It lives in its
+/// family's [`PrefixEntry`] until [`PREFIX_CAP`] newer families evict it
+/// or, in a cache built from its corpus, until the family's last case has
+/// forked it.
 #[derive(Debug)]
 struct PrefixSnapshot {
     /// The checkpointed platform. Its trace buffers the whole prefix when
@@ -464,6 +495,33 @@ impl SnapshotCache {
         SnapshotCache::default()
     }
 
+    /// Creates an empty cache for running `corpus` on `design`. It counts
+    /// the cases of each sweep family (cases with an external interrupt,
+    /// grouped by their sweep-family key) and lets a family's checkpoint
+    /// go once it has served them all. Serve it only the cases of
+    /// `corpus`, each once.
+    pub fn for_corpus(design: &str, corpus: &[TestCase]) -> SnapshotCache {
+        let mut families: Vec<Family> = Vec::new();
+        for tc in corpus.iter().filter(|tc| tc.irq_at.is_some()) {
+            // Newest first: a sweep lists a family's cases together.
+            match families.iter_mut().rev().find(|f| same_family(&f.case, tc)) {
+                Some(family) => family.unserved += 1,
+                None => families.push(Family {
+                    design: design.to_string(),
+                    case: tc.clone(),
+                    unserved: 1,
+                }),
+            }
+        }
+        SnapshotCache {
+            prefixes: Mutex::new(PrefixMap {
+                families,
+                ..PrefixMap::default()
+            }),
+            ..SnapshotCache::default()
+        }
+    }
+
     /// Takes back the platform of a finished case, which a later fork
     /// will overwrite. Hand back only a platform whose run is over and
     /// whose results are collected.
@@ -504,8 +562,39 @@ impl SnapshotCache {
     /// applicable checkpoint (setup-prefix, then boot) and falling back
     /// to a fresh build, with `checker` caught up on the fork's prefix.
     /// Exactly one of hits/misses/bypasses is counted per call, so the
-    /// three always sum to the number of cases run.
+    /// three always sum to the number of cases run. Then `tc` counts as
+    /// served for its sweep family, which lets the family's checkpoint go
+    /// after its last case.
     fn platform_for(
+        &self,
+        tc: &TestCase,
+        cfg: &CoreConfig,
+        limit: u64,
+        checker: Option<StreamingChecker>,
+    ) -> Result<Built, BuildError> {
+        let built = self.fork_or_build(tc, cfg, limit, checker);
+        if tc.irq_at.is_some() {
+            self.served(&cfg.name, tc);
+        }
+        built
+    }
+
+    /// Counts `tc` served for its sweep family, if it belongs to one of
+    /// the corpus this cache was built from. After the family's last case
+    /// the checkpoint leaves the map, and its platform becomes a spare
+    /// unless another worker still holds the checkpoint.
+    fn served(&self, design: &str, tc: &TestCase) {
+        let released = {
+            let mut map = self.prefixes.lock().expect("prefix cache poisoned");
+            map.served(design, tc)
+        };
+        if let Some(snap) = released.and_then(Arc::into_inner) {
+            self.recycle(snap.platform);
+        }
+    }
+
+    /// [`SnapshotCache::platform_for`] before `tc` counts as served.
+    fn fork_or_build(
         &self,
         tc: &TestCase,
         cfg: &CoreConfig,
@@ -743,6 +832,23 @@ impl PrefixMap {
             self.entries.pop_front();
         }
     }
+
+    /// Counts `tc` served for its family in [`PrefixMap::families`]. When
+    /// that was the family's last case, removes the family and its
+    /// checkpoint entry and returns the checkpoint.
+    fn served(&mut self, design: &str, tc: &TestCase) -> Option<Arc<PrefixSnapshot>> {
+        // Oldest first: finished families leave the list, so a run that
+        // goes family by family finds its family at the front.
+        let i =
+            (self.families.iter()).position(|f| f.design == design && same_family(&f.case, tc))?;
+        self.families[i].unserved -= 1;
+        if self.families[i].unserved > 0 {
+            return None;
+        }
+        self.families.remove(i);
+        let entry = self.entries.remove(self.position(design, tc)?)?;
+        entry.snap
+    }
 }
 
 /// Whether forking the boot snapshot reproduces a fresh run exactly: an
@@ -881,16 +987,10 @@ mod tests {
     fn prefix_forked_irq_sweep_matches_fresh_builds() {
         let cfg = CoreConfig::boom();
         let cache = SnapshotCache::new();
-        for k in 0..4u64 {
-            let params = CaseParams {
-                restricted_counters: true,
-                irq_at: Some(2_000 + 37 * k),
-                ..CaseParams::default()
-            };
-            let tc = assemble_case(AccessPath::HpcRead, params, &cfg).unwrap();
-            let fresh = run_case(&tc, &cfg).expect("fresh build");
+        for (k, tc) in sweeps(&cfg, 1, 4).remove(0).iter().enumerate() {
+            let fresh = run_case(tc, &cfg).expect("fresh build");
             let forked = run_case_opts(
-                &tc,
+                tc,
                 &cfg,
                 RunOptions {
                     snapshot_cache: Some(&cache),
@@ -915,6 +1015,144 @@ mod tests {
         assert_eq!(m.misses, 1, "one capture for the family: {m:?}");
         assert_eq!(m.hits, 3, "siblings fork the checkpoint: {m:?}");
         assert_eq!(m.bypasses, 0, "{m:?}");
+    }
+
+    /// `families` interrupt sweep families of `steps` cases on `cfg`, one
+    /// per secret offset, each listed in interrupt order.
+    fn sweeps(cfg: &CoreConfig, families: u64, steps: u64) -> Vec<Vec<TestCase>> {
+        (0..families)
+            .map(|f| {
+                (0..steps)
+                    .map(|k| {
+                        let params = CaseParams {
+                            restricted_counters: true,
+                            offset: 8 * f,
+                            irq_at: Some(2_000 + 37 * k),
+                            ..CaseParams::default()
+                        };
+                        assemble_case(AccessPath::HpcRead, params, cfg).unwrap()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Where `platform` keeps its L1I payloads. A fork written into a
+    /// spare keeps the spare's buffers, so this tells which platform a
+    /// fork was written into.
+    fn buffers(platform: &Platform) -> *const u8 {
+        platform.core.l1i.slots().bytes(0).as_ptr()
+    }
+
+    /// Runs `tc` through `cache` as the engine does, with a checker, and
+    /// hands its platform back; returns where that platform's buffers are.
+    fn engine_run(cache: &SnapshotCache, tc: &TestCase, cfg: &CoreConfig) -> *const u8 {
+        let opts = RunOptions {
+            snapshot_cache: Some(cache),
+            checker: Some(StreamingChecker::new(tc, cfg)),
+            ..RunOptions::default()
+        };
+        let out = run_case_opts(tc, cfg, opts).expect("sweep build");
+        let at = buffers(&out.platform);
+        cache.recycle(out.platform);
+        at
+    }
+
+    /// Where the checkpoint `cache` holds for `tc`'s family keeps its
+    /// buffers, if it holds one.
+    fn checkpoint(cache: &SnapshotCache, tc: &TestCase, cfg: &CoreConfig) -> Option<*const u8> {
+        let map = cache.prefixes.lock().unwrap();
+        let snap = map
+            .get(&cfg.name, tc)?
+            .as_ref()
+            .expect("the capture succeeds");
+        Some(buffers(&snap.platform))
+    }
+
+    /// A cache built from its corpus keeps a family's checkpoint until
+    /// the family's last case has forked it and then makes its platform a
+    /// spare: the next family's capture forks into it instead of cloning
+    /// a new platform.
+    #[test]
+    fn a_checkpoint_goes_after_its_familys_last_case_and_the_next_capture_forks_into_it() {
+        let cfg = CoreConfig::boom();
+        let families = sweeps(&cfg, 2, 3);
+        let (a, b) = (&families[0], &families[1]);
+        let cache = SnapshotCache::for_corpus(&cfg.name, &families.concat());
+        engine_run(&cache, &a[0], &cfg);
+        let a_checkpoint = checkpoint(&cache, &a[0], &cfg).expect("the first case captures");
+        engine_run(&cache, &a[1], &cfg);
+        assert_eq!(
+            checkpoint(&cache, &a[1], &cfg),
+            Some(a_checkpoint),
+            "kept while the family has cases left"
+        );
+        let a_last = engine_run(&cache, &a[2], &cfg);
+        assert_eq!(
+            checkpoint(&cache, &a[2], &cfg),
+            None,
+            "gone after the family's last case"
+        );
+        assert!(cache.prefixes.lock().unwrap().entries.is_empty());
+        let spares: Vec<_> = cache.spares.lock().unwrap().iter().map(buffers).collect();
+        assert_eq!(
+            spares,
+            [a_checkpoint, a_last],
+            "the checkpoint's platform is a spare beside the last case's"
+        );
+
+        // The capture builds into the last case's platform and forks into
+        // the released checkpoint's: no platform is cloned anew. (The
+        // checkpoint's platform is still alive, as a spare, when the fork
+        // runs, so a new clone could not take its buffers' address.)
+        let b_first = engine_run(&cache, &b[0], &cfg);
+        assert_eq!(
+            b_first, a_checkpoint,
+            "the capture forks into the released checkpoint's platform"
+        );
+        assert_eq!(
+            checkpoint(&cache, &b[0], &cfg),
+            Some(a_last),
+            "the capture builds into the last case's platform"
+        );
+        engine_run(&cache, &b[1], &cfg);
+        engine_run(&cache, &b[2], &cfg);
+        let map = cache.prefixes.lock().unwrap();
+        assert!(map.entries.is_empty() && map.families.is_empty());
+        let m = cache.metrics();
+        assert_eq!((m.misses, m.hits, m.bypasses), (2, 4, 0), "{m:?}");
+    }
+
+    /// In an interleaved order (A0 B0 C0 A1 ...) every family keeps its
+    /// checkpoint from its first case to its last, so each captures once;
+    /// a cache built without a corpus keeps them all to the end.
+    #[test]
+    fn an_interleaved_corpus_releases_no_checkpoint_early() {
+        let cfg = CoreConfig::boom();
+        let families = sweeps(&cfg, 3, 2);
+        let corpus: Vec<TestCase> = (0..2)
+            .flat_map(|k| families.iter().map(move |f| f[k].clone()))
+            .collect();
+        for (cache, from_corpus) in [
+            (SnapshotCache::for_corpus(&cfg.name, &corpus), true),
+            (SnapshotCache::new(), false),
+        ] {
+            for (i, tc) in corpus.iter().enumerate() {
+                engine_run(&cache, tc, &cfg);
+                for family in &families {
+                    let ours = |t: &TestCase| same_family(t, &family[0]);
+                    let started = corpus[..=i].iter().any(ours);
+                    let left = corpus[i + 1..].iter().any(ours);
+                    assert_eq!(
+                        checkpoint(&cache, &family[0], &cfg).is_some(),
+                        started && (left || !from_corpus),
+                        "after case {i}, corpus-built: {from_corpus}"
+                    );
+                }
+            }
+            let m = cache.metrics();
+            assert_eq!((m.misses, m.hits, m.bypasses), (3, 3, 0), "{m:?}");
+        }
     }
 
     /// The setup-prefix map keys a sweep family on the design and every

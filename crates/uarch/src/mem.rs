@@ -13,6 +13,7 @@
 //! memory writes until `fence.i` flushes it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use teesec_derive::CloneFrom;
@@ -25,7 +26,33 @@ const PAGE: usize = PAGE_SIZE as usize;
 /// page table.
 #[derive(Debug, Default, CloneFrom)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<[u8; PAGE]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Hashes a page number with one multiply by an odd constant (Fibonacci
+/// hashing). Every core store, fill and build write and every ISS fetch
+/// and page-walk read looks a page up, and page numbers are not chosen by
+/// an adversary, so SipHash's flood resistance buys nothing here. The
+/// product's high bits mix every bit of the page number, and its low bits
+/// keep neighbouring pages in distinct buckets. Nothing depends on the
+/// map's iteration order: every walk over it sorts.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 impl Memory {

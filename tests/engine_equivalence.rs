@@ -222,3 +222,53 @@ fn engine_matches_serial_on_an_irq_sweep() {
         assert_eq!(engine_reports, serial_reports, "{}", cfg.name);
     }
 }
+
+/// Three sweep families run through the engine family by family and
+/// interleaved (A0 B0 C0 A1 ...), at 1, 2 and 7 workers: results and
+/// reports equal the serial oracle's, and nothing is quarantined. At one
+/// worker each family captures its checkpoint once in either order, so a
+/// checkpoint lives until its family's last case and every other case
+/// forks one.
+#[test]
+fn engine_matches_serial_on_irq_sweeps_in_either_order() {
+    let cfg = CoreConfig::boom();
+    let families = sweep::irq_sweeps(&cfg, 3);
+    let by_family = families.concat();
+    let (serial, serial_reports) = serial_oracle(&cfg, &by_family);
+    let steps = families[0].len();
+    let interleaved = (0..steps).flat_map(|k| (0..families.len()).map(move |f| f * steps + k));
+    let orders = [
+        ("family by family", (0..by_family.len()).collect::<Vec<_>>()),
+        ("interleaved", interleaved.collect()),
+    ];
+    for (order, seqs) in orders {
+        let corpus: Vec<TestCase> = seqs.iter().map(|&i| by_family[i].clone()).collect();
+        let want = CampaignResult {
+            cases: seqs.iter().map(|&i| serial.cases[i].clone()).collect(),
+            ..serial.clone()
+        };
+        let want_reports: Vec<CheckReport> =
+            seqs.iter().map(|&i| serial_reports[i].clone()).collect();
+        for threads in [1usize, 2, 7] {
+            let what = format!("{order} at {threads} workers");
+            let options = EngineOptions {
+                threads,
+                ..EngineOptions::default()
+            };
+            let (engine, engine_reports) = run_engine(&cfg, &corpus, options);
+            let metrics = engine.engine.as_ref().expect("engine metrics attached");
+            assert_eq!(metrics.cases_quarantined, 0, "{what}");
+            let cache = metrics.snapshot.as_ref().expect("the cache is on");
+            if threads == 1 {
+                let captures = families.len() as u64;
+                assert_eq!(
+                    (cache.misses, cache.hits, cache.bypasses),
+                    (captures, corpus.len() as u64 - captures, 0),
+                    "{what}: one capture per family ({cache:?})"
+                );
+            }
+            assert_eq!(normalized(engine), want, "{what}");
+            assert_eq!(engine_reports, want_reports, "{what}");
+        }
+    }
+}
